@@ -1,36 +1,49 @@
-"""Hot numeric kernels with a compiled core and a pure-numpy fallback.
+"""Miss distance of constant-acceleration states against an observer track.
 
-The single performance-critical operation in the package is evaluating the
-miss distance of a batch of constant-acceleration states against a fixed
-observer track.  A Cython implementation (`subsim._fastkern`) is used when it
-was built; otherwise a chunked numpy implementation with identical arithmetic
-takes over.  Set ``SUBSIM_BACKEND=numpy`` or ``SUBSIM_BACKEND=cython`` to
-force one side (checked once at import).
+The observer and every intruder state follow constant-acceleration motion, so
+the squared distance between them is a quartic in time.  Between the real
+roots of its cubic derivative the quartic is monotone, so the first minimum
+over the sampling grid lies next to a root or at an end of the track.
+`miss_distance_batch` evaluates the grid scan's own float expression at those
+indices only.  Rows it cannot settle (no relative acceleration, or a curve
+too flat for rounding to order the grid points) go to `miss_distance_scan`,
+which evaluates every grid point and is the reference for the closed form;
+so do batches too small for the closed form's fixed cost to pay.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from . import _fastkern as _ext
-except ImportError:  # extension not built
-    _ext = None
-
-_FORCED = os.environ.get("SUBSIM_BACKEND", "").strip().lower()
-if _FORCED in ("cython", "ext", "compiled") and _ext is None:
-    raise ImportError("SUBSIM_BACKEND forces the compiled backend but subsim._fastkern is not built")
-_USE_EXT = _ext is not None and _FORCED not in ("numpy", "python")
-
-# Chunk size for the fallback keeps temporaries around ~50 MB.
+# Elements per scan block: keeps its (rows, 2, points) temporaries around ~50 MB.
 _BLOCK_ELEMS = 6_000_000
+# At or below this many state-points a batch goes to the scan: the closed
+# form's fixed cost of about a hundred small array operations exceeds the
+# scan's below roughly 10,000 (10 states on 401 points: 240 us closed form
+# against 110 us scan; 3 states on 4,001 points: 290 us against 480 us).
+_SCAN_ELEMS = 8192
+# Rows per closed-form block: about 1.3 MB per (rows, 20 candidates) temporary.
+_BLOCK_ROWS = 1 << 13
+# A window of grid points sits at each end of the track and around each
+# root: the two points bracketing the root and one more on either side, so
+# that a root computed up to a step off still lies inside.
+_OFFSETS = np.arange(-1, 3)
+_SPAN = len(_OFFSETS)
+_N_WINDOWS = 5
+# Relative bound on rounding in distances, and per unit of coordinate
+# magnitude in positions; each is several times the worst case of the float
+# expression, which stays within a few units in the last place.
+_TOL = 8.0 * np.finfo(np.float64).eps
+# Roots are computed to within a few ulps of the largest one; beyond this many
+# grid steps that error could move a window off the root it is meant to hold.
+_ROOT_LIMIT = 2.0**40
+_PAIR = np.array([1.0, -0.5, -0.5])
+_THIRDS = np.array([0.0, 2.0, 4.0]) * (np.pi / 3.0)
 
 
 def active_backend() -> str:
     """Name of the backend answering `miss_distance_batch`."""
-    return "cython" if _USE_EXT else "numpy"
+    return "numpy"
 
 
 def _as_c_f64(a, name, ndim):
@@ -40,37 +53,23 @@ def _as_c_f64(a, name, ndim):
     return a
 
 
-def miss_distance_batch_numpy(states: np.ndarray, obs_xy: np.ndarray, dt: float):
-    """Numpy fallback: closed-form positions, pointwise distance, min per row."""
-    n = states.shape[0]
-    n_pts = obs_xy.shape[0]
-    tk = np.arange(n_pts, dtype=np.float64) * dt
-    tk2 = tk * tk
-    miss = np.empty(n, dtype=np.float64)
-    idx = np.empty(n, dtype=np.intp)
-    block = max(1, _BLOCK_ELEMS // max(n_pts, 1))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        s = states[lo:hi]
-        dx = (s[:, 0:1] + s[:, 1:2] * tk + (0.5 * s[:, 2:3]) * tk2) - obs_xy[:, 0]
-        dy = (s[:, 3:4] + s[:, 4:5] * tk + (0.5 * s[:, 5:6]) * tk2) - obs_xy[:, 1]
-        d2 = dx * dx + dy * dy
-        k = np.argmin(d2, axis=1)  # first index on ties
-        idx[lo:hi] = k
-        miss[lo:hi] = np.sqrt(d2[np.arange(hi - lo), k])
-    return miss, idx
+def _squared_distance(s, tk, obs):
+    """Squared distance of the rows of `s` at times `tk` from points `obs`.
 
-
-def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float):
-    """Miss distance of each state's trajectory against a fixed observer track.
-
-    Each row of `states` is a kinematic state [x, u, a_x, y, v, a_y] whose
-    planar position at step k is evaluated in closed form at t = k*dt and
-    compared against `obs_xy[k]` (the precomputed observer positions).
-
-    Returns (miss, index): the minimum pointwise distance per state and the
-    step index where it occurs (smallest index on ties).
+    `tk` broadcasts against (rows, 1, points) and `obs` is (..., points, 2).
+    Positions are (x + u*tk) + (0.5*a)*(tk*tk) per axis, as in
+    `dynamics.propagate`.  Both kernels go through this one expression, so
+    they round identically.
     """
+    tk2 = tk * tk
+    s = s.reshape(-1, 2, 3)
+    pos = s[:, :, 0:1] + s[:, :, 1:2] * tk + (0.5 * s[:, :, 2:3]) * tk2
+    d = pos - obs.swapaxes(-1, -2)
+    d *= d
+    return d[:, 0] + d[:, 1]
+
+
+def _validate(states, obs_xy):
     states = _as_c_f64(states, "states", 2)
     obs_xy = _as_c_f64(obs_xy, "obs_xy", 2)
     if states.shape[1] != 6:
@@ -79,6 +78,149 @@ def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float):
         raise ValueError(f"obs_xy must have 2 columns, got {obs_xy.shape[1]}")
     if obs_xy.shape[0] == 0:
         raise ValueError("obs_xy must contain at least one point")
-    if _USE_EXT:
-        return _ext.miss_distance_batch(states, obs_xy, float(dt))
-    return miss_distance_batch_numpy(states, obs_xy, float(dt))
+    return states, obs_xy
+
+
+def miss_distance_scan(states: np.ndarray, obs_xy: np.ndarray, dt: float):
+    """Grid scan: squared distance at every grid point, first minimum per row.
+
+    Each row of `states` is a kinematic state [x, u, a_x, y, v, a_y] whose
+    planar position at step k is evaluated in closed form at t = k*dt and
+    compared against `obs_xy[k]`, which may be any track.
+
+    Returns (miss, index): the minimum pointwise distance per state and the
+    step index where it occurs (smallest index on ties).
+    """
+    states, obs_xy = _validate(states, obs_xy)
+    n = states.shape[0]
+    n_pts = obs_xy.shape[0]
+    tk = np.arange(n_pts, dtype=np.float64) * float(dt)
+    miss = np.empty(n, dtype=np.float64)
+    idx = np.empty(n, dtype=np.intp)
+    block = max(1, _BLOCK_ELEMS // (2 * n_pts))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        d2 = _squared_distance(states[lo:hi], tk, obs_xy)
+        k = np.argmin(d2, axis=1)  # first index on ties
+        idx[lo:hi] = k
+        miss[lo:hi] = np.sqrt(d2[np.arange(hi - lo), k])
+    return miss, idx
+
+
+def _critical_points(g):
+    """Critical points of |q|^2 in grid-index units, three per row.
+
+    `g` is the (n, 3, 3) Gram matrix of the per-axis coefficients of q(k) =
+    q0 + q1 k + q2 k^2.  Half the derivative of |q|^2 is the cubic
+    a k^3 + b k^2 + c k + d with a = 2 g22, b = 3 g12, c = g11 + 2 g02 and
+    d = g01.  Its roots come from Cardano's formula, with the
+    cancellation-free choice of cube root, when there is one real root, and
+    from the trigonometric form when there are three.  With one real root the
+    other two columns hold the real part of the complex pair: that is where
+    two nearly coincident real roots sit when rounding has moved them off the
+    real line.  Rows with a = 0 and degenerate rows come out non-finite.
+    """
+    g = g.reshape(-1, 9)
+    inv_2a = 0.5 / g[:, 8]
+    shift = g[:, 5] * inv_2a  # b / 3a
+    c_3 = (g[:, 4] + 2.0 * g[:, 2]) * inv_2a / 3.0  # c / 3a
+    s2 = shift * shift
+    third_p = c_3 - s2
+    half_q = ((2.0 * s2 - 3.0 * c_3) * shift + g[:, 1] * inv_2a) * 0.5
+    disc = half_q * half_q + third_p * third_p * third_p
+    w = np.cbrt(-half_q - np.copysign(np.sqrt(np.maximum(disc, 0.0)), half_q))
+    y_one = (w - third_p / w)[:, None] * _PAIR
+    r = np.sqrt(-third_p)
+    cos_3theta = np.minimum(np.maximum(-half_q / (r * r * r), -1.0), 1.0)
+    y_three = (2.0 * r)[:, None] * np.cos((np.arccos(cos_3theta) / 3.0)[:, None] - _THIRDS)
+    return np.where((disc > 0.0)[:, None], y_one, y_three) - shift[:, None]
+
+
+def _closed_form_block(s, obs_xy, dt, observer, scale, err_o, err_w):
+    """(miss, index, settled) for one block of rows; unsettled rows are garbage.
+
+    The track must have at least _SPAN points.
+    """
+    n = s.shape[0]
+    last = obs_xy.shape[0] - 1
+    rows = np.arange(n)
+    # relative position q0 + q1 k + q2 k^2 per axis, in grid-index units k = t / dt
+    q = ((s - observer) * scale).reshape(n, 2, 3)
+    roots = _critical_points(q.transpose(0, 2, 1) @ q)
+    settled = (np.abs(roots) < _ROOT_LIMIT).all(axis=1)  # false for non-finite roots too
+
+    # Window j covers base_j - 1 .. base_j + 2.  The track's end windows have
+    # bases 1 and last - 2; a root window clamped to those bases still holds
+    # its root if the root lies on the track, and one off the track does not
+    # matter.  Sorted by base, the windows list grid indices such that the
+    # first minimum among them is the one with the smallest index.
+    base = np.empty((n, _N_WINDOWS), dtype=np.intp)
+    base[:, 0] = 1
+    base[:, 1] = last - 2
+    base[:, 2:] = np.floor(np.fmin(np.fmax(roots, 1.0), last - 2.0))  # NaN goes to 1
+    base.sort(axis=1)
+    idx = (base[:, :, None] + _OFFSETS).reshape(n, -1)
+    d2 = _squared_distance(s, (idx * dt)[:, None, :], obs_xy[idx])
+    first = d2.argmin(axis=1)
+    best = d2[rows, first]
+
+    # A grid point outside every window lies in a gap between two windows
+    # with no root inside it, so its exact distance is at least that of one
+    # of the gap's two edges.  Edges whose float distances clear the minimum
+    # by the rounding of both therefore rule out the whole gap.
+    gap = np.diff(base, axis=1) > _SPAN
+    d2 = d2.reshape(n, _N_WINDOWS, _SPAN)
+    edges = np.sqrt(np.stack([d2[:, :-1, -1], d2[:, 1:, 0]], axis=2)).min(axis=2)
+    margin = 2.0 * (err_o + np.abs(s) @ err_w) + np.sqrt(best) * (1.0 + _TOL)
+    clear = edges * (1.0 - _TOL) > margin[:, None]
+    settled &= (clear | ~gap).all(axis=1)
+    return np.sqrt(best), idx[rows, first], settled
+
+
+def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float, observer):
+    """Miss distance of each state's trajectory against the observer's track.
+
+    `observer` is the observer's constant-acceleration state
+    [x, u, a_x, y, v, a_y] and `obs_xy` its `dynamics.propagate` positions at
+    step `dt`; a track whose first or last point differs from that state's is
+    rejected.  Each row of `states` is an intruder state evaluated at
+    t = k*dt, as in `miss_distance_scan`, whose result this equals bit for
+    bit: (miss, index), the minimum pointwise distance per state and the
+    first step index where it occurs.
+    """
+    states, obs_xy = _validate(states, obs_xy)
+    observer = np.asarray(observer, dtype=np.float64)
+    if observer.shape != (6,):
+        raise ValueError(f"observer must be a 6-component state, got shape {observer.shape}")
+    dt = float(dt)
+    last = obs_xy.shape[0] - 1
+    t_end = last * dt
+    ox, ou, oax, oy, ov, oay = observer.tolist()
+    end_x = ox + ou * t_end + (0.5 * oax) * (t_end * t_end)
+    end_y = oy + ov * t_end + (0.5 * oay) * (t_end * t_end)
+    if obs_xy[0].tolist() != [ox, oy] or obs_xy[last].tolist() != [end_x, end_y]:
+        raise ValueError("obs_xy is not the track of the observer state at this dt")
+
+    if states.shape[0] * obs_xy.shape[0] <= _SCAN_ELEMS or obs_xy.shape[0] < _SPAN:
+        return miss_distance_scan(states, obs_xy, dt)
+
+    # position scale per state component in grid-index units, and the
+    # rounding bound of a position per unit of each component's magnitude
+    scale = np.array([1.0, dt, 0.5 * dt * dt] * 2)
+    err_w = _TOL * np.array([1.0, t_end, 0.5 * t_end * t_end] * 2)
+    err_o = float(np.abs(observer) @ err_w)
+
+    n = states.shape[0]
+    miss = np.empty(n, dtype=np.float64)
+    idx = np.empty(n, dtype=np.intp)
+    settled = np.empty(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            miss[lo:hi], idx[lo:hi], settled[lo:hi] = _closed_form_block(
+                states[lo:hi], obs_xy, dt, observer, scale, err_o, err_w
+            )
+    if not settled.all():
+        rows = np.flatnonzero(~settled)
+        miss[rows], idx[rows] = miss_distance_scan(states[rows], obs_xy, dt)
+    return miss, idx

@@ -6,7 +6,7 @@ By default sigma is the disc radius; it can also be coupled to the per-level
 threshold ("threshold") or pinned to any positive float.  The reward biases
 the chain away from the prior restricted to the level.  The conflict chain
 no longer uses it: it samples its level by conditional sampling in whitened
-coordinates (`conflict._conflict_chain`).
+coordinates (`conflict._conflict_chains`).
 """
 
 from __future__ import annotations

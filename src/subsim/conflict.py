@@ -112,7 +112,8 @@ def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
     chol = _cholesky_with_jitter(query.intruder_estimate.covariance)
     obs_xy = _observer_positions(query)
     states = _sample_states(gen, n, mean, chol)
-    miss, _ = miss_distance_batch(states, obs_xy, 1.0 / query.sample_rate)
+    dt = 1.0 / query.sample_rate
+    miss, _ = miss_distance_batch(states, obs_xy, dt, query.observer.as_array())
     conflicts = int(np.count_nonzero(miss <= query.protected_radius))
     return PcResult(
         pc=conflicts / n,
@@ -129,47 +130,62 @@ CHAIN_CORRELATION = 0.8
 _INNOVATION_SCALE = math.sqrt(1.0 - CHAIN_CORRELATION**2)
 
 
-def _conflict_chain(
-    seed_state: np.ndarray,
-    seed_miss: float,
+def _conflict_chains(
+    seed_states: np.ndarray,
+    seed_misses: np.ndarray,
     threshold: float,
     innovations: np.ndarray,
     obs_xy: np.ndarray,
     dt: float,
+    observer: np.ndarray,
     mean: np.ndarray,
     chol: np.ndarray,
     chol_inv: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One conditional chain of intruder states whose miss distances stay within `threshold`.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditional chains of intruder states whose miss distances stay within `threshold`.
 
     Conditional sampling in whitened coordinates z = L^-1 (x - mean): each
-    standard-normal row xi of `innovations` proposes z' = rho z + sqrt(1 - rho^2) xi,
-    which moves all six components and leaves the posterior invariant, and the
-    candidate is accepted iff its miss distance is at most `threshold`.  The
-    chain's stationary law is therefore the posterior restricted to the level,
-    as the engine's p0^m * D / N read-off assumes.  One kernel call per step.
+    standard-normal row xi of a chain's innovations proposes
+    z' = rho z + sqrt(1 - rho^2) xi, which moves all six components and
+    leaves the posterior invariant, and the candidate is accepted iff its
+    miss distance is at most `threshold`.  The chains' stationary law is
+    therefore the posterior restricted to the level, as the engine's
+    p0^m * D / N read-off assumes.
 
-    Returns the states, their miss distances and the number of accepted
-    candidates.
+    Chain j starts at `seed_states[j]` and consumes `innovations[j]`, of
+    shape (length, 6).  The chains are independent, so they advance in
+    lockstep: one kernel call per step covers every chain.  Whitening goes
+    through a stacked matmul, which rounds as a per-chain `chol @ z` does, so
+    a chain's values do not depend on which other chains run beside it.
+
+    Returns the states (m, length, 6), their miss distances (m, length) and
+    the number of accepted candidates per chain.
     """
-    length = innovations.shape[0]
-    cur = np.array(seed_state, dtype=np.float64)
-    cur_miss = float(seed_miss)
-    z = chol_inv @ (cur - mean)
+    m, length = innovations.shape[:2]
+    cur = np.array(seed_states, dtype=np.float64).reshape(m, 6)
+    cur_miss = np.array(seed_misses, dtype=np.float64).reshape(m)
+    z = (chol_inv @ (cur - mean)[:, :, None])[:, :, 0]
     steps = _INNOVATION_SCALE * innovations
-    out_x = np.empty((length, 6))
-    out_r = np.empty(length)
-    accepted = 0
+    out_x = np.empty((m, length, 6))
+    out_r = np.empty((m, length))
+    accepted = np.zeros(m, dtype=np.int64)
     for k in range(length):
-        cand_z = CHAIN_CORRELATION * z + steps[k]
-        cand = mean + chol @ cand_z
-        cand_miss = float(miss_distance_batch(cand[None, :], obs_xy, dt)[0][0])
-        if cand_miss <= threshold:
-            z, cur, cur_miss = cand_z, cand, cand_miss
-            accepted += 1
-        out_x[k] = cur
-        out_r[k] = cur_miss
+        cand_z = CHAIN_CORRELATION * z + steps[:, k]
+        cand = mean + (chol @ cand_z[:, :, None])[:, :, 0]
+        cand_miss, _ = miss_distance_batch(cand, obs_xy, dt, observer)
+        ok = cand_miss <= threshold
+        z = np.where(ok[:, None], cand_z, z)
+        cur = np.where(ok[:, None], cand, cur)
+        cur_miss = np.where(ok, cand_miss, cur_miss)
+        accepted += ok
+        out_x[:, k] = cur
+        out_r[:, k] = cur_miss
     return out_x, out_r, accepted
+
+
+def _innovations(gens, length: int) -> np.ndarray:
+    """Each chain's (length, 6) standard-normal block from its own stream, stacked."""
+    return np.stack([gen.standard_normal((length, 6)) for gen in gens])
 
 
 def mh_conflict_samples(
@@ -181,9 +197,9 @@ def mh_conflict_samples(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Grow one conditional chain per seed state; returns (states, misses) per chain.
 
-    Each chain is the engine's kernel (`_conflict_chain`) driven by its own
-    keyed stream, which draws the chain's (chain_length, 6) innovations in one
-    block.  Trajectories are deterministic in the states and can be rebuilt
+    The chains are the engine's kernel (`_conflict_chains`), chain j drawing
+    its (chain_length, 6) innovations in one block from its own keyed
+    stream.  Trajectories are deterministic in the states and can be rebuilt
     with `dynamics.propagate`; re-evaluating a returned state reproduces its
     miss distance exactly.
     """
@@ -195,29 +211,30 @@ def mh_conflict_samples(
     root = _rng.derive(seed)
     obs_xy = _observer_positions(query)
     dt = 1.0 / query.sample_rate
+    observer = query.observer.as_array()
     mean = query.intruder_estimate.mean.as_array()
     chol = _cholesky_with_jitter(query.intruder_estimate.covariance)
     chol_inv = np.linalg.inv(chol)
-    seed_miss, _ = miss_distance_batch(seeds, obs_xy, dt)
-    chains = []
-    for j in range(seeds.shape[0]):
-        if seed_miss[j] > threshold:
-            raise ValueError(
-                f"seed {j} violates the threshold: miss {seed_miss[j]:.6g} > {threshold:.6g}"
-            )
-        gen = _rng.generator(_rng.child(root, 1, j))
-        states, misses, _ = _conflict_chain(
-            seeds[j], float(seed_miss[j]), threshold, gen.standard_normal((chain_length, 6)),
-            obs_xy, dt, mean, chol, chol_inv,
+    seed_miss, _ = miss_distance_batch(seeds, obs_xy, dt, observer)
+    beyond = np.flatnonzero(seed_miss > threshold)
+    if beyond.size:
+        j = beyond[0]
+        raise ValueError(
+            f"seed {j} violates the threshold: miss {seed_miss[j]:.6g} > {threshold:.6g}"
         )
-        chains.append((states, misses))
-    return chains
+    gens = [_rng.generator(_rng.child(root, 1, j)) for j in range(seeds.shape[0])]
+    states, misses, _ = _conflict_chains(
+        seeds, seed_miss, threshold, _innovations(gens, chain_length),
+        obs_xy, dt, observer, mean, chol, chol_inv,
+    )
+    return list(zip(states, misses))
 
 
 def conflict_system(query: ConflictQuery) -> RareEventSystem:
     """Wire one conflict query into the generic engine."""
     obs_xy = _observer_positions(query)
     dt = 1.0 / query.sample_rate
+    observer = query.observer.as_array()
     mean = query.intruder_estimate.mean.as_array()
     chol = _cholesky_with_jitter(query.intruder_estimate.covariance)
     chol_inv = np.linalg.inv(chol)
@@ -226,18 +243,18 @@ def conflict_system(query: ConflictQuery) -> RareEventSystem:
         return _sample_states(gen, n, mean, chol)
 
     def evaluate(states: np.ndarray) -> np.ndarray:
-        miss, _ = miss_distance_batch(states, obs_xy, dt)
+        miss, _ = miss_distance_batch(states, obs_xy, dt, observer)
         return miss
 
-    def conditional_chain(seed_state, seed_miss, threshold, length, gen):
-        states, misses, _ = _conflict_chain(
-            seed_state, seed_miss, threshold, gen.standard_normal((length, 6)),
-            obs_xy, dt, mean, chol, chol_inv,
+    def conditional_chains(seed_states, seed_misses, threshold, length, gens):
+        states, misses, _ = _conflict_chains(
+            seed_states, seed_misses, threshold, _innovations(gens, length),
+            obs_xy, dt, observer, mean, chol, chol_inv,
         )
-        return states, misses
+        return states.reshape(-1, 6), misses.reshape(-1)
 
     return RareEventSystem(
-        sample_prior=sample_prior, evaluate=evaluate, conditional_chain=conditional_chain
+        sample_prior=sample_prior, evaluate=evaluate, conditional_chains=conditional_chains
     )
 
 
@@ -336,7 +353,7 @@ def simulate_scenario(
         ss_res, _ = pc_ss(query, ss_config, _rng.child(root, k, 1))
         dmc_res = pc_dmc(query, ss_res.samples_used, _rng.child(root, k, 2))
         obs_xy = _observer_positions(query)
-        miss_true, _ = miss_distance_batch(intr[None, :], obs_xy, spec.dt)
+        miss_true, _ = miss_distance_batch(intr[None, :], obs_xy, spec.dt, obs)
         records.append(
             StepRecord(
                 step=k,

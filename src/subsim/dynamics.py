@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 
 @dataclass(frozen=True)
 class AircraftState:
@@ -132,11 +130,3 @@ def min_distance(observer: Trajectory, intruder: Trajectory) -> Approach:
         step_index=k,
     )
 
-
-def miss_distance_states(states: np.ndarray, observer_xy: np.ndarray, dt: float):
-    """Batch miss distance of raw states against precomputed observer positions.
-
-    Thin wrapper over the active kernel backend; `min_distance` on trajectories
-    built by `propagate` reproduces these values exactly.
-    """
-    return _kernels.miss_distance_batch(states, observer_xy, dt)

@@ -107,15 +107,17 @@ class RareEventSystem:
 
     sample_prior(rng, n) draws n samples (ndarray, leading sample axis).
     evaluate(samples) maps them to scalar responses (smaller = closer to the
-    rare event).  conditional_chain(seed, seed_response, threshold, length,
-    rng) grows a Markov chain of exactly `length` new samples whose responses
-    never exceed `threshold`.
+    rare event).  conditional_chains(seeds, seed_responses, threshold, length,
+    rngs) grows one Markov chain per seed, chain j drawing only from rngs[j],
+    and returns the len(seeds) * length new samples and their responses
+    grouped chain by chain; no response may exceed `threshold`.  The chains
+    are independent, so a system may advance them together.
     """
 
     sample_prior: Callable[[np.random.Generator, int], np.ndarray]
     evaluate: Callable[[np.ndarray], np.ndarray]
-    conditional_chain: Callable[
-        [np.ndarray, float, float, int, np.random.Generator],
+    conditional_chains: Callable[
+        [np.ndarray, np.ndarray, float, int, Sequence[np.random.Generator]],
         tuple[np.ndarray, np.ndarray],
     ]
 
@@ -272,26 +274,19 @@ def run_subset_simulation(
         seed_r = sorted_r[n - n_c :]
         level += 1
 
-        chain_x = []
-        chain_r = []
-        for j in range(n_c):
-            gen = _rng.generator(_rng.child(root, level, j))
-            cx, cr = system.conditional_chain(seeds[j], float(seed_r[j]), b, n_s, gen)
-            cr = np.asarray(cr, dtype=np.float64)
-            if cx.shape[0] != n_s or cr.shape[0] != n_s:
-                raise ValueError(
-                    f"conditional chain returned {cx.shape[0]} samples, expected {n_s}"
-                )
-            if np.any(cr > b):
-                raise ValueError(
-                    f"conditional chain violated its threshold: max response "
-                    f"{cr.max():.6g} > {b:.6g}"
-                )
-            chain_x.append(cx)
-            chain_r.append(cr)
-
-        samples = np.concatenate(chain_x, axis=0)
-        responses = np.concatenate(chain_r, axis=0)
+        gens = [_rng.generator(_rng.child(root, level, j)) for j in range(n_c)]
+        samples, responses = system.conditional_chains(seeds, seed_r, b, n_s, gens)
+        responses = np.asarray(responses, dtype=np.float64)
+        if samples.shape[0] != n or responses.shape[0] != n:
+            raise ValueError(
+                f"conditional chains returned {samples.shape[0]} samples and "
+                f"{responses.shape[0]} responses, expected {n}"
+            )
+        if np.any(responses > b):
+            raise ValueError(
+                f"conditional chains violated their threshold: max response "
+                f"{responses.max():.6g} > {b:.6g}"
+            )
         sorted_r, sorted_x = _sort_block(samples, responses, n, level)
         blocks.append((probability_intervals(level, config), sorted_r, sorted_x))
         conflicts = int(np.count_nonzero(sorted_r <= failure_threshold))

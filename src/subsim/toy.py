@@ -177,11 +177,18 @@ def toy_system(region: CircleRegion, target_scale: TiltSpec = None) -> RareEvent
     def evaluate(xy: np.ndarray) -> np.ndarray:
         return _distances(xy, region)
 
-    def conditional_chain(seed_xy, seed_dist, threshold, length, gen):
-        return _chain(seed_xy, seed_dist, region, threshold, length, gen, target_scale)
+    def conditional_chains(seeds_xy, seed_dists, threshold, length, gens):
+        chains = [
+            _chain(xy, float(d), region, threshold, length, gen, target_scale)
+            for xy, d, gen in zip(seeds_xy, seed_dists, gens)
+        ]
+        return (
+            np.concatenate([xy for xy, _ in chains]),
+            np.concatenate([d for _, d in chains]),
+        )
 
     return RareEventSystem(
-        sample_prior=sample_prior, evaluate=evaluate, conditional_chain=conditional_chain
+        sample_prior=sample_prior, evaluate=evaluate, conditional_chains=conditional_chains
     )
 
 

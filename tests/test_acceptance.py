@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from subsim import rng as _rng
-from subsim._kernels import miss_distance_batch
+from subsim._kernels import miss_distance_scan
 from subsim.analysis import (
     CovStudyConfig,
     binomial_cov,
@@ -232,7 +232,7 @@ def test_criterion_7_property_suites():
     obs_xy = _observer_positions(q)
     samples = np.array([row.sample for row in table.rows])
     responses = np.array([row.response for row in table.rows])
-    again, _ = miss_distance_batch(samples, obs_xy, 1.0 / q.sample_rate)
+    again, _ = miss_distance_scan(samples, obs_xy, 1.0 / q.sample_rate)
     assert np.array_equal(again, responses)
     checks += 1
 

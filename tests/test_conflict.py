@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from subsim import rng as _rng
-from subsim._kernels import miss_distance_batch
+from subsim._kernels import miss_distance_batch, miss_distance_scan
 from subsim.conflict import (
     CHAIN_CORRELATION,
     ConflictQuery,
-    _conflict_chain,
+    _conflict_chains,
     _observer_positions,
     conflict_system,
     mh_conflict_samples,
@@ -95,7 +95,9 @@ class TestPcDmc:
 
 
 def _miss(q, states):
-    return miss_distance_batch(np.atleast_2d(states), _observer_positions(q), 1.0 / q.sample_rate)[0]
+    return miss_distance_batch(
+        np.atleast_2d(states), _observer_positions(q), 1.0 / q.sample_rate, q.observer.as_array()
+    )[0]
 
 
 def _whiten(q, states):
@@ -103,13 +105,18 @@ def _whiten(q, states):
     return np.linalg.solve(chol, (states - q.intruder_estimate.mean.as_array()).T).T
 
 
-def _run_chain(q, seed_state, threshold, innovations):
+def _run_chains(q, seed_states, threshold, innovations):
     chol = np.linalg.cholesky(q.intruder_estimate.covariance)
-    return _conflict_chain(
-        seed_state, float(_miss(q, seed_state)[0]), threshold, innovations,
-        _observer_positions(q), 1.0 / q.sample_rate,
+    return _conflict_chains(
+        seed_states, _miss(q, seed_states), threshold, innovations,
+        _observer_positions(q), 1.0 / q.sample_rate, q.observer.as_array(),
         q.intruder_estimate.mean.as_array(), chol, np.linalg.inv(chol),
     )
+
+
+def _run_chain(q, seed_state, threshold, innovations):
+    states, misses, accepted = _run_chains(q, seed_state[None, :], threshold, innovations[None])
+    return states[0], misses[0], int(accepted[0])
 
 
 class TestAcceptanceRatio:
@@ -155,6 +162,72 @@ class TestAcceptanceRatio:
         spread = math.sqrt(1.0 - CHAIN_CORRELATION**2)
         assert np.all(np.abs(z.mean(axis=0) - CHAIN_CORRELATION * far) < 4 * spread / math.sqrt(400))
         assert np.mean(np.sum(z * z, axis=1) < far @ far) > 0.95
+
+
+def _reference_chain(q, seed_state, threshold, innovations):
+    """One chain, one state at a time, with per-state matvecs and the grid scan."""
+    obs_xy = _observer_positions(q)
+    mean = q.intruder_estimate.mean.as_array()
+    chol = np.linalg.cholesky(q.intruder_estimate.covariance)
+    cur = seed_state
+    cur_miss = float(miss_distance_scan(cur[None, :], obs_xy, 1.0 / q.sample_rate)[0][0])
+    z = np.linalg.inv(chol) @ (cur - mean)
+    steps = math.sqrt(1.0 - CHAIN_CORRELATION**2) * innovations
+    out_x, out_r = [], []
+    for step in steps:
+        cand_z = CHAIN_CORRELATION * z + step
+        cand = mean + chol @ cand_z
+        cand_miss = float(miss_distance_scan(cand[None, :], obs_xy, 1.0 / q.sample_rate)[0][0])
+        if cand_miss <= threshold:
+            z, cur, cur_miss = cand_z, cand, cand_miss
+        out_x.append(cur)
+        out_r.append(cur_miss)
+    return np.array(out_x), np.array(out_r)
+
+
+class TestLockstepChains:
+    """Chains advanced together give each chain exactly what it gives alone."""
+
+    def _seeds(self, q, m, seed):
+        chol = np.linalg.cholesky(q.intruder_estimate.covariance)
+        gen = _rng.generator(_rng.derive(seed))
+        seeds = q.intruder_estimate.mean.as_array() + gen.standard_normal((m, 6)) @ chol.T
+        return seeds, gen.standard_normal((m, 40, 6))
+
+    def test_m_seeds_equal_m_one_seed_calls(self):
+        q = _query(HEAD_ON_OFFSET)
+        seeds, innovations = self._seeds(q, 7, 21)
+        threshold = float(_miss(q, seeds).max())
+        states, misses, accepted = _run_chains(q, seeds, threshold, innovations)
+        assert states.shape == (7, 40, 6) and misses.shape == (7, 40)
+        assert 0 < accepted.sum() < 7 * 40  # both branches of the accept step run
+        for j in range(7):
+            one_states, one_misses, one_accepted = _run_chain(q, seeds[j], threshold, innovations[j])
+            assert np.array_equal(states[j], one_states)
+            assert np.array_equal(misses[j], one_misses)
+            assert accepted[j] == one_accepted
+
+    def test_matches_per_state_reference(self):
+        q = _query(HEAD_ON_OFFSET)
+        seeds, innovations = self._seeds(q, 5, 22)
+        threshold = float(_miss(q, seeds).max())
+        states, misses, _ = _run_chains(q, seeds, threshold, innovations)
+        for j in range(5):
+            ref_states, ref_misses = _reference_chain(q, seeds[j], threshold, innovations[j])
+            assert np.array_equal(states[j], ref_states)
+            assert np.array_equal(misses[j], ref_misses)
+
+    def test_engine_system_groups_chain_by_chain(self):
+        q = _query(HEAD_ON_OFFSET)
+        seeds, _ = self._seeds(q, 4, 23)
+        threshold = float(_miss(q, seeds).max())
+        gens = [_rng.generator(_rng.child(_rng.derive(24), 1, j)) for j in range(4)]
+        chains_of = conflict_system(q).conditional_chains
+        states, misses = chains_of(seeds, _miss(q, seeds), threshold, 10, gens)
+        assert states.shape == (40, 6) and misses.shape == (40,)
+        chains = mh_conflict_samples(q, seeds, 10, threshold, seed=24)
+        assert np.array_equal(states, np.concatenate([s for s, _ in chains]))
+        assert np.array_equal(misses, np.concatenate([m for _, m in chains]))
 
 
 class TestMhConflictSamples:
@@ -214,7 +287,7 @@ class TestMhConflictSamples:
         seed_state = q.intruder_estimate.mean.as_array()
         (states, misses), = mh_conflict_samples(q, seed_state[None, :], 30, 1500.0, seed=7)
         obs_xy = _observer_positions(q)
-        again, _ = miss_distance_batch(states, obs_xy, 1.0 / q.sample_rate)
+        again, _ = miss_distance_scan(states, obs_xy, 1.0 / q.sample_rate)
         assert np.array_equal(again, misses)
 
 
@@ -277,7 +350,7 @@ class TestPcSs:
         obs_xy = _observer_positions(q)
         samples = np.array([row.sample for row in table.rows])
         responses = np.array([row.response for row in table.rows])
-        again, _ = miss_distance_batch(samples, obs_xy, 1.0 / q.sample_rate)
+        again, _ = miss_distance_scan(samples, obs_xy, 1.0 / q.sample_rate)
         assert np.array_equal(again, responses)
 
     def test_shrinking_radius_never_increases_conflicts(self):
@@ -286,7 +359,7 @@ class TestPcSs:
         gen = _rng.generator(_rng.derive(33))
         chol = np.linalg.cholesky(q.intruder_estimate.covariance)
         states = q.intruder_estimate.mean.as_array() + gen.standard_normal((2000, 6)) @ chol.T
-        miss, _ = miss_distance_batch(states, obs_xy, 0.05)
+        miss, _ = miss_distance_batch(states, obs_xy, 0.05, q.observer.as_array())
         full = np.count_nonzero(miss <= q.protected_radius)
         halved = np.count_nonzero(miss <= q.protected_radius / 2)
         assert halved <= full

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from subsim import rng as _rng
 from subsim.engine import (
     CcdfTable,
     IntervalVariant,
@@ -196,7 +197,7 @@ def _line_system(shift=0.0):
     def evaluate(x):
         return np.abs(x[:, 0] - shift)
 
-    def conditional_chain(seed, seed_resp, threshold, length, gen):
+    def chain(seed, threshold, length, gen):
         cur = float(seed[0])
         out = np.empty((length, 1))
         resp = np.empty(length)
@@ -209,7 +210,17 @@ def _line_system(shift=0.0):
             resp[k] = abs(cur - shift)
         return out, resp
 
-    return RareEventSystem(sample_prior, evaluate, conditional_chain)
+    return RareEventSystem(sample_prior, evaluate, _per_seed(chain))
+
+
+def _per_seed(chain):
+    """conditional_chains from a one-seed chain(seed, threshold, length, gen)."""
+
+    def conditional_chains(seeds, seed_resps, threshold, length, gens):
+        runs = [chain(seed, threshold, length, gen) for seed, gen in zip(seeds, gens)]
+        return np.concatenate([x for x, _ in runs]), np.concatenate([r for _, r in runs])
+
+    return conditional_chains
 
 
 class TestRunSubsetSimulation:
@@ -246,13 +257,13 @@ class TestRunSubsetSimulation:
         def evaluate(x):
             return x[:, 0]
 
-        def conditional_chain(seed, seed_resp, threshold, length, gen):
+        def conditional_chains(seeds, seed_resps, threshold, length, gens):
             calls["level"] = max(calls["level"], 1)
-            out = np.full((length, 1), seed[0] - 9.0)
+            out = np.repeat(seeds - 9.0, length, axis=0)
             return out, out[:, 0]
 
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=5)
-        system = RareEventSystem(sample_prior, evaluate, conditional_chain)
+        system = RareEventSystem(sample_prior, evaluate, conditional_chains)
         result = run_subset_simulation(system, cfg, 2.0, seed=1)
         # level 1 responses: seeds 10 smallest (10.0..10.9) - 9 => 1.0..1.9, all <= 2
         assert result.diagnostics.conflict_count == 100
@@ -287,11 +298,14 @@ class TestRunSubsetSimulation:
         def evaluate(x):
             return np.abs(x[:, 0])
 
-        def bad_chain(seed, seed_resp, threshold, length, gen):
-            out = np.full((length, 1), threshold + 1.0)
-            return out, out[:, 0] + threshold + 1.0
+        def bad_chains(seeds, seed_resps, threshold, length, gens):
+            # one sample of the whole batch lies beyond the threshold
+            out = np.repeat(seeds, length, axis=0)
+            resp = np.abs(out[:, 0])
+            resp[len(resp) // 2] = threshold + 1.0
+            return out, resp
 
-        system = RareEventSystem(sample_prior, evaluate, bad_chain)
+        system = RareEventSystem(sample_prior, evaluate, bad_chains)
         with pytest.raises(ValueError, match="violated"):
             run_subset_simulation(system, CFG, 1e-6, seed=3)
 
@@ -302,13 +316,41 @@ class TestRunSubsetSimulation:
         def evaluate(x):
             return np.abs(x[:, 0])
 
-        def short_chain(seed, seed_resp, threshold, length, gen):
-            out = np.full((length - 1, 1), seed[0])
+        def short_chains(seeds, seed_resps, threshold, length, gens):
+            # one chain of the batch comes back a sample short
+            out = np.repeat(seeds, length, axis=0)[1:]
             return out, np.abs(out[:, 0])
 
-        system = RareEventSystem(sample_prior, evaluate, short_chain)
+        system = RareEventSystem(sample_prior, evaluate, short_chains)
         with pytest.raises(ValueError, match="expected"):
             run_subset_simulation(system, CFG, 1e-6, seed=3)
+
+    def test_chains_get_seeds_and_keyed_streams(self):
+        # one call per level with the N_c best samples, their responses, and
+        # chain j's generator child(root, level, j)
+        seen = []
+
+        def sample_prior(gen, n):
+            return gen.standard_normal((n, 1))
+
+        def evaluate(x):
+            return np.abs(x[:, 0])
+
+        def conditional_chains(seeds, seed_resps, threshold, length, gens):
+            seen.append((seeds.copy(), np.array(seed_resps), [g.standard_normal() for g in gens]))
+            out = np.repeat(seeds, length, axis=0)
+            return out, np.abs(out[:, 0])
+
+        cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=3)
+        system = RareEventSystem(sample_prior, evaluate, conditional_chains)
+        run_subset_simulation(system, cfg, 0.0, seed=9, stop_on_rare_count=False)
+        root = _rng.derive(9)
+        assert len(seen) == 2
+        for level, (seeds, resps, draws) in enumerate(seen, start=1):
+            assert seeds.shape == (10, 1)
+            assert np.array_equal(resps, np.abs(seeds[:, 0]))
+            expected = [_rng.generator(_rng.child(root, level, j)).standard_normal() for j in range(10)]
+            assert draws == expected
 
     def test_level0_estimate_equals_direct_count(self):
         system = _line_system()
@@ -324,12 +366,12 @@ class TestRunSubsetSimulation:
         def evaluate(x):
             return x[:, 0]
 
-        def frozen_chain(seed, seed_resp, threshold, length, gen):
-            out = np.full((length, 1), seed[0])
+        def frozen_chains(seeds, seed_resps, threshold, length, gens):
+            out = np.repeat(seeds, length, axis=0)
             return out, out[:, 0]
 
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
-        system = RareEventSystem(sample_prior, evaluate, frozen_chain)
+        system = RareEventSystem(sample_prior, evaluate, frozen_chains)
         with caplog.at_level("WARNING", logger="subsim.engine"):
             run_subset_simulation(system, cfg, 0.0, seed=1)
         assert any("did not decrease" in m for m in caplog.messages)

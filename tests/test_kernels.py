@@ -1,10 +1,14 @@
-"""Backend equivalence: the compiled kernel and the numpy fallback must agree."""
+"""Miss-distance kernels: the grid scan, and the closed form that must equal it bit for bit."""
 
 import numpy as np
 import pytest
 
 from subsim import _kernels
-from subsim.dynamics import AircraftState, Trajectory, min_distance, propagate
+from subsim import rng as _rng
+from subsim.analysis import freeze_phase, phase_p1, phase_p2
+from subsim.conflict import _cholesky_with_jitter
+from subsim.dynamics import AircraftState, min_distance, propagate
+from subsim.scenarios import build_head_on
 
 
 def _random_case(rng, n, n_pts=401, dt=0.05):
@@ -13,11 +17,45 @@ def _random_case(rng, n, n_pts=401, dt=0.05):
     return states, obs, dt
 
 
+def _track(observer, f=20.0, t=200.0):
+    traj = propagate(AircraftState.from_array(observer), f=f, t=t)
+    return traj.positions, traj.dt
+
+
+def _assert_matches_scan(states, observer, f=20.0, t=200.0):
+    """Closed form equals the scan bit for bit; returns the scan's (miss, index)."""
+    obs_xy, dt = _track(observer, f, t)
+    miss, idx = _kernels.miss_distance_batch(states, obs_xy, dt, observer)
+    ref_miss, ref_idx = _kernels.miss_distance_scan(states, obs_xy, dt)
+    assert np.array_equal(miss, ref_miss)
+    assert np.array_equal(idx, ref_idx)
+    return ref_miss, ref_idx
+
+
+class _ScanRows:
+    """Counts the rows the closed form hands to the scan."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        scan = _kernels.miss_distance_scan
+
+        def counting(states, obs_xy, dt):
+            self.rows += len(states)
+            return scan(states, obs_xy, dt)
+
+        monkeypatch.setattr(_kernels, "miss_distance_scan", counting)
+
+
+OBSERVER = np.array([0.0, 100.0, 0.0, 0.0, 0.0, 0.0])
+
+
 class TestNumpyBackend:
+    """The grid scan on arbitrary (random-walk) observer tracks."""
+
     def test_shapes_and_finiteness(self):
         rng = np.random.default_rng(0)
         states, obs, dt = _random_case(rng, 37)
-        miss, idx = _kernels.miss_distance_batch_numpy(states, obs, dt)
+        miss, idx = _kernels.miss_distance_scan(states, obs, dt)
         assert miss.shape == (37,) and idx.shape == (37,)
         assert np.all(np.isfinite(miss)) and np.all(miss >= 0.0)
         assert np.all((0 <= idx) & (idx < 401))
@@ -25,54 +63,165 @@ class TestNumpyBackend:
     def test_single_point_track(self):
         states = np.array([[3.0, 0.0, 0.0, 4.0, 0.0, 0.0]])
         obs = np.zeros((1, 2))
-        miss, idx = _kernels.miss_distance_batch_numpy(states, obs, 0.1)
+        miss, idx = _kernels.miss_distance_scan(states, obs, 0.1)
         assert miss[0] == 5.0 and idx[0] == 0
 
     def test_ties_take_first_index(self):
         # stationary pair: every index ties, the first must win
         states = np.array([[10.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         obs = np.zeros((50, 2))
-        _, idx = _kernels.miss_distance_batch_numpy(states, obs, 0.1)
+        _, idx = _kernels.miss_distance_scan(states, obs, 0.1)
         assert idx[0] == 0
 
-    def test_chunking_is_transparent(self):
+    def test_chunking_is_transparent(self, monkeypatch):
         rng = np.random.default_rng(5)
         states, obs, dt = _random_case(rng, 64, n_pts=128)
-        whole = _kernels.miss_distance_batch_numpy(states, obs, dt)
-        old = _kernels._BLOCK_ELEMS
-        try:
-            _kernels._BLOCK_ELEMS = 256  # force many tiny blocks
-            parts = _kernels.miss_distance_batch_numpy(states, obs, dt)
-        finally:
-            _kernels._BLOCK_ELEMS = old
+        whole = _kernels.miss_distance_scan(states, obs, dt)
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 256)  # force many tiny blocks
+        parts = _kernels.miss_distance_scan(states, obs, dt)
         assert np.array_equal(whole[0], parts[0])
         assert np.array_equal(whole[1], parts[1])
 
     def test_input_validation(self):
+        obs_xy, dt = _track(OBSERVER, t=0.15)
+        kernels = ((_kernels.miss_distance_scan, ()), (_kernels.miss_distance_batch, (OBSERVER,)))
+        for kernel, extra in kernels:
+            with pytest.raises(ValueError):
+                kernel(np.zeros((3, 5)), obs_xy, dt, *extra)
+            with pytest.raises(ValueError):
+                kernel(np.zeros((3, 6)), np.zeros((4, 3)), dt, *extra)
+            with pytest.raises(ValueError):
+                kernel(np.zeros((3, 6)), np.zeros((0, 2)), dt, *extra)
         with pytest.raises(ValueError):
-            _kernels.miss_distance_batch(np.zeros((3, 5)), np.zeros((4, 2)), 0.1)
-        with pytest.raises(ValueError):
-            _kernels.miss_distance_batch(np.zeros((3, 6)), np.zeros((4, 3)), 0.1)
-        with pytest.raises(ValueError):
-            _kernels.miss_distance_batch(np.zeros((3, 6)), np.zeros((0, 2)), 0.1)
+            _kernels.miss_distance_batch(np.zeros((3, 6)), obs_xy, dt, OBSERVER[:5])
 
 
-@pytest.mark.skipif(_kernels._ext is None, reason="compiled kernel not built")
-class TestCompiledBackend:
-    def test_bit_identical_to_numpy(self):
-        rng = np.random.default_rng(1)
-        for n in (1, 7, 100, 1000):
-            states, obs, dt = _random_case(rng, n)
-            m_np, i_np = _kernels.miss_distance_batch_numpy(states, obs, dt)
-            m_cy, i_cy = _kernels._ext.miss_distance_batch(states, obs, dt)
-            assert np.array_equal(m_np, m_cy)
-            assert np.array_equal(i_np, i_cy)
+class TestClosedForm:
+    """`miss_distance_batch` against the scan on constant-acceleration tracks."""
 
-    def test_ties_take_first_index(self):
-        states = np.array([[10.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
-        obs = np.zeros((50, 2))
-        _, idx = _kernels._ext.miss_distance_batch(states, obs, 0.1)
-        assert idx[0] == 0
+    @pytest.fixture(autouse=True)
+    def _closed_form_for_every_batch(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_SCAN_ELEMS", 0)
+
+    @pytest.mark.parametrize("phase", ["p1", "p2", "head-on"])
+    def test_posterior_draws(self, phase, monkeypatch):
+        if phase == "p1":
+            q = phase_p1(seed=1)
+        elif phase == "p2":
+            q = phase_p2(seed=2)
+        else:
+            q = freeze_phase(build_head_on(0.0, 2000.0), at_time=10.0, seed=3)
+        chol = _cholesky_with_jitter(q.intruder_estimate.covariance)
+        z = _rng.generator(_rng.derive(17)).standard_normal((4000, 6))
+        states = q.intruder_estimate.mean.as_array() + z @ chol.T
+        scanned = _ScanRows(monkeypatch)
+        _assert_matches_scan(states, q.observer.as_array(), q.sample_rate, q.horizon)
+        # the closed form settles the draws itself; only the oracle scans them all
+        assert scanned.rows == len(states)
+
+    def test_blocks_are_transparent(self, monkeypatch):
+        q = phase_p2(seed=2)
+        chol = _cholesky_with_jitter(q.intruder_estimate.covariance)
+        z = _rng.generator(_rng.derive(18)).standard_normal((300, 6))
+        states = q.intruder_estimate.mean.as_array() + z @ chol.T
+        obs_xy, dt = _track(q.observer.as_array(), q.sample_rate, q.horizon)
+        whole = _kernels.miss_distance_batch(states, obs_xy, dt, q.observer.as_array())
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 7)
+        parts = _kernels.miss_distance_batch(states, obs_xy, dt, q.observer.as_array())
+        assert np.array_equal(whole[0], parts[0])
+        assert np.array_equal(whole[1], parts[1])
+
+    def test_minimum_at_either_endpoint(self):
+        receding = [500.0, 150.0, 0.1, 50.0, 0.0, 0.0]  # ahead, pulling away
+        closing = [-20000.0, 150.0, 0.0, 300.0, -0.5, 0.01]  # passes after the horizon
+        _, idx = _assert_matches_scan(np.array([receding, closing]), OBSERVER)
+        assert idx[0] == 0 and idx[1] == 4000
+
+    def test_two_local_minima(self):
+        # relative x = 75 - 2t + 0.01t^2 crosses zero at 50 s and at 150 s, the
+        # second pass being a re-approach; relative y picks the deeper pass
+        x = [75.0, 98.0, 0.02]
+        second_deeper = [x + [300.0, -1.5, 0.0]]
+        first_deeper = [x + [75.0, 1.5, 0.0]]
+        tie = [x + [100.0, 0.0, 0.0]]
+        miss, idx = _assert_matches_scan(np.array(second_deeper + first_deeper + tie), OBSERVER)
+        assert idx[0] > 3000 and idx[1] < 1000
+        # both passes of the tie are exactly 100 m: the first index wins
+        assert miss[2] == 100.0 and idx[2] == 1000
+
+    def test_zero_relative_acceleration(self, monkeypatch):
+        observer = np.array([0.0, 100.0, 0.3, 0.0, 0.0, -0.2])
+        states = np.array([[3000.0, -80.0, 0.3, 200.0, 1.0, -0.2], [100.0, 0.0, 0.3, 0.0, 3.0, -0.2]])
+        scanned = _ScanRows(monkeypatch)
+        _assert_matches_scan(states, observer)
+        assert scanned.rows == 2 + 2  # no quartic: both rows go to the scan
+
+    def test_vanishing_relative_acceleration(self, monkeypatch):
+        # the quartic's leading coefficient underflows the root finder's
+        # precision: those rows go to the scan, the well-scaled one does not
+        observer = np.array([0.0, 100.0, 0.3, 0.0, 0.0, -0.2])
+        states = np.array([[3000.0, -80.0, 0.3, 200.0, 1.0, -0.2]] * 4)
+        states[:, 2] += [1e-20, 1e-16, 1e-12, 1e-1]
+        scanned = _ScanRows(monkeypatch)
+        _assert_matches_scan(states, observer)
+        assert 4 < scanned.rows < 4 + 4
+
+    def test_identical_motion_takes_index_zero(self):
+        observer = np.array([1500.0, 90.0, 0.4, -700.0, 20.0, -0.1])
+        miss, idx = _assert_matches_scan(np.tile(observer, (3, 1)), observer)
+        assert np.all(miss == 0.0) and np.all(idx == 0)
+
+    def test_flat_curve(self, monkeypatch):
+        # nearly identical motion far from the origin: the squared distances
+        # differ by rounding only, which no root can predict
+        observer = np.array([15000.0, 150.3, 0.37, -8000.0, -90.1, 0.11])
+        noise = _rng.generator(_rng.derive(19)).standard_normal((500, 6))
+        states = observer + noise * np.array([1e-3, 1e-9, 1e-13, 1e-3, 1e-9, 1e-13])
+        scanned = _ScanRows(monkeypatch)
+        _assert_matches_scan(states, observer)
+        assert scanned.rows > len(states)
+
+    def test_one_point_track(self):
+        observer = np.array([10.0, 5.0, 1.0, -3.0, 2.0, 0.5])
+        states = np.array([[13.0, 0.0, 0.0, 1.0, 0.0, 0.0], [10.0, 1.0, 2.0, -3.0, 0.0, 0.0]])
+        obs_xy = np.array([[10.0, -3.0]])
+        miss, idx = _kernels.miss_distance_batch(states, obs_xy, 0.05, observer)
+        assert np.array_equal(miss, [5.0, 0.0]) and np.array_equal(idx, [0, 0])
+
+    def test_inconsistent_track_rejected(self):
+        obs_xy, dt = _track(OBSERVER)
+        states = np.zeros((2, 6))
+        for k in (0, -1):
+            bad = obs_xy.copy()
+            bad[k, 0] = np.nextafter(bad[k, 0], np.inf)
+            with pytest.raises(ValueError, match="observer"):
+                _kernels.miss_distance_batch(states, bad, dt, OBSERVER)
+        with pytest.raises(ValueError, match="observer"):
+            _kernels.miss_distance_batch(states, obs_xy, 2.0 * dt, OBSERVER)
+        with pytest.raises(ValueError, match="observer"):
+            _kernels.miss_distance_batch(states, obs_xy, dt, OBSERVER + [0.0, 0.0, 0.0, 0.0, 0.0, 1e-3])
+
+
+class TestSmallBatches:
+    def test_small_batches_go_to_the_scan(self, monkeypatch):
+        def no_closed_form(*args):
+            raise AssertionError("closed form used on a small batch")
+
+        obs_xy, dt = _track(OBSERVER, t=20.0)
+        states = OBSERVER + np.array([2000.0, -180.0, 0.2, 150.0, 1.0, -0.1])
+        small = np.tile(states, (_kernels._SCAN_ELEMS // len(obs_xy), 1))
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_closed_form_block", no_closed_form)
+            miss, idx = _kernels.miss_distance_batch(small, obs_xy, dt, OBSERVER)
+            with pytest.raises(ValueError, match="observer"):
+                _kernels.miss_distance_batch(small, obs_xy[::-1], dt, OBSERVER)
+        ref_miss, ref_idx = _kernels.miss_distance_scan(small, obs_xy, dt)
+        assert np.array_equal(miss, ref_miss) and np.array_equal(idx, ref_idx)
+        # one more row takes the closed form, with the same answer per row
+        big_miss, big_idx = _kernels.miss_distance_batch(
+            np.vstack([small, states]), obs_xy, dt, OBSERVER
+        )
+        assert np.all(big_miss == ref_miss[0]) and np.all(big_idx == ref_idx[0])
 
 
 class TestAgainstTrajectoryPath:
@@ -81,7 +230,7 @@ class TestAgainstTrajectoryPath:
         obs_state = AircraftState(0.0, 70.0, 0.1, 0.0, 3.0, -0.05)
         obs_traj = propagate(obs_state, f=20, t=10)
         states = rng.normal(size=(40, 6)) * np.array([500.0, 60.0, 0.5, 500.0, 6.0, 0.5])
-        miss, idx = _kernels.miss_distance_batch(states, obs_traj.positions, 0.05)
+        miss, idx = _kernels.miss_distance_batch(states, obs_traj.positions, 0.05, obs_state.as_array())
         for k in range(40):
             traj = propagate(AircraftState.from_array(states[k]), f=20, t=10)
             approach = min_distance(obs_traj, traj)
@@ -89,4 +238,4 @@ class TestAgainstTrajectoryPath:
             assert approach.step_index == idx[k]
 
     def test_active_backend_reports(self):
-        assert _kernels.active_backend() in ("cython", "numpy")
+        assert _kernels.active_backend() == "numpy"

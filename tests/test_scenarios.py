@@ -33,7 +33,7 @@ def _true_min_separation(spec):
     obs, intr = initial_states(spec)
     obs_traj = propagate(obs, spec.sample_rate, spec.duration)
     miss, idx = miss_distance_batch(
-        intr.as_array()[None, :], obs_traj.positions, spec.dt
+        intr.as_array()[None, :], obs_traj.positions, spec.dt, obs.as_array()
     )
     return float(miss[0]), int(idx[0])
 
