@@ -99,9 +99,12 @@ def cmd_toy(args) -> int:
 
     result = ss_toy(region, config, seed)
     oracle = oracle_probability(region)
+    table = result.table
     lines = ["probability,response"]
-    for row in result.table.rows:
-        lines.append(f"{_fmt_p(row.probability)},{_fmt_d(row.response)}")
+    lines += [
+        f"{_fmt_p(p)},{_fmt_d(r)}"
+        for p, r in zip(table.probabilities.tolist(), table.responses.tolist())
+    ]
     (out_dir / "ccdf.csv").write_text("\n".join(lines) + "\n")
     summary = {
         "estimate": result.estimate,

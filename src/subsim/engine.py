@@ -87,18 +87,31 @@ class CcdfRow:
 
 @dataclass(frozen=True)
 class CcdfTable:
-    """Merged CCDF rows across levels, probabilities non-increasing."""
+    """Merged CCDF across levels as columns, probabilities non-increasing.
 
-    rows: list[CcdfRow]
+    Row i is (probabilities[i], responses[i], samples[i]); `samples` has a
+    leading row axis.
+    """
+
+    probabilities: np.ndarray
+    responses: np.ndarray
+    samples: np.ndarray
     levels_completed: int
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([r.probability for r in self.rows])
+    def __post_init__(self):
+        if not len(self.probabilities) == len(self.responses) == len(self.samples):
+            raise ValueError(
+                f"CCDF columns differ in length: {len(self.probabilities)} probabilities, "
+                f"{len(self.responses)} responses, {len(self.samples)} samples"
+            )
 
     @property
-    def responses(self) -> np.ndarray:
-        return np.array([r.response for r in self.rows])
+    def rows(self) -> list[CcdfRow]:
+        """The table row by row, built on each access."""
+        return [
+            CcdfRow(probability=p, response=r, sample=x)
+            for p, r, x in zip(self.probabilities.tolist(), self.responses.tolist(), self.samples)
+        ]
 
 
 @dataclass(frozen=True)
@@ -183,28 +196,28 @@ def assemble_ccdf(
 
     Every non-final level drops its last N_c rows (those samples were consumed
     as seeds and are replaced by the next level); the final level keeps all N.
+    The table's columns are new arrays, not views of the blocks.
     """
     if len(level_blocks) == 0:
         raise ValueError("at least one level block is required")
     n, n_c = config.n_samples, config.n_chains
-    rows: list[CcdfRow] = []
     last = len(level_blocks) - 1
+    kept = []
     for i, (intervals, responses, samples) in enumerate(level_blocks):
         if not (len(intervals) == len(responses) == samples.shape[0] == n):
             raise ValueError(f"level {i} block must have {n} rows")
         keep = n if i == last else n - n_c
-        for j in range(keep):
-            rows.append(
-                CcdfRow(
-                    probability=float(intervals[j]),
-                    response=float(responses[j]),
-                    sample=np.copy(samples[j]),
-                )
-            )
-    probs = np.array([r.probability for r in rows])
+        kept.append((intervals[:keep], responses[:keep], samples[:keep]))
+    intervals, responses, samples = zip(*kept)
+    probs = np.concatenate(intervals).astype(np.float64, copy=False)
     if np.any(np.diff(probs) > 0):
         raise ValueError("assembled probabilities must be non-increasing")
-    return CcdfTable(rows=rows, levels_completed=len(level_blocks))
+    return CcdfTable(
+        probabilities=probs,
+        responses=np.concatenate(responses).astype(np.float64, copy=False),
+        samples=np.concatenate(samples),
+        levels_completed=len(level_blocks),
+    )
 
 
 def estimate_probability(

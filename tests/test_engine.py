@@ -161,28 +161,60 @@ class TestAssembleCcdf:
         with pytest.raises(ValueError):
             assemble_ccdf([], CFG)
 
+    def test_rows_equal_columns(self):
+        blocks = [_block(i, CFG, offset=10.0 * (3 - i)) for i in range(3)]
+        table = assemble_ccdf(blocks, CFG)
+        rows = table.rows
+        assert len(rows) == len(table.probabilities) == 280
+        for i, row in enumerate(rows):
+            assert row.probability == table.probabilities[i]
+            assert row.response == table.responses[i]
+            assert np.array_equal(row.sample, table.samples[i])
+        # row by row, the kept slices of each level in order
+        expected = np.concatenate([b[2][:90] for b in blocks[:2]] + [blocks[2][2]])
+        assert np.array_equal(np.array([row.sample for row in rows]), expected)
+
+    def test_samples_are_copies_of_the_blocks(self):
+        for m in (1, 3):
+            blocks = [_block(i, CFG, offset=10.0 * (m - i)) for i in range(m)]
+            table = assemble_ccdf(blocks, CFG)
+            before = table.samples.copy()
+            for _, responses, samples in blocks:
+                assert not np.shares_memory(table.samples, samples)
+                assert not np.shares_memory(table.responses, responses)
+                samples += 1.0
+            assert np.array_equal(table.samples, before)
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            CcdfTable(np.zeros(3), np.zeros(3), np.zeros((2, 1)), levels_completed=1)
+
+
+def _empty_table(levels):
+    return CcdfTable(np.empty(0), np.empty(0), np.empty((0, 1)), levels_completed=levels)
+
 
 class TestEstimateProbability:
     def test_floor_at_level_6(self):
-        table = CcdfTable(rows=[None] * 0, levels_completed=7)
+        table = _empty_table(7)
         assert estimate_probability(table, 0, 6, CFG) == 1e-8
 
     def test_all_conflicting_at_level_0(self):
-        table = CcdfTable(rows=[], levels_completed=1)
+        table = _empty_table(1)
         assert estimate_probability(table, 100, 0, CFG) == 1.0
 
     def test_partial_count_at_level_4(self):
-        table = CcdfTable(rows=[], levels_completed=5)
+        table = _empty_table(5)
         # interval at 1-based position 53 of level 4: 48 / (100 * 10^4)
         assert estimate_probability(table, 48, 4, CFG) == 48.0 / (100 * 10**4)
 
     def test_count_above_n_rejected(self):
-        table = CcdfTable(rows=[], levels_completed=1)
+        table = _empty_table(1)
         with pytest.raises(ValueError):
             estimate_probability(table, 101, 0, CFG)
 
     def test_level_mismatch_rejected(self):
-        table = CcdfTable(rows=[], levels_completed=2)
+        table = _empty_table(2)
         with pytest.raises(ValueError):
             estimate_probability(table, 5, 0, CFG)
 
