@@ -7,7 +7,7 @@ probability of conflict between an observer aircraft and a Kalman-tracked
 intruder, with a matched-budget Direct Monte Carlo baseline.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from ._kernels import active_backend
 from .conflict import ConflictQuery, PcResult, pc_dmc, pc_ss, simulate_scenario

@@ -1,11 +1,11 @@
-"""Resolution of the target scale of the Gaussian-disc toy's Metropolis chain.
+"""Resolution of the target scale of the Gaussian-disc toy's Metropolis chains.
 
-The toy's conditional chain (`toy._chain`) rewards candidates that move the
-response toward zero through a Gaussian factor exp(-response^2 / (2 sigma^2)).
-By default sigma is the disc radius; it can also be coupled to the per-level
-threshold ("threshold") or pinned to any positive float.  The reward biases
-the chain away from the prior restricted to the level.  The conflict chain
-no longer uses it: it samples its level by conditional sampling in whitened
+The toy's conditional chains (`toy._toy_chains`) reward candidates that move
+the response toward zero through a Gaussian factor
+exp(-response^2 / (2 sigma^2)).  By default sigma is the disc radius; it can
+also be coupled to the per-level threshold ("threshold") or pinned to any
+positive float.  The reward biases the chains away from the prior restricted
+to the level.  The conflict chains no longer use it: it samples its level by conditional sampling in whitened
 coordinates (`conflict._conflict_chains`).
 """
 

@@ -5,9 +5,9 @@ Subcommands:
   scenario   run encounter simulations over a lateral-separation sweep
   cov-study  coefficient-of-variation comparison of both estimators
 
-Every command writes a manifest (resolved parameters, master seed, tool
-version, output paths) before its outputs, sufficient to reproduce them
-bit for bit.  Numbers are emitted locale-independently: distances and times
+Every command writes a manifest (resolved parameters, master seed, tool,
+python and numpy versions, output paths) before its outputs, sufficient to
+reproduce them bit for bit.  Numbers are emitted locale-independently: distances and times
 with 3 decimals, probabilities in scientific notation with 6 significant
 digits.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -68,6 +69,8 @@ def _write_manifest(out_dir: Path, command: str, snapshot: dict, seed: int, outp
         "config_snapshot": snapshot,
         "master_seed": seed,
         "tool_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
         "outputs": outputs,
     }
     out_dir.mkdir(parents=True, exist_ok=True)

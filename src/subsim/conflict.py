@@ -183,53 +183,6 @@ def _conflict_chains(
     return out_x, out_r, accepted
 
 
-def _innovations(gens, length: int) -> np.ndarray:
-    """Each chain's (length, 6) standard-normal block from its own stream, stacked."""
-    return np.stack([gen.standard_normal((length, 6)) for gen in gens])
-
-
-def mh_conflict_samples(
-    query: ConflictQuery,
-    seeds: np.ndarray,
-    chain_length: int,
-    threshold: float,
-    seed: _rng.SeedLike,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Grow one conditional chain per seed state; returns (states, misses) per chain.
-
-    The chains are the engine's kernel (`_conflict_chains`), chain j drawing
-    its (chain_length, 6) innovations in one block from its own keyed
-    stream.  Trajectories are deterministic in the states and can be rebuilt
-    with `dynamics.propagate`; re-evaluating a returned state reproduces its
-    miss distance exactly.
-    """
-    seeds = np.asarray(seeds, dtype=np.float64)
-    if seeds.ndim != 2 or seeds.shape[1] != 6:
-        raise ValueError(f"seeds must be (n, 6), got {seeds.shape}")
-    if chain_length < 1:
-        raise ValueError(f"chain length must be positive, got {chain_length}")
-    root = _rng.derive(seed)
-    obs_xy = _observer_positions(query)
-    dt = 1.0 / query.sample_rate
-    observer = query.observer.as_array()
-    mean = query.intruder_estimate.mean.as_array()
-    chol = _cholesky_with_jitter(query.intruder_estimate.covariance)
-    chol_inv = np.linalg.inv(chol)
-    seed_miss, _ = miss_distance_batch(seeds, obs_xy, dt, observer)
-    beyond = np.flatnonzero(seed_miss > threshold)
-    if beyond.size:
-        j = beyond[0]
-        raise ValueError(
-            f"seed {j} violates the threshold: miss {seed_miss[j]:.6g} > {threshold:.6g}"
-        )
-    gens = [_rng.generator(_rng.child(root, 1, j)) for j in range(seeds.shape[0])]
-    states, misses, _ = _conflict_chains(
-        seeds, seed_miss, threshold, _innovations(gens, chain_length),
-        obs_xy, dt, observer, mean, chol, chol_inv,
-    )
-    return list(zip(states, misses))
-
-
 def conflict_system(query: ConflictQuery) -> RareEventSystem:
     """Wire one conflict query into the generic engine."""
     obs_xy = _observer_positions(query)
@@ -246,9 +199,18 @@ def conflict_system(query: ConflictQuery) -> RareEventSystem:
         miss, _ = miss_distance_batch(states, obs_xy, dt, observer)
         return miss
 
-    def conditional_chains(seed_states, seed_misses, threshold, length, gens):
+    def conditional_chains(seed_states, seed_misses, threshold, length, gen):
+        # Chain j takes innovations[j] of one draw from the level's stream.
+        seed_misses = np.asarray(seed_misses, dtype=np.float64)
+        beyond = np.flatnonzero(seed_misses > threshold)
+        if beyond.size:
+            j = beyond[0]
+            raise ValueError(
+                f"seed {j} violates the threshold: miss {seed_misses[j]:.6g} > {threshold:.6g}"
+            )
+        innovations = gen.standard_normal((len(seed_misses), length, 6))
         states, misses, _ = _conflict_chains(
-            seed_states, seed_misses, threshold, _innovations(gens, length),
+            seed_states, seed_misses, threshold, innovations,
             obs_xy, dt, observer, mean, chol, chol_inv,
         )
         return states.reshape(-1, 6), misses.reshape(-1)

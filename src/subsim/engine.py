@@ -121,27 +121,33 @@ class RareEventSystem:
     sample_prior(rng, n) draws n samples (ndarray, leading sample axis).
     evaluate(samples) maps them to scalar responses (smaller = closer to the
     rare event).  conditional_chains(seeds, seed_responses, threshold, length,
-    rngs) grows one Markov chain per seed, chain j drawing only from rngs[j],
-    and returns the len(seeds) * length new samples and their responses
-    grouped chain by chain; no response may exceed `threshold`.  The chains
-    are independent, so a system may advance them together.
+    gen) grows one Markov chain per seed and returns the len(seeds) * length
+    new samples and their responses grouped chain by chain; no response may
+    exceed `threshold`.  All chains of a level draw from the one generator
+    `gen`, the level's keyed stream; given their draws the chains are
+    independent, so a system draws every chain's randomness as one block and
+    advances the chains together.
     """
 
     sample_prior: Callable[[np.random.Generator, int], np.ndarray]
     evaluate: Callable[[np.ndarray], np.ndarray]
     conditional_chains: Callable[
-        [np.ndarray, np.ndarray, float, int, Sequence[np.random.Generator]],
+        [np.ndarray, np.ndarray, float, int, np.random.Generator],
         tuple[np.ndarray, np.ndarray],
     ]
 
 
 @dataclass(frozen=True)
 class SubsetDiagnostics:
+    """Run summary.  `stalled_levels` counts the levels whose intermediate
+    threshold did not fall below the previous level's."""
+
     levels_completed: int
     conflict_count: int
     samples_used: int
     floor_reached: bool
     thresholds: tuple[float, ...] = field(default_factory=tuple)
+    stalled_levels: int = 0
 
 
 @dataclass(frozen=True)
@@ -271,24 +277,19 @@ def run_subset_simulation(
     blocks = [(probability_intervals(level, config), sorted_r, sorted_x)]
     conflicts = int(np.count_nonzero(sorted_r <= failure_threshold))
     thresholds: list[float] = []
+    stalled = 0
 
     while (conflicts < n_c or not stop_on_rare_count) and level < config.max_levels - 1:
         b = intermediate_threshold(sorted_r, config)
         if thresholds and b >= thresholds[-1]:
-            logger.warning(
-                "intermediate threshold did not decrease (level %d: %.6g >= %.6g); "
-                "chains may be stalling",
-                level + 1,
-                b,
-                thresholds[-1],
-            )
+            stalled += 1
         thresholds.append(b)
         seeds = select_seeds(sorted_x, config)
         seed_r = sorted_r[n - n_c :]
         level += 1
 
-        gens = [_rng.generator(_rng.child(root, level, j)) for j in range(n_c)]
-        samples, responses = system.conditional_chains(seeds, seed_r, b, n_s, gens)
+        gen = _rng.generator(_rng.child(root, level))
+        samples, responses = system.conditional_chains(seeds, seed_r, b, n_s, gen)
         responses = np.asarray(responses, dtype=np.float64)
         if samples.shape[0] != n or responses.shape[0] != n:
             raise ValueError(
@@ -304,6 +305,13 @@ def run_subset_simulation(
         blocks.append((probability_intervals(level, config), sorted_r, sorted_x))
         conflicts = int(np.count_nonzero(sorted_r <= failure_threshold))
 
+    if stalled:
+        logger.warning(
+            "intermediate threshold did not decrease at %d of %d levels; "
+            "chains may be stalling",
+            stalled,
+            len(thresholds),
+        )
     table = assemble_ccdf(blocks, config)
     estimate = estimate_probability(table, conflicts, level, config)
     diagnostics = SubsetDiagnostics(
@@ -312,6 +320,7 @@ def run_subset_simulation(
         samples_used=n * (level + 1),
         floor_reached=conflicts == 0,
         thresholds=tuple(thresholds),
+        stalled_levels=stalled,
     )
     return SubsetResult(estimate=estimate, table=table, diagnostics=diagnostics)
 

@@ -1,8 +1,10 @@
 """Seed derivation utilities.
 
-Every sampling site (level-0 draws, each Markov chain, each scenario step)
-gets its own counter-based stream derived from one master seed, so results do
-not depend on execution order and independent pieces can run concurrently.
+Every sampling site (level-0 draws, each level's Markov chains, each scenario
+step) gets its own counter-based stream derived from one master seed, so
+results do not depend on execution order and independent pieces can run
+concurrently.  The chains of one level share that level's stream: each draws
+its rows of one block, so they advance together.
 """
 
 from __future__ import annotations

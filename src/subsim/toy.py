@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import rng as _rng
@@ -66,73 +64,56 @@ def dmc_estimate(region: CircleRegion, n: int, seed: _rng.SeedLike) -> float:
     return float(np.count_nonzero(_distances(xy, region) <= region.radius)) / n
 
 
-def _chain(
-    seed_xy: np.ndarray,
-    seed_dist: float,
+def _toy_chains(
+    seeds_xy: np.ndarray,
+    seed_dists: np.ndarray,
     region: CircleRegion,
     threshold: float,
     length: int,
     gen: np.random.Generator,
-    target_scale,
+    target_scale: TiltSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One Metropolis-Hastings chain of `length` new samples under `threshold`.
+    """Metropolis-Hastings chains of `length` new samples each under `threshold`.
 
     Random-walk proposal with unit covariance; the target density is a
     Gaussian about the region center with standard deviation sigma per axis
-    (the disc radius unless overridden, see `_tilt`).  Candidates beyond the
-    threshold are rejected outright.
+    (the disc radius unless overridden, see `_tilt`).  A candidate is
+    accepted iff it lies within the threshold and its uniform draw is below
+    the acceptance ratio.
+
+    Every chain's steps, of shape (m, length, 2), then its uniforms, of shape
+    (m, length), come from `gen` in two blocks; chain j takes row j of each,
+    and all m chains advance together.  Returns the samples (m, length, 2)
+    and their distances (m, length).
     """
+    seed_dists = np.asarray(seed_dists, dtype=np.float64)
+    beyond = np.flatnonzero(seed_dists > threshold)
+    if beyond.size:
+        j = beyond[0]
+        raise ValueError(
+            f"seed {j} violates the threshold: distance {seed_dists[j]:.6g} > {threshold:.6g}"
+        )
     sigma = resolve_tilt(target_scale, region.radius, threshold)
     sigma2 = sigma * sigma
-    c = region.center.as_array()
-    cur = np.array(seed_xy, dtype=np.float64)
-    cur_d = float(seed_dist)
-    out_xy = np.empty((length, 2))
-    out_d = np.empty(length)
+    m = len(seed_dists)
+    steps = gen.standard_normal((m, length, 2))
+    uniforms = gen.random((m, length))
+    cur = np.array(seeds_xy, dtype=np.float64).reshape(m, 2)
+    cur_d = seed_dists
+    out_xy = np.empty((m, length, 2))
+    out_d = np.empty((m, length))
     for k in range(length):
-        step = gen.standard_normal(2)
-        cand = cur + step
-        dx = cand[0] - c[0]
-        dy = cand[1] - c[1]
-        cand_d = math.sqrt(dx * dx + dy * dy)
-        # Proposal transition ratio, written out even though the random walk
-        # is symmetric and it cancels to zero.
-        log_q = (-0.5 * float(np.dot(step, step))) - (-0.5 * float(np.dot(-step, -step)))
-        log_target = (cur_d * cur_d - cand_d * cand_d) / (2.0 * sigma2)
-        log_beta = log_q + log_target
-        e = gen.random()
-        if cand_d <= threshold and e < math.exp(min(0.0, log_beta)):
-            cur = cand
-            cur_d = cand_d
-        out_xy[k] = cur
-        out_d[k] = cur_d
+        cand = cur + steps[:, k]
+        cand_d = _distances(cand, region)
+        # The symmetric random walk's proposal ratio cancels, so the
+        # acceptance ratio is the target ratio alone.
+        log_beta = (cur_d * cur_d - cand_d * cand_d) / (2.0 * sigma2)
+        ok = (cand_d <= threshold) & (uniforms[:, k] < np.exp(np.minimum(0.0, log_beta)))
+        cur = np.where(ok[:, None], cand, cur)
+        cur_d = np.where(ok, cand_d, cur_d)
+        out_xy[:, k] = cur
+        out_d[:, k] = cur_d
     return out_xy, out_d
-
-
-def mh_chains(
-    seeds: Sequence[Point2],
-    chain_length: int,
-    region: CircleRegion,
-    threshold: float,
-    seed: _rng.SeedLike,
-    target_scale: TiltSpec = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Grow one conditional chain per seed; every retained distance <= threshold."""
-    if chain_length < 1:
-        raise ValueError(f"chain length must be positive, got {chain_length}")
-    root = _rng.derive(seed)
-    chains = []
-    for j, s in enumerate(seeds):
-        d0 = distance_to_center(s, region)
-        if d0 > threshold:
-            raise ValueError(
-                f"seed {j} violates the threshold: distance {d0:.6g} > {threshold:.6g}"
-            )
-        gen = _rng.generator(_rng.child(root, 1, j))
-        chains.append(
-            _chain(s.as_array(), d0, region, threshold, chain_length, gen, target_scale)
-        )
-    return chains
 
 
 def oracle_probability(region: CircleRegion, rel_tol: float = 1e-6) -> float:
@@ -177,15 +158,9 @@ def toy_system(region: CircleRegion, target_scale: TiltSpec = None) -> RareEvent
     def evaluate(xy: np.ndarray) -> np.ndarray:
         return _distances(xy, region)
 
-    def conditional_chains(seeds_xy, seed_dists, threshold, length, gens):
-        chains = [
-            _chain(xy, float(d), region, threshold, length, gen, target_scale)
-            for xy, d, gen in zip(seeds_xy, seed_dists, gens)
-        ]
-        return (
-            np.concatenate([xy for xy, _ in chains]),
-            np.concatenate([d for _, d in chains]),
-        )
+    def conditional_chains(seeds_xy, seed_dists, threshold, length, gen):
+        xy, d = _toy_chains(seeds_xy, seed_dists, region, threshold, length, gen, target_scale)
+        return xy.reshape(-1, 2), d.reshape(-1)
 
     return RareEventSystem(
         sample_prior=sample_prior, evaluate=evaluate, conditional_chains=conditional_chains

@@ -2,9 +2,12 @@
 
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
+import subsim
 from subsim.cli import main
 from subsim.scenarios import build_head_on, save_scenario
 
@@ -27,7 +30,9 @@ class TestToyCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "toy"
         assert manifest["master_seed"] == 7
-        assert manifest["tool_version"]
+        assert manifest["tool_version"] == subsim.__version__
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
         assert set(manifest["outputs"]) == {"ccdf.csv", "summary.json"}
 
     def test_multi_level_run_is_close_to_oracle(self, tmp_path):
@@ -41,7 +46,7 @@ class TestToyCommand:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["toy", "--n", "100", "--levels", "3", "--seed", "5", "--out", str(a)]) == 0
         assert main(["toy", "--n", "100", "--levels", "3", "--seed", "5", "--out", str(b)]) == 0
-        for name in ("ccdf.csv", "summary.json"):
+        for name in ("ccdf.csv", "summary.json", "manifest.json"):
             assert _read(a / name) == _read(b / name)
 
     def test_invalid_n_exits_2(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from subsim.conflict import (
     _conflict_chains,
     _observer_positions,
     conflict_system,
-    mh_conflict_samples,
     pc_dmc,
     pc_ss,
     simulate_scenario,
@@ -112,6 +111,17 @@ def _run_chains(q, seed_states, threshold, innovations):
         _observer_positions(q), 1.0 / q.sample_rate, q.observer.as_array(),
         q.intruder_estimate.mean.as_array(), chol, np.linalg.inv(chol),
     )
+
+
+def _system_chains(q, seeds, length, threshold, seed):
+    """Per-chain (states, misses) from the engine system's chains on one generator."""
+    seeds = np.atleast_2d(seeds)
+    gen = _rng.generator(_rng.derive(seed))
+    states, misses = conflict_system(q).conditional_chains(
+        seeds, _miss(q, seeds), threshold, length, gen
+    )
+    m = len(seeds)
+    return list(zip(states.reshape(m, length, 6), misses.reshape(m, length)))
 
 
 def _run_chain(q, seed_state, threshold, innovations):
@@ -221,13 +231,15 @@ class TestLockstepChains:
         q = _query(HEAD_ON_OFFSET)
         seeds, _ = self._seeds(q, 4, 23)
         threshold = float(_miss(q, seeds).max())
-        gens = [_rng.generator(_rng.child(_rng.derive(24), 1, j)) for j in range(4)]
+        gen = _rng.generator(_rng.derive(24))
         chains_of = conflict_system(q).conditional_chains
-        states, misses = chains_of(seeds, _miss(q, seeds), threshold, 10, gens)
+        states, misses = chains_of(seeds, _miss(q, seeds), threshold, 10, gen)
         assert states.shape == (40, 6) and misses.shape == (40,)
-        chains = mh_conflict_samples(q, seeds, 10, threshold, seed=24)
-        assert np.array_equal(states, np.concatenate([s for s, _ in chains]))
-        assert np.array_equal(misses, np.concatenate([m for _, m in chains]))
+        # chain j takes block[j] of one (4, 10, 6) draw from the level's stream
+        block = _rng.generator(_rng.derive(24)).standard_normal((4, 10, 6))
+        ref_states, ref_misses, _ = _run_chains(q, seeds, threshold, block)
+        assert np.array_equal(states, ref_states.reshape(-1, 6))
+        assert np.array_equal(misses, ref_misses.reshape(-1))
 
 
 class TestMhConflictSamples:
@@ -235,13 +247,13 @@ class TestMhConflictSamples:
         q = _query(HEAD_ON_OFFSET)
         seeds = np.array([q.intruder_estimate.mean.as_array()])
         with pytest.raises(ValueError, match="violates"):
-            mh_conflict_samples(q, seeds, 10, threshold=10.0, seed=0)
+            _system_chains(q, seeds, 10, threshold=10.0, seed=0)
 
     def test_chains_respect_threshold(self):
         q = _query(HEAD_ON_OFFSET)
         seeds = np.array([q.intruder_estimate.mean.as_array()] * 5)
         threshold = 1500.0
-        chains = mh_conflict_samples(q, seeds, 50, threshold, seed=3)
+        chains = _system_chains(q, seeds, 50, threshold, seed=3)
         assert len(chains) == 5
         for states, misses in chains:
             assert states.shape == (50, 6)
@@ -249,11 +261,11 @@ class TestMhConflictSamples:
 
     def test_candidates_move_all_six_components(self):
         # with nothing rejected, the whitened states follow z' = rho z + sqrt(1 - rho^2) xi
-        # with xi the chain's own keyed stream
+        # with xi the chain's block of the level's stream
         q = _query(HEAD_ON_OFFSET)
         seed_state = q.intruder_estimate.mean.as_array()
-        (states, _), = mh_conflict_samples(q, seed_state[None, :], 40, np.inf, seed=5)
-        xi = _rng.generator(_rng.child(_rng.derive(5), 1, 0)).standard_normal((40, 6))
+        (states, _), = _system_chains(q, seed_state, 40, np.inf, seed=5)
+        xi = _rng.generator(_rng.derive(5)).standard_normal((1, 40, 6))[0]
         z = np.zeros(6)
         expected = []
         for k in range(40):
@@ -275,7 +287,7 @@ class TestMhConflictSamples:
         ref = ref[ref <= threshold]
         seed_miss = float(_miss(q, seed_state)[0])
         assert ref.max() < seed_miss < threshold
-        (states, misses), = mh_conflict_samples(q, seed_state[None, :], 1000, threshold, seed=6)
+        (states, misses), = _system_chains(q, seed_state, 1000, threshold, seed=6)
         moved = np.any(np.diff(states, axis=0) != 0.0, axis=1)
         assert moved.sum() > 50
         settled = misses[100::10]  # past burn-in, thinned to near independence
@@ -285,7 +297,7 @@ class TestMhConflictSamples:
     def test_responses_reproduce_exactly(self):
         q = _query(HEAD_ON_OFFSET)
         seed_state = q.intruder_estimate.mean.as_array()
-        (states, misses), = mh_conflict_samples(q, seed_state[None, :], 30, 1500.0, seed=7)
+        (states, misses), = _system_chains(q, seed_state, 30, 1500.0, seed=7)
         obs_xy = _observer_positions(q)
         again, _ = miss_distance_scan(states, obs_xy, 1.0 / q.sample_rate)
         assert np.array_equal(again, misses)

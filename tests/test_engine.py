@@ -248,8 +248,8 @@ def _line_system(shift=0.0):
 def _per_seed(chain):
     """conditional_chains from a one-seed chain(seed, threshold, length, gen)."""
 
-    def conditional_chains(seeds, seed_resps, threshold, length, gens):
-        runs = [chain(seed, threshold, length, gen) for seed, gen in zip(seeds, gens)]
+    def conditional_chains(seeds, seed_resps, threshold, length, gen):
+        runs = [chain(seed, threshold, length, gen) for seed in seeds]
         return np.concatenate([x for x, _ in runs]), np.concatenate([r for _, r in runs])
 
     return conditional_chains
@@ -289,7 +289,7 @@ class TestRunSubsetSimulation:
         def evaluate(x):
             return x[:, 0]
 
-        def conditional_chains(seeds, seed_resps, threshold, length, gens):
+        def conditional_chains(seeds, seed_resps, threshold, length, gen):
             calls["level"] = max(calls["level"], 1)
             out = np.repeat(seeds - 9.0, length, axis=0)
             return out, out[:, 0]
@@ -330,7 +330,7 @@ class TestRunSubsetSimulation:
         def evaluate(x):
             return np.abs(x[:, 0])
 
-        def bad_chains(seeds, seed_resps, threshold, length, gens):
+        def bad_chains(seeds, seed_resps, threshold, length, gen):
             # one sample of the whole batch lies beyond the threshold
             out = np.repeat(seeds, length, axis=0)
             resp = np.abs(out[:, 0])
@@ -348,7 +348,7 @@ class TestRunSubsetSimulation:
         def evaluate(x):
             return np.abs(x[:, 0])
 
-        def short_chains(seeds, seed_resps, threshold, length, gens):
+        def short_chains(seeds, seed_resps, threshold, length, gen):
             # one chain of the batch comes back a sample short
             out = np.repeat(seeds, length, axis=0)[1:]
             return out, np.abs(out[:, 0])
@@ -357,9 +357,9 @@ class TestRunSubsetSimulation:
         with pytest.raises(ValueError, match="expected"):
             run_subset_simulation(system, CFG, 1e-6, seed=3)
 
-    def test_chains_get_seeds_and_keyed_streams(self):
+    def test_chains_get_seeds_and_level_stream(self):
         # one call per level with the N_c best samples, their responses, and
-        # chain j's generator child(root, level, j)
+        # the level's generator child(root, level)
         seen = []
 
         def sample_prior(gen, n):
@@ -368,8 +368,8 @@ class TestRunSubsetSimulation:
         def evaluate(x):
             return np.abs(x[:, 0])
 
-        def conditional_chains(seeds, seed_resps, threshold, length, gens):
-            seen.append((seeds.copy(), np.array(seed_resps), [g.standard_normal() for g in gens]))
+        def conditional_chains(seeds, seed_resps, threshold, length, gen):
+            seen.append((seeds.copy(), np.array(seed_resps), gen.standard_normal(3)))
             out = np.repeat(seeds, length, axis=0)
             return out, np.abs(out[:, 0])
 
@@ -381,8 +381,8 @@ class TestRunSubsetSimulation:
         for level, (seeds, resps, draws) in enumerate(seen, start=1):
             assert seeds.shape == (10, 1)
             assert np.array_equal(resps, np.abs(seeds[:, 0]))
-            expected = [_rng.generator(_rng.child(root, level, j)).standard_normal() for j in range(10)]
-            assert draws == expected
+            expected = _rng.generator(_rng.child(root, level)).standard_normal(3)
+            assert np.array_equal(draws, expected)
 
     def test_level0_estimate_equals_direct_count(self):
         system = _line_system()
@@ -398,7 +398,7 @@ class TestRunSubsetSimulation:
         def evaluate(x):
             return x[:, 0]
 
-        def frozen_chains(seeds, seed_resps, threshold, length, gens):
+        def frozen_chains(seeds, seed_resps, threshold, length, gen):
             out = np.repeat(seeds, length, axis=0)
             return out, out[:, 0]
 
@@ -407,3 +407,34 @@ class TestRunSubsetSimulation:
         with caplog.at_level("WARNING", logger="subsim.engine"):
             run_subset_simulation(system, cfg, 0.0, seed=1)
         assert any("did not decrease" in m for m in caplog.messages)
+
+    def test_stalls_reported_once_with_their_count(self, caplog):
+        # every level's population is the constant 1, so thresholds 2..5 all
+        # equal the first: four stalls, one warning line
+        def sample_prior(gen, n):
+            return np.ones((n, 1))
+
+        def evaluate(x):
+            return x[:, 0]
+
+        def frozen_chains(seeds, seed_resps, threshold, length, gen):
+            out = np.repeat(seeds, length, axis=0)
+            return out, out[:, 0]
+
+        cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=6)
+        system = RareEventSystem(sample_prior, evaluate, frozen_chains)
+        with caplog.at_level("WARNING", logger="subsim.engine"):
+            result = run_subset_simulation(system, cfg, 0.0, seed=1)
+        assert result.diagnostics.stalled_levels == 4
+        lines = [m for m in caplog.messages if "did not decrease" in m]
+        assert len(lines) == 1
+        assert "at 4 of 5 levels" in lines[0]
+
+    def test_no_stall_no_warning(self, caplog):
+        system = _line_system(shift=4.0)
+        cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
+        with caplog.at_level("WARNING", logger="subsim.engine"):
+            result = run_subset_simulation(system, cfg, 0.0, seed=5, stop_on_rare_count=False)
+        assert np.all(np.diff(result.diagnostics.thresholds) < 0)
+        assert result.diagnostics.stalled_levels == 0
+        assert not caplog.messages

@@ -12,9 +12,9 @@ from subsim.toy import (
     Point2,
     dmc_estimate,
     distance_to_center,
-    mh_chains,
     oracle_probability,
     ss_toy,
+    toy_system,
 )
 
 REGION = CircleRegion(center=Point2(3.0, -3.0), radius=1.0)
@@ -96,49 +96,103 @@ class TestDmcEstimate:
         assert abs(est - p) < 3 * se
 
 
+def _chains(seeds, length, threshold, seed, target_scale=None):
+    """Per-chain (xy, d) from the toy system's chains on one generator."""
+    xy = np.array([s.as_array() for s in seeds])
+    d = np.array([distance_to_center(s, REGION) for s in seeds])
+    gen = _rng.generator(_rng.derive(seed))
+    out_xy, out_d = toy_system(REGION, target_scale).conditional_chains(
+        xy, d, threshold, length, gen
+    )
+    m = len(seeds)
+    return list(zip(out_xy.reshape(m, length, 2), out_d.reshape(m, length)))
+
+
+def _replay_chain(seed, threshold, steps, uniforms, sigma):
+    """One chain, one scalar step at a time, on its rows of the level's draws."""
+    c = REGION.center.as_array()
+    cur = seed.as_array()
+    cur_d = distance_to_center(seed, REGION)
+    out_xy, out_d = [], []
+    for step, u in zip(steps, uniforms):
+        cand = cur + step
+        dx = cand[0] - c[0]
+        dy = cand[1] - c[1]
+        cand_d = math.sqrt(dx * dx + dy * dy)
+        log_beta = (cur_d * cur_d - cand_d * cand_d) / (2.0 * sigma * sigma)
+        if cand_d <= threshold and u < math.exp(min(0.0, log_beta)):
+            cur, cur_d = cand, cand_d
+        out_xy.append(cur)
+        out_d.append(cur_d)
+    return np.array(out_xy), np.array(out_d)
+
+
 class TestMhChains:
     def test_free_random_walk_never_repeats(self):
         # infinite threshold and an enormous target scale cancel every ratio:
         # each candidate is accepted and the chain is a plain random walk
         seeds = [Point2(0.0, 0.0)]
-        (xy, d), = mh_chains(
-            seeds, 200, REGION, threshold=np.inf, seed=9, target_scale=np.inf
-        )
+        (xy, d), = _chains(seeds, 200, threshold=np.inf, seed=9, target_scale=np.inf)
         assert xy.shape == (200, 2)
         assert not np.any(np.all(np.diff(xy, axis=0) == 0.0, axis=1))
 
     def test_free_random_walk_matches_direct_replay(self):
         seeds = [Point2(0.5, -0.5)]
-        (xy, _), = mh_chains(
-            seeds, 50, REGION, threshold=np.inf, seed=21, target_scale=np.inf
-        )
-        gen = _rng.generator(_rng.child(_rng.derive(21), 1, 0))
+        (xy, _), = _chains(seeds, 50, threshold=np.inf, seed=21, target_scale=np.inf)
+        steps = _rng.generator(_rng.derive(21)).standard_normal((1, 50, 2))[0]
         cur = np.array([0.5, -0.5])
         for k in range(50):
-            cur = cur + gen.standard_normal(2)
-            gen.random()
+            cur = cur + steps[k]
             assert np.array_equal(xy[k], cur)
+
+    def test_free_chains_are_cumulative_sums_of_their_steps(self):
+        # several chains at once: chain j is its seed plus the running sum of
+        # block[j] of the level's (m, length, 2) step draw
+        seeds = [Point2(0.5, -0.5), Point2(-1.0, 2.0), Point2(3.0, 0.25)]
+        chains = _chains(seeds, 30, threshold=np.inf, seed=22, target_scale=np.inf)
+        steps = _rng.generator(_rng.derive(22)).standard_normal((3, 30, 2))
+        for s, (xy, d), block in zip(seeds, chains, steps):
+            walk = np.cumsum(np.vstack([s.as_array(), block]), axis=0)[1:]
+            assert np.array_equal(xy, walk)
+            assert np.array_equal(d, [distance_to_center(Point2(*p), REGION) for p in walk])
+
+    def test_lockstep_chains_equal_per_chain_replay(self):
+        # chain j's steps and uniforms are row j of the level's two blocks,
+        # drawn steps first; the accept rule is the scalar one, step by step
+        seeds = [Point2(2.0, -2.0), Point2(3.5, -3.0), Point2(2.5, -4.0), Point2(3.0, -2.2)]
+        threshold = 1.6
+        chains = _chains(seeds, 60, threshold, seed=23)
+        gen = _rng.generator(_rng.derive(23))
+        steps = gen.standard_normal((4, 60, 2))
+        uniforms = gen.random((4, 60))
+        moved = 0
+        for j, (xy, d) in enumerate(chains):
+            ref_xy, ref_d = _replay_chain(seeds[j], threshold, steps[j], uniforms[j], REGION.radius)
+            assert np.array_equal(xy, ref_xy)
+            assert np.array_equal(d, ref_d)
+            moved += np.count_nonzero(np.any(np.diff(xy, axis=0) != 0.0, axis=1))
+        assert 0 < moved < 4 * 59  # both branches of the accept step run
 
     def test_threshold_respected(self):
         seeds = [Point2(4.0, -3.0)]  # on the boundary, distance exactly 1
-        (xy, d), = mh_chains(seeds, 500, REGION, threshold=REGION.radius, seed=4)
+        (xy, d), = _chains(seeds, 500, threshold=REGION.radius, seed=4)
         assert np.all(d <= REGION.radius)
 
     def test_seed_beyond_threshold_rejected(self):
         with pytest.raises(ValueError, match="violates"):
-            mh_chains([Point2(0.0, 0.0)], 10, REGION, threshold=1.0, seed=0)
+            _chains([Point2(0.0, 0.0)], 10, threshold=1.0, seed=0)
 
     def test_chain_drifts_toward_center(self):
         # a long chain from a far seed: late samples sit closer to the center
         seeds = [Point2(0.0, 0.0)]
         threshold = math.sqrt(18.0)
-        (xy, d), = mh_chains(seeds, 1000, REGION, threshold=threshold, seed=8)
+        (xy, d), = _chains(seeds, 1000, threshold=threshold, seed=8)
         first, last = d[:250], d[-250:]
         assert last.mean() < first.mean()
 
     def test_chain_count_and_length(self):
         seeds = [Point2(1.0, -1.0), Point2(2.0, -2.0), Point2(3.0, -2.5)]
-        chains = mh_chains(seeds, 10, REGION, threshold=10.0, seed=3)
+        chains = _chains(seeds, 10, threshold=10.0, seed=3)
         assert len(chains) == 3
         assert all(xy.shape == (10, 2) and d.shape == (10,) for xy, d in chains)
 
