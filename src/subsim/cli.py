@@ -7,9 +7,9 @@ Subcommands:
 
 Every command writes a manifest (resolved parameters, master seed, tool,
 python and numpy versions, output paths) before its outputs, sufficient to
-reproduce them bit for bit.  Numbers are emitted locale-independently: distances and times
-with 3 decimals, probabilities in scientific notation with 6 significant
-digits.
+reproduce them bit for bit.  Numbers are emitted locale-independently:
+distances and times with 3 decimals, probabilities in scientific notation
+with 6 significant digits.
 """
 
 from __future__ import annotations

@@ -81,9 +81,9 @@ def _toy_chains(
     accepted iff it lies within the threshold and its uniform draw is below
     the acceptance ratio.
 
-    Every chain's steps, of shape (m, length, 2), then its uniforms, of shape
-    (m, length), come from `gen` in two blocks; chain j takes row j of each,
-    and all m chains advance together.  Returns the samples (m, length, 2)
+    The chains' steps, of shape (m, length, 2), then their uniforms, of
+    shape (m, length), come from `gen` in two blocks; chain j takes row j of
+    each, and all m chains advance together.  Returns the samples (m, length, 2)
     and their distances (m, length).
     """
     seed_dists = np.asarray(seed_dists, dtype=np.float64)

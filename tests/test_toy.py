@@ -137,20 +137,11 @@ class TestMhChains:
         assert not np.any(np.all(np.diff(xy, axis=0) == 0.0, axis=1))
 
     def test_free_random_walk_matches_direct_replay(self):
-        seeds = [Point2(0.5, -0.5)]
-        (xy, _), = _chains(seeds, 50, threshold=np.inf, seed=21, target_scale=np.inf)
-        steps = _rng.generator(_rng.derive(21)).standard_normal((1, 50, 2))[0]
-        cur = np.array([0.5, -0.5])
-        for k in range(50):
-            cur = cur + steps[k]
-            assert np.array_equal(xy[k], cur)
-
-    def test_free_chains_are_cumulative_sums_of_their_steps(self):
-        # several chains at once: chain j is its seed plus the running sum of
-        # block[j] of the level's (m, length, 2) step draw
+        # chain j is its seed plus the running sum of block[j] of the level's
+        # (m, length, 2) step draw
         seeds = [Point2(0.5, -0.5), Point2(-1.0, 2.0), Point2(3.0, 0.25)]
-        chains = _chains(seeds, 30, threshold=np.inf, seed=22, target_scale=np.inf)
-        steps = _rng.generator(_rng.derive(22)).standard_normal((3, 30, 2))
+        chains = _chains(seeds, 30, threshold=np.inf, seed=21, target_scale=np.inf)
+        steps = _rng.generator(_rng.derive(21)).standard_normal((3, 30, 2))
         for s, (xy, d), block in zip(seeds, chains, steps):
             walk = np.cumsum(np.vstack([s.as_array(), block]), axis=0)[1:]
             assert np.array_equal(xy, walk)
@@ -177,6 +168,18 @@ class TestMhChains:
         seeds = [Point2(4.0, -3.0)]  # on the boundary, distance exactly 1
         (xy, d), = _chains(seeds, 500, threshold=REGION.radius, seed=4)
         assert np.all(d <= REGION.radius)
+
+    def test_candidate_on_threshold_accepted(self):
+        # with the tilt switched off, a candidate exactly on the threshold is
+        # accepted and one a ulp beyond it is rejected
+        seeds = [Point2(3.0, -3.0)]
+        step = _rng.generator(_rng.derive(24)).standard_normal((1, 1, 2))[0, 0]
+        cand = REGION.center.as_array() + step
+        d = distance_to_center(Point2(*cand), REGION)
+        (xy, _), = _chains(seeds, 1, threshold=d, seed=24, target_scale=np.inf)
+        assert np.array_equal(xy[0], cand)
+        (xy, _), = _chains(seeds, 1, threshold=np.nextafter(d, 0.0), seed=24, target_scale=np.inf)
+        assert np.array_equal(xy[0], seeds[0].as_array())
 
     def test_seed_beyond_threshold_rejected(self):
         with pytest.raises(ValueError, match="violates"):
