@@ -10,7 +10,7 @@ intruder, with a matched-budget Direct Monte Carlo baseline.
 __version__ = "0.2.0"
 
 from ._kernels import active_backend
-from .conflict import ConflictQuery, PcResult, pc_dmc, pc_ss, simulate_scenario
+from .conflict import ConflictQuery, PcResult, pc_dmc, pc_ss, pc_ss_batch, simulate_scenario
 from .dynamics import AircraftState, Approach, Trajectory, min_distance, propagate, transition_matrix
 from .engine import (
     CcdfRow,
@@ -20,6 +20,7 @@ from .engine import (
     SubsetConfig,
     SubsetResult,
     run_subset_simulation,
+    run_subset_simulations,
 )
 from .scenarios import ScenarioKind, ScenarioSpec, build_converging, build_head_on, build_overtaking
 from .toy import CircleRegion, Point2, dmc_estimate, oracle_probability, ss_toy
@@ -55,9 +56,11 @@ __all__ = [
     "oracle_probability",
     "pc_dmc",
     "pc_ss",
+    "pc_ss_batch",
     "process_noise",
     "propagate",
     "run_subset_simulation",
+    "run_subset_simulations",
     "simulate_scenario",
     "ss_toy",
     "transition_matrix",

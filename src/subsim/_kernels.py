@@ -9,6 +9,10 @@ indices only.  Rows it cannot settle (no relative acceleration, or a curve
 too flat for rounding to order the grid points) go to `miss_distance_scan`,
 which evaluates every grid point and is the reference for the closed form;
 so do batches too small for the closed form's fixed cost to pay.
+
+Both kernels take K observer tracks of one length, (K, points, 2), and a
+row-to-track index, so one call serves the states of K independent problems;
+a single (points, 2) track is the case K = 1.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ _BLOCK_ELEMS = 6_000_000
 # scan's below roughly 10,000 (10 states on 401 points: 240 us closed form
 # against 110 us scan; 3 states on 4,001 points: 290 us against 480 us).
 _SCAN_ELEMS = 8192
-# Rows per closed-form block: about 1.3 MB per (rows, 20 candidates) temporary.
-_BLOCK_ROWS = 1 << 13
+# Rows per closed-form block: about 160 kB per (rows, 20 candidates) temporary.
+_BLOCK_ROWS = 1 << 10
 # A window of grid points sits at each end of the track and around each
 # root: the two points bracketing the root and one more on either side, so
 # that a root computed up to a step off still lies inside.
@@ -69,38 +73,55 @@ def _squared_distance(s, tk, obs):
     return d[:, 0] + d[:, 1]
 
 
-def _validate(states, obs_xy):
+def _validate(states, obs_xy, problem):
+    """(states, tracks, problem): tracks as (K, points, 2), one index per row."""
     states = _as_c_f64(states, "states", 2)
-    obs_xy = _as_c_f64(obs_xy, "obs_xy", 2)
+    obs_xy = np.asarray(obs_xy, dtype=np.float64)
+    if obs_xy.ndim == 2:
+        obs_xy = obs_xy[None]
+    obs_xy = _as_c_f64(obs_xy, "obs_xy", 3)
     if states.shape[1] != 6:
         raise ValueError(f"states must have 6 columns, got {states.shape[1]}")
-    if obs_xy.shape[1] != 2:
-        raise ValueError(f"obs_xy must have 2 columns, got {obs_xy.shape[1]}")
-    if obs_xy.shape[0] == 0:
+    if obs_xy.shape[2] != 2:
+        raise ValueError(f"obs_xy must have 2 columns, got {obs_xy.shape[2]}")
+    if obs_xy.shape[1] == 0:
         raise ValueError("obs_xy must contain at least one point")
-    return states, obs_xy
+    n, k = states.shape[0], obs_xy.shape[0]
+    if problem is None:
+        if k != 1:
+            raise ValueError(f"{k} tracks need a row-to-track index")
+        return states, obs_xy, np.zeros(n, dtype=np.intp)
+    problem = np.asarray(problem, dtype=np.intp)
+    if problem.shape != (n,):
+        raise ValueError(f"problem must hold one index per state, got shape {problem.shape}")
+    if n and not 0 <= problem.min() <= problem.max() < k:
+        raise ValueError(f"problem indices must lie in [0, {k})")
+    return states, obs_xy, problem
 
 
-def miss_distance_scan(states: np.ndarray, obs_xy: np.ndarray, dt: float):
+def miss_distance_scan(states: np.ndarray, obs_xy: np.ndarray, dt: float, problem=None):
     """Grid scan: squared distance at every grid point, first minimum per row.
 
     Each row of `states` is a kinematic state [x, u, a_x, y, v, a_y] whose
     planar position at step k is evaluated in closed form at t = k*dt and
-    compared against `obs_xy[k]`, which may be any track.
+    compared against point k of its track, which may be any path: `obs_xy`
+    is one (points, 2) track, or K tracks (K, points, 2) with `problem[i]`
+    the track of row i.
 
     Returns (miss, index): the minimum pointwise distance per state and the
     step index where it occurs (smallest index on ties).
     """
-    states, obs_xy = _validate(states, obs_xy)
+    states, obs_xy, problem = _validate(states, obs_xy, problem)
     n = states.shape[0]
-    n_pts = obs_xy.shape[0]
+    n_pts = obs_xy.shape[1]
     tk = np.arange(n_pts, dtype=np.float64) * float(dt)
     miss = np.empty(n, dtype=np.float64)
     idx = np.empty(n, dtype=np.intp)
     block = max(1, _BLOCK_ELEMS // (2 * n_pts))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        d2 = _squared_distance(states[lo:hi], tk, obs_xy)
+        obs = obs_xy[0] if obs_xy.shape[0] == 1 else obs_xy[problem[lo:hi]]
+        d2 = _squared_distance(states[lo:hi], tk, obs)
         k = np.argmin(d2, axis=1)  # first index on ties
         idx[lo:hi] = k
         miss[lo:hi] = np.sqrt(d2[np.arange(hi - lo), k])
@@ -136,16 +157,17 @@ def _critical_points(g):
     return np.where((disc > 0.0)[:, None], y_one, y_three) - shift[:, None]
 
 
-def _closed_form_block(s, obs_xy, dt, observer, scale, err_o, err_w):
+def _closed_form_block(s, obs_xy, problem, dt, observer, scale, err_o, err_w):
     """(miss, index, settled) for one block of rows; unsettled rows are garbage.
 
-    The track must have at least _SPAN points.
+    Row i runs against track `problem[i]` of `obs_xy` and state
+    `observer[problem[i]]`.  The tracks must have at least _SPAN points.
     """
     n = s.shape[0]
-    last = obs_xy.shape[0] - 1
+    last = obs_xy.shape[1] - 1
     rows = np.arange(n)
     # relative position q0 + q1 k + q2 k^2 per axis, in grid-index units k = t / dt
-    q = ((s - observer) * scale).reshape(n, 2, 3)
+    q = ((s - observer[problem]) * scale).reshape(n, 2, 3)
     roots = _critical_points(q.transpose(0, 2, 1) @ q)
     settled = (np.abs(roots) < _ROOT_LIMIT).all(axis=1)  # false for non-finite roots too
 
@@ -160,7 +182,9 @@ def _closed_form_block(s, obs_xy, dt, observer, scale, err_o, err_w):
     base[:, 2:] = np.floor(np.fmin(np.fmax(roots, 1.0), last - 2.0))  # NaN goes to 1
     base.sort(axis=1)
     idx = (base[:, :, None] + _OFFSETS).reshape(n, -1)
-    d2 = _squared_distance(s, (idx * dt)[:, None, :], obs_xy[idx])
+    # np.take on the stacked tracks gathers far faster than 2-D fancy indexing
+    obs = np.take(obs_xy.reshape(-1, 2), problem[:, None] * (last + 1) + idx, axis=0)
+    d2 = _squared_distance(s, (idx * dt)[:, None, :], obs)
     first = d2.argmin(axis=1)
     best = d2[rows, first]
 
@@ -170,45 +194,51 @@ def _closed_form_block(s, obs_xy, dt, observer, scale, err_o, err_w):
     # by the rounding of both therefore rule out the whole gap.
     gap = np.diff(base, axis=1) > _SPAN
     d2 = d2.reshape(n, _N_WINDOWS, _SPAN)
-    edges = np.sqrt(np.stack([d2[:, :-1, -1], d2[:, 1:, 0]], axis=2)).min(axis=2)
-    margin = 2.0 * (err_o + np.abs(s) @ err_w) + np.sqrt(best) * (1.0 + _TOL)
+    edges = np.sqrt(np.minimum(d2[:, :-1, -1], d2[:, 1:, 0]))  # sqrt is monotone
+    margin = 2.0 * (err_o[problem] + np.abs(s) @ err_w) + np.sqrt(best) * (1.0 + _TOL)
     clear = edges * (1.0 - _TOL) > margin[:, None]
     settled &= (clear | ~gap).all(axis=1)
     return np.sqrt(best), idx[rows, first], settled
 
 
-def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float, observer):
-    """Miss distance of each state's trajectory against the observer's track.
+def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float, observer, problem=None):
+    """Miss distance of each state's trajectory against its observer's track.
 
     `observer` is the observer's constant-acceleration state
     [x, u, a_x, y, v, a_y] and `obs_xy` its `dynamics.propagate` positions at
-    step `dt`; a track whose first or last point differs from that state's is
-    rejected.  Each row of `states` is an intruder state evaluated at
-    t = k*dt, as in `miss_distance_scan`, whose result this equals bit for
-    bit: (miss, index), the minimum pointwise distance per state and the
-    first step index where it occurs.
+    step `dt`; or, for K problems at once, K states (K, 6) and their K tracks
+    (K, points, 2), with `problem[i]` the problem of row i.  A track whose
+    first or last point differs from its state's is rejected.  Each row of
+    `states` is an intruder state evaluated at t = k*dt, as in
+    `miss_distance_scan`, whose result this equals bit for bit: (miss,
+    index), the minimum pointwise distance per state and the first step
+    index where it occurs.
     """
-    states, obs_xy = _validate(states, obs_xy)
+    states, obs_xy, problem = _validate(states, obs_xy, problem)
     observer = np.asarray(observer, dtype=np.float64)
-    if observer.shape != (6,):
-        raise ValueError(f"observer must be a 6-component state, got shape {observer.shape}")
+    if observer.shape == (6,):
+        observer = observer[None]
+    if observer.shape != (obs_xy.shape[0], 6):
+        raise ValueError(
+            f"observer must be one 6-component state per track, got shape {observer.shape}"
+        )
     dt = float(dt)
-    last = obs_xy.shape[0] - 1
+    n_pts = obs_xy.shape[1]
+    last = n_pts - 1
     t_end = last * dt
-    ox, ou, oax, oy, ov, oay = observer.tolist()
-    end_x = ox + ou * t_end + (0.5 * oax) * (t_end * t_end)
-    end_y = oy + ov * t_end + (0.5 * oay) * (t_end * t_end)
-    if obs_xy[0].tolist() != [ox, oy] or obs_xy[last].tolist() != [end_x, end_y]:
+    start = observer[:, (0, 3)]
+    end = start + observer[:, (1, 4)] * t_end + (0.5 * observer[:, (2, 5)]) * (t_end * t_end)
+    if not ((obs_xy[:, 0] == start).all() and (obs_xy[:, last] == end).all()):
         raise ValueError("obs_xy is not the track of the observer state at this dt")
 
-    if states.shape[0] * obs_xy.shape[0] <= _SCAN_ELEMS or obs_xy.shape[0] < _SPAN:
-        return miss_distance_scan(states, obs_xy, dt)
+    if states.shape[0] * n_pts <= _SCAN_ELEMS or n_pts < _SPAN:
+        return miss_distance_scan(states, obs_xy, dt, problem)
 
     # position scale per state component in grid-index units, and the
     # rounding bound of a position per unit of each component's magnitude
     scale = np.array([1.0, dt, 0.5 * dt * dt] * 2)
     err_w = _TOL * np.array([1.0, t_end, 0.5 * t_end * t_end] * 2)
-    err_o = float(np.abs(observer) @ err_w)
+    err_o = np.abs(observer) @ err_w
 
     n = states.shape[0]
     miss = np.empty(n, dtype=np.float64)
@@ -218,9 +248,9 @@ def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float, obser
         for lo in range(0, n, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n)
             miss[lo:hi], idx[lo:hi], settled[lo:hi] = _closed_form_block(
-                states[lo:hi], obs_xy, dt, observer, scale, err_o, err_w
+                states[lo:hi], obs_xy, problem[lo:hi], dt, observer, scale, err_o, err_w
             )
     if not settled.all():
         rows = np.flatnonzero(~settled)
-        miss[rows], idx[rows] = miss_distance_scan(states[rows], obs_xy, dt)
+        miss[rows], idx[rows] = miss_distance_scan(states[rows], obs_xy, dt, problem[rows])
     return miss, idx

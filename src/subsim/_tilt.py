@@ -3,10 +3,11 @@
 The toy's conditional chains (`toy._toy_chains`) reward candidates that move
 the response toward zero through a Gaussian factor
 exp(-response^2 / (2 sigma^2)).  By default sigma is the disc radius; it can
-also be coupled to the per-level threshold ("threshold") or pinned to any
-positive float.  The reward biases the chains away from the prior restricted
-to the level.  The conflict chains no longer use it: it samples its level by conditional sampling in whitened
-coordinates (`conflict._conflict_chains`).
+also be coupled to each chain's level threshold ("threshold") or pinned to
+any positive float.  The reward biases the chains away from the prior
+restricted to the level.  The conflict chains no longer use it: they sample
+their level by conditional sampling in whitened coordinates
+(`conflict._conflict_chains`).
 """
 
 from __future__ import annotations
@@ -18,8 +19,12 @@ TiltSpec = Union[None, float, str]
 THRESHOLD_COUPLED = "threshold"
 
 
-def resolve_tilt(spec: TiltSpec, fixed_scale: float, threshold: float) -> float:
-    """Turn a tilt specification into the sigma used at the current level."""
+def resolve_tilt(spec: TiltSpec, fixed_scale: float, threshold):
+    """Turn a tilt specification into the sigma used at the current level.
+
+    `threshold` may be an array of per-chain thresholds; a threshold-coupled
+    sigma is then that array.
+    """
     if spec is None:
         return fixed_scale
     if isinstance(spec, str):

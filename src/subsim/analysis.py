@@ -3,6 +3,7 @@
 A scenario phase (encounter + time instant) is frozen into a single conflict
 query by running the truth/filter loop once; repeated independent estimates
 against that fixed query then isolate estimator randomness from filter noise.
+The SS repetitions of one budget run in lockstep groups (`pc_ss_batch`).
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .conflict import ConflictQuery, pc_dmc, pc_ss
-from .dynamics import AircraftState, transition_matrix
+from .conflict import ConflictQuery, encounter_steps, pc_dmc, pc_ss_batch
 from .engine import SubsetConfig
-from .scenarios import ScenarioSpec, build_head_on, initial_states
-from .tracking import initial_estimate, kf_step, simulate_measurement
+from .scenarios import ScenarioSpec, build_head_on
 
 
 @dataclass(frozen=True)
@@ -77,47 +76,16 @@ def freeze_phase(
 ) -> ConflictQuery:
     """Run truth, measurements and the filter up to `at_time`, freeze the query.
 
-    The query's horizon is the scenario duration, as in the per-step driver.
+    The steps are those of `simulate_scenario` at the same seed, and the
+    query's horizon is the scenario duration, as in the per-step driver.
     """
-    step = at_time * spec.sample_rate
-    k_stop = round(step)
-    if abs(step - k_stop) > 1e-9 or not 1 <= k_stop <= spec.n_steps:
+    k_float = at_time * spec.sample_rate
+    k_stop = round(k_float)
+    if abs(k_float - k_stop) > 1e-9 or not 1 <= k_stop <= spec.n_steps:
         raise ValueError(f"at_time={at_time} does not land on a simulation step")
-    root = _rng.derive(seed)
-    observer_truth, intruder_truth = initial_states(spec)
-    est = initial_estimate(
-        intruder_truth,
-        spec.noise,
-        _rng.generator(_rng.child(root, 0)),
-        pos_std=spec.init_pos_std,
-        vel_std=spec.init_vel_std,
-        acc_std=spec.init_acc_std,
-        perfect_init=spec.perfect_init,
-    )
-    a = transition_matrix(spec.dt)
-    obs = observer_truth.as_array()
-    intr = intruder_truth.as_array()
-    counter = 0
-    for k in range(1, k_stop + 1):
-        obs = a @ obs
-        intr = a @ intr
-        measurement = None
-        if counter == spec.measurement_stride:
-            measurement = simulate_measurement(
-                AircraftState.from_array(intr),
-                spec.noise,
-                _rng.generator(_rng.child(root, k, 0)),
-            )
-            counter = 0
-        counter += 1
-        est = kf_step(est, measurement, spec.dt, spec.noise)
-    return ConflictQuery(
-        observer=AircraftState.from_array(obs),
-        intruder_estimate=est,
-        protected_radius=spec.protected_radius,
-        horizon=spec.duration,
-        sample_rate=spec.sample_rate,
-    )
+    for step in encounter_steps(spec, seed):
+        if step.k == k_stop:
+            return step.query(spec)
 
 
 def cov_study(config: CovStudyConfig, seed: _rng.SeedLike) -> list[CovPoint]:
@@ -147,12 +115,14 @@ def cov_study(config: CovStudyConfig, seed: _rng.SeedLike) -> list[CovPoint]:
             level_probability=config.level_probability,
             max_levels=config.max_levels,
         )
-        estimates = []
-        totals = []
-        for rep in range(config.repetitions):
-            res, _ = pc_ss(config.phase, ss_cfg, _rng.child(root, 1, size_idx, rep))
-            estimates.append(res.pc)
-            totals.append(res.samples_used)
+        reps = range(config.repetitions)
+        results = pc_ss_batch(
+            [config.phase] * len(reps),
+            ss_cfg,
+            [_rng.child(root, 1, size_idx, rep) for rep in reps],
+        )
+        estimates = [res.pc for res, _ in results]
+        totals = [res.samples_used for res, _ in results]
         mean, std, cov, undefined = coefficient_of_variation(estimates)
         points.append(
             CovPoint(

@@ -13,13 +13,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import rng as _rng
 from .dynamics import AircraftState, propagate, transition_matrix
-from .engine import CcdfTable, RareEventSystem, SubsetConfig, run_subset_simulation
+from .engine import CcdfTable, RareEventSystem, SubsetConfig, run_subset_simulations
 from .scenarios import ScenarioSpec, initial_states
 from .tracking import (
     KalmanEstimate,
@@ -103,18 +103,59 @@ def _sample_states(gen: np.random.Generator, n: int, mean: np.ndarray, chol: np.
     return mean + z @ chol.T
 
 
-def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
-    """Direct Monte Carlo: fraction of n posterior draws whose trajectories conflict."""
+@dataclass(frozen=True)
+class QueryBatch:
+    """The arrays of K conflict queries on one grid, built once and shared.
+
+    Row k of each array belongs to query k: the observer state (K, 6), its
+    track (K, points, 2), the intruder posterior's mean (K, 6), Cholesky
+    factor and the factor's inverse (K, 6, 6).  The queries share their
+    protected radius, horizon and sample rate, so one failure threshold and
+    one grid step serve them all.
+    """
+
+    radius: float
+    dt: float
+    observer: np.ndarray
+    obs_xy: np.ndarray
+    mean: np.ndarray
+    chol: np.ndarray
+    chol_inv: np.ndarray
+
+    @classmethod
+    def from_queries(cls, queries: Sequence[ConflictQuery]) -> "QueryBatch":
+        if not queries:
+            raise ValueError("at least one query is required")
+        grid = {(q.protected_radius, q.horizon, q.sample_rate) for q in queries}
+        if len(grid) != 1:
+            raise ValueError(
+                f"queries of one batch must share radius, horizon and sample rate: {sorted(grid)}"
+            )
+        chol = np.array([_cholesky_with_jitter(q.intruder_estimate.covariance) for q in queries])
+        return cls(
+            radius=queries[0].protected_radius,
+            dt=1.0 / queries[0].sample_rate,
+            observer=np.array([q.observer.as_array() for q in queries]),
+            obs_xy=np.array([_observer_positions(q) for q in queries]),
+            mean=np.array([q.intruder_estimate.mean.as_array() for q in queries]),
+            chol=chol,
+            chol_inv=np.linalg.inv(chol),
+        )
+
+    def miss(self, states: np.ndarray, problems: np.ndarray) -> np.ndarray:
+        """Miss distance of each state against the track of its query."""
+        miss, _ = miss_distance_batch(states, self.obs_xy, self.dt, self.observer, problems)
+        return miss
+
+
+def _dmc(batch: QueryBatch, k: int, n: int, seed: _rng.SeedLike) -> PcResult:
+    """Direct Monte Carlo on query k of `batch`: see `pc_dmc`."""
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     gen = _rng.generator(_rng.child(_rng.derive(seed), 0))
-    mean = query.intruder_estimate.mean.as_array()
-    chol = _cholesky_with_jitter(query.intruder_estimate.covariance)
-    obs_xy = _observer_positions(query)
-    states = _sample_states(gen, n, mean, chol)
-    dt = 1.0 / query.sample_rate
-    miss, _ = miss_distance_batch(states, obs_xy, dt, query.observer.as_array())
-    conflicts = int(np.count_nonzero(miss <= query.protected_radius))
+    states = _sample_states(gen, n, batch.mean[k], batch.chol[k])
+    miss, _ = miss_distance_batch(states, batch.obs_xy[k], batch.dt, batch.observer[k])
+    conflicts = int(np.count_nonzero(miss <= batch.radius))
     return PcResult(
         pc=conflicts / n,
         conflict_count=conflicts,
@@ -122,6 +163,11 @@ def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
         samples_used=n,
         floor_reached=False,
     )
+
+
+def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
+    """Direct Monte Carlo: fraction of n posterior draws whose trajectories conflict."""
+    return _dmc(QueryBatch.from_queries([query]), 0, n, seed)
 
 
 # Correlation between successive whitened chain states.  0.8 accepted about
@@ -133,38 +179,37 @@ _INNOVATION_SCALE = math.sqrt(1.0 - CHAIN_CORRELATION**2)
 def _conflict_chains(
     seed_states: np.ndarray,
     seed_misses: np.ndarray,
-    threshold: float,
+    thresholds: np.ndarray,
     innovations: np.ndarray,
-    obs_xy: np.ndarray,
-    dt: float,
-    observer: np.ndarray,
-    mean: np.ndarray,
-    chol: np.ndarray,
-    chol_inv: np.ndarray,
+    batch: QueryBatch,
+    problems: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional chains of intruder states whose miss distances stay within `threshold`.
+    """Conditional chains of intruder states whose miss distances stay within their thresholds.
 
     Conditional sampling in whitened coordinates z = L^-1 (x - mean): each
     standard-normal row xi of a chain's innovations proposes
     z' = rho z + sqrt(1 - rho^2) xi, which moves all six components and
     leaves the posterior invariant, and the candidate is accepted iff its
-    miss distance is at most `threshold`.  The chains' stationary law is
-    therefore the posterior restricted to the level, as the engine's
+    miss distance is at most the chain's threshold.  The chains' stationary
+    law is therefore the posterior restricted to the level, as the engine's
     p0^m * D / N read-off assumes.
 
-    Chain j starts at `seed_states[j]` and consumes `innovations[j]`, of
-    shape (length, 6).  The chains are independent, so they advance in
-    lockstep: one kernel call per step covers every chain.  Whitening goes
-    through a stacked matmul, which rounds as a per-chain `chol @ z` does, so
-    a chain's values do not depend on which other chains run beside it.
+    Chain j belongs to query `problems[j]` of `batch`, starts at
+    `seed_states[j]` and consumes `innovations[j]`, of shape (length, 6).
+    The chains are independent, so they advance in lockstep: one kernel call
+    per step covers every chain of every query.  Whitening goes through
+    stacked per-chain matmuls, which round as a lone `chol @ z` does, so a
+    chain's values do not depend on which other chains run beside it.
 
     Returns the states (m, length, 6), their miss distances (m, length) and
     the number of accepted candidates per chain.
     """
     m, length = innovations.shape[:2]
+    problems = np.asarray(problems, dtype=np.intp)
+    mean, chol = batch.mean[problems], batch.chol[problems]
     cur = np.array(seed_states, dtype=np.float64).reshape(m, 6)
     cur_miss = np.array(seed_misses, dtype=np.float64).reshape(m)
-    z = (chol_inv @ (cur - mean)[:, :, None])[:, :, 0]
+    z = (batch.chol_inv[problems] @ (cur - mean)[:, :, None])[:, :, 0]
     steps = _INNOVATION_SCALE * innovations
     out_x = np.empty((m, length, 6))
     out_r = np.empty((m, length))
@@ -172,8 +217,8 @@ def _conflict_chains(
     for k in range(length):
         cand_z = CHAIN_CORRELATION * z + steps[:, k]
         cand = mean + (chol @ cand_z[:, :, None])[:, :, 0]
-        cand_miss, _ = miss_distance_batch(cand, obs_xy, dt, observer)
-        ok = cand_miss <= threshold
+        cand_miss = batch.miss(cand, problems)
+        ok = cand_miss <= thresholds
         z = np.where(ok[:, None], cand_z, z)
         cur = np.where(ok[:, None], cand, cur)
         cur_miss = np.where(ok, cand_miss, cur_miss)
@@ -183,41 +228,57 @@ def _conflict_chains(
     return out_x, out_r, accepted
 
 
-def conflict_system(query: ConflictQuery) -> RareEventSystem:
-    """Wire one conflict query into the generic engine."""
-    obs_xy = _observer_positions(query)
-    dt = 1.0 / query.sample_rate
-    observer = query.observer.as_array()
-    mean = query.intruder_estimate.mean.as_array()
-    chol = _cholesky_with_jitter(query.intruder_estimate.covariance)
-    chol_inv = np.linalg.inv(chol)
+def conflict_system(batch: QueryBatch) -> RareEventSystem:
+    """Wire the queries of `batch` into the generic engine, problem k being query k."""
 
-    def sample_prior(gen: np.random.Generator, n: int) -> np.ndarray:
-        return _sample_states(gen, n, mean, chol)
+    def sample_prior(gens, n: int) -> np.ndarray:
+        return np.concatenate(
+            [_sample_states(gen, n, batch.mean[k], batch.chol[k]) for k, gen in enumerate(gens)]
+        )
 
-    def evaluate(states: np.ndarray) -> np.ndarray:
-        miss, _ = miss_distance_batch(states, obs_xy, dt, observer)
-        return miss
-
-    def conditional_chains(seed_states, seed_misses, threshold, length, gen):
-        # Chain j takes innovations[j] of one draw from the level's stream.
+    def conditional_chains(seed_states, seed_misses, thresholds, length, gens, problems):
+        # Chain j of group i takes innovations[j] of one draw from gens[i].
         seed_misses = np.asarray(seed_misses, dtype=np.float64)
-        beyond = np.flatnonzero(seed_misses > threshold)
+        beyond = np.flatnonzero(seed_misses > thresholds)
         if beyond.size:
             j = beyond[0]
             raise ValueError(
-                f"seed {j} violates the threshold: miss {seed_misses[j]:.6g} > {threshold:.6g}"
+                f"seed {j} violates the threshold: miss {seed_misses[j]:.6g} > {thresholds[j]:.6g}"
             )
-        innovations = gen.standard_normal((len(seed_misses), length, 6))
+        per_gen = len(seed_misses) // len(gens)
+        innovations = np.concatenate([gen.standard_normal((per_gen, length, 6)) for gen in gens])
         states, misses, _ = _conflict_chains(
-            seed_states, seed_misses, threshold, innovations,
-            obs_xy, dt, observer, mean, chol, chol_inv,
+            seed_states, seed_misses, thresholds, innovations, batch, problems
         )
         return states.reshape(-1, 6), misses.reshape(-1)
 
     return RareEventSystem(
-        sample_prior=sample_prior, evaluate=evaluate, conditional_chains=conditional_chains
+        sample_prior=sample_prior, evaluate=batch.miss, conditional_chains=conditional_chains
     )
+
+
+# Independent problems per lockstep engine run: scenario steps in
+# `simulate_scenario`, repetitions in `pc_ss_batch`.  Per-call overhead falls
+# with the group while memory grows with it; 16 steps of a 400-step head-on
+# encounter halve its time for about 3 MB more peak memory.
+GROUP_SIZE = 16
+
+
+def _ss(batch: QueryBatch, config: SubsetConfig, seeds) -> list[tuple[PcResult, CcdfTable]]:
+    """SS of every query of `batch`, query k from `seeds[k]`, in one lockstep engine run."""
+    results = run_subset_simulations(conflict_system(batch), config, batch.radius, seeds)
+    out = []
+    for result in results:
+        d = result.diagnostics
+        pc = PcResult(
+            pc=result.estimate,
+            conflict_count=d.conflict_count,
+            levels_used=d.levels_completed,
+            samples_used=d.samples_used,
+            floor_reached=d.floor_reached,
+        )
+        out.append((pc, result.table))
+    return out
 
 
 def pc_ss(
@@ -231,17 +292,80 @@ def pc_ss(
     `pc_dmc` for the same master seed); deeper levels run conditional chains
     against intermediate miss-distance thresholds.
     """
-    system = conflict_system(query)
-    result = run_subset_simulation(system, config, query.protected_radius, seed)
-    d = result.diagnostics
-    pc = PcResult(
-        pc=result.estimate,
-        conflict_count=d.conflict_count,
-        levels_used=d.levels_completed,
-        samples_used=d.samples_used,
-        floor_reached=d.floor_reached,
+    return _ss(QueryBatch.from_queries([query]), config, [seed])[0]
+
+
+def pc_ss_batch(
+    queries: Sequence[ConflictQuery],
+    config: SubsetConfig,
+    seeds: Sequence[_rng.SeedLike],
+) -> list[tuple[PcResult, CcdfTable]]:
+    """`pc_ss` of each query with its seed, run in lockstep groups of `GROUP_SIZE`.
+
+    Result i equals `pc_ss(queries[i], config, seeds[i])` exactly.
+    """
+    if len(queries) != len(seeds):
+        raise ValueError(f"{len(queries)} queries but {len(seeds)} seeds")
+    out = []
+    for lo in range(0, len(queries), GROUP_SIZE):
+        batch = QueryBatch.from_queries(queries[lo : lo + GROUP_SIZE])
+        out += _ss(batch, config, seeds[lo : lo + GROUP_SIZE])
+    return out
+
+
+class EncounterStep(NamedTuple):
+    """True states after simulation step k and the filter's estimate at that step."""
+
+    k: int
+    observer: np.ndarray
+    intruder: np.ndarray
+    estimate: KalmanEstimate
+
+    def query(self, spec: ScenarioSpec) -> ConflictQuery:
+        """The conflict query at this step; its horizon is the scenario duration."""
+        return ConflictQuery(
+            observer=AircraftState.from_array(self.observer),
+            intruder_estimate=self.estimate,
+            protected_radius=spec.protected_radius,
+            horizon=spec.duration,
+            sample_rate=spec.sample_rate,
+        )
+
+
+def encounter_steps(spec: ScenarioSpec, seed: _rng.SeedLike) -> Iterator[EncounterStep]:
+    """Truth propagation, measurements and filtering of one encounter, step by step.
+
+    Yields steps k = 1..n_steps.  The filter starts from stream child(root, 0)
+    and the measurement at step k comes from child(root, k, 0), so every
+    consumer of an encounter at one seed sees the same steps.
+    """
+    root = _rng.derive(seed)
+    observer_truth, intruder_truth = initial_states(spec)
+    est = initial_estimate(
+        intruder_truth,
+        spec.noise,
+        _rng.generator(_rng.child(root, 0)),
+        pos_std=spec.init_pos_std,
+        vel_std=spec.init_vel_std,
+        acc_std=spec.init_acc_std,
+        perfect_init=spec.perfect_init,
     )
-    return pc, result.table
+    a = transition_matrix(spec.dt)
+    obs = observer_truth.as_array()
+    intr = intruder_truth.as_array()
+    counter = 0
+    for k in range(1, spec.n_steps + 1):
+        obs = a @ obs
+        intr = a @ intr
+        measurement = None
+        if counter == spec.measurement_stride:
+            measurement = simulate_measurement(
+                AircraftState.from_array(intr), spec.noise, _rng.generator(_rng.child(root, k, 0))
+            )
+            counter = 0
+        counter += 1
+        est = kf_step(est, measurement, spec.dt, spec.noise)
+        yield EncounterStep(k=k, observer=obs, intruder=intr, estimate=est)
 
 
 @dataclass(frozen=True)
@@ -258,6 +382,39 @@ class StepRecord:
     estimate: KalmanEstimate
 
 
+def _estimate_steps(
+    spec: ScenarioSpec,
+    ss_config: SubsetConfig,
+    root: np.random.SeedSequence,
+    steps: Sequence[EncounterStep],
+) -> list[StepRecord]:
+    """SS, matched-budget DMC and the true miss distance of a group of steps.
+
+    The group's tracks and Cholesky factors are built once and shared by the
+    three; SS runs the steps in lockstep and DMC one step at a time.
+    """
+    queries = [step.query(spec) for step in steps]
+    batch = QueryBatch.from_queries(queries)
+    ss = _ss(batch, ss_config, [_rng.child(root, step.k, 1) for step in steps])
+    miss_true = batch.miss(np.array([step.intruder for step in steps]), np.arange(len(steps)))
+    records = []
+    for i, (step, query, (ss_res, _)) in enumerate(zip(steps, queries, ss)):
+        dmc_res = _dmc(batch, i, ss_res.samples_used, _rng.child(root, step.k, 2))
+        records.append(
+            StepRecord(
+                step=step.k,
+                time=step.k * spec.dt,
+                pc_ss=ss_res,
+                pc_dmc=dmc_res,
+                miss_true=float(miss_true[i]),
+                observer_truth=query.observer,
+                intruder_truth=AircraftState.from_array(step.intruder),
+                estimate=step.estimate,
+            )
+        )
+    return records
+
+
 def simulate_scenario(
     spec: ScenarioSpec,
     ss_config: SubsetConfig,
@@ -269,63 +426,19 @@ def simulate_scenario(
 
     `estimate_steps` restricts which steps (1-based) produce estimates; the
     truth/filter evolution and all random streams are unaffected, so a
-    subsampled run reproduces exactly the records of the full run.
+    subsampled run reproduces exactly the records of the full run.  Estimated
+    steps go to the engine in groups of `GROUP_SIZE`, which changes no record.
     """
     root = _rng.derive(seed)
-    observer_truth, intruder_truth = initial_states(spec)
-    est = initial_estimate(
-        intruder_truth,
-        spec.noise,
-        _rng.generator(_rng.child(root, 0)),
-        pos_std=spec.init_pos_std,
-        vel_std=spec.init_vel_std,
-        acc_std=spec.init_acc_std,
-        perfect_init=spec.perfect_init,
-    )
-    a = transition_matrix(spec.dt)
-    obs = observer_truth.as_array()
-    intr = intruder_truth.as_array()
     wanted = None if estimate_steps is None else set(int(s) for s in estimate_steps)
-    counter = 0
     records: list[StepRecord] = []
-    for k in range(1, spec.n_steps + 1):
-        obs = a @ obs
-        intr = a @ intr
-        measurement = None
-        if counter == spec.measurement_stride:
-            truth_state = AircraftState.from_array(intr)
-            measurement = simulate_measurement(
-                truth_state, spec.noise, _rng.generator(_rng.child(root, k, 0))
-            )
-            counter = 0
-        counter += 1
-        est = kf_step(est, measurement, spec.dt, spec.noise)
-
-        if wanted is not None and k not in wanted:
-            continue
-        observer_state = AircraftState.from_array(obs)
-        intruder_state = AircraftState.from_array(intr)
-        query = ConflictQuery(
-            observer=observer_state,
-            intruder_estimate=est,
-            protected_radius=spec.protected_radius,
-            horizon=spec.duration,
-            sample_rate=spec.sample_rate,
-        )
-        ss_res, _ = pc_ss(query, ss_config, _rng.child(root, k, 1))
-        dmc_res = pc_dmc(query, ss_res.samples_used, _rng.child(root, k, 2))
-        obs_xy = _observer_positions(query)
-        miss_true, _ = miss_distance_batch(intr[None, :], obs_xy, spec.dt, obs)
-        records.append(
-            StepRecord(
-                step=k,
-                time=k * spec.dt,
-                pc_ss=ss_res,
-                pc_dmc=dmc_res,
-                miss_true=float(miss_true[0]),
-                observer_truth=observer_state,
-                intruder_truth=intruder_state,
-                estimate=est,
-            )
-        )
+    group: list[EncounterStep] = []
+    for step in encounter_steps(spec, root):
+        if wanted is None or step.k in wanted:
+            group.append(step)
+        if len(group) == GROUP_SIZE:
+            records += _estimate_steps(spec, ss_config, root, group)
+            group = []
+    if group:
+        records += _estimate_steps(spec, ss_config, root, group)
     return records

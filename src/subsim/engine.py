@@ -116,23 +116,30 @@ class CcdfTable:
 
 @dataclass(frozen=True)
 class RareEventSystem:
-    """Abstract system the engine drives.
+    """Abstract system the engine drives: K independent problems on one sample space.
 
-    sample_prior(rng, n) draws n samples (ndarray, leading sample axis).
-    evaluate(samples) maps them to scalar responses (smaller = closer to the
-    rare event).  conditional_chains(seeds, seed_responses, threshold, length,
-    gen) grows one Markov chain per seed and returns the len(seeds) * length
-    new samples and their responses grouped chain by chain; no response may
-    exceed `threshold`.  All chains of a level draw from the one generator
-    `gen`, the level's keyed stream; given their draws the chains are
-    independent, so a system draws every chain's randomness as one block and
-    advances the chains together.
+    The engine runs a batch of problems in lockstep, so each call covers the
+    rows of several problems; a `problems` array gives the problem index
+    (0..K-1) of each row.
+
+    sample_prior(gens, n) draws n samples of problem k from gens[k] for every
+    k < len(gens) and returns them problem by problem (ndarray, leading
+    sample axis).  evaluate(samples, problems) maps samples to scalar
+    responses (smaller = closer to the rare event).
+    conditional_chains(seeds, seed_responses, thresholds, length, gens,
+    problems) grows one Markov chain per seed and returns the
+    len(seeds) * length new samples and their responses grouped chain by
+    chain; no response may exceed its chain's entry of `thresholds`.  The
+    seeds come in len(gens) equal consecutive groups, one per problem, and
+    group i draws from gens[i], its problem's keyed stream for the level.
+    Given their draws the chains are independent, so a system draws each
+    group's randomness as one block and advances every chain together.
     """
 
-    sample_prior: Callable[[np.random.Generator, int], np.ndarray]
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    sample_prior: Callable[[Sequence[np.random.Generator], int], np.ndarray]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     conditional_chains: Callable[
-        [np.ndarray, np.ndarray, float, int, np.random.Generator],
+        [np.ndarray, np.ndarray, np.ndarray, int, Sequence[np.random.Generator], np.ndarray],
         tuple[np.ndarray, np.ndarray],
     ]
 
@@ -175,23 +182,32 @@ def probability_intervals(level: int, config: SubsetConfig) -> np.ndarray:
     return numer / denom
 
 
-def intermediate_threshold(sorted_responses: Sequence[float], config: SubsetConfig) -> float:
-    """Next level's threshold: the (N - N_c)-th largest response (1-based)."""
+def intermediate_threshold(sorted_responses: Sequence[float], config: SubsetConfig):
+    """Next level's threshold: the (N - N_c)-th largest response (1-based).
+
+    Row-wise over a leading problem axis: K rows of N responses give K
+    thresholds.
+    """
     r = np.asarray(sorted_responses, dtype=np.float64)
-    if r.ndim != 1 or r.shape[0] != config.n_samples:
-        raise ValueError(f"expected {config.n_samples} responses, got shape {r.shape}")
-    if np.any(np.diff(r) > 0):
+    if r.ndim not in (1, 2) or r.shape[-1] != config.n_samples:
+        raise ValueError(f"expected {config.n_samples} responses per row, got shape {r.shape}")
+    if (r[..., 1:] > r[..., :-1]).any():
         raise ValueError("responses must be sorted in descending order")
-    return float(r[config.n_samples - config.n_chains - 1])
+    return r[..., config.n_samples - config.n_chains - 1]
 
 
-def select_seeds(sorted_samples: np.ndarray, config: SubsetConfig) -> np.ndarray:
-    """The N_c samples with the smallest responses (tail of the sorted set)."""
-    if sorted_samples.shape[0] != config.n_samples:
+def select_seeds(sorted_samples: np.ndarray, config: SubsetConfig, axis: int = 0) -> np.ndarray:
+    """The N_c samples with the smallest responses (tail of the sorted set).
+
+    The N sorted samples run along `axis`; axis=1 selects per problem from a
+    (K, N, ...) batch.
+    """
+    if sorted_samples.shape[axis] != config.n_samples:
         raise ValueError(
-            f"expected {config.n_samples} samples, got {sorted_samples.shape[0]}"
+            f"expected {config.n_samples} samples, got {sorted_samples.shape[axis]}"
         )
-    return np.copy(sorted_samples[config.n_samples - config.n_chains :])
+    tail = np.arange(config.n_samples - config.n_chains, config.n_samples)
+    return np.take(sorted_samples, tail, axis=axis)
 
 
 def assemble_ccdf(
@@ -255,56 +271,106 @@ def run_subset_simulation(
     seed: _rng.SeedLike,
     stop_on_rare_count: bool = True,
 ) -> SubsetResult:
-    """Run the full multi-level simulation against `system`.
+    """Run the full multi-level simulation of problem 0 of `system`.
 
-    Level 0 draws N prior samples.  While levels remain, the engine promotes
-    the N_c best samples as chain seeds, grows N new conditional samples
-    under the intermediate threshold, and repeats.  Total cost is N per
-    level.
-
-    With `stop_on_rare_count` (the conflict-driver behavior) the descent also
-    stops as soon as a level holds at least N_c samples at or below
-    `failure_threshold`; without it (the reference-problem behavior) all
-    `max_levels` levels run unconditionally.
+    The case K = 1 of `run_subset_simulations`.
     """
-    root = _rng.derive(seed)
+    return run_subset_simulations(system, config, failure_threshold, [seed], stop_on_rare_count)[0]
+
+
+def run_subset_simulations(
+    system: RareEventSystem,
+    config: SubsetConfig,
+    failure_threshold: float,
+    seeds: Sequence[_rng.SeedLike],
+    stop_on_rare_count: bool = True,
+) -> list[SubsetResult]:
+    """Run problems 0..K-1 of `system` in lockstep, problem k from `seeds[k]`.
+
+    Level 0 draws N prior samples per problem.  While levels remain, the
+    engine promotes each problem's N_c best samples as chain seeds, grows N
+    new conditional samples under its intermediate threshold, and repeats.
+    Total cost is N per level per problem.
+
+    With `stop_on_rare_count` (the conflict-driver behavior) a problem's
+    descent also stops as soon as a level holds at least N_c samples at or
+    below `failure_threshold`; without it (the reference-problem behavior)
+    all `max_levels` levels run unconditionally.
+
+    Each problem draws level 0 from `child(root_k, 0)` and its chains at
+    level l from `child(root_k, l)`, with root_k derived from its seed, and
+    the sort, threshold, seed selection and stop test are row-wise; so each
+    result equals the problem's own one-problem run bit for bit.
+    """
+    roots = [_rng.derive(seed) for seed in seeds]
+    k_all = len(roots)
+    if k_all == 0:
+        raise ValueError("at least one seed is required")
     n, n_c, n_s = config.n_samples, config.n_chains, config.chain_length
 
-    samples = system.sample_prior(_rng.generator(_rng.child(root, 0)), n)
-    responses = np.asarray(system.evaluate(samples), dtype=np.float64)
+    active = np.arange(k_all)  # problems still descending, in order
+    samples = system.sample_prior([_rng.generator(_rng.child(root, 0)) for root in roots], n)
+    responses = np.asarray(system.evaluate(samples, active.repeat(n)), dtype=np.float64)
     level = 0
-    sorted_r, sorted_x = _sort_block(samples, responses, n, level)
-    blocks = [(probability_intervals(level, config), sorted_r, sorted_x)]
-    conflicts = int(np.count_nonzero(sorted_r <= failure_threshold))
-    thresholds: list[float] = []
-    stalled = 0
+    sorted_r, sorted_x = _sort_blocks(samples, responses, k_all, n, level)
+    blocks: list = [[] for _ in range(k_all)]
+    thresholds: list[list[float]] = [[] for _ in range(k_all)]
+    results: list = [None] * k_all
 
-    while (conflicts < n_c or not stop_on_rare_count) and level < config.max_levels - 1:
+    while True:
+        intervals = probability_intervals(level, config)
+        for j, k in enumerate(active.tolist()):
+            blocks[k].append((intervals, sorted_r[j], sorted_x[j]))
+        conflicts = (sorted_r <= failure_threshold).sum(axis=1)
+        go = conflicts < n_c if stop_on_rare_count else np.ones(len(active), dtype=bool)
+        if level == config.max_levels - 1:
+            go[:] = False
+        if not go.all():
+            for j in np.flatnonzero(~go).tolist():
+                k = int(active[j])
+                results[k] = _finish(blocks[k], thresholds[k], int(conflicts[j]), level, config)
+                blocks[k] = None
+            if not go.any():
+                break
+            active, sorted_r, sorted_x = active[go], sorted_r[go], sorted_x[go]
+
         b = intermediate_threshold(sorted_r, config)
-        if thresholds and b >= thresholds[-1]:
-            stalled += 1
-        thresholds.append(b)
-        seeds = select_seeds(sorted_x, config)
-        seed_r = sorted_r[n - n_c :]
+        for k, bk in zip(active.tolist(), b.tolist()):
+            thresholds[k].append(bk)
+        seeds_x = select_seeds(sorted_x, config, axis=1)
+        seed_r = sorted_r[:, n - n_c :]
         level += 1
 
-        gen = _rng.generator(_rng.child(root, level))
-        samples, responses = system.conditional_chains(seeds, seed_r, b, n_s, gen)
+        m = len(active)
+        gens = [_rng.generator(_rng.child(roots[k], level)) for k in active.tolist()]
+        samples, responses = system.conditional_chains(
+            seeds_x.reshape(m * n_c, *seeds_x.shape[2:]),
+            seed_r.reshape(-1),
+            b.repeat(n_c),
+            n_s,
+            gens,
+            active.repeat(n_c),
+        )
         responses = np.asarray(responses, dtype=np.float64)
-        if samples.shape[0] != n or responses.shape[0] != n:
+        if samples.shape[0] != m * n or responses.shape[0] != m * n:
             raise ValueError(
                 f"conditional chains returned {samples.shape[0]} samples and "
-                f"{responses.shape[0]} responses, expected {n}"
+                f"{responses.shape[0]} responses, expected {m * n}"
             )
-        if np.any(responses > b):
+        over = np.flatnonzero(responses.reshape(m, n) > b[:, None])
+        if over.size:
+            i = over[0]
             raise ValueError(
-                f"conditional chains violated their threshold: max response "
-                f"{responses.max():.6g} > {b:.6g}"
+                f"conditional chains violated their threshold: response "
+                f"{responses[i]:.6g} > {b[i // n]:.6g}"
             )
-        sorted_r, sorted_x = _sort_block(samples, responses, n, level)
-        blocks.append((probability_intervals(level, config), sorted_r, sorted_x))
-        conflicts = int(np.count_nonzero(sorted_r <= failure_threshold))
+        sorted_r, sorted_x = _sort_blocks(samples, responses, m, n, level)
+    return results
 
+
+def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
+    """One problem's result once its descent has stopped at `level`."""
+    stalled = sum(b >= a for a, b in zip(thresholds, thresholds[1:]))
     if stalled:
         logger.warning(
             "intermediate threshold did not decrease at %d of %d levels; "
@@ -314,6 +380,7 @@ def run_subset_simulation(
         )
     table = assemble_ccdf(blocks, config)
     estimate = estimate_probability(table, conflicts, level, config)
+    n = config.n_samples
     diagnostics = SubsetDiagnostics(
         levels_completed=level + 1,
         conflict_count=conflicts,
@@ -325,11 +392,17 @@ def run_subset_simulation(
     return SubsetResult(estimate=estimate, table=table, diagnostics=diagnostics)
 
 
-def _sort_block(samples: np.ndarray, responses: np.ndarray, n: int, level: int):
-    """Stable descending sort of one level's population, ties by draw index."""
-    if responses.shape[0] != n or samples.shape[0] != n:
-        raise ValueError(f"level {level} produced {responses.shape[0]} samples, expected {n}")
+def _sort_blocks(samples: np.ndarray, responses: np.ndarray, k: int, n: int, level: int):
+    """Per problem, a stable descending sort of one level's population, ties by draw index.
+
+    Returns the responses (k, n) and samples (k, n, ...) of the k problems.
+    """
+    if responses.shape[0] != k * n or samples.shape[0] != k * n:
+        raise ValueError(
+            f"level {level} produced {responses.shape[0]} samples, expected {k * n}"
+        )
     if not np.all(np.isfinite(responses)):
         raise ValueError(f"level {level} produced non-finite responses")
-    order = np.argsort(-responses, kind="stable")
-    return responses[order], samples[order]
+    order = np.argsort(-responses.reshape(k, n), axis=1, kind="stable")
+    rows = (order + np.arange(0, k * n, n)[:, None]).ravel()
+    return responses[rows].reshape(k, n), samples.take(rows, axis=0).reshape(k, n, *samples.shape[1:])

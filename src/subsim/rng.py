@@ -3,8 +3,11 @@
 Every sampling site (level-0 draws, each level's Markov chains, each scenario
 step) gets its own counter-based stream derived from one master seed, so
 results do not depend on execution order and independent pieces can run
-concurrently.  The chains of one level share that level's stream: each draws
-its rows of one block, so they advance together.
+together.  The chains of one level share that level's stream: each draws its
+rows of one block, so they advance together.  Independent problems keep their
+own streams when the engine runs them in lockstep groups (a group of scenario
+steps, or the repetitions of a study), so a problem's result does not depend
+on which others share its group.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from . import rng as _rng
@@ -68,36 +70,42 @@ def _toy_chains(
     seeds_xy: np.ndarray,
     seed_dists: np.ndarray,
     region: CircleRegion,
-    threshold: float,
+    thresholds: np.ndarray,
     length: int,
-    gen: np.random.Generator,
+    gens: Sequence[np.random.Generator],
     target_scale: TiltSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Metropolis-Hastings chains of `length` new samples each under `threshold`.
+    """Metropolis-Hastings chains of `length` new samples each under their thresholds.
 
     Random-walk proposal with unit covariance; the target density is a
     Gaussian about the region center with standard deviation sigma per axis
     (the disc radius unless overridden, see `_tilt`).  A candidate is
-    accepted iff it lies within the threshold and its uniform draw is below
-    the acceptance ratio.
+    accepted iff it lies within its chain's threshold and its uniform draw is
+    below the acceptance ratio.
 
-    The chains' steps, of shape (m, length, 2), then their uniforms, of
-    shape (m, length), come from `gen` in two blocks; chain j takes row j of
-    each, and all m chains advance together.  Returns the samples (m, length, 2)
-    and their distances (m, length).
+    The seeds come in len(gens) equal groups.  Group i draws its steps, of
+    shape (m_i, length, 2), then its uniforms, of shape (m_i, length), from
+    gens[i] in two blocks; chain j of the group takes row j of each, and all
+    chains advance together.  Returns the samples (m, length, 2) and their
+    distances (m, length).
     """
     seed_dists = np.asarray(seed_dists, dtype=np.float64)
-    beyond = np.flatnonzero(seed_dists > threshold)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    beyond = np.flatnonzero(seed_dists > thresholds)
     if beyond.size:
         j = beyond[0]
         raise ValueError(
-            f"seed {j} violates the threshold: distance {seed_dists[j]:.6g} > {threshold:.6g}"
+            f"seed {j} violates the threshold: distance {seed_dists[j]:.6g} > {thresholds[j]:.6g}"
         )
-    sigma = resolve_tilt(target_scale, region.radius, threshold)
+    sigma = resolve_tilt(target_scale, region.radius, thresholds)
     sigma2 = sigma * sigma
     m = len(seed_dists)
-    steps = gen.standard_normal((m, length, 2))
-    uniforms = gen.random((m, length))
+    per_gen = m // len(gens)
+    draws = [
+        (gen.standard_normal((per_gen, length, 2)), gen.random((per_gen, length))) for gen in gens
+    ]
+    steps = np.concatenate([s for s, _ in draws])
+    uniforms = np.concatenate([u for _, u in draws])
     cur = np.array(seeds_xy, dtype=np.float64).reshape(m, 2)
     cur_d = seed_dists
     out_xy = np.empty((m, length, 2))
@@ -108,7 +116,7 @@ def _toy_chains(
         # The symmetric random walk's proposal ratio cancels, so the
         # acceptance ratio is the target ratio alone.
         log_beta = (cur_d * cur_d - cand_d * cand_d) / (2.0 * sigma2)
-        ok = (cand_d <= threshold) & (uniforms[:, k] < np.exp(np.minimum(0.0, log_beta)))
+        ok = (cand_d <= thresholds) & (uniforms[:, k] < np.exp(np.minimum(0.0, log_beta)))
         cur = np.where(ok[:, None], cand, cur)
         cur_d = np.where(ok, cand_d, cur_d)
         out_xy[:, k] = cur
@@ -150,16 +158,19 @@ def oracle_probability(region: CircleRegion, rel_tol: float = 1e-6) -> float:
 
 
 def toy_system(region: CircleRegion, target_scale: TiltSpec = None) -> RareEventSystem:
-    """Wire the disc problem into the generic engine."""
+    """Wire the disc problem into the generic engine.
 
-    def sample_prior(gen: np.random.Generator, n: int) -> np.ndarray:
-        return gen.standard_normal((n, 2))
+    Every problem of the system is the same disc; `ss_toy` runs one.
+    """
 
-    def evaluate(xy: np.ndarray) -> np.ndarray:
+    def sample_prior(gens, n: int) -> np.ndarray:
+        return np.concatenate([gen.standard_normal((n, 2)) for gen in gens])
+
+    def evaluate(xy: np.ndarray, problems: np.ndarray) -> np.ndarray:
         return _distances(xy, region)
 
-    def conditional_chains(seeds_xy, seed_dists, threshold, length, gen):
-        xy, d = _toy_chains(seeds_xy, seed_dists, region, threshold, length, gen, target_scale)
+    def conditional_chains(seeds_xy, seed_dists, thresholds, length, gens, problems):
+        xy, d = _toy_chains(seeds_xy, seed_dists, region, thresholds, length, gens, target_scale)
         return xy.reshape(-1, 2), d.reshape(-1)
 
     return RareEventSystem(

@@ -13,6 +13,8 @@ from subsim.analysis import (
     phase_p1,
     phase_p2,
 )
+from subsim.conflict import simulate_scenario
+from subsim.engine import SubsetConfig
 from subsim.scenarios import build_head_on
 
 
@@ -52,6 +54,19 @@ class TestFreezePhase:
         spec = build_head_on(152.4)
         with pytest.raises(ValueError):
             freeze_phase(spec, at_time=25.0, seed=1)
+
+    @pytest.mark.parametrize("k", [1, 20, 137, 400])
+    def test_equals_scenario_step(self, k):
+        # the frozen query is step k of the encounter at the same seed
+        spec = build_head_on(152.4)
+        q = freeze_phase(spec, at_time=k * spec.dt, seed=9)
+        config = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=2)
+        (record,) = simulate_scenario(spec, config, seed=9, estimate_steps=[k])
+        assert record.step == k
+        assert q.observer == record.observer_truth
+        assert q.intruder_estimate.mean == record.estimate.mean
+        assert np.array_equal(q.intruder_estimate.covariance, record.estimate.covariance)
+        assert q.horizon == spec.duration
 
     def test_deterministic(self):
         spec = build_head_on(152.4)

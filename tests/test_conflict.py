@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from subsim import conflict
 from subsim import rng as _rng
 from subsim._kernels import miss_distance_batch, miss_distance_scan
 from subsim.conflict import (
     CHAIN_CORRELATION,
     ConflictQuery,
+    QueryBatch,
     _conflict_chains,
     _observer_positions,
     conflict_system,
     pc_dmc,
     pc_ss,
+    pc_ss_batch,
     simulate_scenario,
 )
 from subsim.dynamics import AircraftState
@@ -40,6 +43,7 @@ def _query(intruder_mean, cov_scale=1.0, horizon=20.0, rate=20.0, radius=152.4):
 
 HEAD_ON_COLLISION = (2000.0, -77.17, 0.0, 0.0, 0.0, 0.0)
 HEAD_ON_OFFSET = (2000.0, -77.17, 0.0, 1000.0, 0.0, 0.0)
+RECEDING = (-2000.0, -77.17, 0.0, 5000.0, 0.0, 0.0)
 
 
 class TestPcDmc:
@@ -105,11 +109,18 @@ def _whiten(q, states):
 
 
 def _run_chains(q, seed_states, threshold, innovations):
-    chol = np.linalg.cholesky(q.intruder_estimate.covariance)
+    m = len(seed_states)
     return _conflict_chains(
-        seed_states, _miss(q, seed_states), threshold, innovations,
-        _observer_positions(q), 1.0 / q.sample_rate, q.observer.as_array(),
-        q.intruder_estimate.mean.as_array(), chol, np.linalg.inv(chol),
+        seed_states, _miss(q, seed_states), np.full(m, threshold), innovations,
+        QueryBatch.from_queries([q]), np.zeros(m, dtype=int),
+    )
+
+
+def _one_problem_chains(q, seeds, threshold, length, gen):
+    """The engine system's chains of one query, all from one generator."""
+    m = len(seeds)
+    return conflict_system(QueryBatch.from_queries([q])).conditional_chains(
+        seeds, _miss(q, seeds), np.full(m, threshold), length, [gen], np.zeros(m, dtype=int)
     )
 
 
@@ -117,9 +128,7 @@ def _system_chains(q, seeds, length, threshold, seed):
     """Per-chain (states, misses) from the engine system's chains on one generator."""
     seeds = np.atleast_2d(seeds)
     gen = _rng.generator(_rng.derive(seed))
-    states, misses = conflict_system(q).conditional_chains(
-        seeds, _miss(q, seeds), threshold, length, gen
-    )
+    states, misses = _one_problem_chains(q, seeds, threshold, length, gen)
     m = len(seeds)
     return list(zip(states.reshape(m, length, 6), misses.reshape(m, length)))
 
@@ -232,14 +241,39 @@ class TestLockstepChains:
         seeds, _ = self._seeds(q, 4, 23)
         threshold = float(_miss(q, seeds).max())
         gen = _rng.generator(_rng.derive(24))
-        chains_of = conflict_system(q).conditional_chains
-        states, misses = chains_of(seeds, _miss(q, seeds), threshold, 10, gen)
+        states, misses = _one_problem_chains(q, seeds, threshold, 10, gen)
         assert states.shape == (40, 6) and misses.shape == (40,)
         # chain j takes block[j] of one (4, 10, 6) draw from the level's stream
         block = _rng.generator(_rng.derive(24)).standard_normal((4, 10, 6))
         ref_states, ref_misses, _ = _run_chains(q, seeds, threshold, block)
         assert np.array_equal(states, ref_states.reshape(-1, 6))
         assert np.array_equal(misses, ref_misses.reshape(-1))
+
+
+    def test_queries_of_one_batch_equal_their_own_chains(self):
+        # chains of three queries advanced in one call, each query's group
+        # drawing from its own generator, equal each query's chains alone
+        queries = [_query(HEAD_ON_OFFSET), _query(HEAD_ON_COLLISION, 2.0), _query(RECEDING, 0.5)]
+        seeds, thresholds = [], []
+        for i, q in enumerate(queries):
+            s, _ = self._seeds(q, 3, 30 + i)
+            seeds.append(s)
+            thresholds.append(float(_miss(q, s).max()))
+        batch = QueryBatch.from_queries(queries)
+        seed_misses = np.concatenate([_miss(q, s) for q, s in zip(queries, seeds)])
+        states, misses = conflict_system(batch).conditional_chains(
+            np.concatenate(seeds),
+            seed_misses,
+            np.repeat(thresholds, 3),
+            12,
+            [_rng.generator(_rng.derive(40 + i)) for i in range(3)],
+            np.repeat([0, 1, 2], 3),
+        )
+        for i, q in enumerate(queries):
+            gen = _rng.generator(_rng.derive(40 + i))
+            one_states, one_misses = _one_problem_chains(q, seeds[i], thresholds[i], 12, gen)
+            assert np.array_equal(states[36 * i : 36 * (i + 1)], one_states)
+            assert np.array_equal(misses[36 * i : 36 * (i + 1)], one_misses)
 
 
 class TestMhConflictSamples:
@@ -323,7 +357,7 @@ class TestPcSs:
 
     def test_receding_geometry_reaches_floor(self):
         # intruder behind the observer and flying away: no conflict reachable
-        q = _query((-2000.0, -77.17, 0.0, 5000.0, 0.0, 0.0), cov_scale=0.2)
+        q = _query(RECEDING, cov_scale=0.2)
         res, _ = pc_ss(q, CFG, seed=11)
         assert res.floor_reached
         assert res.levels_used == 7
@@ -377,6 +411,51 @@ class TestPcSs:
         assert halved <= full
 
 
+def _same_pc(a, b):
+    res_a, table_a = a
+    res_b, table_b = b
+    assert res_a == res_b
+    assert np.array_equal(table_a.probabilities, table_b.probabilities)
+    assert np.array_equal(table_a.responses, table_b.responses)
+    assert np.array_equal(table_a.samples, table_b.samples)
+
+
+class TestPcSsBatch:
+    """Queries run in lockstep give each query exactly its `pc_ss` result."""
+
+    QUERIES = (
+        _query(HEAD_ON_COLLISION, cov_scale=1e-6),  # stops at level 0
+        _query((2000.0, -77.17, 0.0, 320.0, 0.0, 0.0)),  # mid-descent
+        _query(RECEDING, cov_scale=0.2),  # floor at max_levels
+        _query((2000.0, -77.17, 0.0, 250.0, 0.0, 0.0)),
+    )
+
+    def test_batch_equals_one_query_runs(self):
+        seeds = [8, 1, 11, 2]
+        batch = pc_ss_batch(self.QUERIES, CFG, seeds)
+        levels = [res.levels_used for res, _ in batch]
+        assert levels[0] == 1 and 1 < levels[1] < 7 and levels[2] == 7 and 1 < levels[3] < 7
+        assert batch[2][0].floor_reached
+        for q, seed, got in zip(self.QUERIES, seeds, batch):
+            _same_pc(got, pc_ss(q, CFG, seed))
+
+    def test_groups_are_transparent(self, monkeypatch):
+        seeds = [_rng.child(_rng.derive(50), k) for k in range(4)]
+        whole = pc_ss_batch(self.QUERIES, CFG, seeds)
+        monkeypatch.setattr(conflict, "GROUP_SIZE", 3)
+        for a, b in zip(whole, pc_ss_batch(self.QUERIES, CFG, seeds)):
+            _same_pc(a, b)
+
+    def test_mismatched_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seeds"):
+            pc_ss_batch(self.QUERIES, CFG, [1, 2])
+
+    def test_queries_on_different_grids_rejected(self):
+        queries = [_query(HEAD_ON_OFFSET), _query(HEAD_ON_OFFSET, radius=100.0)]
+        with pytest.raises(ValueError, match="share"):
+            QueryBatch.from_queries(queries)
+
+
 class TestSimulateScenario:
     def test_budget_matching_every_step(self):
         spec = build_head_on(152.4, 2000.0, duration=2.0, sample_rate=10.0)
@@ -401,6 +480,21 @@ class TestSimulateScenario:
         for r in some:
             assert r.pc_ss.pc == by_step[r.step].pc_ss.pc
             assert r.miss_true == by_step[r.step].miss_true
+
+    def test_step_groups_change_no_record(self, monkeypatch):
+        spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
+        grouped = simulate_scenario(spec, CFG, seed=19)
+        monkeypatch.setattr(conflict, "GROUP_SIZE", 1)
+        single = simulate_scenario(spec, CFG, seed=19)
+        assert len(grouped) == len(single) == 10
+        for a, b in zip(grouped, single):
+            assert (a.step, a.time, a.pc_ss, a.pc_dmc, a.miss_true) == (
+                b.step, b.time, b.pc_ss, b.pc_dmc, b.miss_true
+            )
+            assert (a.observer_truth, a.intruder_truth, a.estimate.mean) == (
+                b.observer_truth, b.intruder_truth, b.estimate.mean
+            )
+            assert np.array_equal(a.estimate.covariance, b.estimate.covariance)
 
     def test_collision_course_probability_rises_to_one(self):
         # short encounter whose crossing happens inside the 2 s horizon

@@ -14,6 +14,7 @@ from subsim.engine import (
     intermediate_threshold,
     probability_intervals,
     run_subset_simulation,
+    run_subset_simulations,
     select_seeds,
 )
 
@@ -221,38 +222,65 @@ class TestEstimateProbability:
 
 def _line_system(shift=0.0):
     """1D test system: response = |x - shift|, prior standard normal, chains
-    as simple random walks accepted whenever they respect the threshold."""
+    as simple random walks accepted whenever they respect the threshold.
+    `shift` is one value, or one per problem."""
+    shifts = np.atleast_1d(np.asarray(shift, dtype=float))
 
-    def sample_prior(gen, n):
-        return gen.standard_normal((n, 1))
+    def evaluate(x, problems):
+        return np.abs(x[:, 0] - shifts[problems])
 
-    def evaluate(x):
-        return np.abs(x[:, 0] - shift)
-
-    def chain(seed, threshold, length, gen):
+    def chain(seed, threshold, length, gen, c):
         cur = float(seed[0])
         out = np.empty((length, 1))
         resp = np.empty(length)
         for k in range(length):
             cand = cur + gen.standard_normal()
             gen.random()
-            if abs(cand - shift) <= threshold:
+            if abs(cand - c) <= threshold:
                 cur = cand
             out[k, 0] = cur
-            resp[k] = abs(cur - shift)
+            resp[k] = abs(cur - c)
         return out, resp
 
-    return RareEventSystem(sample_prior, evaluate, _per_seed(chain))
-
-
-def _per_seed(chain):
-    """conditional_chains from a one-seed chain(seed, threshold, length, gen)."""
-
-    def conditional_chains(seeds, seed_resps, threshold, length, gen):
-        runs = [chain(seed, threshold, length, gen) for seed in seeds]
+    def conditional_chains(seeds, seed_resps, thresholds, length, gens, problems):
+        per_gen = len(seeds) // len(gens)
+        runs = [
+            chain(seeds[j], thresholds[j], length, gens[j // per_gen], shifts[problems[j]])
+            for j in range(len(seeds))
+        ]
         return np.concatenate([x for x, _ in runs]), np.concatenate([r for _, r in runs])
 
-    return conditional_chains
+    return RareEventSystem(_per_problem(_standard_normal), evaluate, conditional_chains)
+
+
+def _per_problem(prior):
+    """sample_prior(gens, n) from a one-problem prior(gen, n)."""
+
+    def sample_prior(gens, n):
+        return np.concatenate([prior(gen, n) for gen in gens])
+
+    return sample_prior
+
+
+def _first_column(x, problems):
+    return x[:, 0]
+
+
+def _abs_first_column(x, problems):
+    return np.abs(x[:, 0])
+
+
+def _standard_normal(gen, n):
+    return gen.standard_normal((n, 1))
+
+
+def _ones(gen, n):
+    return np.ones((n, 1))
+
+
+def _frozen_chains(seeds, seed_resps, thresholds, length, gens, problems):
+    out = np.repeat(seeds, length, axis=0)
+    return out, out[:, 0]
 
 
 class TestRunSubsetSimulation:
@@ -283,19 +311,16 @@ class TestRunSubsetSimulation:
         # threshold on level 1 must stop there (boundary D == N_c)
         calls = {"level": 0}
 
-        def sample_prior(gen, n):
+        def prior(gen, n):
             return np.linspace(10.0, 20.0, n).reshape(-1, 1)
 
-        def evaluate(x):
-            return x[:, 0]
-
-        def conditional_chains(seeds, seed_resps, threshold, length, gen):
+        def conditional_chains(seeds, seed_resps, thresholds, length, gens, problems):
             calls["level"] = max(calls["level"], 1)
             out = np.repeat(seeds - 9.0, length, axis=0)
             return out, out[:, 0]
 
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=5)
-        system = RareEventSystem(sample_prior, evaluate, conditional_chains)
+        system = RareEventSystem(_per_problem(prior), _first_column, conditional_chains)
         result = run_subset_simulation(system, cfg, 2.0, seed=1)
         # level 1 responses: seeds 10 smallest (10.0..10.9) - 9 => 1.0..1.9, all <= 2
         assert result.diagnostics.conflict_count == 100
@@ -324,36 +349,24 @@ class TestRunSubsetSimulation:
         assert not np.array_equal(r1.table.responses, r2.table.responses)
 
     def test_chain_threshold_violation_raises(self):
-        def sample_prior(gen, n):
-            return gen.standard_normal((n, 1))
-
-        def evaluate(x):
-            return np.abs(x[:, 0])
-
-        def bad_chains(seeds, seed_resps, threshold, length, gen):
-            # one sample of the whole batch lies beyond the threshold
+        def bad_chains(seeds, seed_resps, thresholds, length, gens, problems):
+            # one sample of the whole batch lies beyond its chain's threshold
             out = np.repeat(seeds, length, axis=0)
             resp = np.abs(out[:, 0])
-            resp[len(resp) // 2] = threshold + 1.0
+            resp[len(resp) // 2] = thresholds[len(seeds) // 2] + 1.0
             return out, resp
 
-        system = RareEventSystem(sample_prior, evaluate, bad_chains)
+        system = RareEventSystem(_per_problem(_standard_normal), _abs_first_column, bad_chains)
         with pytest.raises(ValueError, match="violated"):
             run_subset_simulation(system, CFG, 1e-6, seed=3)
 
     def test_chain_length_violation_raises(self):
-        def sample_prior(gen, n):
-            return gen.standard_normal((n, 1))
-
-        def evaluate(x):
-            return np.abs(x[:, 0])
-
-        def short_chains(seeds, seed_resps, threshold, length, gen):
+        def short_chains(seeds, seed_resps, thresholds, length, gens, problems):
             # one chain of the batch comes back a sample short
             out = np.repeat(seeds, length, axis=0)[1:]
             return out, np.abs(out[:, 0])
 
-        system = RareEventSystem(sample_prior, evaluate, short_chains)
+        system = RareEventSystem(_per_problem(_standard_normal), _abs_first_column, short_chains)
         with pytest.raises(ValueError, match="expected"):
             run_subset_simulation(system, CFG, 1e-6, seed=3)
 
@@ -362,19 +375,16 @@ class TestRunSubsetSimulation:
         # the level's generator child(root, level)
         seen = []
 
-        def sample_prior(gen, n):
-            return gen.standard_normal((n, 1))
-
-        def evaluate(x):
-            return np.abs(x[:, 0])
-
-        def conditional_chains(seeds, seed_resps, threshold, length, gen):
-            seen.append((seeds.copy(), np.array(seed_resps), gen.standard_normal(3)))
+        def conditional_chains(seeds, seed_resps, thresholds, length, gens, problems):
+            assert len(gens) == 1 and np.array_equal(problems, np.zeros(len(seeds)))
+            seen.append((seeds.copy(), np.array(seed_resps), gens[0].standard_normal(3)))
             out = np.repeat(seeds, length, axis=0)
             return out, np.abs(out[:, 0])
 
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=3)
-        system = RareEventSystem(sample_prior, evaluate, conditional_chains)
+        system = RareEventSystem(
+            _per_problem(_standard_normal), _abs_first_column, conditional_chains
+        )
         run_subset_simulation(system, cfg, 0.0, seed=9, stop_on_rare_count=False)
         root = _rng.derive(9)
         assert len(seen) == 2
@@ -392,18 +402,9 @@ class TestRunSubsetSimulation:
         assert result.estimate == d.conflict_count / 100
 
     def test_stalled_threshold_logs_warning(self, caplog):
-        def sample_prior(gen, n):
-            return np.ones((n, 1))
-
-        def evaluate(x):
-            return x[:, 0]
-
-        def frozen_chains(seeds, seed_resps, threshold, length, gen):
-            out = np.repeat(seeds, length, axis=0)
-            return out, out[:, 0]
 
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
-        system = RareEventSystem(sample_prior, evaluate, frozen_chains)
+        system = RareEventSystem(_per_problem(_ones), _first_column, _frozen_chains)
         with caplog.at_level("WARNING", logger="subsim.engine"):
             run_subset_simulation(system, cfg, 0.0, seed=1)
         assert any("did not decrease" in m for m in caplog.messages)
@@ -411,18 +412,9 @@ class TestRunSubsetSimulation:
     def test_stalls_reported_once_with_their_count(self, caplog):
         # every level's population is the constant 1, so thresholds 2..5 all
         # equal the first: four stalls, one warning line
-        def sample_prior(gen, n):
-            return np.ones((n, 1))
-
-        def evaluate(x):
-            return x[:, 0]
-
-        def frozen_chains(seeds, seed_resps, threshold, length, gen):
-            out = np.repeat(seeds, length, axis=0)
-            return out, out[:, 0]
 
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=6)
-        system = RareEventSystem(sample_prior, evaluate, frozen_chains)
+        system = RareEventSystem(_per_problem(_ones), _first_column, _frozen_chains)
         with caplog.at_level("WARNING", logger="subsim.engine"):
             result = run_subset_simulation(system, cfg, 0.0, seed=1)
         assert result.diagnostics.stalled_levels == 4
@@ -438,3 +430,69 @@ class TestRunSubsetSimulation:
         assert np.all(np.diff(result.diagnostics.thresholds) < 0)
         assert result.diagnostics.stalled_levels == 0
         assert not caplog.messages
+
+
+def _assert_same_result(a, b):
+    assert a.estimate == b.estimate
+    assert a.diagnostics == b.diagnostics
+    assert a.table.levels_completed == b.table.levels_completed
+    assert np.array_equal(a.table.probabilities, b.table.probabilities)
+    assert np.array_equal(a.table.responses, b.table.responses)
+    assert np.array_equal(a.table.samples, b.table.samples)
+
+
+class TestLockstepProblems:
+    """K problems run together give each problem exactly its one-problem result."""
+
+    def test_batch_equals_one_problem_runs(self):
+        # stops at level 0 (shift 0), mid-descent (shift 4) and at max_levels
+        # with no rare sample (shift 50), interleaved in the batch
+        shifts = (4.0, 0.0, 50.0, 4.0)
+        seeds = (5, 6, 7, 8)
+        batch = run_subset_simulations(_line_system(shifts), CFG, 0.5, seeds)
+        assert len(batch) == len(shifts)
+        levels = [r.diagnostics.levels_completed for r in batch]
+        assert levels[1] == 1
+        assert 1 < levels[0] < CFG.max_levels and 1 < levels[3] < CFG.max_levels
+        assert levels[2] == CFG.max_levels and batch[2].diagnostics.floor_reached
+        for shift, seed, result in zip(shifts, seeds, batch):
+            alone = run_subset_simulation(_line_system(shift), CFG, 0.5, seed)
+            _assert_same_result(result, alone)
+
+    def test_fixed_level_batch_equals_one_problem_runs(self):
+        cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
+        batch = run_subset_simulations(
+            _line_system((0.0, 3.0)), cfg, 0.5, (9, 10), stop_on_rare_count=False
+        )
+        for shift, seed, result in zip((0.0, 3.0), (9, 10), batch):
+            assert result.diagnostics.levels_completed == 4
+            alone = run_subset_simulation(
+                _line_system(shift), cfg, 0.5, seed, stop_on_rare_count=False
+            )
+            _assert_same_result(result, alone)
+
+    def test_each_problem_draws_its_own_streams(self):
+        # level l of problem k comes from child(derive(seeds[k]), l), whatever
+        # else runs beside it
+        seen = []
+
+        def conditional_chains(seeds, seed_resps, thresholds, length, gens, problems):
+            seen.append((problems.copy(), [gen.standard_normal(2) for gen in gens]))
+            out = np.repeat(seeds, length, axis=0)
+            return out, np.abs(out[:, 0])
+
+        cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=3)
+        system = RareEventSystem(
+            _per_problem(_standard_normal), _abs_first_column, conditional_chains
+        )
+        run_subset_simulations(system, cfg, 0.0, (3, 4), stop_on_rare_count=False)
+        assert len(seen) == 2
+        for level, (problems, draws) in enumerate(seen, start=1):
+            assert np.array_equal(problems, np.repeat([0, 1], 10))
+            for seed, got in zip((3, 4), draws):
+                expected = _rng.generator(_rng.child(_rng.derive(seed), level)).standard_normal(2)
+                assert np.array_equal(got, expected)
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            run_subset_simulations(_line_system(), CFG, 0.5, [])

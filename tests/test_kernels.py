@@ -39,9 +39,9 @@ class _ScanRows:
         self.rows = 0
         scan = _kernels.miss_distance_scan
 
-        def counting(states, obs_xy, dt):
+        def counting(states, obs_xy, dt, problem=None):
             self.rows += len(states)
-            return scan(states, obs_xy, dt)
+            return scan(states, obs_xy, dt, problem)
 
         monkeypatch.setattr(_kernels, "miss_distance_scan", counting)
 
@@ -222,6 +222,73 @@ class TestSmallBatches:
             np.vstack([small, states]), obs_xy, dt, OBSERVER
         )
         assert np.all(big_miss == ref_miss[0]) and np.all(big_idx == ref_idx[0])
+
+
+class TestSeveralTracks:
+    """K tracks and a row-to-track index: one call equals K one-track calls."""
+
+    def _case(self, k=3, rows=400, t=20.0):
+        gen = _rng.generator(_rng.derive(61))
+        observers = gen.normal(size=(k, 6)) * np.array([500.0, 80.0, 0.5, 500.0, 8.0, 0.5])
+        tracks = np.array([_track(o, t=t)[0] for o in observers])
+        states = gen.normal(size=(rows, 6)) * np.array([2000.0, 80.0, 1.0, 2000.0, 8.0, 1.0])
+        problem = gen.integers(0, k, size=rows)
+        return states, tracks, observers, problem, 0.05
+
+    @pytest.mark.parametrize("scan_elems", [0, None, 10**9])  # closed form, as dispatched, scan
+    def test_equals_per_track_calls_and_scan(self, scan_elems, monkeypatch):
+        states, tracks, observers, problem, dt = self._case()
+        if scan_elems is not None:
+            monkeypatch.setattr(_kernels, "_SCAN_ELEMS", scan_elems)
+        miss, idx = _kernels.miss_distance_batch(states, tracks, dt, observers, problem)
+        ref_miss, ref_idx = _kernels.miss_distance_scan(states, tracks, dt, problem)
+        assert np.array_equal(miss, ref_miss) and np.array_equal(idx, ref_idx)
+        for k in range(len(tracks)):
+            rows = problem == k
+            one = _kernels.miss_distance_batch(states[rows], tracks[k], dt, observers[k])
+            assert np.array_equal(miss[rows], one[0]) and np.array_equal(idx[rows], one[1])
+            scan = _kernels.miss_distance_scan(states[rows], tracks[k], dt)
+            assert np.array_equal(miss[rows], scan[0]) and np.array_equal(idx[rows], scan[1])
+
+    def test_scan_blocks_are_transparent(self, monkeypatch):
+        states, tracks, _, problem, dt = self._case(rows=50)
+        whole = _kernels.miss_distance_scan(states, tracks, dt, problem)
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMS", 2000)  # a few rows per block
+        parts = _kernels.miss_distance_scan(states, tracks, dt, problem)
+        assert np.array_equal(whole[0], parts[0]) and np.array_equal(whole[1], parts[1])
+
+    def test_unsettled_rows_scan_their_own_track(self, monkeypatch):
+        # rows moving exactly with their observer have no relative
+        # acceleration, so the closed form hands them to the scan
+        states, tracks, observers, problem, dt = self._case(rows=30)
+        states[::3] = observers[problem[::3]] + [50.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        monkeypatch.setattr(_kernels, "_SCAN_ELEMS", 0)
+        scanned = _ScanRows(monkeypatch)
+        miss, idx = _kernels.miss_distance_batch(states, tracks, dt, observers, problem)
+        assert scanned.rows == 10
+        assert np.allclose(miss[::3], 50.0, rtol=1e-9, atol=0.0)
+        ref = _kernels.miss_distance_scan(states, tracks, dt, problem)
+        assert np.array_equal(miss, ref[0]) and np.array_equal(idx, ref[1])
+
+    def test_every_track_checked_against_its_state(self):
+        states, tracks, observers, problem, dt = self._case(rows=20)
+        bad = observers.copy()
+        bad[2, 5] += 1e-3  # only the last track's observer is off
+        with pytest.raises(ValueError, match="observer"):
+            _kernels.miss_distance_batch(states, tracks, dt, bad, problem)
+        with pytest.raises(ValueError, match="observer"):
+            _kernels.miss_distance_batch(states, tracks, dt, observers[:2], problem)
+
+    def test_index_validation(self):
+        states, tracks, observers, problem, dt = self._case(rows=20)
+        kernels = ((_kernels.miss_distance_scan, ()), (_kernels.miss_distance_batch, (observers,)))
+        for kernel, extra in kernels:
+            with pytest.raises(ValueError, match="index"):
+                kernel(states, tracks, dt, *extra)
+            with pytest.raises(ValueError, match="lie in"):
+                kernel(states, tracks, dt, *extra, np.full(20, 3))
+            with pytest.raises(ValueError, match="one index per state"):
+                kernel(states, tracks, dt, *extra, problem[:5])
 
 
 class TestAgainstTrajectoryPath:

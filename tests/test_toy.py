@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from subsim import rng as _rng
-from subsim.engine import IntervalVariant, SubsetConfig
+from subsim.engine import (
+    IntervalVariant,
+    SubsetConfig,
+    run_subset_simulation,
+    run_subset_simulations,
+)
 from subsim.toy import (
     CircleRegion,
     Point2,
@@ -101,10 +106,10 @@ def _chains(seeds, length, threshold, seed, target_scale=None):
     xy = np.array([s.as_array() for s in seeds])
     d = np.array([distance_to_center(s, REGION) for s in seeds])
     gen = _rng.generator(_rng.derive(seed))
-    out_xy, out_d = toy_system(REGION, target_scale).conditional_chains(
-        xy, d, threshold, length, gen
-    )
     m = len(seeds)
+    out_xy, out_d = toy_system(REGION, target_scale).conditional_chains(
+        xy, d, np.full(m, threshold), length, [gen], np.zeros(m, dtype=int)
+    )
     return list(zip(out_xy.reshape(m, length, 2), out_d.reshape(m, length)))
 
 
@@ -237,3 +242,33 @@ class TestSsToy:
         for row in res.table.rows[::7]:
             d = distance_to_center(Point2(row.sample[0], row.sample[1]), REGION)
             assert d == row.response
+
+
+class TestLockstepProblems:
+    """Toy problems run together give each problem exactly its one-problem result."""
+
+    def _assert_same(self, a, b):
+        assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
+        assert np.array_equal(a.table.probabilities, b.table.probabilities)
+        assert np.array_equal(a.table.responses, b.table.responses)
+        assert np.array_equal(a.table.samples, b.table.samples)
+
+    def test_fixed_level_batch_equals_ss_toy(self):
+        seeds = (5, 6, 7)
+        batch = run_subset_simulations(
+            toy_system(REGION), std_config(4), REGION.radius, seeds, stop_on_rare_count=False
+        )
+        for seed, result in zip(seeds, batch):
+            self._assert_same(result, ss_toy(REGION, std_config(4), seed=seed))
+
+    def test_early_stops_at_different_levels(self):
+        # a threshold-coupled tilt and the rare-count stop: the problems stop
+        # after different numbers of levels, each as it would alone
+        system = toy_system(REGION, target_scale="threshold")
+        seeds = tuple(range(20, 28))
+        batch = run_subset_simulations(system, std_config(7), REGION.radius, seeds)
+        levels = {r.diagnostics.levels_completed for r in batch}
+        assert len(levels) > 1
+        for seed, result in zip(seeds, batch):
+            alone = run_subset_simulation(system, std_config(7), REGION.radius, seed)
+            self._assert_same(result, alone)

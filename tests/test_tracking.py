@@ -144,6 +144,31 @@ class TestKfStep:
         with pytest.raises(ValueError):
             KalmanEstimate(mean=AircraftState(0, 0, 0, 0, 0, 0), covariance=cov)
 
+    def test_symmetry_check_is_allclose(self):
+        # the check accepts exactly what np.allclose(cov, cov.T, rtol=1e-9,
+        # atol=1e-12) accepts, including at its tolerance and on non-finite
+        # entries
+        rng = np.random.default_rng(12)
+        mean = AircraftState(0, 0, 0, 0, 0, 0)
+        offsets = [0.0, 5e-13, 1e-12, 3e-12, 1e-9, 2e-9, np.inf, -np.inf, np.nan]
+        seen = set()
+        for _ in range(2000):
+            a = rng.normal(size=(6, 6)) * 10.0 ** rng.uniform(-13, 5)
+            a = 0.5 * (a + a.T)
+            i, j = rng.integers(0, 6, size=2)
+            a[i, j] += rng.choice(offsets) * rng.choice([1.0, abs(a[j, i])])
+            if rng.random() < 0.1:
+                a[j, i] = a[i, j]
+            expected = np.allclose(a, a.T, rtol=1e-9, atol=1e-12)
+            try:
+                KalmanEstimate(mean=mean, covariance=a)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestInitialEstimate:
     def test_perfect_init_matches_truth(self):
