@@ -206,8 +206,9 @@ def select_seeds(sorted_samples: np.ndarray, config: SubsetConfig, axis: int = 0
         raise ValueError(
             f"expected {config.n_samples} samples, got {sorted_samples.shape[axis]}"
         )
-    tail = np.arange(config.n_samples - config.n_chains, config.n_samples)
-    return np.take(sorted_samples, tail, axis=axis)
+    tail = [slice(None)] * sorted_samples.ndim
+    tail[axis] = slice(config.n_samples - config.n_chains, None)
+    return np.copy(sorted_samples[tuple(tail)])
 
 
 def assemble_ccdf(
@@ -357,9 +358,9 @@ def run_subset_simulations(
                 f"conditional chains returned {samples.shape[0]} samples and "
                 f"{responses.shape[0]} responses, expected {m * n}"
             )
-        over = np.flatnonzero(responses.reshape(m, n) > b[:, None])
-        if over.size:
-            i = over[0]
+        over = responses.reshape(m, n) > b[:, None]
+        if over.any():
+            i = np.flatnonzero(over)[0]
             raise ValueError(
                 f"conditional chains violated their threshold: response "
                 f"{responses[i]:.6g} > {b[i // n]:.6g}"

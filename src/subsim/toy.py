@@ -52,8 +52,8 @@ def distance_to_center(sample: Point2, region: CircleRegion) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
-def _distances(xy: np.ndarray, region: CircleRegion) -> np.ndarray:
-    d = xy - region.center.as_array()
+def _distances(xy: np.ndarray, center: np.ndarray) -> np.ndarray:
+    d = xy - center
     return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
 
@@ -63,7 +63,7 @@ def dmc_estimate(region: CircleRegion, n: int, seed: _rng.SeedLike) -> float:
         raise ValueError(f"sample count must be positive, got {n}")
     gen = _rng.generator(_rng.child(_rng.derive(seed), 0))
     xy = gen.standard_normal((n, 2))
-    return float(np.count_nonzero(_distances(xy, region) <= region.radius)) / n
+    return float(np.count_nonzero(_distances(xy, region.center.as_array()) <= region.radius)) / n
 
 
 def _toy_chains(
@@ -106,13 +106,14 @@ def _toy_chains(
     ]
     steps = np.concatenate([s for s, _ in draws])
     uniforms = np.concatenate([u for _, u in draws])
+    center = region.center.as_array()
     cur = np.array(seeds_xy, dtype=np.float64).reshape(m, 2)
     cur_d = seed_dists
     out_xy = np.empty((m, length, 2))
     out_d = np.empty((m, length))
     for k in range(length):
         cand = cur + steps[:, k]
-        cand_d = _distances(cand, region)
+        cand_d = _distances(cand, center)
         # The symmetric random walk's proposal ratio cancels, so the
         # acceptance ratio is the target ratio alone.
         log_beta = (cur_d * cur_d - cand_d * cand_d) / (2.0 * sigma2)
@@ -162,12 +163,13 @@ def toy_system(region: CircleRegion, target_scale: TiltSpec = None) -> RareEvent
 
     Every problem of the system is the same disc; `ss_toy` runs one.
     """
+    center = region.center.as_array()
 
     def sample_prior(gens, n: int) -> np.ndarray:
         return np.concatenate([gen.standard_normal((n, 2)) for gen in gens])
 
     def evaluate(xy: np.ndarray, problems: np.ndarray) -> np.ndarray:
-        return _distances(xy, region)
+        return _distances(xy, center)
 
     def conditional_chains(seeds_xy, seed_dists, thresholds, length, gens, problems):
         xy, d = _toy_chains(seeds_xy, seed_dists, region, thresholds, length, gens, target_scale)
