@@ -24,7 +24,9 @@ _BLOCK_ELEMS = 6_000_000
 # At or below this many state-points a batch goes to the scan: the closed
 # form's fixed cost of about a hundred small array operations exceeds the
 # scan's below roughly 10,000 (10 states on 401 points: 240 us closed form
-# against 110 us scan; 3 states on 4,001 points: 290 us against 480 us).
+# against 110 us scan; 3 states on 4,001 points: 290 us against 480 us).  It
+# holds for calls over 16 tracks too: the scan is cheaper at 8,020
+# state-points on 401-point tracks and dearer at 9,624.
 _SCAN_ELEMS = 8192
 # Rows per closed-form block: about 160 kB per (rows, 20 candidates) temporary.
 _BLOCK_ROWS = 1 << 10

@@ -406,4 +406,5 @@ def _sort_blocks(samples: np.ndarray, responses: np.ndarray, k: int, n: int, lev
         raise ValueError(f"level {level} produced non-finite responses")
     order = np.argsort(-responses.reshape(k, n), axis=1, kind="stable")
     rows = (order + np.arange(0, k * n, n)[:, None]).ravel()
-    return responses[rows].reshape(k, n), samples.take(rows, axis=0).reshape(k, n, *samples.shape[1:])
+    sorted_x = samples.take(rows, axis=0).reshape(k, n, *samples.shape[1:])
+    return responses[rows].reshape(k, n), sorted_x
