@@ -77,7 +77,7 @@ def freeze_phase(
     """Run truth, measurements and the filter up to `at_time`, freeze the query.
 
     The steps are those of `simulate_scenario` at the same seed, and the
-    query's horizon is the scenario duration, as in the per-step driver.
+    query's horizon is the scenario duration, as in `simulate_scenario`.
     """
     k_float = at_time * spec.sample_rate
     k_stop = round(k_float)

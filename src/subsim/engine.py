@@ -293,7 +293,7 @@ def run_subset_simulations(
     new conditional samples under its intermediate threshold, and repeats.
     Total cost is N per level per problem.
 
-    With `stop_on_rare_count` (the conflict-driver behavior) a problem's
+    With `stop_on_rare_count` (the conflict estimators' behavior) a problem's
     descent also stops as soon as a level holds at least N_c samples at or
     below `failure_threshold`; without it (the reference-problem behavior)
     all `max_levels` levels run unconditionally.
