@@ -76,8 +76,8 @@ def freeze_phase(
 ) -> ConflictQuery:
     """Run truth, measurements and the filter up to `at_time`, freeze the query.
 
-    The steps are those of `simulate_scenario` at the same seed, and the
-    query's horizon is the scenario duration, as in `simulate_scenario`.
+    The steps, and the query's horizon (the scenario duration), are those of
+    `simulate_scenario` at the same seed.
     """
     k_float = at_time * spec.sample_rate
     k_stop = round(k_float)
