@@ -3,12 +3,18 @@
 The observer and every intruder state follow constant-acceleration motion, so
 the squared distance between them is a quartic in time.  Between the real
 roots of its cubic derivative the quartic is monotone, so the first minimum
-over the sampling grid lies next to a root or at an end of the track.
-`miss_distance_batch` evaluates the grid scan's own float expression at those
-indices only.  Rows it cannot settle (no relative acceleration, or a curve
-too flat for rounding to order the grid points) go to `miss_distance_scan`,
-which evaluates every grid point and is the reference for the closed form;
-so do batches too small for the closed form's fixed cost to pay.
+over the sampling grid lies next to one of its minima or at an end of the
+track.  The quartic has at most two minima: the only real root, or the
+largest and the smallest of three, whose middle root is the maximum between
+them.  `miss_distance_batch` evaluates the grid scan's own float expression
+in four windows only, at the two ends and the two candidate minima.  The
+maximum needs no window: the quartic is smallest at an edge of any stretch of
+grid that holds no minimum, so checking the edges of the stretches between
+windows rules all of them out.  Rows it cannot settle (no relative
+acceleration, or a curve too flat for rounding to order the grid points) go
+to `miss_distance_scan`, which evaluates every grid point and is the
+reference for the closed form; so do batches too small for the closed form's
+fixed cost to pay.
 
 Both kernels take K observer tracks of one length, (K, points, 2), and a
 row-to-track index, so one call serves the states of K independent problems;
@@ -19,23 +25,26 @@ from __future__ import annotations
 
 import numpy as np
 
-# Elements per scan block: keeps its (rows, 2, points) temporaries around ~50 MB.
+# Elements per scan block: each of its three (rows, points) temporaries holds
+# half of them, about 24 MB.
 _BLOCK_ELEMS = 6_000_000
 # At or below this many state-points a batch goes to the scan: the closed
-# form's fixed cost of about a hundred small array operations exceeds the
-# scan's below roughly 10,000 (10 states on 401 points: 240 us closed form
-# against 110 us scan; 3 states on 4,001 points: 290 us against 480 us).  It
-# holds for calls over 16 tracks too: the scan is cheaper at 8,020
-# state-points on 401-point tracks and dearer at 9,624.
-_SCAN_ELEMS = 8192
-# Rows per closed-form block: about 160 kB per (rows, 20 candidates) temporary.
+# form's fixed cost of about eighty small array operations, 230-330 us a
+# call, exceeds the scan's.  Interleaved timings on 1 and 16 tracks of 401
+# and 4,001 points had the scan at 0.68-0.79 of the closed form's time at
+# 12,003-12,030 state-points (3 rows on 4,001 points, 30 on 401), and the
+# closed form cheaper from 16,004 on 16 tracks of 4,001 points (scan 2.0x)
+# and from 19,248 on one track of 401.
+_SCAN_ELEMS = 12_288
+# Rows per closed-form block: about 128 kB per (16 candidates, rows) temporary.
 _BLOCK_ROWS = 1 << 10
-# A window of grid points sits at each end of the track and around each
-# root: the two points bracketing the root and one more on either side, so
-# that a root computed up to a step off still lies inside.
+# Four windows of grid points: one at each end of the track and one around
+# each candidate minimum, holding the two points bracketing the root and one
+# more on either side, so that a root computed up to a step off still lies
+# inside.  The maximum between two minima needs no window: see the gap check.
 _OFFSETS = np.arange(-1, 3)
 _SPAN = len(_OFFSETS)
-_N_WINDOWS = 5
+_N_WINDOWS = 4
 # Relative bound on rounding in distances, and per unit of coordinate
 # magnitude in positions; each is several times the worst case of the float
 # expression, which stays within a few units in the last place.
@@ -43,8 +52,8 @@ _TOL = 8.0 * np.finfo(np.float64).eps
 # Roots are computed to within a few ulps of the largest one; beyond this many
 # grid steps that error could move a window off the root it is meant to hold.
 _ROOT_LIMIT = 2.0**40
-_PAIR = np.array([1.0, -0.5, -0.5])
-_THIRDS = np.array([0.0, 2.0, 4.0]) * (np.pi / 3.0)
+_PAIR = np.array([[1.0], [-0.5]])
+_THIRDS = np.array([[0.0], [4.0]]) * (np.pi / 3.0)
 
 
 def active_backend() -> str:
@@ -59,20 +68,32 @@ def _as_c_f64(a, name, ndim):
     return a
 
 
-def _squared_distance(s, tk, obs):
-    """Squared distance of the rows of `s` at times `tk` from points `obs`.
+def _squared_distance(s, tk, obs_x, obs_y):
+    """Squared distance of states at times `tk` from points (obs_x, obs_y).
 
-    `tk` broadcasts against (rows, 1, points) and `obs` is (..., points, 2).
-    Positions are (x + u*tk) + (0.5*a)*(tk*tk) per axis, as in
-    `dynamics.propagate`.  Both kernels go through this one expression, so
-    they round identically.
+    `s` holds the six state components [x, u, a_x, y, v, a_y], each
+    broadcasting against `tk`, `obs_x` and `obs_y`.  Positions are
+    (x + u*tk) + (0.5*a)*(tk*tk) per axis, as in `dynamics.propagate`.  Both
+    kernels go through this one expression, so they round identically.
     """
+    x, u, a_x, y, v, a_y = s
     tk2 = tk * tk
-    s = s.reshape(-1, 2, 3)
-    pos = s[:, :, 0:1] + s[:, :, 1:2] * tk + (0.5 * s[:, :, 2:3]) * tk2
-    d = pos - obs.swapaxes(-1, -2)
-    d *= d
-    return d[:, 0] + d[:, 1]
+    # in place, in the expression's order: timed on closed-form blocks, the
+    # page faults of fresh block-sized temporaries outweighed the arithmetic
+    dx = u * tk
+    dx += x
+    acc = (0.5 * a_x) * tk2
+    dx += acc
+    dx -= obs_x
+    dx *= dx
+    dy = v * tk
+    dy += y
+    np.multiply(0.5 * a_y, tk2, out=acc)
+    dy += acc
+    dy -= obs_y
+    dy *= dy
+    dx += dy
+    return dx
 
 
 def _validate(states, obs_xy, problem):
@@ -123,84 +144,95 @@ def miss_distance_scan(states: np.ndarray, obs_xy: np.ndarray, dt: float, proble
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         obs = obs_xy[0] if obs_xy.shape[0] == 1 else obs_xy[problem[lo:hi]]
-        d2 = _squared_distance(states[lo:hi], tk, obs)
+        d2 = _squared_distance(states[lo:hi].T[:, :, None], tk, obs[..., 0], obs[..., 1])
         k = np.argmin(d2, axis=1)  # first index on ties
         idx[lo:hi] = k
         miss[lo:hi] = np.sqrt(d2[np.arange(hi - lo), k])
     return miss, idx
 
 
-def _critical_points(g):
-    """Critical points of |q|^2 in grid-index units, three per row.
+def _critical_points(q):
+    """Candidate minima of |q|^2 in grid-index units, (2, n).
 
-    `g` is the (n, 3, 3) Gram matrix of the per-axis coefficients of q(k) =
-    q0 + q1 k + q2 k^2.  Half the derivative of |q|^2 is the cubic
-    a k^3 + b k^2 + c k + d with a = 2 g22, b = 3 g12, c = g11 + 2 g02 and
-    d = g01.  Its roots come from Cardano's formula, with the
-    cancellation-free choice of cube root, when there is one real root, and
-    from the trigonometric form when there are three.  With one real root the
-    other two columns hold the real part of the complex pair: that is where
-    two nearly coincident real roots sit when rounding has moved them off the
-    real line.  Rows with a = 0 and degenerate rows come out non-finite.
+    `q` is (6, n): rows x0, x1, x2, y0, y1, y2 hold the per-axis
+    coefficients of q(k) = q0 + q1 k + q2 k^2.  Half the derivative of |q|^2
+    is the cubic a k^3 + b k^2 + c k + d with a = 2 q2.q2, b = 3 q1.q2,
+    c = q1.q1 + 2 q0.q2 and d = q0.q1, each dot product a sum over the two
+    axes.  Its roots come from Cardano's formula, with the cancellation-free
+    choice of cube root, when there is one real root, and from the
+    trigonometric form when there are three.  As a > 0, three real roots are
+    a minimum, the maximum between, and a minimum: the rows hold the largest
+    and the smallest.  One real root is the only minimum; the second row
+    then holds the real part of the complex pair, which is where two nearly
+    coincident real roots sit when rounding has moved them off the real
+    line.  Rows with a = 0 and degenerate rows come out non-finite.
     """
-    g = g.reshape(-1, 9)
-    inv_2a = 0.5 / g[:, 8]
-    shift = g[:, 5] * inv_2a  # b / 3a
-    c_3 = (g[:, 4] + 2.0 * g[:, 2]) * inv_2a / 3.0  # c / 3a
+    x0, x1, x2, y0, y1, y2 = q
+    inv_2a = 0.5 / (x2 * x2 + y2 * y2)
+    shift = (x1 * x2 + y1 * y2) * inv_2a  # b / 3a
+    c_3 = ((x1 * x1 + y1 * y1) + 2.0 * (x0 * x2 + y0 * y2)) * inv_2a / 3.0  # c / 3a
     s2 = shift * shift
     third_p = c_3 - s2
-    half_q = ((2.0 * s2 - 3.0 * c_3) * shift + g[:, 1] * inv_2a) * 0.5
+    half_q = ((2.0 * s2 - 3.0 * c_3) * shift + (x0 * x1 + y0 * y1) * inv_2a) * 0.5
     disc = half_q * half_q + third_p * third_p * third_p
     w = np.cbrt(-half_q - np.copysign(np.sqrt(np.maximum(disc, 0.0)), half_q))
-    y_one = (w - third_p / w)[:, None] * _PAIR
+    y_one = (w - third_p / w) * _PAIR
     r = np.sqrt(-third_p)
     cos_3theta = np.minimum(np.maximum(-half_q / (r * r * r), -1.0), 1.0)
-    y_three = (2.0 * r)[:, None] * np.cos((np.arccos(cos_3theta) / 3.0)[:, None] - _THIRDS)
-    return np.where((disc > 0.0)[:, None], y_one, y_three) - shift[:, None]
+    y_three = (2.0 * r) * np.cos(np.arccos(cos_3theta) / 3.0 - _THIRDS)
+    return np.where(disc > 0.0, y_one, y_three) - shift
 
 
 def _closed_form_block(s, obs_xy, problem, dt, observer, scale, err_o, err_w):
     """(miss, index, settled) for one block of rows; unsettled rows are garbage.
 
-    Row i runs against track `problem[i]` of `obs_xy` and state
+    Row i of `s` runs against track `problem[i]` of `obs_xy` and state
     `observer[problem[i]]`.  The tracks must have at least _SPAN points.
+    Work arrays put the rows last, so every operation runs along the block.
     """
     n = s.shape[0]
     last = obs_xy.shape[1] - 1
-    rows = np.arange(n)
     # relative position q0 + q1 k + q2 k^2 per axis, in grid-index units k = t / dt
-    q = ((s - observer[problem]) * scale).reshape(n, 2, 3)
-    roots = _critical_points(q.transpose(0, 2, 1) @ q)
-    settled = (np.abs(roots) < _ROOT_LIMIT).all(axis=1)  # false for non-finite roots too
+    roots = _critical_points(((s - observer[problem]) * scale).T)
+    settled = (np.abs(roots) < _ROOT_LIMIT).all(axis=0)  # false for non-finite roots too
 
     # Window j covers base_j - 1 .. base_j + 2.  The track's end windows have
-    # bases 1 and last - 2; a root window clamped to those bases still holds
-    # its root if the root lies on the track, and one off the track does not
-    # matter.  Sorted by base, the windows list grid indices such that the
-    # first minimum among them is the one with the smallest index.
-    base = np.empty((n, _N_WINDOWS), dtype=np.intp)
-    base[:, 0] = 1
-    base[:, 1] = last - 2
-    base[:, 2:] = np.floor(np.fmin(np.fmax(roots, 1.0), last - 2.0))  # NaN goes to 1
-    base.sort(axis=1)
-    idx = (base[:, :, None] + _OFFSETS).reshape(n, -1)
-    # np.take on the stacked tracks gathers far faster than 2-D fancy indexing
-    obs = np.take(obs_xy.reshape(-1, 2), problem[:, None] * (last + 1) + idx, axis=0)
-    d2 = _squared_distance(s, (idx * dt)[:, None, :], obs)
-    first = d2.argmin(axis=1)
-    best = d2[rows, first]
+    # bases 1 and last - 2, and one window sits at each candidate minimum,
+    # clamped between them (NaN goes to 1), so the bases come out sorted.  A
+    # clamped window still holds its root if the root lies on the track, and
+    # one off the track does not matter.  In base order, the windows list
+    # grid indices such that the first minimum among them is the one with
+    # the smallest index.
+    inner = np.floor(np.fmin(np.fmax(roots, 1.0), last - 2.0)).astype(np.intp)
+    base = np.empty((_N_WINDOWS, n), dtype=np.intp)
+    base[0] = 1
+    np.minimum(inner[0], inner[1], out=base[1])
+    np.maximum(inner[0], inner[1], out=base[2])
+    base[3] = last - 2
+    idx = (base[:, None, :] + _OFFSETS[:, None]).reshape(-1, n)
+    # np.take on the flat tracks, x at even and y at odd offsets, gathers far
+    # faster than fancy indexing and needs no per-axis copy of the tracks
+    flat = idx + problem * (last + 1)
+    flat += flat
+    obs_x = np.take(obs_xy, flat)
+    flat += 1
+    d2 = _squared_distance(s.T, idx * dt, obs_x, np.take(obs_xy, flat))
+    first = d2.argmin(axis=0)
+    best = np.take_along_axis(d2, first[None], axis=0)[0]
 
     # A grid point outside every window lies in a gap between two windows
-    # with no root inside it, so its exact distance is at least that of one
-    # of the gap's two edges.  Edges whose float distances clear the minimum
-    # by the rounding of both therefore rule out the whole gap.
-    gap = np.diff(base, axis=1) > _SPAN
-    d2 = d2.reshape(n, _N_WINDOWS, _SPAN)
-    edges = np.sqrt(np.minimum(d2[:, :-1, -1], d2[:, 1:, 0]))  # sqrt is monotone
+    # that holds no minimum of the quartic, only perhaps the maximum between
+    # two minima.  On such a gap the quartic falls, rises, or rises then
+    # falls, so the exact distance of every point in it is at least that of
+    # one of the gap's two edges.  Edges whose float distances clear the
+    # minimum by the rounding of both therefore rule out the whole gap.
+    gap = np.diff(base, axis=0) > _SPAN
+    d2 = d2.reshape(_N_WINDOWS, _SPAN, n)
+    edges = np.sqrt(np.minimum(d2[:-1, -1], d2[1:, 0]))  # sqrt is monotone
     margin = 2.0 * (err_o[problem] + np.abs(s) @ err_w) + np.sqrt(best) * (1.0 + _TOL)
-    clear = edges * (1.0 - _TOL) > margin[:, None]
-    settled &= (clear | ~gap).all(axis=1)
-    return np.sqrt(best), idx[rows, first], settled
+    clear = edges * (1.0 - _TOL) > margin
+    settled &= (clear | ~gap).all(axis=0)
+    return np.sqrt(best), np.take_along_axis(idx, first[None], axis=0)[0], settled
 
 
 def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float, observer, problem=None):

@@ -8,6 +8,7 @@ measurement arrives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -99,6 +100,25 @@ def simulate_measurement(
     )
 
 
+@lru_cache(maxsize=16)
+def _filter_model(dt: float, noise: NoiseConfig) -> tuple[np.ndarray, ...]:
+    """Transition, process noise, H, R and the identity at one (dt, noise).
+
+    Built once per filter configuration instead of once per step, and made
+    read-only because every step shares them.
+    """
+    model = (
+        transition_matrix(dt),
+        process_noise(dt, noise),
+        measurement_matrix(),
+        np.diag([noise.sigma_x**2, noise.sigma_y**2]),
+        np.eye(6),
+    )
+    for m in model:
+        m.flags.writeable = False
+    return model
+
+
 def kf_step(
     est: KalmanEstimate,
     measurement: Optional[Measurement],
@@ -111,20 +131,17 @@ def kf_step(
     (degenerate measurement noise on a collapsed state); this is surfaced
     rather than silently regularized.
     """
-    a = transition_matrix(dt)
-    q = process_noise(dt, noise)
+    a, q, h, r, eye = _filter_model(dt, noise)
     mean = a @ est.mean.as_array()
     cov = a @ np.asarray(est.covariance) @ a.T + q
     cov = 0.5 * (cov + cov.T)
 
     if measurement is not None:
-        h = measurement_matrix()
-        r = np.diag([noise.sigma_x**2, noise.sigma_y**2])
         innovation_cov = h @ cov @ h.T + r
         gain = np.linalg.solve(innovation_cov.T, (cov @ h.T).T).T
         residual = np.asarray(measurement.z) - h @ mean
         mean = mean + gain @ residual
-        cov = (np.eye(6) - gain @ h) @ cov
+        cov = (eye - gain @ h) @ cov
         cov = 0.5 * (cov + cov.T)
 
     return KalmanEstimate(mean=AircraftState.from_array(mean), covariance=cov)

@@ -496,6 +496,20 @@ class TestSimulateScenario:
             )
             assert np.array_equal(a.estimate.covariance, b.estimate.covariance)
 
+    def test_dmc_equals_pc_dmc_of_each_step(self):
+        # the group's draws go through one kernel call; each step's result
+        # must still be its own pc_dmc at the step's stream
+        spec = build_head_on(152.4, 2000.0)
+        picks = [3, 40, 200, 333]
+        records = simulate_scenario(spec, CFG, seed=23, estimate_steps=picks)
+        root = _rng.derive(23)
+        steps = {s.k: s for s in conflict.encounter_steps(spec, root) if s.k in picks}
+        assert [r.step for r in records] == picks
+        for r in records:
+            ref = pc_dmc(steps[r.step].query(spec), r.pc_ss.samples_used, _rng.child(root, r.step, 2))
+            assert r.pc_dmc == ref
+        assert 0 < sum(r.pc_dmc.conflict_count for r in records) < sum(r.pc_dmc.samples_used for r in records)
+
     def test_collision_course_probability_rises_to_one(self):
         # short encounter whose crossing happens inside the 2 s horizon
         spec = build_head_on(0.0, 300.0, duration=2.0, sample_rate=10.0)

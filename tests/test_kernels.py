@@ -149,6 +149,20 @@ class TestClosedForm:
         # both passes of the tie are exactly 100 m: the first index wins
         assert miss[2] == 100.0 and idx[2] == 1000
 
+    def test_min_max_min_row_is_settled(self, monkeypatch):
+        # relative x = 750 - 20t + 0.1t^2 crosses zero at 50 s and 150 s and
+        # swings to -250 m between; relative y = 60 + 0.2t.  |q|^2 has minima
+        # near 50 s (70 m, the deeper) and 150 s (90 m) and a maximum near
+        # 100 s, and no window sits at the maximum.
+        state = np.array([[750.0, 80.0, 0.2, 60.0, 0.2, 0.0]])
+        scanned = _ScanRows(monkeypatch)
+        miss, idx = _assert_matches_scan(state, OBSERVER)
+        assert scanned.rows == 1  # the oracle's own scan: the closed form settled the row
+        assert 990 < idx[0] < 1010 and 69.0 < miss[0] < 71.0
+        obs_xy, dt = _track(OBSERVER)
+        curve = np.hypot(*(propagate(AircraftState.from_array(state[0]), 20.0, 200.0).positions - obs_xy).T)
+        assert curve[2000] > curve[3000] > curve[1000]
+
     def test_zero_relative_acceleration(self, monkeypatch):
         observer = np.array([0.0, 100.0, 0.3, 0.0, 0.0, -0.2])
         states = np.array([[3000.0, -80.0, 0.3, 200.0, 1.0, -0.2], [100.0, 0.0, 0.3, 0.0, 3.0, -0.2]])
@@ -200,6 +214,27 @@ class TestClosedForm:
             _kernels.miss_distance_batch(states, obs_xy, 2.0 * dt, OBSERVER)
         with pytest.raises(ValueError, match="observer"):
             _kernels.miss_distance_batch(states, obs_xy, dt, OBSERVER + [0.0, 0.0, 0.0, 0.0, 0.0, 1e-3])
+
+
+class TestCriticalPoints:
+    """The root helper returns the cubic's two candidate minima per row."""
+
+    def test_three_real_roots_give_the_outer_two(self):
+        # q(k) = (k - 1000)(k - 3000) along x: |q|^2 has minima at 1000 and
+        # 3000 and its maximum at 2000
+        q = np.array([[3e6], [-4000.0], [1.0], [0.0], [0.0], [0.0]])
+        with np.errstate(all="ignore"):  # the branch not taken may divide by zero or take sqrt(-p)
+            roots = _kernels._critical_points(q)
+        assert roots.shape == (2, 1)
+        assert np.allclose(roots[:, 0], [3000.0, 1000.0], rtol=1e-12, atol=0.0)
+
+    def test_one_real_root_and_the_pair_real_part(self):
+        # q(k) = (k - 500)^2 + 100 along x, never zero: the only critical
+        # point is 500, and the complex pair 500 +- 10i has real part 500
+        q = np.array([[250100.0], [-1000.0], [1.0], [0.0], [0.0], [0.0]])
+        with np.errstate(all="ignore"):
+            roots = _kernels._critical_points(q)
+        assert np.allclose(roots[:, 0], [500.0, 500.0], rtol=1e-12, atol=0.0)
 
 
 class TestSmallBatches:
