@@ -229,12 +229,13 @@ class TestCriticalPoints:
         assert np.allclose(roots[:, 0], [3000.0, 1000.0], rtol=1e-12, atol=0.0)
 
     def test_one_real_root_and_the_pair_real_part(self):
-        # q(k) = (k - 500)^2 + 100 along x, never zero: the only critical
-        # point is 500, and the complex pair 500 +- 10i has real part 500
-        q = np.array([[250100.0], [-1000.0], [1.0], [0.0], [0.0], [0.0]])
+        # q(k) = (k^2, 3 + k): half the derivative of |q|^2 is
+        # 2k^3 + k + 3 = (k + 1)(2k^2 - 2k + 3), whose only real root is -1
+        # and whose complex pair has real part 0.5
+        q = np.array([[0.0], [0.0], [1.0], [3.0], [1.0], [0.0]])
         with np.errstate(all="ignore"):
             roots = _kernels._critical_points(q)
-        assert np.allclose(roots[:, 0], [500.0, 500.0], rtol=1e-12, atol=0.0)
+        assert np.allclose(roots[:, 0], [-1.0, 0.5], rtol=1e-12, atol=1e-12)
 
 
 class TestSmallBatches:
