@@ -7,9 +7,8 @@ probability of conflict between an observer aircraft and a Kalman-tracked
 intruder, with a matched-budget Direct Monte Carlo baseline.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
-from ._kernels import active_backend
 from .conflict import ConflictQuery, PcResult, pc_dmc, pc_ss, pc_ss_batch, simulate_scenario
 from .dynamics import AircraftState, Approach, Trajectory, min_distance, propagate, transition_matrix
 from .engine import (
@@ -28,7 +27,6 @@ from .tracking import KalmanEstimate, Measurement, NoiseConfig, kf_step, process
 
 __all__ = [
     "__version__",
-    "active_backend",
     "AircraftState",
     "Approach",
     "CcdfRow",

@@ -56,11 +56,6 @@ _PAIR = np.array([[1.0], [-0.5]])
 _THIRDS = np.array([[0.0], [4.0]]) * (np.pi / 3.0)
 
 
-def active_backend() -> str:
-    """Name of the backend answering `miss_distance_batch`."""
-    return "numpy"
-
-
 def _as_c_f64(a, name, ndim):
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != ndim:

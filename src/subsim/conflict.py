@@ -11,7 +11,6 @@ filter tracks the (noisy-measured) intruder.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -19,7 +18,13 @@ import numpy as np
 
 from . import rng as _rng
 from .dynamics import AircraftState, propagate, transition_matrix
-from .engine import CcdfTable, RareEventSystem, SubsetConfig, run_subset_simulations
+from .engine import (
+    CcdfTable,
+    RareEventSystem,
+    SubsetConfig,
+    run_subset_simulations,
+    sample_gaussian,
+)
 from .scenarios import ScenarioSpec, initial_states
 from .tracking import (
     KalmanEstimate,
@@ -98,20 +103,14 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     )
 
 
-def _sample_states(gen: np.random.Generator, n: int, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    z = gen.standard_normal((n, 6))
-    return mean + z @ chol.T
-
-
 @dataclass(frozen=True)
 class QueryBatch:
     """The arrays of K conflict queries on one grid, built once and shared.
 
     Row k of each array belongs to query k: the observer state (K, 6), its
-    track (K, points, 2), the intruder posterior's mean (K, 6), Cholesky
-    factor and the factor's inverse (K, 6, 6).  The queries share their
-    protected radius, horizon and sample rate, so one failure threshold and
-    one grid step serve them all.
+    track (K, points, 2), the intruder posterior's mean (K, 6) and Cholesky
+    factor (K, 6, 6).  The queries share their protected radius, horizon and
+    sample rate, so one failure threshold and one grid step serve them all.
     """
 
     radius: float
@@ -120,7 +119,6 @@ class QueryBatch:
     obs_xy: np.ndarray
     mean: np.ndarray
     chol: np.ndarray
-    chol_inv: np.ndarray
 
     @classmethod
     def from_queries(cls, queries: Sequence[ConflictQuery]) -> "QueryBatch":
@@ -131,15 +129,13 @@ class QueryBatch:
             raise ValueError(
                 f"queries of one batch must share radius, horizon and sample rate: {sorted(grid)}"
             )
-        chol = np.array([_cholesky_with_jitter(q.intruder_estimate.covariance) for q in queries])
         return cls(
             radius=queries[0].protected_radius,
             dt=1.0 / queries[0].sample_rate,
             observer=np.array([q.observer.as_array() for q in queries]),
             obs_xy=np.array([_observer_positions(q) for q in queries]),
             mean=np.array([q.intruder_estimate.mean.as_array() for q in queries]),
-            chol=chol,
-            chol_inv=np.linalg.inv(chol),
+            chol=np.array([_cholesky_with_jitter(q.intruder_estimate.covariance) for q in queries]),
         )
 
     def miss(self, states: np.ndarray, problems: np.ndarray) -> np.ndarray:
@@ -159,7 +155,7 @@ def _dmc(batch: QueryBatch, ns: Sequence[int], seeds: Sequence[_rng.SeedLike]) -
         raise ValueError(f"sample count must be positive, got {min(ns)}")
     states = np.concatenate(
         [
-            _sample_states(_rng.generator(_rng.child(_rng.derive(seed), 0)), n, batch.mean[k], batch.chol[k])
+            sample_gaussian(_rng.generator(_rng.child(_rng.derive(seed), 0)), n, batch.mean[k], batch.chol[k])
             for k, (n, seed) in enumerate(zip(ns, seeds))
         ]
     )
@@ -176,91 +172,10 @@ def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
     return _dmc(QueryBatch.from_queries([query]), [n], [seed])[0]
 
 
-# Correlation between successive whitened chain states.  0.8 accepted about
-# 35% of candidates at the long-range phase p2 of the c.o.v. study.
-CHAIN_CORRELATION = 0.8
-_INNOVATION_SCALE = math.sqrt(1.0 - CHAIN_CORRELATION**2)
-
-
-def _conflict_chains(
-    seed_states: np.ndarray,
-    seed_misses: np.ndarray,
-    thresholds: np.ndarray,
-    innovations: np.ndarray,
-    batch: QueryBatch,
-    problems: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conditional chains of intruder states whose miss distances stay within their thresholds.
-
-    Conditional sampling in whitened coordinates z = L^-1 (x - mean): each
-    standard-normal row xi of a chain's innovations proposes
-    z' = rho z + sqrt(1 - rho^2) xi, which moves all six components and
-    leaves the posterior invariant, and the candidate is accepted iff its
-    miss distance is at most the chain's threshold.  The chains' stationary
-    law is therefore the posterior restricted to the level, as the engine's
-    p0^m * D / N read-off assumes.
-
-    Chain j belongs to query `problems[j]` of `batch`, starts at
-    `seed_states[j]` and consumes `innovations[j]`, of shape (length, 6).
-    The chains are independent, so they advance in lockstep: one kernel call
-    per step covers every chain of every query.  Whitening goes through
-    stacked per-chain matmuls, which round as a lone `chol @ z` does, so a
-    chain's values do not depend on which other chains run beside it.
-
-    Returns the states (m, length, 6), their miss distances (m, length) and
-    the number of accepted candidates per chain.
-    """
-    m, length = innovations.shape[:2]
-    problems = np.asarray(problems, dtype=np.intp)
-    mean, chol = batch.mean[problems], batch.chol[problems]
-    cur = np.array(seed_states, dtype=np.float64).reshape(m, 6)
-    cur_miss = np.array(seed_misses, dtype=np.float64).reshape(m)
-    z = (batch.chol_inv[problems] @ (cur - mean)[:, :, None])[:, :, 0]
-    steps = _INNOVATION_SCALE * innovations
-    out_x = np.empty((m, length, 6))
-    out_r = np.empty((m, length))
-    accepted = np.zeros(m, dtype=np.int64)
-    for k in range(length):
-        cand_z = CHAIN_CORRELATION * z + steps[:, k]
-        cand = mean + (chol @ cand_z[:, :, None])[:, :, 0]
-        cand_miss = batch.miss(cand, problems)
-        ok = cand_miss <= thresholds
-        z = np.where(ok[:, None], cand_z, z)
-        cur = np.where(ok[:, None], cand, cur)
-        cur_miss = np.where(ok, cand_miss, cur_miss)
-        accepted += ok
-        out_x[:, k] = cur
-        out_r[:, k] = cur_miss
-    return out_x, out_r, accepted
-
-
 def conflict_system(batch: QueryBatch) -> RareEventSystem:
-    """Wire the queries of `batch` into the generic engine, problem k being query k."""
-
-    def sample_prior(gens, n: int) -> np.ndarray:
-        return np.concatenate(
-            [_sample_states(gen, n, batch.mean[k], batch.chol[k]) for k, gen in enumerate(gens)]
-        )
-
-    def conditional_chains(seed_states, seed_misses, thresholds, length, gens, problems):
-        # Chain j of group i takes innovations[j] of one draw from gens[i].
-        seed_misses = np.asarray(seed_misses, dtype=np.float64)
-        beyond = np.flatnonzero(seed_misses > thresholds)
-        if beyond.size:
-            j = beyond[0]
-            raise ValueError(
-                f"seed {j} violates the threshold: miss {seed_misses[j]:.6g} > {thresholds[j]:.6g}"
-            )
-        per_gen = len(seed_misses) // len(gens)
-        innovations = np.concatenate([gen.standard_normal((per_gen, length, 6)) for gen in gens])
-        states, misses, _ = _conflict_chains(
-            seed_states, seed_misses, thresholds, innovations, batch, problems
-        )
-        return states.reshape(-1, 6), misses.reshape(-1)
-
-    return RareEventSystem(
-        sample_prior=sample_prior, evaluate=batch.miss, conditional_chains=conditional_chains
-    )
+    """The queries of `batch` as engine problems: query k's intruder posterior
+    is problem k's prior and its miss distance the response."""
+    return RareEventSystem(batch.mean, batch.chol, batch.miss)
 
 
 # Independent problems per lockstep engine run: scenario steps in

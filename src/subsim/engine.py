@@ -7,14 +7,19 @@ previous one, so the sample population migrates toward the rare region.  The
 per-level populations are merged into a CCDF table from which the probability
 is read off.
 
-The engine is parameterized over an abstract system (prior sampler, response
-function, conditional chain kernel); samples are opaque ndarrays with a
+The engine is parameterized over a system with a Gaussian prior (mean and
+Cholesky factor per problem) and a response function.  It owns the one
+conditional-sampling chain: in whitened coordinates a candidate
+z' = rho z + sqrt(1 - rho^2) xi leaves the prior invariant and is accepted iff
+its response stays within the level, so each level samples the prior
+restricted to that level (Au & Beck 2001).  Samples are ndarrays with a
 leading sample axis.  Smaller response means closer to the rare event.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -116,32 +121,19 @@ class CcdfTable:
 
 @dataclass(frozen=True)
 class RareEventSystem:
-    """Abstract system the engine drives: K independent problems on one sample space.
+    """K independent problems with Gaussian priors on one sample space.
 
-    The engine runs a batch of problems in lockstep, so each call covers the
-    rows of several problems; a `problems` array gives the problem index
-    (0..K-1) of each row.
-
-    sample_prior(gens, n) draws n samples of problem k from gens[k] for every
-    k < len(gens) and returns them problem by problem (ndarray, leading
-    sample axis).  evaluate(samples, problems) maps samples to scalar
-    responses (smaller = closer to the rare event).
-    conditional_chains(seeds, seed_responses, thresholds, length, gens,
-    problems) grows one Markov chain per seed and returns the
-    len(seeds) * length new samples and their responses grouped chain by
-    chain; no response may exceed its chain's entry of `thresholds`.  The
-    seeds come in len(gens) equal consecutive groups, one per problem, and
-    group i draws from gens[i], its problem's keyed stream for the level.
-    Given their draws the chains are independent, so a system draws each
-    group's randomness as one block and advances every chain together.
+    Problem k's prior is N(mean[k], chol[k] chol[k]^T): `mean` is (K, d) and
+    `chol` the (K, d, d) lower Cholesky factors.  The engine runs the problems
+    in lockstep, so each call covers the rows of several problems;
+    evaluate(samples, problems) maps samples (n, d) to scalar responses
+    (smaller = closer to the rare event), row i belonging to problem
+    problems[i] (0..K-1).
     """
 
-    sample_prior: Callable[[Sequence[np.random.Generator], int], np.ndarray]
+    mean: np.ndarray
+    chol: np.ndarray
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    conditional_chains: Callable[
-        [np.ndarray, np.ndarray, np.ndarray, int, Sequence[np.random.Generator], np.ndarray],
-        tuple[np.ndarray, np.ndarray],
-    ]
 
 
 @dataclass(frozen=True)
@@ -265,18 +257,88 @@ def estimate_probability(
     return float(intervals[n - 1])
 
 
+def sample_gaussian(gen: np.random.Generator, n: int, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """n draws of N(mean, chol chol^T) from `gen`, one (n, d) standard-normal block."""
+    z = gen.standard_normal((n, len(mean)))
+    return mean + z @ chol.T
+
+
+# Correlation between successive whitened chain states.  0.8 accepted about
+# 35% of candidates at the long-range phase p2 of the conflict c.o.v. study.
+CHAIN_CORRELATION = 0.8
+_INNOVATION_SCALE = math.sqrt(1.0 - CHAIN_CORRELATION**2)
+
+
+def conditional_chains(
+    system: RareEventSystem,
+    chol_inv: np.ndarray,
+    seeds: np.ndarray,
+    seed_responses: np.ndarray,
+    thresholds: np.ndarray,
+    innovations: np.ndarray,
+    problems: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional chains whose responses stay within their thresholds.
+
+    Conditional sampling in whitened coordinates z = L^-1 (x - mean), with L
+    the chain's problem's Cholesky factor and `chol_inv` the stacked inverses
+    of `system.chol`: each standard-normal row xi of a chain's innovations
+    proposes z' = rho z + sqrt(1 - rho^2) xi, which moves every component and
+    leaves the prior invariant, and the candidate is accepted iff its response
+    is at most the chain's threshold.  The chains' stationary law is
+    therefore the prior restricted to the level, as the p0^m * D / N
+    read-off assumes.
+
+    Chain j belongs to problem `problems[j]`, starts at `seeds[j]` and
+    consumes `innovations[j]`, of shape (length, d).  The chains are
+    independent, so they advance in lockstep: one `evaluate` call per step
+    covers every chain.  Whitening goes through stacked per-chain matmuls,
+    which round as a lone `chol @ z` does, so a chain's values do not depend
+    on which other chains run beside it.
+
+    Returns the samples (m, length, d) and their responses (m, length).
+    """
+    m, length, d = innovations.shape
+    seed_responses = np.array(seed_responses, dtype=np.float64).reshape(m)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    beyond = np.flatnonzero(seed_responses > thresholds)
+    if beyond.size:
+        j = beyond[0]
+        raise ValueError(
+            f"seed {j} violates the threshold: response {seed_responses[j]:.6g} > {thresholds[j]:.6g}"
+        )
+    problems = np.asarray(problems, dtype=np.intp)
+    mean, chol = system.mean[problems], system.chol[problems]
+    cur = np.array(seeds, dtype=np.float64).reshape(m, d)
+    cur_r = seed_responses
+    z = (chol_inv[problems] @ (cur - mean)[:, :, None])[:, :, 0]
+    steps = _INNOVATION_SCALE * innovations
+    out_x = np.empty((m, length, d))
+    out_r = np.empty((m, length))
+    for k in range(length):
+        cand_z = CHAIN_CORRELATION * z + steps[:, k]
+        cand = mean + (chol @ cand_z[:, :, None])[:, :, 0]
+        cand_r = system.evaluate(cand, problems)
+        ok = cand_r <= thresholds
+        z = np.where(ok[:, None], cand_z, z)
+        cur = np.where(ok[:, None], cand, cur)
+        cur_r = np.where(ok, cand_r, cur_r)
+        out_x[:, k] = cur
+        out_r[:, k] = cur_r
+    return out_x, out_r
+
+
 def run_subset_simulation(
     system: RareEventSystem,
     config: SubsetConfig,
     failure_threshold: float,
     seed: _rng.SeedLike,
-    stop_on_rare_count: bool = True,
 ) -> SubsetResult:
-    """Run the full multi-level simulation of problem 0 of `system`.
+    """Run the full multi-level simulation of the one problem of `system`.
 
     The case K = 1 of `run_subset_simulations`.
     """
-    return run_subset_simulations(system, config, failure_threshold, [seed], stop_on_rare_count)[0]
+    return run_subset_simulations(system, config, failure_threshold, [seed])[0]
 
 
 def run_subset_simulations(
@@ -284,33 +346,42 @@ def run_subset_simulations(
     config: SubsetConfig,
     failure_threshold: float,
     seeds: Sequence[_rng.SeedLike],
-    stop_on_rare_count: bool = True,
 ) -> list[SubsetResult]:
     """Run problems 0..K-1 of `system` in lockstep, problem k from `seeds[k]`.
 
     Level 0 draws N prior samples per problem.  While levels remain, the
     engine promotes each problem's N_c best samples as chain seeds, grows N
     new conditional samples under its intermediate threshold, and repeats.
-    Total cost is N per level per problem.
+    A problem's descent stops as soon as a level holds at least N_c samples
+    at or below `failure_threshold`, or at `max_levels`.  Total cost is N per
+    level per problem.
 
-    With `stop_on_rare_count` (the conflict estimators' behavior) a problem's
-    descent also stops as soon as a level holds at least N_c samples at or
-    below `failure_threshold`; without it (the reference-problem behavior)
-    all `max_levels` levels run unconditionally.
-
-    Each problem draws level 0 from `child(root_k, 0)` and its chains at
-    level l from `child(root_k, l)`, with root_k derived from its seed, and
-    the sort, threshold, seed selection and stop test are row-wise; so each
-    result equals the problem's own one-problem run bit for bit.
+    Each problem draws level 0 from `child(root_k, 0)` and its chains'
+    (N_c, length, d) innovations at level l from `child(root_k, l)`, with
+    root_k derived from its seed, and the sort, threshold, seed selection and
+    stop test are row-wise; so each result equals the problem's own
+    one-problem run bit for bit.
     """
     roots = [_rng.derive(seed) for seed in seeds]
     k_all = len(roots)
     if k_all == 0:
         raise ValueError("at least one seed is required")
+    mean, chol = system.mean, system.chol
+    if mean.ndim != 2 or chol.shape != mean.shape + mean.shape[1:]:
+        raise ValueError(f"system mean {mean.shape} and Cholesky factors {chol.shape} do not match")
+    if len(mean) != k_all:
+        raise ValueError(f"system poses {len(mean)} problems but {k_all} seeds were given")
     n, n_c, n_s = config.n_samples, config.n_chains, config.chain_length
+    d = mean.shape[1]
+    chol_inv = np.linalg.inv(chol)
 
     active = np.arange(k_all)  # problems still descending, in order
-    samples = system.sample_prior([_rng.generator(_rng.child(root, 0)) for root in roots], n)
+    samples = np.concatenate(
+        [
+            sample_gaussian(_rng.generator(_rng.child(root, 0)), n, mean[k], chol[k])
+            for k, root in enumerate(roots)
+        ]
+    )
     responses = np.asarray(system.evaluate(samples, active.repeat(n)), dtype=np.float64)
     level = 0
     sorted_r, sorted_x = _sort_blocks(samples, responses, k_all, n, level)
@@ -323,7 +394,7 @@ def run_subset_simulations(
         for j, k in enumerate(active.tolist()):
             blocks[k].append((intervals, sorted_r[j], sorted_x[j]))
         conflicts = (sorted_r <= failure_threshold).sum(axis=1)
-        go = conflicts < n_c if stop_on_rare_count else np.ones(len(active), dtype=bool)
+        go = conflicts < n_c
         if level == config.max_levels - 1:
             go[:] = False
         if not go.all():
@@ -343,21 +414,22 @@ def run_subset_simulations(
         level += 1
 
         m = len(active)
-        gens = [_rng.generator(_rng.child(roots[k], level)) for k in active.tolist()]
-        samples, responses = system.conditional_chains(
-            seeds_x.reshape(m * n_c, *seeds_x.shape[2:]),
+        innovations = np.concatenate(
+            [
+                _rng.generator(_rng.child(roots[k], level)).standard_normal((n_c, n_s, d))
+                for k in active.tolist()
+            ]
+        )
+        samples, responses = conditional_chains(
+            system,
+            chol_inv,
+            seeds_x.reshape(m * n_c, d),
             seed_r.reshape(-1),
             b.repeat(n_c),
-            n_s,
-            gens,
+            innovations,
             active.repeat(n_c),
         )
-        responses = np.asarray(responses, dtype=np.float64)
-        if samples.shape[0] != m * n or responses.shape[0] != m * n:
-            raise ValueError(
-                f"conditional chains returned {samples.shape[0]} samples and "
-                f"{responses.shape[0]} responses, expected {m * n}"
-            )
+        samples, responses = samples.reshape(m * n, d), responses.reshape(m * n)
         over = responses.reshape(m, n) > b[:, None]
         if over.any():
             i = np.flatnonzero(over)[0]

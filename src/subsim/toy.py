@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import rng as _rng
-from ._tilt import TiltSpec, resolve_tilt
 from .engine import RareEventSystem, SubsetConfig, SubsetResult, run_subset_simulation
 
 
@@ -66,65 +64,6 @@ def dmc_estimate(region: CircleRegion, n: int, seed: _rng.SeedLike) -> float:
     return float(np.count_nonzero(_distances(xy, region.center.as_array()) <= region.radius)) / n
 
 
-def _toy_chains(
-    seeds_xy: np.ndarray,
-    seed_dists: np.ndarray,
-    region: CircleRegion,
-    thresholds: np.ndarray,
-    length: int,
-    gens: Sequence[np.random.Generator],
-    target_scale: TiltSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Metropolis-Hastings chains of `length` new samples each under their thresholds.
-
-    Random-walk proposal with unit covariance; the target density is a
-    Gaussian about the region center with standard deviation sigma per axis
-    (the disc radius unless overridden, see `_tilt`).  A candidate is
-    accepted iff it lies within its chain's threshold and its uniform draw is
-    below the acceptance ratio.
-
-    The seeds come in len(gens) equal groups.  Group i draws its steps, of
-    shape (m_i, length, 2), then its uniforms, of shape (m_i, length), from
-    gens[i] in two blocks; chain j of the group takes row j of each, and all
-    chains advance together.  Returns the samples (m, length, 2) and their
-    distances (m, length).
-    """
-    seed_dists = np.asarray(seed_dists, dtype=np.float64)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    beyond = np.flatnonzero(seed_dists > thresholds)
-    if beyond.size:
-        j = beyond[0]
-        raise ValueError(
-            f"seed {j} violates the threshold: distance {seed_dists[j]:.6g} > {thresholds[j]:.6g}"
-        )
-    sigma = resolve_tilt(target_scale, region.radius, thresholds)
-    sigma2 = sigma * sigma
-    m = len(seed_dists)
-    per_gen = m // len(gens)
-    draws = [
-        (gen.standard_normal((per_gen, length, 2)), gen.random((per_gen, length))) for gen in gens
-    ]
-    steps = np.concatenate([s for s, _ in draws])
-    uniforms = np.concatenate([u for _, u in draws])
-    center = region.center.as_array()
-    cur = np.array(seeds_xy, dtype=np.float64).reshape(m, 2)
-    cur_d = seed_dists
-    out_xy = np.empty((m, length, 2))
-    out_d = np.empty((m, length))
-    for k in range(length):
-        cand = cur + steps[:, k]
-        cand_d = _distances(cand, center)
-        # The symmetric random walk's proposal ratio cancels, so the
-        # acceptance ratio is the target ratio alone.
-        log_beta = (cur_d * cur_d - cand_d * cand_d) / (2.0 * sigma2)
-        ok = (cand_d <= thresholds) & (uniforms[:, k] < np.exp(np.minimum(0.0, log_beta)))
-        cur = np.where(ok[:, None], cand, cur)
-        cur_d = np.where(ok, cand_d, cur_d)
-        out_xy[:, k] = cur
-        out_d[:, k] = cur_d
-    return out_xy, out_d
-
-
 def oracle_probability(region: CircleRegion, rel_tol: float = 1e-6) -> float:
     """Standard bivariate normal mass inside the disc, by polar quadrature.
 
@@ -158,42 +97,22 @@ def oracle_probability(region: CircleRegion, rel_tol: float = 1e-6) -> float:
     return prev
 
 
-def toy_system(region: CircleRegion, target_scale: TiltSpec = None) -> RareEventSystem:
-    """Wire the disc problem into the generic engine.
-
-    Every problem of the system is the same disc; `ss_toy` runs one.
-    """
+def toy_system(region: CircleRegion) -> RareEventSystem:
+    """The disc problem as one engine problem: a standard-normal prior (zero
+    mean, identity factor) and the distance to the disc center."""
     center = region.center.as_array()
-
-    def sample_prior(gens, n: int) -> np.ndarray:
-        return np.concatenate([gen.standard_normal((n, 2)) for gen in gens])
 
     def evaluate(xy: np.ndarray, problems: np.ndarray) -> np.ndarray:
         return _distances(xy, center)
 
-    def conditional_chains(seeds_xy, seed_dists, thresholds, length, gens, problems):
-        xy, d = _toy_chains(seeds_xy, seed_dists, region, thresholds, length, gens, target_scale)
-        return xy.reshape(-1, 2), d.reshape(-1)
-
-    return RareEventSystem(
-        sample_prior=sample_prior, evaluate=evaluate, conditional_chains=conditional_chains
-    )
+    return RareEventSystem(np.zeros((1, 2)), np.eye(2)[None], evaluate)
 
 
-def ss_toy(
-    region: CircleRegion,
-    config: SubsetConfig,
-    seed: _rng.SeedLike,
-    target_scale: TiltSpec = None,
-) -> SubsetResult:
+def ss_toy(region: CircleRegion, config: SubsetConfig, seed: _rng.SeedLike) -> SubsetResult:
     """Subset Simulation estimate of the disc probability.
 
-    All `max_levels` levels run unconditionally (the reference problem's
-    descent is not cut short when the disc fills with samples), and the
-    probability is read off the final level.  With max_levels = 1 this
-    reduces to `dmc_estimate` on the same draws.
+    The descent stops once a level holds N_c samples inside the disc, or at
+    `max_levels`, and the probability is read off the final level.  With
+    max_levels = 1 this reduces to `dmc_estimate` on the same draws.
     """
-    system = toy_system(region, target_scale=target_scale)
-    return run_subset_simulation(
-        system, config, region.radius, seed, stop_on_rare_count=False
-    )
+    return run_subset_simulation(toy_system(region), config, region.radius, seed)

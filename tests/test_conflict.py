@@ -9,10 +9,8 @@ from subsim import conflict
 from subsim import rng as _rng
 from subsim._kernels import miss_distance_batch, miss_distance_scan
 from subsim.conflict import (
-    CHAIN_CORRELATION,
     ConflictQuery,
     QueryBatch,
-    _conflict_chains,
     _observer_positions,
     conflict_system,
     pc_dmc,
@@ -21,7 +19,13 @@ from subsim.conflict import (
     simulate_scenario,
 )
 from subsim.dynamics import AircraftState
-from subsim.engine import SubsetConfig
+from subsim.engine import (
+    CHAIN_CORRELATION,
+    SubsetConfig,
+    conditional_chains,
+    run_subset_simulation,
+    sample_gaussian,
+)
 from subsim.scenarios import build_head_on
 from subsim.tracking import KalmanEstimate
 
@@ -108,34 +112,34 @@ def _whiten(q, states):
     return np.linalg.solve(chol, (states - q.intruder_estimate.mean.as_array()).T).T
 
 
-def _run_chains(q, seed_states, threshold, innovations):
-    m = len(seed_states)
-    return _conflict_chains(
-        seed_states, _miss(q, seed_states), np.full(m, threshold), innovations,
-        QueryBatch.from_queries([q]), np.zeros(m, dtype=int),
+def _batch_chains(batch, seed_states, seed_misses, thresholds, innovations, problems):
+    """The engine's chains on the conflict system of `batch`."""
+    system = conflict_system(batch)
+    return conditional_chains(
+        system, np.linalg.inv(system.chol), seed_states, seed_misses, thresholds, innovations,
+        problems,
     )
 
 
-def _one_problem_chains(q, seeds, threshold, length, gen):
-    """The engine system's chains of one query, all from one generator."""
-    m = len(seeds)
-    return conflict_system(QueryBatch.from_queries([q])).conditional_chains(
-        seeds, _miss(q, seeds), np.full(m, threshold), length, [gen], np.zeros(m, dtype=int)
+def _run_chains(q, seed_states, threshold, innovations):
+    m = len(seed_states)
+    return _batch_chains(
+        QueryBatch.from_queries([q]), seed_states, _miss(q, seed_states), np.full(m, threshold),
+        innovations, np.zeros(m, dtype=int),
     )
 
 
 def _system_chains(q, seeds, length, threshold, seed):
-    """Per-chain (states, misses) from the engine system's chains on one generator."""
+    """Per-chain (states, misses) of the engine's chains on one query, the
+    innovations one (m, length, 6) block of one generator."""
     seeds = np.atleast_2d(seeds)
-    gen = _rng.generator(_rng.derive(seed))
-    states, misses = _one_problem_chains(q, seeds, threshold, length, gen)
-    m = len(seeds)
-    return list(zip(states.reshape(m, length, 6), misses.reshape(m, length)))
+    innovations = _rng.generator(_rng.derive(seed)).standard_normal((len(seeds), length, 6))
+    return list(zip(*_run_chains(q, seeds, threshold, innovations)))
 
 
 def _run_chain(q, seed_state, threshold, innovations):
-    states, misses, accepted = _run_chains(q, seed_state[None, :], threshold, innovations[None])
-    return states[0], misses[0], int(accepted[0])
+    states, misses = _run_chains(q, seed_state[None, :], threshold, innovations[None])
+    return states[0], misses[0]
 
 
 class TestAcceptanceRatio:
@@ -143,12 +147,11 @@ class TestAcceptanceRatio:
 
     def test_identical_candidate_gives_unit_ratio(self):
         # at the posterior mean a zero innovation proposes the current state
-        # itself; it is accepted even with the state on the threshold
+        # itself; with the state on the threshold the chain stays put
         q = _query(HEAD_ON_OFFSET)
         mean = q.intruder_estimate.mean.as_array()
         threshold = float(_miss(q, mean)[0])
-        states, misses, accepted = _run_chain(q, mean, threshold, np.zeros((5, 6)))
-        assert accepted == 5
+        states, misses = _run_chain(q, mean, threshold, np.zeros((5, 6)))
         assert np.array_equal(states, np.tile(mean, (5, 1)))
         assert np.all(misses == threshold)
 
@@ -162,11 +165,9 @@ class TestAcceptanceRatio:
         cand = mean + chol @ (math.sqrt(1.0 - CHAIN_CORRELATION**2) * xi[0])
         cand_miss = float(_miss(q, cand)[0])
         assert cand_miss > float(_miss(q, mean)[0])
-        states, misses, accepted = _run_chain(q, mean, cand_miss, xi)
-        assert accepted == 1
+        states, misses = _run_chain(q, mean, cand_miss, xi)
         assert np.array_equal(states[0], cand) and misses[0] == cand_miss
-        states, misses, accepted = _run_chain(q, mean, np.nextafter(cand_miss, 0.0), xi)
-        assert accepted == 0
+        states, misses = _run_chain(q, mean, np.nextafter(cand_miss, 0.0), xi)
         assert np.array_equal(states[0], mean) and misses[0] < cand_miss
 
     def test_prior_ratio_penalizes_unlikely_states(self):
@@ -217,63 +218,70 @@ class TestLockstepChains:
         q = _query(HEAD_ON_OFFSET)
         seeds, innovations = self._seeds(q, 7, 21)
         threshold = float(_miss(q, seeds).max())
-        states, misses, accepted = _run_chains(q, seeds, threshold, innovations)
+        states, misses = _run_chains(q, seeds, threshold, innovations)
         assert states.shape == (7, 40, 6) and misses.shape == (7, 40)
-        assert 0 < accepted.sum() < 7 * 40  # both branches of the accept step run
+        moved = np.any(np.diff(np.concatenate([seeds[:, None], states], axis=1), axis=1) != 0.0, axis=2)
+        assert 0 < moved.sum() < 7 * 40  # both branches of the accept step run
         for j in range(7):
-            one_states, one_misses, one_accepted = _run_chain(q, seeds[j], threshold, innovations[j])
+            one_states, one_misses = _run_chain(q, seeds[j], threshold, innovations[j])
             assert np.array_equal(states[j], one_states)
             assert np.array_equal(misses[j], one_misses)
-            assert accepted[j] == one_accepted
 
     def test_matches_per_state_reference(self):
         q = _query(HEAD_ON_OFFSET)
         seeds, innovations = self._seeds(q, 5, 22)
         threshold = float(_miss(q, seeds).max())
-        states, misses, _ = _run_chains(q, seeds, threshold, innovations)
+        states, misses = _run_chains(q, seeds, threshold, innovations)
         for j in range(5):
             ref_states, ref_misses = _reference_chain(q, seeds[j], threshold, innovations[j])
             assert np.array_equal(states[j], ref_states)
             assert np.array_equal(misses[j], ref_misses)
 
     def test_engine_system_groups_chain_by_chain(self):
+        # in an engine run, level 1's chain j takes block[j] of one
+        # (N_c, length, 6) draw from the level's stream child(root, 1)
         q = _query(HEAD_ON_OFFSET)
-        seeds, _ = self._seeds(q, 4, 23)
-        threshold = float(_miss(q, seeds).max())
-        gen = _rng.generator(_rng.derive(24))
-        states, misses = _one_problem_chains(q, seeds, threshold, 10, gen)
-        assert states.shape == (40, 6) and misses.shape == (40,)
-        # chain j takes block[j] of one (4, 10, 6) draw from the level's stream
-        block = _rng.generator(_rng.derive(24)).standard_normal((4, 10, 6))
-        ref_states, ref_misses, _ = _run_chains(q, seeds, threshold, block)
-        assert np.array_equal(states, ref_states.reshape(-1, 6))
-        assert np.array_equal(misses, ref_misses.reshape(-1))
-
+        cfg = SubsetConfig(n_samples=40, level_probability=0.25, max_levels=2)
+        result = run_subset_simulation(conflict_system(QueryBatch.from_queries([q])), cfg, 0.0, 24)
+        root = _rng.derive(24)
+        level0 = sample_gaussian(
+            _rng.generator(_rng.child(root, 0)), 40, q.intruder_estimate.mean.as_array(),
+            np.linalg.cholesky(q.intruder_estimate.covariance),
+        )
+        order = np.argsort(-_miss(q, level0), kind="stable")
+        seeds = level0[order][-10:]
+        threshold = result.diagnostics.thresholds[0]
+        block = _rng.generator(_rng.child(root, 1)).standard_normal((10, 4, 6))
+        ref_states, ref_misses = _run_chains(q, seeds, threshold, block)
+        ref_states, ref_misses = ref_states.reshape(-1, 6), ref_misses.reshape(-1)
+        order = np.argsort(-ref_misses, kind="stable")
+        assert np.array_equal(result.table.samples[30:], ref_states[order])
+        assert np.array_equal(result.table.responses[30:], ref_misses[order])
 
     def test_queries_of_one_batch_equal_their_own_chains(self):
         # chains of three queries advanced in one call, each query's group
-        # drawing from its own generator, equal each query's chains alone
+        # on its own block of innovations, equal each query's chains alone
         queries = [_query(HEAD_ON_OFFSET), _query(HEAD_ON_COLLISION, 2.0), _query(RECEDING, 0.5)]
-        seeds, thresholds = [], []
+        seeds, thresholds, blocks = [], [], []
         for i, q in enumerate(queries):
             s, _ = self._seeds(q, 3, 30 + i)
             seeds.append(s)
             thresholds.append(float(_miss(q, s).max()))
+            blocks.append(_rng.generator(_rng.derive(40 + i)).standard_normal((3, 12, 6)))
         batch = QueryBatch.from_queries(queries)
         seed_misses = np.concatenate([_miss(q, s) for q, s in zip(queries, seeds)])
-        states, misses = conflict_system(batch).conditional_chains(
+        states, misses = _batch_chains(
+            batch,
             np.concatenate(seeds),
             seed_misses,
             np.repeat(thresholds, 3),
-            12,
-            [_rng.generator(_rng.derive(40 + i)) for i in range(3)],
+            np.concatenate(blocks),
             np.repeat([0, 1, 2], 3),
         )
         for i, q in enumerate(queries):
-            gen = _rng.generator(_rng.derive(40 + i))
-            one_states, one_misses = _one_problem_chains(q, seeds[i], thresholds[i], 12, gen)
-            assert np.array_equal(states[36 * i : 36 * (i + 1)], one_states)
-            assert np.array_equal(misses[36 * i : 36 * (i + 1)], one_misses)
+            one_states, one_misses = _run_chains(q, seeds[i], thresholds[i], blocks[i])
+            assert np.array_equal(states[3 * i : 3 * (i + 1)], one_states)
+            assert np.array_equal(misses[3 * i : 3 * (i + 1)], one_misses)
 
 
 class TestMhConflictSamples:

@@ -1,20 +1,26 @@
 """Engine unit tests: interval ladders, thresholds, seeds, CCDF assembly, read-off."""
 
+import math
+
 import numpy as np
 import pytest
 
+from subsim import engine
 from subsim import rng as _rng
 from subsim.engine import (
+    CHAIN_CORRELATION,
     CcdfTable,
     IntervalVariant,
     RareEventSystem,
     SubsetConfig,
     assemble_ccdf,
+    conditional_chains,
     estimate_probability,
     intermediate_threshold,
     probability_intervals,
     run_subset_simulation,
     run_subset_simulations,
+    sample_gaussian,
     select_seeds,
 )
 
@@ -220,67 +226,62 @@ class TestEstimateProbability:
             estimate_probability(table, 5, 0, CFG)
 
 
+def _gaussian_system(evaluate, k=1):
+    """K one-dimensional standard-normal problems with the given response."""
+    return RareEventSystem(np.zeros((k, 1)), np.ones((k, 1, 1)), evaluate)
+
+
 def _line_system(shift=0.0):
-    """1D test system: response = |x - shift|, prior standard normal, chains
-    as simple random walks accepted whenever they respect the threshold.
+    """1D test system: response = |x - shift|, prior standard normal.
     `shift` is one value, or one per problem."""
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
 
     def evaluate(x, problems):
         return np.abs(x[:, 0] - shifts[problems])
 
-    def chain(seed, threshold, length, gen, c):
-        cur = float(seed[0])
-        out = np.empty((length, 1))
-        resp = np.empty(length)
-        for k in range(length):
-            cand = cur + gen.standard_normal()
-            gen.random()
-            if abs(cand - c) <= threshold:
-                cur = cand
-            out[k, 0] = cur
-            resp[k] = abs(cur - c)
-        return out, resp
-
-    def conditional_chains(seeds, seed_resps, thresholds, length, gens, problems):
-        per_gen = len(seeds) // len(gens)
-        runs = [
-            chain(seeds[j], thresholds[j], length, gens[j // per_gen], shifts[problems[j]])
-            for j in range(len(seeds))
-        ]
-        return np.concatenate([x for x, _ in runs]), np.concatenate([r for _, r in runs])
-
-    return RareEventSystem(_per_problem(_standard_normal), evaluate, conditional_chains)
+    return _gaussian_system(evaluate, k=len(shifts))
 
 
-def _per_problem(prior):
-    """sample_prior(gens, n) from a one-problem prior(gen, n)."""
-
-    def sample_prior(gens, n):
-        return np.concatenate([prior(gen, n) for gen in gens])
-
-    return sample_prior
-
-
-def _first_column(x, problems):
-    return x[:, 0]
+def _assert_level_streams(system, result, seed, cfg):
+    """A one-problem run's table equals its replay level by level: level 0 is
+    N prior draws from child(root, 0), and level l's chains start from level
+    l - 1's N_c best samples and consume one (N_c, length, d) block of
+    child(root, l)."""
+    n, n_c, n_s = cfg.n_samples, cfg.n_chains, cfg.chain_length
+    levels = result.diagnostics.levels_completed
+    assert levels > 1
+    root = _rng.derive(seed)
+    d = system.mean.shape[1]
+    x = sample_gaussian(_rng.generator(_rng.child(root, 0)), n, system.mean[0], system.chol[0])
+    r = system.evaluate(x, np.zeros(n, dtype=int))
+    kept_x, kept_r = [], []
+    for level in range(1, levels + 1):
+        order = np.argsort(-r, kind="stable")
+        x, r = x[order], r[order]
+        if level == levels:
+            kept_x.append(x)
+            kept_r.append(r)
+            break
+        kept_x.append(x[: n - n_c])
+        kept_r.append(r[: n - n_c])
+        b = r[n - n_c - 1]
+        assert b == result.diagnostics.thresholds[level - 1]
+        innovations = _rng.generator(_rng.child(root, level)).standard_normal((n_c, n_s, d))
+        x, r = conditional_chains(
+            system, np.linalg.inv(system.chol), x[-n_c:], r[-n_c:], np.full(n_c, b), innovations,
+            np.zeros(n_c, dtype=int),
+        )
+        x, r = x.reshape(n, d), r.reshape(n)
+    assert np.array_equal(result.table.samples, np.concatenate(kept_x))
+    assert np.array_equal(result.table.responses, np.concatenate(kept_r))
 
 
 def _abs_first_column(x, problems):
     return np.abs(x[:, 0])
 
 
-def _standard_normal(gen, n):
-    return gen.standard_normal((n, 1))
-
-
-def _ones(gen, n):
-    return np.ones((n, 1))
-
-
-def _frozen_chains(seeds, seed_resps, thresholds, length, gens, problems):
-    out = np.repeat(seeds, length, axis=0)
-    return out, out[:, 0]
+def _flat(x, problems):
+    return np.ones(len(x))
 
 
 class TestRunSubsetSimulation:
@@ -307,30 +308,17 @@ class TestRunSubsetSimulation:
         assert len(result.table.rows) == 90 * (d.levels_completed - 1) + 100
 
     def test_stop_exactly_at_chain_count(self):
-        # a kernel that plants exactly N_c responses at/below the failure
-        # threshold on level 1 must stop there (boundary D == N_c)
-        calls = {"level": 0}
-
-        def prior(gen, n):
-            return np.linspace(10.0, 20.0, n).reshape(-1, 1)
-
-        def conditional_chains(seeds, seed_resps, thresholds, length, gens, problems):
-            calls["level"] = max(calls["level"], 1)
-            out = np.repeat(seeds - 9.0, length, axis=0)
-            return out, out[:, 0]
-
+        # a level 0 with exactly N_c responses at/below the failure threshold
+        # stops there (boundary D == N_c); one fewer descends
+        system = _line_system(shift=2.0)
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=5)
-        system = RareEventSystem(_per_problem(prior), _first_column, conditional_chains)
-        result = run_subset_simulation(system, cfg, 2.0, seed=1)
-        # level 1 responses: seeds 10 smallest (10.0..10.9) - 9 => 1.0..1.9, all <= 2
-        assert result.diagnostics.conflict_count == 100
-        assert result.diagnostics.levels_completed == 2
-
-    def test_fixed_level_mode_runs_all_levels(self):
-        system = _line_system()
-        cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
-        result = run_subset_simulation(system, cfg, 1e9, seed=5, stop_on_rare_count=False)
-        assert result.diagnostics.levels_completed == 4
+        level0 = run_subset_simulation(system, SubsetConfig(100, 0.1, 1), 0.0, seed=1)
+        tenth = level0.table.responses[-10]
+        result = run_subset_simulation(system, cfg, tenth, seed=1)
+        assert result.diagnostics.conflict_count == 10
+        assert result.diagnostics.levels_completed == 1
+        result = run_subset_simulation(system, cfg, np.nextafter(tenth, 0.0), seed=1)
+        assert result.diagnostics.levels_completed > 1
 
     def test_deterministic_tables(self):
         system = _line_system(shift=3.0)
@@ -348,51 +336,38 @@ class TestRunSubsetSimulation:
         r2 = run_subset_simulation(system, CFG, 0.5, seed=78)
         assert not np.array_equal(r1.table.responses, r2.table.responses)
 
-    def test_chain_threshold_violation_raises(self):
-        def bad_chains(seeds, seed_resps, thresholds, length, gens, problems):
+    def test_chain_threshold_violation_raises(self, monkeypatch):
+        def bad_chains(system, chol_inv, seeds, seed_resps, thresholds, innovations, problems):
             # one sample of the whole batch lies beyond its chain's threshold
-            out = np.repeat(seeds, length, axis=0)
-            resp = np.abs(out[:, 0])
-            resp[len(resp) // 2] = thresholds[len(seeds) // 2] + 1.0
+            m, length, d = innovations.shape
+            out = np.repeat(seeds[:, None], length, axis=1)
+            resp = np.repeat(np.asarray(seed_resps)[:, None], length, axis=1)
+            resp[m // 2, 0] = thresholds[m // 2] + 1.0
             return out, resp
 
-        system = RareEventSystem(_per_problem(_standard_normal), _abs_first_column, bad_chains)
+        monkeypatch.setattr(engine, "conditional_chains", bad_chains)
         with pytest.raises(ValueError, match="violated"):
-            run_subset_simulation(system, CFG, 1e-6, seed=3)
+            run_subset_simulation(_line_system(), CFG, 1e-6, seed=3)
 
-    def test_chain_length_violation_raises(self):
-        def short_chains(seeds, seed_resps, thresholds, length, gens, problems):
-            # one chain of the batch comes back a sample short
-            out = np.repeat(seeds, length, axis=0)[1:]
-            return out, np.abs(out[:, 0])
+    def test_response_count_violation_raises(self):
+        def short(x, problems):
+            return np.abs(x[1:, 0])
 
-        system = RareEventSystem(_per_problem(_standard_normal), _abs_first_column, short_chains)
         with pytest.raises(ValueError, match="expected"):
-            run_subset_simulation(system, CFG, 1e-6, seed=3)
+            run_subset_simulation(_gaussian_system(short), CFG, 1e-6, seed=3)
+
+    def test_problem_count_must_match_seeds(self):
+        with pytest.raises(ValueError, match="2 problems but 3 seeds"):
+            run_subset_simulations(_line_system((1.0, 2.0)), CFG, 0.5, (1, 2, 3))
+        bad = RareEventSystem(np.zeros((1, 2)), np.ones((1, 2, 3)), _abs_first_column)
+        with pytest.raises(ValueError, match="do not match"):
+            run_subset_simulation(bad, CFG, 0.5, seed=1)
 
     def test_chains_get_seeds_and_level_stream(self):
-        # one call per level with the N_c best samples, their responses, and
-        # the level's generator child(root, level)
-        seen = []
-
-        def conditional_chains(seeds, seed_resps, thresholds, length, gens, problems):
-            assert len(gens) == 1 and np.array_equal(problems, np.zeros(len(seeds)))
-            seen.append((seeds.copy(), np.array(seed_resps), gens[0].standard_normal(3)))
-            out = np.repeat(seeds, length, axis=0)
-            return out, np.abs(out[:, 0])
-
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=3)
-        system = RareEventSystem(
-            _per_problem(_standard_normal), _abs_first_column, conditional_chains
-        )
-        run_subset_simulation(system, cfg, 0.0, seed=9, stop_on_rare_count=False)
-        root = _rng.derive(9)
-        assert len(seen) == 2
-        for level, (seeds, resps, draws) in enumerate(seen, start=1):
-            assert seeds.shape == (10, 1)
-            assert np.array_equal(resps, np.abs(seeds[:, 0]))
-            expected = _rng.generator(_rng.child(root, level)).standard_normal(3)
-            assert np.array_equal(draws, expected)
+        system = _line_system(shift=5.0)
+        result = run_subset_simulation(system, cfg, 0.0, seed=9)
+        _assert_level_streams(system, result, 9, cfg)
 
     def test_level0_estimate_equals_direct_count(self):
         system = _line_system()
@@ -402,21 +377,17 @@ class TestRunSubsetSimulation:
         assert result.estimate == d.conflict_count / 100
 
     def test_stalled_threshold_logs_warning(self, caplog):
-
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
-        system = RareEventSystem(_per_problem(_ones), _first_column, _frozen_chains)
         with caplog.at_level("WARNING", logger="subsim.engine"):
-            run_subset_simulation(system, cfg, 0.0, seed=1)
+            run_subset_simulation(_gaussian_system(_flat), cfg, 0.0, seed=1)
         assert any("did not decrease" in m for m in caplog.messages)
 
     def test_stalls_reported_once_with_their_count(self, caplog):
-        # every level's population is the constant 1, so thresholds 2..5 all
-        # equal the first: four stalls, one warning line
-
+        # a flat response makes every level's population the constant 1, so
+        # thresholds 2..5 all equal the first: four stalls, one warning line
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=6)
-        system = RareEventSystem(_per_problem(_ones), _first_column, _frozen_chains)
         with caplog.at_level("WARNING", logger="subsim.engine"):
-            result = run_subset_simulation(system, cfg, 0.0, seed=1)
+            result = run_subset_simulation(_gaussian_system(_flat), cfg, 0.0, seed=1)
         assert result.diagnostics.stalled_levels == 4
         lines = [m for m in caplog.messages if "did not decrease" in m]
         assert len(lines) == 1
@@ -426,10 +397,107 @@ class TestRunSubsetSimulation:
         system = _line_system(shift=4.0)
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
         with caplog.at_level("WARNING", logger="subsim.engine"):
-            result = run_subset_simulation(system, cfg, 0.0, seed=5, stop_on_rare_count=False)
+            result = run_subset_simulation(system, cfg, 0.0, seed=5)
+        assert result.diagnostics.levels_completed == 4
         assert np.all(np.diff(result.diagnostics.thresholds) < 0)
         assert result.diagnostics.stalled_levels == 0
         assert not caplog.messages
+
+
+def _chol(d, seed):
+    a = np.random.default_rng(seed).normal(size=(d, d))
+    return np.linalg.cholesky(a @ a.T + d * np.eye(d))
+
+
+class TestConditionalChains:
+    """The engine's one chain kernel, on hand-made Gaussian problems."""
+
+    MEAN = np.array([[1.0, -2.0, 0.5]])
+    CHOL = _chol(3, 1)[None]
+
+    def _system(self, evaluate=_abs_first_column):
+        return RareEventSystem(self.MEAN, self.CHOL, evaluate)
+
+    def _run(self, system, seeds, thresholds, innovations):
+        seeds = np.atleast_2d(seeds)
+        m = len(seeds)
+        return conditional_chains(
+            system, np.linalg.inv(system.chol), seeds, system.evaluate(seeds, np.zeros(m, int)),
+            np.broadcast_to(thresholds, (m,)), innovations, np.zeros(m, dtype=int),
+        )
+
+    def test_stationary_law_is_the_prior(self):
+        # with an infinite threshold every candidate is accepted and the
+        # chain samples N(mean, chol chol^T)
+        system = self._system()
+        innovations = _rng.generator(_rng.derive(3)).standard_normal((20, 2_000, 3))
+        x, _ = self._run(system, np.repeat(self.MEAN, 20, axis=0), np.inf, innovations)
+        x = x[:, 50:].reshape(-1, 3)  # past burn-in
+        cov = self.CHOL[0] @ self.CHOL[0].T
+        # 39,000 states at rho = 0.8 weigh as about 4,300 independent draws:
+        # 0.1 standard deviations is more than 4 of their standard errors
+        assert np.allclose(x.mean(axis=0), self.MEAN[0], atol=0.1 * np.sqrt(np.diag(cov)))
+        scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        assert np.all(np.abs(np.cov(x.T) - cov) < 0.1 * scale)
+
+    def test_replay_equals_scalar_chain(self):
+        # chain j, one scalar step at a time on its innovations[j]
+        system = self._system()
+        gen = _rng.generator(_rng.derive(4))
+        seeds = self.MEAN + gen.standard_normal((5, 3)) @ self.CHOL[0].T
+        innovations = gen.standard_normal((5, 30, 3))
+        threshold = float(np.abs(seeds[:, 0]).max())
+        x, r = self._run(system, seeds, threshold, innovations)
+        chol, mean = self.CHOL[0], self.MEAN[0]
+        moved = 0
+        for j in range(5):
+            z = np.linalg.inv(chol) @ (seeds[j] - mean)
+            cur = seeds[j]
+            for k in range(30):
+                cand_z = CHAIN_CORRELATION * z + math.sqrt(1.0 - CHAIN_CORRELATION**2) * innovations[j, k]
+                cand = mean + chol @ cand_z
+                if abs(cand[0]) <= threshold:
+                    z, cur = cand_z, cand
+                    moved += 1
+                assert np.array_equal(x[j, k], cur) and r[j, k] == abs(cur[0])
+        assert 0 < moved < 5 * 30  # both branches of the accept step run
+
+    def test_candidate_on_threshold_accepted(self):
+        # a candidate exactly on the threshold is accepted; one ulp beyond, rejected
+        system = self._system()
+        xi = np.array([[[0.3, -1.2, 0.7]]])
+        cand = self.MEAN[0] + self.CHOL[0] @ (math.sqrt(1.0 - CHAIN_CORRELATION**2) * xi[0, 0])
+        b = abs(cand[0])
+        assert b > abs(self.MEAN[0, 0])  # the seed lies within both thresholds
+        x, r = self._run(system, self.MEAN, b, xi)
+        assert np.array_equal(x[0, 0], cand) and r[0, 0] == b
+        x, _ = self._run(system, self.MEAN, np.nextafter(b, 0.0), xi)
+        assert np.array_equal(x[0, 0], self.MEAN[0])
+
+    def test_seed_beyond_threshold_rejected(self):
+        with pytest.raises(ValueError, match="violates"):
+            self._run(self._system(), self.MEAN, 0.5, np.zeros((1, 3, 3)))
+
+    def test_lockstep_equals_alone(self):
+        # chains of two problems in one call equal each chain run alone
+        mean = np.array([[0.0, 0.0], [3.0, -1.0]])
+        chol = np.array([_chol(2, 5), _chol(2, 6)])
+        system = RareEventSystem(mean, chol, lambda x, p: np.hypot(x[:, 0] - 2.0 * p, x[:, 1]))
+        gen = _rng.generator(_rng.derive(7))
+        problems = np.array([0, 0, 1, 1, 1])
+        seeds = mean[problems] + gen.standard_normal((5, 2))
+        resp = system.evaluate(seeds, problems)
+        thresholds = resp + 0.5
+        innovations = gen.standard_normal((5, 25, 2))
+        inv = np.linalg.inv(chol)
+        x, r = conditional_chains(system, inv, seeds, resp, thresholds, innovations, problems)
+        for j in range(5):
+            one_x, one_r = conditional_chains(
+                system, inv, seeds[j : j + 1], resp[j : j + 1], thresholds[j : j + 1],
+                innovations[j : j + 1], problems[j : j + 1],
+            )
+            assert np.array_equal(x[j], one_x[0]) and np.array_equal(r[j], one_r[0])
+        assert np.all(r <= thresholds[:, None])
 
 
 def _assert_same_result(a, b):
@@ -460,38 +528,20 @@ class TestLockstepProblems:
             _assert_same_result(result, alone)
 
     def test_fixed_level_batch_equals_one_problem_runs(self):
+        # problems that never reach the rare count run every level to the cap
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
-        batch = run_subset_simulations(
-            _line_system((0.0, 3.0)), cfg, 0.5, (9, 10), stop_on_rare_count=False
-        )
+        batch = run_subset_simulations(_line_system((0.0, 3.0)), cfg, 0.0, (9, 10))
         for shift, seed, result in zip((0.0, 3.0), (9, 10), batch):
             assert result.diagnostics.levels_completed == 4
-            alone = run_subset_simulation(
-                _line_system(shift), cfg, 0.5, seed, stop_on_rare_count=False
-            )
-            _assert_same_result(result, alone)
+            _assert_same_result(result, run_subset_simulation(_line_system(shift), cfg, 0.0, seed))
 
     def test_each_problem_draws_its_own_streams(self):
         # level l of problem k comes from child(derive(seeds[k]), l), whatever
         # else runs beside it
-        seen = []
-
-        def conditional_chains(seeds, seed_resps, thresholds, length, gens, problems):
-            seen.append((problems.copy(), [gen.standard_normal(2) for gen in gens]))
-            out = np.repeat(seeds, length, axis=0)
-            return out, np.abs(out[:, 0])
-
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=3)
-        system = RareEventSystem(
-            _per_problem(_standard_normal), _abs_first_column, conditional_chains
-        )
-        run_subset_simulations(system, cfg, 0.0, (3, 4), stop_on_rare_count=False)
-        assert len(seen) == 2
-        for level, (problems, draws) in enumerate(seen, start=1):
-            assert np.array_equal(problems, np.repeat([0, 1], 10))
-            for seed, got in zip((3, 4), draws):
-                expected = _rng.generator(_rng.child(_rng.derive(seed), level)).standard_normal(2)
-                assert np.array_equal(got, expected)
+        batch = run_subset_simulations(_line_system((5.0, 6.0)), cfg, 0.0, (3, 4))
+        for shift, seed, result in zip((5.0, 6.0), (3, 4), batch):
+            _assert_level_streams(_line_system(shift), result, seed, cfg)
 
     def test_no_seeds_rejected(self):
         with pytest.raises(ValueError, match="seed"):

@@ -339,6 +339,3 @@ class TestAgainstTrajectoryPath:
             approach = min_distance(obs_traj, traj)
             assert approach.miss_distance == miss[k]
             assert approach.step_index == idx[k]
-
-    def test_active_backend_reports(self):
-        assert _kernels.active_backend() == "numpy"

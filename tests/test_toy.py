@@ -7,8 +7,11 @@ import pytest
 
 from subsim import rng as _rng
 from subsim.engine import (
+    CHAIN_CORRELATION,
     IntervalVariant,
+    RareEventSystem,
     SubsetConfig,
+    conditional_chains,
     run_subset_simulation,
     run_subset_simulations,
 )
@@ -101,69 +104,69 @@ class TestDmcEstimate:
         assert abs(est - p) < 3 * se
 
 
-def _chains(seeds, length, threshold, seed, target_scale=None):
-    """Per-chain (xy, d) from the toy system's chains on one generator."""
+def _chains(seeds, length, threshold, seed):
+    """Per-chain (xy, d) of the engine's chains on the toy system, the
+    innovations one (m, length, 2) block of one generator."""
     xy = np.array([s.as_array() for s in seeds])
     d = np.array([distance_to_center(s, REGION) for s in seeds])
     gen = _rng.generator(_rng.derive(seed))
     m = len(seeds)
-    out_xy, out_d = toy_system(REGION, target_scale).conditional_chains(
-        xy, d, np.full(m, threshold), length, [gen], np.zeros(m, dtype=int)
+    system = toy_system(REGION)
+    out_xy, out_d = conditional_chains(
+        system, np.linalg.inv(system.chol), xy, d, np.full(m, threshold),
+        gen.standard_normal((m, length, 2)), np.zeros(m, dtype=int),
     )
-    return list(zip(out_xy.reshape(m, length, 2), out_d.reshape(m, length)))
+    return list(zip(out_xy, out_d))
 
 
-def _replay_chain(seed, threshold, steps, uniforms, sigma):
-    """One chain, one scalar step at a time, on its rows of the level's draws."""
+def _replay_chain(seed, threshold, innovations):
+    """One chain, one scalar step at a time: z' = rho z + sqrt(1 - rho^2) xi,
+    accepted iff the candidate lies within the threshold."""
     c = REGION.center.as_array()
     cur = seed.as_array()
-    cur_d = distance_to_center(seed, REGION)
     out_xy, out_d = [], []
-    for step, u in zip(steps, uniforms):
-        cand = cur + step
+    for xi in innovations:
+        cand = CHAIN_CORRELATION * cur + math.sqrt(1.0 - CHAIN_CORRELATION**2) * xi
         dx = cand[0] - c[0]
         dy = cand[1] - c[1]
         cand_d = math.sqrt(dx * dx + dy * dy)
-        log_beta = (cur_d * cur_d - cand_d * cand_d) / (2.0 * sigma * sigma)
-        if cand_d <= threshold and u < math.exp(min(0.0, log_beta)):
-            cur, cur_d = cand, cand_d
+        if cand_d <= threshold:
+            cur = cand
         out_xy.append(cur)
-        out_d.append(cur_d)
+        out_d.append(distance_to_center(Point2(*cur), REGION))
     return np.array(out_xy), np.array(out_d)
 
 
 class TestMhChains:
     def test_free_random_walk_never_repeats(self):
-        # infinite threshold and an enormous target scale cancel every ratio:
-        # each candidate is accepted and the chain is a plain random walk
+        # with an infinite threshold every candidate is accepted
         seeds = [Point2(0.0, 0.0)]
-        (xy, d), = _chains(seeds, 200, threshold=np.inf, seed=9, target_scale=np.inf)
+        (xy, d), = _chains(seeds, 200, threshold=np.inf, seed=9)
         assert xy.shape == (200, 2)
         assert not np.any(np.all(np.diff(xy, axis=0) == 0.0, axis=1))
 
     def test_free_random_walk_matches_direct_replay(self):
-        # chain j is its seed plus the running sum of block[j] of the level's
-        # (m, length, 2) step draw
+        # with nothing rejected, chain j is the autoregression
+        # z' = rho z + sqrt(1 - rho^2) xi on block[j] of the level's
+        # (m, length, 2) draw
         seeds = [Point2(0.5, -0.5), Point2(-1.0, 2.0), Point2(3.0, 0.25)]
-        chains = _chains(seeds, 30, threshold=np.inf, seed=21, target_scale=np.inf)
-        steps = _rng.generator(_rng.derive(21)).standard_normal((3, 30, 2))
-        for s, (xy, d), block in zip(seeds, chains, steps):
-            walk = np.cumsum(np.vstack([s.as_array(), block]), axis=0)[1:]
-            assert np.array_equal(xy, walk)
-            assert np.array_equal(d, [distance_to_center(Point2(*p), REGION) for p in walk])
+        chains = _chains(seeds, 30, threshold=np.inf, seed=21)
+        blocks = _rng.generator(_rng.derive(21)).standard_normal((3, 30, 2))
+        for s, (xy, d), block in zip(seeds, chains, blocks):
+            ref_xy, ref_d = _replay_chain(s, np.inf, block)
+            assert np.array_equal(xy, ref_xy)
+            assert np.array_equal(d, ref_d)
 
     def test_lockstep_chains_equal_per_chain_replay(self):
-        # chain j's steps and uniforms are row j of the level's two blocks,
-        # drawn steps first; the accept rule is the scalar one, step by step
+        # chain j's innovations are row j of the level's block; the accept
+        # rule is the scalar one, step by step
         seeds = [Point2(2.0, -2.0), Point2(3.5, -3.0), Point2(2.5, -4.0), Point2(3.0, -2.2)]
         threshold = 1.6
         chains = _chains(seeds, 60, threshold, seed=23)
-        gen = _rng.generator(_rng.derive(23))
-        steps = gen.standard_normal((4, 60, 2))
-        uniforms = gen.random((4, 60))
+        blocks = _rng.generator(_rng.derive(23)).standard_normal((4, 60, 2))
         moved = 0
         for j, (xy, d) in enumerate(chains):
-            ref_xy, ref_d = _replay_chain(seeds[j], threshold, steps[j], uniforms[j], REGION.radius)
+            ref_xy, ref_d = _replay_chain(seeds[j], threshold, blocks[j])
             assert np.array_equal(xy, ref_xy)
             assert np.array_equal(d, ref_d)
             moved += np.count_nonzero(np.any(np.diff(xy, axis=0) != 0.0, axis=1))
@@ -175,28 +178,34 @@ class TestMhChains:
         assert np.all(d <= REGION.radius)
 
     def test_candidate_on_threshold_accepted(self):
-        # with the tilt switched off, a candidate exactly on the threshold is
-        # accepted and one a ulp beyond it is rejected
+        # a candidate exactly on the threshold is accepted and one a ulp
+        # beyond it is rejected
         seeds = [Point2(3.0, -3.0)]
-        step = _rng.generator(_rng.derive(24)).standard_normal((1, 1, 2))[0, 0]
-        cand = REGION.center.as_array() + step
+        xi = _rng.generator(_rng.derive(24)).standard_normal((1, 1, 2))[0, 0]
+        cand = CHAIN_CORRELATION * seeds[0].as_array() + math.sqrt(1.0 - CHAIN_CORRELATION**2) * xi
         d = distance_to_center(Point2(*cand), REGION)
-        (xy, _), = _chains(seeds, 1, threshold=d, seed=24, target_scale=np.inf)
+        (xy, _), = _chains(seeds, 1, threshold=d, seed=24)
         assert np.array_equal(xy[0], cand)
-        (xy, _), = _chains(seeds, 1, threshold=np.nextafter(d, 0.0), seed=24, target_scale=np.inf)
+        (xy, _), = _chains(seeds, 1, threshold=np.nextafter(d, 0.0), seed=24)
         assert np.array_equal(xy[0], seeds[0].as_array())
 
     def test_seed_beyond_threshold_rejected(self):
         with pytest.raises(ValueError, match="violates"):
             _chains([Point2(0.0, 0.0)], 10, threshold=1.0, seed=0)
 
-    def test_chain_drifts_toward_center(self):
-        # a long chain from a far seed: late samples sit closer to the center
-        seeds = [Point2(0.0, 0.0)]
-        threshold = math.sqrt(18.0)
-        (xy, d), = _chains(seeds, 1000, threshold=threshold, seed=8)
-        first, last = d[:250], d[-250:]
-        assert last.mean() < first.mean()
+    def test_chain_settles_to_the_prior_within_its_level(self):
+        # seeded on the edge of the level, far from the prior's bulk inside
+        # it, the chain settles to the standard normal restricted to the
+        # level: its distances match those of direct draws under the threshold
+        threshold = 3.0
+        seeds = [Point2(3.0, 0.0)]
+        (xy, d), = _chains(seeds, 4000, threshold=threshold, seed=8)
+        draws = _rng.generator(_rng.derive(80)).standard_normal((200_000, 2))
+        ref = np.hypot(draws[:, 0] - 3.0, draws[:, 1] + 3.0)
+        ref = ref[ref <= threshold]
+        settled = d[100::10]  # past burn-in, thinned to near independence
+        assert abs(settled.mean() - ref.mean()) < 4 * ref.std() / math.sqrt(len(settled))
+        assert 0.8 < settled.std() / ref.std() < 1.2
 
     def test_chain_count_and_length(self):
         seeds = [Point2(1.0, -1.0), Point2(2.0, -2.0), Point2(3.0, -2.5)]
@@ -217,16 +226,22 @@ class TestSsToy:
         assert r1.estimate == r2.estimate
         assert np.array_equal(r1.table.responses, r2.table.responses)
 
-    def test_runs_all_levels(self):
-        res = ss_toy(REGION, std_config(5), seed=5)
-        assert res.diagnostics.levels_completed == 5
-        assert len(res.table.rows) == 90 * 4 + 100
+    def test_stops_on_rare_count(self):
+        # the descent ends at the first level holding N_c samples in the disc
+        res = ss_toy(REGION, std_config(8), seed=5)
+        d = res.diagnostics
+        assert 1 < d.levels_completed < 8
+        assert d.conflict_count >= 10
+        assert len(res.table.rows) == 90 * (d.levels_completed - 1) + 100
+        # fewer than N_c samples in the disc keeps a level's threshold outside it
+        assert all(b > REGION.radius for b in d.thresholds)
 
     def test_two_level_estimate_magnitude(self):
-        # the 2-level run reads off around the level-1 crossing, near 2e-2
+        # two levels cannot reach a 2.5e-4 disc at N=100: the read-off is the
+        # level-1 fraction in the disc, at most a few in 1e-3, never the
+        # 2e-2 that a chain pulled toward the center reads
         ests = [ss_toy(REGION, std_config(2), seed=s).estimate for s in range(20)]
-        med = float(np.median(ests))
-        assert 5e-3 < med < 5e-2
+        assert max(ests) < 5e-3
 
     def test_chain_responses_respect_thresholds(self):
         res = ss_toy(REGION, std_config(4), seed=2)
@@ -244,6 +259,25 @@ class TestSsToy:
             assert d == row.response
 
 
+class TestOracleGuard:
+    """The estimate tracks the oracle on the benchmark's three discs."""
+
+    @pytest.mark.parametrize("c", [2.5, 3.0, 4.0])
+    def test_mean_within_three_se_of_oracle(self, c):
+        # N=1000, p0=0.1, up to 8 levels, STANDARD ladder; 60 seeds per disc.
+        # The oracles are about 2.6e-3, 2.5e-4 and 6.2e-7.
+        region = CircleRegion(center=Point2(c, -c), radius=1.0)
+        oracle = oracle_probability(region)
+        ests = np.array([ss_toy(region, std_config(8, n=1000), seed=s).estimate for s in range(60)])
+        se = ests.std(ddof=1) / math.sqrt(len(ests))
+        assert abs(ests.mean() - oracle) <= 3 * se
+
+
+def _toy_copies(k):
+    """K problems, each the toy disc."""
+    return RareEventSystem(np.zeros((k, 2)), np.tile(np.eye(2), (k, 1, 1)), toy_system(REGION).evaluate)
+
+
 class TestLockstepProblems:
     """Toy problems run together give each problem exactly its one-problem result."""
 
@@ -254,21 +288,18 @@ class TestLockstepProblems:
         assert np.array_equal(a.table.samples, b.table.samples)
 
     def test_fixed_level_batch_equals_ss_toy(self):
+        # three levels cannot reach the rare count, so every problem runs to the cap
         seeds = (5, 6, 7)
-        batch = run_subset_simulations(
-            toy_system(REGION), std_config(4), REGION.radius, seeds, stop_on_rare_count=False
-        )
+        batch = run_subset_simulations(_toy_copies(len(seeds)), std_config(3), REGION.radius, seeds)
         for seed, result in zip(seeds, batch):
-            self._assert_same(result, ss_toy(REGION, std_config(4), seed=seed))
+            assert result.diagnostics.levels_completed == 3
+            self._assert_same(result, ss_toy(REGION, std_config(3), seed=seed))
 
     def test_early_stops_at_different_levels(self):
-        # a threshold-coupled tilt and the rare-count stop: the problems stop
-        # after different numbers of levels, each as it would alone
-        system = toy_system(REGION, target_scale="threshold")
+        # the problems stop after different numbers of levels, each as it would alone
         seeds = tuple(range(20, 28))
-        batch = run_subset_simulations(system, std_config(7), REGION.radius, seeds)
+        batch = run_subset_simulations(_toy_copies(len(seeds)), std_config(7), REGION.radius, seeds)
         levels = {r.diagnostics.levels_completed for r in batch}
         assert len(levels) > 1
         for seed, result in zip(seeds, batch):
-            alone = run_subset_simulation(system, std_config(7), REGION.radius, seed)
-            self._assert_same(result, alone)
+            self._assert_same(result, ss_toy(REGION, std_config(7), seed=seed))
