@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import rng as _rng
-from .dynamics import AircraftState, propagate, transition_matrix
+from .dynamics import AircraftState, propagate, track_positions, transition_matrix
 from .engine import (
     CcdfTable,
     RareEventSystem,
@@ -129,13 +130,21 @@ class QueryBatch:
             raise ValueError(
                 f"queries of one batch must share radius, horizon and sample rate: {sorted(grid)}"
             )
+        rate, horizon = queries[0].sample_rate, queries[0].horizon
+        observer = np.array([q.observer.as_array() for q in queries])
+        covs = np.array([q.intruder_estimate.covariance for q in queries], dtype=np.float64)
+        try:
+            chol = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            # query by query, so each jittered factor logs its own warning
+            chol = np.array([_cholesky_with_jitter(cov) for cov in covs])
         return cls(
             radius=queries[0].protected_radius,
-            dt=1.0 / queries[0].sample_rate,
-            observer=np.array([q.observer.as_array() for q in queries]),
-            obs_xy=np.array([_observer_positions(q) for q in queries]),
+            dt=1.0 / rate,
+            observer=observer,
+            obs_xy=track_positions(observer, rate, horizon),
             mean=np.array([q.intruder_estimate.mean.as_array() for q in queries]),
-            chol=np.array([_cholesky_with_jitter(q.intruder_estimate.covariance) for q in queries]),
+            chol=chol,
         )
 
     def miss(self, states: np.ndarray, problems: np.ndarray) -> np.ndarray:
@@ -236,13 +245,24 @@ def pc_ss_batch(
     return out
 
 
-class EncounterStep(NamedTuple):
-    """True states after simulation step k and the filter's estimate at that step."""
+@dataclass(eq=False)
+class EncounterStep:
+    """True states after simulation step k and the filter's posterior at that step.
+
+    The posterior is the filter's arrays, `mean` (6,) and `cov` (6, 6); the
+    validated `estimate` is built from them on first use, by `query` or a
+    `StepRecord`, so steps that are never queried build none.
+    """
 
     k: int
     observer: np.ndarray
     intruder: np.ndarray
-    estimate: KalmanEstimate
+    mean: np.ndarray
+    cov: np.ndarray
+
+    @cached_property
+    def estimate(self) -> KalmanEstimate:
+        return KalmanEstimate(mean=AircraftState.from_array(self.mean), covariance=self.cov)
 
     def query(self, spec: ScenarioSpec) -> ConflictQuery:
         """The conflict query at this step; its horizon is the scenario duration."""
@@ -273,22 +293,26 @@ def encounter_steps(spec: ScenarioSpec, seed: _rng.SeedLike) -> Iterator[Encount
         acc_std=spec.init_acc_std,
         perfect_init=spec.perfect_init,
     )
-    a = transition_matrix(spec.dt)
+    dt, noise, stride = spec.dt, spec.noise, spec.measurement_stride
+    a = transition_matrix(dt)
     obs = observer_truth.as_array()
     intr = intruder_truth.as_array()
+    mean, cov = est.mean.as_array(), est.covariance
     counter = 0
     for k in range(1, spec.n_steps + 1):
         obs = a @ obs
         intr = a @ intr
         measurement = None
-        if counter == spec.measurement_stride:
+        if counter == stride:
             measurement = simulate_measurement(
-                AircraftState.from_array(intr), spec.noise, _rng.generator(_rng.child(root, k, 0))
+                AircraftState.from_array(intr), noise, _rng.generator(_rng.child(root, k, 0))
             )
             counter = 0
         counter += 1
-        est = kf_step(est, measurement, spec.dt, spec.noise)
-        yield EncounterStep(k=k, observer=obs, intruder=intr, estimate=est)
+        # read from the module at every step, so a wrapper set on
+        # `subsim.conflict.kf_step` sees each filter step
+        mean, cov = kf_step(mean, cov, measurement, dt, noise)
+        yield EncounterStep(k=k, observer=obs, intruder=intr, mean=mean, cov=cov)
 
 
 @dataclass(frozen=True)

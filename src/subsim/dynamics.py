@@ -6,6 +6,7 @@ per axis, SI units throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,13 @@ class AircraftState:
     a_y: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.as_array())):
+        try:
+            finite = all(
+                math.isfinite(float(c)) for c in (self.x, self.u, self.a_x, self.y, self.v, self.a_y)
+            )
+        except TypeError:  # None, sequences
+            finite = False
+        if not finite:
             raise ValueError(f"state components must be finite: {self}")
 
     def as_array(self) -> np.ndarray:
@@ -31,8 +38,7 @@ class AircraftState:
 
     @classmethod
     def from_array(cls, a) -> "AircraftState":
-        a = np.asarray(a, dtype=np.float64).reshape(6)
-        return cls(*(float(c) for c in a))
+        return cls(*np.asarray(a, dtype=np.float64).reshape(6).tolist())
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,17 @@ def transition_matrix(dt: float) -> np.ndarray:
     return a
 
 
+def _time_grid(f: float, t: float) -> np.ndarray:
+    """The t*f + 1 sample times k/f of a `t`-second horizon at rate `f`."""
+    if f <= 0 or t <= 0:
+        raise ValueError(f"rate and horizon must be positive, got f={f}, t={t}")
+    n_float = t * f
+    n_steps = round(n_float)
+    if abs(n_float - n_steps) > 1e-9 or n_steps < 1:
+        raise ValueError(f"t*f must be a positive integer, got {n_float}")
+    return np.arange(n_steps + 1, dtype=np.float64) * (1.0 / f)
+
+
 def propagate(initial: AircraftState, f: float, t: float) -> Trajectory:
     """Propagate a state at sampling rate `f` over `t` seconds.
 
@@ -89,24 +106,32 @@ def propagate(initial: AircraftState, f: float, t: float) -> Trajectory:
     velocities follow the exact constant-acceleration flow, which coincides
     with repeated application of `transition_matrix(1/f)` at every grid point.
     """
-    if f <= 0 or t <= 0:
-        raise ValueError(f"rate and horizon must be positive, got f={f}, t={t}")
-    n_float = t * f
-    n_steps = round(n_float)
-    if abs(n_float - n_steps) > 1e-9 or n_steps < 1:
-        raise ValueError(f"t*f must be a positive integer, got {n_float}")
-    dt = 1.0 / f
-    tk = np.arange(n_steps + 1, dtype=np.float64) * dt
+    tk = _time_grid(f, t)
     tk2 = tk * tk
     s = initial.as_array()
-    out = np.empty((n_steps + 1, 6))
+    out = np.empty((len(tk), 6))
     out[:, 0] = s[0] + s[1] * tk + (0.5 * s[2]) * tk2
     out[:, 1] = s[1] + s[2] * tk
     out[:, 2] = s[2]
     out[:, 3] = s[3] + s[4] * tk + (0.5 * s[5]) * tk2
     out[:, 4] = s[4] + s[5] * tk
     out[:, 5] = s[5]
-    return Trajectory(states=out, dt=dt)
+    return Trajectory(states=out, dt=1.0 / f)
+
+
+def track_positions(states: np.ndarray, f: float, t: float) -> np.ndarray:
+    """Planar positions (K, t*f + 1, 2) of K initial states (K, 6) over `t` seconds.
+
+    One broadcast of `propagate`'s position expression in its operand order,
+    so row k equals `propagate(state k, f, t).positions` bit for bit.
+    """
+    tk = _time_grid(f, t)
+    tk2 = tk * tk
+    s = np.asarray(states, dtype=np.float64)
+    out = np.empty((len(s), len(tk), 2))
+    out[:, :, 0] = s[:, 0:1] + s[:, 1:2] * tk + (0.5 * s[:, 2:3]) * tk2
+    out[:, :, 1] = s[:, 3:4] + s[:, 4:5] * tk + (0.5 * s[:, 5:6]) * tk2
+    return out
 
 
 def min_distance(observer: Trajectory, intruder: Trajectory) -> Approach:

@@ -51,12 +51,14 @@ class KalmanEstimate:
         cov = np.asarray(self.covariance, dtype=np.float64)
         if cov.shape != (6, 6):
             raise ValueError(f"covariance must be 6x6, got {cov.shape}")
-        # np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12), spelled out: the
-        # filter builds one estimate per step, and allclose's own overhead
-        # was about 40% of a filter step under cProfile
+        same = cov == cov.T
+        if same.all():
+            return
+        # otherwise np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12), spelled
+        # out: allclose's own overhead costs more than the check
         with np.errstate(invalid="ignore"):  # inf - inf
             gap = np.abs(cov - cov.T)
-        close = (cov == cov.T) | (np.isfinite(gap) & (gap <= 1e-12 + 1e-9 * np.abs(cov.T)))
+        close = same | (np.isfinite(gap) & (gap <= 1e-12 + 1e-9 * np.abs(cov.T)))
         if not close.all():
             raise ValueError("covariance must be symmetric")
 
@@ -120,20 +122,27 @@ def _filter_model(dt: float, noise: NoiseConfig) -> tuple[np.ndarray, ...]:
 
 
 def kf_step(
-    est: KalmanEstimate,
+    mean: np.ndarray,
+    cov: np.ndarray,
     measurement: Optional[Measurement],
     dt: float,
     noise: NoiseConfig,
-) -> KalmanEstimate:
+) -> tuple[np.ndarray, np.ndarray]:
     """One predict step, plus an update when a measurement is present.
+
+    Takes and returns the state mean (6,) and covariance (6, 6) as arrays, so
+    a filter loop carries no validated objects between steps; wrap a result
+    in `KalmanEstimate` where it is queried or recorded.  The step still
+    raises what that wrapper would: a non-finite mean or a covariance that
+    is not symmetric (the `KalmanEstimate` check) is a ValueError here.
 
     Raises numpy.linalg.LinAlgError if the innovation covariance is singular
     (degenerate measurement noise on a collapsed state); this is surfaced
     rather than silently regularized.
     """
     a, q, h, r, eye = _filter_model(dt, noise)
-    mean = a @ est.mean.as_array()
-    cov = a @ np.asarray(est.covariance) @ a.T + q
+    mean = a @ mean
+    cov = a @ np.asarray(cov) @ a.T + q
     cov = 0.5 * (cov + cov.T)
 
     if measurement is not None:
@@ -144,7 +153,12 @@ def kf_step(
         cov = (eye - gain @ h) @ cov
         cov = 0.5 * (cov + cov.T)
 
-    return KalmanEstimate(mean=AircraftState.from_array(mean), covariance=cov)
+    # a finite mean and an exactly symmetric covariance pass every check of
+    # the estimate; anything else is put through those checks, which raise
+    # on what they reject
+    if not (np.isfinite(mean).all() and (cov == cov.T).all()):
+        KalmanEstimate(mean=AircraftState.from_array(mean), covariance=cov)
+    return mean, cov
 
 
 def initial_estimate(

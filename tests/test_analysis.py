@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from subsim import conflict
+from subsim import rng as _rng
 from subsim.analysis import (
     CovPoint,
     CovStudyConfig,
@@ -14,8 +16,10 @@ from subsim.analysis import (
     phase_p2,
 )
 from subsim.conflict import simulate_scenario
+from subsim.dynamics import AircraftState, transition_matrix
 from subsim.engine import SubsetConfig
-from subsim.scenarios import build_head_on
+from subsim.scenarios import build_head_on, initial_states
+from subsim.tracking import KalmanEstimate, initial_estimate, kf_step, simulate_measurement
 
 
 class TestCoefficientOfVariation:
@@ -67,6 +71,53 @@ class TestFreezePhase:
         assert q.intruder_estimate.mean == record.estimate.mean
         assert np.array_equal(q.intruder_estimate.covariance, record.estimate.covariance)
         assert q.horizon == spec.duration
+
+    def test_equals_reference_filter_loop(self):
+        # the public pieces on the documented streams: the filter starts from
+        # child(root, 0), the measurement at step k comes from child(root, k, 0)
+        spec = build_head_on(152.4)
+        k_stop, seed = 45, 6
+        q = freeze_phase(spec, at_time=k_stop * spec.dt, seed=seed)
+        root = _rng.derive(seed)
+        observer, intruder = initial_states(spec)
+        est = initial_estimate(
+            intruder,
+            spec.noise,
+            _rng.generator(_rng.child(root, 0)),
+            pos_std=spec.init_pos_std,
+            vel_std=spec.init_vel_std,
+            acc_std=spec.init_acc_std,
+        )
+        mean, cov = est.mean.as_array(), est.covariance
+        a = transition_matrix(spec.dt)
+        obs, intr = observer.as_array(), intruder.as_array()
+        measured = []
+        for k in range(1, k_stop + 1):
+            obs, intr = a @ obs, a @ intr
+            z = None
+            if k > 1 and (k - 1) % spec.measurement_stride == 0:
+                gen = _rng.generator(_rng.child(root, k, 0))
+                z = simulate_measurement(AircraftState.from_array(intr), spec.noise, gen)
+                measured.append(k)
+            mean, cov = kf_step(mean, cov, z, spec.dt, spec.noise)
+        assert measured == [11, 21, 31, 41]
+        assert q.observer == AircraftState.from_array(obs)
+        assert q.intruder_estimate.mean == AircraftState.from_array(mean)
+        assert np.array_equal(q.intruder_estimate.covariance, cov)
+
+    def test_builds_one_estimate(self, monkeypatch):
+        # the filter runs on arrays; only the frozen step's posterior is
+        # wrapped in a validated estimate
+        built = []
+
+        class Counting(KalmanEstimate):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(conflict, "KalmanEstimate", Counting)
+        q = freeze_phase(build_head_on(152.4), at_time=2.0, seed=1)
+        assert len(built) == 1 and built[0] is q.intruder_estimate
 
     def test_deterministic(self):
         spec = build_head_on(152.4)

@@ -1,6 +1,8 @@
 """Conflict estimation tests: DMC, conditional chains, subset driver, scenario loop."""
 
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from subsim._kernels import miss_distance_batch, miss_distance_scan
 from subsim.conflict import (
     ConflictQuery,
     QueryBatch,
+    _cholesky_with_jitter,
     _observer_positions,
     conflict_system,
     pc_dmc,
@@ -27,7 +30,7 @@ from subsim.engine import (
     sample_gaussian,
 )
 from subsim.scenarios import build_head_on
-from subsim.tracking import KalmanEstimate
+from subsim.tracking import KalmanEstimate, NoiseConfig
 
 CFG = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=7)
 
@@ -463,6 +466,27 @@ class TestPcSsBatch:
         with pytest.raises(ValueError, match="share"):
             QueryBatch.from_queries(queries)
 
+    def test_stacked_build_equals_per_query_build(self, caplog):
+        # one broadcast track and one stacked factorisation give each query
+        # exactly its own track and factor; a covariance that needs jitter
+        # sends the batch query by query, with one warning per jittered query
+        singular = np.zeros((6, 6))
+        singular[0, 0] = 1.0
+        jittered = ConflictQuery(
+            observer=AircraftState(-30.0, 70.0, 0.4, 12.0, -3.0, -0.2),
+            intruder_estimate=KalmanEstimate(mean=AircraftState(*RECEDING), covariance=singular),
+        )
+        for queries, warnings in ((self.QUERIES, 0), (self.QUERIES + (jittered,), 1)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="subsim.conflict"):
+                batch = QueryBatch.from_queries(queries)
+            assert sum("jitter" in r.getMessage() for r in caplog.records) == warnings
+            for k, q in enumerate(queries):
+                assert np.array_equal(batch.observer[k], q.observer.as_array())
+                assert np.array_equal(batch.obs_xy[k], _observer_positions(q))
+                assert np.array_equal(batch.mean[k], q.intruder_estimate.mean.as_array())
+                assert np.array_equal(batch.chol[k], _cholesky_with_jitter(q.intruder_estimate.covariance))
+
 
 class TestSimulateScenario:
     def test_budget_matching_every_step(self):
@@ -528,6 +552,39 @@ class TestSimulateScenario:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
             build_head_on(0.0, 2000.0, duration=0.0)
+
+    def test_one_kf_step_per_filter_step(self, monkeypatch):
+        # the encounter loop calls the module's kf_step once per step, so a
+        # wrapper set on subsim.conflict.kf_step sees every filter step
+        calls = []
+        step = conflict.kf_step
+
+        def counting(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(conflict, "kf_step", counting)
+        spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
+        simulate_scenario(spec, CFG, seed=21, estimate_steps=[4])
+        assert len(calls) == spec.n_steps
+
+    def test_step_builds_its_estimate_once(self):
+        spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
+        step = next(conflict.encounter_steps(spec, 5))
+        assert step.query(spec).intruder_estimate is step.estimate is step.estimate
+        assert step.estimate.mean == AircraftState.from_array(step.mean)
+        assert step.estimate.covariance is step.cov
+
+    def test_infinite_process_noise_fails_at_step_two(self):
+        # step 1's covariance is infinite but symmetric; step 2's holds NaN
+        # (inf * 0 in the prediction), which the estimate's check rejects
+        spec = replace(build_head_on(152.4, 2000.0), noise=NoiseConfig(sigma_ax2=np.inf))
+        steps = conflict.encounter_steps(spec, 3)
+        with np.errstate(invalid="ignore"):
+            first = next(steps)
+            assert first.k == 1 and np.isinf(first.estimate.covariance[0, 0])
+            with pytest.raises(ValueError, match="covariance must be symmetric"):
+                next(steps)
 
 
 class TestQueryValidation:

@@ -147,6 +147,48 @@ class TestMinDistance:
         assert np.sqrt(dx * dx + dy * dy) == ap.miss_distance
 
 
+class TestStateValidation:
+    @pytest.mark.parametrize(
+        "value, finite",
+        [
+            (1.5, True),
+            (-3, True),
+            (0, True),
+            (True, True),
+            (np.float64(2.5), True),
+            (np.float32(-1.0), True),
+            (np.int64(7), True),
+            (np.array(4.0), True),
+            ("1.0", True),
+            (np.inf, False),
+            (-np.inf, False),
+            (np.nan, False),
+            (np.float32("inf"), False),
+            (np.float64("nan"), False),
+            (1e309, False),
+            (None, False),
+            ([1.0], False),
+            (np.array([1.0]), False),
+        ],
+    )
+    def test_accepts_exactly_finite_reals_in_every_field(self, value, finite):
+        for i in range(6):
+            fields = [0.0] * 6
+            fields[i] = value
+            if finite:
+                AircraftState(*fields)
+            else:
+                with pytest.raises(ValueError):
+                    AircraftState(*fields)
+
+    def test_from_array_gives_python_floats(self):
+        s = AircraftState.from_array(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int32))
+        assert s == AircraftState(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert all(type(c) is float for c in (s.x, s.u, s.a_x, s.y, s.v, s.a_y))
+        with pytest.raises(ValueError):
+            AircraftState.from_array([0.0, 1.0, np.nan, 0.0, 0.0, 0.0])
+
+
 class TestTrajectoryType:
     def test_state_round_trip(self):
         s = AircraftState(1, 2, 3, 4, 5, 6)

@@ -75,55 +75,54 @@ class TestMeasurement:
             Measurement(z=(np.inf, 0.0))
 
 
-def _estimate(pos_var=100.0, vel_var=25.0, acc_var=1.0):
+def _prior(pos_var=100.0, vel_var=25.0, acc_var=1.0):
     cov = np.diag([pos_var, vel_var, acc_var, pos_var, vel_var, acc_var]).astype(float)
-    return KalmanEstimate(mean=AircraftState(0, 0, 0, 0, 0, 0), covariance=cov)
+    return np.zeros(6), cov
 
 
 class TestKfStep:
     def test_huge_measurement_noise_is_pure_prediction(self):
-        est = _estimate()
+        mean, cov = _prior()
         huge = NoiseConfig(sigma_x=1e9, sigma_y=1e9)
         z = Measurement(z=(500.0, -500.0))
-        updated = kf_step(est, z, 0.05, huge)
-        predicted = kf_step(est, None, 0.05, huge)
-        assert np.allclose(updated.mean.as_array(), predicted.mean.as_array(), atol=1e-3)
+        updated, _ = kf_step(mean, cov, z, 0.05, huge)
+        predicted, _ = kf_step(mean, cov, None, 0.05, huge)
+        assert np.allclose(updated, predicted, atol=1e-3)
 
     def test_prediction_grows_covariance(self):
-        est = _estimate()
-        out = kf_step(est, None, 0.05, NOISE)
-        assert np.trace(out.covariance) > np.trace(est.covariance)
+        mean, cov = _prior()
+        _, out = kf_step(mean, cov, None, 0.05, NOISE)
+        assert np.trace(out) > np.trace(cov)
 
     def test_update_shrinks_measured_coordinates(self):
-        est = _estimate()
+        mean, cov = _prior()
         z = Measurement(z=(1.0, -1.0))
-        pred = kf_step(est, None, 0.05, NOISE)
-        upd = kf_step(est, z, 0.05, NOISE)
-        assert upd.covariance[0, 0] <= pred.covariance[0, 0]
-        assert upd.covariance[3, 3] <= pred.covariance[3, 3]
+        _, pred = kf_step(mean, cov, None, 0.05, NOISE)
+        _, upd = kf_step(mean, cov, z, 0.05, NOISE)
+        assert upd[0, 0] <= pred[0, 0]
+        assert upd[3, 3] <= pred[3, 3]
 
     def test_zero_noise_exact_tracking(self):
         quiet = NoiseConfig(sigma_x=0.0, sigma_y=0.0, sigma_ax2=0.0, sigma_ay2=0.0)
         truth = AircraftState(10.0, 3.0, 0.1, -5.0, -2.0, 0.05)
-        est = KalmanEstimate(mean=truth, covariance=np.zeros((6, 6)))
+        mean, cov = truth.as_array(), np.zeros((6, 6))
         a = transition_matrix(0.1)
         state = truth.as_array()
         for _ in range(50):
             state = a @ state
-            est = kf_step(est, None, 0.1, quiet)
-        assert np.allclose(est.mean.as_array(), state, rtol=1e-12, atol=1e-12)
+            mean, cov = kf_step(mean, cov, None, 0.1, quiet)
+        assert np.allclose(mean, state, rtol=1e-12, atol=1e-12)
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(23)
-        est = _estimate()
+        mean, cov = _prior()
         gen = _gen(1)
         truth = AircraftState(0.0, 1.0, 0.0, 0.0, -1.0, 0.0)
         for k in range(1000):
             z = None
             if k % 10 == 0:
                 z = simulate_measurement(truth, NOISE, gen)
-            est = kf_step(est, z, 0.05, NOISE)
-            cov = est.covariance
+            mean, cov = kf_step(mean, cov, z, 0.05, NOISE)
             assert np.array_equal(cov, cov.T)
             assert np.all(np.diag(cov) >= 0.0)
 
@@ -132,11 +131,12 @@ class TestKfStep:
         # settles below the raw measurement noise
         truth = AircraftState(5.0, 0.0, 0.0, -2.0, 0.0, 0.0)
         est = initial_estimate(truth, NOISE, _gen(2))
+        mean, cov = est.mean.as_array(), est.covariance
         gen = _gen(3)
         for _ in range(100):
             z = simulate_measurement(truth, NOISE, gen)
-            est = kf_step(est, z, 0.05, NOISE)
-        assert np.sqrt(est.covariance[0, 0]) < NOISE.sigma_x
+            mean, cov = kf_step(mean, cov, z, 0.05, NOISE)
+        assert np.sqrt(cov[0, 0]) < NOISE.sigma_x
 
     def test_asymmetric_covariance_rejected(self):
         cov = np.eye(6)
