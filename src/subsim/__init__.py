@@ -23,8 +23,6 @@ from .engine import (
 )
 from .scenarios import ScenarioKind, ScenarioSpec, build_converging, build_head_on, build_overtaking
 from .toy import CircleRegion, Point2, dmc_estimate, oracle_probability, ss_toy
-# kf_step runs on arrays, (mean, cov, measurement, dt, noise) -> (mean, cov);
-# KalmanEstimate is the validated posterior that queries and records hold.
 from .tracking import KalmanEstimate, Measurement, NoiseConfig, kf_step, process_noise
 
 __all__ = [

@@ -24,9 +24,12 @@ class AircraftState:
     a_y: float
 
     def __post_init__(self):
+        # float() takes a 1-element array on NumPy < 2.4, so non-scalars are
+        # rejected by ndim; plain floats skip that (slower) check.
         try:
             finite = all(
-                math.isfinite(float(c)) for c in (self.x, self.u, self.a_x, self.y, self.v, self.a_y)
+                (type(c) is float or np.ndim(c) == 0) and math.isfinite(float(c))
+                for c in (self.x, self.u, self.a_x, self.y, self.v, self.a_y)
             )
         except TypeError:  # None, sequences
             finite = False
@@ -107,13 +110,11 @@ def propagate(initial: AircraftState, f: float, t: float) -> Trajectory:
     with repeated application of `transition_matrix(1/f)` at every grid point.
     """
     tk = _time_grid(f, t)
-    tk2 = tk * tk
     s = initial.as_array()
     out = np.empty((len(tk), 6))
-    out[:, 0] = s[0] + s[1] * tk + (0.5 * s[2]) * tk2
+    out[:, 0], out[:, 3] = _positions(s[None], tk)[0].T
     out[:, 1] = s[1] + s[2] * tk
     out[:, 2] = s[2]
-    out[:, 3] = s[3] + s[4] * tk + (0.5 * s[5]) * tk2
     out[:, 4] = s[4] + s[5] * tk
     out[:, 5] = s[5]
     return Trajectory(states=out, dt=1.0 / f)
@@ -122,12 +123,15 @@ def propagate(initial: AircraftState, f: float, t: float) -> Trajectory:
 def track_positions(states: np.ndarray, f: float, t: float) -> np.ndarray:
     """Planar positions (K, t*f + 1, 2) of K initial states (K, 6) over `t` seconds.
 
-    One broadcast of `propagate`'s position expression in its operand order,
-    so row k equals `propagate(state k, f, t).positions` bit for bit.
+    One broadcast of the position expression `propagate` also uses, so row k
+    equals `propagate(state k, f, t).positions` bit for bit.
     """
-    tk = _time_grid(f, t)
+    return _positions(np.asarray(states, dtype=np.float64), _time_grid(f, t))
+
+
+def _positions(s: np.ndarray, tk: np.ndarray) -> np.ndarray:
+    """Constant-acceleration positions (K, len(tk), 2) of states (K, 6) at times tk."""
     tk2 = tk * tk
-    s = np.asarray(states, dtype=np.float64)
     out = np.empty((len(s), len(tk), 2))
     out[:, :, 0] = s[:, 0:1] + s[:, 1:2] * tk + (0.5 * s[:, 2:3]) * tk2
     out[:, :, 1] = s[:, 3:4] + s[:, 4:5] * tk + (0.5 * s[:, 5:6]) * tk2
