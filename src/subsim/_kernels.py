@@ -7,10 +7,12 @@ over the sampling grid lies next to one of its minima or at an end of the
 track.  The quartic has at most two minima: the only real root, or the
 largest and the smallest of three, whose middle root is the maximum between
 them.  `miss_distance_batch` evaluates the grid scan's own float expression
-in four windows only, at the two ends and the two candidate minima.  The
-maximum needs no window: the quartic is smallest at an edge of any stretch of
-grid that holds no minimum, so checking the edges of the stretches between
-windows rules all of them out.  Rows it cannot settle (no relative
+at ten grid points a row: a window of four around each candidate minimum,
+and the track's first and last points.  The quartic is smallest at an edge
+of any stretch of grid that holds no minimum, so checking the edges of the
+stretches between those points rules all of them out: the maximum between
+the minima needs no window, and nor do the neighbours of the track's ends,
+since the windows hold every minimum.  Rows it cannot settle (no relative
 acceleration, or a curve too flat for rounding to order the grid points) go
 to `miss_distance_scan`, which evaluates every grid point and is the
 reference for the closed form; so do batches too small for the closed form's
@@ -29,22 +31,27 @@ import numpy as np
 # half of them, about 24 MB.
 _BLOCK_ELEMS = 6_000_000
 # At or below this many state-points a batch goes to the scan: the closed
-# form's fixed cost of about eighty small array operations, 230-330 us a
+# form's fixed cost of about eighty small array operations, 200-300 us a
 # call, exceeds the scan's.  Interleaved timings on 1 and 16 tracks of 401
-# and 4,001 points had the scan at 0.68-0.79 of the closed form's time at
-# 12,003-12,030 state-points (3 rows on 4,001 points, 30 on 401), and the
-# closed form cheaper from 16,004 on 16 tracks of 4,001 points (scan 2.0x)
-# and from 19,248 on one track of 401.
+# and 4,001 points put the crossover on either side of this value: on one
+# track the scan took 0.56-0.73 of the closed form's time at 12,003-12,431
+# state-points (3 rows on 4,001 points, 31 on 401) and stayed cheaper up to
+# 19,248-20,005; on 16 tracks, whose scan gathers a track per row, it took
+# 0.78 at 12,431 on 401 points but 1.48x the closed form's time at 12,003
+# on 4,001 points, and 1.8x from 14,436 on 401.
 _SCAN_ELEMS = 12_288
-# Rows per closed-form block: about 128 kB per (16 candidates, rows) temporary.
+# Rows per closed-form block: about 80 kB per (10 grid points, rows)
+# temporary, under glibc's 128 kB mmap threshold.  Against 1,536 rows,
+# interleaved on p2 and head-on posterior draws, 1,024 took 1.04-1.12x the
+# time on 1,536-3,072 p2 rows but 0.71-0.84x on 2,500-3,072 head-on rows and
+# on 10,000 rows of either; 768 rows were slower from 2,500 rows on.
 _BLOCK_ROWS = 1 << 10
-# Four windows of grid points: one at each end of the track and one around
-# each candidate minimum, holding the two points bracketing the root and one
-# more on either side, so that a root computed up to a step off still lies
-# inside.  The maximum between two minima needs no window: see the gap check.
+# A window of grid points around each candidate minimum: the two points
+# bracketing the root and one more on either side, so that a root computed up
+# to a step off still lies inside.  The ends of the track need one point
+# each, and the maximum between two minima none: see the gap check.
 _OFFSETS = np.arange(-1, 3)
 _SPAN = len(_OFFSETS)
-_N_WINDOWS = 4
 # Relative bound on rounding in distances, and per unit of coordinate
 # magnitude in positions; each is several times the worst case of the float
 # expression, which stays within a few units in the last place.
@@ -191,20 +198,20 @@ def _closed_form_block(s, obs_xy, problem, dt, observer, scale, err_o, err_w):
     roots = _critical_points(((s - observer[problem]) * scale).T)
     settled = (np.abs(roots) < _ROOT_LIMIT).all(axis=0)  # false for non-finite roots too
 
-    # Window j covers base_j - 1 .. base_j + 2.  The track's end windows have
-    # bases 1 and last - 2, and one window sits at each candidate minimum,
-    # clamped between them (NaN goes to 1), so the bases come out sorted.  A
-    # clamped window still holds its root if the root lies on the track, and
-    # one off the track does not matter.  In base order, the windows list
-    # grid indices such that the first minimum among them is the one with
-    # the smallest index.
+    # Rows of `idx`: the track's first point, a window of _SPAN points at
+    # each candidate minimum, the smaller first, and the track's last point.
+    # A window covers b - 1 .. b + 2, with b its root's floor clamped to
+    # 1 .. last - 2 (NaN goes to 1) so that it stays on the track; a clamped
+    # window still holds its root if the root lies on the track, and one off
+    # the track does not matter.  In this order the rows list grid indices
+    # such that the first minimum among them is the one with the smallest
+    # index.
     inner = np.floor(np.fmin(np.fmax(roots, 1.0), last - 2.0)).astype(np.intp)
-    base = np.empty((_N_WINDOWS, n), dtype=np.intp)
-    base[0] = 1
-    np.minimum(inner[0], inner[1], out=base[1])
-    np.maximum(inner[0], inner[1], out=base[2])
-    base[3] = last - 2
-    idx = (base[:, None, :] + _OFFSETS[:, None]).reshape(-1, n)
+    idx = np.empty((2 * _SPAN + 2, n), dtype=np.intp)
+    idx[0] = 0
+    idx[1 : _SPAN + 1] = np.minimum(inner[0], inner[1]) + _OFFSETS[:, None]
+    idx[_SPAN + 1 : -1] = np.maximum(inner[0], inner[1]) + _OFFSETS[:, None]
+    idx[-1] = last
     # np.take on the flat tracks, x at even and y at odd offsets, gathers far
     # faster than fancy indexing and needs no per-axis copy of the tracks
     flat = idx + problem * (last + 1)
@@ -213,21 +220,25 @@ def _closed_form_block(s, obs_xy, problem, dt, observer, scale, err_o, err_w):
     flat += 1
     d2 = _squared_distance(s.T, idx * dt, obs_x, np.take(obs_xy, flat))
     first = d2.argmin(axis=0)
-    best = np.take_along_axis(d2, first[None], axis=0)[0]
+    cols = np.arange(n)
+    best = d2[first, cols]
 
-    # A grid point outside every window lies in a gap between two windows
+    # A grid point outside every window lies in a gap between two of them
     # that holds no minimum of the quartic, only perhaps the maximum between
-    # two minima.  On such a gap the quartic falls, rises, or rises then
-    # falls, so the exact distance of every point in it is at least that of
-    # one of the gap's two edges.  Edges whose float distances clear the
-    # minimum by the rounding of both therefore rule out the whole gap.
-    gap = np.diff(base, axis=0) > _SPAN
-    d2 = d2.reshape(_N_WINDOWS, _SPAN, n)
-    edges = np.sqrt(np.minimum(d2[:-1, -1], d2[1:, 0]))  # sqrt is monotone
+    # two minima: the stretches before the first root window and after the
+    # last hold none, since the root windows hold them all.  On such a gap
+    # the quartic falls, rises, or rises then falls, so the exact distance of
+    # every point in it is at least that of one of the gap's two edges.
+    # Edges whose float distances clear the minimum by the rounding of both
+    # therefore rule out the whole gap.  Rows 0, _SPAN and 2 * _SPAN end the
+    # first point and the two windows; the rows after them start the next.
+    ends, starts = slice(0, -1, _SPAN), slice(1, None, _SPAN)
+    gap = idx[starts] - idx[ends] > 1
+    edges = np.sqrt(np.minimum(d2[ends], d2[starts]))  # sqrt is monotone
     margin = 2.0 * (err_o[problem] + np.abs(s) @ err_w) + np.sqrt(best) * (1.0 + _TOL)
     clear = edges * (1.0 - _TOL) > margin
     settled &= (clear | ~gap).all(axis=0)
-    return np.sqrt(best), np.take_along_axis(idx, first[None], axis=0)[0], settled
+    return np.sqrt(best), idx[first, cols], settled
 
 
 def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float, observer, problem=None):

@@ -376,11 +376,17 @@ def simulate_scenario(
 
     `estimate_steps` restricts which steps (1-based) produce estimates; the
     truth/filter evolution and all random streams are unaffected, so a
-    subsampled run reproduces exactly the records of the full run.  Estimated
-    steps go to the engine in groups of `GROUP_SIZE`, which changes no record.
+    subsampled run reproduces exactly the records of the full run; a step
+    requested twice gives one record, and a step outside 1..n_steps raises
+    `ValueError`.  Estimated steps go to the engine in groups of
+    `GROUP_SIZE`, which changes no record.
     """
     root = _rng.derive(seed)
     wanted = None if estimate_steps is None else set(int(s) for s in estimate_steps)
+    if wanted is not None:
+        outside = sorted(k for k in wanted if not 1 <= k <= spec.n_steps)
+        if outside:
+            raise ValueError(f"estimate_steps outside 1..{spec.n_steps}: {outside}")
     records: list[StepRecord] = []
     group: list[EncounterStep] = []
     for step in encounter_steps(spec, root):

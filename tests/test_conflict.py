@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -506,12 +507,19 @@ class TestSimulateScenario:
     def test_subsampled_run_reproduces_full_run(self):
         spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
         full = simulate_scenario(spec, CFG, seed=17)
-        some = simulate_scenario(spec, CFG, seed=17, estimate_steps=[3, 7])
+        some = simulate_scenario(spec, CFG, seed=17, estimate_steps=[7, 3, 7])
         by_step = {r.step: r for r in full}
-        assert len(some) == 2
+        assert [r.step for r in some] == [3, 7]  # one record per step, in step order
         for r in some:
             assert r.pc_ss.pc == by_step[r.step].pc_ss.pc
             assert r.miss_true == by_step[r.step].miss_true
+
+    @pytest.mark.parametrize("steps, named", [([0], "[0]"), ([3, 11, -1], "[-1, 11]")])
+    def test_out_of_range_steps_rejected(self, steps, named):
+        spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
+        assert spec.n_steps == 10
+        with pytest.raises(ValueError, match=r"outside 1\.\.10: " + re.escape(named)):
+            simulate_scenario(spec, CFG, seed=17, estimate_steps=steps)
 
     def test_step_groups_change_no_record(self, monkeypatch):
         spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)

@@ -163,6 +163,50 @@ class TestClosedForm:
         curve = np.hypot(*(propagate(AircraftState.from_array(state[0]), 20.0, 200.0).positions - obs_xy).T)
         assert curve[2000] > curve[3000] > curve[1000]
 
+    @staticmethod
+    def _passing(t_min, offset, speed=50.0, accel=0.2):
+        """OBSERVER plus a relative x of speed (t - t_min) + accel/2 (t - t_min)^2
+        and a constant relative y: a pass `offset` m abeam at t_min."""
+        return OBSERVER + [
+            -speed * t_min + 0.5 * accel * t_min * t_min, speed - accel * t_min, accel, offset, 0.0, 0.0
+        ]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 3997, 3998, 3999])
+    def test_minimum_next_to_an_end(self, k, monkeypatch):
+        # grid points 1-3 and last-3 .. last-1 lie in no end window, only in
+        # the root window of a minimum there
+        scanned = _ScanRows(monkeypatch)
+        _, idx = _assert_matches_scan(np.array([self._passing(k * 0.05, 30.0)]), OBSERVER)
+        assert idx[0] == k
+        assert scanned.rows == 1
+
+    def test_first_point_ties_a_later_minimum(self, monkeypatch):
+        # relative x = -t + 0.01t^2 is exactly 0 at 0 s and at 100 s, 100 m
+        # abeam both times: point 0 and grid index 2000 tie, the first wins
+        state = np.array([[0.0, 99.0, 0.02, 100.0, 0.0, 0.0]])
+        scanned = _ScanRows(monkeypatch)
+        miss, idx = _assert_matches_scan(state, OBSERVER)
+        assert miss[0] == 100.0 and idx[0] == 0
+        assert scanned.rows == 1
+        obs_xy, dt = _track(OBSERVER)
+        tk = np.array([0.0, 2000.0]) * dt
+        d2 = _kernels._squared_distance(state[0][:, None], tk, *obs_xy[[0, 2000]].T)
+        assert np.array_equal(d2, [1e4, 1e4])
+
+    @pytest.mark.parametrize("t_min, accel, end", [(199.9, -1e-9, 0), (0.1, 1e-9, -1)])
+    def test_track_end_inside_the_margin(self, t_min, accel, end, monkeypatch):
+        # a 1 um/s pass 1,000 m abeam near one end of the track, the quartic's
+        # other minimum beyond that end: both windows sit there, and the one
+        # gap runs to the track's other end, whose distance exceeds the
+        # minimum by about 2e-11 m, inside the rounding margin
+        state = np.array([self._passing(t_min, 1000.0, speed=1e-6, accel=accel)])
+        scanned = _ScanRows(monkeypatch)
+        _assert_matches_scan(state, OBSERVER)
+        assert scanned.rows == 2
+        obs_xy, _ = _track(OBSERVER)
+        curve = np.hypot(*(propagate(AircraftState.from_array(state[0]), 20.0, 200.0).positions - obs_xy).T)
+        assert 0.0 < curve[end] - curve.min() < 1e-10
+
     def test_zero_relative_acceleration(self, monkeypatch):
         observer = np.array([0.0, 100.0, 0.3, 0.0, 0.0, -0.2])
         states = np.array([[3000.0, -80.0, 0.3, 200.0, 1.0, -0.2], [100.0, 0.0, 0.3, 0.0, 3.0, -0.2]])
