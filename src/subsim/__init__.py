@@ -7,7 +7,7 @@ probability of conflict between an observer aircraft and a Kalman-tracked
 intruder, with a matched-budget Direct Monte Carlo baseline.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .conflict import ConflictQuery, PcResult, pc_dmc, pc_ss, pc_ss_batch, simulate_scenario
 from .dynamics import AircraftState, Approach, Trajectory, min_distance, propagate, transition_matrix
@@ -18,6 +18,7 @@ from .engine import (
     RareEventSystem,
     SubsetConfig,
     SubsetResult,
+    direct_monte_carlo,
     run_subset_simulation,
     run_subset_simulations,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "build_converging",
     "build_head_on",
     "build_overtaking",
+    "direct_monte_carlo",
     "dmc_estimate",
     "kf_step",
     "min_distance",

@@ -38,7 +38,11 @@ _BLOCK_ELEMS = 6_000_000
 # state-points (3 rows on 4,001 points, 31 on 401) and stayed cheaper up to
 # 19,248-20,005; on 16 tracks, whose scan gathers a track per row, it took
 # 0.78 at 12,431 on 401 points but 1.48x the closed form's time at 12,003
-# on 4,001 points, and 1.8x from 14,436 on 401.
+# on 4,001 points, and 1.8x from 14,436 on 401.  In use the K > 1 scan is
+# rare: a 400-step head-on encounter (seeds 3, 7, 11 and 1234) sends 25 of
+# its 555 kernel calls here, 3.4-3.9 ms in all, every one the 16 true
+# states of a step group, whose zero relative acceleration would send them
+# to the scan anyway; a 2-rep p2 c.o.v. study sends none of its 99.
 _SCAN_ELEMS = 12_288
 # Rows per closed-form block: about 80 kB per (10 grid points, rows)
 # temporary, under glibc's 128 kB mmap threshold.  Against 1,536 rows,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .conflict import ConflictQuery, encounter_steps, pc_dmc, pc_ss_batch
+from .conflict import ConflictQuery, PcResult, encounter_steps, pc_dmc, pc_ss_batch
 from .engine import SubsetConfig
 from .scenarios import ScenarioSpec, build_head_on
 
@@ -88,53 +88,33 @@ def freeze_phase(
             return step.query(spec)
 
 
+def _cov_point(method: str, n: int, results: Sequence[PcResult]) -> CovPoint:
+    """The summary of one method's repeated estimates at budget n."""
+    avg_samples = float(np.mean([res.samples_used for res in results]))
+    estimates = [res.pc for res in results]
+    return CovPoint(method, int(n), avg_samples, *coefficient_of_variation(estimates))
+
+
 def cov_study(config: CovStudyConfig, seed: _rng.SeedLike) -> list[CovPoint]:
     """Repeated estimates per method and budget against the frozen phase."""
     root = _rng.derive(seed)
+    reps = range(config.repetitions)
     points: list[CovPoint] = []
     for size_idx, n in enumerate(config.dmc_sizes):
-        estimates = [
-            pc_dmc(config.phase, n, _rng.child(root, 0, size_idx, rep)).pc
-            for rep in range(config.repetitions)
-        ]
-        mean, std, cov, undefined = coefficient_of_variation(estimates)
-        points.append(
-            CovPoint(
-                method="dmc",
-                requested_n=int(n),
-                avg_samples=float(n),
-                mean_pc=mean,
-                std_pc=std,
-                cov=cov,
-                undefined=undefined,
-            )
-        )
+        results = [pc_dmc(config.phase, n, _rng.child(root, 0, size_idx, rep)) for rep in reps]
+        points.append(_cov_point("dmc", n, results))
     for size_idx, n in enumerate(config.ss_sizes):
         ss_cfg = SubsetConfig(
             n_samples=int(n),
             level_probability=config.level_probability,
             max_levels=config.max_levels,
         )
-        reps = range(config.repetitions)
         results = pc_ss_batch(
             [config.phase] * len(reps),
             ss_cfg,
             [_rng.child(root, 1, size_idx, rep) for rep in reps],
         )
-        estimates = [res.pc for res, _ in results]
-        totals = [res.samples_used for res, _ in results]
-        mean, std, cov, undefined = coefficient_of_variation(estimates)
-        points.append(
-            CovPoint(
-                method="ss",
-                requested_n=int(n),
-                avg_samples=float(np.mean(totals)),
-                mean_pc=mean,
-                std_pc=std,
-                cov=cov,
-                undefined=undefined,
-            )
-        )
+        points.append(_cov_point("ss", n, [res for res, _ in results]))
     return points
 
 

@@ -40,7 +40,7 @@ from .toy import CircleRegion, Point2, oracle_probability, ss_toy
 _PRESETS = {
     "head-on": build_head_on,
     "overtaking": build_overtaking,
-    "converging": lambda lateral, **kw: build_converging(lateral_separation=lateral, **kw),
+    "converging": build_converging,
 }
 
 

@@ -3,9 +3,9 @@
 Intruder states are sampled from the Kalman posterior, propagated over the
 prediction horizon alongside the observer's intended track, and scored by
 miss distance against the protected radius.  A matched-budget Direct Monte
-Carlo estimator and the subset-simulation estimator share the same sampling
-machinery, and a scenario driver runs both across a full encounter while the
-filter tracks the (noisy-measured) intruder.
+Carlo estimator (the engine's level 0 run alone) and the subset-simulation
+estimator share one engine system, and `simulate_scenario` runs both across a
+full encounter while the filter tracks the (noisy-measured) intruder.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .engine import (
     CcdfTable,
     RareEventSystem,
     SubsetConfig,
+    direct_monte_carlo,
     run_subset_simulations,
-    sample_gaussian,
 )
 from .scenarios import ScenarioSpec, initial_states
 from .tracking import (
@@ -153,38 +153,26 @@ class QueryBatch:
         return miss
 
 
-def _dmc(batch: QueryBatch, ns: Sequence[int], seeds: Sequence[_rng.SeedLike]) -> list[PcResult]:
-    """Direct Monte Carlo on every query of `batch`: see `pc_dmc`.
-
-    Query k takes `ns[k]` posterior draws from its own stream,
-    child(seeds[k], 0), and one kernel call scores the draws of every query,
-    so result k equals `pc_dmc` of query k alone.
-    """
-    if min(ns) < 1:
-        raise ValueError(f"sample count must be positive, got {min(ns)}")
-    states = np.concatenate(
-        [
-            sample_gaussian(_rng.generator(_rng.child(_rng.derive(seed), 0)), n, batch.mean[k], batch.chol[k])
-            for k, (n, seed) in enumerate(zip(ns, seeds))
-        ]
-    )
-    hits = batch.miss(states, np.repeat(np.arange(len(ns)), ns)) <= batch.radius
-    counts = [int(np.count_nonzero(part)) for part in np.split(hits, np.cumsum(ns)[:-1])]
-    return [
-        PcResult(pc=c / n, conflict_count=c, levels_used=1, samples_used=n, floor_reached=False)
-        for n, c in zip(ns, counts)
-    ]
-
-
-def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
-    """Direct Monte Carlo: fraction of n posterior draws whose trajectories conflict."""
-    return _dmc(QueryBatch.from_queries([query]), [n], [seed])[0]
-
-
 def conflict_system(batch: QueryBatch) -> RareEventSystem:
     """The queries of `batch` as engine problems: query k's intruder posterior
     is problem k's prior and its miss distance the response."""
     return RareEventSystem(batch.mean, batch.chol, batch.miss)
+
+
+def _dmc(batch: QueryBatch, ns: Sequence[int], seeds: Sequence[_rng.SeedLike]) -> list[PcResult]:
+    """Direct Monte Carlo on every query of `batch`, query k on `ns[k]` draws
+    from `seeds[k]`, in one engine call; result k equals `pc_dmc` of query k."""
+    counts = direct_monte_carlo(conflict_system(batch), ns, batch.radius, seeds)
+    return [
+        PcResult(pc=c / n, conflict_count=c, levels_used=1, samples_used=n, floor_reached=False)
+        for n, c in zip(ns, counts.tolist())
+    ]
+
+
+def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
+    """Direct Monte Carlo: fraction of n posterior draws whose trajectories
+    conflict.  The draws are those of `pc_ss`'s level 0 at the same seed."""
+    return _dmc(QueryBatch.from_queries([query]), [n], [seed])[0]
 
 
 # Independent problems per lockstep engine run: scenario steps in
@@ -220,9 +208,9 @@ def pc_ss(
 ) -> tuple[PcResult, CcdfTable]:
     """Subset-simulation conflict probability for one query.
 
-    Level 0 is the Direct Monte Carlo machinery on N draws (same stream as
-    `pc_dmc` for the same master seed); deeper levels run conditional chains
-    against intermediate miss-distance thresholds.
+    Level 0 is `pc_dmc` on N draws at the same seed; deeper levels run
+    conditional chains against intermediate miss-distance thresholds.  The
+    estimate is D/N * p0^L, with D the conflicts among level L's N samples.
     """
     return _ss(QueryBatch.from_queries([query]), config, [seed])[0]
 

@@ -65,9 +65,6 @@ class Trajectory:
         """(n, 2) planar positions."""
         return np.ascontiguousarray(self.states[:, (0, 3)])
 
-    def state_at(self, k: int) -> AircraftState:
-        return AircraftState.from_array(self.states[k])
-
 
 @dataclass(frozen=True)
 class Approach:

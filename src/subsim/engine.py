@@ -36,8 +36,9 @@ class IntervalVariant(Enum):
 
     STANDARD assigns (N-n)/N fractions scaled by p0^level, so the last entry
     of a level is 0.  SHIFTED moves the whole ladder up one slot, making the
-    last entry p0^level / N: when no rare sample is ever found the read-off is
-    a small positive floor ("the probability is below this") instead of 0.
+    last entry p0^level / N.  The estimate is D/N * p0^L under both, and the
+    two differ only in the CCDF's probability column and at D = 0, where the
+    read-off is the last entry: 0, or SHIFTED's floor ("below this value").
     """
 
     STANDARD = "standard"
@@ -156,6 +157,13 @@ class SubsetResult:
     diagnostics: SubsetDiagnostics
 
 
+def _level_scale(level: int, config: SubsetConfig) -> float:
+    """N * chain_length**level, the exact integer denominator of a level's ladder."""
+    if not 0 <= level < config.max_levels:
+        raise ValueError(f"level must lie in [0, {config.max_levels}), got {level}")
+    return float(config.n_samples * config.chain_length**level)
+
+
 def probability_intervals(level: int, config: SubsetConfig) -> np.ndarray:
     """Probability ladder for one level, highest first.
 
@@ -163,10 +171,8 @@ def probability_intervals(level: int, config: SubsetConfig) -> np.ndarray:
     N * chain_length**level, so entries like the level-6 floor 1e-8 come out
     exactly (level_probability**level would not).
     """
-    if not 0 <= level < config.max_levels:
-        raise ValueError(f"level must lie in [0, {config.max_levels}), got {level}")
     n = config.n_samples
-    denom = float(n * config.chain_length**level)
+    denom = _level_scale(level, config)
     if config.interval_variant is IntervalVariant.SHIFTED:
         numer = np.arange(n, 0, -1, dtype=np.float64)
     else:
@@ -238,11 +244,11 @@ def assemble_ccdf(
 def estimate_probability(
     table: CcdfTable, conflict_count: int, final_level: int, config: SubsetConfig
 ) -> float:
-    """Read the probability off the final level's interval ladder.
+    """D / (N * chain_length^L): level L's fraction of rare samples times p0^L.
 
-    With D rare samples on the final level the estimate is the interval at
-    1-based position N - D + 1; with D = 0 it is the last interval, meaning
-    "the probability is below this value".
+    At level 0 this is plain Monte Carlo.  With D = 0 it is the ladder's last
+    entry: 0 under STANDARD, the floor 1 / (N * chain_length^L) under SHIFTED,
+    meaning "the probability is below this value".
     """
     n = config.n_samples
     if not 0 <= conflict_count <= n:
@@ -251,16 +257,51 @@ def estimate_probability(
         raise ValueError(
             f"table has {table.levels_completed} levels but final level is {final_level}"
         )
-    intervals = probability_intervals(final_level, config)
-    if conflict_count > 0:
-        return float(intervals[n - conflict_count])
-    return float(intervals[n - 1])
+    scale = _level_scale(final_level, config)
+    if conflict_count == 0 and config.interval_variant is IntervalVariant.SHIFTED:
+        return 1.0 / scale
+    return conflict_count / scale
 
 
 def sample_gaussian(gen: np.random.Generator, n: int, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """n draws of N(mean, chol chol^T) from `gen`, one (n, d) standard-normal block."""
     z = gen.standard_normal((n, len(mean)))
     return mean + z @ chol.T
+
+
+def _level0(system: RareEventSystem, roots: Sequence, ns: Sequence[int]) -> np.ndarray:
+    """Level 0, stacked: ns[k] prior draws of problem k from child(roots[k], 0)."""
+    mean, chol = system.mean, system.chol
+    if mean.ndim != 2 or chol.shape != mean.shape + mean.shape[1:]:
+        raise ValueError(f"system mean {mean.shape} and Cholesky factors {chol.shape} do not match")
+    if len(mean) != len(roots):
+        raise ValueError(f"system poses {len(mean)} problems but {len(roots)} seeds were given")
+    return np.concatenate(
+        [
+            sample_gaussian(_rng.generator(_rng.child(root, 0)), n, mean[k], chol[k])
+            for k, (root, n) in enumerate(zip(roots, ns))
+        ]
+    )
+
+
+def direct_monte_carlo(
+    system: RareEventSystem,
+    ns: Sequence[int],
+    failure_threshold: float,
+    seeds: Sequence[_rng.SeedLike],
+) -> np.ndarray:
+    """Per problem k, how many of its `ns[k]` prior draws respond at or below
+    `failure_threshold`.  The draws are level 0 of `run_subset_simulations`
+    from `seeds[k]`, and one `evaluate` call scores those of every problem.
+    """
+    if len(ns) != len(seeds):
+        raise ValueError(f"{len(ns)} sample counts but {len(seeds)} seeds")
+    if len(ns) == 0 or min(ns) < 1:
+        raise ValueError(f"sample counts must be positive, got {list(ns)}")
+    problems = np.repeat(np.arange(len(ns)), ns)
+    samples = _level0(system, [_rng.derive(seed) for seed in seeds], ns)
+    hits = system.evaluate(samples, problems) <= failure_threshold
+    return np.bincount(problems[hits], minlength=len(ns))
 
 
 # Correlation between successive whitened chain states.  0.8 accepted about
@@ -349,8 +390,8 @@ def run_subset_simulations(
 ) -> list[SubsetResult]:
     """Run problems 0..K-1 of `system` in lockstep, problem k from `seeds[k]`.
 
-    Level 0 draws N prior samples per problem.  While levels remain, the
-    engine promotes each problem's N_c best samples as chain seeds, grows N
+    Level 0 is `direct_monte_carlo`'s N prior draws per problem.  While
+    levels remain, the engine promotes each problem's N_c best samples as chain seeds, grows N
     new conditional samples under its intermediate threshold, and repeats.
     A problem's descent stops as soon as a level holds at least N_c samples
     at or below `failure_threshold`, or at `max_levels`.  Total cost is N per
@@ -366,22 +407,12 @@ def run_subset_simulations(
     k_all = len(roots)
     if k_all == 0:
         raise ValueError("at least one seed is required")
-    mean, chol = system.mean, system.chol
-    if mean.ndim != 2 or chol.shape != mean.shape + mean.shape[1:]:
-        raise ValueError(f"system mean {mean.shape} and Cholesky factors {chol.shape} do not match")
-    if len(mean) != k_all:
-        raise ValueError(f"system poses {len(mean)} problems but {k_all} seeds were given")
     n, n_c, n_s = config.n_samples, config.n_chains, config.chain_length
-    d = mean.shape[1]
-    chol_inv = np.linalg.inv(chol)
+    samples = _level0(system, roots, [n] * k_all)
+    d = system.mean.shape[1]
+    chol_inv = np.linalg.inv(system.chol)
 
     active = np.arange(k_all)  # problems still descending, in order
-    samples = np.concatenate(
-        [
-            sample_gaussian(_rng.generator(_rng.child(root, 0)), n, mean[k], chol[k])
-            for k, root in enumerate(roots)
-        ]
-    )
     responses = np.asarray(system.evaluate(samples, active.repeat(n)), dtype=np.float64)
     level = 0
     sorted_r, sorted_x = _sort_blocks(samples, responses, k_all, n, level)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -75,6 +75,12 @@ class ScenarioSpec:
             if self.converging_angle is None or not 0.0 < self.converging_angle < 180.0:
                 raise ValueError(
                     f"converging scenarios need an angle in (0, 180), got {self.converging_angle}"
+                )
+            # the geometry follows the heading and the manifest records the angle
+            if self.converging_angle != self.intruder_heading:
+                raise ValueError(
+                    f"converging angle {self.converging_angle} differs from the intruder "
+                    f"heading {self.intruder_heading}"
                 )
 
     @property
@@ -152,9 +158,9 @@ def build_overtaking(
 
 
 def build_converging(
-    angle: float = 90.0,
     lateral_separation: float = 0.0,
     longitudinal_separation: float = 1200.0,
+    angle: float = 90.0,
     **overrides,
 ) -> ScenarioSpec:
     """Converging tracks crossing at (L_o, 0); defaults are equal speeds and a
@@ -175,13 +181,6 @@ def build_converging(
     )
 
 
-_BUILDERS = {
-    ScenarioKind.HEAD_ON: build_head_on,
-    ScenarioKind.OVERTAKING: build_overtaking,
-    ScenarioKind.CONVERGING: build_converging,
-}
-
-
 def spec_to_dict(spec: ScenarioSpec) -> dict:
     """Flat JSON-ready mapping of the scenario's field names."""
     d = asdict(spec)
@@ -194,12 +193,7 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
 def spec_from_dict(d: dict) -> ScenarioSpec:
     d = dict(d)
     kind = ScenarioKind(d.pop("kind"))
-    noise = NoiseConfig(
-        sigma_x=d.pop("sigma_x", 0.1),
-        sigma_y=d.pop("sigma_y", 0.1),
-        sigma_ax2=d.pop("sigma_ax2", 0.01),
-        sigma_ay2=d.pop("sigma_ay2", 0.01),
-    )
+    noise = NoiseConfig(**{f.name: d.pop(f.name) for f in fields(NoiseConfig) if f.name in d})
     return ScenarioSpec(kind=kind, noise=noise, **d)
 
 

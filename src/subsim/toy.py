@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .engine import RareEventSystem, SubsetConfig, SubsetResult, run_subset_simulation
+from .engine import (
+    RareEventSystem,
+    SubsetConfig,
+    SubsetResult,
+    direct_monte_carlo,
+    run_subset_simulation,
+)
 
 
 @dataclass(frozen=True)
@@ -56,12 +62,9 @@ def _distances(xy: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 
 def dmc_estimate(region: CircleRegion, n: int, seed: _rng.SeedLike) -> float:
-    """Plain Monte Carlo estimate: fraction of n standard-normal draws inside the disc."""
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
-    gen = _rng.generator(_rng.child(_rng.derive(seed), 0))
-    xy = gen.standard_normal((n, 2))
-    return float(np.count_nonzero(_distances(xy, region.center.as_array()) <= region.radius)) / n
+    """Plain Monte Carlo estimate: fraction of n standard-normal draws inside
+    the disc.  The draws are `ss_toy`'s level 0 at the same seed."""
+    return float(direct_monte_carlo(toy_system(region), [n], region.radius, [seed])[0]) / n
 
 
 def oracle_probability(region: CircleRegion, rel_tol: float = 1e-6) -> float:
@@ -112,7 +115,7 @@ def ss_toy(region: CircleRegion, config: SubsetConfig, seed: _rng.SeedLike) -> S
     """Subset Simulation estimate of the disc probability.
 
     The descent stops once a level holds N_c samples inside the disc, or at
-    `max_levels`, and the probability is read off the final level.  With
-    max_levels = 1 this reduces to `dmc_estimate` on the same draws.
+    `max_levels`; the estimate is D/N * p0^L, with D of the final level L's
+    N samples inside the disc.  Level 0 is `dmc_estimate` on the same draws.
     """
     return run_subset_simulation(toy_system(region), config, region.radius, seed)

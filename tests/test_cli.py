@@ -9,7 +9,7 @@ import pytest
 
 import subsim
 from subsim.cli import main
-from subsim.scenarios import build_head_on, save_scenario
+from subsim.scenarios import build_converging, build_head_on, save_scenario
 
 
 def _read(path):
@@ -117,6 +117,19 @@ class TestScenarioCommand:
              "--out-dir", str(tmp_path / "x"), *SCENARIO_ARGS]
         )
         assert rc == 2
+
+    def test_converging_angle_mismatch_exits_2(self, tmp_path):
+        cfgfile = tmp_path / "converging.json"
+        save_scenario(build_converging(angle=60.0, duration=1.0), cfgfile)
+        data = json.loads(cfgfile.read_text())
+        data["intruder_heading"] = 45.0
+        cfgfile.write_text(json.dumps(data))
+        rc = main(
+            ["scenario", "--scenario", str(cfgfile),
+             "--out-dir", str(tmp_path / "x"), *SCENARIO_ARGS]
+        )
+        assert rc == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestCovStudyCommand:

@@ -15,6 +15,7 @@ from subsim.engine import (
     SubsetConfig,
     assemble_ccdf,
     conditional_chains,
+    direct_monte_carlo,
     estimate_probability,
     intermediate_threshold,
     probability_intervals,
@@ -224,6 +225,24 @@ class TestEstimateProbability:
         table = _empty_table(2)
         with pytest.raises(ValueError):
             estimate_probability(table, 5, 0, CFG)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_count_read_off_equals_the_shifted_ladder(self, n):
+        # D / (N N_s^L) is the SHIFTED ladder's entry N - D bit for bit, and
+        # the D = 0 floor its last entry, so no SHIFTED estimate moved when
+        # the read-off stopped indexing the ladder
+        cfg = SubsetConfig(n_samples=n, level_probability=0.1, max_levels=8)
+        for level in range(8):
+            table = _empty_table(level + 1)
+            ladder = probability_intervals(level, cfg)
+            reads = [estimate_probability(table, d, level, cfg) for d in range(n + 1)]
+            assert reads[0] == ladder[-1]
+            assert np.array_equal(reads[1:], ladder[::-1])
+
+    def test_standard_reads_the_count_or_zero(self):
+        table = _empty_table(5)
+        assert estimate_probability(table, 48, 4, CFG_STD) == 48.0 / (100 * 10**4)
+        assert estimate_probability(table, 0, 4, CFG_STD) == 0.0
 
 
 def _gaussian_system(evaluate, k=1):
@@ -546,3 +565,36 @@ class TestLockstepProblems:
     def test_no_seeds_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             run_subset_simulations(_line_system(), CFG, 0.5, [])
+
+
+class TestDirectMonteCarlo:
+    """Plain Monte Carlo runs on the draws of SS level 0."""
+
+    def test_counts_are_the_level0_conflicts(self):
+        # one-level SS at the same seeds counts the same draws at or below the threshold
+        shifts, seeds = (0.0, 1.0, 2.0), (5, 6, 7)
+        system = _line_system(shifts)
+        counts = direct_monte_carlo(system, [100] * 3, 0.5, seeds)
+        one_level = run_subset_simulations(system, SubsetConfig(100, 0.1, 1), 0.5, seeds)
+        assert counts.tolist() == [r.diagnostics.conflict_count for r in one_level]
+        assert 0 < counts.min() and counts.max() < 100
+
+    def test_problems_of_one_call_equal_their_own_calls(self):
+        shifts, ns, seeds = (0.0, 1.0, 0.0), [50, 1, 300], (3, 4, 5)
+        counts = direct_monte_carlo(_line_system(shifts), ns, 0.7, seeds)
+        for shift, n, seed, count in zip(shifts, ns, seeds, counts.tolist()):
+            alone = direct_monte_carlo(_line_system(shift), [n], 0.7, [seed])
+            assert alone.tolist() == [count]
+
+    @pytest.mark.parametrize(
+        "ns,seeds,match",
+        [
+            ([0], [1], "positive"),
+            ([], [], "positive"),
+            ([10, 10], [1], "seeds"),
+            ([10, 10], [1, 2], "problems"),
+        ],
+    )
+    def test_invalid_calls_rejected(self, ns, seeds, match):
+        with pytest.raises(ValueError, match=match):
+            direct_monte_carlo(_line_system(), ns, 0.5, seeds)

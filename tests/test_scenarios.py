@@ -1,5 +1,6 @@
 """Scenario geometry tests: builders, closed-form encounter timing, config files."""
 
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,12 @@ from subsim.scenarios import (
     spec_to_dict,
     with_lateral_separation,
 )
+from subsim.tracking import NoiseConfig
+
+
+def _write_json(path, data):
+    path.write_text(json.dumps(data))
+    return path
 
 
 def _sigwrap(value, figures=4):
@@ -198,13 +205,23 @@ class TestConfigFiles:
         with pytest.raises(ValueError):
             load_scenario(p)
 
+    def test_missing_noise_fields_take_their_defaults(self):
+        spec = build_head_on(10.0, noise=NoiseConfig(sigma_x=0.5))
+        d = spec_to_dict(spec)
+        del d["sigma_y"], d["sigma_ax2"], d["sigma_ay2"]
+        assert spec_from_dict(d) == spec
+
+    def test_converging_angle_differing_from_heading_rejected(self, tmp_path):
+        # the geometry follows the intruder heading, the manifest the angle
+        d = spec_to_dict(build_converging(angle=60.0))
+        assert load_scenario(_write_json(tmp_path / "ok.json", d)) == build_converging(angle=60.0)
+        d["converging_angle"] = 90.0
+        with pytest.raises(ValueError, match="differs from the intruder heading"):
+            load_scenario(_write_json(tmp_path / "mismatch.json", d))
+
     def test_unknown_field(self, tmp_path):
         spec = build_head_on(0.0)
         d = spec_to_dict(spec)
         d["bogus"] = 1
-        p = tmp_path / "extra.json"
-        import json
-
-        p.write_text(json.dumps(d))
         with pytest.raises(ValueError):
-            load_scenario(p)
+            load_scenario(_write_json(tmp_path / "extra.json", d))

@@ -1,6 +1,7 @@
 """Toy disc-problem tests: distances, Monte Carlo estimates, chains, oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,9 +217,19 @@ class TestMhChains:
 
 class TestSsToy:
     def test_single_level_equals_dmc(self):
+        # level 0 is DMC on the same draws: D/N under both ladders.  On this
+        # near disc seeds 7, 11 and 3 put 19, 13 and 13 draws inside.
+        near = CircleRegion(center=Point2(1.0, -1.0), radius=1.0)
+        for variant in IntervalVariant:
+            config = replace(std_config(1), interval_variant=variant)
+            for s in (7, 11, 3):
+                res = ss_toy(near, config, seed=s)
+                assert res.diagnostics.conflict_count >= 13
+                assert res.estimate == dmc_estimate(near, 100, seed=s)
+        # on REGION nothing lands inside: both read 0 under STANDARD
         for s in (7, 11, 3):
             res = ss_toy(REGION, std_config(1), seed=s)
-            assert res.estimate == dmc_estimate(REGION, 100, seed=s)
+            assert res.estimate == dmc_estimate(REGION, 100, seed=s) == 0.0
 
     def test_deterministic(self):
         r1 = ss_toy(REGION, std_config(3), seed=5)
