@@ -23,6 +23,7 @@ from .engine import (
     CcdfTable,
     RareEventSystem,
     SubsetConfig,
+    SubsetResult,
     direct_monte_carlo,
     run_subset_simulations,
 )
@@ -176,29 +177,48 @@ def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
 
 
 # Independent problems per lockstep engine run: scenario steps in
-# `simulate_scenario`, repetitions in `pc_ss_batch`.  Per-call overhead falls
-# with the group while memory grows with it.  With the group's DMC draws in
-# one kernel call, groups of 16 steps ran a 400-step head-on encounter in
-# 0.68-0.70 s against 2.0-2.25 s one step at a time, for 2 MB more peak
-# memory (40.6 MB against 38.5-38.7 MB).
-GROUP_SIZE = 16
+# `simulate_scenario`, repetitions in `pc_ss_batch`.  Each chain step makes
+# one kernel call for its whole group, and that call costs about 0.2 ms
+# before any per-row work, so per-call overhead falls with the group while
+# memory grows with it.  400-step head-on encounters at N = 100 (seeds 3, 7,
+# 11, 901 and 1234; median over five processes of each process's median
+# encounter, interleaved, on a 2-core Xeon) took, with CCDF tables built only
+# when read:
+#
+#   group  kernel calls  time    peak RSS
+#   16     555           0.48 s  40.0 MB
+#   32     342           0.45 s  40.6 MB
+#   48     271           0.42 s  41.8 MB
+#   64     204           0.40 s  43.0 MB
+#   100    137           0.37 s  46.5 MB
+#
+# The steps' records do not depend on the group size.
+GROUP_SIZE = 64
+# Samples per level of a whole group, at most: `_group_size` shrinks the
+# group as N grows, so large-N batches hold no more than 16 problems at
+# N = 3,000 (the c.o.v. study's largest budget).
+_GROUP_SAMPLES = 48_000
 
 
-def _ss(batch: QueryBatch, config: SubsetConfig, seeds) -> list[tuple[PcResult, CcdfTable]]:
+def _group_size(config: SubsetConfig) -> int:
+    """Problems per lockstep group at this config's samples per level."""
+    return min(GROUP_SIZE, max(1, _GROUP_SAMPLES // config.n_samples))
+
+
+def _ss(batch: QueryBatch, config: SubsetConfig, seeds) -> list[SubsetResult]:
     """SS of every query of `batch`, query k from `seeds[k]`, in one lockstep engine run."""
-    results = run_subset_simulations(conflict_system(batch), config, batch.radius, seeds)
-    out = []
-    for result in results:
-        d = result.diagnostics
-        pc = PcResult(
-            pc=result.estimate,
-            conflict_count=d.conflict_count,
-            levels_used=d.levels_completed,
-            samples_used=d.samples_used,
-            floor_reached=d.floor_reached,
-        )
-        out.append((pc, result.table))
-    return out
+    return run_subset_simulations(conflict_system(batch), config, batch.radius, seeds)
+
+
+def _pc(result: SubsetResult) -> PcResult:
+    d = result.diagnostics
+    return PcResult(
+        pc=result.estimate,
+        conflict_count=d.conflict_count,
+        levels_used=d.levels_completed,
+        samples_used=d.samples_used,
+        floor_reached=d.floor_reached,
+    )
 
 
 def pc_ss(
@@ -212,7 +232,7 @@ def pc_ss(
     conditional chains against intermediate miss-distance thresholds.  The
     estimate is D/N * p0^L, with D the conflicts among level L's N samples.
     """
-    return _ss(QueryBatch.from_queries([query]), config, [seed])[0]
+    return pc_ss_batch([query], config, [seed])[0]
 
 
 def pc_ss_batch(
@@ -220,16 +240,18 @@ def pc_ss_batch(
     config: SubsetConfig,
     seeds: Sequence[_rng.SeedLike],
 ) -> list[tuple[PcResult, CcdfTable]]:
-    """`pc_ss` of each query with its seed, run in lockstep groups of `GROUP_SIZE`.
+    """`pc_ss` of each query with its seed, run in lockstep groups of
+    `GROUP_SIZE`, fewer when N is large.
 
     Result i equals `pc_ss(queries[i], config, seeds[i])` exactly.
     """
     if len(queries) != len(seeds):
         raise ValueError(f"{len(queries)} queries but {len(seeds)} seeds")
+    size = _group_size(config)
     out = []
-    for lo in range(0, len(queries), GROUP_SIZE):
-        batch = QueryBatch.from_queries(queries[lo : lo + GROUP_SIZE])
-        out += _ss(batch, config, seeds[lo : lo + GROUP_SIZE])
+    for lo in range(0, len(queries), size):
+        batch = QueryBatch.from_queries(queries[lo : lo + size])
+        out += [(_pc(res), res.table) for res in _ss(batch, config, seeds[lo : lo + size])]
     return out
 
 
@@ -326,17 +348,17 @@ def _estimate_steps(
     """SS, matched-budget DMC and the true miss distance of a group of steps.
 
     The group's tracks and Cholesky factors are built once and shared by the
-    three.  SS runs the steps in lockstep.  DMC draws each step's
-    `samples_used` states from its own stream, child(root, k, 2), and scores
-    the draws of the whole group in one kernel call, so each step's DMC
+    three.  SS runs the steps in lockstep and reads no table.  DMC draws
+    each step's `samples_used` states from its own stream, child(root, k, 2),
+    and scores the draws of consecutive steps together, so each step's DMC
     result equals `pc_dmc(step.query(spec), n, child(root, k, 2))`.
     """
     queries = [step.query(spec) for step in steps]
     batch = QueryBatch.from_queries(queries)
-    ss = _ss(batch, ss_config, [_rng.child(root, step.k, 1) for step in steps])
-    dmc = _dmc(
-        batch, [res.samples_used for res, _ in ss], [_rng.child(root, step.k, 2) for step in steps]
-    )
+    ss_seeds = [_rng.child(root, step.k, 1) for step in steps]
+    ss = [_pc(res) for res in _ss(batch, ss_config, ss_seeds)]
+    dmc_seeds = [_rng.child(root, step.k, 2) for step in steps]
+    dmc = _dmc(batch, [res.samples_used for res in ss], dmc_seeds)
     miss_true = batch.miss(np.array([step.intruder for step in steps]), np.arange(len(steps)))
     return [
         StepRecord(
@@ -349,7 +371,7 @@ def _estimate_steps(
             intruder_truth=AircraftState.from_array(step.intruder),
             estimate=step.estimate,
         )
-        for i, (step, query, (ss_res, _), dmc_res) in enumerate(zip(steps, queries, ss, dmc))
+        for i, (step, query, ss_res, dmc_res) in enumerate(zip(steps, queries, ss, dmc))
     ]
 
 
@@ -367,7 +389,8 @@ def simulate_scenario(
     subsampled run reproduces exactly the records of the full run; a step
     requested twice gives one record, and a step outside 1..n_steps raises
     `ValueError`.  Estimated steps go to the engine in groups of
-    `GROUP_SIZE`, which changes no record.
+    `GROUP_SIZE` (fewer when N is large), which changes no record; no CCDF
+    table is built.
     """
     root = _rng.derive(seed)
     wanted = None if estimate_steps is None else set(int(s) for s in estimate_steps)
@@ -375,12 +398,13 @@ def simulate_scenario(
         outside = sorted(k for k in wanted if not 1 <= k <= spec.n_steps)
         if outside:
             raise ValueError(f"estimate_steps outside 1..{spec.n_steps}: {outside}")
+    size = _group_size(ss_config)
     records: list[StepRecord] = []
     group: list[EncounterStep] = []
     for step in encounter_steps(spec, root):
         if wanted is None or step.k in wanted:
             group.append(step)
-        if len(group) == GROUP_SIZE:
+        if len(group) == size:
             records += _estimate_steps(spec, ss_config, root, group)
             group = []
     if group:

@@ -4,8 +4,8 @@ Estimates a small probability P(response <= threshold) by descending through
 nested response levels: level 0 is plain Monte Carlo from the prior; each
 further level grows Markov chains from the best-performing samples of the
 previous one, so the sample population migrates toward the rare region.  The
-per-level populations are merged into a CCDF table from which the probability
-is read off.
+probability is read off the final level's count of rare samples, and the
+per-level populations merge into a CCDF table when a caller reads it.
 
 The engine is parameterized over a system with a Gaussian prior (mean and
 Cholesky factor per problem) and a response function.  It owns the one
@@ -22,6 +22,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -150,11 +151,27 @@ class SubsetDiagnostics:
     stalled_levels: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetResult:
+    """One problem's estimate and diagnostics, and its CCDF table on demand.
+
+    The table is assembled (by the module's `assemble_ccdf`) on the first
+    read of `table`, then kept.  Until then the result holds its level
+    blocks, which are views of the sorted level arrays of the lockstep run
+    that produced it: an unread result pins those arrays for every problem
+    of that run.  The first read releases them.
+    """
+
     estimate: float
-    table: CcdfTable
     diagnostics: SubsetDiagnostics
+    _blocks: list = field(repr=False)
+    _config: SubsetConfig = field(repr=False)
+
+    @cached_property
+    def table(self) -> CcdfTable:
+        table = assemble_ccdf(self._blocks, self._config)
+        self._blocks.clear()
+        return table
 
 
 def _level_scale(level: int, config: SubsetConfig) -> float:
@@ -250,13 +267,18 @@ def estimate_probability(
     entry: 0 under STANDARD, the floor 1 / (N * chain_length^L) under SHIFTED,
     meaning "the probability is below this value".
     """
-    n = config.n_samples
-    if not 0 <= conflict_count <= n:
-        raise ValueError(f"conflict count must lie in [0, {n}], got {conflict_count}")
     if table.levels_completed != final_level + 1:
         raise ValueError(
             f"table has {table.levels_completed} levels but final level is {final_level}"
         )
+    return _read_off(conflict_count, final_level, config)
+
+
+def _read_off(conflict_count: int, final_level: int, config: SubsetConfig) -> float:
+    """`estimate_probability` without the table: the count's check and read-off."""
+    n = config.n_samples
+    if not 0 <= conflict_count <= n:
+        raise ValueError(f"conflict count must lie in [0, {n}], got {conflict_count}")
     scale = _level_scale(final_level, config)
     if conflict_count == 0 and config.interval_variant is IntervalVariant.SHIFTED:
         return 1.0 / scale
@@ -269,19 +291,30 @@ def sample_gaussian(gen: np.random.Generator, n: int, mean: np.ndarray, chol: np
     return mean + z @ chol.T
 
 
-def _level0(system: RareEventSystem, roots: Sequence, ns: Sequence[int]) -> np.ndarray:
-    """Level 0, stacked: ns[k] prior draws of problem k from child(roots[k], 0)."""
+def _check_system(system: RareEventSystem, k_all: int) -> None:
+    """Reject a system whose shapes disagree or that poses other than k_all problems."""
     mean, chol = system.mean, system.chol
     if mean.ndim != 2 or chol.shape != mean.shape + mean.shape[1:]:
         raise ValueError(f"system mean {mean.shape} and Cholesky factors {chol.shape} do not match")
-    if len(mean) != len(roots):
-        raise ValueError(f"system poses {len(mean)} problems but {len(roots)} seeds were given")
+    if len(mean) != k_all:
+        raise ValueError(f"system poses {len(mean)} problems but {k_all} seeds were given")
+
+
+def _level0(mean: np.ndarray, chol: np.ndarray, roots: Sequence, ns: Sequence[int]) -> np.ndarray:
+    """Level 0, stacked: ns[k] draws of N(mean[k], chol[k] chol[k]^T) from child(roots[k], 0)."""
     return np.concatenate(
         [
-            sample_gaussian(_rng.generator(_rng.child(root, 0)), n, mean[k], chol[k])
-            for k, (root, n) in enumerate(zip(roots, ns))
+            sample_gaussian(_rng.generator(_rng.child(root, 0)), n, m, c)
+            for root, n, m, c in zip(roots, ns, mean, chol)
         ]
     )
+
+
+# Most rows `direct_monte_carlo` draws and scores at once, unless one
+# problem alone has more: it bounds the draws, their responses and the
+# evaluation's temporaries while keeping each slice's call large enough
+# for the response's per-call cost not to matter.
+_DMC_SLICE_ROWS = 16_384
 
 
 def direct_monte_carlo(
@@ -292,16 +325,29 @@ def direct_monte_carlo(
 ) -> np.ndarray:
     """Per problem k, how many of its `ns[k]` prior draws respond at or below
     `failure_threshold`.  The draws are level 0 of `run_subset_simulations`
-    from `seeds[k]`, and one `evaluate` call scores those of every problem.
+    from `seeds[k]`.  Consecutive problems are drawn and scored together, one
+    `evaluate` call per slice of at most `_DMC_SLICE_ROWS` rows; a problem is
+    never split, so one with more rows is a slice of its own.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"{len(ns)} sample counts but {len(seeds)} seeds")
     if len(ns) == 0 or min(ns) < 1:
         raise ValueError(f"sample counts must be positive, got {list(ns)}")
-    problems = np.repeat(np.arange(len(ns)), ns)
-    samples = _level0(system, [_rng.derive(seed) for seed in seeds], ns)
-    hits = system.evaluate(samples, problems) <= failure_threshold
-    return np.bincount(problems[hits], minlength=len(ns))
+    _check_system(system, len(ns))
+    roots = [_rng.derive(seed) for seed in seeds]
+    counts = []
+    lo = 0
+    while lo < len(ns):
+        hi, rows = lo + 1, ns[lo]
+        while hi < len(ns) and rows + ns[hi] <= _DMC_SLICE_ROWS:
+            rows += ns[hi]
+            hi += 1
+        problems = np.repeat(np.arange(lo, hi), ns[lo:hi])
+        samples = _level0(system.mean[lo:hi], system.chol[lo:hi], roots[lo:hi], ns[lo:hi])
+        hits = system.evaluate(samples, problems) <= failure_threshold
+        counts.append(np.bincount(problems[hits] - lo, minlength=hi - lo))
+        lo = hi
+    return np.concatenate(counts)
 
 
 # Correlation between successive whitened chain states.  0.8 accepted about
@@ -401,14 +447,16 @@ def run_subset_simulations(
     (N_c, length, d) innovations at level l from `child(root_k, l)`, with
     root_k derived from its seed, and the sort, threshold, seed selection and
     stop test are row-wise; so each result equals the problem's own
-    one-problem run bit for bit.
+    one-problem run bit for bit.  No table is assembled here: a result
+    builds its own on first read (see `SubsetResult`).
     """
     roots = [_rng.derive(seed) for seed in seeds]
     k_all = len(roots)
     if k_all == 0:
         raise ValueError("at least one seed is required")
+    _check_system(system, k_all)
     n, n_c, n_s = config.n_samples, config.n_chains, config.chain_length
-    samples = _level0(system, roots, [n] * k_all)
+    samples = _level0(system.mean, system.chol, roots, [n] * k_all)
     d = system.mean.shape[1]
     chol_inv = np.linalg.inv(system.chol)
 
@@ -482,8 +530,7 @@ def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
             stalled,
             len(thresholds),
         )
-    table = assemble_ccdf(blocks, config)
-    estimate = estimate_probability(table, conflicts, level, config)
+    estimate = _read_off(conflicts, level, config)
     n = config.n_samples
     diagnostics = SubsetDiagnostics(
         levels_completed=level + 1,
@@ -493,7 +540,7 @@ def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
         thresholds=tuple(thresholds),
         stalled_levels=stalled,
     )
-    return SubsetResult(estimate=estimate, table=table, diagnostics=diagnostics)
+    return SubsetResult(estimate, diagnostics, blocks, config)
 
 
 def _sort_blocks(samples: np.ndarray, responses: np.ndarray, k: int, n: int, level: int):

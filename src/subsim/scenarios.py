@@ -82,6 +82,11 @@ class ScenarioSpec:
                     f"converging angle {self.converging_angle} differs from the intruder "
                     f"heading {self.intruder_heading}"
                 )
+        elif self.converging_angle is not None:
+            # it would change no state but still be recorded in the manifest
+            raise ValueError(
+                f"converging_angle applies only to converging scenarios, not {self.kind.value}"
+            )
 
     @property
     def n_steps(self) -> int:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from subsim import conflict
+from subsim import analysis, conflict
 from subsim import rng as _rng
 from subsim.analysis import (
     CovPoint,
@@ -161,6 +161,22 @@ class TestCovStudy:
         for p in points:
             assert p.mean_pc >= 0.0
             assert p.undefined or p.cov >= 0.0
+
+    def test_one_pc_dmc_per_dmc_repetition(self, monkeypatch):
+        # cov_study reads the module's pc_dmc once per repetition and DMC
+        # budget, so a wrapper set on subsim.analysis.pc_dmc sees each one
+        calls = []
+        dmc = analysis.pc_dmc
+
+        def counting(query, n, seed):
+            calls.append(n)
+            return dmc(query, n, seed)
+
+        monkeypatch.setattr(analysis, "pc_dmc", counting)
+        q = phase_p1(seed=2)
+        config = CovStudyConfig(phase=q, repetitions=3, dmc_sizes=(100, 200), ss_sizes=(100,))
+        cov_study(config, seed=11)
+        assert calls == [100] * 3 + [200] * 3
 
     def test_deterministic(self):
         q = phase_p1(seed=2)

@@ -131,6 +131,19 @@ class TestScenarioCommand:
         assert rc == 2
         assert not (tmp_path / "x").exists()
 
+    def test_converging_angle_on_head_on_exits_2(self, tmp_path):
+        cfgfile = tmp_path / "head_on.json"
+        save_scenario(build_head_on(0.0, duration=1.0), cfgfile)
+        data = json.loads(cfgfile.read_text())
+        data["converging_angle"] = 45.0
+        cfgfile.write_text(json.dumps(data))
+        rc = main(
+            ["scenario", "--scenario", str(cfgfile),
+             "--out-dir", str(tmp_path / "x"), *SCENARIO_ARGS]
+        )
+        assert rc == 2
+        assert not (tmp_path / "x").exists()
+
 
 class TestCovStudyCommand:
     def test_single_rep_exits_2(self, tmp_path):

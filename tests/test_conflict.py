@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -458,6 +459,35 @@ class TestPcSsBatch:
         for a, b in zip(whole, pc_ss_batch(self.QUERIES, CFG, seeds)):
             _same_pc(a, b)
 
+    def test_tables_equal_eager_assembly(self, assemble_calls, eager_tables):
+        # the queries stop at different levels; each table is assembled once,
+        # as pc_ss or pc_ss_batch returns it, and equals the table assembled
+        # when its problem stopped
+        seeds = [8, 1, 11, 2]
+        lazy = pc_ss_batch(self.QUERIES, CFG, seeds) + [pc_ss(self.QUERIES[1], CFG, 1)]
+        assert len(assemble_calls) == 5
+        eager_tables()
+        eager = pc_ss_batch(self.QUERIES, CFG, seeds) + [pc_ss(self.QUERIES[1], CFG, 1)]
+        assert len(assemble_calls) == 10
+        for a, b in zip(lazy, eager):
+            _same_pc(a, b)
+
+    def test_large_n_groups_hold_16_problems(self, monkeypatch):
+        # groups shrink with N so that a group holds at most 48,000 samples a level
+        sizes = []
+        run = conflict.run_subset_simulations
+
+        def recording(system, config, threshold, seeds):
+            sizes.append(len(seeds))
+            return run(system, config, threshold, seeds)
+
+        monkeypatch.setattr(conflict, "run_subset_simulations", recording)
+        config = SubsetConfig(n_samples=3000, level_probability=0.1, max_levels=1)
+        pc_ss_batch([_query(HEAD_ON_COLLISION)] * 20, config, list(range(20)))
+        assert sizes == [16, 4]
+        assert conflict._group_size(SubsetConfig(1000, 0.1)) == 48
+        assert conflict._group_size(CFG) == conflict.GROUP_SIZE == 64
+
     def test_mismatched_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             pc_ss_batch(self.QUERIES, CFG, [1, 2])
@@ -535,6 +565,26 @@ class TestSimulateScenario:
                 b.observer_truth, b.intruder_truth, b.estimate.mean
             )
             assert np.array_equal(a.estimate.covariance, b.estimate.covariance)
+
+    def test_builds_no_table(self, assemble_calls):
+        spec = build_head_on(300.0, 2000.0, duration=1.0, sample_rate=10.0)
+        records = simulate_scenario(spec, CFG, seed=19)
+        assert len(records) == 10 and max(r.pc_ss.levels_used for r in records) > 1
+        assert assemble_calls == []
+
+    def test_encounter_peak_memory(self):
+        # one 400-step head-on encounter peaks at 5.9 MB of traced
+        # allocations with 64 steps a group (3.3 MB with 16 steps and eager
+        # tables); the 8 MB bound leaves a 36% margin for NumPy versions
+        spec = build_head_on(0.0, 2000.0)
+        tracemalloc.start()
+        try:
+            records = simulate_scenario(spec, CFG, seed=901)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 400
+        assert peak < 8_000_000
 
     def test_dmc_equals_pc_dmc_of_each_step(self):
         # the group's draws go through one kernel call; each step's result

@@ -566,6 +566,29 @@ class TestLockstepProblems:
         with pytest.raises(ValueError, match="seed"):
             run_subset_simulations(_line_system(), CFG, 0.5, [])
 
+    def test_tables_are_built_on_first_read(self, assemble_calls, eager_tables):
+        # the problems stop at different levels; a table read after the whole
+        # run equals the one assembled when its problem stopped
+        seeds = (3, 4, 5)
+        system = _line_system((0.0, 4.0, 6.0))
+        lazy = run_subset_simulations(system, CFG, 0.1, seeds)
+        assert len({r.diagnostics.levels_completed for r in lazy}) == 3
+        assert assemble_calls == []
+        tables = [r.table for r in lazy]
+        assert len(assemble_calls) == 3
+        # a second read returns the same table without assembling again
+        assert all(r.table is t for r, t in zip(lazy, tables))
+        assert len(assemble_calls) == 3
+        eager_tables()
+        eager = run_subset_simulations(system, CFG, 0.1, seeds)
+        assert len(assemble_calls) == 6
+        for a, b in zip(lazy, eager):
+            assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
+            assert a.table.levels_completed == b.table.levels_completed
+            assert np.array_equal(a.table.probabilities, b.table.probabilities)
+            assert np.array_equal(a.table.responses, b.table.responses)
+            assert np.array_equal(a.table.samples, b.table.samples)
+
 
 class TestDirectMonteCarlo:
     """Plain Monte Carlo runs on the draws of SS level 0."""
@@ -585,6 +608,29 @@ class TestDirectMonteCarlo:
         for shift, n, seed, count in zip(shifts, ns, seeds, counts.tolist()):
             alone = direct_monte_carlo(_line_system(shift), [n], 0.7, [seed])
             assert alone.tolist() == [count]
+
+    def test_slices_hold_whole_problems(self, monkeypatch, assemble_calls):
+        # with a 100-row cap, consecutive problems share a call while they
+        # fit, a larger problem is a call of its own, and none is split
+        shifts, ns, seeds = (0.0, 1.0, 0.0, 0.5, 2.0), [40, 50, 300, 60, 41], (3, 4, 5, 6, 7)
+        system = _line_system(shifts)
+        calls = []
+
+        def recording(x, problems):
+            calls.append(problems.copy())
+            return system.evaluate(x, problems)
+
+        recorded = RareEventSystem(system.mean, system.chol, recording)
+        whole = direct_monte_carlo(recorded, ns, 0.7, seeds)
+        assert len(calls) == 1
+        calls.clear()
+        monkeypatch.setattr(engine, "_DMC_SLICE_ROWS", 100)
+        sliced = direct_monte_carlo(recorded, ns, 0.7, seeds)
+        assert sliced.tolist() == whole.tolist()
+        assert whole.min() > 0
+        assert [np.unique(p).tolist() for p in calls] == [[0, 1], [2], [3], [4]]
+        assert np.array_equal(np.concatenate(calls), np.repeat(np.arange(5), ns))
+        assert assemble_calls == []
 
     @pytest.mark.parametrize(
         "ns,seeds,match",

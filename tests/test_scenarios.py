@@ -219,6 +219,17 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="differs from the intruder heading"):
             load_scenario(_write_json(tmp_path / "mismatch.json", d))
 
+    @pytest.mark.parametrize("build", [build_head_on, build_overtaking])
+    def test_converging_angle_on_other_kinds_rejected(self, build, tmp_path):
+        # the angle changes no state of these kinds but would be recorded
+        with pytest.raises(ValueError, match="only to converging"):
+            build(0.0, converging_angle=45.0)
+        d = spec_to_dict(build(0.0))
+        assert d["converging_angle"] is None
+        d["converging_angle"] = 45.0
+        with pytest.raises(ValueError, match="only to converging"):
+            load_scenario(_write_json(tmp_path / "angle.json", d))
+
     def test_unknown_field(self, tmp_path):
         spec = build_head_on(0.0)
         d = spec_to_dict(spec)

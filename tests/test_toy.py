@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from subsim import rng as _rng
+from subsim import toy
 from subsim.engine import (
     CHAIN_CORRELATION,
     IntervalVariant,
@@ -230,6 +231,36 @@ class TestSsToy:
         for s in (7, 11, 3):
             res = ss_toy(REGION, std_config(1), seed=s)
             assert res.estimate == dmc_estimate(REGION, 100, seed=s) == 0.0
+
+    def test_one_toy_system_per_estimate(self, monkeypatch):
+        # ss_toy reads the module's toy_system once per estimate, so a
+        # wrapper set on subsim.toy.toy_system sees every estimate
+        calls = []
+        system = toy.toy_system
+
+        def counting(region):
+            calls.append(region)
+            return system(region)
+
+        monkeypatch.setattr(toy, "toy_system", counting)
+        for s in range(3):
+            ss_toy(REGION, std_config(3), seed=s)
+        assert calls == [REGION] * 3
+
+    def test_table_equals_eager_assembly(self, assemble_calls, eager_tables):
+        # the table is assembled on its first read, and equals the table
+        # assembled when the descent stopped
+        lazy = [ss_toy(REGION, std_config(8), seed=s) for s in (5, 6)]
+        assert assemble_calls == []
+        tables = [res.table for res in lazy]
+        assert len(assemble_calls) == 2
+        eager_tables()
+        for s, table in zip((5, 6), tables):
+            eager = ss_toy(REGION, std_config(8), seed=s).table
+            assert eager.levels_completed == table.levels_completed
+            assert np.array_equal(eager.probabilities, table.probabilities)
+            assert np.array_equal(eager.responses, table.responses)
+            assert np.array_equal(eager.samples, table.samples)
 
     def test_deterministic(self):
         r1 = ss_toy(REGION, std_config(3), seed=5)
