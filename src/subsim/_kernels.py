@@ -40,12 +40,10 @@ _BLOCK_ELEMS = 6_000_000
 # 0.78 at 12,431 on 401 points but 1.48x the closed form's time at 12,003
 # on 4,001 points, and 1.8x from 14,436 on 401.  In use the K > 1 scan is
 # rare: a 400-step head-on encounter (seeds 3, 7, 11, 901 and 1234) makes
-# 204 kernel calls, and 7 of them reach the scan, 2.3-4.5 ms in all: those
-# that score a step group's true states, whose zero relative acceleration
-# leaves every row unsettled.  The 16 states of the last group come here
-# directly; the 64 of each full group pass through the closed form first,
-# which brings those 7 calls to 4.5-9.8 ms.  A 2-rep p2 c.o.v. study sends
-# none of its 99.
+# 197 `miss_distance_batch` calls, none of which reaches the scan, and 7
+# direct scan calls, 2.3-4.5 ms in all: those that score a step group's
+# true states, whose zero relative acceleration the closed form cannot
+# settle.  A 2-rep p2 c.o.v. study sends none of its 99 calls to the scan.
 _SCAN_ELEMS = 12_288
 # Rows per closed-form block: about 80 kB per (10 grid points, rows)
 # temporary, under glibc's 128 kB mmap threshold.  Against 1,536 rows,

@@ -3,7 +3,8 @@
 A scenario phase (encounter + time instant) is frozen into a single conflict
 query by running the truth/filter loop once; repeated independent estimates
 against that fixed query then isolate estimator randomness from filter noise.
-The SS repetitions of one budget run in lockstep groups (`pc_ss_batch`).
+The SS repetitions of one budget run in lockstep groups (`pc_ss_batch`) and
+return their estimates only, with no CCDF table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ from .scenarios import ScenarioSpec, build_head_on
 
 @dataclass(frozen=True)
 class CovStudyConfig:
-    """Repetition count and sample budgets for both estimators."""
+    """Repetition count and sample budgets for both estimators.
+
+    Every budget is checked on construction: a DMC size below 1, or an SS
+    size that makes no valid `SubsetConfig`, is rejected before any run.
+    """
 
     phase: ConflictQuery
     repetitions: int = 50
@@ -36,6 +41,18 @@ class CovStudyConfig:
             raise ValueError(
                 f"at least 2 repetitions are needed for a spread, got {self.repetitions}"
             )
+        if any(n < 1 for n in self.dmc_sizes):
+            raise ValueError(f"DMC sizes must be positive, got {list(self.dmc_sizes)}")
+        for n in self.ss_sizes:
+            self.subset_config(n)
+
+    def subset_config(self, n: int) -> SubsetConfig:
+        """The engine config of the SS budget of n samples per level."""
+        return SubsetConfig(
+            n_samples=int(n),
+            level_probability=self.level_probability,
+            max_levels=self.max_levels,
+        )
 
 
 @dataclass(frozen=True)
@@ -104,17 +121,12 @@ def cov_study(config: CovStudyConfig, seed: _rng.SeedLike) -> list[CovPoint]:
         results = [pc_dmc(config.phase, n, _rng.child(root, 0, size_idx, rep)) for rep in reps]
         points.append(_cov_point("dmc", n, results))
     for size_idx, n in enumerate(config.ss_sizes):
-        ss_cfg = SubsetConfig(
-            n_samples=int(n),
-            level_probability=config.level_probability,
-            max_levels=config.max_levels,
-        )
         results = pc_ss_batch(
             [config.phase] * len(reps),
-            ss_cfg,
+            config.subset_config(n),
             [_rng.child(root, 1, size_idx, rep) for rep in reps],
         )
-        points.append(_cov_point("ss", n, [res for res, _ in results]))
+        points.append(_cov_point("ss", n, results))
     return points
 
 

@@ -187,10 +187,12 @@ _COV_HEADER = "method,requested_n,avg_samples,mean_pc,std_pc,cov,undefined_flag"
 
 def cmd_cov_study(args) -> int:
     seed = _resolve_seed(args.seed)
-    if args.reps < 2:
-        raise ValueError(f"at least 2 repetitions are required, got {args.reps}")
     dmc_sizes = [int(v) for v in args.dmc_sizes.split(",")]
     ss_sizes = [int(v) for v in args.ss_sizes.split(",")]
+    phase_fn = phase_p1 if args.phase == "p1" else phase_p2
+    config = CovStudyConfig(
+        phase=phase_fn(seed), repetitions=args.reps, dmc_sizes=dmc_sizes, ss_sizes=ss_sizes
+    )
     out_dir = Path(args.out_dir)
     snapshot = {
         "phase": args.phase,
@@ -200,11 +202,6 @@ def cmd_cov_study(args) -> int:
     }
     _write_manifest(out_dir, "cov-study", snapshot, seed, ["cov_study.csv"])
 
-    phase_fn = phase_p1 if args.phase == "p1" else phase_p2
-    phase = phase_fn(seed)
-    config = CovStudyConfig(
-        phase=phase, repetitions=args.reps, dmc_sizes=dmc_sizes, ss_sizes=ss_sizes
-    )
     points = cov_study(config, seed)
     lines = [_COV_HEADER]
     for pt in points:

@@ -10,6 +10,7 @@ full encounter while the filter tracks the (noisy-measured) intruder.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .dynamics import AircraftState, propagate, track_positions, transition_matrix
+from .dynamics import AircraftState, track_positions, transition_matrix
 from .engine import (
     CcdfTable,
     RareEventSystem,
@@ -34,7 +35,7 @@ from .tracking import (
     kf_step,
     simulate_measurement,
 )
-from ._kernels import miss_distance_batch
+from ._kernels import miss_distance_batch, miss_distance_scan
 
 logger = logging.getLogger(__name__)
 
@@ -72,11 +73,6 @@ class PcResult:
     levels_used: int
     samples_used: int
     floor_reached: bool
-
-
-def _observer_positions(query: ConflictQuery) -> np.ndarray:
-    traj = propagate(query.observer, f=query.sample_rate, t=query.horizon)
-    return traj.positions
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -230,20 +226,22 @@ def pc_ss(
 
     Level 0 is `pc_dmc` on N draws at the same seed; deeper levels run
     conditional chains against intermediate miss-distance thresholds.  The
-    estimate is D/N * p0^L, with D the conflicts among level L's N samples.
+    estimate is D/N * p0^L, with D the conflicts among level L's N samples,
+    and the CCDF table merges every level's population.
     """
-    return pc_ss_batch([query], config, [seed])[0]
+    (result,) = _ss(QueryBatch.from_queries([query]), config, [seed])
+    return _pc(result), result.table
 
 
 def pc_ss_batch(
     queries: Sequence[ConflictQuery],
     config: SubsetConfig,
     seeds: Sequence[_rng.SeedLike],
-) -> list[tuple[PcResult, CcdfTable]]:
+) -> list[PcResult]:
     """`pc_ss` of each query with its seed, run in lockstep groups of
-    `GROUP_SIZE`, fewer when N is large.
+    `GROUP_SIZE`, fewer when N is large, without the CCDF tables.
 
-    Result i equals `pc_ss(queries[i], config, seeds[i])` exactly.
+    Result i equals `pc_ss(queries[i], config, seeds[i])[0]` exactly.
     """
     if len(queries) != len(seeds):
         raise ValueError(f"{len(queries)} queries but {len(seeds)} seeds")
@@ -251,7 +249,7 @@ def pc_ss_batch(
     out = []
     for lo in range(0, len(queries), size):
         batch = QueryBatch.from_queries(queries[lo : lo + size])
-        out += [(_pc(res), res.table) for res in _ss(batch, config, seeds[lo : lo + size])]
+        out += map(_pc, _ss(batch, config, seeds[lo : lo + size]))
     return out
 
 
@@ -351,7 +349,9 @@ def _estimate_steps(
     three.  SS runs the steps in lockstep and reads no table.  DMC draws
     each step's `samples_used` states from its own stream, child(root, k, 2),
     and scores the draws of consecutive steps together, so each step's DMC
-    result equals `pc_dmc(step.query(spec), n, child(root, k, 2))`.
+    result equals `pc_dmc(step.query(spec), n, child(root, k, 2))`.  The true
+    states go straight to the grid scan: their relative acceleration is zero,
+    so the closed form of `miss_distance_batch` would settle none of them.
     """
     queries = [step.query(spec) for step in steps]
     batch = QueryBatch.from_queries(queries)
@@ -359,7 +359,8 @@ def _estimate_steps(
     ss = [_pc(res) for res in _ss(batch, ss_config, ss_seeds)]
     dmc_seeds = [_rng.child(root, step.k, 2) for step in steps]
     dmc = _dmc(batch, [res.samples_used for res in ss], dmc_seeds)
-    miss_true = batch.miss(np.array([step.intruder for step in steps]), np.arange(len(steps)))
+    truth = np.array([step.intruder for step in steps])
+    miss_true, _ = miss_distance_scan(truth, batch.obs_xy, batch.dt, np.arange(len(steps)))
     return [
         StepRecord(
             step=step.k,
@@ -398,15 +399,9 @@ def simulate_scenario(
         outside = sorted(k for k in wanted if not 1 <= k <= spec.n_steps)
         if outside:
             raise ValueError(f"estimate_steps outside 1..{spec.n_steps}: {outside}")
+    steps = (s for s in encounter_steps(spec, root) if wanted is None or s.k in wanted)
     size = _group_size(ss_config)
     records: list[StepRecord] = []
-    group: list[EncounterStep] = []
-    for step in encounter_steps(spec, root):
-        if wanted is None or step.k in wanted:
-            group.append(step)
-        if len(group) == size:
-            records += _estimate_steps(spec, ss_config, root, group)
-            group = []
-    if group:
+    while group := list(itertools.islice(steps, size)):
         records += _estimate_steps(spec, ss_config, root, group)
     return records

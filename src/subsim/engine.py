@@ -258,24 +258,13 @@ def assemble_ccdf(
     )
 
 
-def estimate_probability(
-    table: CcdfTable, conflict_count: int, final_level: int, config: SubsetConfig
-) -> float:
+def estimate_probability(conflict_count: int, final_level: int, config: SubsetConfig) -> float:
     """D / (N * chain_length^L): level L's fraction of rare samples times p0^L.
 
     At level 0 this is plain Monte Carlo.  With D = 0 it is the ladder's last
     entry: 0 under STANDARD, the floor 1 / (N * chain_length^L) under SHIFTED,
     meaning "the probability is below this value".
     """
-    if table.levels_completed != final_level + 1:
-        raise ValueError(
-            f"table has {table.levels_completed} levels but final level is {final_level}"
-        )
-    return _read_off(conflict_count, final_level, config)
-
-
-def _read_off(conflict_count: int, final_level: int, config: SubsetConfig) -> float:
-    """`estimate_probability` without the table: the count's check and read-off."""
     n = config.n_samples
     if not 0 <= conflict_count <= n:
         raise ValueError(f"conflict count must lie in [0, {n}], got {conflict_count}")
@@ -530,7 +519,7 @@ def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
             stalled,
             len(thresholds),
         )
-    estimate = _read_off(conflicts, level, config)
+    estimate = estimate_probability(conflicts, level, config)
     n = config.n_samples
     diagnostics = SubsetDiagnostics(
         levels_completed=level + 1,

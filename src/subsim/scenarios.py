@@ -215,7 +215,7 @@ def load_scenario(path) -> ScenarioSpec:
         raise ValueError(f"scenario file {path} must hold a JSON object")
     try:
         return spec_from_dict(data)
-    except TypeError as exc:
+    except (TypeError, KeyError) as exc:
         raise ValueError(f"scenario file {path} has unknown or missing fields: {exc}") from exc
 
 

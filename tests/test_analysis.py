@@ -148,6 +148,20 @@ class TestCovStudy:
         with pytest.raises(ValueError):
             CovStudyConfig(phase=q, repetitions=1)
 
+    @pytest.mark.parametrize(
+        "budgets",
+        [
+            {"dmc_sizes": (100, 0)},
+            {"ss_sizes": (100, 155)},  # p0 * N is not an integer
+            {"ss_sizes": (0,)},
+            {"ss_sizes": (10,), "level_probability": 0.25},  # valid at the default p0 = 0.1
+            {"max_levels": 0},
+        ],
+    )
+    def test_bad_budget_rejected(self, budgets):
+        with pytest.raises(ValueError):
+            CovStudyConfig(phase=phase_p1(seed=2), repetitions=2, **budgets)
+
     def test_point_layout_and_accounting(self):
         q = phase_p1(seed=2)
         config = CovStudyConfig(
@@ -177,6 +191,13 @@ class TestCovStudy:
         config = CovStudyConfig(phase=q, repetitions=3, dmc_sizes=(100, 200), ss_sizes=(100,))
         cov_study(config, seed=11)
         assert calls == [100] * 3 + [200] * 3
+
+    def test_builds_no_table(self, assemble_calls):
+        # the SS repetitions return estimates only: no CCDF table is assembled
+        q = phase_p1(seed=2)
+        config = CovStudyConfig(phase=q, repetitions=3, dmc_sizes=(100,), ss_sizes=(100,))
+        cov_study(config, seed=11)
+        assert assemble_calls == []
 
     def test_deterministic(self):
         q = phase_p1(seed=2)

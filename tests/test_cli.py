@@ -118,6 +118,18 @@ class TestScenarioCommand:
         )
         assert rc == 2
 
+    def test_scenario_without_kind_exits_2(self, tmp_path):
+        cfgfile = _small_scenario(tmp_path)
+        data = json.loads(cfgfile.read_text())
+        del data["kind"]
+        cfgfile.write_text(json.dumps(data))
+        rc = main(
+            ["scenario", "--scenario", str(cfgfile),
+             "--out-dir", str(tmp_path / "x"), *SCENARIO_ARGS]
+        )
+        assert rc == 2
+        assert not (tmp_path / "x").exists()
+
     def test_converging_angle_mismatch_exits_2(self, tmp_path):
         cfgfile = tmp_path / "converging.json"
         save_scenario(build_converging(angle=60.0, duration=1.0), cfgfile)
@@ -146,6 +158,15 @@ class TestScenarioCommand:
 
 
 class TestCovStudyCommand:
+    @pytest.mark.parametrize("budget", [["--ss-sizes", "155"], ["--dmc-sizes", "0"]])
+    def test_bad_budget_exits_2_before_the_manifest(self, tmp_path, budget):
+        rc = main(
+            ["cov-study", "--phase", "p1", "--reps", "2", "--seed", "2",
+             "--out-dir", str(tmp_path / "x"), *budget]
+        )
+        assert rc == 2
+        assert not (tmp_path / "x").exists()
+
     def test_single_rep_exits_2(self, tmp_path):
         rc = main(
             ["cov-study", "--phase", "p1", "--reps", "1", "--seed", "2",

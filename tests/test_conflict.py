@@ -16,14 +16,13 @@ from subsim.conflict import (
     ConflictQuery,
     QueryBatch,
     _cholesky_with_jitter,
-    _observer_positions,
     conflict_system,
     pc_dmc,
     pc_ss,
     pc_ss_batch,
     simulate_scenario,
 )
-from subsim.dynamics import AircraftState
+from subsim.dynamics import AircraftState, propagate
 from subsim.engine import (
     CHAIN_CORRELATION,
     SubsetConfig,
@@ -53,6 +52,11 @@ def _query(intruder_mean, cov_scale=1.0, horizon=20.0, rate=20.0, radius=152.4):
 HEAD_ON_COLLISION = (2000.0, -77.17, 0.0, 0.0, 0.0, 0.0)
 HEAD_ON_OFFSET = (2000.0, -77.17, 0.0, 1000.0, 0.0, 0.0)
 RECEDING = (-2000.0, -77.17, 0.0, 5000.0, 0.0, 0.0)
+
+
+def _track(q):
+    """The observer's track of one query, as the engine scores against it."""
+    return QueryBatch.from_queries([q]).obs_xy[0]
 
 
 class TestPcDmc:
@@ -108,7 +112,7 @@ class TestPcDmc:
 
 def _miss(q, states):
     return miss_distance_batch(
-        np.atleast_2d(states), _observer_positions(q), 1.0 / q.sample_rate, q.observer.as_array()
+        np.atleast_2d(states), _track(q), 1.0 / q.sample_rate, q.observer.as_array()
     )[0]
 
 
@@ -191,7 +195,7 @@ class TestAcceptanceRatio:
 
 def _reference_chain(q, seed_state, threshold, innovations):
     """One chain, one state at a time, with per-state matvecs and the grid scan."""
-    obs_xy = _observer_positions(q)
+    obs_xy = _track(q)
     mean = q.intruder_estimate.mean.as_array()
     chol = np.linalg.cholesky(q.intruder_estimate.covariance)
     cur = seed_state
@@ -345,7 +349,7 @@ class TestMhConflictSamples:
         q = _query(HEAD_ON_OFFSET)
         seed_state = q.intruder_estimate.mean.as_array()
         (states, misses), = _system_chains(q, seed_state, 30, 1500.0, seed=7)
-        obs_xy = _observer_positions(q)
+        obs_xy = _track(q)
         again, _ = miss_distance_scan(states, obs_xy, 1.0 / q.sample_rate)
         assert np.array_equal(again, misses)
 
@@ -406,7 +410,7 @@ class TestPcSs:
     def test_ccdf_rows_reproduce_their_miss_distances(self):
         q = _query(HEAD_ON_OFFSET)
         _, table = pc_ss(q, CFG, seed=14)
-        obs_xy = _observer_positions(q)
+        obs_xy = _track(q)
         samples = np.array([row.sample for row in table.rows])
         responses = np.array([row.response for row in table.rows])
         again, _ = miss_distance_scan(samples, obs_xy, 1.0 / q.sample_rate)
@@ -414,7 +418,7 @@ class TestPcSs:
 
     def test_shrinking_radius_never_increases_conflicts(self):
         q = _query(HEAD_ON_OFFSET, cov_scale=4.0)
-        obs_xy = _observer_positions(q)
+        obs_xy = _track(q)
         gen = _rng.generator(_rng.derive(33))
         chol = np.linalg.cholesky(q.intruder_estimate.covariance)
         states = q.intruder_estimate.mean.as_array() + gen.standard_normal((2000, 6)) @ chol.T
@@ -434,7 +438,7 @@ def _same_pc(a, b):
 
 
 class TestPcSsBatch:
-    """Queries run in lockstep give each query exactly its `pc_ss` result."""
+    """Queries run in lockstep give each query exactly its `pc_ss` estimate."""
 
     QUERIES = (
         _query(HEAD_ON_COLLISION, cov_scale=1e-6),  # stops at level 0
@@ -443,32 +447,31 @@ class TestPcSsBatch:
         _query((2000.0, -77.17, 0.0, 250.0, 0.0, 0.0)),
     )
 
-    def test_batch_equals_one_query_runs(self):
+    def test_batch_equals_one_query_runs(self, assemble_calls):
         seeds = [8, 1, 11, 2]
         batch = pc_ss_batch(self.QUERIES, CFG, seeds)
-        levels = [res.levels_used for res, _ in batch]
+        assert assemble_calls == []  # the batch reads no table
+        levels = [res.levels_used for res in batch]
         assert levels[0] == 1 and 1 < levels[1] < 7 and levels[2] == 7 and 1 < levels[3] < 7
-        assert batch[2][0].floor_reached
-        for q, seed, got in zip(self.QUERIES, seeds, batch):
-            _same_pc(got, pc_ss(q, CFG, seed))
+        assert batch[2].floor_reached
+        assert batch == [pc_ss(q, CFG, seed)[0] for q, seed in zip(self.QUERIES, seeds)]
 
     def test_groups_are_transparent(self, monkeypatch):
         seeds = [_rng.child(_rng.derive(50), k) for k in range(4)]
         whole = pc_ss_batch(self.QUERIES, CFG, seeds)
         monkeypatch.setattr(conflict, "GROUP_SIZE", 3)
-        for a, b in zip(whole, pc_ss_batch(self.QUERIES, CFG, seeds)):
-            _same_pc(a, b)
+        assert pc_ss_batch(self.QUERIES, CFG, seeds) == whole
 
     def test_tables_equal_eager_assembly(self, assemble_calls, eager_tables):
-        # the queries stop at different levels; each table is assembled once,
-        # as pc_ss or pc_ss_batch returns it, and equals the table assembled
+        # the queries stop at different levels; pc_ss assembles each table
+        # once, as it returns it, and that table equals the one assembled
         # when its problem stopped
         seeds = [8, 1, 11, 2]
-        lazy = pc_ss_batch(self.QUERIES, CFG, seeds) + [pc_ss(self.QUERIES[1], CFG, 1)]
-        assert len(assemble_calls) == 5
+        lazy = [pc_ss(q, CFG, seed) for q, seed in zip(self.QUERIES, seeds)]
+        assert len(assemble_calls) == 4
         eager_tables()
-        eager = pc_ss_batch(self.QUERIES, CFG, seeds) + [pc_ss(self.QUERIES[1], CFG, 1)]
-        assert len(assemble_calls) == 10
+        eager = [pc_ss(q, CFG, seed) for q, seed in zip(self.QUERIES, seeds)]
+        assert len(assemble_calls) == 8
         for a, b in zip(lazy, eager):
             _same_pc(a, b)
 
@@ -514,7 +517,8 @@ class TestPcSsBatch:
             assert sum("jitter" in r.getMessage() for r in caplog.records) == warnings
             for k, q in enumerate(queries):
                 assert np.array_equal(batch.observer[k], q.observer.as_array())
-                assert np.array_equal(batch.obs_xy[k], _observer_positions(q))
+                track = propagate(q.observer, f=q.sample_rate, t=q.horizon).positions
+                assert np.array_equal(batch.obs_xy[k], track)
                 assert np.array_equal(batch.mean[k], q.intruder_estimate.mean.as_array())
                 assert np.array_equal(batch.chol[k], _cholesky_with_jitter(q.intruder_estimate.covariance))
 

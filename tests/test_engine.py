@@ -198,33 +198,20 @@ class TestAssembleCcdf:
             CcdfTable(np.zeros(3), np.zeros(3), np.zeros((2, 1)), levels_completed=1)
 
 
-def _empty_table(levels):
-    return CcdfTable(np.empty(0), np.empty(0), np.empty((0, 1)), levels_completed=levels)
-
-
 class TestEstimateProbability:
     def test_floor_at_level_6(self):
-        table = _empty_table(7)
-        assert estimate_probability(table, 0, 6, CFG) == 1e-8
+        assert estimate_probability(0, 6, CFG) == 1e-8
 
     def test_all_conflicting_at_level_0(self):
-        table = _empty_table(1)
-        assert estimate_probability(table, 100, 0, CFG) == 1.0
+        assert estimate_probability(100, 0, CFG) == 1.0
 
     def test_partial_count_at_level_4(self):
-        table = _empty_table(5)
         # interval at 1-based position 53 of level 4: 48 / (100 * 10^4)
-        assert estimate_probability(table, 48, 4, CFG) == 48.0 / (100 * 10**4)
+        assert estimate_probability(48, 4, CFG) == 48.0 / (100 * 10**4)
 
     def test_count_above_n_rejected(self):
-        table = _empty_table(1)
         with pytest.raises(ValueError):
-            estimate_probability(table, 101, 0, CFG)
-
-    def test_level_mismatch_rejected(self):
-        table = _empty_table(2)
-        with pytest.raises(ValueError):
-            estimate_probability(table, 5, 0, CFG)
+            estimate_probability(101, 0, CFG)
 
     @pytest.mark.parametrize("n", [100, 1000])
     def test_count_read_off_equals_the_shifted_ladder(self, n):
@@ -233,16 +220,14 @@ class TestEstimateProbability:
         # the read-off stopped indexing the ladder
         cfg = SubsetConfig(n_samples=n, level_probability=0.1, max_levels=8)
         for level in range(8):
-            table = _empty_table(level + 1)
             ladder = probability_intervals(level, cfg)
-            reads = [estimate_probability(table, d, level, cfg) for d in range(n + 1)]
+            reads = [estimate_probability(d, level, cfg) for d in range(n + 1)]
             assert reads[0] == ladder[-1]
             assert np.array_equal(reads[1:], ladder[::-1])
 
     def test_standard_reads_the_count_or_zero(self):
-        table = _empty_table(5)
-        assert estimate_probability(table, 48, 4, CFG_STD) == 48.0 / (100 * 10**4)
-        assert estimate_probability(table, 0, 4, CFG_STD) == 0.0
+        assert estimate_probability(48, 4, CFG_STD) == 48.0 / (100 * 10**4)
+        assert estimate_probability(0, 4, CFG_STD) == 0.0
 
 
 def _gaussian_system(evaluate, k=1):

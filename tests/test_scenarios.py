@@ -230,6 +230,12 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="only to converging"):
             load_scenario(_write_json(tmp_path / "angle.json", d))
 
+    def test_missing_kind(self, tmp_path):
+        d = spec_to_dict(build_head_on(0.0))
+        del d["kind"]
+        with pytest.raises(ValueError, match="missing fields: 'kind'"):
+            load_scenario(_write_json(tmp_path / "kindless.json", d))
+
     def test_unknown_field(self, tmp_path):
         spec = build_head_on(0.0)
         d = spec_to_dict(spec)
