@@ -15,8 +15,7 @@ the minima needs no window, and nor do the neighbours of the track's ends,
 since the windows hold every minimum.  Rows it cannot settle (no relative
 acceleration, or a curve too flat for rounding to order the grid points) go
 to `miss_distance_scan`, which evaluates every grid point and is the
-reference for the closed form; so do batches too small for the closed form's
-fixed cost to pay.
+reference for the closed form; so do tracks too short to hold a window.
 
 Both kernels take K observer tracks of one length, (K, points, 2), and a
 row-to-track index, so one call serves the states of K independent problems;
@@ -30,21 +29,6 @@ import numpy as np
 # Elements per scan block: each of its three (rows, points) temporaries holds
 # half of them, about 24 MB.
 _BLOCK_ELEMS = 6_000_000
-# At or below this many state-points a batch goes to the scan: the closed
-# form's fixed cost of about eighty small array operations, 200-300 us a
-# call, exceeds the scan's.  Interleaved timings on 1 and 16 tracks of 401
-# and 4,001 points put the crossover on either side of this value: on one
-# track the scan took 0.56-0.73 of the closed form's time at 12,003-12,431
-# state-points (3 rows on 4,001 points, 31 on 401) and stayed cheaper up to
-# 19,248-20,005; on 16 tracks, whose scan gathers a track per row, it took
-# 0.78 at 12,431 on 401 points but 1.48x the closed form's time at 12,003
-# on 4,001 points, and 1.8x from 14,436 on 401.  In use the K > 1 scan is
-# rare: a 400-step head-on encounter (seeds 3, 7, 11, 901 and 1234) makes
-# 197 `miss_distance_batch` calls, none of which reaches the scan, and 7
-# direct scan calls, 2.3-4.5 ms in all: those that score a step group's
-# true states, whose zero relative acceleration the closed form cannot
-# settle.  A 2-rep p2 c.o.v. study sends none of its 99 calls to the scan.
-_SCAN_ELEMS = 12_288
 # Rows per closed-form block: about 80 kB per (10 grid points, rows)
 # temporary, under glibc's 128 kB mmap threshold.  Against 1,536 rows,
 # interleaved on p2 and head-on posterior draws, 1,024 took 1.04-1.12x the
@@ -276,7 +260,7 @@ def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float, obser
     if not ((obs_xy[:, 0] == start).all() and (obs_xy[:, last] == end).all()):
         raise ValueError("obs_xy is not the track of the observer state at this dt")
 
-    if states.shape[0] * n_pts <= _SCAN_ELEMS or n_pts < _SPAN:
+    if n_pts < _SPAN:
         return miss_distance_scan(states, obs_xy, dt, problem)
 
     # position scale per state component in grid-index units, and the

@@ -157,11 +157,12 @@ def cmd_scenario(args) -> int:
     else:
         base = _PRESETS[args.preset](0.0)
         name = args.preset.replace("-", "_")
-    laterals = [float(v) for v in args.lateral_sep.split(",")] if args.lateral_sep else None
-    if laterals is not None and any(v < 0 for v in laterals):
-        raise ValueError(f"lateral separations must be non-negative: {laterals}")
-    if laterals is None:
+    if args.lateral_sep:
+        laterals = [float(v) for v in args.lateral_sep.split(",")]
+    else:
         laterals = [base.lateral_separation]
+    # every spec of the sweep is checked before anything is written
+    specs = [with_lateral_separation(base, la) for la in laterals]
     config = SubsetConfig(
         n_samples=args.n, level_probability=args.p0, max_levels=args.levels
     )
@@ -174,8 +175,7 @@ def cmd_scenario(args) -> int:
     }
     _write_manifest(out_dir, "scenario", snapshot, seed, outputs)
 
-    for la, fname in zip(laterals, outputs):
-        spec = with_lateral_separation(base, la)
+    for spec, fname in zip(specs, outputs):
         records = simulate_scenario(spec, config, seed)
         (out_dir / fname).write_text(_series_csv(records))
         print(f"scenario: wrote {fname} ({len(records)} steps)")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -51,6 +52,9 @@ class ConflictQuery:
     sample_rate: float = 20.0
 
     def __post_init__(self):
+        for name in ("protected_radius", "horizon", "sample_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.protected_radius <= 0:
             raise ValueError(f"protected radius must be positive, got {self.protected_radius}")
         if self.horizon <= 0:

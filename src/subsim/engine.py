@@ -157,9 +157,10 @@ class SubsetResult:
 
     The table is assembled (by the module's `assemble_ccdf`) on the first
     read of `table`, then kept.  Until then the result holds its level
-    blocks, which are views of the sorted level arrays of the lockstep run
-    that produced it: an unread result pins those arrays for every problem
-    of that run.  The first read releases them.
+    blocks, (sorted responses, sorted samples) pairs that are views of the
+    sorted level arrays of the lockstep run that produced it: an unread
+    result pins those arrays for every problem of that run.  The first read
+    releases them.
     """
 
     estimate: float
@@ -227,25 +228,27 @@ def select_seeds(sorted_samples: np.ndarray, config: SubsetConfig, axis: int = 0
 
 
 def assemble_ccdf(
-    level_blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    level_blocks: Sequence[tuple[np.ndarray, np.ndarray]],
     config: SubsetConfig,
 ) -> CcdfTable:
-    """Merge per-level (intervals, sorted responses, sorted samples) blocks.
+    """Merge per-level (sorted responses, sorted samples) blocks.
 
-    Every non-final level drops its last N_c rows (those samples were consumed
-    as seeds and are replaced by the next level); the final level keeps all N.
-    The table's columns are new arrays, not views of the blocks.
+    Block i is level i, whose rows take the ladder `probability_intervals(i,
+    config)`.  Every non-final level drops its last N_c rows (those samples
+    were consumed as seeds and are replaced by the next level); the final
+    level keeps all N.  The table's columns are new arrays, not views of the
+    blocks.
     """
     if len(level_blocks) == 0:
         raise ValueError("at least one level block is required")
     n, n_c = config.n_samples, config.n_chains
     last = len(level_blocks) - 1
     kept = []
-    for i, (intervals, responses, samples) in enumerate(level_blocks):
-        if not (len(intervals) == len(responses) == samples.shape[0] == n):
+    for i, (responses, samples) in enumerate(level_blocks):
+        if not (len(responses) == samples.shape[0] == n):
             raise ValueError(f"level {i} block must have {n} rows")
         keep = n if i == last else n - n_c
-        kept.append((intervals[:keep], responses[:keep], samples[:keep]))
+        kept.append((probability_intervals(i, config)[:keep], responses[:keep], samples[:keep]))
     intervals, responses, samples = zip(*kept)
     probs = np.concatenate(intervals).astype(np.float64, copy=False)
     if np.any(np.diff(probs) > 0):
@@ -458,9 +461,8 @@ def run_subset_simulations(
     results: list = [None] * k_all
 
     while True:
-        intervals = probability_intervals(level, config)
         for j, k in enumerate(active.tolist()):
-            blocks[k].append((intervals, sorted_r[j], sorted_x[j]))
+            blocks[k].append((sorted_r[j], sorted_x[j]))
         conflicts = (sorted_r <= failure_threshold).sum(axis=1)
         go = conflicts < n_c
         if level == config.max_levels - 1:

@@ -55,6 +55,10 @@ class ScenarioSpec:
     perfect_init: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.lateral_separation < 0 or self.longitudinal_separation < 0:
             raise ValueError("separations must be non-negative")
         if self.observer_speed <= 0 or self.intruder_speed <= 0:
@@ -171,8 +175,6 @@ def build_converging(
     """Converging tracks crossing at (L_o, 0); defaults are equal speeds and a
     90 degree crossing with time-coincident arrival inside the default
     20 s window (non-benchmark defaults, chosen for geometry coverage)."""
-    if not 0.0 < angle < 180.0:
-        raise ValueError(f"converging angle must lie in (0, 180), got {angle}")
     return ScenarioSpec(
         kind=ScenarioKind.CONVERGING,
         lateral_separation=lateral_separation,

@@ -27,7 +27,7 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("sigma_x", "sigma_y", "sigma_ax2", "sigma_ay2"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # false for NaN too
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 

@@ -104,12 +104,28 @@ class TestScenarioCommand:
         assert main(args + ["--out-dir", str(b)]) == 0
         assert _read(a / "head_on_la50.csv") == _read(b / "head_on_la50.csv")
 
-    def test_negative_separation_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("lateral", ["-5", "nan", "inf", "0,nan"])
+    def test_negative_separation_exits_2(self, lateral, tmp_path):
+        # the whole sweep is checked before the manifest or any csv is written
         rc = main(
-            ["scenario", "--preset", "head-on", "--lateral-sep", "-5",
+            ["scenario", "--preset", "head-on", "--lateral-sep", lateral,
              "--out-dir", str(tmp_path / "x"), *SCENARIO_ARGS]
         )
         assert rc == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("name, value", [("duration", float("inf")), ("protected_radius", float("nan"))])
+    def test_non_finite_scenario_field_exits_2(self, name, value, tmp_path):
+        cfgfile = _small_scenario(tmp_path)
+        data = json.loads(cfgfile.read_text())
+        data[name] = value
+        cfgfile.write_text(json.dumps(data))  # written as Infinity or NaN
+        rc = main(
+            ["scenario", "--scenario", str(cfgfile),
+             "--out-dir", str(tmp_path / "x"), *SCENARIO_ARGS]
+        )
+        assert rc == 2
+        assert not (tmp_path / "x").exists()
 
     def test_unreadable_config_exits_2(self, tmp_path):
         rc = main(

@@ -661,3 +661,11 @@ class TestQueryValidation:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             _query(HEAD_ON_COLLISION, radius=0.0)
+
+    @pytest.mark.parametrize(
+        "kwarg, name", [("radius", "protected_radius"), ("horizon", "horizon"), ("rate", "sample_rate")]
+    )
+    def test_rejects_non_finite_values(self, kwarg, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                _query(HEAD_ON_COLLISION, **{kwarg: value})

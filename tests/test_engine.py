@@ -138,10 +138,9 @@ class TestSelectSeeds:
 
 
 def _block(level, cfg, offset=0.0):
-    intervals = probability_intervals(level, cfg)
     responses = np.sort(np.random.default_rng(level + 1).normal(size=cfg.n_samples))[::-1] + offset
     samples = np.arange(cfg.n_samples, dtype=float).reshape(-1, 1)
-    return intervals, responses, samples
+    return responses, samples
 
 
 class TestAssembleCcdf:
@@ -179,7 +178,7 @@ class TestAssembleCcdf:
             assert row.response == table.responses[i]
             assert np.array_equal(row.sample, table.samples[i])
         # row by row, the kept slices of each level in order
-        expected = np.concatenate([b[2][:90] for b in blocks[:2]] + [blocks[2][2]])
+        expected = np.concatenate([b[1][:90] for b in blocks[:2]] + [blocks[2][1]])
         assert np.array_equal(np.array([row.sample for row in rows]), expected)
 
     def test_samples_are_copies_of_the_blocks(self):
@@ -187,7 +186,7 @@ class TestAssembleCcdf:
             blocks = [_block(i, CFG, offset=10.0 * (m - i)) for i in range(m)]
             table = assemble_ccdf(blocks, CFG)
             before = table.samples.copy()
-            for _, responses, samples in blocks:
+            for responses, samples in blocks:
                 assert not np.shares_memory(table.samples, samples)
                 assert not np.shares_memory(table.responses, responses)
                 samples += 1.0

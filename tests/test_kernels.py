@@ -99,10 +99,6 @@ class TestNumpyBackend:
 class TestClosedForm:
     """`miss_distance_batch` against the scan on constant-acceleration tracks."""
 
-    @pytest.fixture(autouse=True)
-    def _closed_form_for_every_batch(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_SCAN_ELEMS", 0)
-
     @pytest.mark.parametrize("phase", ["p1", "p2", "head-on"])
     def test_posterior_draws(self, phase, monkeypatch):
         if phase == "p1":
@@ -283,25 +279,31 @@ class TestCriticalPoints:
 
 
 class TestSmallBatches:
-    def test_small_batches_go_to_the_scan(self, monkeypatch):
-        def no_closed_form(*args):
-            raise AssertionError("closed form used on a small batch")
+    """Batches of a few rows take the closed form like any other."""
 
-        obs_xy, dt = _track(OBSERVER, t=20.0)
-        states = OBSERVER + np.array([2000.0, -180.0, 0.2, 150.0, 1.0, -0.1])
-        small = np.tile(states, (_kernels._SCAN_ELEMS // len(obs_xy), 1))
-        with monkeypatch.context() as m:
-            m.setattr(_kernels, "_closed_form_block", no_closed_form)
-            miss, idx = _kernels.miss_distance_batch(small, obs_xy, dt, OBSERVER)
-            with pytest.raises(ValueError, match="observer"):
-                _kernels.miss_distance_batch(small, obs_xy[::-1], dt, OBSERVER)
-        ref_miss, ref_idx = _kernels.miss_distance_scan(small, obs_xy, dt)
+    @pytest.mark.parametrize("rows, t, k", [(1, 20.0, 1), (30, 20.0, 1), (3, 200.0, 1), (5, 20.0, 2)])
+    def test_small_batches_take_the_closed_form(self, rows, t, k, monkeypatch):
+        gen = _rng.generator(_rng.derive(62))
+        observers = OBSERVER + gen.normal(size=(k, 6)) * [100.0, 5.0, 0.1, 100.0, 5.0, 0.1]
+        tracks = np.array([_track(o, t=t)[0] for o in observers])
+        states = OBSERVER + [2000.0, -180.0, 0.2, 150.0, 1.0, -0.1]
+        states = states + gen.normal(size=(rows, 6)) * [200.0, 10.0, 0.1, 200.0, 1.0, 0.1]
+        problem = np.arange(rows) % k
+        settled = []
+        closed_form = _kernels._closed_form_block
+
+        def recording(*args):
+            out = closed_form(*args)
+            settled.append(out[2])
+            return out
+
+        monkeypatch.setattr(_kernels, "_closed_form_block", recording)
+        scanned = _ScanRows(monkeypatch)
+        miss, idx = _kernels.miss_distance_batch(states, tracks, 0.05, observers, problem)
+        ref_miss, ref_idx = _kernels.miss_distance_scan(states, tracks, 0.05, problem)
+        assert len(settled) == 1 and settled[0].all()
+        assert scanned.rows == rows  # the oracle's own scan
         assert np.array_equal(miss, ref_miss) and np.array_equal(idx, ref_idx)
-        # one more row takes the closed form, with the same answer per row
-        big_miss, big_idx = _kernels.miss_distance_batch(
-            np.vstack([small, states]), obs_xy, dt, OBSERVER
-        )
-        assert np.all(big_miss == ref_miss[0]) and np.all(big_idx == ref_idx[0])
 
 
 class TestSeveralTracks:
@@ -315,11 +317,8 @@ class TestSeveralTracks:
         problem = gen.integers(0, k, size=rows)
         return states, tracks, observers, problem, 0.05
 
-    @pytest.mark.parametrize("scan_elems", [0, None, 10**9])  # closed form, as dispatched, scan
-    def test_equals_per_track_calls_and_scan(self, scan_elems, monkeypatch):
+    def test_equals_per_track_calls_and_scan(self):
         states, tracks, observers, problem, dt = self._case()
-        if scan_elems is not None:
-            monkeypatch.setattr(_kernels, "_SCAN_ELEMS", scan_elems)
         miss, idx = _kernels.miss_distance_batch(states, tracks, dt, observers, problem)
         ref_miss, ref_idx = _kernels.miss_distance_scan(states, tracks, dt, problem)
         assert np.array_equal(miss, ref_miss) and np.array_equal(idx, ref_idx)
@@ -342,7 +341,6 @@ class TestSeveralTracks:
         # acceleration, so the closed form hands them to the scan
         states, tracks, observers, problem, dt = self._case(rows=30)
         states[::3] = observers[problem[::3]] + [50.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        monkeypatch.setattr(_kernels, "_SCAN_ELEMS", 0)
         scanned = _ScanRows(monkeypatch)
         miss, idx = _kernels.miss_distance_batch(states, tracks, dt, observers, problem)
         assert scanned.rows == 10

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,6 +176,30 @@ class TestSpecValidation:
         assert spec.n_steps == 400
         assert spec.dt == 0.05
         assert spec.measurement_stride == 10
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "lateral_separation",
+            "longitudinal_separation",
+            "observer_speed",
+            "intruder_speed",
+            "observer_heading",
+            "intruder_heading",
+            "duration",
+            "sample_rate",
+            "measurement_rate",
+            "protected_radius",
+            "converging_angle",
+            "init_pos_std",
+            "init_vel_std",
+            "init_acc_std",
+        ],
+    )
+    def test_non_finite_field_rejected(self, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                replace(build_converging(), **{name: value})
 
     def test_lateral_override_helper(self):
         spec = with_lateral_separation(build_head_on(0.0), 750.0)

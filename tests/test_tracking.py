@@ -53,6 +53,12 @@ class TestProcessNoise:
         with pytest.raises(ValueError):
             NoiseConfig(sigma_x=-0.1)
 
+    @pytest.mark.parametrize("name", ["sigma_x", "sigma_y", "sigma_ax2", "sigma_ay2"])
+    def test_nan_noise_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            NoiseConfig(**{name: np.nan})
+        NoiseConfig(**{name: np.inf})
+
 
 class TestMeasurement:
     def test_selector_rows(self):
