@@ -160,7 +160,9 @@ def conflict_system(batch: QueryBatch) -> RareEventSystem:
     return RareEventSystem(batch.mean, batch.chol, batch.miss)
 
 
-def _dmc(batch: QueryBatch, ns: Sequence[int], seeds: Sequence[_rng.SeedLike]) -> list[PcResult]:
+def _dmc(
+    batch: QueryBatch, ns: Sequence[int], seeds: Sequence[_rng.SeedLike | _rng.Pool]
+) -> list[PcResult]:
     """Direct Monte Carlo on every query of `batch`, query k on `ns[k]` draws
     from `seeds[k]`, in one engine call; result k equals `pc_dmc` of query k."""
     counts = direct_monte_carlo(conflict_system(batch), ns, batch.radius, seeds)
@@ -344,13 +346,15 @@ class StepRecord:
 def _estimate_steps(
     spec: ScenarioSpec,
     ss_config: SubsetConfig,
-    root: np.random.SeedSequence,
+    root: _rng.Pool,
     steps: Sequence[EncounterStep],
 ) -> list[StepRecord]:
     """SS, matched-budget DMC and the true miss distance of a group of steps.
 
     The group's tracks and Cholesky factors are built once and shared by the
-    three.  SS runs the steps in lockstep and reads no table.  DMC draws
+    three.  `root` is the encounter root's pool, and each step's SS and DMC
+    roots are its child pools for (k, 1) and (k, 2), so no `SeedSequence` is
+    built here.  SS runs the steps in lockstep and reads no table.  DMC draws
     each step's `samples_used` states from its own stream, child(root, k, 2),
     and scores the draws of consecutive steps together, so each step's DMC
     result equals `pc_dmc(step.query(spec), n, child(root, k, 2))`.  The true
@@ -359,10 +363,9 @@ def _estimate_steps(
     """
     queries = [step.query(spec) for step in steps]
     batch = QueryBatch.from_queries(queries)
-    ss_seeds = [_rng.child(root, step.k, 1) for step in steps]
-    ss = [_pc(res) for res in _ss(batch, ss_config, ss_seeds)]
-    dmc_seeds = [_rng.child(root, step.k, 2) for step in steps]
-    dmc = _dmc(batch, [res.samples_used for res in ss], dmc_seeds)
+    step_roots = [_rng.child_pool(root, step.k) for step in steps]
+    ss = [_pc(res) for res in _ss(batch, ss_config, _rng.children(step_roots, 1))]
+    dmc = _dmc(batch, [res.samples_used for res in ss], _rng.children(step_roots, 2))
     truth = np.array([step.intruder for step in steps])
     miss_true, _ = miss_distance_scan(truth, batch.obs_xy, batch.dt, np.arange(len(steps)))
     return [
@@ -406,6 +409,7 @@ def simulate_scenario(
     steps = (s for s in encounter_steps(spec, root) if wanted is None or s.k in wanted)
     size = _group_size(ss_config)
     records: list[StepRecord] = []
+    root_pool = _rng.pool(root)
     while group := list(itertools.islice(steps, size)):
-        records += _estimate_steps(spec, ss_config, root, group)
+        records += _estimate_steps(spec, ss_config, root_pool, group)
     return records

@@ -236,8 +236,9 @@ def assemble_ccdf(
     Block i is level i, whose rows take the ladder `probability_intervals(i,
     config)`.  Every non-final level drops its last N_c rows (those samples
     were consumed as seeds and are replaced by the next level); the final
-    level keeps all N.  The table's columns are new arrays, not views of the
-    blocks.
+    level keeps all N.  The probabilities are then non-increasing: level
+    i's last kept entry is at least level i+1's first.  The table's columns
+    are new arrays, not views of the blocks.
     """
     if len(level_blocks) == 0:
         raise ValueError("at least one level block is required")
@@ -250,11 +251,8 @@ def assemble_ccdf(
         keep = n if i == last else n - n_c
         kept.append((probability_intervals(i, config)[:keep], responses[:keep], samples[:keep]))
     intervals, responses, samples = zip(*kept)
-    probs = np.concatenate(intervals).astype(np.float64, copy=False)
-    if np.any(np.diff(probs) > 0):
-        raise ValueError("assembled probabilities must be non-increasing")
     return CcdfTable(
-        probabilities=probs,
+        probabilities=np.concatenate(intervals).astype(np.float64, copy=False),
         responses=np.concatenate(responses).astype(np.float64, copy=False),
         samples=np.concatenate(samples),
         levels_completed=len(level_blocks),
@@ -277,12 +275,6 @@ def estimate_probability(conflict_count: int, final_level: int, config: SubsetCo
     return conflict_count / scale
 
 
-def sample_gaussian(gen: np.random.Generator, n: int, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """n draws of N(mean, chol chol^T) from `gen`, one (n, d) standard-normal block."""
-    z = gen.standard_normal((n, len(mean)))
-    return mean + z @ chol.T
-
-
 def _check_system(system: RareEventSystem, k_all: int) -> None:
     """Reject a system whose shapes disagree or that poses other than k_all problems."""
     mean, chol = system.mean, system.chol
@@ -292,14 +284,13 @@ def _check_system(system: RareEventSystem, k_all: int) -> None:
         raise ValueError(f"system poses {len(mean)} problems but {k_all} seeds were given")
 
 
-def _level0(mean: np.ndarray, chol: np.ndarray, roots: Sequence, ns: Sequence[int]) -> np.ndarray:
+def _level0(
+    mean: np.ndarray, chol: np.ndarray, roots: Sequence[_rng.Pool], ns: Sequence[int]
+) -> np.ndarray:
     """Level 0, stacked: ns[k] draws of N(mean[k], chol[k] chol[k]^T) from child(roots[k], 0)."""
-    return np.concatenate(
-        [
-            sample_gaussian(_rng.generator(_rng.child(root, 0)), n, m, c)
-            for root, n, m, c in zip(roots, ns, mean, chol)
-        ]
-    )
+    z = _rng.standard_normal(_rng.children(roots, 0), ns, mean.shape[1:])
+    ends = np.cumsum(ns)[:-1]
+    return np.concatenate([m + zk @ c.T for zk, m, c in zip(np.split(z, ends), mean, chol)])
 
 
 # Most rows `direct_monte_carlo` draws and scores at once, unless one
@@ -313,7 +304,7 @@ def direct_monte_carlo(
     system: RareEventSystem,
     ns: Sequence[int],
     failure_threshold: float,
-    seeds: Sequence[_rng.SeedLike],
+    seeds: Sequence[_rng.SeedLike | _rng.Pool],
 ) -> np.ndarray:
     """Per problem k, how many of its `ns[k]` prior draws respond at or below
     `failure_threshold`.  The draws are level 0 of `run_subset_simulations`
@@ -326,7 +317,7 @@ def direct_monte_carlo(
     if len(ns) == 0 or min(ns) < 1:
         raise ValueError(f"sample counts must be positive, got {list(ns)}")
     _check_system(system, len(ns))
-    roots = [_rng.derive(seed) for seed in seeds]
+    roots = [_rng.pool(seed) for seed in seeds]
     counts = []
     lo = 0
     while lo < len(ns):
@@ -411,7 +402,7 @@ def run_subset_simulation(
     system: RareEventSystem,
     config: SubsetConfig,
     failure_threshold: float,
-    seed: _rng.SeedLike,
+    seed: _rng.SeedLike | _rng.Pool,
 ) -> SubsetResult:
     """Run the full multi-level simulation of the one problem of `system`.
 
@@ -424,7 +415,7 @@ def run_subset_simulations(
     system: RareEventSystem,
     config: SubsetConfig,
     failure_threshold: float,
-    seeds: Sequence[_rng.SeedLike],
+    seeds: Sequence[_rng.SeedLike | _rng.Pool],
 ) -> list[SubsetResult]:
     """Run problems 0..K-1 of `system` in lockstep, problem k from `seeds[k]`.
 
@@ -437,12 +428,13 @@ def run_subset_simulations(
 
     Each problem draws level 0 from `child(root_k, 0)` and its chains'
     (N_c, length, d) innovations at level l from `child(root_k, l)`, with
-    root_k derived from its seed, and the sort, threshold, seed selection and
-    stop test are row-wise; so each result equals the problem's own
-    one-problem run bit for bit.  No table is assembled here: a result
+    root_k its seed's `rng.pool`, through `rng.standard_normal`, whose draws
+    equal `rng.generator`'s on each child.  The sort, threshold, seed
+    selection and stop test are row-wise; so each result equals the
+    problem's own one-problem run bit for bit.  No table is assembled here: a result
     builds its own on first read (see `SubsetResult`).
     """
-    roots = [_rng.derive(seed) for seed in seeds]
+    roots = [_rng.pool(seed) for seed in seeds]
     k_all = len(roots)
     if k_all == 0:
         raise ValueError("at least one seed is required")
@@ -484,11 +476,8 @@ def run_subset_simulations(
         level += 1
 
         m = len(active)
-        innovations = np.concatenate(
-            [
-                _rng.generator(_rng.child(roots[k], level)).standard_normal((n_c, n_s, d))
-                for k in active.tolist()
-            ]
+        innovations = _rng.standard_normal(
+            _rng.children([roots[k] for k in active.tolist()], level), [n_c] * m, (n_s, d)
         )
         samples, responses = conditional_chains(
             system,

@@ -7,6 +7,7 @@ measurement arrives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -27,8 +28,9 @@ class NoiseConfig:
 
     def __post_init__(self):
         for name in ("sigma_x", "sigma_y", "sigma_ax2", "sigma_ay2"):
-            if not getattr(self, name) >= 0:  # false for NaN too
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # false for NaN too
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)

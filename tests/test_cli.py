@@ -114,7 +114,10 @@ class TestScenarioCommand:
         assert rc == 2
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("name, value", [("duration", float("inf")), ("protected_radius", float("nan"))])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("duration", float("inf")), ("protected_radius", float("nan")), ("sigma_ax2", float("inf"))],
+    )
     def test_non_finite_scenario_field_exits_2(self, name, value, tmp_path):
         cfgfile = _small_scenario(tmp_path)
         data = json.loads(cfgfile.read_text())

@@ -4,7 +4,6 @@ import logging
 import math
 import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +27,9 @@ from subsim.engine import (
     SubsetConfig,
     conditional_chains,
     run_subset_simulation,
-    sample_gaussian,
 )
 from subsim.scenarios import build_head_on
-from subsim.tracking import KalmanEstimate, NoiseConfig
+from subsim.tracking import KalmanEstimate
 
 CFG = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=7)
 
@@ -253,10 +251,9 @@ class TestLockstepChains:
         cfg = SubsetConfig(n_samples=40, level_probability=0.25, max_levels=2)
         result = run_subset_simulation(conflict_system(QueryBatch.from_queries([q])), cfg, 0.0, 24)
         root = _rng.derive(24)
-        level0 = sample_gaussian(
-            _rng.generator(_rng.child(root, 0)), 40, q.intruder_estimate.mean.as_array(),
-            np.linalg.cholesky(q.intruder_estimate.covariance),
-        )
+        z = _rng.generator(_rng.child(root, 0)).standard_normal((40, 6))
+        chol = np.linalg.cholesky(q.intruder_estimate.covariance)
+        level0 = q.intruder_estimate.mean.as_array() + z @ chol.T
         order = np.argsort(-_miss(q, level0), kind="stable")
         seeds = level0[order][-10:]
         threshold = result.diagnostics.thresholds[0]
@@ -630,23 +627,30 @@ class TestSimulateScenario:
         simulate_scenario(spec, CFG, seed=21, estimate_steps=[4])
         assert len(calls) == spec.n_steps
 
+    def test_estimates_build_no_seed_sequence(self, monkeypatch):
+        # the engine and the step groups derive their streams from pools;
+        # only the filter's streams, in encounter_steps, build SeedSequences
+        spec = build_head_on(152.4, 2000.0, duration=2.0, sample_rate=10.0)
+        calls = {"child": 0, "generator": 0}
+        for name in calls:
+            def counting(*args, _fn=getattr(_rng, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(_rng, name, counting)
+        list(conflict.encounter_steps(spec, 21))
+        filter_calls = dict(calls)
+        assert filter_calls["child"] == filter_calls["generator"] > 1
+        calls.update(child=0, generator=0)
+        simulate_scenario(spec, CFG, seed=21)
+        assert calls == filter_calls
+
     def test_step_builds_its_estimate_once(self):
         spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
         step = next(conflict.encounter_steps(spec, 5))
         assert step.query(spec).intruder_estimate is step.estimate is step.estimate
         assert step.estimate.mean == AircraftState.from_array(step.mean)
         assert step.estimate.covariance is step.cov
-
-    def test_infinite_process_noise_fails_at_step_two(self):
-        # step 1's covariance is infinite but symmetric; step 2's holds NaN
-        # (inf * 0 in the prediction), which the estimate's check rejects
-        spec = replace(build_head_on(152.4, 2000.0), noise=NoiseConfig(sigma_ax2=np.inf))
-        steps = conflict.encounter_steps(spec, 3)
-        with np.errstate(invalid="ignore"):
-            first = next(steps)
-            assert first.k == 1 and np.isinf(first.estimate.covariance[0, 0])
-            with pytest.raises(ValueError, match="covariance must be symmetric"):
-                next(steps)
 
 
 class TestQueryValidation:

@@ -21,7 +21,6 @@ from subsim.engine import (
     probability_intervals,
     run_subset_simulation,
     run_subset_simulations,
-    sample_gaussian,
     select_seeds,
 )
 
@@ -73,6 +72,22 @@ class TestProbabilityIntervals:
         assert np.all(np.diff(p) < 0)
         assert np.isclose(p[0], p0i, rtol=1e-12)
         assert np.isclose(p[-1], p0i / CFG.n_samples, rtol=1e-12)
+
+    @pytest.mark.parametrize("variant", list(IntervalVariant))
+    @pytest.mark.parametrize("n, p0", [(10, 0.1), (100, 0.1), (100, 0.2), (60, 0.5), (3000, 0.1)])
+    def test_ladders_descend_across_levels(self, variant, n, p0):
+        # assemble_ccdf keeps a non-final level's first N - N_c entries; the
+        # last of them is at least the next level's first, so the merged
+        # table is non-increasing with no check of its own
+        cfg = SubsetConfig(
+            n_samples=n, level_probability=p0, max_levels=8, interval_variant=variant
+        )
+        keep = n - cfg.n_chains
+        for level in range(cfg.max_levels):
+            ladder = probability_intervals(level, cfg)
+            assert len(ladder) == n and np.all(np.diff(ladder) < 0)
+            if level + 1 < cfg.max_levels:
+                assert ladder[keep - 1] >= probability_intervals(level + 1, cfg)[0]
 
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
@@ -255,7 +270,8 @@ def _assert_level_streams(system, result, seed, cfg):
     assert levels > 1
     root = _rng.derive(seed)
     d = system.mean.shape[1]
-    x = sample_gaussian(_rng.generator(_rng.child(root, 0)), n, system.mean[0], system.chol[0])
+    z = _rng.generator(_rng.child(root, 0)).standard_normal((n, d))
+    x = system.mean[0] + z @ system.chol[0].T
     r = system.evaluate(x, np.zeros(n, dtype=int))
     kept_x, kept_r = [], []
     for level in range(1, levels + 1):

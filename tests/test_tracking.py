@@ -57,7 +57,14 @@ class TestProcessNoise:
     def test_nan_noise_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             NoiseConfig(**{name: np.nan})
-        NoiseConfig(**{name: np.inf})
+
+    @pytest.mark.parametrize("name", ["sigma_x", "sigma_y", "sigma_ax2", "sigma_ay2"])
+    def test_infinite_noise_rejected(self, name):
+        # infinite process noise used to reach the filter and fail at its
+        # second step, after a scenario run had written its manifest
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NoiseConfig(**{name: np.inf})
+        NoiseConfig(**{name: 1e300})
 
 
 class TestMeasurement:
