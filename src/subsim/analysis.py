@@ -3,8 +3,9 @@
 A scenario phase (encounter + time instant) is frozen into a single conflict
 query by running the truth/filter loop once; repeated independent estimates
 against that fixed query then isolate estimator randomness from filter noise.
-The SS repetitions of one budget run in lockstep groups (`pc_ss_batch`) and
-return their estimates only, with no CCDF table.
+The SS repetitions of every budget go to one `pc_ss_batch` call, whose
+lockstep groups may mix budgets, and return their estimates only, with no
+CCDF table.  DMC makes one `pc_dmc` call per budget and repetition.
 """
 
 from __future__ import annotations
@@ -120,13 +121,15 @@ def cov_study(config: CovStudyConfig, seed: _rng.SeedLike) -> list[CovPoint]:
     for size_idx, n in enumerate(config.dmc_sizes):
         results = [pc_dmc(config.phase, n, _rng.child(root, 0, size_idx, rep)) for rep in reps]
         points.append(_cov_point("dmc", n, results))
-    for size_idx, n in enumerate(config.ss_sizes):
-        results = pc_ss_batch(
-            [config.phase] * len(reps),
-            config.subset_config(n),
-            [_rng.child(root, 1, size_idx, rep) for rep in reps],
-        )
-        points.append(_cov_point("ss", n, results))
+    # every SS (budget, repetition) pair in one batch, budget-major
+    r, ss_sizes = config.repetitions, list(enumerate(config.ss_sizes))
+    results = pc_ss_batch(
+        [config.phase] * (len(ss_sizes) * r),
+        [config.subset_config(n) for _, n in ss_sizes for _ in reps],
+        [_rng.child(root, 1, size_idx, rep) for size_idx, _ in ss_sizes for rep in reps],
+    )
+    for size_idx, n in ss_sizes:
+        points.append(_cov_point("ss", n, results[size_idx * r : (size_idx + 1) * r]))
     return points
 
 

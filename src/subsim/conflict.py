@@ -179,11 +179,11 @@ def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
 
 
 # Independent problems per lockstep engine run: scenario steps in
-# `simulate_scenario`, repetitions in `pc_ss_batch`.  Each chain step makes
-# one kernel call for its whole group, and that call costs about 0.2 ms
-# before any per-row work, so per-call overhead falls with the group while
-# memory grows with it.  400-step head-on encounters at N = 100 (seeds 3, 7,
-# 11, 901 and 1234; median over five processes of each process's median
+# `simulate_scenario`, repetitions and budgets in `pc_ss_batch`.  Each chain
+# step makes one kernel call for its whole group, and that call costs about
+# 0.2 ms before any per-row work, so per-call overhead falls with the group
+# while memory grows with it.  400-step head-on encounters at N = 100 (seeds
+# 3, 7, 11, 901 and 1234; median over five processes of each process's median
 # encounter, interleaved, on a 2-core Xeon) took, with CCDF tables built only
 # when read:
 #
@@ -196,20 +196,38 @@ def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
 #
 # The steps' records do not depend on the group size.
 GROUP_SIZE = 64
-# Samples per level of a whole group, at most: `_group_size` shrinks the
-# group as N grows, so large-N batches hold no more than 16 problems at
-# N = 3,000 (the c.o.v. study's largest budget).
+# Samples per level of a whole group, at most, unless one problem alone has
+# more: `_group_sizes` closes a group before it would pass this, so groups at
+# N = 3,000 (the c.o.v. study's largest budget) hold 16 problems, and a
+# c.o.v. study's budgets share a group while they fit.
 _GROUP_SAMPLES = 48_000
 
 
+def _group_sizes(ns: Sequence[int]) -> list[int]:
+    """Problems per lockstep group, for problems of `ns[i]` samples per level
+    taken in order: each group takes consecutive problems while it holds at
+    most `GROUP_SIZE` of them and `_GROUP_SAMPLES` samples per level, and
+    always at least one."""
+    sizes: list[int] = []
+    count = samples = 0
+    for n in ns:
+        if count and (count == GROUP_SIZE or samples + n > _GROUP_SAMPLES):
+            sizes.append(count)
+            count = samples = 0
+        count += 1
+        samples += n
+    return sizes + [count] if count else sizes
+
+
 def _group_size(config: SubsetConfig) -> int:
-    """Problems per lockstep group at this config's samples per level."""
-    return min(GROUP_SIZE, max(1, _GROUP_SAMPLES // config.n_samples))
+    """Problems per lockstep group when every problem runs under `config`."""
+    return _group_sizes([config.n_samples] * GROUP_SIZE)[0]
 
 
-def _ss(batch: QueryBatch, config: SubsetConfig, seeds) -> list[SubsetResult]:
-    """SS of every query of `batch`, query k from `seeds[k]`, in one lockstep engine run."""
-    return run_subset_simulations(conflict_system(batch), config, batch.radius, seeds)
+def _ss(batch: QueryBatch, configs, seeds) -> list[SubsetResult]:
+    """SS of every query of `batch`, query k from `seeds[k]` under `configs[k]`
+    (or under `configs` itself if it is one config), in one lockstep engine run."""
+    return run_subset_simulations(conflict_system(batch), configs, batch.radius, seeds)
 
 
 def _pc(result: SubsetResult) -> PcResult:
@@ -241,21 +259,31 @@ def pc_ss(
 
 def pc_ss_batch(
     queries: Sequence[ConflictQuery],
-    config: SubsetConfig,
+    configs: SubsetConfig | Sequence[SubsetConfig],
     seeds: Sequence[_rng.SeedLike],
 ) -> list[PcResult]:
-    """`pc_ss` of each query with its seed, run in lockstep groups of
-    `GROUP_SIZE`, fewer when N is large, without the CCDF tables.
+    """`pc_ss` of each query with its config and seed, without the CCDF tables.
 
-    Result i equals `pc_ss(queries[i], config, seeds[i])[0]` exactly.
+    `configs` is one config per query, or one config for them all; the
+    configs must share `level_probability`.  Consecutive queries run in one
+    lockstep engine run while the group holds at most `GROUP_SIZE` queries
+    and `_GROUP_SAMPLES` samples per level (`_group_sizes`), so a group may
+    mix budgets.  Result i equals `pc_ss(queries[i], configs[i], seeds[i])[0]`
+    exactly.
     """
     if len(queries) != len(seeds):
         raise ValueError(f"{len(queries)} queries but {len(seeds)} seeds")
-    size = _group_size(config)
+    if isinstance(configs, SubsetConfig):
+        configs = [configs] * len(queries)
+    elif len(configs) != len(queries):
+        raise ValueError(f"{len(queries)} queries but {len(configs)} configs")
     out = []
-    for lo in range(0, len(queries), size):
-        batch = QueryBatch.from_queries(queries[lo : lo + size])
-        out += map(_pc, _ss(batch, config, seeds[lo : lo + size]))
+    lo = 0
+    for size in _group_sizes([config.n_samples for config in configs]):
+        hi = lo + size
+        batch = QueryBatch.from_queries(queries[lo:hi])
+        out += map(_pc, _ss(batch, configs[lo:hi], seeds[lo:hi]))
+        lo = hi
     return out
 
 
@@ -397,8 +425,8 @@ def simulate_scenario(
     subsampled run reproduces exactly the records of the full run; a step
     requested twice gives one record, and a step outside 1..n_steps raises
     `ValueError`.  Estimated steps go to the engine in groups of
-    `GROUP_SIZE` (fewer when N is large), which changes no record; no CCDF
-    table is built.
+    `_group_size(ss_config)`, `pc_ss_batch`'s rule for one budget, which
+    changes no record; no CCDF table is built.
     """
     root = _rng.derive(seed)
     wanted = None if estimate_steps is None else set(int(s) for s in estimate_steps)

@@ -347,6 +347,7 @@ def conditional_chains(
     thresholds: np.ndarray,
     innovations: np.ndarray,
     problems: np.ndarray,
+    overwrite_innovations: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional chains whose responses stay within their thresholds.
 
@@ -364,7 +365,9 @@ def conditional_chains(
     independent, so they advance in lockstep: one `evaluate` call per step
     covers every chain.  Whitening goes through stacked per-chain matmuls,
     which round as a lone `chol @ z` does, so a chain's values do not depend
-    on which other chains run beside it.
+    on which other chains run beside it.  With `overwrite_innovations` the
+    innovations are scaled in place, saving an (m, length, d) buffer; the
+    engine does so with the draws it owns.
 
     Returns the samples (m, length, d) and their responses (m, length).
     """
@@ -382,7 +385,9 @@ def conditional_chains(
     cur = np.array(seeds, dtype=np.float64).reshape(m, d)
     cur_r = seed_responses
     z = (chol_inv[problems] @ (cur - mean)[:, :, None])[:, :, 0]
-    steps = _INNOVATION_SCALE * innovations
+    steps = np.multiply(
+        innovations, _INNOVATION_SCALE, out=innovations if overwrite_innovations else None
+    )
     out_x = np.empty((m, length, d))
     out_r = np.empty((m, length))
     for k in range(length):
@@ -411,13 +416,25 @@ def run_subset_simulation(
     return run_subset_simulations(system, config, failure_threshold, [seed])[0]
 
 
+@dataclass(eq=False)
+class _Cohort:
+    """The problems of one config that are still descending, in order, and
+    their sorted level arrays, responses (k, N) and samples (k, N, d)."""
+
+    config: SubsetConfig
+    active: np.ndarray
+    sorted_r: np.ndarray | None = None
+    sorted_x: np.ndarray | None = None
+
+
 def run_subset_simulations(
     system: RareEventSystem,
-    config: SubsetConfig,
+    configs: SubsetConfig | Sequence[SubsetConfig],
     failure_threshold: float,
     seeds: Sequence[_rng.SeedLike | _rng.Pool],
 ) -> list[SubsetResult]:
-    """Run problems 0..K-1 of `system` in lockstep, problem k from `seeds[k]`.
+    """Run problems 0..K-1 of `system` in lockstep, problem k from `seeds[k]`
+    under `configs[k]`, or under `configs` itself if it is one config.
 
     Level 0 is `direct_monte_carlo`'s N prior draws per problem.  While
     levels remain, the engine promotes each problem's N_c best samples as chain seeds, grows N
@@ -426,78 +443,115 @@ def run_subset_simulations(
     at or below `failure_threshold`, or at `max_levels`.  Total cost is N per
     level per problem.
 
+    The configs must share `level_probability`, and so the chain length
+    1/p0.  Problems with equal configs form a cohort, whose level arrays
+    are (k, N, ...) blocks; at each level one `rng.standard_normal` call draws
+    the innovations of every cohort's chains and one `conditional_chains`
+    call steps them all.
+
     Each problem draws level 0 from `child(root_k, 0)` and its chains'
     (N_c, length, d) innovations at level l from `child(root_k, l)`, with
     root_k its seed's `rng.pool`, through `rng.standard_normal`, whose draws
     equal `rng.generator`'s on each child.  The sort, threshold, seed
-    selection and stop test are row-wise; so each result equals the
-    problem's own one-problem run bit for bit.  No table is assembled here: a result
-    builds its own on first read (see `SubsetResult`).
+    selection and stop test are row-wise within a cohort; so each result
+    equals the problem's own one-problem run bit for bit.  No table is
+    assembled here: a result builds its own on first read (see `SubsetResult`).
     """
     roots = [_rng.pool(seed) for seed in seeds]
     k_all = len(roots)
     if k_all == 0:
         raise ValueError("at least one seed is required")
+    if isinstance(configs, SubsetConfig):
+        configs = [configs] * k_all
+    elif len(configs) != k_all:
+        raise ValueError(f"{len(configs)} configs but {k_all} seeds")
+    p0s = sorted({c.level_probability for c in configs})
+    if len(p0s) > 1:
+        raise ValueError(f"configs of one run must share level_probability, got {p0s}")
     _check_system(system, k_all)
-    n, n_c, n_s = config.n_samples, config.n_chains, config.chain_length
-    samples = _level0(system.mean, system.chol, roots, [n] * k_all)
-    d = system.mean.shape[1]
-    chol_inv = np.linalg.inv(system.chol)
-
-    active = np.arange(k_all)  # problems still descending, in order
-    responses = np.asarray(system.evaluate(samples, active.repeat(n)), dtype=np.float64)
+    members: dict[SubsetConfig, list[int]] = {}
+    for k, config in enumerate(configs):
+        members.setdefault(config, []).append(k)
+    cohorts = [_Cohort(config, np.array(ks)) for config, ks in members.items()]
+    # level 0 is drawn cohort by cohort, so each cohort's rows are contiguous
+    order = np.concatenate([c.active for c in cohorts])
+    ns = [configs[k].n_samples for k in order.tolist()]
+    mean, chol = system.mean[order], system.chol[order]
+    samples = _level0(mean, chol, [roots[k] for k in order.tolist()], ns)
+    responses = np.asarray(system.evaluate(samples, order.repeat(ns)), dtype=np.float64)
     level = 0
-    sorted_r, sorted_x = _sort_blocks(samples, responses, k_all, n, level)
+    _sort_level(cohorts, samples, responses, level)
+    d = system.mean.shape[1]
+    n_s = configs[0].chain_length
+    chol_inv = np.linalg.inv(system.chol)
     blocks: list = [[] for _ in range(k_all)]
     thresholds: list[list[float]] = [[] for _ in range(k_all)]
     results: list = [None] * k_all
 
     while True:
-        for j, k in enumerate(active.tolist()):
-            blocks[k].append((sorted_r[j], sorted_x[j]))
-        conflicts = (sorted_r <= failure_threshold).sum(axis=1)
-        go = conflicts < n_c
-        if level == config.max_levels - 1:
-            go[:] = False
-        if not go.all():
-            for j in np.flatnonzero(~go).tolist():
-                k = int(active[j])
-                results[k] = _finish(blocks[k], thresholds[k], int(conflicts[j]), level, config)
-                blocks[k] = None
-            if not go.any():
-                break
-            active, sorted_r, sorted_x = active[go], sorted_r[go], sorted_x[go]
+        stepping, seed_x, seed_r, chain_b, problems, rows = [], [], [], [], [], []
+        for c in cohorts:
+            config, n_c = c.config, c.config.n_chains
+            for j, k in enumerate(c.active.tolist()):
+                blocks[k].append((c.sorted_r[j], c.sorted_x[j]))
+            conflicts = (c.sorted_r <= failure_threshold).sum(axis=1)
+            go = conflicts < n_c
+            if level == config.max_levels - 1:
+                go[:] = False
+            if not go.all():
+                for j in np.flatnonzero(~go).tolist():
+                    k = int(c.active[j])
+                    results[k] = _finish(blocks[k], thresholds[k], int(conflicts[j]), level, config)
+                    blocks[k] = None
+                if not go.any():
+                    continue
+                c.active, c.sorted_r, c.sorted_x = c.active[go], c.sorted_r[go], c.sorted_x[go]
 
-        b = intermediate_threshold(sorted_r, config)
-        for k, bk in zip(active.tolist(), b.tolist()):
-            thresholds[k].append(bk)
-        seeds_x = select_seeds(sorted_x, config, axis=1)
-        seed_r = sorted_r[:, n - n_c :]
+            b = intermediate_threshold(c.sorted_r, config)
+            for k, bk in zip(c.active.tolist(), b.tolist()):
+                thresholds[k].append(bk)
+            seed_x.append(select_seeds(c.sorted_x, config, axis=1).reshape(-1, d))
+            seed_r.append(c.sorted_r[:, -n_c:].reshape(-1))
+            chain_b.append(b.repeat(n_c))
+            problems.append(c.active.repeat(n_c))
+            rows += [n_c] * len(c.active)
+            stepping.append(c)
+        cohorts = stepping
+        if not cohorts:
+            break
         level += 1
 
-        m = len(active)
         innovations = _rng.standard_normal(
-            _rng.children([roots[k] for k in active.tolist()], level), [n_c] * m, (n_s, d)
+            _rng.children([roots[k] for c in cohorts for k in c.active.tolist()], level),
+            rows,
+            (n_s, d),
         )
+        chain_b = _joined(chain_b)
         samples, responses = conditional_chains(
             system,
             chol_inv,
-            seeds_x.reshape(m * n_c, d),
-            seed_r.reshape(-1),
-            b.repeat(n_c),
+            _joined(seed_x),
+            _joined(seed_r),
+            chain_b,
             innovations,
-            active.repeat(n_c),
+            _joined(problems),
+            overwrite_innovations=True,
         )
-        samples, responses = samples.reshape(m * n, d), responses.reshape(m * n)
-        over = responses.reshape(m, n) > b[:, None]
+        over = responses > chain_b[:, None]
         if over.any():
-            i = np.flatnonzero(over)[0]
+            j, step = np.argwhere(over)[0]
             raise ValueError(
                 f"conditional chains violated their threshold: response "
-                f"{responses[i]:.6g} > {b[i // n]:.6g}"
+                f"{responses[j, step]:.6g} > {chain_b[j]:.6g}"
             )
-        sorted_r, sorted_x = _sort_blocks(samples, responses, m, n, level)
+        samples, responses = samples.reshape(-1, d), responses.reshape(-1)
+        _sort_level(cohorts, samples, responses, level)
     return results
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end; a lone part is returned as it is, uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
@@ -523,18 +577,23 @@ def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
     return SubsetResult(estimate, diagnostics, blocks, config)
 
 
-def _sort_blocks(samples: np.ndarray, responses: np.ndarray, k: int, n: int, level: int):
-    """Per problem, a stable descending sort of one level's population, ties by draw index.
-
-    Returns the responses (k, n) and samples (k, n, ...) of the k problems.
-    """
-    if responses.shape[0] != k * n or samples.shape[0] != k * n:
+def _sort_level(cohorts: list[_Cohort], samples: np.ndarray, responses: np.ndarray, level: int):
+    """Sort one level's population, whose rows run cohort by cohort and
+    problem by problem, into each cohort's `sorted_r` and `sorted_x`: per
+    problem a stable descending sort, ties by draw index."""
+    expected = sum(len(c.active) * c.config.n_samples for c in cohorts)
+    if responses.shape[0] != expected or samples.shape[0] != expected:
         raise ValueError(
-            f"level {level} produced {responses.shape[0]} samples, expected {k * n}"
+            f"level {level} produced {responses.shape[0]} samples, expected {expected}"
         )
     if not np.all(np.isfinite(responses)):
         raise ValueError(f"level {level} produced non-finite responses")
-    order = np.argsort(-responses.reshape(k, n), axis=1, kind="stable")
-    rows = (order + np.arange(0, k * n, n)[:, None]).ravel()
-    sorted_x = samples.take(rows, axis=0).reshape(k, n, *samples.shape[1:])
-    return responses[rows].reshape(k, n), sorted_x
+    lo = 0
+    for c in cohorts:
+        k, n = len(c.active), c.config.n_samples
+        hi = lo + k * n
+        order = np.argsort(-responses[lo:hi].reshape(k, n), axis=1, kind="stable")
+        rows = (order + np.arange(lo, hi, n)[:, None]).ravel()
+        c.sorted_x = samples.take(rows, axis=0).reshape(k, n, *samples.shape[1:])
+        c.sorted_r = responses[rows].reshape(k, n)
+        lo = hi

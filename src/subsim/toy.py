@@ -42,8 +42,8 @@ class CircleRegion:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
 
 def distance_to_center(sample: Point2, region: CircleRegion) -> float:
@@ -71,7 +71,8 @@ def oracle_probability(region: CircleRegion, rel_tol: float = 1e-6) -> float:
     """Standard bivariate normal mass inside the disc, by polar quadrature.
 
     Simpson's rule in radius, periodic trapezoid in angle, grid doubled until
-    successive refinements agree to `rel_tol` (far finer than needed).
+    successive refinements agree to `rel_tol` (far finer than needed).  A
+    non-finite integral raises `ValueError`: refining cannot make it converge.
     """
     cx, cy = region.center.x, region.center.y
     r = region.radius
@@ -86,7 +87,10 @@ def oracle_probability(region: CircleRegion, rel_tol: float = 1e-6) -> float:
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         h = r / n_rho
-        return float((h / 3.0) * np.dot(w, f))
+        value = float((h / 3.0) * np.dot(w, f))
+        if not math.isfinite(value):
+            raise ValueError(f"disc integral is not finite ({value}) for {region}")
+        return value
 
     n_rho, n_theta = 64, 64
     prev = integral(n_rho, n_theta)

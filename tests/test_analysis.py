@@ -192,6 +192,44 @@ class TestCovStudy:
         cov_study(config, seed=11)
         assert calls == [100] * 3 + [200] * 3
 
+    def test_one_engine_run_for_every_ss_budget(self, monkeypatch):
+        # the SS repetitions of all budgets share one lockstep run; DMC keeps
+        # one pc_dmc call per budget and repetition
+        runs, dmc_calls = [], []
+        run, dmc = conflict.run_subset_simulations, analysis.pc_dmc
+
+        def counting_run(system, configs, threshold, seeds):
+            runs.append([config.n_samples for config in configs])
+            return run(system, configs, threshold, seeds)
+
+        def counting_dmc(query, n, seed):
+            dmc_calls.append(n)
+            return dmc(query, n, seed)
+
+        monkeypatch.setattr(conflict, "run_subset_simulations", counting_run)
+        monkeypatch.setattr(analysis, "pc_dmc", counting_dmc)
+        config = CovStudyConfig(
+            phase=phase_p1(seed=2), repetitions=2, dmc_sizes=(100, 200), ss_sizes=(100, 200, 500)
+        )
+        cov_study(config, seed=11)
+        assert runs == [[100, 100, 200, 200, 500, 500]]
+        assert dmc_calls == [100] * 2 + [200] * 2
+
+    def test_ss_points_read_each_repetitions_own_stream(self):
+        # SS repetition rep of budget i is pc_ss on stream child(root, 1, i, rep)
+        config = CovStudyConfig(
+            phase=phase_p2(seed=3), repetitions=2, dmc_sizes=(100,), ss_sizes=(100, 200), max_levels=3
+        )
+        points = cov_study(config, seed=5)
+        root = _rng.derive(5)
+        for size_idx, n in enumerate(config.ss_sizes):
+            results = [
+                conflict.pc_ss(config.phase, config.subset_config(n), _rng.child(root, 1, size_idx, rep))[0]
+                for rep in range(config.repetitions)
+            ]
+            assert points[1 + size_idx] == analysis._cov_point("ss", n, results)
+            assert max(res.levels_used for res in results) > 1
+
     def test_builds_no_table(self, assemble_calls):
         # the SS repetitions return estimates only: no CCDF table is assembled
         q = phase_p1(seed=2)

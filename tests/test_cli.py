@@ -49,6 +49,13 @@ class TestToyCommand:
         for name in ("ccdf.csv", "summary.json", "manifest.json"):
             assert _read(a / name) == _read(b / name)
 
+    @pytest.mark.parametrize("radius", ["inf", "nan", "-1"])
+    def test_bad_radius_exits_2_before_the_manifest(self, radius, tmp_path, capsys):
+        rc = main(["toy", "--radius", radius, "--seed", "1", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "radius" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_n_exits_2(self, tmp_path, capsys):
         rc = main(["toy", "--n", "0", "--seed", "1", "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -192,6 +199,15 @@ class TestCovStudyCommand:
              "--out-dir", str(tmp_path / "x")]
         )
         assert rc == 2
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["cov-study", "--phase", "p1", "--reps", "3", "--seed", "4",
+                "--dmc-sizes", "100", "--ss-sizes", "100,1000"]
+        assert main([*args, "--out-dir", str(a)]) == 0
+        assert main([*args, "--out-dir", str(b)]) == 0
+        for name in ("cov_study.csv", "manifest.json"):
+            assert _read(a / name) == _read(b / name)
 
     def test_small_p1_study(self, tmp_path):
         out = tmp_path / "cov"

@@ -488,9 +488,35 @@ class TestPcSsBatch:
         assert conflict._group_size(SubsetConfig(1000, 0.1)) == 48
         assert conflict._group_size(CFG) == conflict.GROUP_SIZE == 64
 
+    def test_mixed_configs_equal_one_query_runs(self, monkeypatch):
+        # groups close at GROUP_SIZE queries or before passing _GROUP_SAMPLES
+        # samples a level, whichever comes first, and may mix budgets
+        budgets = (100, 200, 300, 100, 500, 100, 200, 700, 100)
+        configs = [SubsetConfig(n, 0.1, max_levels=4) for n in budgets]
+        queries = [self.QUERIES[k % len(self.QUERIES)] for k in range(len(budgets))]
+        seeds = list(range(30, 30 + len(budgets)))
+        alone = [pc_ss(q, c, seed)[0] for q, c, seed in zip(queries, configs, seeds)]
+        assert len({res.levels_used for res in alone}) > 2
+        groups = []
+        run = conflict.run_subset_simulations
+
+        def recording(system, configs, threshold, seeds):
+            groups.append([config.n_samples for config in configs])
+            return run(system, configs, threshold, seeds)
+
+        monkeypatch.setattr(conflict, "run_subset_simulations", recording)
+        monkeypatch.setattr(conflict, "GROUP_SIZE", 3)
+        monkeypatch.setattr(conflict, "_GROUP_SAMPLES", 600)
+        assert pc_ss_batch(queries, configs, seeds) == alone
+        assert groups == [[100, 200, 300], [100, 500], [100, 200], [700], [100]]
+
     def test_mismatched_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             pc_ss_batch(self.QUERIES, CFG, [1, 2])
+
+    def test_mismatched_configs_rejected(self):
+        with pytest.raises(ValueError, match="4 queries but 2 configs"):
+            pc_ss_batch(self.QUERIES, [CFG, CFG], [1, 2, 3, 4])
 
     def test_queries_on_different_grids_rejected(self):
         queries = [_query(HEAD_ON_OFFSET), _query(HEAD_ON_OFFSET, radius=100.0)]

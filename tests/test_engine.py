@@ -356,7 +356,8 @@ class TestRunSubsetSimulation:
         assert not np.array_equal(r1.table.responses, r2.table.responses)
 
     def test_chain_threshold_violation_raises(self, monkeypatch):
-        def bad_chains(system, chol_inv, seeds, seed_resps, thresholds, innovations, problems):
+        def bad_chains(system, chol_inv, seeds, seed_resps, thresholds, innovations, problems,
+                       overwrite_innovations=False):
             # one sample of the whole batch lies beyond its chain's threshold
             m, length, d = innovations.shape
             out = np.repeat(seeds[:, None], length, axis=1)
@@ -518,6 +519,22 @@ class TestConditionalChains:
             assert np.array_equal(x[j], one_x[0]) and np.array_equal(r[j], one_r[0])
         assert np.all(r <= thresholds[:, None])
 
+    def test_innovations_overwritten_only_on_request(self):
+        system = self._system()
+        seeds = self.MEAN + _rng.generator(_rng.derive(8)).standard_normal((4, 3))
+        innovations = _rng.generator(_rng.derive(9)).standard_normal((4, 20, 3))
+        kept = innovations.copy()
+        x, r = self._run(system, seeds, 2.0, innovations)
+        assert np.array_equal(innovations, kept)
+        scratch = innovations.copy()
+        seed_r = system.evaluate(seeds, np.zeros(4, int))
+        x2, r2 = conditional_chains(
+            system, np.linalg.inv(system.chol), seeds, seed_r, np.full(4, 2.0), scratch,
+            np.zeros(4, dtype=int), overwrite_innovations=True,
+        )
+        assert np.array_equal(x2, x) and np.array_equal(r2, r)
+        assert np.array_equal(scratch, math.sqrt(1.0 - CHAIN_CORRELATION**2) * kept)
+
 
 def _assert_same_result(a, b):
     assert a.estimate == b.estimate
@@ -565,6 +582,66 @@ class TestLockstepProblems:
     def test_no_seeds_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             run_subset_simulations(_line_system(), CFG, 0.5, [])
+
+    # three budgets, a shorter level cap and the other ladder, interleaved
+    MIXED = (
+        CFG,
+        SubsetConfig(n_samples=200, level_probability=0.1),
+        SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4),
+        CFG_STD,
+        SubsetConfig(n_samples=500, level_probability=0.1),
+        CFG,
+        SubsetConfig(n_samples=200, level_probability=0.1),
+    )
+
+    def test_mixed_configs_equal_one_problem_runs(self):
+        # problems stop at level 0 (shift 0), mid-descent (shift 3 and 4) and
+        # at max_levels with no rare sample (shift 50), at both level caps
+        shifts = (4.0, 0.0, 50.0, 4.0, 4.0, 50.0, 3.0)
+        seeds = range(20, 27)
+        batch = run_subset_simulations(_line_system(shifts), self.MIXED, 0.5, seeds)
+        levels = [r.diagnostics.levels_completed for r in batch]
+        assert levels[1] == 1
+        assert levels[2] == 4 and batch[2].diagnostics.floor_reached
+        assert levels[5] == CFG.max_levels and batch[5].diagnostics.floor_reached
+        assert all(1 < levels[k] < CFG.max_levels for k in (0, 3, 4, 6))
+        for shift, cfg, seed, result in zip(shifts, self.MIXED, seeds, batch):
+            alone = run_subset_simulation(_line_system(shift), cfg, 0.5, seed)
+            _assert_same_result(result, alone)
+
+    def test_mixed_configs_step_together(self, monkeypatch):
+        # every level draws all cohorts' innovations in one call and steps
+        # all their chains in one call
+        draws, chains = [], []
+        draw, step = _rng.standard_normal, engine.conditional_chains
+
+        def counting_draw(streams, rows, tail=()):
+            draws.append(sum(rows))
+            return draw(streams, rows, tail)
+
+        def counting_step(*args, **kwargs):
+            chains.append(len(args[2]))
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(_rng, "standard_normal", counting_draw)
+        monkeypatch.setattr(engine, "conditional_chains", counting_step)
+        shifts = (50.0,) * len(self.MIXED)
+        batch = run_subset_simulations(_line_system(shifts), self.MIXED, 0.0, range(7))
+        assert [r.diagnostics.levels_completed for r in batch] == [7, 7, 4, 7, 7, 7, 7]
+        seeds_per_level = [cfg.n_chains for cfg in self.MIXED]
+        assert draws[0] == sum(cfg.n_samples for cfg in self.MIXED)  # level 0
+        without_short = sum(seeds_per_level) - self.MIXED[2].n_chains
+        assert chains == draws[1:] == [sum(seeds_per_level)] * 3 + [without_short] * 3
+
+    def test_configs_must_share_level_probability(self):
+        configs = [CFG, SubsetConfig(n_samples=100, level_probability=0.2)]
+        with pytest.raises(ValueError, match="share level_probability"):
+            run_subset_simulations(_line_system((1.0, 2.0)), configs, 0.5, (1, 2))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_config_count_must_match_seeds(self, count):
+        with pytest.raises(ValueError, match=f"{count} configs but 2 seeds"):
+            run_subset_simulations(_line_system((1.0, 2.0)), [CFG] * count, 0.5, (1, 2))
 
     def test_tables_are_built_on_first_read(self, assemble_calls, eager_tables):
         # the problems stop at different levels; a table read after the whole

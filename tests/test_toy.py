@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,6 +77,19 @@ class TestOracle:
     def test_benchmark_region_magnitude(self):
         p = oracle_probability(REGION)
         assert 1e-4 < p < 1e-3
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            CircleRegion(center=Point2(3.0, -3.0), radius=radius)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_integral_raises(self):
+        # a disc that slips past CircleRegion's check: its NaN integral is an
+        # error at the first grid, not a reason to keep refining
+        endless = SimpleNamespace(center=Point2(3.0, -3.0), radius=math.inf)
+        with pytest.raises(ValueError, match="not finite"):
+            oracle_probability(endless)
 
     def test_against_noncentral_chi_square(self):
         scipy_stats = pytest.importorskip("scipy.stats")
