@@ -347,7 +347,6 @@ def conditional_chains(
     thresholds: np.ndarray,
     innovations: np.ndarray,
     problems: np.ndarray,
-    overwrite_innovations: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional chains whose responses stay within their thresholds.
 
@@ -365,9 +364,10 @@ def conditional_chains(
     independent, so they advance in lockstep: one `evaluate` call per step
     covers every chain.  Whitening goes through stacked per-chain matmuls,
     which round as a lone `chol @ z` does, so a chain's values do not depend
-    on which other chains run beside it.  With `overwrite_innovations` the
-    innovations are scaled in place, saving an (m, length, d) buffer; the
-    engine does so with the draws it owns.
+    on which other chains run beside it.  The scaled innovations are
+    written into the samples' buffer, where step k reads its column before
+    storing its sample there, so they need no (m, length, d) array of their
+    own and the caller's innovations are left as they were.
 
     Returns the samples (m, length, d) and their responses (m, length).
     """
@@ -385,13 +385,10 @@ def conditional_chains(
     cur = np.array(seeds, dtype=np.float64).reshape(m, d)
     cur_r = seed_responses
     z = (chol_inv[problems] @ (cur - mean)[:, :, None])[:, :, 0]
-    steps = np.multiply(
-        innovations, _INNOVATION_SCALE, out=innovations if overwrite_innovations else None
-    )
-    out_x = np.empty((m, length, d))
+    out_x = np.multiply(innovations, _INNOVATION_SCALE, dtype=np.float64)
     out_r = np.empty((m, length))
     for k in range(length):
-        cand_z = CHAIN_CORRELATION * z + steps[:, k]
+        cand_z = CHAIN_CORRELATION * z + out_x[:, k]
         cand = mean + (chol @ cand_z[:, :, None])[:, :, 0]
         cand_r = system.evaluate(cand, problems)
         ok = cand_r <= thresholds
@@ -535,7 +532,6 @@ def run_subset_simulations(
             chain_b,
             innovations,
             _joined(problems),
-            overwrite_innovations=True,
         )
         over = responses > chain_b[:, None]
         if over.any():

@@ -356,8 +356,7 @@ class TestRunSubsetSimulation:
         assert not np.array_equal(r1.table.responses, r2.table.responses)
 
     def test_chain_threshold_violation_raises(self, monkeypatch):
-        def bad_chains(system, chol_inv, seeds, seed_resps, thresholds, innovations, problems,
-                       overwrite_innovations=False):
+        def bad_chains(system, chol_inv, seeds, seed_resps, thresholds, innovations, problems):
             # one sample of the whole batch lies beyond its chain's threshold
             m, length, d = innovations.shape
             out = np.repeat(seeds[:, None], length, axis=1)
@@ -518,22 +517,6 @@ class TestConditionalChains:
             )
             assert np.array_equal(x[j], one_x[0]) and np.array_equal(r[j], one_r[0])
         assert np.all(r <= thresholds[:, None])
-
-    def test_innovations_overwritten_only_on_request(self):
-        system = self._system()
-        seeds = self.MEAN + _rng.generator(_rng.derive(8)).standard_normal((4, 3))
-        innovations = _rng.generator(_rng.derive(9)).standard_normal((4, 20, 3))
-        kept = innovations.copy()
-        x, r = self._run(system, seeds, 2.0, innovations)
-        assert np.array_equal(innovations, kept)
-        scratch = innovations.copy()
-        seed_r = system.evaluate(seeds, np.zeros(4, int))
-        x2, r2 = conditional_chains(
-            system, np.linalg.inv(system.chol), seeds, seed_r, np.full(4, 2.0), scratch,
-            np.zeros(4, dtype=int), overwrite_innovations=True,
-        )
-        assert np.array_equal(x2, x) and np.array_equal(r2, r)
-        assert np.array_equal(scratch, math.sqrt(1.0 - CHAIN_CORRELATION**2) * kept)
 
 
 def _assert_same_result(a, b):
