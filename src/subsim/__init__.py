@@ -10,7 +10,7 @@ intruder, with a matched-budget Direct Monte Carlo baseline.
 __version__ = "0.4.0"
 
 from .conflict import ConflictQuery, PcResult, pc_dmc, pc_ss, pc_ss_batch, simulate_scenario
-from .dynamics import AircraftState, Approach, Trajectory, min_distance, propagate, transition_matrix
+from .dynamics import AircraftState, transition_matrix
 from .engine import (
     CcdfRow,
     CcdfTable,
@@ -29,7 +29,6 @@ from .tracking import KalmanEstimate, Measurement, NoiseConfig, kf_step, process
 __all__ = [
     "__version__",
     "AircraftState",
-    "Approach",
     "CcdfRow",
     "CcdfTable",
     "CircleRegion",
@@ -45,20 +44,17 @@ __all__ = [
     "ScenarioSpec",
     "SubsetConfig",
     "SubsetResult",
-    "Trajectory",
     "build_converging",
     "build_head_on",
     "build_overtaking",
     "direct_monte_carlo",
     "dmc_estimate",
     "kf_step",
-    "min_distance",
     "oracle_probability",
     "pc_dmc",
     "pc_ss",
     "pc_ss_batch",
     "process_noise",
-    "propagate",
     "run_subset_simulation",
     "run_subset_simulations",
     "simulate_scenario",

@@ -64,8 +64,8 @@ def _squared_distance(s, tk, obs_x, obs_y):
 
     `s` holds the six state components [x, u, a_x, y, v, a_y], each
     broadcasting against `tk`, `obs_x` and `obs_y`.  Positions are
-    (x + u*tk) + (0.5*a)*(tk*tk) per axis, as in `dynamics.propagate`.  Both
-    kernels go through this one expression, so they round identically.
+    (x + u*tk) + (0.5*a)*(tk*tk) per axis, as in `dynamics.track_positions`.
+    Both kernels go through this one expression, so they round identically.
     """
     x, u, a_x, y, v, a_y = s
     tk2 = tk * tk
@@ -234,8 +234,8 @@ def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float, obser
     """Miss distance of each state's trajectory against its observer's track.
 
     `observer` is the observer's constant-acceleration state
-    [x, u, a_x, y, v, a_y] and `obs_xy` its `dynamics.propagate` positions at
-    step `dt`; or, for K problems at once, K states (K, 6) and their K tracks
+    [x, u, a_x, y, v, a_y] and `obs_xy` its `dynamics.track_positions` row
+    at step `dt`; or, for K problems at once, K states (K, 6) and their K tracks
     (K, points, 2), with `problem[i]` the problem of row i.  A track whose
     first or last point differs from its state's is rejected.  Each row of
     `states` is an intruder state evaluated at t = k*dt, as in

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import rng as _rng
 from .conflict import ConflictQuery, PcResult, encounter_steps, pc_dmc, pc_ss_batch
 from .engine import SubsetConfig
+from .rng import SeedLike, child_pool, pool
 from .scenarios import ScenarioSpec, build_head_on
 
 
@@ -90,13 +90,15 @@ def binomial_cov(p: float, n: float) -> float:
 
 
 def freeze_phase(
-    spec: ScenarioSpec, at_time: float, seed: _rng.SeedLike
+    spec: ScenarioSpec, at_time: float, seed: SeedLike
 ) -> ConflictQuery:
     """Run truth, measurements and the filter up to `at_time`, freeze the query.
 
     The steps, and the query's horizon (the scenario duration), are those of
     `simulate_scenario` at the same seed.
     """
+    if not math.isfinite(at_time):
+        raise ValueError(f"at_time={at_time} does not land on a simulation step")
     k_float = at_time * spec.sample_rate
     k_stop = round(k_float)
     if abs(k_float - k_stop) > 1e-9 or not 1 <= k_stop <= spec.n_steps:
@@ -113,27 +115,32 @@ def _cov_point(method: str, n: int, results: Sequence[PcResult]) -> CovPoint:
     return CovPoint(method, int(n), avg_samples, *coefficient_of_variation(estimates))
 
 
-def cov_study(config: CovStudyConfig, seed: _rng.SeedLike) -> list[CovPoint]:
-    """Repeated estimates per method and budget against the frozen phase."""
-    root = _rng.derive(seed)
+def cov_study(config: CovStudyConfig, seed: SeedLike) -> list[CovPoint]:
+    """Repeated estimates per method and budget against the frozen phase.
+
+    Repetition `rep` at budget index `size_idx` draws from stream
+    child(root, 0, size_idx, rep) for DMC and child(root, 1, size_idx, rep)
+    for SS, with root the seed's pool.
+    """
+    root = pool(seed)
     reps = range(config.repetitions)
     points: list[CovPoint] = []
     for size_idx, n in enumerate(config.dmc_sizes):
-        results = [pc_dmc(config.phase, n, _rng.child(root, 0, size_idx, rep)) for rep in reps]
+        results = [pc_dmc(config.phase, n, child_pool(root, 0, size_idx, rep)) for rep in reps]
         points.append(_cov_point("dmc", n, results))
     # every SS (budget, repetition) pair in one batch, budget-major
     r, ss_sizes = config.repetitions, list(enumerate(config.ss_sizes))
     results = pc_ss_batch(
         [config.phase] * (len(ss_sizes) * r),
         [config.subset_config(n) for _, n in ss_sizes for _ in reps],
-        [_rng.child(root, 1, size_idx, rep) for size_idx, _ in ss_sizes for rep in reps],
+        [child_pool(root, 1, size_idx, rep) for size_idx, _ in ss_sizes for rep in reps],
     )
     for size_idx, n in ss_sizes:
         points.append(_cov_point("ss", n, results[size_idx * r : (size_idx + 1) * r]))
     return points
 
 
-def phase_p1(seed: _rng.SeedLike) -> ConflictQuery:
+def phase_p1(seed: SeedLike) -> ConflictQuery:
     """Borderline head-on phase at t = 1 s: conflict probability near 0.5.
 
     10^5 `pc_dmc` draws read 0.496-0.499 at phase seeds 0, 1, 2 and 11.
@@ -142,7 +149,7 @@ def phase_p1(seed: _rng.SeedLike) -> ConflictQuery:
     return freeze_phase(spec, at_time=1.0, seed=seed)
 
 
-def phase_p2(seed: _rng.SeedLike) -> ConflictQuery:
+def phase_p2(seed: SeedLike) -> ConflictQuery:
     """Long-range head-on phase at t = 100 s: small conflict probability.
 
     Lateral separation 1000 m, longitudinal 20 km, 200 s duration (which is

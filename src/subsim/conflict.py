@@ -19,7 +19,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import rng as _rng
 from .dynamics import AircraftState, track_positions, transition_matrix
 from .engine import (
     CcdfTable,
@@ -29,6 +28,7 @@ from .engine import (
     direct_monte_carlo,
     run_subset_simulations,
 )
+from .rng import Pool, SeedLike, child_pool, children, pool, standard_normal
 from .scenarios import ScenarioSpec, initial_states
 from .tracking import (
     KalmanEstimate,
@@ -161,7 +161,7 @@ def conflict_system(batch: QueryBatch) -> RareEventSystem:
 
 
 def _dmc(
-    batch: QueryBatch, ns: Sequence[int], seeds: Sequence[_rng.SeedLike | _rng.Pool]
+    batch: QueryBatch, ns: Sequence[int], seeds: Sequence[SeedLike | Pool]
 ) -> list[PcResult]:
     """Direct Monte Carlo on every query of `batch`, query k on `ns[k]` draws
     from `seeds[k]`, in one engine call; result k equals `pc_dmc` of query k."""
@@ -172,7 +172,7 @@ def _dmc(
     ]
 
 
-def pc_dmc(query: ConflictQuery, n: int, seed: _rng.SeedLike) -> PcResult:
+def pc_dmc(query: ConflictQuery, n: int, seed: SeedLike | Pool) -> PcResult:
     """Direct Monte Carlo: fraction of n posterior draws whose trajectories
     conflict.  The draws are those of `pc_ss`'s level 0 at the same seed."""
     return _dmc(QueryBatch.from_queries([query]), [n], [seed])[0]
@@ -244,7 +244,7 @@ def _pc(result: SubsetResult) -> PcResult:
 def pc_ss(
     query: ConflictQuery,
     config: SubsetConfig,
-    seed: _rng.SeedLike,
+    seed: SeedLike,
 ) -> tuple[PcResult, CcdfTable]:
     """Subset-simulation conflict probability for one query.
 
@@ -260,7 +260,7 @@ def pc_ss(
 def pc_ss_batch(
     queries: Sequence[ConflictQuery],
     configs: SubsetConfig | Sequence[SubsetConfig],
-    seeds: Sequence[_rng.SeedLike],
+    seeds: Sequence[SeedLike | Pool],
 ) -> list[PcResult]:
     """`pc_ss` of each query with its config and seed, without the CCDF tables.
 
@@ -317,19 +317,25 @@ class EncounterStep:
         )
 
 
-def encounter_steps(spec: ScenarioSpec, seed: _rng.SeedLike) -> Iterator[EncounterStep]:
+def _two_normals(root: Pool, *key: int) -> np.ndarray:
+    """The first two standard normals of stream child(root, *key)."""
+    return standard_normal([child_pool(root, *key)], [2])
+
+
+def encounter_steps(spec: ScenarioSpec, seed: SeedLike | Pool) -> Iterator[EncounterStep]:
     """Truth propagation, measurements and filtering of one encounter, step by step.
 
-    Yields steps k = 1..n_steps.  The filter starts from stream child(root, 0)
-    and the measurement at step k comes from child(root, k, 0), so every
-    consumer of an encounter at one seed sees the same steps.
+    Yields steps k = 1..n_steps.  The filter's initial estimate draws from
+    stream child(root, 0) and the measurement at step k from child(root, k, 0),
+    with root the seed's pool, so every consumer of an encounter at one seed
+    sees the same steps.
     """
-    root = _rng.derive(seed)
+    root = pool(seed)
     observer_truth, intruder_truth = initial_states(spec)
     est = initial_estimate(
         intruder_truth,
         spec.noise,
-        _rng.generator(_rng.child(root, 0)),
+        _two_normals(root, 0),
         pos_std=spec.init_pos_std,
         vel_std=spec.init_vel_std,
         acc_std=spec.init_acc_std,
@@ -347,7 +353,7 @@ def encounter_steps(spec: ScenarioSpec, seed: _rng.SeedLike) -> Iterator[Encount
         measurement = None
         if counter == stride:
             measurement = simulate_measurement(
-                AircraftState.from_array(intr), noise, _rng.generator(_rng.child(root, k, 0))
+                AircraftState.from_array(intr), noise, _two_normals(root, k, 0)
             )
             counter = 0
         counter += 1
@@ -374,7 +380,7 @@ class StepRecord:
 def _estimate_steps(
     spec: ScenarioSpec,
     ss_config: SubsetConfig,
-    root: _rng.Pool,
+    root: Pool,
     steps: Sequence[EncounterStep],
 ) -> list[StepRecord]:
     """SS, matched-budget DMC and the true miss distance of a group of steps.
@@ -391,9 +397,9 @@ def _estimate_steps(
     """
     queries = [step.query(spec) for step in steps]
     batch = QueryBatch.from_queries(queries)
-    step_roots = [_rng.child_pool(root, step.k) for step in steps]
-    ss = [_pc(res) for res in _ss(batch, ss_config, _rng.children(step_roots, 1))]
-    dmc = _dmc(batch, [res.samples_used for res in ss], _rng.children(step_roots, 2))
+    step_roots = [child_pool(root, step.k) for step in steps]
+    ss = [_pc(res) for res in _ss(batch, ss_config, children(step_roots, 1))]
+    dmc = _dmc(batch, [res.samples_used for res in ss], children(step_roots, 2))
     truth = np.array([step.intruder for step in steps])
     miss_true, _ = miss_distance_scan(truth, batch.obs_xy, batch.dt, np.arange(len(steps)))
     return [
@@ -414,7 +420,7 @@ def _estimate_steps(
 def simulate_scenario(
     spec: ScenarioSpec,
     ss_config: SubsetConfig,
-    seed: _rng.SeedLike,
+    seed: SeedLike,
     estimate_steps: Optional[Sequence[int]] = None,
 ) -> list[StepRecord]:
     """Run a full encounter: truth propagation, measurements, filtering, and a
@@ -428,7 +434,7 @@ def simulate_scenario(
     `_group_size(ss_config)`, `pc_ss_batch`'s rule for one budget, which
     changes no record; no CCDF table is built.
     """
-    root = _rng.derive(seed)
+    root = pool(seed)
     wanted = None if estimate_steps is None else set(int(s) for s in estimate_steps)
     if wanted is not None:
         outside = sorted(k for k in wanted if not 1 <= k <= spec.n_steps)
@@ -437,7 +443,6 @@ def simulate_scenario(
     steps = (s for s in encounter_steps(spec, root) if wanted is None or s.k in wanted)
     size = _group_size(ss_config)
     records: list[StepRecord] = []
-    root_pool = _rng.pool(root)
     while group := list(itertools.islice(steps, size)):
-        records += _estimate_steps(spec, ss_config, root_pool, group)
+        records += _estimate_steps(spec, ss_config, root, group)
     return records

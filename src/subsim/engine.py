@@ -212,19 +212,14 @@ def intermediate_threshold(sorted_responses: Sequence[float], config: SubsetConf
     return r[..., config.n_samples - config.n_chains - 1]
 
 
-def select_seeds(sorted_samples: np.ndarray, config: SubsetConfig, axis: int = 0) -> np.ndarray:
-    """The N_c samples with the smallest responses (tail of the sorted set).
-
-    The N sorted samples run along `axis`; axis=1 selects per problem from a
-    (K, N, ...) batch.
-    """
-    if sorted_samples.shape[axis] != config.n_samples:
+def select_seeds(sorted_samples: np.ndarray, config: SubsetConfig) -> np.ndarray:
+    """Per problem of a (K, N, ...) batch of sorted samples, the N_c with the
+    smallest responses (the tail of each sorted set): (K, N_c, ...)."""
+    if sorted_samples.ndim < 2 or sorted_samples.shape[1] != config.n_samples:
         raise ValueError(
-            f"expected {config.n_samples} samples, got {sorted_samples.shape[axis]}"
+            f"expected (K, {config.n_samples}, ...) samples, got shape {sorted_samples.shape}"
         )
-    tail = [slice(None)] * sorted_samples.ndim
-    tail[axis] = slice(config.n_samples - config.n_chains, None)
-    return np.copy(sorted_samples[tuple(tail)])
+    return np.copy(sorted_samples[:, config.n_samples - config.n_chains :])
 
 
 def assemble_ccdf(
@@ -310,7 +305,8 @@ def direct_monte_carlo(
     `failure_threshold`.  The draws are level 0 of `run_subset_simulations`
     from `seeds[k]`.  Consecutive problems are drawn and scored together, one
     `evaluate` call per slice of at most `_DMC_SLICE_ROWS` rows; a problem is
-    never split, so one with more rows is a slice of its own.
+    never split, so one with more rows is a slice of its own.  A non-finite
+    response raises `ValueError`, as at every level of an SS run.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"{len(ns)} sample counts but {len(seeds)} seeds")
@@ -327,7 +323,10 @@ def direct_monte_carlo(
             hi += 1
         problems = np.repeat(np.arange(lo, hi), ns[lo:hi])
         samples = _level0(system.mean[lo:hi], system.chol[lo:hi], roots[lo:hi], ns[lo:hi])
-        hits = system.evaluate(samples, problems) <= failure_threshold
+        responses = system.evaluate(samples, problems)
+        if not np.all(np.isfinite(responses)):
+            raise ValueError("level 0 produced non-finite responses")
+        hits = responses <= failure_threshold
         counts.append(np.bincount(problems[hits] - lo, minlength=hi - lo))
         lo = hi
     return np.concatenate(counts)
@@ -507,7 +506,7 @@ def run_subset_simulations(
             b = intermediate_threshold(c.sorted_r, config)
             for k, bk in zip(c.active.tolist(), b.tolist()):
                 thresholds[k].append(bk)
-            seed_x.append(select_seeds(c.sorted_x, config, axis=1).reshape(-1, d))
+            seed_x.append(select_seeds(c.sorted_x, config).reshape(-1, d))
             seed_r.append(c.sorted_r[:, -n_c:].reshape(-1))
             chain_b.append(b.repeat(n_c))
             problems.append(c.active.repeat(n_c))

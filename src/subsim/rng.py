@@ -9,15 +9,17 @@ own streams when the engine runs them in lockstep groups (a group of scenario
 steps, or the repetitions of a study), so a problem's result does not depend
 on which others share its group.
 
-A stream is a NumPy `SeedSequence` keyed child (`child`) driving Philox
-(`generator`).  The engine draws its streams without building either:
+A stream is defined as a NumPy `SeedSequence` keyed child (`child`) driving
+Philox (`generator`), but every stream the package draws is a pool instead:
 `SeedSequence` mixes its entropy words into a four-word pool in order, so a
 child's pool is its parent's pool with the key's words mixed in, and a Philox
 reset to that pool's `generate_state(2, uint64)` key yields the child's
-stream.  `Pool` carries that state, `child_pool` and `children` extend it, and
-`standard_normal` draws each stream from one Philox per thread.  This is
-plain arithmetic on Python ints, and it equals `generator(child(...))` bit for
-bit.  On a 2-vCPU Xeon, a 400-step head-on encounter, whose engine draws
+stream.  `pool` turns a seed into its pool, `Pool` carries that state,
+`child_pool` and `children` extend it, and `standard_normal` draws each
+stream from one Philox per thread.  This is plain arithmetic on Python ints,
+and it equals `generator(child(...))` bit for bit; `derive`, `child` and
+`generator` stay as that reference, which the tests compare the pools
+against.  On a 2-vCPU Xeon, a 400-step head-on encounter, whose engine draws
 about 1,500 streams, ran in 0.90 of the time it took with a `SeedSequence`
 and a generator built per stream.
 """

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,14 +53,14 @@ class KalmanEstimate:
         cov = np.asarray(self.covariance, dtype=np.float64)
         if cov.shape != (6, 6):
             raise ValueError(f"covariance must be 6x6, got {cov.shape}")
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance must be finite")
         same = cov == cov.T
         if same.all():
             return
         # otherwise np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12), spelled
         # out: allclose's own overhead costs more than the check
-        with np.errstate(invalid="ignore"):  # inf - inf
-            gap = np.abs(cov - cov.T)
-        close = same | (np.isfinite(gap) & (gap <= 1e-12 + 1e-9 * np.abs(cov.T)))
+        close = same | (np.abs(cov - cov.T) <= 1e-12 + 1e-9 * np.abs(cov.T))
         if not close.all():
             raise ValueError("covariance must be symmetric")
 
@@ -95,10 +95,10 @@ def process_noise(dt: float, noise: NoiseConfig) -> np.ndarray:
 
 
 def simulate_measurement(
-    truth: AircraftState, noise: NoiseConfig, gen: np.random.Generator
+    truth: AircraftState, noise: NoiseConfig, w: Sequence[float]
 ) -> Measurement:
-    """Noisy position: z = H * truth + (w_x, w_y), noise independent across axes."""
-    w = gen.standard_normal(2)
+    """Noisy position: z = H * truth + (sigma_x w[0], sigma_y w[1]), from two
+    independent standard normals `w`."""
     return Measurement(
         z=(truth.x + noise.sigma_x * w[0], truth.y + noise.sigma_y * w[1])
     )
@@ -135,8 +135,9 @@ def kf_step(
     Takes and returns the state mean (6,) and covariance (6, 6) as arrays, so
     a filter loop carries no validated objects between steps; wrap a result
     in `KalmanEstimate` where it is queried or recorded.  The step still
-    raises what that wrapper would: a non-finite mean or a covariance that
-    is not symmetric (the `KalmanEstimate` check) is a ValueError here.
+    raises what that wrapper would: a non-finite mean, or a covariance that
+    is not finite or not symmetric (the `KalmanEstimate` checks), is a
+    ValueError here.
 
     Raises numpy.linalg.LinAlgError if the innovation covariance is singular
     (degenerate measurement noise on a collapsed state); this is surfaced
@@ -155,10 +156,11 @@ def kf_step(
         cov = (eye - gain @ h) @ cov
         cov = 0.5 * (cov + cov.T)
 
-    # a finite mean and an exactly symmetric covariance pass every check of
-    # the estimate; anything else is put through those checks, which raise
-    # on what they reject
-    if not (np.isfinite(mean).all() and (cov == cov.T).all()):
+    # a finite mean and a finite, exactly symmetric covariance pass every
+    # check of the estimate; anything else is put through those checks,
+    # which raise on what they reject.  The sum is finite only if every entry
+    # is, and one that overflows only sends the step through the checks.
+    if not (math.isfinite(mean.sum() + cov.sum()) and (cov == cov.T).all()):
         KalmanEstimate(mean=AircraftState.from_array(mean), covariance=cov)
     return mean, cov
 
@@ -166,7 +168,7 @@ def kf_step(
 def initial_estimate(
     truth: AircraftState,
     noise: NoiseConfig,
-    gen: np.random.Generator,
+    w: Sequence[float],
     pos_std: float = 10.0,
     vel_std: float = 5.0,
     acc_std: float = 1.0,
@@ -174,13 +176,14 @@ def initial_estimate(
 ) -> KalmanEstimate:
     """Filter initialization: truth with one measurement-noise draw on position.
 
-    With `perfect_init` the mean equals the truth exactly.  The initial
-    covariance is diagonal from the given standard deviations; these are
-    artifact configuration, not physics, and are recorded in scenario configs.
+    The draw is `simulate_measurement`'s, from the two standard normals `w`.
+    With `perfect_init` the mean equals the truth exactly and `w` is unused.
+    The initial covariance is diagonal from the given standard deviations;
+    these are artifact configuration, not physics, and are recorded in
+    scenario configs.
     """
     mean = truth.as_array()
     if not perfect_init:
-        w = gen.standard_normal(2)
         mean = mean.copy()
         mean[0] += noise.sigma_x * w[0]
         mean[3] += noise.sigma_y * w[1]

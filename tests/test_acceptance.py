@@ -196,7 +196,7 @@ def test_criterion_7_property_suites():
         order = np.argsort(-resp, kind="stable")
         sorted_r, sorted_x = resp[order], xy[order]
         assert intermediate_threshold(sorted_r, config) == np.sort(resp)[::-1][89]
-        seeds = select_seeds(sorted_x, config)
+        seeds = select_seeds(sorted_x[None], config)[0]
         nearest = xy[np.argsort(resp, kind="stable")][:10]
         assert np.array_equal(np.sort(seeds, axis=0), np.sort(nearest, axis=0))
         checks += 1
@@ -211,11 +211,12 @@ def test_criterion_7_property_suites():
 
     # covariance symmetry / non-negative diagonal across a measurement run
     noise = NoiseConfig()
-    est = initial_estimate(AircraftState(0, 1, 0, 0, -1, 0), noise, _rng.generator(_rng.derive(3)))
+    truth = AircraftState(0, 1, 0, 0, -1, 0)
+    est = initial_estimate(truth, noise, _rng.generator(_rng.derive(3)).standard_normal(2))
     mean, cov = est.mean.as_array(), est.covariance
     gen = _rng.generator(_rng.derive(4))
     for k in range(200):
-        z = simulate_measurement(AircraftState(0, 1, 0, 0, -1, 0), noise, gen) if k % 10 == 0 else None
+        z = simulate_measurement(truth, noise, gen.standard_normal(2)) if k % 10 == 0 else None
         mean, cov = kf_step(mean, cov, z, 0.05, noise)
         assert np.array_equal(cov, cov.T)
         assert np.all(np.diag(cov) >= 0)
@@ -271,7 +272,8 @@ def test_criterion_8_kalman_channel_oracle():
     noise = NoiseConfig()
     dt, stride, n_steps = 0.05, 10, 500
     truth = AircraftState(100.0, 30.0, 0.0, -50.0, 10.0, 0.0)
-    est = initial_estimate(truth, noise, _rng.generator(_rng.derive(8)), perfect_init=True)
+    w = _rng.generator(_rng.derive(8)).standard_normal(2)
+    est = initial_estimate(truth, noise, w, perfect_init=True)
     mean, cov = est.mean.as_array(), est.covariance
     gen = _rng.generator(_rng.derive(9))
     state = truth.as_array()
@@ -285,7 +287,7 @@ def test_criterion_8_kalman_channel_oracle():
         z = None
         if counter == stride:
             counter = 0
-            z = simulate_measurement(AircraftState.from_array(state), noise, gen)
+            z = simulate_measurement(AircraftState.from_array(state), noise, gen.standard_normal(2))
         mean, cov = kf_step(mean, cov, z, dt, noise)
 
     ref = _independent_axis_riccati(

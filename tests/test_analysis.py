@@ -1,5 +1,7 @@
 """Spread-study tests: phase freezing, coefficient of variation, budget accounting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,13 +53,15 @@ class TestCoefficientOfVariation:
 class TestFreezePhase:
     def test_misaligned_time_rejected(self):
         spec = build_head_on(152.4)
-        with pytest.raises(ValueError):
-            freeze_phase(spec, at_time=0.033, seed=1)
+        for at_time in (0.033, math.nan):
+            with pytest.raises(ValueError, match="does not land on a simulation step"):
+                freeze_phase(spec, at_time=at_time, seed=1)
 
     def test_out_of_range_time_rejected(self):
         spec = build_head_on(152.4)
-        with pytest.raises(ValueError):
-            freeze_phase(spec, at_time=25.0, seed=1)
+        for at_time in (25.0, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="does not land on a simulation step"):
+                freeze_phase(spec, at_time=at_time, seed=1)
 
     @pytest.mark.parametrize("k", [1, 20, 137, 400])
     def test_equals_scenario_step(self, k):
@@ -83,7 +87,7 @@ class TestFreezePhase:
         est = initial_estimate(
             intruder,
             spec.noise,
-            _rng.generator(_rng.child(root, 0)),
+            _rng.generator(_rng.child(root, 0)).standard_normal(2),
             pos_std=spec.init_pos_std,
             vel_std=spec.init_vel_std,
             acc_std=spec.init_acc_std,
@@ -96,8 +100,8 @@ class TestFreezePhase:
             obs, intr = a @ obs, a @ intr
             z = None
             if k > 1 and (k - 1) % spec.measurement_stride == 0:
-                gen = _rng.generator(_rng.child(root, k, 0))
-                z = simulate_measurement(AircraftState.from_array(intr), spec.noise, gen)
+                w = _rng.generator(_rng.child(root, k, 0)).standard_normal(2)
+                z = simulate_measurement(AircraftState.from_array(intr), spec.noise, w)
                 measured.append(k)
             mean, cov = kf_step(mean, cov, z, spec.dt, spec.noise)
         assert measured == [11, 21, 31, 41]

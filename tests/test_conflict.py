@@ -21,7 +21,8 @@ from subsim.conflict import (
     pc_ss_batch,
     simulate_scenario,
 )
-from subsim.dynamics import AircraftState, propagate
+from subsim.analysis import CovStudyConfig, cov_study, freeze_phase
+from subsim.dynamics import AircraftState, track_positions
 from subsim.engine import (
     CHAIN_CORRELATION,
     SubsetConfig,
@@ -540,8 +541,8 @@ class TestPcSsBatch:
             assert sum("jitter" in r.getMessage() for r in caplog.records) == warnings
             for k, q in enumerate(queries):
                 assert np.array_equal(batch.observer[k], q.observer.as_array())
-                track = propagate(q.observer, f=q.sample_rate, t=q.horizon).positions
-                assert np.array_equal(batch.obs_xy[k], track)
+                track = track_positions([q.observer.as_array()], q.sample_rate, q.horizon)
+                assert np.array_equal(batch.obs_xy[k], track[0])
                 assert np.array_equal(batch.mean[k], q.intruder_estimate.mean.as_array())
                 assert np.array_equal(batch.chol[k], _cholesky_with_jitter(q.intruder_estimate.covariance))
 
@@ -654,8 +655,8 @@ class TestSimulateScenario:
         assert len(calls) == spec.n_steps
 
     def test_estimates_build_no_seed_sequence(self, monkeypatch):
-        # the engine and the step groups derive their streams from pools;
-        # only the filter's streams, in encounter_steps, build SeedSequences
+        # every stream of the filter, the engine, the step groups and the
+        # study is a pool: no keyed SeedSequence and no generator is built
         spec = build_head_on(152.4, 2000.0, duration=2.0, sample_rate=10.0)
         calls = {"child": 0, "generator": 0}
         for name in calls:
@@ -664,12 +665,12 @@ class TestSimulateScenario:
                 return _fn(*args)
 
             monkeypatch.setattr(_rng, name, counting)
-        list(conflict.encounter_steps(spec, 21))
-        filter_calls = dict(calls)
-        assert filter_calls["child"] == filter_calls["generator"] > 1
-        calls.update(child=0, generator=0)
+        steps = list(conflict.encounter_steps(spec, 21))
+        assert any(step.k > spec.measurement_stride for step in steps)  # measured steps ran
         simulate_scenario(spec, CFG, seed=21)
-        assert calls == filter_calls
+        phase = freeze_phase(spec, at_time=1.5, seed=21)
+        cov_study(CovStudyConfig(phase, 2, dmc_sizes=(100,), ss_sizes=(100,), max_levels=2), 21)
+        assert calls == {"child": 0, "generator": 0}
 
     def test_step_builds_its_estimate_once(self):
         spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)

@@ -1,15 +1,10 @@
-"""Kinematics tests: transition matrix, propagation, closest point of approach."""
+"""Kinematics tests: transition matrix, track positions, closest point of approach."""
 
 import numpy as np
 import pytest
 
-from subsim.dynamics import (
-    AircraftState,
-    Trajectory,
-    min_distance,
-    propagate,
-    transition_matrix,
-)
+from subsim._kernels import miss_distance_batch, miss_distance_scan
+from subsim.dynamics import AircraftState, track_positions, transition_matrix
 
 
 class TestTransitionMatrix:
@@ -32,119 +27,113 @@ class TestTransitionMatrix:
             transition_matrix(-1.0)
 
 
+def _track(state, f, t):
+    """The (t*f + 1, 2) track of one state."""
+    return track_positions(state.as_array()[None], f, t)[0]
+
+
 class TestPropagate:
     def test_rest_state_is_fixed_point(self):
         initial = AircraftState(5.0, 0.0, 0.0, -2.0, 0.0, 0.0)
-        traj = propagate(initial, f=10, t=2)
-        assert len(traj) == 21
-        assert np.all(traj.states == initial.as_array())
+        track = _track(initial, f=10, t=2)
+        assert track.shape == (21, 2)
+        assert np.all(track == [5.0, -2.0])
 
     def test_constant_velocity_displacement(self):
         initial = AircraftState(100.0, 77.2, 0.0, 0.0, 0.0, 0.0)
-        traj = propagate(initial, f=20, t=20)
-        assert len(traj) == 401
-        assert traj.states[-1, 0] == pytest.approx(100.0 + 77.2 * 20.0, rel=1e-12)
+        track = _track(initial, f=20, t=20)
+        assert len(track) == 401
+        assert track[-1, 0] == pytest.approx(100.0 + 77.2 * 20.0, rel=1e-12)
 
     def test_constant_acceleration_displacement(self):
         initial = AircraftState(0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-        traj = propagate(initial, f=20, t=20)
+        track = _track(initial, f=20, t=20)
         # exact flow: x(t) = a t^2 / 2
-        assert traj.states[-1, 0] == pytest.approx(200.0, rel=1e-12)
+        assert track[-1, 0] == pytest.approx(200.0, rel=1e-12)
 
     def test_matches_repeated_matrix_application(self):
         initial = AircraftState(1.0, 2.0, 0.3, -4.0, 5.0, -0.6)
-        traj = propagate(initial, f=4, t=3)
+        track = _track(initial, f=4, t=3)
         a = transition_matrix(0.25)
         state = initial.as_array()
-        for k in range(1, len(traj)):
+        for k in range(1, len(track)):
             state = a @ state
-            assert np.allclose(traj.states[k], state, rtol=1e-12, atol=1e-12)
-
-    def test_acceleration_preserved_exactly(self):
-        initial = AircraftState(0.0, 1.0, 0.123, 0.0, -1.0, -0.456)
-        traj = propagate(initial, f=20, t=5)
-        assert np.all(traj.states[:, 2] == 0.123)
-        assert np.all(traj.states[:, 5] == -0.456)
+            assert np.allclose(track[k], state[[0, 3]], rtol=1e-12, atol=1e-12)
 
     def test_rejects_non_integral_step_count(self):
         with pytest.raises(ValueError):
-            propagate(AircraftState(0, 0, 0, 0, 0, 0), f=3, t=0.5)
+            _track(AircraftState(0, 0, 0, 0, 0, 0), f=3, t=0.5)
 
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(ValueError):
-            propagate(AircraftState(0, 0, 0, 0, 0, 0), f=0, t=1)
+            _track(AircraftState(0, 0, 0, 0, 0, 0), f=0, t=1)
         with pytest.raises(ValueError):
-            propagate(AircraftState(0, 0, 0, 0, 0, 0), f=10, t=-1)
+            _track(AircraftState(0, 0, 0, 0, 0, 0), f=10, t=-1)
 
 
-def _straight(x0, y0, u, v, f=20, t=20):
-    return propagate(AircraftState(x0, u, 0.0, y0, v, 0.0), f=f, t=t)
+def _straight(x0, y0, u, v):
+    return AircraftState(x0, u, 0.0, y0, v, 0.0)
+
+
+def _approach(observer, intruder, f=20, t=20):
+    """(miss, step index) of the intruder against the observer's track."""
+    miss, idx = miss_distance_scan(intruder.as_array()[None], _track(observer, f, t), 1.0 / f)
+    return float(miss[0]), int(idx[0])
 
 
 class TestMinDistance:
     def test_parallel_offset_tracks(self):
         obs = _straight(0.0, 0.0, 77.0, 0.0)
         intr = _straight(0.0, 100.0, 77.0, 0.0)
-        approach = min_distance(obs, intr)
-        assert approach.miss_distance == pytest.approx(100.0)
+        miss, _ = _approach(obs, intr)
+        assert miss == pytest.approx(100.0)
 
     def test_head_on_crossing(self):
         obs = _straight(0.0, 0.0, 77.0, 0.0)
         intr = _straight(2000.0, 0.0, -77.0, 0.0)
-        approach = min_distance(obs, intr)
+        miss, k = _approach(obs, intr)
         # they cross between grid points: the miss is below half a step of closing
-        assert approach.miss_distance <= 154.0 * 0.05 / 2
-        assert abs(approach.step_index * 0.05 - 2000.0 / 154.0) <= 0.05
+        assert miss <= 154.0 * 0.05 / 2
+        assert abs(k * 0.05 - 2000.0 / 154.0) <= 0.05
 
     def test_identical_trajectories(self):
         obs = _straight(3.0, 4.0, 10.0, -1.0)
-        approach = min_distance(obs, obs)
-        assert approach.miss_distance == 0.0
-        assert approach.step_index == 0
+        assert _approach(obs, obs) == (0.0, 0)
 
     def test_symmetric_up_to_point_swap(self):
         obs = _straight(0.0, 0.0, 50.0, 1.0)
         intr = _straight(500.0, 30.0, -50.0, 0.0)
-        a1 = min_distance(obs, intr)
-        a2 = min_distance(intr, obs)
-        assert a1.miss_distance == a2.miss_distance
-        assert a1.step_index == a2.step_index
-        assert a1.observer_point == a2.intruder_point
-        assert a1.intruder_point == a2.observer_point
+        assert _approach(obs, intr) == _approach(intr, obs)
 
     def test_never_exceeds_initial_separation(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             o = AircraftState(*(rng.normal(size=6) * [100, 10, 0.5, 100, 10, 0.5]))
             i = AircraftState(*(rng.normal(size=6) * [100, 10, 0.5, 100, 10, 0.5]))
-            obs, intr = propagate(o, 10, 5), propagate(i, 10, 5)
             d0 = np.hypot(i.x - o.x, i.y - o.y)
-            assert min_distance(obs, intr).miss_distance <= d0 + 1e-12
+            assert _approach(o, i, 10, 5)[0] <= d0 + 1e-12
 
     def test_grid_refinement_bound(self):
         # doubling the rate changes the miss by at most one coarse-step displacement
         o = AircraftState(0.0, 60.0, 0.0, 0.0, 5.0, 0.0)
         i = AircraftState(1500.0, -70.0, 0.0, 200.0, -8.0, 0.0)
-        coarse = min_distance(propagate(o, 10, 10), propagate(i, 10, 10))
-        fine = min_distance(propagate(o, 20, 10), propagate(i, 20, 10))
+        coarse, _ = _approach(o, i, 10, 10)
+        fine, _ = _approach(o, i, 20, 10)
         v_rel = np.hypot(60 - (-70.0), 5 - (-8.0))
-        assert abs(coarse.miss_distance - fine.miss_distance) <= v_rel * 0.1
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            min_distance(_straight(0, 0, 1, 0, t=10), _straight(0, 0, 1, 0, t=20))
+        assert abs(coarse - fine) <= v_rel * 0.1
 
     def test_rejects_mismatched_steps(self):
-        with pytest.raises(ValueError):
-            min_distance(_straight(0, 0, 1, 0, f=10, t=2), _straight(0, 0, 1, 0, f=20, t=1))
+        # a track sampled at 10 Hz read at a 20 Hz step ends elsewhere
+        obs = _straight(0, 0, 1, 0)
+        with pytest.raises(ValueError, match="not the track"):
+            miss_distance_batch(np.zeros((1, 6)), _track(obs, 10, 2), 0.05, obs.as_array())
 
     def test_points_consistent_with_distance(self):
         obs = _straight(0.0, 0.0, 60.0, 2.0)
         intr = _straight(900.0, 50.0, -60.0, -2.0)
-        ap = min_distance(obs, intr)
-        dx = ap.intruder_point[0] - ap.observer_point[0]
-        dy = ap.intruder_point[1] - ap.observer_point[1]
-        assert np.sqrt(dx * dx + dy * dy) == ap.miss_distance
+        miss, k = _approach(obs, intr)
+        dx, dy = _track(intr, 20, 20)[k] - _track(obs, 20, 20)[k]
+        assert np.sqrt(dx * dx + dy * dy) == miss
 
 
 class TestStateValidation:
@@ -197,9 +186,3 @@ class TestTrajectoryType:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             AircraftState(np.nan, 0, 0, 0, 0, 0)
-
-    def test_trajectory_validation(self):
-        with pytest.raises(ValueError):
-            Trajectory(states=np.zeros((5, 4)), dt=0.1)
-        with pytest.raises(ValueError):
-            Trajectory(states=np.zeros((5, 6)), dt=0.0)

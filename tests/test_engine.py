@@ -127,18 +127,18 @@ class TestIntermediateThreshold:
 class TestSelectSeeds:
     def test_positions_91_to_100(self):
         samples = np.arange(100).reshape(100, 1)
-        seeds = select_seeds(samples, CFG)
-        assert seeds.shape == (10, 1)
-        assert list(seeds[:, 0]) == list(range(90, 100))
+        seeds = select_seeds(samples[None], CFG)
+        assert seeds.shape == (1, 10, 1)
+        assert list(seeds[0, :, 0]) == list(range(90, 100))
 
     def test_single_seed(self):
         cfg = SubsetConfig(n_samples=10, level_probability=0.1)
         samples = np.arange(10).reshape(10, 1)
-        assert select_seeds(samples, cfg)[:, 0].tolist() == [9]
+        assert select_seeds(samples[None], cfg)[0, :, 0].tolist() == [9]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            select_seeds(np.zeros((50, 2)), CFG)
+            select_seeds(np.zeros((1, 50, 2)), CFG)
 
     def test_matches_nearest_brute_force(self):
         # seeds must be exactly the N_c samples with the smallest responses
@@ -147,7 +147,7 @@ class TestSelectSeeds:
             xy = rng.normal(size=(100, 2))
             resp = np.hypot(xy[:, 0] - 3.0, xy[:, 1] + 3.0)
             order = np.argsort(-resp, kind="stable")
-            seeds = select_seeds(xy[order], CFG)
+            seeds = select_seeds(xy[order][None], CFG)[0]
             nearest = xy[np.argsort(resp, kind="stable")][:10]
             assert np.array_equal(np.sort(seeds, axis=0), np.sort(nearest, axis=0))
 
@@ -691,6 +691,19 @@ class TestDirectMonteCarlo:
         assert [np.unique(p).tolist() for p in calls] == [[0, 1], [2], [3], [4]]
         assert np.array_equal(np.concatenate(calls), np.repeat(np.arange(5), ns))
         assert assemble_calls == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_response_rejected(self, value):
+        # a non-finite response is an error, not a miss: SS level 0 raises on
+        # the same draws
+        def evaluate(x, problems):
+            return np.where(x[:, 0] > 1.0, value, np.abs(x[:, 0]))
+
+        system = _gaussian_system(evaluate)
+        with pytest.raises(ValueError, match="non-finite"):
+            direct_monte_carlo(system, [100], 0.5, [3])
+        with pytest.raises(ValueError, match="non-finite"):
+            run_subset_simulation(system, CFG, 0.5, 3)
 
     @pytest.mark.parametrize(
         "ns,seeds,match",

@@ -7,7 +7,7 @@ from subsim import _kernels
 from subsim import rng as _rng
 from subsim.analysis import freeze_phase, phase_p1, phase_p2
 from subsim.conflict import _cholesky_with_jitter
-from subsim.dynamics import AircraftState, min_distance, propagate
+from subsim.dynamics import track_positions
 from subsim.scenarios import build_head_on
 
 
@@ -18,8 +18,7 @@ def _random_case(rng, n, n_pts=401, dt=0.05):
 
 
 def _track(observer, f=20.0, t=200.0):
-    traj = propagate(AircraftState.from_array(observer), f=f, t=t)
-    return traj.positions, traj.dt
+    return track_positions(np.asarray(observer)[None], f, t)[0], 1.0 / f
 
 
 def _assert_matches_scan(states, observer, f=20.0, t=200.0):
@@ -156,7 +155,7 @@ class TestClosedForm:
         assert scanned.rows == 1  # the oracle's own scan: the closed form settled the row
         assert 990 < idx[0] < 1010 and 69.0 < miss[0] < 71.0
         obs_xy, dt = _track(OBSERVER)
-        curve = np.hypot(*(propagate(AircraftState.from_array(state[0]), 20.0, 200.0).positions - obs_xy).T)
+        curve = np.hypot(*(_track(state[0])[0] - obs_xy).T)
         assert curve[2000] > curve[3000] > curve[1000]
 
     @staticmethod
@@ -200,7 +199,7 @@ class TestClosedForm:
         _assert_matches_scan(state, OBSERVER)
         assert scanned.rows == 2
         obs_xy, _ = _track(OBSERVER)
-        curve = np.hypot(*(propagate(AircraftState.from_array(state[0]), 20.0, 200.0).positions - obs_xy).T)
+        curve = np.hypot(*(_track(state[0])[0] - obs_xy).T)
         assert 0.0 < curve[end] - curve.min() < 1e-10
 
     def test_zero_relative_acceleration(self, monkeypatch):
@@ -371,13 +370,15 @@ class TestSeveralTracks:
 
 class TestAgainstTrajectoryPath:
     def test_kernel_matches_propagate_plus_min_distance(self):
+        # the reference: both tracks by `track_positions`, then the first
+        # pointwise minimum of their distance
         rng = np.random.default_rng(2)
-        obs_state = AircraftState(0.0, 70.0, 0.1, 0.0, 3.0, -0.05)
-        obs_traj = propagate(obs_state, f=20, t=10)
+        obs_state = np.array([0.0, 70.0, 0.1, 0.0, 3.0, -0.05])
+        obs_xy, dt = _track(obs_state, t=10)
         states = rng.normal(size=(40, 6)) * np.array([500.0, 60.0, 0.5, 500.0, 6.0, 0.5])
-        miss, idx = _kernels.miss_distance_batch(states, obs_traj.positions, 0.05, obs_state.as_array())
-        for k in range(40):
-            traj = propagate(AircraftState.from_array(states[k]), f=20, t=10)
-            approach = min_distance(obs_traj, traj)
-            assert approach.miss_distance == miss[k]
-            assert approach.step_index == idx[k]
+        miss, idx = _kernels.miss_distance_batch(states, obs_xy, dt, obs_state)
+        d = track_positions(states, 20, 10) - obs_xy
+        d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+        k = np.argmin(d2, axis=1)
+        assert np.array_equal(idx, k)
+        assert np.array_equal(miss, np.sqrt(d2[np.arange(40), k]))

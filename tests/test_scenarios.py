@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from subsim._kernels import miss_distance_batch
-from subsim.dynamics import propagate
+from subsim.dynamics import track_positions
 from subsim.scenarios import (
     ScenarioKind,
     ScenarioSpec,
@@ -39,10 +39,8 @@ def _sigwrap(value, figures=4):
 
 def _true_min_separation(spec):
     obs, intr = initial_states(spec)
-    obs_traj = propagate(obs, spec.sample_rate, spec.duration)
-    miss, idx = miss_distance_batch(
-        intr.as_array()[None, :], obs_traj.positions, spec.dt, obs.as_array()
-    )
+    obs_xy = track_positions(obs.as_array()[None], spec.sample_rate, spec.duration)[0]
+    miss, idx = miss_distance_batch(intr.as_array()[None, :], obs_xy, spec.dt, obs.as_array())
     return float(miss[0]), int(idx[0])
 
 
@@ -122,12 +120,10 @@ class TestOvertaking:
     def test_conflict_window_matches_closed_form(self):
         spec = build_overtaking(100.0, 1000.0)
         obs, intr = initial_states(spec)
-        obs_traj = propagate(obs, spec.sample_rate, spec.duration)
-        intr_traj = propagate(intr, spec.sample_rate, spec.duration)
-        d = np.hypot(
-            intr_traj.positions[:, 0] - obs_traj.positions[:, 0],
-            intr_traj.positions[:, 1] - obs_traj.positions[:, 1],
+        obs_xy, intr_xy = track_positions(
+            [obs.as_array(), intr.as_array()], spec.sample_rate, spec.duration
         )
+        d = np.hypot(intr_xy[:, 0] - obs_xy[:, 0], intr_xy[:, 1] - obs_xy[:, 1])
         inside = np.nonzero(d <= spec.protected_radius)[0]
         dv = knots_to_mps(150.0)
         half = math.sqrt(152.4**2 - 100.0**2)

@@ -74,13 +74,13 @@ class TestMeasurement:
 
     def test_noiseless_measurement(self):
         truth = AircraftState(12.0, 1.0, 0.0, -7.0, 2.0, 0.0)
-        z = simulate_measurement(truth, NoiseConfig(sigma_x=0.0, sigma_y=0.0), _gen(0))
+        z = simulate_measurement(truth, NoiseConfig(sigma_x=0.0, sigma_y=0.0), [1.5, -0.7])
         assert z.z == (12.0, -7.0)
 
     def test_noise_standard_deviation(self):
         truth = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        gen = _gen(5)
-        xs = np.array([simulate_measurement(truth, NOISE, gen).z[0] for _ in range(10_000)])
+        ws = _gen(5).standard_normal((10_000, 2))
+        xs = np.array([simulate_measurement(truth, NOISE, w).z[0] for w in ws])
         assert 0.097 < xs.std(ddof=1) < 0.103
 
     def test_rejects_non_finite(self):
@@ -134,7 +134,7 @@ class TestKfStep:
         for k in range(1000):
             z = None
             if k % 10 == 0:
-                z = simulate_measurement(truth, NOISE, gen)
+                z = simulate_measurement(truth, NOISE, gen.standard_normal(2))
             mean, cov = kf_step(mean, cov, z, 0.05, NOISE)
             assert np.array_equal(cov, cov.T)
             assert np.all(np.diag(cov) >= 0.0)
@@ -143,11 +143,11 @@ class TestKfStep:
         # stationary target measured every step: the filtered position error
         # settles below the raw measurement noise
         truth = AircraftState(5.0, 0.0, 0.0, -2.0, 0.0, 0.0)
-        est = initial_estimate(truth, NOISE, _gen(2))
+        est = initial_estimate(truth, NOISE, _gen(2).standard_normal(2))
         mean, cov = est.mean.as_array(), est.covariance
         gen = _gen(3)
         for _ in range(100):
-            z = simulate_measurement(truth, NOISE, gen)
+            z = simulate_measurement(truth, NOISE, gen.standard_normal(2))
             mean, cov = kf_step(mean, cov, z, 0.05, NOISE)
         assert np.sqrt(cov[0, 0]) < NOISE.sigma_x
 
@@ -158,9 +158,10 @@ class TestKfStep:
             KalmanEstimate(mean=AircraftState(0, 0, 0, 0, 0, 0), covariance=cov)
 
     def test_symmetry_check_is_allclose(self):
-        # the check accepts exactly what np.allclose(cov, cov.T, rtol=1e-9,
-        # atol=1e-12) accepts, including at its tolerance and on non-finite
-        # entries
+        # the check accepts exactly the finite covariances that
+        # np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12) accepts, including at
+        # its tolerance; a non-finite entry is rejected even where allclose
+        # would pass it (inf against inf)
         rng = np.random.default_rng(12)
         mean = AircraftState(0, 0, 0, 0, 0, 0)
         offsets = [0.0, 5e-13, 1e-12, 3e-12, 1e-9, 2e-9, np.inf, -np.inf, np.nan]
@@ -172,7 +173,7 @@ class TestKfStep:
             a[i, j] += rng.choice(offsets) * rng.choice([1.0, abs(a[j, i])])
             if rng.random() < 0.1:
                 a[j, i] = a[i, j]
-            expected = np.allclose(a, a.T, rtol=1e-9, atol=1e-12)
+            expected = np.isfinite(a).all() and np.allclose(a, a.T, rtol=1e-9, atol=1e-12)
             try:
                 KalmanEstimate(mean=mean, covariance=a)
                 accepted = True
@@ -182,16 +183,31 @@ class TestKfStep:
             seen.add(expected)
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariance_rejected(self, value):
+        # symmetric, so only the finiteness check can reject it
+        cov = np.eye(6)
+        cov[0, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            KalmanEstimate(mean=AircraftState(0, 0, 0, 0, 0, 0), covariance=cov)
+
+    def test_overflowing_step_rejected(self):
+        # a covariance near the float limit overflows to an exactly symmetric
+        # inf, which the step's fast path must not let through
+        mean, _ = _prior()
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            kf_step(mean, np.eye(6) * 1e308, None, 0.05, NOISE)
+
 
 class TestInitialEstimate:
     def test_perfect_init_matches_truth(self):
         truth = AircraftState(1.0, 2.0, 0.1, 3.0, 4.0, 0.2)
-        est = initial_estimate(truth, NOISE, _gen(0), perfect_init=True)
+        est = initial_estimate(truth, NOISE, _gen(0).standard_normal(2), perfect_init=True)
         assert est.mean == truth
 
     def test_default_init_perturbs_position_only(self):
         truth = AircraftState(1.0, 2.0, 0.1, 3.0, 4.0, 0.2)
-        est = initial_estimate(truth, NOISE, _gen(0))
+        est = initial_estimate(truth, NOISE, _gen(0).standard_normal(2))
         m = est.mean.as_array()
         t = truth.as_array()
         assert m[0] != t[0] and m[3] != t[3]
@@ -200,5 +216,6 @@ class TestInitialEstimate:
 
     def test_covariance_from_configured_stds(self):
         truth = AircraftState(0, 0, 0, 0, 0, 0)
-        est = initial_estimate(truth, NOISE, _gen(0), pos_std=10.0, vel_std=5.0, acc_std=1.0)
+        w = _gen(0).standard_normal(2)
+        est = initial_estimate(truth, NOISE, w, pos_std=10.0, vel_std=5.0, acc_std=1.0)
         assert np.allclose(np.diag(est.covariance), [100.0, 25.0, 1.0, 100.0, 25.0, 1.0])
