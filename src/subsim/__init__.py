@@ -24,7 +24,7 @@ from .engine import (
 )
 from .scenarios import ScenarioKind, ScenarioSpec, build_converging, build_head_on, build_overtaking
 from .toy import CircleRegion, Point2, dmc_estimate, oracle_probability, ss_toy
-from .tracking import KalmanEstimate, Measurement, NoiseConfig, kf_step, process_noise
+from .tracking import KalmanEstimate, NoiseConfig, kf_step, process_noise
 
 __all__ = [
     "__version__",
@@ -35,7 +35,6 @@ __all__ = [
     "ConflictQuery",
     "IntervalVariant",
     "KalmanEstimate",
-    "Measurement",
     "NoiseConfig",
     "PcResult",
     "Point2",

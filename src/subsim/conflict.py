@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -105,6 +106,15 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     )
 
 
+def _check_grid(queries: Sequence[ConflictQuery]) -> None:
+    """Raise ValueError unless the queries share radius, horizon and sample rate."""
+    grid = {(q.protected_radius, q.horizon, q.sample_rate) for q in queries}
+    if len(grid) > 1:
+        raise ValueError(
+            f"queries of one batch must share radius, horizon and sample rate: {sorted(grid)}"
+        )
+
+
 @dataclass(frozen=True)
 class QueryBatch:
     """The arrays of K conflict queries on one grid, built once and shared.
@@ -126,11 +136,7 @@ class QueryBatch:
     def from_queries(cls, queries: Sequence[ConflictQuery]) -> "QueryBatch":
         if not queries:
             raise ValueError("at least one query is required")
-        grid = {(q.protected_radius, q.horizon, q.sample_rate) for q in queries}
-        if len(grid) != 1:
-            raise ValueError(
-                f"queries of one batch must share radius, horizon and sample rate: {sorted(grid)}"
-            )
+        _check_grid(queries)
         rate, horizon = queries[0].sample_rate, queries[0].horizon
         observer = np.array([q.observer.as_array() for q in queries])
         covs = np.array([q.intruder_estimate.covariance for q in queries], dtype=np.float64)
@@ -265,11 +271,12 @@ def pc_ss_batch(
     """`pc_ss` of each query with its config and seed, without the CCDF tables.
 
     `configs` is one config per query, or one config for them all; the
-    configs must share `level_probability`.  Consecutive queries run in one
-    lockstep engine run while the group holds at most `GROUP_SIZE` queries
-    and `_GROUP_SAMPLES` samples per level (`_group_sizes`), so a group may
-    mix budgets.  Result i equals `pc_ss(queries[i], configs[i], seeds[i])[0]`
-    exactly.
+    configs must share `level_probability`.  All the queries must share
+    radius, horizon and sample rate, which is checked before any run.
+    Consecutive queries run in one lockstep engine run while the group holds
+    at most `GROUP_SIZE` queries and `_GROUP_SAMPLES` samples per level
+    (`_group_sizes`), so a group may mix budgets.  Result i equals
+    `pc_ss(queries[i], configs[i], seeds[i])[0]` exactly.
     """
     if len(queries) != len(seeds):
         raise ValueError(f"{len(queries)} queries but {len(seeds)} seeds")
@@ -277,6 +284,7 @@ def pc_ss_batch(
         configs = [configs] * len(queries)
     elif len(configs) != len(queries):
         raise ValueError(f"{len(queries)} queries but {len(configs)} configs")
+    _check_grid(queries)
     out = []
     lo = 0
     for size in _group_sizes([config.n_samples for config in configs]):
@@ -331,9 +339,9 @@ def encounter_steps(spec: ScenarioSpec, seed: SeedLike | Pool) -> Iterator[Encou
     sees the same steps.
     """
     root = pool(seed)
-    observer_truth, intruder_truth = initial_states(spec)
-    est = initial_estimate(
-        intruder_truth,
+    obs, intr = (state.as_array() for state in initial_states(spec))
+    mean, cov = initial_estimate(
+        intr,
         spec.noise,
         _two_normals(root, 0),
         pos_std=spec.init_pos_std,
@@ -343,23 +351,18 @@ def encounter_steps(spec: ScenarioSpec, seed: SeedLike | Pool) -> Iterator[Encou
     )
     dt, noise, stride = spec.dt, spec.noise, spec.measurement_stride
     a = transition_matrix(dt)
-    obs = observer_truth.as_array()
-    intr = intruder_truth.as_array()
-    mean, cov = est.mean.as_array(), est.covariance
     counter = 0
     for k in range(1, spec.n_steps + 1):
         obs = a @ obs
         intr = a @ intr
-        measurement = None
+        z = None
         if counter == stride:
-            measurement = simulate_measurement(
-                AircraftState.from_array(intr), noise, _two_normals(root, k, 0)
-            )
+            z = simulate_measurement(intr, noise, _two_normals(root, k, 0))
             counter = 0
         counter += 1
         # read from the module at every step, so a wrapper set on
         # `subsim.conflict.kf_step` sees each filter step
-        mean, cov = kf_step(mean, cov, measurement, dt, noise)
+        mean, cov = kf_step(mean, cov, z, dt, noise)
         yield EncounterStep(k=k, observer=obs, intruder=intr, mean=mean, cov=cov)
 
 
@@ -429,13 +432,17 @@ def simulate_scenario(
     `estimate_steps` restricts which steps (1-based) produce estimates; the
     truth/filter evolution and all random streams are unaffected, so a
     subsampled run reproduces exactly the records of the full run; a step
-    requested twice gives one record, and a step outside 1..n_steps raises
+    requested twice gives one record, and a step that is not an integer
+    (`operator.index` rejects it) or lies outside 1..n_steps raises
     `ValueError`.  Estimated steps go to the engine in groups of
     `_group_size(ss_config)`, `pc_ss_batch`'s rule for one budget, which
     changes no record; no CCDF table is built.
     """
     root = pool(seed)
-    wanted = None if estimate_steps is None else set(int(s) for s in estimate_steps)
+    try:
+        wanted = None if estimate_steps is None else {operator.index(s) for s in estimate_steps}
+    except TypeError as exc:  # a float or str step: int() would truncate or parse it
+        raise ValueError(f"estimate_steps outside 1..{spec.n_steps}: {exc}") from None
     if wanted is not None:
         outside = sorted(k for k in wanted if not 1 <= k <= spec.n_steps)
         if outside:

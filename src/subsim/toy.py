@@ -22,6 +22,8 @@ from .engine import (
     run_subset_simulation,
 )
 
+ORACLE_REL_TOL = 1e-6  # ends `oracle_probability`'s grid doubling; far finer than tests need
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -67,12 +69,12 @@ def dmc_estimate(region: CircleRegion, n: int, seed: _rng.SeedLike) -> float:
     return float(direct_monte_carlo(toy_system(region), [n], region.radius, [seed])[0]) / n
 
 
-def oracle_probability(region: CircleRegion, rel_tol: float = 1e-6) -> float:
+def oracle_probability(region: CircleRegion) -> float:
     """Standard bivariate normal mass inside the disc, by polar quadrature.
 
     Simpson's rule in radius, periodic trapezoid in angle, grid doubled until
-    successive refinements agree to `rel_tol` (far finer than needed).  A
-    non-finite integral raises `ValueError`: refining cannot make it converge.
+    successive refinements agree to `ORACLE_REL_TOL`.  A non-finite integral
+    raises `ValueError`: refining cannot make it converge.
     """
     cx, cy = region.center.x, region.center.y
     r = region.radius
@@ -98,7 +100,7 @@ def oracle_probability(region: CircleRegion, rel_tol: float = 1e-6) -> float:
         n_rho *= 2
         n_theta *= 2
         cur = integral(n_rho, n_theta)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= ORACLE_REL_TOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
     return prev

@@ -2,7 +2,8 @@
 
 The filter predicts every step through the constant-acceleration transition
 with white-noise-jerk process noise, and updates whenever a position
-measurement arrives.
+measurement arrives.  It runs on arrays: (6,) states and means, (2,) measured
+positions and (6, 6) covariances; `KalmanEstimate` validates a (mean, cov).
 """
 
 from __future__ import annotations
@@ -34,15 +35,6 @@ class NoiseConfig:
 
 
 @dataclass(frozen=True)
-class Measurement:
-    z: tuple[float, float]
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.z)):
-            raise ValueError(f"measurement must be finite: {self.z}")
-
-
-@dataclass(frozen=True)
 class KalmanEstimate:
     """State mean and 6x6 covariance; covariance kept symmetric by construction."""
 
@@ -55,22 +47,11 @@ class KalmanEstimate:
             raise ValueError(f"covariance must be 6x6, got {cov.shape}")
         if not np.isfinite(cov).all():
             raise ValueError("covariance must be finite")
-        same = cov == cov.T
-        if same.all():
+        # kf_step output is exactly symmetric; this test costs 1/7 of allclose
+        if (cov == cov.T).all():
             return
-        # otherwise np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12), spelled
-        # out: allclose's own overhead costs more than the check
-        close = same | (np.abs(cov - cov.T) <= 1e-12 + 1e-9 * np.abs(cov.T))
-        if not close.all():
+        if not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12):
             raise ValueError("covariance must be symmetric")
-
-
-def measurement_matrix() -> np.ndarray:
-    """2x6 selector picking the planar position out of the state."""
-    h = np.zeros((2, 6))
-    h[0, 0] = 1.0
-    h[1, 3] = 1.0
-    return h
 
 
 def process_noise(dt: float, noise: NoiseConfig) -> np.ndarray:
@@ -94,14 +75,10 @@ def process_noise(dt: float, noise: NoiseConfig) -> np.ndarray:
     return q
 
 
-def simulate_measurement(
-    truth: AircraftState, noise: NoiseConfig, w: Sequence[float]
-) -> Measurement:
-    """Noisy position: z = H * truth + (sigma_x w[0], sigma_y w[1]), from two
-    independent standard normals `w`."""
-    return Measurement(
-        z=(truth.x + noise.sigma_x * w[0], truth.y + noise.sigma_y * w[1])
-    )
+def simulate_measurement(truth: np.ndarray, noise: NoiseConfig, w: Sequence[float]) -> np.ndarray:
+    """Noisy (2,) position of the (6,) state `truth`: z = H * truth +
+    (sigma_x w[0], sigma_y w[1]), from two independent standard normals `w`."""
+    return np.array([truth[0] + noise.sigma_x * w[0], truth[3] + noise.sigma_y * w[1]])
 
 
 @lru_cache(maxsize=16)
@@ -114,7 +91,7 @@ def _filter_model(dt: float, noise: NoiseConfig) -> tuple[np.ndarray, ...]:
     model = (
         transition_matrix(dt),
         process_noise(dt, noise),
-        measurement_matrix(),
+        np.eye(6)[[0, 3]],  # H: the 2x6 selector of the position (x, y)
         np.diag([noise.sigma_x**2, noise.sigma_y**2]),
         np.eye(6),
     )
@@ -126,32 +103,35 @@ def _filter_model(dt: float, noise: NoiseConfig) -> tuple[np.ndarray, ...]:
 def kf_step(
     mean: np.ndarray,
     cov: np.ndarray,
-    measurement: Optional[Measurement],
+    z: Optional[np.ndarray],
     dt: float,
     noise: NoiseConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One predict step, plus an update when a measurement is present.
+    """One predict step, plus an update when a measurement `z` is present.
 
     Takes and returns the state mean (6,) and covariance (6, 6) as arrays, so
     a filter loop carries no validated objects between steps; wrap a result
-    in `KalmanEstimate` where it is queried or recorded.  The step still
-    raises what that wrapper would: a non-finite mean, or a covariance that
-    is not finite or not symmetric (the `KalmanEstimate` checks), is a
-    ValueError here.
+    in `KalmanEstimate` where it is queried or recorded.  `z` is the (2,)
+    measured position or None; a non-finite `z` raises ValueError at once.
+    The step still raises what that wrapper would: a non-finite mean, or a
+    covariance that is not finite or not symmetric (the `KalmanEstimate`
+    checks), is a ValueError here.
 
     Raises numpy.linalg.LinAlgError if the innovation covariance is singular
     (degenerate measurement noise on a collapsed state); this is surfaced
     rather than silently regularized.
     """
+    if z is not None and not np.isfinite(z).all():
+        raise ValueError(f"measurement must be finite: {z}")
     a, q, h, r, eye = _filter_model(dt, noise)
     mean = a @ mean
     cov = a @ np.asarray(cov) @ a.T + q
     cov = 0.5 * (cov + cov.T)
 
-    if measurement is not None:
+    if z is not None:
         innovation_cov = h @ cov @ h.T + r
         gain = np.linalg.solve(innovation_cov.T, (cov @ h.T).T).T
-        residual = np.asarray(measurement.z) - h @ mean
+        residual = np.asarray(z) - h @ mean
         mean = mean + gain @ residual
         cov = (eye - gain @ h) @ cov
         cov = 0.5 * (cov + cov.T)
@@ -166,15 +146,16 @@ def kf_step(
 
 
 def initial_estimate(
-    truth: AircraftState,
+    truth: np.ndarray,
     noise: NoiseConfig,
     w: Sequence[float],
     pos_std: float = 10.0,
     vel_std: float = 5.0,
     acc_std: float = 1.0,
     perfect_init: bool = False,
-) -> KalmanEstimate:
-    """Filter initialization: truth with one measurement-noise draw on position.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Filter initialization (mean, cov) from the (6,) state `truth`: the
+    truth with one measurement-noise draw on position.
 
     The draw is `simulate_measurement`'s, from the two standard normals `w`.
     With `perfect_init` the mean equals the truth exactly and `w` is unused.
@@ -182,12 +163,11 @@ def initial_estimate(
     these are artifact configuration, not physics, and are recorded in
     scenario configs.
     """
-    mean = truth.as_array()
+    mean = np.array(truth, dtype=np.float64)
     if not perfect_init:
-        mean = mean.copy()
         mean[0] += noise.sigma_x * w[0]
         mean[3] += noise.sigma_y * w[1]
     cov = np.diag(
         [pos_std**2, vel_std**2, acc_std**2, pos_std**2, vel_std**2, acc_std**2]
     ).astype(np.float64)
-    return KalmanEstimate(mean=AircraftState.from_array(mean), covariance=cov)
+    return mean, cov

@@ -45,7 +45,6 @@ from subsim.tracking import (
     kf_step,
     simulate_measurement,
 )
-from subsim.dynamics import AircraftState
 
 REGION = CircleRegion(center=Point2(3.0, -3.0), radius=1.0)
 
@@ -211,9 +210,8 @@ def test_criterion_7_property_suites():
 
     # covariance symmetry / non-negative diagonal across a measurement run
     noise = NoiseConfig()
-    truth = AircraftState(0, 1, 0, 0, -1, 0)
-    est = initial_estimate(truth, noise, _rng.generator(_rng.derive(3)).standard_normal(2))
-    mean, cov = est.mean.as_array(), est.covariance
+    truth = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0])
+    mean, cov = initial_estimate(truth, noise, _rng.generator(_rng.derive(3)).standard_normal(2))
     gen = _rng.generator(_rng.derive(4))
     for k in range(200):
         z = simulate_measurement(truth, noise, gen.standard_normal(2)) if k % 10 == 0 else None
@@ -271,12 +269,11 @@ def test_criterion_8_kalman_channel_oracle():
     t0 = time.perf_counter()
     noise = NoiseConfig()
     dt, stride, n_steps = 0.05, 10, 500
-    truth = AircraftState(100.0, 30.0, 0.0, -50.0, 10.0, 0.0)
+    truth = np.array([100.0, 30.0, 0.0, -50.0, 10.0, 0.0])
     w = _rng.generator(_rng.derive(8)).standard_normal(2)
-    est = initial_estimate(truth, noise, w, perfect_init=True)
-    mean, cov = est.mean.as_array(), est.covariance
+    mean, cov = initial_estimate(truth, noise, w, perfect_init=True)
     gen = _rng.generator(_rng.derive(9))
-    state = truth.as_array()
+    state = truth
     from subsim.dynamics import transition_matrix
 
     a6 = transition_matrix(dt)
@@ -287,7 +284,7 @@ def test_criterion_8_kalman_channel_oracle():
         z = None
         if counter == stride:
             counter = 0
-            z = simulate_measurement(AircraftState.from_array(state), noise, gen.standard_normal(2))
+            z = simulate_measurement(state, noise, gen.standard_normal(2))
         mean, cov = kf_step(mean, cov, z, dt, noise)
 
     ref = _independent_axis_riccati(

@@ -84,15 +84,14 @@ class TestFreezePhase:
         q = freeze_phase(spec, at_time=k_stop * spec.dt, seed=seed)
         root = _rng.derive(seed)
         observer, intruder = initial_states(spec)
-        est = initial_estimate(
-            intruder,
+        mean, cov = initial_estimate(
+            intruder.as_array(),
             spec.noise,
             _rng.generator(_rng.child(root, 0)).standard_normal(2),
             pos_std=spec.init_pos_std,
             vel_std=spec.init_vel_std,
             acc_std=spec.init_acc_std,
         )
-        mean, cov = est.mean.as_array(), est.covariance
         a = transition_matrix(spec.dt)
         obs, intr = observer.as_array(), intruder.as_array()
         measured = []
@@ -101,7 +100,7 @@ class TestFreezePhase:
             z = None
             if k > 1 and (k - 1) % spec.measurement_stride == 0:
                 w = _rng.generator(_rng.child(root, k, 0)).standard_normal(2)
-                z = simulate_measurement(AircraftState.from_array(intr), spec.noise, w)
+                z = simulate_measurement(intr, spec.noise, w)
                 measured.append(k)
             mean, cov = kf_step(mean, cov, z, spec.dt, spec.noise)
         assert measured == [11, 21, 31, 41]

@@ -1,4 +1,5 @@
-"""Command-line interface tests: outputs, manifests, exit codes, determinism."""
+"""Command-line interface tests: outputs, manifests, exit codes, determinism,
+and the package's export list."""
 
 import json
 import os
@@ -237,3 +238,12 @@ class TestSeedResolution:
     def test_negative_seed_exits_2(self, tmp_path):
         rc = main(["toy", "--seed", "-4", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+
+class TestPackage:
+    def test_star_import_binds_every_export(self):
+        # `from subsim import *` fails on a name of __all__ the package lacks
+        namespace = {}
+        exec("from subsim import *", namespace)
+        assert set(subsim.__all__) <= namespace.keys()
+        assert all(namespace[name] is getattr(subsim, name) for name in subsim.__all__)

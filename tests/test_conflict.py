@@ -524,6 +524,14 @@ class TestPcSsBatch:
         with pytest.raises(ValueError, match="share"):
             QueryBatch.from_queries(queries)
 
+    @pytest.mark.parametrize("before", [conflict.GROUP_SIZE - 1, conflict.GROUP_SIZE])
+    def test_batch_on_different_grids_rejected(self, before):
+        # the whole list is checked, wherever a group boundary falls
+        queries = [_query(HEAD_ON_COLLISION, cov_scale=1e-6)] * before
+        queries.append(_query(HEAD_ON_COLLISION, cov_scale=1e-6, horizon=10.0))
+        with pytest.raises(ValueError, match="must share radius, horizon and sample rate"):
+            pc_ss_batch(queries, SubsetConfig(100, 0.1, 2), list(range(before + 1)))
+
     def test_stacked_build_equals_per_query_build(self, caplog):
         # one broadcast track and one stacked factorisation give each query
         # exactly its own track and factor; a covariance that needs jitter
@@ -572,7 +580,15 @@ class TestSimulateScenario:
             assert r.pc_ss.pc == by_step[r.step].pc_ss.pc
             assert r.miss_true == by_step[r.step].miss_true
 
-    @pytest.mark.parametrize("steps, named", [([0], "[0]"), ([3, 11, -1], "[-1, 11]")])
+    @pytest.mark.parametrize(
+        "steps, named",
+        [
+            ([0], "[0]"),
+            ([3, 11, -1], "[-1, 11]"),
+            ([2.7], "'float' object"),  # int() would estimate step 2
+            ("12", "'str' object"),  # int() would estimate steps 1 and 2
+        ],
+    )
     def test_out_of_range_steps_rejected(self, steps, named):
         spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
         assert spec.n_steps == 10
@@ -671,6 +687,24 @@ class TestSimulateScenario:
         phase = freeze_phase(spec, at_time=1.5, seed=21)
         cov_study(CovStudyConfig(phase, 2, dmc_sizes=(100,), ss_sizes=(100,), max_levels=2), 21)
         assert calls == {"child": 0, "generator": 0}
+
+    def test_encounter_builds_only_the_initial_states(self, monkeypatch):
+        # the filter and its measurements run on arrays: the two states of
+        # initial_states are the only AircraftStates, however many steps
+        # are measured
+        built = []
+        check = AircraftState.__post_init__
+
+        def counting(state):
+            built.append(state)
+            check(state)
+
+        monkeypatch.setattr(AircraftState, "__post_init__", counting)
+        for duration in (1.0, 4.0):
+            built.clear()
+            spec = build_head_on(152.4, 2000.0, duration=duration, sample_rate=10.0)
+            assert len(list(conflict.encounter_steps(spec, 5))) == spec.n_steps
+            assert len(built) == 2
 
     def test_step_builds_its_estimate_once(self):
         spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)

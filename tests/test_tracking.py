@@ -7,11 +7,10 @@ from subsim import rng as _rng
 from subsim.dynamics import AircraftState, transition_matrix
 from subsim.tracking import (
     KalmanEstimate,
-    Measurement,
     NoiseConfig,
+    _filter_model,
     initial_estimate,
     kf_step,
-    measurement_matrix,
     process_noise,
     simulate_measurement,
 )
@@ -67,37 +66,41 @@ class TestProcessNoise:
         NoiseConfig(**{name: 1e300})
 
 
-class TestMeasurement:
-    def test_selector_rows(self):
-        h = measurement_matrix()
-        assert (h @ np.arange(1.0, 7.0)).tolist() == [1.0, 4.0]
-
-    def test_noiseless_measurement(self):
-        truth = AircraftState(12.0, 1.0, 0.0, -7.0, 2.0, 0.0)
-        z = simulate_measurement(truth, NoiseConfig(sigma_x=0.0, sigma_y=0.0), [1.5, -0.7])
-        assert z.z == (12.0, -7.0)
-
-    def test_noise_standard_deviation(self):
-        truth = AircraftState(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        ws = _gen(5).standard_normal((10_000, 2))
-        xs = np.array([simulate_measurement(truth, NOISE, w).z[0] for w in ws])
-        assert 0.097 < xs.std(ddof=1) < 0.103
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Measurement(z=(np.inf, 0.0))
-
-
 def _prior(pos_var=100.0, vel_var=25.0, acc_var=1.0):
     cov = np.diag([pos_var, vel_var, acc_var, pos_var, vel_var, acc_var]).astype(float)
     return np.zeros(6), cov
+
+
+class TestMeasurement:
+    def test_selector_rows(self):
+        _, _, h, _, _ = _filter_model(0.05, NOISE)
+        assert (h @ np.arange(1.0, 7.0)).tolist() == [1.0, 4.0]
+
+    def test_noiseless_measurement(self):
+        truth = np.array([12.0, 1.0, 0.0, -7.0, 2.0, 0.0])
+        z = simulate_measurement(truth, NoiseConfig(sigma_x=0.0, sigma_y=0.0), [1.5, -0.7])
+        assert z.tolist() == [12.0, -7.0]
+
+    def test_noise_standard_deviation(self):
+        truth = np.zeros(6)
+        ws = _gen(5).standard_normal((10_000, 2))
+        xs = np.array([simulate_measurement(truth, NOISE, w)[0] for w in ws])
+        assert 0.097 < xs.std(ddof=1) < 0.103
+
+    def test_rejects_non_finite(self):
+        # rejected before any arithmetic: a non-finite z reaching the update
+        # would raise a RuntimeWarning in the gain product first
+        mean, cov = _prior()
+        for z in ([np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0]):
+            with pytest.raises(ValueError, match="measurement must be finite"):
+                kf_step(mean, cov, np.array(z), 0.05, NOISE)
 
 
 class TestKfStep:
     def test_huge_measurement_noise_is_pure_prediction(self):
         mean, cov = _prior()
         huge = NoiseConfig(sigma_x=1e9, sigma_y=1e9)
-        z = Measurement(z=(500.0, -500.0))
+        z = np.array([500.0, -500.0])
         updated, _ = kf_step(mean, cov, z, 0.05, huge)
         predicted, _ = kf_step(mean, cov, None, 0.05, huge)
         assert np.allclose(updated, predicted, atol=1e-3)
@@ -109,7 +112,7 @@ class TestKfStep:
 
     def test_update_shrinks_measured_coordinates(self):
         mean, cov = _prior()
-        z = Measurement(z=(1.0, -1.0))
+        z = np.array([1.0, -1.0])
         _, pred = kf_step(mean, cov, None, 0.05, NOISE)
         _, upd = kf_step(mean, cov, z, 0.05, NOISE)
         assert upd[0, 0] <= pred[0, 0]
@@ -130,7 +133,7 @@ class TestKfStep:
         rng = np.random.default_rng(23)
         mean, cov = _prior()
         gen = _gen(1)
-        truth = AircraftState(0.0, 1.0, 0.0, 0.0, -1.0, 0.0)
+        truth = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0])
         for k in range(1000):
             z = None
             if k % 10 == 0:
@@ -142,9 +145,8 @@ class TestKfStep:
     def test_stationary_position_error_below_sensor_noise(self):
         # stationary target measured every step: the filtered position error
         # settles below the raw measurement noise
-        truth = AircraftState(5.0, 0.0, 0.0, -2.0, 0.0, 0.0)
-        est = initial_estimate(truth, NOISE, _gen(2).standard_normal(2))
-        mean, cov = est.mean.as_array(), est.covariance
+        truth = np.array([5.0, 0.0, 0.0, -2.0, 0.0, 0.0])
+        mean, cov = initial_estimate(truth, NOISE, _gen(2).standard_normal(2))
         gen = _gen(3)
         for _ in range(100):
             z = simulate_measurement(truth, NOISE, gen.standard_normal(2))
@@ -201,21 +203,19 @@ class TestKfStep:
 
 class TestInitialEstimate:
     def test_perfect_init_matches_truth(self):
-        truth = AircraftState(1.0, 2.0, 0.1, 3.0, 4.0, 0.2)
-        est = initial_estimate(truth, NOISE, _gen(0).standard_normal(2), perfect_init=True)
-        assert est.mean == truth
+        truth = np.array([1.0, 2.0, 0.1, 3.0, 4.0, 0.2])
+        mean, _ = initial_estimate(truth, NOISE, _gen(0).standard_normal(2), perfect_init=True)
+        assert np.array_equal(mean, truth)
 
     def test_default_init_perturbs_position_only(self):
-        truth = AircraftState(1.0, 2.0, 0.1, 3.0, 4.0, 0.2)
-        est = initial_estimate(truth, NOISE, _gen(0).standard_normal(2))
-        m = est.mean.as_array()
-        t = truth.as_array()
+        t = np.array([1.0, 2.0, 0.1, 3.0, 4.0, 0.2])
+        m, _ = initial_estimate(t, NOISE, _gen(0).standard_normal(2))
         assert m[0] != t[0] and m[3] != t[3]
         assert np.all(m[[1, 2, 4, 5]] == t[[1, 2, 4, 5]])
         assert abs(m[0] - t[0]) < 1.0
+        assert t.tolist() == [1.0, 2.0, 0.1, 3.0, 4.0, 0.2]  # the truth is not perturbed
 
     def test_covariance_from_configured_stds(self):
-        truth = AircraftState(0, 0, 0, 0, 0, 0)
         w = _gen(0).standard_normal(2)
-        est = initial_estimate(truth, NOISE, w, pos_std=10.0, vel_std=5.0, acc_std=1.0)
-        assert np.allclose(np.diag(est.covariance), [100.0, 25.0, 1.0, 100.0, 25.0, 1.0])
+        _, cov = initial_estimate(np.zeros(6), NOISE, w, pos_std=10.0, vel_std=5.0, acc_std=1.0)
+        assert np.allclose(np.diag(cov), [100.0, 25.0, 1.0, 100.0, 25.0, 1.0])
