@@ -19,7 +19,19 @@ reference for the closed form; so do tracks too short to hold a window.
 
 Both kernels take K observer tracks of one length, (K, points, 2), and a
 row-to-track index, so one call serves the states of K independent problems;
-a single (points, 2) track is the case K = 1.
+a single (points, 2) track is the case K = 1.  A caller that scores many
+batches against the same tracks builds their `Tracks` once, which checks
+them and holds the closed form's per-track constants, and passes it to each
+`miss_distance_batch` call.
+
+A caller that only asks whether a row's miss is at most some `bound` passes
+that bound.  The quartic's minimum over the whole track, continuous in time,
+lies at one of the two candidate minima clipped to the track, so the smaller
+distance there, less a rounding margin (`_lower_bound`), is at most the
+scan's value.  A row whose lower bound exceeds `bound` skips the grid window
+and returns that lower bound, with index -1: a value above `bound` and at
+most the exact miss.  Every other row is exact, bit for bit, and a row's
+result never depends on the rows beside it.
 """
 
 from __future__ import annotations
@@ -35,6 +47,13 @@ _BLOCK_ELEMS = 6_000_000
 # time on 1,536-3,072 p2 rows but 0.71-0.84x on 2,500-3,072 head-on rows and
 # on 10,000 rows of either; 768 rows were slower from 2,500 rows on.
 _BLOCK_ROWS = 1 << 10
+# Rows per block of a bounded call, whose critical points and lower bounds
+# are computed together before the rows they leave take their windows
+# _BLOCK_ROWS at a time.  The bound's work arrays are (rows,) and (2, rows),
+# and numpy's per-call cost weighs less on longer ones: on 11,100 p2
+# posterior draws bounded at 152.4 m, interleaved, 4,096 rows took 0.75x the
+# time of 1,024.
+_ROOT_ROWS = 1 << 12
 # A window of grid points around each candidate minimum: the two points
 # bracketing the root and one more on either side, so that a root computed up
 # to a step off still lies inside.  The ends of the track need one point
@@ -48,6 +67,11 @@ _TOL = 8.0 * np.finfo(np.float64).eps
 # Roots are computed to within a few ulps of the largest one; beyond this many
 # grid steps that error could move a window off the root it is meant to hold.
 _ROOT_LIMIT = 2.0**40
+# Allowed root error per unit of a row's root reach (see `_lower_bound`): 64
+# times the square root of the rounding, the error of a double root.  At p2
+# it widens the margin by under a metre, which leaves a row in a thousand or
+# fewer to the window.
+_ROOT_TOL = 2.0**-20
 _PAIR = np.array([[1.0], [-0.5]])
 _THIRDS = np.array([[0.0], [4.0]]) * (np.pi / 3.0)
 
@@ -87,30 +111,72 @@ def _squared_distance(s, tk, obs_x, obs_y):
     return dx
 
 
-def _validate(states, obs_xy, problem):
-    """(states, tracks, problem): tracks as (K, points, 2), one index per row."""
-    states = _as_c_f64(states, "states", 2)
+def _as_tracks(obs_xy):
+    """`obs_xy` as C-contiguous float64 (K, points, 2) tracks."""
     obs_xy = np.asarray(obs_xy, dtype=np.float64)
     if obs_xy.ndim == 2:
         obs_xy = obs_xy[None]
     obs_xy = _as_c_f64(obs_xy, "obs_xy", 3)
-    if states.shape[1] != 6:
-        raise ValueError(f"states must have 6 columns, got {states.shape[1]}")
     if obs_xy.shape[2] != 2:
         raise ValueError(f"obs_xy must have 2 columns, got {obs_xy.shape[2]}")
     if obs_xy.shape[1] == 0:
         raise ValueError("obs_xy must contain at least one point")
-    n, k = states.shape[0], obs_xy.shape[0]
+    return obs_xy
+
+
+def _rows(states, problem, k):
+    """(states, problem): (n, 6) states and one track index in [0, k) per row."""
+    states = _as_c_f64(states, "states", 2)
+    if states.shape[1] != 6:
+        raise ValueError(f"states must have 6 columns, got {states.shape[1]}")
+    n = states.shape[0]
     if problem is None:
         if k != 1:
             raise ValueError(f"{k} tracks need a row-to-track index")
-        return states, obs_xy, np.zeros(n, dtype=np.intp)
+        return states, np.zeros(n, dtype=np.intp)
     problem = np.asarray(problem, dtype=np.intp)
     if problem.shape != (n,):
         raise ValueError(f"problem must hold one index per state, got shape {problem.shape}")
     if n and not 0 <= problem.min() <= problem.max() < k:
         raise ValueError(f"problem indices must lie in [0, {k})")
-    return states, obs_xy, problem
+    return states, problem
+
+
+class Tracks:
+    """K observer tracks on one grid step, checked, with the closed form's
+    per-track constants.
+
+    `obs_xy` holds the `dynamics.track_positions` rows (K, points, 2) of the
+    observer states `observer` (K, 6) at step `dt`; a (points, 2) track and a
+    (6,) state are the case K = 1.  Construction rejects tracks of the wrong
+    shape, non-finite tracks, and a track whose first or last point differs
+    from its state's.
+    """
+
+    def __init__(self, obs_xy, dt, observer):
+        obs_xy = _as_tracks(obs_xy)
+        observer = np.asarray(observer, dtype=np.float64)
+        if observer.shape == (6,):
+            observer = observer[None]
+        if observer.shape != (obs_xy.shape[0], 6):
+            raise ValueError(
+                f"observer must be one 6-component state per track, got shape {observer.shape}"
+            )
+        if not np.isfinite(obs_xy).all():
+            raise ValueError("obs_xy must be finite")
+        dt = float(dt)
+        last = obs_xy.shape[1] - 1
+        t_end = last * dt
+        start = observer[:, (0, 3)]
+        end = start + observer[:, (1, 4)] * t_end + (0.5 * observer[:, (2, 5)]) * (t_end * t_end)
+        if not ((obs_xy[:, 0] == start).all() and (obs_xy[:, last] == end).all()):
+            raise ValueError("obs_xy is not the track of the observer state at this dt")
+        self.obs_xy, self.dt, self.observer = obs_xy, dt, observer
+        # position scale per state component in grid-index units, and the
+        # rounding bound of a position per unit of each component's magnitude
+        self.scale = np.array([1.0, dt, 0.5 * dt * dt] * 2)
+        self.err_w = _TOL * np.array([1.0, t_end, 0.5 * t_end * t_end] * 2)
+        self.err_o = np.abs(observer) @ self.err_w
 
 
 def miss_distance_scan(states: np.ndarray, obs_xy: np.ndarray, dt: float, problem=None):
@@ -125,7 +191,8 @@ def miss_distance_scan(states: np.ndarray, obs_xy: np.ndarray, dt: float, proble
     Returns (miss, index): the minimum pointwise distance per state and the
     step index where it occurs (smallest index on ties).
     """
-    states, obs_xy, problem = _validate(states, obs_xy, problem)
+    obs_xy = _as_tracks(obs_xy)
+    states, problem = _rows(states, problem, obs_xy.shape[0])
     n = states.shape[0]
     n_pts = obs_xy.shape[1]
     tk = np.arange(n_pts, dtype=np.float64) * float(dt)
@@ -143,7 +210,7 @@ def miss_distance_scan(states: np.ndarray, obs_xy: np.ndarray, dt: float, proble
 
 
 def _critical_points(q):
-    """Candidate minima of |q|^2 in grid-index units, (2, n).
+    """Candidate minima of |q|^2 in grid-index units, (2, n), and their reach (n,).
 
     `q` is (6, n): rows x0, x1, x2, y0, y1, y2 hold the per-axis
     coefficients of q(k) = q0 + q1 k + q2 k^2.  Half the derivative of |q|^2
@@ -157,6 +224,11 @@ def _critical_points(q):
     then holds the real part of the complex pair, which is where two nearly
     coincident real roots sit when rounding has moved them off the real
     line.  Rows with a = 0 and degenerate rows come out non-finite.
+
+    The reach is |b/3a| plus twice |w| or the trigonometric radius, at least
+    the magnitudes of the terms each formula sums (|p/w| <= |w| with the
+    cancellation-free cube root): it bounds the modulus of every root of the
+    cubic, and the rounding of each root is a few ulps of it.
     """
     x0, x1, x2, y0, y1, y2 = q
     inv_2a = 0.5 / (x2 * x2 + y2 * y2)
@@ -171,21 +243,68 @@ def _critical_points(q):
     r = np.sqrt(-third_p)
     cos_3theta = np.minimum(np.maximum(-half_q / (r * r * r), -1.0), 1.0)
     y_three = (2.0 * r) * np.cos(np.arccos(cos_3theta) / 3.0 - _THIRDS)
-    return np.where(disc > 0.0, y_one, y_three) - shift
+    one = disc > 0.0
+    reach = np.abs(shift) + 2.0 * np.where(one, np.abs(w), r)
+    return np.where(one, y_one, y_three) - shift, reach
 
 
-def _closed_form_block(s, obs_xy, problem, dt, observer, scale, err_o, err_w):
-    """(miss, index, settled) for one block of rows; unsettled rows are garbage.
+def _lower_bound(q, roots, reach, pos2, last):
+    """A lower bound on each row's scanned miss distance.
 
-    Row i of `s` runs against track `problem[i]` of `obs_xy` and state
-    `observer[problem[i]]`.  The tracks must have at least _SPAN points.
+    `q` and `roots` are as in `_critical_points`, `reach` the roots' reach,
+    `pos2` twice the rounding bound of one distance's positions, 2 (err_o +
+    |s|.err_w) as in the gap check, and `last` the track's last grid index.
+
+    The quartic is monotone between its critical points, so its minimum m
+    over [0, last] lies at an interior minimum, or at an end with a minimum
+    beyond it: at one of the two candidates clipped to the track.  A
+    computed root within delta of the exact one moves its clipped candidate
+    by at most delta, and the distance by at most lip * delta, with lip =
+    |q1| + 2 |q2| last bounding the distance's rate over the track.
+    delta = _ROOT_TOL * reach: a simple root's error is a few ulps of the
+    reach and a double root's about the square root of the rounding, 2^-26;
+    where a triple root's error grows toward the cube root, the quartic is
+    flat to fourth order, so the distance there still rises by far less.  The
+    smaller candidate distance L carries the rounding of q's coefficients
+    and of its evaluation, within one position bound as for any position and
+    _TOL relative, and each scanned distance is at least (1 - _TOL)(distance
+    - the other position bound), so
+
+        scanned miss >= L (1 - 3 _TOL) - pos2 - lip * delta,
+
+    the third _TOL covering the rounding of this expression.  It holds for
+    rows whose roots are finite and within _ROOT_LIMIT; on others it is
+    garbage, and the caller must not settle them.
+    """
+    q3 = q.reshape(2, 3, -1)  # axis, coefficient, row
+    k = np.minimum(np.maximum(roots, 0.0), float(last))
+    # q0 + (q1 + q2 k) k per axis and candidate, squared
+    pt = q3[:, 2, None] * k
+    pt += q3[:, 1, None]
+    pt *= k
+    pt += q3[:, 0, None]
+    pt *= pt
+    d2 = pt[0] + pt[1]
+    norms = np.sqrt(np.square(q3[:, 1:]).sum(axis=0))  # |q1| and |q2|
+    lip = norms[0] + (2.0 * last) * norms[1]
+    lip *= _ROOT_TOL * reach
+    lip += pos2
+    return np.sqrt(np.minimum(d2[0], d2[1])) * (1.0 - 3.0 * _TOL) - lip
+
+
+def _grid_window(s, tracks, problem, roots, pos2, settled):
+    """(miss, index, settled) of rows by the ten-point window; unsettled rows
+    are garbage.
+
+    Row i of `s` runs against track `problem[i]` of `tracks`, whose grid
+    has at least _SPAN points, with candidate minima `roots[:, i]` and twice
+    its position rounding bound `pos2[i]`; `settled` is False for rows whose
+    roots are non-finite or beyond _ROOT_LIMIT, and is updated in place.
     Work arrays put the rows last, so every operation runs along the block.
     """
+    obs_xy, dt = tracks.obs_xy, tracks.dt
     n = s.shape[0]
     last = obs_xy.shape[1] - 1
-    # relative position q0 + q1 k + q2 k^2 per axis, in grid-index units k = t / dt
-    roots = _critical_points(((s - observer[problem]) * scale).T)
-    settled = (np.abs(roots) < _ROOT_LIMIT).all(axis=0)  # false for non-finite roots too
 
     # Rows of `idx`: the track's first point, a window of _SPAN points at
     # each candidate minimum, the smaller first, and the track's last point.
@@ -195,7 +314,7 @@ def _closed_form_block(s, obs_xy, problem, dt, observer, scale, err_o, err_w):
     # the track does not matter.  In this order the rows list grid indices
     # such that the first minimum among them is the one with the smallest
     # index.
-    inner = np.floor(np.fmin(np.fmax(roots, 1.0), last - 2.0)).astype(np.intp)
+    inner = np.fmin(np.fmax(roots, 1.0), last - 2.0).astype(np.intp)  # floor, as inner >= 1
     idx = np.empty((2 * _SPAN + 2, n), dtype=np.intp)
     idx[0] = 0
     idx[1 : _SPAN + 1] = np.minimum(inner[0], inner[1]) + _OFFSETS[:, None]
@@ -224,62 +343,103 @@ def _closed_form_block(s, obs_xy, problem, dt, observer, scale, err_o, err_w):
     ends, starts = slice(0, -1, _SPAN), slice(1, None, _SPAN)
     gap = idx[starts] - idx[ends] > 1
     edges = np.sqrt(np.minimum(d2[ends], d2[starts]))  # sqrt is monotone
-    margin = 2.0 * (err_o[problem] + np.abs(s) @ err_w) + np.sqrt(best) * (1.0 + _TOL)
+    margin = pos2 + np.sqrt(best) * (1.0 + _TOL)
     clear = edges * (1.0 - _TOL) > margin
     settled &= (clear | ~gap).all(axis=0)
     return np.sqrt(best), idx[first, cols], settled
 
 
-def miss_distance_batch(states: np.ndarray, obs_xy: np.ndarray, dt: float, observer, problem=None):
+def _closed_form_block(s, tracks, problem, bound):
+    """(miss, index, settled) for one block of rows; unsettled rows are garbage.
+
+    Row i of `s` runs against track `problem[i]` of `tracks`, whose grid has
+    at least _SPAN points.  Without a bound every row takes the grid window.
+    With one (a scalar, or one per row), rows whose `_lower_bound` exceeds it
+    are settled with that lower bound and index -1, and the others take the
+    window, _BLOCK_ROWS at a time.
+    """
+    # relative position q0 + q1 k + q2 k^2 per axis, in grid-index units k = t / dt;
+    # rows of q are contiguous, so that no operation runs along a short axis.
+    # take() gathers rows several times faster than fancy indexing.
+    q = np.subtract(s.T, tracks.observer.T.take(problem, axis=1), out=np.empty((6, len(s))))
+    q *= tracks.scale[:, None]
+    roots, reach = _critical_points(q)
+    ok = (np.abs(roots) < _ROOT_LIMIT).all(axis=0)  # false for non-finite roots too
+    pos2 = 2.0 * (tracks.err_o.take(problem) + np.abs(s) @ tracks.err_w)
+    if bound is None:
+        return _grid_window(s, tracks, problem, roots, pos2, ok)
+    miss = _lower_bound(q, roots, reach, pos2, tracks.obs_xy.shape[1] - 1)
+    idx = np.full(len(s), -1, dtype=np.intp)
+    settled = np.ones(len(s), dtype=bool)
+    near = np.flatnonzero(~((miss > bound) & ok))
+    for lo in range(0, len(near), _BLOCK_ROWS):
+        rows = near[lo : lo + _BLOCK_ROWS]
+        miss[rows], idx[rows], settled[rows] = _grid_window(
+            s.take(rows, axis=0),
+            tracks,
+            problem.take(rows),
+            roots.take(rows, axis=1),
+            pos2.take(rows),
+            ok.take(rows),
+        )
+    return miss, idx, settled
+
+
+def miss_distance_batch(
+    states: np.ndarray,
+    obs_xy: np.ndarray,
+    dt: float,
+    observer,
+    problem=None,
+    bound=None,
+    *,
+    tracks: Tracks | None = None,
+):
     """Miss distance of each state's trajectory against its observer's track.
 
     `observer` is the observer's constant-acceleration state
     [x, u, a_x, y, v, a_y] and `obs_xy` its `dynamics.track_positions` row
     at step `dt`; or, for K problems at once, K states (K, 6) and their K tracks
     (K, points, 2), with `problem[i]` the problem of row i.  A track whose
-    first or last point differs from its state's is rejected.  Each row of
-    `states` is an intruder state evaluated at t = k*dt, as in
-    `miss_distance_scan`, whose result this equals bit for bit: (miss,
-    index), the minimum pointwise distance per state and the first step
-    index where it occurs.
+    first or last point differs from its state's is rejected.  `tracks`,
+    when given, is `Tracks(obs_xy, dt, observer)` built once by the caller,
+    whose checks and constants then serve this call.  Each row of `states`
+    is an intruder state evaluated at t = k*dt, as in `miss_distance_scan`,
+    whose result this equals bit for bit: (miss, index), the minimum
+    pointwise distance per state and the first step index where it occurs.
+
+    With a `bound` (a scalar, or one per row), a row whose miss provably
+    exceeds it may instead return a value above the bound and at most its
+    miss, with index -1 (see the module docstring); rows with a non-finite
+    root or state, and every row on a track of fewer than _SPAN points,
+    stay exact.
     """
-    states, obs_xy, problem = _validate(states, obs_xy, problem)
-    observer = np.asarray(observer, dtype=np.float64)
-    if observer.shape == (6,):
-        observer = observer[None]
-    if observer.shape != (obs_xy.shape[0], 6):
-        raise ValueError(
-            f"observer must be one 6-component state per track, got shape {observer.shape}"
-        )
-    dt = float(dt)
-    n_pts = obs_xy.shape[1]
-    last = n_pts - 1
-    t_end = last * dt
-    start = observer[:, (0, 3)]
-    end = start + observer[:, (1, 4)] * t_end + (0.5 * observer[:, (2, 5)]) * (t_end * t_end)
-    if not ((obs_xy[:, 0] == start).all() and (obs_xy[:, last] == end).all()):
-        raise ValueError("obs_xy is not the track of the observer state at this dt")
-
-    if n_pts < _SPAN:
-        return miss_distance_scan(states, obs_xy, dt, problem)
-
-    # position scale per state component in grid-index units, and the
-    # rounding bound of a position per unit of each component's magnitude
-    scale = np.array([1.0, dt, 0.5 * dt * dt] * 2)
-    err_w = _TOL * np.array([1.0, t_end, 0.5 * t_end * t_end] * 2)
-    err_o = np.abs(observer) @ err_w
-
+    if tracks is None:
+        tracks = Tracks(obs_xy, dt, observer)
+    states, problem = _rows(states, problem, tracks.obs_xy.shape[0])
     n = states.shape[0]
-    miss = np.empty(n, dtype=np.float64)
-    idx = np.empty(n, dtype=np.intp)
-    settled = np.empty(n, dtype=bool)
+    if bound is not None:
+        bound = np.asarray(bound, dtype=np.float64)
+        if bound.shape not in ((), (n,)):
+            raise ValueError(f"bound must be a scalar or one value per state, got shape {bound.shape}")
+    # a non-finite state's row comes out non-finite, from the scan too, and
+    # the caller decides what that means: no floating-point warning leaves
     with np.errstate(all="ignore"):
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
+        if tracks.obs_xy.shape[1] < _SPAN:
+            return miss_distance_scan(states, tracks.obs_xy, tracks.dt, problem)
+        miss = np.empty(n, dtype=np.float64)
+        idx = np.empty(n, dtype=np.intp)
+        settled = np.empty(n, dtype=bool)
+        block = _BLOCK_ROWS if bound is None else _ROOT_ROWS
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            b = bound if bound is None or bound.ndim == 0 else bound[lo:hi]
             miss[lo:hi], idx[lo:hi], settled[lo:hi] = _closed_form_block(
-                states[lo:hi], obs_xy, problem[lo:hi], dt, observer, scale, err_o, err_w
+                states[lo:hi], tracks, problem[lo:hi], b
             )
-    if not settled.all():
-        rows = np.flatnonzero(~settled)
-        miss[rows], idx[rows] = miss_distance_scan(states[rows], obs_xy, dt, problem[rows])
+        if not settled.all():
+            rows = np.flatnonzero(~settled)
+            miss[rows], idx[rows] = miss_distance_scan(
+                states[rows], tracks.obs_xy, tracks.dt, problem[rows]
+            )
     return miss, idx

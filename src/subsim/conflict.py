@@ -14,7 +14,7 @@ import itertools
 import logging
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -37,7 +37,7 @@ from .tracking import (
     kf_step,
     simulate_measurement,
 )
-from ._kernels import miss_distance_batch, miss_distance_scan
+from ._kernels import Tracks, miss_distance_batch, miss_distance_scan
 
 logger = logging.getLogger(__name__)
 
@@ -123,6 +123,9 @@ class QueryBatch:
     track (K, points, 2), the intruder posterior's mean (K, 6) and Cholesky
     factor (K, 6, 6).  The queries share their protected radius, horizon and
     sample rate, so one failure threshold and one grid step serve them all.
+    Construction checks these shapes, that the tracks are finite, and each
+    track's first and last point against its observer state, once for every
+    kernel call the batch makes.
     """
 
     radius: float
@@ -131,6 +134,17 @@ class QueryBatch:
     obs_xy: np.ndarray
     mean: np.ndarray
     chol: np.ndarray
+    _tracks: Tracks = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k = len(self.mean)
+        shapes = [np.shape(a) for a in (self.observer, self.obs_xy, self.mean, self.chol)]
+        if shapes[0] != (k, 6) or len(shapes[1]) != 3 or shapes[2:] != [(k, 6), (k, 6, 6)]:
+            raise ValueError(
+                "observer, obs_xy, mean and chol must be (K, 6), (K, points, 2), (K, 6) "
+                f"and (K, 6, 6), got {shapes}"
+            )
+        object.__setattr__(self, "_tracks", Tracks(self.obs_xy, self.dt, self.observer))
 
     @classmethod
     def from_queries(cls, queries: Sequence[ConflictQuery]) -> "QueryBatch":
@@ -154,9 +168,13 @@ class QueryBatch:
             chol=chol,
         )
 
-    def miss(self, states: np.ndarray, problems: np.ndarray) -> np.ndarray:
-        """Miss distance of each state against the track of its query."""
-        miss, _ = miss_distance_batch(states, self.obs_xy, self.dt, self.observer, problems)
+    def miss(self, states: np.ndarray, problems: np.ndarray, bound=None) -> np.ndarray:
+        """Miss distance of each state against the track of its query; with
+        a `bound`, a row whose miss exceeds it may read any value above it
+        (`miss_distance_batch`)."""
+        miss, _ = miss_distance_batch(
+            states, self.obs_xy, self.dt, self.observer, problems, bound, tracks=self._tracks
+        )
         return miss
 
 

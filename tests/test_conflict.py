@@ -1,5 +1,6 @@
 """Conflict estimation tests: DMC, conditional chains, subset driver, scenario loop."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -18,16 +19,20 @@ from subsim.conflict import (
     conflict_system,
     pc_dmc,
     pc_ss,
+    encounter_steps,
     pc_ss_batch,
     simulate_scenario,
 )
-from subsim.analysis import CovStudyConfig, cov_study, freeze_phase
+from subsim.analysis import CovStudyConfig, cov_study, freeze_phase, phase_p2
 from subsim.dynamics import AircraftState, track_positions
 from subsim.engine import (
     CHAIN_CORRELATION,
+    RareEventSystem,
     SubsetConfig,
     conditional_chains,
+    direct_monte_carlo,
     run_subset_simulation,
+    run_subset_simulations,
 )
 from subsim.scenarios import build_head_on
 from subsim.tracking import KalmanEstimate
@@ -734,3 +739,126 @@ class TestQueryValidation:
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 _query(HEAD_ON_COLLISION, **{kwarg: value})
+
+
+class TestQueryBatchChecks:
+    """A batch checks its arrays once, when it is built."""
+
+    def _batch(self):
+        return QueryBatch.from_queries([_query(HEAD_ON_OFFSET), _query(RECEDING)])
+
+    @pytest.mark.parametrize("point", [0, -1])
+    def test_shifted_track_rejected_at_construction(self, point):
+        batch = self._batch()
+        bad = batch.obs_xy.copy()
+        bad[1, point, 1] = np.nextafter(bad[1, point, 1], np.inf)
+        with pytest.raises(ValueError, match="observer"):
+            dataclasses.replace(batch, obs_xy=bad)
+        shifted = batch.obs_xy + [0.0, 1.0]  # every point of both tracks 1 m north
+        with pytest.raises(ValueError, match="observer"):
+            dataclasses.replace(batch, obs_xy=shifted)
+
+    def test_non_finite_track_rejected(self):
+        batch = self._batch()
+        bad = batch.obs_xy.copy()
+        bad[0, 7, 0] = np.nan  # an inner point: the ends still match
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(batch, obs_xy=bad)
+
+    @pytest.mark.parametrize(
+        "field, cut",
+        [("observer", np.s_[:, :5]), ("obs_xy", np.s_[0]), ("mean", np.s_[:1]), ("chol", np.s_[:, :, :5])],
+    )
+    def test_shapes_checked(self, field, cut):
+        batch = self._batch()
+        with pytest.raises(ValueError, match="must be"):
+            dataclasses.replace(batch, **{field: getattr(batch, field)[cut]})
+
+
+def _exact_system(batch):
+    """The conflict system of `batch` with the bound dropped: every response exact."""
+    return RareEventSystem(batch.mean, batch.chol, lambda x, problems, bound: batch.miss(x, problems))
+
+
+def _p2_group():
+    return QueryBatch.from_queries([phase_p2(seed) for seed in (0, 1, 2)])
+
+
+def _head_on_group():
+    spec = build_head_on(152.4, 2000.0)
+    return QueryBatch.from_queries([s.query(spec) for s in encounter_steps(spec, 3) if s.k in (40, 100, 160, 220)])
+
+
+class TestBoundedResponses:
+    """The conflict system's bound changes no count, chain sample or response."""
+
+    @pytest.fixture(params=["p2", "head-on"])
+    def group(self, request, monkeypatch):
+        """(batch, settled): a query group and the count of rows its bound settled."""
+        settled = []
+        kernel = conflict.miss_distance_batch
+
+        def counting(*args, **kwargs):
+            miss, idx = kernel(*args, **kwargs)
+            settled.append(int((idx == -1).sum()))
+            return miss, idx
+
+        monkeypatch.setattr(conflict, "miss_distance_batch", counting)
+        return (_p2_group() if request.param == "p2" else _head_on_group()), settled
+
+    def test_dmc_counts(self, group):
+        batch, settled = group
+        k = len(batch.mean)
+        seeds = [_rng.pool(40 + j) for j in range(k)]
+        for threshold in (batch.radius, 4.0 * batch.radius):
+            bounded = direct_monte_carlo(conflict_system(batch), [3000] * k, threshold, seeds)
+            exact = direct_monte_carlo(_exact_system(batch), [3000] * k, threshold, seeds)
+            assert np.array_equal(bounded, exact)
+        assert bounded.sum() > 0
+        assert sum(settled) > 0
+
+    def test_chain_samples_and_responses(self, group):
+        batch, settled = group
+        k, m = len(batch.mean), 40
+        gen = _rng.generator(_rng.derive(41))
+        problems = np.repeat(np.arange(k), m)
+        z = gen.standard_normal((k * m, 6))
+        seeds = batch.mean[problems] + (batch.chol[problems] @ z[:, :, None])[:, :, 0]
+        responses = batch.miss(seeds, problems)
+        thresholds = responses * gen.uniform(1.0, 1.3, k * m)
+        innovations = gen.standard_normal((k * m, 10, 6))
+        chol_inv = np.linalg.inv(batch.chol)
+        settled.clear()
+        x, r = conditional_chains(
+            conflict_system(batch), chol_inv, seeds, responses, thresholds, innovations, problems
+        )
+        assert sum(settled) > 0
+        ref_x, ref_r = conditional_chains(
+            _exact_system(batch), chol_inv, seeds, responses, thresholds, innovations, problems
+        )
+        assert np.array_equal(x, ref_x) and np.array_equal(r, ref_r)
+        moved = (x != seeds[:, None]).any(axis=2)
+        assert 0 < moved.sum() < moved.size
+
+    def test_subset_runs(self, group):
+        batch, _ = group
+        seeds = [_rng.pool(50 + j) for j in range(len(batch.mean))]
+        bounded = run_subset_simulations(conflict_system(batch), CFG, batch.radius, seeds)
+        exact = run_subset_simulations(_exact_system(batch), CFG, batch.radius, seeds)
+        for a, b in zip(bounded, exact):
+            assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
+            assert np.array_equal(a.table.responses, b.table.responses)
+            assert np.array_equal(a.table.samples, b.table.samples)
+
+    def test_non_finite_state_still_raises(self):
+        batch = _head_on_group()
+        mean = batch.mean.copy()
+        mean[1, 0] = np.nan
+        mean[2, 1] = np.inf  # inf * 0 at the track's first point: an invalid operation
+        bad = dataclasses.replace(batch, mean=mean)
+        seeds = [_rng.pool(60 + j) for j in range(len(mean))]
+        # a ValueError, not a floating-point warning (which the suite makes an error)
+        with pytest.raises(ValueError, match="non-finite"):
+            direct_monte_carlo(conflict_system(bad), [100] * len(mean), bad.radius, seeds)
+        with pytest.raises(ValueError, match="level 0 produced non-finite"):
+            run_subset_simulations(conflict_system(bad), CFG, bad.radius, seeds)

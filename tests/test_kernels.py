@@ -31,6 +31,13 @@ def _assert_matches_scan(states, observer, f=20.0, t=200.0):
     return ref_miss, ref_idx
 
 
+def _draws(q, n, key):
+    """n draws of the intruder posterior of query `q`, from stream `key`."""
+    chol = _cholesky_with_jitter(q.intruder_estimate.covariance)
+    z = _rng.generator(_rng.derive(key)).standard_normal((n, 6))
+    return q.intruder_estimate.mean.as_array() + z @ chol.T
+
+
 class _ScanRows:
     """Counts the rows the closed form hands to the scan."""
 
@@ -106,9 +113,7 @@ class TestClosedForm:
             q = phase_p2(seed=2)
         else:
             q = freeze_phase(build_head_on(0.0, 2000.0), at_time=10.0, seed=3)
-        chol = _cholesky_with_jitter(q.intruder_estimate.covariance)
-        z = _rng.generator(_rng.derive(17)).standard_normal((4000, 6))
-        states = q.intruder_estimate.mean.as_array() + z @ chol.T
+        states = _draws(q, 4000, 17)
         scanned = _ScanRows(monkeypatch)
         _assert_matches_scan(states, q.observer.as_array(), q.sample_rate, q.horizon)
         # the closed form settles the draws itself; only the oracle scans them all
@@ -116,9 +121,7 @@ class TestClosedForm:
 
     def test_blocks_are_transparent(self, monkeypatch):
         q = phase_p2(seed=2)
-        chol = _cholesky_with_jitter(q.intruder_estimate.covariance)
-        z = _rng.generator(_rng.derive(18)).standard_normal((300, 6))
-        states = q.intruder_estimate.mean.as_array() + z @ chol.T
+        states = _draws(q, 300, 18)
         obs_xy, dt = _track(q.observer.as_array(), q.sample_rate, q.horizon)
         whole = _kernels.miss_distance_batch(states, obs_xy, dt, q.observer.as_array())
         monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 7)
@@ -255,6 +258,132 @@ class TestClosedForm:
             _kernels.miss_distance_batch(states, obs_xy, dt, OBSERVER + [0.0, 0.0, 0.0, 0.0, 0.0, 1e-3])
 
 
+def _assert_bound_contract(states, obs_xy, dt, observer, bound, problem=None):
+    """With `bound`, each row either equals the scan bit for bit or is settled
+    (index -1) with a value above its bound and at most the scanned miss,
+    whose miss then exceeds the bound too.  Returns the settled mask."""
+    miss, idx = _kernels.miss_distance_batch(states, obs_xy, dt, observer, problem, bound)
+    ref_miss, ref_idx = _kernels.miss_distance_scan(states, obs_xy, dt, problem)
+    settled = idx == -1
+    b = np.broadcast_to(bound, miss.shape)
+    assert np.all(ref_miss[settled] > b[settled])
+    assert np.all(miss[settled] > b[settled]) and np.all(miss[settled] <= ref_miss[settled])
+    assert np.array_equal(miss[~settled], ref_miss[~settled], equal_nan=True)
+    assert np.array_equal(idx[~settled], ref_idx[~settled])
+    return settled
+
+
+class TestBound:
+    """`miss_distance_batch` with a bound: settled rows lie provably above it."""
+
+    @pytest.mark.parametrize("phase", ["p2", "head-on"])
+    def test_posterior_draws(self, phase):
+        if phase == "p2":
+            q = phase_p2(seed=2)
+        else:
+            q = freeze_phase(build_head_on(152.4, 2000.0), at_time=5.0, seed=3)
+        states = _draws(q, 3000, 21)
+        obs_xy, dt = _track(q.observer.as_array(), q.sample_rate, q.horizon)
+        observer = q.observer.as_array()
+        exact, _ = _kernels.miss_distance_scan(states, obs_xy, dt)
+        # the radius, a chain-like threshold, and one bound per row around the misses
+        for bound in (q.protected_radius, np.quantile(exact, 0.3)):
+            settled = _assert_bound_contract(states, obs_xy, dt, observer, bound)
+            assert settled.sum() > 0.5 * (exact > bound).sum()
+        per_row = exact * _rng.generator(_rng.derive(22)).uniform(0.5, 1.5, len(exact))
+        settled = _assert_bound_contract(states, obs_xy, dt, observer, per_row)
+        assert settled.sum() > 0.5 * (exact > per_row).sum()
+
+    def test_several_tracks_and_blocks(self, monkeypatch):
+        # rows of three problems, bounded per row, in blocks of a few rows: a
+        # row's result does not depend on the rows beside it
+        q = phase_p2(seed=2)
+        states = _draws(q, 500, 23)
+        observers = q.observer.as_array() + np.array([[0.0] * 6, [50.0, 1.0, 0, 0, 0, 0], [0, 0, 0, -80.0, 0, 0.01]])
+        tracks = track_positions(observers, q.sample_rate, q.horizon)
+        problem = np.arange(500) % 3
+        bound = _kernels.miss_distance_scan(states, tracks, 0.05, problem)[0]
+        bound *= np.where(np.arange(500) % 2, 0.9, 1.1)
+        whole = _kernels.miss_distance_batch(states, tracks, 0.05, observers, problem, bound)
+        settled = _assert_bound_contract(states, tracks, 0.05, observers, bound, problem)
+        assert 0 < settled.sum() < 500
+        monkeypatch.setattr(_kernels, "_ROOT_ROWS", 7)
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", 3)
+        parts = _kernels.miss_distance_batch(states, tracks, 0.05, observers, problem, bound)
+        assert np.array_equal(whole[0], parts[0]) and np.array_equal(whole[1], parts[1])
+
+    def test_misses_bisected_onto_the_bound(self):
+        # from a copy of each draw moved onto the observer at its closest
+        # point (miss 0) toward the draw itself, bisected to the last ulp of
+        # the step where the miss crosses the bound: the states either side,
+        # and their neighbours a few ulps further out
+        q = phase_p2(seed=2)
+        obs_xy, dt = _track(q.observer.as_array(), q.sample_rate, q.horizon)
+        observer = q.observer.as_array()
+        bound = q.protected_radius
+
+        def miss(state):
+            return _kernels.miss_distance_scan(state[None], obs_xy, dt)[0][0]
+
+        rows = []
+        for state in _draws(q, 20, 24):
+            k = _kernels.miss_distance_scan(state[None], obs_xy, dt)[1][0]
+            rel = track_positions(state[None], q.sample_rate, q.horizon)[0, k] - obs_xy[k]
+            onto = state - [rel[0], 0.0, 0.0, rel[1], 0.0, 0.0]
+            step = state - onto
+            lo, hi = 0.0, 1.0  # miss(onto + lo step) <= bound < miss(onto + hi step)
+            assert miss(onto + lo * step) <= bound < miss(onto + hi * step)
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if miss(onto + mid * step) <= bound else (lo, mid)
+            for c in (lo, hi):
+                for k in range(-3, 4):
+                    ck = c
+                    for _ in range(abs(k)):
+                        ck = np.nextafter(ck, np.sign(k) * np.inf)
+                    rows.append(onto + ck * step)
+        states = np.array(rows)
+        exact = _kernels.miss_distance_scan(states, obs_xy, dt)[0]
+        assert (exact <= bound).any() and (exact > bound).any()
+        assert np.abs(exact - bound).min() < 1e-9
+        settled = _assert_bound_contract(states, obs_xy, dt, observer, bound)
+        assert not settled.any()  # all lie within the rounding margin
+        # and one ulp either side of each row's own miss
+        for b in (exact, np.nextafter(exact, 0.0), np.nextafter(exact, np.inf)):
+            assert not _assert_bound_contract(states, obs_xy, dt, observer, b).any()
+
+    def test_zero_relative_acceleration_stays_exact(self):
+        observer = np.array([0.0, 100.0, 0.3, 0.0, 0.0, -0.2])
+        states = np.array([[3000.0, -80.0, 0.3, 200.0, 1.0, -0.2], [100.0, 0.0, 0.3, 0.0, 3.0, -0.2]])
+        obs_xy, dt = _track(observer)
+        # far below both misses, yet the rows have no quartic: no bound settles them
+        assert not _assert_bound_contract(states, obs_xy, dt, observer, 1.0).any()
+
+    def test_non_finite_state_stays_non_finite(self):
+        q = phase_p2(seed=2)
+        states = _draws(q, 5, 25)
+        states[1, 0] = np.nan
+        states[3, 4] = np.inf
+        obs_xy, dt = _track(q.observer.as_array(), q.sample_rate, q.horizon)
+        # no floating-point warning escapes (the suite makes one an error)
+        miss, _ = _kernels.miss_distance_batch(states, obs_xy, dt, q.observer.as_array(), None, 0.0)
+        with np.errstate(invalid="ignore"):  # the reference scan's own warnings
+            settled = _assert_bound_contract(states, obs_xy, dt, q.observer.as_array(), 0.0)
+        assert np.isnan(miss[1]) and not np.isfinite(miss[3])
+        assert not settled[[1, 3]].any() and settled.sum() == 3
+
+    def test_short_track_stays_exact(self):
+        obs_xy, dt = _track(OBSERVER, t=0.1)  # three points, under _SPAN
+        assert len(obs_xy) < _kernels._SPAN
+        states = OBSERVER + _rng.generator(_rng.derive(26)).normal(size=(20, 6)) * [500.0, 5, 0.1, 500, 5, 0.1]
+        assert not _assert_bound_contract(states, obs_xy, dt, OBSERVER, 1.0).any()
+
+    def test_bound_shape_checked(self):
+        obs_xy, dt = _track(OBSERVER)
+        with pytest.raises(ValueError, match="bound"):
+            _kernels.miss_distance_batch(np.zeros((3, 6)), obs_xy, dt, OBSERVER, None, np.zeros(2))
+
+
 class TestCriticalPoints:
     """The root helper returns the cubic's two candidate minima per row."""
 
@@ -263,9 +392,10 @@ class TestCriticalPoints:
         # 3000 and its maximum at 2000
         q = np.array([[3e6], [-4000.0], [1.0], [0.0], [0.0], [0.0]])
         with np.errstate(all="ignore"):  # the branch not taken may divide by zero or take sqrt(-p)
-            roots = _kernels._critical_points(q)
+            roots, reach = _kernels._critical_points(q)
         assert roots.shape == (2, 1)
         assert np.allclose(roots[:, 0], [3000.0, 1000.0], rtol=1e-12, atol=0.0)
+        assert reach[0] >= 3000.0  # every root, the maximum at 2000 included
 
     def test_one_real_root_and_the_pair_real_part(self):
         # q(k) = (k^2, 3 + k): half the derivative of |q|^2 is
@@ -273,8 +403,10 @@ class TestCriticalPoints:
         # and whose complex pair has real part 0.5
         q = np.array([[0.0], [0.0], [1.0], [3.0], [1.0], [0.0]])
         with np.errstate(all="ignore"):
-            roots = _kernels._critical_points(q)
+            roots, reach = _kernels._critical_points(q)
         assert np.allclose(roots[:, 0], [-1.0, 0.5], rtol=1e-12, atol=1e-12)
+        # the pair is 0.5 +- 1.118i, of modulus 1.225
+        assert reach[0] >= abs(complex(0.5, np.sqrt(1.25)))
 
 
 class TestSmallBatches:
