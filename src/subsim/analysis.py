@@ -11,6 +11,7 @@ CCDF table.  DMC makes one `pc_dmc` call per budget and repetition.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,8 +27,9 @@ from .scenarios import ScenarioSpec, build_head_on
 class CovStudyConfig:
     """Repetition count and sample budgets for both estimators.
 
-    Every budget is checked on construction: a DMC size below 1, or an SS
-    size that makes no valid `SubsetConfig`, is rejected before any run.
+    Every budget is checked on construction: a repetition count or size that
+    is not an integer, a DMC size below 1, or an SS size that makes no valid
+    `SubsetConfig`, is rejected before any run.
     """
 
     phase: ConflictQuery
@@ -38,6 +40,11 @@ class CovStudyConfig:
     max_levels: int = 7
 
     def __post_init__(self):
+        try:  # a float would fail mid-study, or truncate to another SS budget
+            for n in (self.repetitions, *self.dmc_sizes, *self.ss_sizes):
+                operator.index(n)
+        except TypeError as exc:
+            raise ValueError(f"repetitions and sample sizes must be integers: {exc}") from None
         if self.repetitions < 2:
             raise ValueError(
                 f"at least 2 repetitions are needed for a spread, got {self.repetitions}"

@@ -2,10 +2,11 @@
 
 Intruder states are sampled from the Kalman posterior, propagated over the
 prediction horizon alongside the observer's intended track, and scored by
-miss distance against the protected radius.  A matched-budget Direct Monte
-Carlo estimator (the engine's level 0 run alone) and the subset-simulation
-estimator share one engine system, and `simulate_scenario` runs both across a
-full encounter while the filter tracks the (noisy-measured) intruder.
+miss distance against the protected radius, the failure threshold.
+`conflict_system` poses queries as engine problems, as `toy.toy_system` poses
+its disc.  Matched-budget Direct Monte Carlo (the engine's level 0 run alone)
+and subset simulation share that system, and `simulate_scenario` runs both
+across a full encounter while the filter tracks the (noisy-measured) intruder.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import logging
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -37,7 +38,7 @@ from .tracking import (
     kf_step,
     simulate_measurement,
 )
-from ._kernels import Tracks, miss_distance_batch, miss_distance_scan
+from ._kernels import Tracks, miss_distance_batch
 
 logger = logging.getLogger(__name__)
 
@@ -115,81 +116,48 @@ def _check_grid(queries: Sequence[ConflictQuery]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class QueryBatch:
-    """The arrays of K conflict queries on one grid, built once and shared.
+def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
+    """The queries as engine problems, as `toy.toy_system` poses the disc:
+    query k's intruder posterior is problem k's prior and its miss distance
+    (`miss_distance_batch`) against the observer's track the response.
 
-    Row k of each array belongs to query k: the observer state (K, 6), its
-    track (K, points, 2), the intruder posterior's mean (K, 6) and Cholesky
-    factor (K, 6, 6).  The queries share their protected radius, horizon and
-    sample rate, so one failure threshold and one grid step serve them all.
-    Construction checks these shapes, that the tracks are finite, and each
-    track's first and last point against its observer state, once for every
-    kernel call the batch makes.
+    The queries must share radius, horizon and sample rate, so one failure
+    threshold, `queries[0].protected_radius`, and one grid serve them all.
+    The K tracks come from one `track_positions` broadcast and are checked,
+    with the kernel's per-track constants, once (`Tracks`); the covariances
+    are factored in one stacked call, or query by query with jitter.
     """
+    if not queries:
+        raise ValueError("at least one query is required")
+    _check_grid(queries)
+    rate, horizon = queries[0].sample_rate, queries[0].horizon
+    observer = np.array([q.observer.as_array() for q in queries])
+    mean = np.array([q.intruder_estimate.mean.as_array() for q in queries])
+    covs = np.array([q.intruder_estimate.covariance for q in queries], dtype=np.float64)
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        # query by query, so each jittered factor logs its own warning
+        chol = np.array([_cholesky_with_jitter(cov) for cov in covs])
+    tracks = Tracks(track_positions(observer, rate, horizon), 1.0 / rate, observer)
 
-    radius: float
-    dt: float
-    observer: np.ndarray
-    obs_xy: np.ndarray
-    mean: np.ndarray
-    chol: np.ndarray
-    _tracks: Tracks = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        k = len(self.mean)
-        shapes = [np.shape(a) for a in (self.observer, self.obs_xy, self.mean, self.chol)]
-        if shapes[0] != (k, 6) or len(shapes[1]) != 3 or shapes[2:] != [(k, 6), (k, 6, 6)]:
-            raise ValueError(
-                "observer, obs_xy, mean and chol must be (K, 6), (K, points, 2), (K, 6) "
-                f"and (K, 6, 6), got {shapes}"
-            )
-        object.__setattr__(self, "_tracks", Tracks(self.obs_xy, self.dt, self.observer))
-
-    @classmethod
-    def from_queries(cls, queries: Sequence[ConflictQuery]) -> "QueryBatch":
-        if not queries:
-            raise ValueError("at least one query is required")
-        _check_grid(queries)
-        rate, horizon = queries[0].sample_rate, queries[0].horizon
-        observer = np.array([q.observer.as_array() for q in queries])
-        covs = np.array([q.intruder_estimate.covariance for q in queries], dtype=np.float64)
-        try:
-            chol = np.linalg.cholesky(covs)
-        except np.linalg.LinAlgError:
-            # query by query, so each jittered factor logs its own warning
-            chol = np.array([_cholesky_with_jitter(cov) for cov in covs])
-        return cls(
-            radius=queries[0].protected_radius,
-            dt=1.0 / rate,
-            observer=observer,
-            obs_xy=track_positions(observer, rate, horizon),
-            mean=np.array([q.intruder_estimate.mean.as_array() for q in queries]),
-            chol=chol,
-        )
-
-    def miss(self, states: np.ndarray, problems: np.ndarray, bound=None) -> np.ndarray:
-        """Miss distance of each state against the track of its query; with
-        a `bound`, a row whose miss exceeds it may read any value above it
-        (`miss_distance_batch`)."""
+    def evaluate(states: np.ndarray, problems: np.ndarray, bound) -> np.ndarray:
+        # read from the module at every call, so a wrapper set on
+        # `subsim.conflict.miss_distance_batch` sees each kernel call
         miss, _ = miss_distance_batch(
-            states, self.obs_xy, self.dt, self.observer, problems, bound, tracks=self._tracks
+            states, tracks.obs_xy, tracks.dt, tracks.observer, problems, bound, tracks=tracks
         )
         return miss
 
-
-def conflict_system(batch: QueryBatch) -> RareEventSystem:
-    """The queries of `batch` as engine problems: query k's intruder posterior
-    is problem k's prior and its miss distance the response."""
-    return RareEventSystem(batch.mean, batch.chol, batch.miss)
+    return RareEventSystem(mean, chol, evaluate)
 
 
 def _dmc(
-    batch: QueryBatch, ns: Sequence[int], seeds: Sequence[SeedLike | Pool]
+    system: RareEventSystem, radius: float, ns: Sequence[int], seeds: Sequence[SeedLike | Pool]
 ) -> list[PcResult]:
-    """Direct Monte Carlo on every query of `batch`, query k on `ns[k]` draws
+    """Direct Monte Carlo on every query of `system`, query k on `ns[k]` draws
     from `seeds[k]`, in one engine call; result k equals `pc_dmc` of query k."""
-    counts = direct_monte_carlo(conflict_system(batch), ns, batch.radius, seeds)
+    counts = direct_monte_carlo(system, ns, radius, seeds)
     return [
         PcResult(pc=c / n, conflict_count=c, levels_used=1, samples_used=n, floor_reached=False)
         for n, c in zip(ns, counts.tolist())
@@ -199,7 +167,7 @@ def _dmc(
 def pc_dmc(query: ConflictQuery, n: int, seed: SeedLike | Pool) -> PcResult:
     """Direct Monte Carlo: fraction of n posterior draws whose trajectories
     conflict.  The draws are those of `pc_ss`'s level 0 at the same seed."""
-    return _dmc(QueryBatch.from_queries([query]), [n], [seed])[0]
+    return _dmc(conflict_system([query]), query.protected_radius, [n], [seed])[0]
 
 
 # Independent problems per lockstep engine run: scenario steps in
@@ -248,12 +216,6 @@ def _group_size(config: SubsetConfig) -> int:
     return _group_sizes([config.n_samples] * GROUP_SIZE)[0]
 
 
-def _ss(batch: QueryBatch, configs, seeds) -> list[SubsetResult]:
-    """SS of every query of `batch`, query k from `seeds[k]` under `configs[k]`
-    (or under `configs` itself if it is one config), in one lockstep engine run."""
-    return run_subset_simulations(conflict_system(batch), configs, batch.radius, seeds)
-
-
 def _pc(result: SubsetResult) -> PcResult:
     d = result.diagnostics
     return PcResult(
@@ -277,7 +239,8 @@ def pc_ss(
     estimate is D/N * p0^L, with D the conflicts among level L's N samples,
     and the CCDF table merges every level's population.
     """
-    (result,) = _ss(QueryBatch.from_queries([query]), config, [seed])
+    system = conflict_system([query])
+    (result,) = run_subset_simulations(system, config, query.protected_radius, [seed])
     return _pc(result), result.table
 
 
@@ -307,8 +270,9 @@ def pc_ss_batch(
     lo = 0
     for size in _group_sizes([config.n_samples for config in configs]):
         hi = lo + size
-        batch = QueryBatch.from_queries(queries[lo:hi])
-        out += map(_pc, _ss(batch, configs[lo:hi], seeds[lo:hi]))
+        system = conflict_system(queries[lo:hi])
+        radius = queries[lo].protected_radius
+        out += map(_pc, run_subset_simulations(system, configs[lo:hi], radius, seeds[lo:hi]))
         lo = hi
     return out
 
@@ -406,23 +370,25 @@ def _estimate_steps(
 ) -> list[StepRecord]:
     """SS, matched-budget DMC and the true miss distance of a group of steps.
 
-    The group's tracks and Cholesky factors are built once and shared by the
-    three.  `root` is the encounter root's pool, and each step's SS and DMC
-    roots are its child pools for (k, 1) and (k, 2), so no `SeedSequence` is
-    built here.  SS runs the steps in lockstep and reads no table.  DMC draws
-    each step's `samples_used` states from its own stream, child(root, k, 2),
-    and scores the draws of consecutive steps together, so each step's DMC
-    result equals `pc_dmc(step.query(spec), n, child(root, k, 2))`.  The true
-    states go straight to the grid scan: their relative acceleration is zero,
-    so the closed form of `miss_distance_batch` would settle none of them.
+    The three share one `conflict_system` of the group's queries, so its
+    tracks and Cholesky factors are built once.  `root` is the encounter
+    root's pool, and each step's SS and DMC roots are its child pools for
+    (k, 1) and (k, 2), so no `SeedSequence` is built here.  SS runs the steps
+    in lockstep and reads no table.  DMC draws each step's `samples_used`
+    states from its own stream, child(root, k, 2), and scores the draws of
+    consecutive steps together, so each step's DMC result equals
+    `pc_dmc(step.query(spec), n, child(root, k, 2))`.  The system scores the
+    true states too, with no bound: their relative acceleration is zero, so
+    the closed form settles none of them and the grid scan gives each value.
     """
     queries = [step.query(spec) for step in steps]
-    batch = QueryBatch.from_queries(queries)
+    system = conflict_system(queries)
+    radius = spec.protected_radius
     step_roots = [child_pool(root, step.k) for step in steps]
-    ss = [_pc(res) for res in _ss(batch, ss_config, children(step_roots, 1))]
-    dmc = _dmc(batch, [res.samples_used for res in ss], children(step_roots, 2))
+    ss = list(map(_pc, run_subset_simulations(system, ss_config, radius, children(step_roots, 1))))
+    dmc = _dmc(system, radius, [res.samples_used for res in ss], children(step_roots, 2))
     truth = np.array([step.intruder for step in steps])
-    miss_true, _ = miss_distance_scan(truth, batch.obs_xy, batch.dt, np.arange(len(steps)))
+    miss_true = system.evaluate(truth, np.arange(len(steps)), None)
     return [
         StepRecord(
             step=step.k,

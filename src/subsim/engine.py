@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -57,6 +58,11 @@ class SubsetConfig:
 
     def __post_init__(self):
         n, p0 = self.n_samples, self.level_probability
+        try:  # a float would truncate, or fail deep inside a run
+            operator.index(n)
+            operator.index(self.max_levels)
+        except TypeError as exc:
+            raise ValueError(f"n_samples and max_levels must be integers: {exc}") from None
         if n < 1:
             raise ValueError(f"n_samples must be positive, got {n}")
         if not 0.0 < p0 < 1.0:

@@ -28,7 +28,8 @@ from subsim.analysis import (
     cov_study,
     phase_p2,
 )
-from subsim.conflict import QueryBatch, pc_ss, simulate_scenario
+from subsim.conflict import pc_ss, simulate_scenario
+from subsim.dynamics import track_positions
 from subsim.engine import (
     IntervalVariant,
     SubsetConfig,
@@ -229,7 +230,7 @@ def test_criterion_7_property_suites():
     # stored CCDF rows reproduce their responses exactly
     q = phase_p2(seed=42)
     _, table = pc_ss(q, config, seed=14)
-    obs_xy = QueryBatch.from_queries([q]).obs_xy[0]
+    obs_xy = track_positions([q.observer.as_array()], q.sample_rate, q.horizon)[0]
     samples = np.array([row.sample for row in table.rows])
     responses = np.array([row.response for row in table.rows])
     again, _ = miss_distance_scan(samples, obs_xy, 1.0 / q.sample_rate)

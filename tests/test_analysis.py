@@ -165,6 +165,19 @@ class TestCovStudy:
         with pytest.raises(ValueError):
             CovStudyConfig(phase=phase_p1(seed=2), repetitions=2, **budgets)
 
+    # a float fails mid-study or, as an SS size, truncates to another budget
+    @pytest.mark.parametrize(
+        "budgets", [{"repetitions": 2.5}, {"dmc_sizes": (100, 1e3)}, {"ss_sizes": (100.5,)}, {"max_levels": 2.5}]
+    )
+    def test_non_integer_budget_rejected(self, budgets):
+        with pytest.raises(ValueError, match="must be integers"):
+            CovStudyConfig(**{"phase": phase_p1(seed=2), "repetitions": 2, **budgets})
+
+    def test_numpy_integer_budgets_accepted(self):
+        n = np.int64(100)
+        config = CovStudyConfig(phase_p1(seed=2), np.int64(2), (n,), (np.int32(100),), max_levels=np.int64(2))
+        assert [(p.method, p.requested_n) for p in cov_study(config, 3)] == [("dmc", 100), ("ss", 100)]
+
     def test_point_layout_and_accounting(self):
         q = phase_p1(seed=2)
         config = CovStudyConfig(

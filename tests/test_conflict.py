@@ -14,8 +14,6 @@ from subsim import rng as _rng
 from subsim._kernels import miss_distance_batch, miss_distance_scan
 from subsim.conflict import (
     ConflictQuery,
-    QueryBatch,
-    _cholesky_with_jitter,
     conflict_system,
     pc_dmc,
     pc_ss,
@@ -27,7 +25,6 @@ from subsim.analysis import CovStudyConfig, cov_study, freeze_phase, phase_p2
 from subsim.dynamics import AircraftState, track_positions
 from subsim.engine import (
     CHAIN_CORRELATION,
-    RareEventSystem,
     SubsetConfig,
     conditional_chains,
     direct_monte_carlo,
@@ -60,7 +57,7 @@ RECEDING = (-2000.0, -77.17, 0.0, 5000.0, 0.0, 0.0)
 
 def _track(q):
     """The observer's track of one query, as the engine scores against it."""
-    return QueryBatch.from_queries([q]).obs_xy[0]
+    return track_positions([q.observer.as_array()], q.sample_rate, q.horizon)[0]
 
 
 class TestPcDmc:
@@ -125,9 +122,9 @@ def _whiten(q, states):
     return np.linalg.solve(chol, (states - q.intruder_estimate.mean.as_array()).T).T
 
 
-def _batch_chains(batch, seed_states, seed_misses, thresholds, innovations, problems):
-    """The engine's chains on the conflict system of `batch`."""
-    system = conflict_system(batch)
+def _batch_chains(queries, seed_states, seed_misses, thresholds, innovations, problems):
+    """The engine's chains on the conflict system of `queries`."""
+    system = conflict_system(queries)
     return conditional_chains(
         system, np.linalg.inv(system.chol), seed_states, seed_misses, thresholds, innovations,
         problems,
@@ -137,7 +134,7 @@ def _batch_chains(batch, seed_states, seed_misses, thresholds, innovations, prob
 def _run_chains(q, seed_states, threshold, innovations):
     m = len(seed_states)
     return _batch_chains(
-        QueryBatch.from_queries([q]), seed_states, _miss(q, seed_states), np.full(m, threshold),
+        [q], seed_states, _miss(q, seed_states), np.full(m, threshold),
         innovations, np.zeros(m, dtype=int),
     )
 
@@ -255,7 +252,7 @@ class TestLockstepChains:
         # (N_c, length, 6) draw from the level's stream child(root, 1)
         q = _query(HEAD_ON_OFFSET)
         cfg = SubsetConfig(n_samples=40, level_probability=0.25, max_levels=2)
-        result = run_subset_simulation(conflict_system(QueryBatch.from_queries([q])), cfg, 0.0, 24)
+        result = run_subset_simulation(conflict_system([q]), cfg, 0.0, 24)
         root = _rng.derive(24)
         z = _rng.generator(_rng.child(root, 0)).standard_normal((40, 6))
         chol = np.linalg.cholesky(q.intruder_estimate.covariance)
@@ -280,10 +277,9 @@ class TestLockstepChains:
             seeds.append(s)
             thresholds.append(float(_miss(q, s).max()))
             blocks.append(_rng.generator(_rng.derive(40 + i)).standard_normal((3, 12, 6)))
-        batch = QueryBatch.from_queries(queries)
         seed_misses = np.concatenate([_miss(q, s) for q, s in zip(queries, seeds)])
         states, misses = _batch_chains(
-            batch,
+            queries,
             np.concatenate(seeds),
             seed_misses,
             np.repeat(thresholds, 3),
@@ -527,7 +523,7 @@ class TestPcSsBatch:
     def test_queries_on_different_grids_rejected(self):
         queries = [_query(HEAD_ON_OFFSET), _query(HEAD_ON_OFFSET, radius=100.0)]
         with pytest.raises(ValueError, match="share"):
-            QueryBatch.from_queries(queries)
+            conflict_system(queries)
 
     @pytest.mark.parametrize("before", [conflict.GROUP_SIZE - 1, conflict.GROUP_SIZE])
     def test_batch_on_different_grids_rejected(self, before):
@@ -539,25 +535,27 @@ class TestPcSsBatch:
 
     def test_stacked_build_equals_per_query_build(self, caplog):
         # one broadcast track and one stacked factorisation give each query
-        # exactly its own track and factor; a covariance that needs jitter
-        # sends the batch query by query, with one warning per jittered query
+        # exactly its own one-query system; a covariance that needs jitter
+        # factors the group query by query, with one warning per jittered query
         singular = np.zeros((6, 6))
         singular[0, 0] = 1.0
         jittered = ConflictQuery(
             observer=AircraftState(-30.0, 70.0, 0.4, 12.0, -3.0, -0.2),
             intruder_estimate=KalmanEstimate(mean=AircraftState(*RECEDING), covariance=singular),
         )
+        z = _rng.generator(_rng.derive(70)).standard_normal((50, 6))
         for queries, warnings in ((self.QUERIES, 0), (self.QUERIES + (jittered,), 1)):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="subsim.conflict"):
-                batch = QueryBatch.from_queries(queries)
+                system = conflict_system(queries)
             assert sum("jitter" in r.getMessage() for r in caplog.records) == warnings
             for k, q in enumerate(queries):
-                assert np.array_equal(batch.observer[k], q.observer.as_array())
-                track = track_positions([q.observer.as_array()], q.sample_rate, q.horizon)
-                assert np.array_equal(batch.obs_xy[k], track[0])
-                assert np.array_equal(batch.mean[k], q.intruder_estimate.mean.as_array())
-                assert np.array_equal(batch.chol[k], _cholesky_with_jitter(q.intruder_estimate.covariance))
+                one = conflict_system([q])
+                assert np.array_equal(system.mean[k], one.mean[0])
+                assert np.array_equal(system.chol[k], one.chol[0])
+                states = one.mean[0] + z @ one.chol[0].T
+                alone = one.evaluate(states, np.zeros(len(z), dtype=int), None)
+                assert np.array_equal(system.evaluate(states, np.full(len(z), k), None), alone)
 
 
 class TestSimulateScenario:
@@ -599,6 +597,19 @@ class TestSimulateScenario:
         assert spec.n_steps == 10
         with pytest.raises(ValueError, match=r"outside 1\.\.10: " + re.escape(named)):
             simulate_scenario(spec, CFG, seed=17, estimate_steps=steps)
+
+    def test_true_miss_equals_scan_of_true_state(self):
+        # each record's miss_true is the grid scan of its step's true intruder
+        # state against its observer's track, bit for bit, through closest
+        # approach at step 259, where the scan's index reaches 0
+        spec = build_head_on(152.4, 2000.0)
+        first = []
+        for r, s in zip(simulate_scenario(spec, CFG, seed=3), encounter_steps(spec, 3), strict=True):
+            track = track_positions(s.observer[None], spec.sample_rate, spec.duration)
+            miss, idx = miss_distance_scan(s.intruder[None], track, spec.dt)
+            assert (r.step, r.miss_true) == (s.k, miss[0])
+            first.append(int(idx[0]))
+        assert first[0] > 200 and first[257:260] == [1, 0, 0] and set(first[259:]) == {0}
 
     def test_step_groups_change_no_record(self, monkeypatch):
         spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
@@ -741,52 +752,18 @@ class TestQueryValidation:
                 _query(HEAD_ON_COLLISION, **{kwarg: value})
 
 
-class TestQueryBatchChecks:
-    """A batch checks its arrays once, when it is built."""
-
-    def _batch(self):
-        return QueryBatch.from_queries([_query(HEAD_ON_OFFSET), _query(RECEDING)])
-
-    @pytest.mark.parametrize("point", [0, -1])
-    def test_shifted_track_rejected_at_construction(self, point):
-        batch = self._batch()
-        bad = batch.obs_xy.copy()
-        bad[1, point, 1] = np.nextafter(bad[1, point, 1], np.inf)
-        with pytest.raises(ValueError, match="observer"):
-            dataclasses.replace(batch, obs_xy=bad)
-        shifted = batch.obs_xy + [0.0, 1.0]  # every point of both tracks 1 m north
-        with pytest.raises(ValueError, match="observer"):
-            dataclasses.replace(batch, obs_xy=shifted)
-
-    def test_non_finite_track_rejected(self):
-        batch = self._batch()
-        bad = batch.obs_xy.copy()
-        bad[0, 7, 0] = np.nan  # an inner point: the ends still match
-        with pytest.raises(ValueError, match="finite"):
-            dataclasses.replace(batch, obs_xy=bad)
-
-    @pytest.mark.parametrize(
-        "field, cut",
-        [("observer", np.s_[:, :5]), ("obs_xy", np.s_[0]), ("mean", np.s_[:1]), ("chol", np.s_[:, :, :5])],
-    )
-    def test_shapes_checked(self, field, cut):
-        batch = self._batch()
-        with pytest.raises(ValueError, match="must be"):
-            dataclasses.replace(batch, **{field: getattr(batch, field)[cut]})
-
-
-def _exact_system(batch):
-    """The conflict system of `batch` with the bound dropped: every response exact."""
-    return RareEventSystem(batch.mean, batch.chol, lambda x, problems, bound: batch.miss(x, problems))
+def _exact_system(system):
+    """`system` with the bound dropped: every response exact."""
+    return dataclasses.replace(system, evaluate=lambda x, p, bound: system.evaluate(x, p, None))
 
 
 def _p2_group():
-    return QueryBatch.from_queries([phase_p2(seed) for seed in (0, 1, 2)])
+    return [phase_p2(seed) for seed in (0, 1, 2)]
 
 
 def _head_on_group():
     spec = build_head_on(152.4, 2000.0)
-    return QueryBatch.from_queries([s.query(spec) for s in encounter_steps(spec, 3) if s.k in (40, 100, 160, 220)])
+    return [s.query(spec) for s in encounter_steps(spec, 3) if s.k in (40, 100, 160, 220)]
 
 
 class TestBoundedResponses:
@@ -794,7 +771,8 @@ class TestBoundedResponses:
 
     @pytest.fixture(params=["p2", "head-on"])
     def group(self, request, monkeypatch):
-        """(batch, settled): a query group and the count of rows its bound settled."""
+        """(system, radius, settled): a query group's system and radius, and
+        the count of rows its bound settled."""
         settled = []
         kernel = conflict.miss_distance_batch
 
@@ -804,61 +782,62 @@ class TestBoundedResponses:
             return miss, idx
 
         monkeypatch.setattr(conflict, "miss_distance_batch", counting)
-        return (_p2_group() if request.param == "p2" else _head_on_group()), settled
+        queries = _p2_group() if request.param == "p2" else _head_on_group()
+        return conflict_system(queries), queries[0].protected_radius, settled
 
     def test_dmc_counts(self, group):
-        batch, settled = group
-        k = len(batch.mean)
+        system, radius, settled = group
+        k = len(system.mean)
         seeds = [_rng.pool(40 + j) for j in range(k)]
-        for threshold in (batch.radius, 4.0 * batch.radius):
-            bounded = direct_monte_carlo(conflict_system(batch), [3000] * k, threshold, seeds)
-            exact = direct_monte_carlo(_exact_system(batch), [3000] * k, threshold, seeds)
+        for threshold in (radius, 4.0 * radius):
+            bounded = direct_monte_carlo(system, [3000] * k, threshold, seeds)
+            exact = direct_monte_carlo(_exact_system(system), [3000] * k, threshold, seeds)
             assert np.array_equal(bounded, exact)
         assert bounded.sum() > 0
         assert sum(settled) > 0
 
     def test_chain_samples_and_responses(self, group):
-        batch, settled = group
-        k, m = len(batch.mean), 40
+        system, _, settled = group
+        k, m = len(system.mean), 40
         gen = _rng.generator(_rng.derive(41))
         problems = np.repeat(np.arange(k), m)
         z = gen.standard_normal((k * m, 6))
-        seeds = batch.mean[problems] + (batch.chol[problems] @ z[:, :, None])[:, :, 0]
-        responses = batch.miss(seeds, problems)
+        seeds = system.mean[problems] + (system.chol[problems] @ z[:, :, None])[:, :, 0]
+        responses = system.evaluate(seeds, problems, None)
         thresholds = responses * gen.uniform(1.0, 1.3, k * m)
         innovations = gen.standard_normal((k * m, 10, 6))
-        chol_inv = np.linalg.inv(batch.chol)
+        chol_inv = np.linalg.inv(system.chol)
         settled.clear()
-        x, r = conditional_chains(
-            conflict_system(batch), chol_inv, seeds, responses, thresholds, innovations, problems
-        )
+        x, r = conditional_chains(system, chol_inv, seeds, responses, thresholds, innovations, problems)
         assert sum(settled) > 0
         ref_x, ref_r = conditional_chains(
-            _exact_system(batch), chol_inv, seeds, responses, thresholds, innovations, problems
+            _exact_system(system), chol_inv, seeds, responses, thresholds, innovations, problems
         )
         assert np.array_equal(x, ref_x) and np.array_equal(r, ref_r)
         moved = (x != seeds[:, None]).any(axis=2)
         assert 0 < moved.sum() < moved.size
 
     def test_subset_runs(self, group):
-        batch, _ = group
-        seeds = [_rng.pool(50 + j) for j in range(len(batch.mean))]
-        bounded = run_subset_simulations(conflict_system(batch), CFG, batch.radius, seeds)
-        exact = run_subset_simulations(_exact_system(batch), CFG, batch.radius, seeds)
+        system, radius, _ = group
+        seeds = [_rng.pool(50 + j) for j in range(len(system.mean))]
+        bounded = run_subset_simulations(system, CFG, radius, seeds)
+        exact = run_subset_simulations(_exact_system(system), CFG, radius, seeds)
         for a, b in zip(bounded, exact):
             assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
             assert np.array_equal(a.table.responses, b.table.responses)
             assert np.array_equal(a.table.samples, b.table.samples)
 
     def test_non_finite_state_still_raises(self):
-        batch = _head_on_group()
-        mean = batch.mean.copy()
+        queries = _head_on_group()
+        system = conflict_system(queries)
+        mean = system.mean.copy()
         mean[1, 0] = np.nan
         mean[2, 1] = np.inf  # inf * 0 at the track's first point: an invalid operation
-        bad = dataclasses.replace(batch, mean=mean)
+        bad = dataclasses.replace(system, mean=mean)
+        radius = queries[0].protected_radius
         seeds = [_rng.pool(60 + j) for j in range(len(mean))]
         # a ValueError, not a floating-point warning (which the suite makes an error)
         with pytest.raises(ValueError, match="non-finite"):
-            direct_monte_carlo(conflict_system(bad), [100] * len(mean), bad.radius, seeds)
+            direct_monte_carlo(bad, [100] * len(mean), radius, seeds)
         with pytest.raises(ValueError, match="level 0 produced non-finite"):
-            run_subset_simulations(conflict_system(bad), CFG, bad.radius, seeds)
+            run_subset_simulations(bad, CFG, radius, seeds)

@@ -49,6 +49,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             SubsetConfig(n_samples=n, level_probability=p0)
 
+    @pytest.mark.parametrize("sizes", [{"n_samples": 100.0}, {"n_samples": 100, "max_levels": 2.5}])
+    def test_non_integer_sizes_rejected(self, sizes):
+        # a float N would fail inside the stream code, and max_levels = 2.5
+        # would let a run descend past its cap: both are rejected before a run
+        with pytest.raises(ValueError, match="must be integers"):
+            SubsetConfig(**sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = SubsetConfig(n_samples=np.int64(100), max_levels=np.int32(3))
+        result = run_subset_simulation(_line_system(10.0), cfg, 0.0, 5)
+        assert result.diagnostics.levels_completed == 3
+
 
 class TestProbabilityIntervals:
     def test_shifted_level0_endpoints(self):

@@ -487,6 +487,16 @@ class TestSeveralTracks:
             _kernels.miss_distance_batch(states, tracks, dt, bad, problem)
         with pytest.raises(ValueError, match="observer"):
             _kernels.miss_distance_batch(states, tracks, dt, observers[:2], problem)
+        shifted = tracks + [0.0, 1.0]  # every point of every track 1 m north
+        with pytest.raises(ValueError, match="observer"):
+            _kernels.miss_distance_batch(states, shifted, dt, observers, problem)
+
+    def test_non_finite_track_rejected(self):
+        states, tracks, observers, problem, dt = self._case(rows=20)
+        bad = tracks.copy()
+        bad[0, 7, 0] = np.nan  # an inner point: the ends still match
+        with pytest.raises(ValueError, match="finite"):
+            _kernels.miss_distance_batch(states, bad, dt, observers, problem)
 
     def test_index_validation(self):
         states, tracks, observers, problem, dt = self._case(rows=20)
