@@ -7,7 +7,7 @@ probability of conflict between an observer aircraft and a Kalman-tracked
 intruder, with a matched-budget Direct Monte Carlo baseline.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .conflict import ConflictQuery, PcResult, pc_dmc, pc_ss, pc_ss_batch, simulate_scenario
 from .dynamics import AircraftState, transition_matrix

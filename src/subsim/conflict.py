@@ -1,8 +1,10 @@
 """Per-time-step probability of conflict between an observer and a tracked intruder.
 
-Intruder states are sampled from the Kalman posterior, propagated over the
-prediction horizon alongside the observer's intended track, and scored by
-miss distance against the protected radius, the failure threshold.
+Intruder states are sampled from the Kalman posterior and scored by their
+miss distance, the closest approach to the observer's intended
+constant-acceleration motion over the prediction horizon in continuous time
+(`_kernels.miss_distance_batch`), against the protected radius, the failure
+threshold.
 `conflict_system` poses queries as engine problems, as `toy.toy_system` poses
 its disc.  Matched-budget Direct Monte Carlo (the engine's level 0 run alone)
 and subset simulation share that system, and `simulate_scenario` runs both
@@ -21,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import AircraftState, track_positions, transition_matrix
+from .dynamics import AircraftState, transition_matrix
 from .engine import (
     CcdfTable,
     RareEventSystem,
@@ -38,7 +40,7 @@ from .tracking import (
     kf_step,
     simulate_measurement,
 )
-from ._kernels import Tracks, miss_distance_batch
+from ._kernels import miss_distance_batch
 
 logger = logging.getLogger(__name__)
 
@@ -51,19 +53,15 @@ class ConflictQuery:
     intruder_estimate: KalmanEstimate
     protected_radius: float = 152.4
     horizon: float = 20.0
-    sample_rate: float = 20.0
 
     def __post_init__(self):
-        for name in ("protected_radius", "horizon", "sample_rate"):
+        for name in ("protected_radius", "horizon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.protected_radius <= 0:
             raise ValueError(f"protected radius must be positive, got {self.protected_radius}")
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        steps = self.horizon * self.sample_rate
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-            raise ValueError(f"horizon * sample_rate must be a positive integer, got {steps}")
 
 
 @dataclass(frozen=True)
@@ -107,31 +105,29 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_grid(queries: Sequence[ConflictQuery]) -> None:
-    """Raise ValueError unless the queries share radius, horizon and sample rate."""
-    grid = {(q.protected_radius, q.horizon, q.sample_rate) for q in queries}
-    if len(grid) > 1:
-        raise ValueError(
-            f"queries of one batch must share radius, horizon and sample rate: {sorted(grid)}"
-        )
+def _check_radius(queries: Sequence[ConflictQuery]) -> None:
+    """Raise ValueError unless the queries share their protected radius."""
+    radii = {q.protected_radius for q in queries}
+    if len(radii) > 1:
+        raise ValueError(f"queries of one batch must share their protected radius: {sorted(radii)}")
 
 
 def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
     """The queries as engine problems, as `toy.toy_system` poses the disc:
     query k's intruder posterior is problem k's prior and its miss distance
-    (`miss_distance_batch`) against the observer's track the response.
+    (`miss_distance_batch`, the closest approach over [0, horizon] in
+    continuous time) to the observer the response.
 
-    The queries must share radius, horizon and sample rate, so one failure
-    threshold, `queries[0].protected_radius`, and one grid serve them all.
-    The K tracks come from one `track_positions` broadcast and are checked,
-    with the kernel's per-track constants, once (`Tracks`); the covariances
-    are factored in one stacked call, or query by query with jitter.
+    The queries must share their protected radius, the one failure
+    threshold `queries[0].protected_radius`; their horizons may differ.  The
+    observer states and horizons are stacked once, and the covariances
+    factored in one stacked call, or query by query with jitter.
     """
     if not queries:
         raise ValueError("at least one query is required")
-    _check_grid(queries)
-    rate, horizon = queries[0].sample_rate, queries[0].horizon
+    _check_radius(queries)
     observer = np.array([q.observer.as_array() for q in queries])
+    horizon = np.array([q.horizon for q in queries])
     mean = np.array([q.intruder_estimate.mean.as_array() for q in queries])
     covs = np.array([q.intruder_estimate.covariance for q in queries], dtype=np.float64)
     try:
@@ -139,15 +135,12 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
     except np.linalg.LinAlgError:
         # query by query, so each jittered factor logs its own warning
         chol = np.array([_cholesky_with_jitter(cov) for cov in covs])
-    tracks = Tracks(track_positions(observer, rate, horizon), 1.0 / rate, observer)
 
-    def evaluate(states: np.ndarray, problems: np.ndarray, bound) -> np.ndarray:
+    def evaluate(states: np.ndarray, problems: np.ndarray) -> np.ndarray:
         # read from the module at every call, so a wrapper set on
-        # `subsim.conflict.miss_distance_batch` sees each kernel call
-        miss, _ = miss_distance_batch(
-            states, tracks.obs_xy, tracks.dt, tracks.observer, problems, bound, tracks=tracks
-        )
-        return miss
+        # `subsim.conflict.miss_distance_batch` sees each kernel call, with
+        # the states and the observers as its first two arguments
+        return miss_distance_batch(states, observer, problems, horizon)[0]
 
     return RareEventSystem(mean, chol, evaluate)
 
@@ -253,7 +246,8 @@ def pc_ss_batch(
 
     `configs` is one config per query, or one config for them all; the
     configs must share `level_probability`.  All the queries must share
-    radius, horizon and sample rate, which is checked before any run.
+    their protected radius, which is checked before any run; their horizons
+    may differ.
     Consecutive queries run in one lockstep engine run while the group holds
     at most `GROUP_SIZE` queries and `_GROUP_SAMPLES` samples per level
     (`_group_sizes`), so a group may mix budgets.  Result i equals
@@ -265,7 +259,7 @@ def pc_ss_batch(
         configs = [configs] * len(queries)
     elif len(configs) != len(queries):
         raise ValueError(f"{len(queries)} queries but {len(configs)} configs")
-    _check_grid(queries)
+    _check_radius(queries)
     out = []
     lo = 0
     for size in _group_sizes([config.n_samples for config in configs]):
@@ -303,7 +297,6 @@ class EncounterStep:
             intruder_estimate=self.estimate,
             protected_radius=spec.protected_radius,
             horizon=spec.duration,
-            sample_rate=spec.sample_rate,
         )
 
 
@@ -371,15 +364,14 @@ def _estimate_steps(
     """SS, matched-budget DMC and the true miss distance of a group of steps.
 
     The three share one `conflict_system` of the group's queries, so its
-    tracks and Cholesky factors are built once.  `root` is the encounter
+    observer stack and Cholesky factors are built once.  `root` is the encounter
     root's pool, and each step's SS and DMC roots are its child pools for
     (k, 1) and (k, 2), so no `SeedSequence` is built here.  SS runs the steps
     in lockstep and reads no table.  DMC draws each step's `samples_used`
     states from its own stream, child(root, k, 2), and scores the draws of
     consecutive steps together, so each step's DMC result equals
     `pc_dmc(step.query(spec), n, child(root, k, 2))`.  The system scores the
-    true states too, with no bound: their relative acceleration is zero, so
-    the closed form settles none of them and the grid scan gives each value.
+    true states too.
     """
     queries = [step.query(spec) for step in steps]
     system = conflict_system(queries)
@@ -388,7 +380,7 @@ def _estimate_steps(
     ss = list(map(_pc, run_subset_simulations(system, ss_config, radius, children(step_roots, 1))))
     dmc = _dmc(system, radius, [res.samples_used for res in ss], children(step_roots, 2))
     truth = np.array([step.intruder for step in steps])
-    miss_true = system.evaluate(truth, np.arange(len(steps)), None)
+    miss_true = system.evaluate(truth, np.arange(len(steps)))
     return [
         StepRecord(
             step=step.k,

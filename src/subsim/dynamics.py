@@ -54,25 +54,3 @@ def transition_matrix(dt: float) -> np.ndarray:
     a[:3, :3] = block
     a[3:, 3:] = block
     return a
-
-
-def track_positions(states: np.ndarray, f: float, t: float) -> np.ndarray:
-    """Planar positions (K, t*f + 1, 2) of K initial states (K, 6) over `t` seconds.
-
-    Row i holds state i's positions at the times k/f, k = 0..t*f.  They are
-    (x + u*tk) + (0.5*a)*(tk*tk) per axis, the expression the miss-distance
-    kernels evaluate, so the two round alike.
-    """
-    if f <= 0 or t <= 0:
-        raise ValueError(f"rate and horizon must be positive, got f={f}, t={t}")
-    n_float = t * f
-    n_steps = round(n_float)
-    if abs(n_float - n_steps) > 1e-9 or n_steps < 1:
-        raise ValueError(f"t*f must be a positive integer, got {n_float}")
-    s = np.asarray(states, dtype=np.float64)
-    tk = np.arange(n_steps + 1, dtype=np.float64) * (1.0 / f)
-    tk2 = tk * tk
-    out = np.empty((len(s), len(tk), 2))
-    out[:, :, 0] = s[:, 0:1] + s[:, 1:2] * tk + (0.5 * s[:, 2:3]) * tk2
-    out[:, :, 1] = s[:, 3:4] + s[:, 4:5] * tk + (0.5 * s[:, 5:6]) * tk2
-    return out

@@ -134,26 +134,20 @@ class RareEventSystem:
     Problem k's prior is N(mean[k], chol[k] chol[k]^T): `mean` is (K, d) and
     `chol` the (K, d, d) lower Cholesky factors.  The engine runs the problems
     in lockstep, so each call covers the rows of several problems;
-    evaluate(samples, problems, bound) maps samples (n, d) to scalar
-    responses (smaller = closer to the rare event), row i belonging to
-    problem problems[i] (0..K-1).
-
-    `bound` says which values are read.  None asks for every exact value, as
-    level 0 does for its sort.  Otherwise it is a scalar or one value per
-    row, and a row whose response exceeds its bound may return any value
-    above it, since the caller only asks whether the response is at most the
-    bound: `direct_monte_carlo` passes its failure threshold and
-    `conditional_chains` each chain's threshold, and a rejected candidate's
-    value is dropped.  A row at or below its bound, or with a non-finite
-    response, must return its exact value, so every count, sample and
-    accepted response equals that of an exact system bit for bit.  The
-    conflict kernel settles rows by a lower bound that clears `bound` by a
-    rounding margin (`_kernels._lower_bound`); the toy ignores `bound`.
+    evaluate(samples, problems) maps samples (n, d) to scalar responses
+    (smaller = closer to the rare event), row i belonging to problem
+    problems[i] (0..K-1).  Every response is exact: level 0 sorts them,
+    `direct_monte_carlo` counts those at or below the failure threshold and
+    `conditional_chains` those at or below each chain's threshold.  A row's
+    response must not depend on the rows beside it, so that each problem's
+    result equals its own one-problem run.  The conflict system's response
+    is the closest approach in continuous time (`_kernels`), the toy's the
+    distance to the disc centre.
     """
 
     mean: np.ndarray
     chol: np.ndarray
-    evaluate: Callable[[np.ndarray, np.ndarray, object], np.ndarray]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -322,9 +316,8 @@ def direct_monte_carlo(
     """Per problem k, how many of its `ns[k]` prior draws respond at or below
     `failure_threshold`.  The draws are level 0 of `run_subset_simulations`
     from `seeds[k]`.  Consecutive problems are drawn and scored together, one
-    `evaluate` call per slice of at most `_DMC_SLICE_ROWS` rows, bounded by
-    `failure_threshold`; a problem is never split, so one with more rows is
-    a slice of its own.  A non-finite response raises `ValueError`, as at
+    `evaluate` call per slice of at most `_DMC_SLICE_ROWS` rows; a problem is
+    never split, so one with more rows is a slice of its own.  A non-finite response raises `ValueError`, as at
     every level of an SS run.
     """
     if len(ns) != len(seeds):
@@ -342,7 +335,7 @@ def direct_monte_carlo(
             hi += 1
         problems = np.repeat(np.arange(lo, hi), ns[lo:hi])
         samples = _level0(system.mean[lo:hi], system.chol[lo:hi], roots[lo:hi], ns[lo:hi])
-        responses = system.evaluate(samples, problems, failure_threshold)
+        responses = system.evaluate(samples, problems)
         if not np.all(np.isfinite(responses)):
             raise ValueError("level 0 produced non-finite responses")
         hits = responses <= failure_threshold
@@ -380,7 +373,7 @@ def conditional_chains(
     Chain j belongs to problem `problems[j]`, starts at `seeds[j]` and
     consumes `innovations[j]`, of shape (length, d).  The chains are
     independent, so they advance in lockstep: one `evaluate` call per step
-    covers every chain, bounded by each chain's threshold.  Whitening goes
+    covers every chain.  Whitening goes
     through stacked per-chain matmuls, which round as a lone `chol @ z`
     does, so a chain's values do not depend on which other chains run
     beside it.  The scaled innovations are written into the samples'
@@ -409,7 +402,7 @@ def conditional_chains(
     for k in range(length):
         cand_z = CHAIN_CORRELATION * z + out_x[:, k]
         cand = mean + (chol @ cand_z[:, :, None])[:, :, 0]
-        cand_r = system.evaluate(cand, problems, thresholds)
+        cand_r = system.evaluate(cand, problems)
         ok = cand_r <= thresholds
         z = np.where(ok[:, None], cand_z, z)
         cur = np.where(ok[:, None], cand, cur)
@@ -494,7 +487,7 @@ def run_subset_simulations(
     ns = [configs[k].n_samples for k in order.tolist()]
     mean, chol = system.mean[order], system.chol[order]
     samples = _level0(mean, chol, [roots[k] for k in order.tolist()], ns)
-    responses = np.asarray(system.evaluate(samples, order.repeat(ns), None), dtype=np.float64)
+    responses = np.asarray(system.evaluate(samples, order.repeat(ns)), dtype=np.float64)
     level = 0
     _sort_level(cohorts, samples, responses, level)
     d = system.mean.shape[1]

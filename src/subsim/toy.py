@@ -111,7 +111,7 @@ def toy_system(region: CircleRegion) -> RareEventSystem:
     mean, identity factor) and the distance to the disc center."""
     center = region.center.as_array()
 
-    def evaluate(xy: np.ndarray, problems: np.ndarray, bound) -> np.ndarray:
+    def evaluate(xy: np.ndarray, problems: np.ndarray) -> np.ndarray:
         return _distances(xy, center)
 
     return RareEventSystem(np.zeros((1, 2)), np.eye(2)[None], evaluate)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from subsim import rng as _rng
-from subsim._kernels import miss_distance_scan
+from subsim._kernels import miss_distance_batch
 from subsim.analysis import (
     CovStudyConfig,
     binomial_cov,
@@ -29,7 +29,6 @@ from subsim.analysis import (
     phase_p2,
 )
 from subsim.conflict import pc_ss, simulate_scenario
-from subsim.dynamics import track_positions
 from subsim.engine import (
     IntervalVariant,
     SubsetConfig,
@@ -230,10 +229,9 @@ def test_criterion_7_property_suites():
     # stored CCDF rows reproduce their responses exactly
     q = phase_p2(seed=42)
     _, table = pc_ss(q, config, seed=14)
-    obs_xy = track_positions([q.observer.as_array()], q.sample_rate, q.horizon)[0]
     samples = np.array([row.sample for row in table.rows])
     responses = np.array([row.response for row in table.rows])
-    again, _ = miss_distance_scan(samples, obs_xy, 1.0 / q.sample_rate)
+    again, _ = miss_distance_batch(samples, q.observer.as_array(), None, q.horizon)
     assert np.array_equal(again, responses)
     checks += 1
 

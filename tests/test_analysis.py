@@ -133,7 +133,6 @@ class TestFreezePhase:
     def test_horizon_is_scenario_duration(self):
         q = phase_p2(seed=5)
         assert q.horizon == 200.0
-        assert q.sample_rate == 20.0
 
     def test_p1_phase_is_borderline(self):
         q = phase_p1(seed=5)

@@ -9,9 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dense
 from subsim import conflict
 from subsim import rng as _rng
-from subsim._kernels import miss_distance_batch, miss_distance_scan
+from subsim._kernels import miss_distance_batch
 from subsim.conflict import (
     ConflictQuery,
     conflict_system,
@@ -22,7 +23,7 @@ from subsim.conflict import (
     simulate_scenario,
 )
 from subsim.analysis import CovStudyConfig, cov_study, freeze_phase, phase_p2
-from subsim.dynamics import AircraftState, track_positions
+from subsim.dynamics import AircraftState
 from subsim.engine import (
     CHAIN_CORRELATION,
     SubsetConfig,
@@ -37,7 +38,7 @@ from subsim.tracking import KalmanEstimate
 CFG = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=7)
 
 
-def _query(intruder_mean, cov_scale=1.0, horizon=20.0, rate=20.0, radius=152.4):
+def _query(intruder_mean, cov_scale=1.0, horizon=20.0, radius=152.4):
     cov = np.diag([4.0, 2.0, 0.3, 4.0, 2.0, 0.3]) * cov_scale
     return ConflictQuery(
         observer=AircraftState(0.0, 77.17, 0.0, 0.0, 0.0, 0.0),
@@ -46,18 +47,12 @@ def _query(intruder_mean, cov_scale=1.0, horizon=20.0, rate=20.0, radius=152.4):
         ),
         protected_radius=radius,
         horizon=horizon,
-        sample_rate=rate,
     )
 
 
 HEAD_ON_COLLISION = (2000.0, -77.17, 0.0, 0.0, 0.0, 0.0)
 HEAD_ON_OFFSET = (2000.0, -77.17, 0.0, 1000.0, 0.0, 0.0)
 RECEDING = (-2000.0, -77.17, 0.0, 5000.0, 0.0, 0.0)
-
-
-def _track(q):
-    """The observer's track of one query, as the engine scores against it."""
-    return track_positions([q.observer.as_array()], q.sample_rate, q.horizon)[0]
 
 
 class TestPcDmc:
@@ -112,9 +107,8 @@ class TestPcDmc:
 
 
 def _miss(q, states):
-    return miss_distance_batch(
-        np.atleast_2d(states), _track(q), 1.0 / q.sample_rate, q.observer.as_array()
-    )[0]
+    """The kernel's miss of each state against query `q`'s observer."""
+    return miss_distance_batch(np.atleast_2d(states), q.observer.as_array(), None, q.horizon)[0]
 
 
 def _whiten(q, states):
@@ -195,19 +189,18 @@ class TestAcceptanceRatio:
 
 
 def _reference_chain(q, seed_state, threshold, innovations):
-    """One chain, one state at a time, with per-state matvecs and the grid scan."""
-    obs_xy = _track(q)
+    """One chain, one state at a time, with per-state matvecs and one-state kernel calls."""
     mean = q.intruder_estimate.mean.as_array()
     chol = np.linalg.cholesky(q.intruder_estimate.covariance)
     cur = seed_state
-    cur_miss = float(miss_distance_scan(cur[None, :], obs_xy, 1.0 / q.sample_rate)[0][0])
+    cur_miss = float(_miss(q, cur)[0])
     z = np.linalg.inv(chol) @ (cur - mean)
     steps = math.sqrt(1.0 - CHAIN_CORRELATION**2) * innovations
     out_x, out_r = [], []
     for step in steps:
         cand_z = CHAIN_CORRELATION * z + step
         cand = mean + chol @ cand_z
-        cand_miss = float(miss_distance_scan(cand[None, :], obs_xy, 1.0 / q.sample_rate)[0][0])
+        cand_miss = float(_miss(q, cand)[0])
         if cand_miss <= threshold:
             z, cur, cur_miss = cand_z, cand, cand_miss
         out_x.append(cur)
@@ -348,9 +341,7 @@ class TestMhConflictSamples:
         q = _query(HEAD_ON_OFFSET)
         seed_state = q.intruder_estimate.mean.as_array()
         (states, misses), = _system_chains(q, seed_state, 30, 1500.0, seed=7)
-        obs_xy = _track(q)
-        again, _ = miss_distance_scan(states, obs_xy, 1.0 / q.sample_rate)
-        assert np.array_equal(again, misses)
+        assert np.array_equal(_miss(q, states), misses)
 
 
 class TestPcSs:
@@ -409,19 +400,16 @@ class TestPcSs:
     def test_ccdf_rows_reproduce_their_miss_distances(self):
         q = _query(HEAD_ON_OFFSET)
         _, table = pc_ss(q, CFG, seed=14)
-        obs_xy = _track(q)
         samples = np.array([row.sample for row in table.rows])
         responses = np.array([row.response for row in table.rows])
-        again, _ = miss_distance_scan(samples, obs_xy, 1.0 / q.sample_rate)
-        assert np.array_equal(again, responses)
+        assert np.array_equal(_miss(q, samples), responses)
 
     def test_shrinking_radius_never_increases_conflicts(self):
         q = _query(HEAD_ON_OFFSET, cov_scale=4.0)
-        obs_xy = _track(q)
         gen = _rng.generator(_rng.derive(33))
         chol = np.linalg.cholesky(q.intruder_estimate.covariance)
         states = q.intruder_estimate.mean.as_array() + gen.standard_normal((2000, 6)) @ chol.T
-        miss, _ = miss_distance_batch(states, obs_xy, 0.05, q.observer.as_array())
+        miss = _miss(q, states)
         full = np.count_nonzero(miss <= q.protected_radius)
         halved = np.count_nonzero(miss <= q.protected_radius / 2)
         assert halved <= full
@@ -527,11 +515,23 @@ class TestPcSsBatch:
 
     @pytest.mark.parametrize("before", [conflict.GROUP_SIZE - 1, conflict.GROUP_SIZE])
     def test_batch_on_different_grids_rejected(self, before):
-        # the whole list is checked, wherever a group boundary falls
+        # the whole list is checked for one protected radius, wherever a
+        # group boundary falls
         queries = [_query(HEAD_ON_COLLISION, cov_scale=1e-6)] * before
-        queries.append(_query(HEAD_ON_COLLISION, cov_scale=1e-6, horizon=10.0))
-        with pytest.raises(ValueError, match="must share radius, horizon and sample rate"):
+        queries.append(_query(HEAD_ON_COLLISION, cov_scale=1e-6, radius=100.0))
+        with pytest.raises(ValueError, match="must share their protected radius"):
             pc_ss_batch(queries, SubsetConfig(100, 0.1, 2), list(range(before + 1)))
+
+    def test_mixed_horizons_equal_one_query_runs(self):
+        # one lockstep run may mix horizons: each query's CPA is clipped to
+        # its own, and each result equals its own pc_ss bit for bit
+        near = (2000.0, -77.17, 0.0, 250.0, 0.0, 0.0)
+        queries = [_query(near), _query(near, horizon=8.0), _query(HEAD_ON_OFFSET, horizon=8.0)]
+        seeds = [3, 3, 5]
+        batch = pc_ss_batch(queries, CFG, seeds)
+        assert batch == [pc_ss(q, CFG, seed)[0] for q, seed in zip(queries, seeds)]
+        # the 8 s horizon ends before the pass at about 13 s: far rarer conflicts
+        assert batch[1].pc < 1e-3 * batch[0].pc
 
     def test_stacked_build_equals_per_query_build(self, caplog):
         # one broadcast track and one stacked factorisation give each query
@@ -554,8 +554,8 @@ class TestPcSsBatch:
                 assert np.array_equal(system.mean[k], one.mean[0])
                 assert np.array_equal(system.chol[k], one.chol[0])
                 states = one.mean[0] + z @ one.chol[0].T
-                alone = one.evaluate(states, np.zeros(len(z), dtype=int), None)
-                assert np.array_equal(system.evaluate(states, np.full(len(z), k), None), alone)
+                alone = one.evaluate(states, np.zeros(len(z), dtype=int))
+                assert np.array_equal(system.evaluate(states, np.full(len(z), k)), alone)
 
 
 class TestSimulateScenario:
@@ -599,17 +599,23 @@ class TestSimulateScenario:
             simulate_scenario(spec, CFG, seed=17, estimate_steps=steps)
 
     def test_true_miss_equals_scan_of_true_state(self):
-        # each record's miss_true is the grid scan of its step's true intruder
-        # state against its observer's track, bit for bit, through closest
-        # approach at step 259, where the scan's index reaches 0
+        # each record's miss_true is the kernel's miss of its step's true
+        # intruder state against its observer, bit for bit, and lies within
+        # the dense scan's tolerance of the 2 kHz grid minimum; the pass
+        # falls between steps 259 and 260, after which the closest approach
+        # is the present, t = 0
         spec = build_head_on(152.4, 2000.0)
-        first = []
-        for r, s in zip(simulate_scenario(spec, CFG, seed=3), encounter_steps(spec, 3), strict=True):
-            track = track_positions(s.observer[None], spec.sample_rate, spec.duration)
-            miss, idx = miss_distance_scan(s.intruder[None], track, spec.dt)
-            assert (r.step, r.miss_true) == (s.k, miss[0])
-            first.append(int(idx[0]))
-        assert first[0] > 200 and first[257:260] == [1, 0, 0] and set(first[259:]) == {0}
+        steps = list(encounter_steps(spec, 3))
+        intruders = np.array([s.intruder for s in steps])
+        observers = np.array([s.observer for s in steps])
+        problem = np.arange(len(steps))
+        miss, tca = miss_distance_batch(intruders, observers, problem, spec.duration)
+        records = simulate_scenario(spec, CFG, seed=3)
+        assert [(r.step, r.miss_true) for r in records] == list(zip(range(1, 401), miss.tolist()))
+        grid, _ = dense.miss_distance_scan(intruders, observers, spec.duration, 2000.0, problem)
+        rounding, gap = dense.scan_tolerance(intruders, observers, spec.duration, 2000.0, problem)
+        assert np.all(grid - miss >= -rounding) and np.all(grid - miss <= gap + rounding)
+        assert 12.9 < tca[0] < 13.0 and np.all(tca[:259] > 0.0) and np.all(tca[259:] == 0.0)
 
     def test_step_groups_change_no_record(self, monkeypatch):
         spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
@@ -736,25 +742,36 @@ class TestQueryValidation:
             _query(HEAD_ON_COLLISION, horizon=-1.0)
 
     def test_rejects_non_integral_grid(self):
-        with pytest.raises(ValueError):
-            _query(HEAD_ON_COLLISION, horizon=0.123, rate=3.0)
+        # a query holds no grid: the closest approach is continuous in time
+        observer = AircraftState(0.0, 77.17, 0.0, 0.0, 0.0, 0.0)
+        estimate = _query(HEAD_ON_COLLISION).intruder_estimate
+        with pytest.raises(TypeError, match="sample_rate"):
+            ConflictQuery(observer, estimate, 152.4, 0.123, sample_rate=3.0)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             _query(HEAD_ON_COLLISION, radius=0.0)
 
-    @pytest.mark.parametrize(
-        "kwarg, name", [("radius", "protected_radius"), ("horizon", "horizon"), ("rate", "sample_rate")]
-    )
+    @pytest.mark.parametrize("kwarg, name", [("radius", "protected_radius"), ("horizon", "horizon")])
     def test_rejects_non_finite_values(self, kwarg, name):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 _query(HEAD_ON_COLLISION, **{kwarg: value})
 
 
-def _exact_system(system):
-    """`system` with the bound dropped: every response exact."""
-    return dataclasses.replace(system, evaluate=lambda x, p, bound: system.evaluate(x, p, None))
+def _alone_system(queries):
+    """The system of `queries` with each row scored by its own query's
+    one-query system, one kernel call per query."""
+    alone = [conflict_system([q]) for q in queries]
+
+    def evaluate(x, problems):
+        out = np.empty(len(x))
+        for k, one in enumerate(alone):
+            rows = problems == k
+            out[rows] = one.evaluate(x[rows], np.zeros(rows.sum(), dtype=int))
+        return out
+
+    return dataclasses.replace(conflict_system(queries), evaluate=evaluate)
 
 
 def _p2_group():
@@ -767,62 +784,77 @@ def _head_on_group():
 
 
 class TestBoundedResponses:
-    """The conflict system's bound changes no count, chain sample or response."""
+    """Responses read against a bound, the failure threshold or a chain's
+    threshold, by a query group's system: every kernel call goes through the
+    module attribute `subsim.conflict.miss_distance_batch` with the (n, 6)
+    states and the group's (K, 6) observer states as its first two
+    arguments, which the benchmark's tracer reads, and each query's counts,
+    chain samples and responses equal those of its own one-query system."""
 
     @pytest.fixture(params=["p2", "head-on"])
     def group(self, request, monkeypatch):
-        """(system, radius, settled): a query group's system and radius, and
-        the count of rows its bound settled."""
-        settled = []
+        """(system, radius, calls, alone): a query group's system and radius,
+        the (states, observers) shapes of the kernel calls made from now on,
+        and the group's `_alone_system`."""
+        calls = []
         kernel = conflict.miss_distance_batch
 
-        def counting(*args, **kwargs):
-            miss, idx = kernel(*args, **kwargs)
-            settled.append(int((idx == -1).sum()))
-            return miss, idx
+        def recording(*args, **kwargs):
+            calls.append((np.shape(args[0]), np.shape(args[1])))
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(conflict, "miss_distance_batch", counting)
+        monkeypatch.setattr(conflict, "miss_distance_batch", recording)
         queries = _p2_group() if request.param == "p2" else _head_on_group()
-        return conflict_system(queries), queries[0].protected_radius, settled
+        return conflict_system(queries), queries[0].protected_radius, calls, _alone_system(queries)
+
+    @staticmethod
+    def _assert_traced(calls, k, rows):
+        """Each recorded call took its states first and the K observers second;
+        `rows` is the number of states of each call, in order."""
+        assert calls == [((n, 6), (k, 6)) for n in rows]
 
     def test_dmc_counts(self, group):
-        system, radius, settled = group
+        system, radius, calls, alone = group
         k = len(system.mean)
         seeds = [_rng.pool(40 + j) for j in range(k)]
         for threshold in (radius, 4.0 * radius):
-            bounded = direct_monte_carlo(system, [3000] * k, threshold, seeds)
-            exact = direct_monte_carlo(_exact_system(system), [3000] * k, threshold, seeds)
-            assert np.array_equal(bounded, exact)
-        assert bounded.sum() > 0
-        assert sum(settled) > 0
+            calls.clear()
+            grouped = direct_monte_carlo(system, [3000] * k, threshold, seeds)
+            self._assert_traced(calls, k, [3000 * k])
+            own = direct_monte_carlo(alone, [3000] * k, threshold, seeds)
+            assert np.array_equal(grouped, own)
+        assert grouped.sum() > 0
 
     def test_chain_samples_and_responses(self, group):
-        system, _, settled = group
+        system, _, calls, alone = group
         k, m = len(system.mean), 40
         gen = _rng.generator(_rng.derive(41))
         problems = np.repeat(np.arange(k), m)
         z = gen.standard_normal((k * m, 6))
         seeds = system.mean[problems] + (system.chol[problems] @ z[:, :, None])[:, :, 0]
-        responses = system.evaluate(seeds, problems, None)
+        responses = system.evaluate(seeds, problems)
         thresholds = responses * gen.uniform(1.0, 1.3, k * m)
         innovations = gen.standard_normal((k * m, 10, 6))
         chol_inv = np.linalg.inv(system.chol)
-        settled.clear()
+        calls.clear()
         x, r = conditional_chains(system, chol_inv, seeds, responses, thresholds, innovations, problems)
-        assert sum(settled) > 0
+        self._assert_traced(calls, k, [k * m] * 10)
         ref_x, ref_r = conditional_chains(
-            _exact_system(system), chol_inv, seeds, responses, thresholds, innovations, problems
+            alone, chol_inv, seeds, responses, thresholds, innovations, problems
         )
         assert np.array_equal(x, ref_x) and np.array_equal(r, ref_r)
         moved = (x != seeds[:, None]).any(axis=2)
         assert 0 < moved.sum() < moved.size
 
     def test_subset_runs(self, group):
-        system, radius, _ = group
-        seeds = [_rng.pool(50 + j) for j in range(len(system.mean))]
-        bounded = run_subset_simulations(system, CFG, radius, seeds)
-        exact = run_subset_simulations(_exact_system(system), CFG, radius, seeds)
-        for a, b in zip(bounded, exact):
+        system, radius, calls, alone = group
+        k = len(system.mean)
+        seeds = [_rng.pool(50 + j) for j in range(k)]
+        calls.clear()
+        grouped = run_subset_simulations(system, CFG, radius, seeds)
+        assert calls and all(call[1] == (k, 6) for call in calls)
+        own = run_subset_simulations(alone, CFG, radius, seeds)
+        for a, b in zip(grouped, own):
             assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
             assert np.array_equal(a.table.responses, b.table.responses)
             assert np.array_equal(a.table.samples, b.table.samples)
@@ -832,7 +864,7 @@ class TestBoundedResponses:
         system = conflict_system(queries)
         mean = system.mean.copy()
         mean[1, 0] = np.nan
-        mean[2, 1] = np.inf  # inf * 0 at the track's first point: an invalid operation
+        mean[2, 1] = np.inf  # inf * 0 at t = 0: an invalid operation
         bad = dataclasses.replace(system, mean=mean)
         radius = queries[0].protected_radius
         seeds = [_rng.pool(60 + j) for j in range(len(mean))]

@@ -1,10 +1,12 @@
-"""Kinematics tests: transition matrix, track positions, closest point of approach."""
+"""Kinematics tests: transition matrix, the tests' track positions, closest point of approach."""
 
 import numpy as np
 import pytest
 
-from subsim._kernels import miss_distance_batch, miss_distance_scan
-from subsim.dynamics import AircraftState, track_positions, transition_matrix
+import dense
+from dense import track_positions
+from subsim._kernels import miss_distance_batch
+from subsim.dynamics import AircraftState, transition_matrix
 
 
 class TestTransitionMatrix:
@@ -75,10 +77,10 @@ def _straight(x0, y0, u, v):
     return AircraftState(x0, u, 0.0, y0, v, 0.0)
 
 
-def _approach(observer, intruder, f=20, t=20):
-    """(miss, step index) of the intruder against the observer's track."""
-    miss, idx = miss_distance_scan(intruder.as_array()[None], _track(observer, f, t), 1.0 / f)
-    return float(miss[0]), int(idx[0])
+def _approach(observer, intruder, t=20):
+    """(miss, time of closest approach) of the intruder to the observer over [0, t]."""
+    miss, tca = miss_distance_batch(intruder.as_array()[None], observer.as_array(), None, t)
+    return float(miss[0]), float(tca[0])
 
 
 class TestMinDistance:
@@ -91,14 +93,14 @@ class TestMinDistance:
     def test_head_on_crossing(self):
         obs = _straight(0.0, 0.0, 77.0, 0.0)
         intr = _straight(2000.0, 0.0, -77.0, 0.0)
-        miss, k = _approach(obs, intr)
-        # they cross between grid points: the miss is below half a step of closing
-        assert miss <= 154.0 * 0.05 / 2
-        assert abs(k * 0.05 - 2000.0 / 154.0) <= 0.05
+        miss, t = _approach(obs, intr)
+        # they meet at 2000 / 154 s, which no 20 Hz grid point hits
+        assert miss < 1e-9
+        assert t == pytest.approx(2000.0 / 154.0, rel=1e-12)
 
     def test_identical_trajectories(self):
         obs = _straight(3.0, 4.0, 10.0, -1.0)
-        assert _approach(obs, obs) == (0.0, 0)
+        assert _approach(obs, obs) == (0.0, 0.0)
 
     def test_symmetric_up_to_point_swap(self):
         obs = _straight(0.0, 0.0, 50.0, 1.0)
@@ -111,29 +113,31 @@ class TestMinDistance:
             o = AircraftState(*(rng.normal(size=6) * [100, 10, 0.5, 100, 10, 0.5]))
             i = AircraftState(*(rng.normal(size=6) * [100, 10, 0.5, 100, 10, 0.5]))
             d0 = np.hypot(i.x - o.x, i.y - o.y)
-            assert _approach(o, i, 10, 5)[0] <= d0 + 1e-12
+            assert _approach(o, i, 5)[0] <= d0 + 1e-12
 
     def test_grid_refinement_bound(self):
-        # doubling the rate changes the miss by at most one coarse-step displacement
+        # grid minima at 10 and 20 Hz lie above the continuous miss, by at
+        # most half a step of relative motion
         o = AircraftState(0.0, 60.0, 0.0, 0.0, 5.0, 0.0)
         i = AircraftState(1500.0, -70.0, 0.0, 200.0, -8.0, 0.0)
-        coarse, _ = _approach(o, i, 10, 10)
-        fine, _ = _approach(o, i, 20, 10)
+        miss, _ = _approach(o, i, 10)
         v_rel = np.hypot(60 - (-70.0), 5 - (-8.0))
-        assert abs(coarse - fine) <= v_rel * 0.1
+        for f in (10.0, 20.0):
+            grid, _ = dense.miss_distance_scan(i.as_array(), o.as_array(), 10.0, f)
+            assert 0.0 <= grid[0] - miss <= v_rel * 0.5 / f
 
     def test_rejects_mismatched_steps(self):
-        # a track sampled at 10 Hz read at a 20 Hz step ends elsewhere
-        obs = _straight(0, 0, 1, 0)
-        with pytest.raises(ValueError, match="not the track"):
-            miss_distance_batch(np.zeros((1, 6)), _track(obs, 10, 2), 0.05, obs.as_array())
+        # one horizon per observer, or one for all
+        obs = _straight(0, 0, 1, 0).as_array()
+        with pytest.raises(ValueError, match="horizon"):
+            miss_distance_batch(np.zeros((1, 6)), obs, None, [2.0, 4.0])
 
     def test_points_consistent_with_distance(self):
         obs = _straight(0.0, 0.0, 60.0, 2.0)
         intr = _straight(900.0, 50.0, -60.0, -2.0)
-        miss, k = _approach(obs, intr)
-        dx, dy = _track(intr, 20, 20)[k] - _track(obs, 20, 20)[k]
-        assert np.sqrt(dx * dx + dy * dy) == miss
+        miss, t = _approach(obs, intr)
+        dx, dy = ((transition_matrix(t) @ (intr.as_array() - obs.as_array())))[[0, 3]]
+        assert np.sqrt(dx * dx + dy * dy) == pytest.approx(miss, rel=1e-12)
 
 
 class TestStateValidation:

@@ -266,7 +266,7 @@ def _line_system(shift=0.0):
     `shift` is one value, or one per problem."""
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
 
-    def evaluate(x, problems, bound):
+    def evaluate(x, problems):
         return np.abs(x[:, 0] - shifts[problems])
 
     return _gaussian_system(evaluate, k=len(shifts))
@@ -284,7 +284,7 @@ def _assert_level_streams(system, result, seed, cfg):
     d = system.mean.shape[1]
     z = _rng.generator(_rng.child(root, 0)).standard_normal((n, d))
     x = system.mean[0] + z @ system.chol[0].T
-    r = system.evaluate(x, np.zeros(n, dtype=int), None)
+    r = system.evaluate(x, np.zeros(n, dtype=int))
     kept_x, kept_r = [], []
     for level in range(1, levels + 1):
         order = np.argsort(-r, kind="stable")
@@ -307,11 +307,11 @@ def _assert_level_streams(system, result, seed, cfg):
     assert np.array_equal(result.table.responses, np.concatenate(kept_r))
 
 
-def _abs_first_column(x, problems, bound):
+def _abs_first_column(x, problems):
     return np.abs(x[:, 0])
 
 
-def _flat(x, problems, bound):
+def _flat(x, problems):
     return np.ones(len(x))
 
 
@@ -381,7 +381,7 @@ class TestRunSubsetSimulation:
             run_subset_simulation(_line_system(), CFG, 1e-6, seed=3)
 
     def test_response_count_violation_raises(self):
-        def short(x, problems, bound):
+        def short(x, problems):
             return np.abs(x[1:, 0])
 
         with pytest.raises(ValueError, match="expected"):
@@ -453,7 +453,7 @@ class TestConditionalChains:
         seeds = np.atleast_2d(seeds)
         m = len(seeds)
         return conditional_chains(
-            system, np.linalg.inv(system.chol), seeds, system.evaluate(seeds, np.zeros(m, int), None),
+            system, np.linalg.inv(system.chol), seeds, system.evaluate(seeds, np.zeros(m, int)),
             np.broadcast_to(thresholds, (m,)), innovations, np.zeros(m, dtype=int),
         )
 
@@ -513,11 +513,11 @@ class TestConditionalChains:
         # chains of two problems in one call equal each chain run alone
         mean = np.array([[0.0, 0.0], [3.0, -1.0]])
         chol = np.array([_chol(2, 5), _chol(2, 6)])
-        system = RareEventSystem(mean, chol, lambda x, p, bound: np.hypot(x[:, 0] - 2.0 * p, x[:, 1]))
+        system = RareEventSystem(mean, chol, lambda x, p: np.hypot(x[:, 0] - 2.0 * p, x[:, 1]))
         gen = _rng.generator(_rng.derive(7))
         problems = np.array([0, 0, 1, 1, 1])
         seeds = mean[problems] + gen.standard_normal((5, 2))
-        resp = system.evaluate(seeds, problems, None)
+        resp = system.evaluate(seeds, problems)
         thresholds = resp + 0.5
         innovations = gen.standard_normal((5, 25, 2))
         inv = np.linalg.inv(chol)
@@ -688,9 +688,9 @@ class TestDirectMonteCarlo:
         system = _line_system(shifts)
         calls = []
 
-        def recording(x, problems, bound):
+        def recording(x, problems):
             calls.append(problems.copy())
-            return system.evaluate(x, problems, bound)
+            return system.evaluate(x, problems)
 
         recorded = RareEventSystem(system.mean, system.chol, recording)
         whole = direct_monte_carlo(recorded, ns, 0.7, seeds)
@@ -708,7 +708,7 @@ class TestDirectMonteCarlo:
     def test_non_finite_response_rejected(self, value):
         # a non-finite response is an error, not a miss: SS level 0 raises on
         # the same draws
-        def evaluate(x, problems, bound):
+        def evaluate(x, problems):
             return np.where(x[:, 0] > 1.0, value, np.abs(x[:, 0]))
 
         system = _gaussian_system(evaluate)

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dense import track_positions
 from subsim._kernels import miss_distance_batch
-from subsim.dynamics import track_positions
 from subsim.scenarios import (
     ScenarioKind,
     ScenarioSpec,
@@ -39,9 +39,8 @@ def _sigwrap(value, figures=4):
 
 def _true_min_separation(spec):
     obs, intr = initial_states(spec)
-    obs_xy = track_positions(obs.as_array()[None], spec.sample_rate, spec.duration)[0]
-    miss, idx = miss_distance_batch(intr.as_array()[None, :], obs_xy, spec.dt, obs.as_array())
-    return float(miss[0]), int(idx[0])
+    miss, tca = miss_distance_batch(intr.as_array()[None, :], obs.as_array(), None, spec.duration)
+    return float(miss[0]), float(tca[0])
 
 
 class TestKnots:
@@ -72,10 +71,10 @@ class TestHeadOn:
 
     def test_zero_offset_crossing_time(self):
         spec = build_head_on(0.0, 2000.0)
-        miss, idx = _true_min_separation(spec)
+        miss, tca = _true_min_separation(spec)
         closing = 2 * knots_to_mps(150.0)
-        assert idx * spec.dt == pytest.approx(2000.0 / closing, abs=spec.dt)
-        assert miss < closing * spec.dt
+        assert tca == pytest.approx(2000.0 / closing, rel=1e-12)
+        assert miss < 1e-9
 
     def test_zero_offset_conflict_entry_time(self):
         # separation falls to the protected radius at (L_o - r_t) / closing speed
@@ -107,10 +106,10 @@ class TestOvertaking:
 
     def test_pass_time(self):
         spec = build_overtaking(0.0, 1000.0)
-        miss, idx = _true_min_separation(spec)
+        miss, tca = _true_min_separation(spec)
         closing = knots_to_mps(300.0) - knots_to_mps(150.0)
-        assert idx * spec.dt == pytest.approx(1000.0 / closing, abs=spec.dt)
-        assert miss < closing * spec.dt
+        assert tca == pytest.approx(1000.0 / closing, rel=1e-12)
+        assert miss < 1e-9
 
     def test_parallel_offset_minimum(self):
         spec = build_overtaking(500.0, 1000.0)
