@@ -3,7 +3,7 @@
 Intruder states are sampled from the Kalman posterior and scored by their
 miss distance, the closest approach to the observer's intended
 constant-acceleration motion over the prediction horizon in continuous time
-(`_kernels.miss_distance_batch`), against the protected radius, the failure
+(`dynamics.miss_distance_batch`), against the protected radius, the failure
 threshold.
 `conflict_system` poses queries as engine problems, as `toy.toy_system` poses
 its disc.  Matched-budget Direct Monte Carlo (the engine's level 0 run alone)
@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import AircraftState, transition_matrix
+from .dynamics import AircraftState, miss_distance_batch, transition_matrix
 from .engine import (
     CcdfTable,
     RareEventSystem,
@@ -40,7 +40,6 @@ from .tracking import (
     kf_step,
     simulate_measurement,
 )
-from ._kernels import miss_distance_batch
 
 logger = logging.getLogger(__name__)
 
@@ -166,18 +165,21 @@ def pc_dmc(query: ConflictQuery, n: int, seed: SeedLike | Pool) -> PcResult:
 # Independent problems per lockstep engine run: scenario steps in
 # `simulate_scenario`, repetitions and budgets in `pc_ss_batch`.  Each chain
 # step makes one kernel call for its whole group, and that call costs about
-# 0.2 ms before any per-row work, so per-call overhead falls with the group
+# 50-80 us before any per-row work, so per-call overhead falls with the group
 # while memory grows with it.  400-step head-on encounters at N = 100 (seeds
 # 3, 7, 11, 901 and 1234; median over five processes of each process's median
 # encounter, interleaved, on a 2-core Xeon) took, with CCDF tables built only
 # when read:
 #
 #   group  kernel calls  time    peak RSS
-#   16     555           0.48 s  40.0 MB
-#   32     342           0.45 s  40.6 MB
-#   48     271           0.42 s  41.8 MB
-#   64     204           0.40 s  43.0 MB
-#   100    137           0.37 s  46.5 MB
+#   16     555           0.27 s  40.7 MB
+#   32     342           0.23 s  41.3 MB
+#   48     271           0.22 s  42.1 MB
+#   64     204           0.20 s  42.2 MB
+#   100    137           0.19 s  44.4 MB
+#
+# A repeat of the whole measurement on the same shared machine read 0.15 to
+# 0.22 s, not in this order, so the times order the sizes only roughly.
 #
 # The steps' records do not depend on the group size.
 GROUP_SIZE = 64

@@ -141,8 +141,9 @@ class RareEventSystem:
     `conditional_chains` those at or below each chain's threshold.  A row's
     response must not depend on the rows beside it, so that each problem's
     result equals its own one-problem run.  The conflict system's response
-    is the closest approach in continuous time (`_kernels`), the toy's the
-    distance to the disc centre.
+    is the closest approach in continuous time
+    (`dynamics.miss_distance_batch`), the toy's the distance to the disc
+    centre.
     """
 
     mean: np.ndarray
@@ -301,9 +302,12 @@ def _level0(
 
 
 # Most rows `direct_monte_carlo` draws and scores at once, unless one
-# problem alone has more: it bounds the draws, their responses and the
-# evaluation's temporaries while keeping each slice's call large enough
-# for the response's per-call cost not to matter.
+# problem alone has more: it bounds the draws and their responses, while
+# each slice's call stays large enough for the response's per-call cost not
+# to matter.  (The conflict kernel bounds its own temporaries, in blocks of
+# 4,096 rows.)  Without the slices, the traced peak of one 400-step head-on
+# encounter at N = 100 (seed 901, 64 steps a group) rose from 4.75 to
+# 7.67 MB: the draws and responses of a whole group at once.
 _DMC_SLICE_ROWS = 16_384
 
 

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from subsim import rng as _rng
-from subsim._kernels import miss_distance_batch
 from subsim.analysis import (
     CovStudyConfig,
     binomial_cov,
@@ -29,6 +28,7 @@ from subsim.analysis import (
     phase_p2,
 )
 from subsim.conflict import pc_ss, simulate_scenario
+from subsim.dynamics import miss_distance_batch
 from subsim.engine import (
     IntervalVariant,
     SubsetConfig,
@@ -231,7 +231,8 @@ def test_criterion_7_property_suites():
     _, table = pc_ss(q, config, seed=14)
     samples = np.array([row.sample for row in table.rows])
     responses = np.array([row.response for row in table.rows])
-    again, _ = miss_distance_batch(samples, q.observer.as_array(), None, q.horizon)
+    problem = np.zeros(len(samples), np.intp)
+    again, _ = miss_distance_batch(samples, q.observer.as_array()[None], problem, np.full(1, q.horizon))
     assert np.array_equal(again, responses)
     checks += 1
 

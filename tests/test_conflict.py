@@ -12,7 +12,6 @@ import pytest
 import dense
 from subsim import conflict
 from subsim import rng as _rng
-from subsim._kernels import miss_distance_batch
 from subsim.conflict import (
     ConflictQuery,
     conflict_system,
@@ -23,7 +22,7 @@ from subsim.conflict import (
     simulate_scenario,
 )
 from subsim.analysis import CovStudyConfig, cov_study, freeze_phase, phase_p2
-from subsim.dynamics import AircraftState
+from subsim.dynamics import AircraftState, miss_distance_batch
 from subsim.engine import (
     CHAIN_CORRELATION,
     SubsetConfig,
@@ -108,7 +107,9 @@ class TestPcDmc:
 
 def _miss(q, states):
     """The kernel's miss of each state against query `q`'s observer."""
-    return miss_distance_batch(np.atleast_2d(states), q.observer.as_array(), None, q.horizon)[0]
+    states = np.atleast_2d(states)
+    observers, problem = q.observer.as_array()[None], np.zeros(len(states), np.intp)
+    return miss_distance_batch(states, observers, problem, np.full(1, q.horizon))[0]
 
 
 def _whiten(q, states):
@@ -609,7 +610,7 @@ class TestSimulateScenario:
         intruders = np.array([s.intruder for s in steps])
         observers = np.array([s.observer for s in steps])
         problem = np.arange(len(steps))
-        miss, tca = miss_distance_batch(intruders, observers, problem, spec.duration)
+        miss, tca = miss_distance_batch(intruders, observers, problem, np.full(len(steps), spec.duration))
         records = simulate_scenario(spec, CFG, seed=3)
         assert [(r.step, r.miss_true) for r in records] == list(zip(range(1, 401), miss.tolist()))
         grid, _ = dense.miss_distance_scan(intruders, observers, spec.duration, 2000.0, problem)

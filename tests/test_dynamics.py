@@ -5,8 +5,7 @@ import pytest
 
 import dense
 from dense import track_positions
-from subsim._kernels import miss_distance_batch
-from subsim.dynamics import AircraftState, transition_matrix
+from subsim.dynamics import AircraftState, miss_distance_batch, transition_matrix
 
 
 class TestTransitionMatrix:
@@ -79,7 +78,9 @@ def _straight(x0, y0, u, v):
 
 def _approach(observer, intruder, t=20):
     """(miss, time of closest approach) of the intruder to the observer over [0, t]."""
-    miss, tca = miss_distance_batch(intruder.as_array()[None], observer.as_array(), None, t)
+    miss, tca = miss_distance_batch(
+        intruder.as_array()[None], observer.as_array()[None], np.zeros(1, np.intp), np.full(1, t)
+    )
     return float(miss[0]), float(tca[0])
 
 
@@ -127,10 +128,10 @@ class TestMinDistance:
             assert 0.0 <= grid[0] - miss <= v_rel * 0.5 / f
 
     def test_rejects_mismatched_steps(self):
-        # one horizon per observer, or one for all
-        obs = _straight(0, 0, 1, 0).as_array()
+        # one horizon per observer
+        obs = _straight(0, 0, 1, 0).as_array()[None]
         with pytest.raises(ValueError, match="horizon"):
-            miss_distance_batch(np.zeros((1, 6)), obs, None, [2.0, 4.0])
+            miss_distance_batch(np.zeros((1, 6)), obs, np.zeros(1, np.intp), [2.0, 4.0])
 
     def test_points_consistent_with_distance(self):
         obs = _straight(0.0, 0.0, 60.0, 2.0)

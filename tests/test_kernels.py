@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import dense
-from subsim import _kernels
 from subsim import rng as _rng
 from subsim.analysis import freeze_phase, phase_p1, phase_p2
 from subsim.conflict import _cholesky_with_jitter
-from subsim.dynamics import transition_matrix
+from subsim.dynamics import _critical_points, _dots, miss_distance_batch, transition_matrix
 from subsim.engine import RareEventSystem, direct_monte_carlo
 from subsim.scenarios import build_head_on
 
@@ -25,7 +24,12 @@ OBSERVER = np.array([0.0, 100.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def _miss(states, observer=OBSERVER, horizon=200.0, problem=None):
-    return _kernels.miss_distance_batch(np.atleast_2d(states), observer, problem, horizon)
+    """The kernel on one observer (6,), or on K observers (K, 6) with
+    `problem`, all at one horizon."""
+    states = np.atleast_2d(states)
+    if problem is None:
+        observer, problem = observer[None], np.zeros(len(states), np.intp)
+    return miss_distance_batch(states, observer, problem, np.full(len(observer), horizon))
 
 
 def _assert_near_scan(states, observer=OBSERVER, horizon=200.0, problem=None, rate=DENSE_RATE):
@@ -243,13 +247,13 @@ class TestClosedForm:
         assert np.array_equal(miss, [5.0, 0.0]) and np.array_equal(tca, [0.0, 0.0])
 
     def test_inconsistent_track_rejected(self):
-        # the horizon is one value, or one per observer
+        # one horizon per observer
         observers = np.tile(OBSERVER, (2, 1))
         states = np.zeros((4, 6))
         problem = np.array([0, 1, 0, 1])
-        for horizon in (np.full(3, 20.0), np.full((2, 1), 20.0), np.full(4, 20.0)):
+        for horizon in (20.0, np.full(3, 20.0), np.full((2, 1), 20.0), np.full(4, 20.0)):
             with pytest.raises(ValueError, match="horizon"):
-                _kernels.miss_distance_batch(states, observers, problem, horizon)
+                miss_distance_batch(states, observers, problem, horizon)
 
     def test_near_double_root(self):
         # relative y = 60 + v t with v near v*, where the maximum of |q|^2 and
@@ -295,7 +299,7 @@ class TestBound:
         observers = q.observer.as_array() + np.array([[0.0] * 6, [50.0, 1.0, 0, 0, 0, 0], [0, 0, 0, -80.0, 0, 0.01]])
         horizons = np.array([200.0, 20.0, 60.0])
         problem = np.arange(90) % 3
-        miss, tca = _kernels.miss_distance_batch(states, observers, problem, horizons)
+        miss, tca = miss_distance_batch(states, observers, problem, horizons)
         for k in range(3):
             rows = problem == k
             one = _assert_near_scan(states[rows], observers[k], horizons[k])
@@ -373,7 +377,7 @@ class TestBound:
 
     def test_bound_shape_checked(self):
         with pytest.raises(ValueError, match="horizon"):
-            _kernels.miss_distance_batch(np.zeros((3, 6)), OBSERVER, None, np.zeros(2))
+            miss_distance_batch(np.zeros((3, 6)), OBSERVER[None], np.zeros(3, np.intp), np.zeros(2))
 
 
 class TestCriticalPoints:
@@ -384,7 +388,7 @@ class TestCriticalPoints:
         # 3000 and its maximum at 2000
         q = np.array([[3e6], [-4000.0], [1.0], [0.0], [0.0], [0.0]])
         with np.errstate(all="ignore"):  # the branch not taken may divide by zero or take sqrt(-p)
-            roots = _kernels._critical_points(_kernels._dots(q))
+            roots = _critical_points(_dots(q))
         assert roots.shape == (2, 1)
         assert np.allclose(roots[:, 0], [3000.0, 1000.0], rtol=1e-12, atol=0.0)
 
@@ -394,7 +398,7 @@ class TestCriticalPoints:
         # and whose complex pair has real part 0.5
         q = np.array([[0.0], [0.0], [1.0], [3.0], [1.0], [0.0]])
         with np.errstate(all="ignore"):
-            roots = _kernels._critical_points(_kernels._dots(q))
+            roots = _critical_points(_dots(q))
         assert np.allclose(roots[:, 0], [-1.0, 0.5], rtol=1e-12, atol=1e-12)
 
 
@@ -408,7 +412,7 @@ class TestSmallBatches:
         states = OBSERVER + [2000.0, -180.0, 0.2, 150.0, 1.0, -0.1]
         states = states + gen.normal(size=(rows, 6)) * [200.0, 10.0, 0.1, 200.0, 1.0, 0.1]
         problem = np.arange(rows) % k
-        miss, tca = _kernels.miss_distance_batch(states, observers, problem, t)
+        miss, tca = miss_distance_batch(states, observers, problem, np.full(k, t))
         for i in range(rows):
             one = _assert_near_scan(states[i], observers[problem[i]], t)
             assert (one[0][0], one[1][0]) == (miss[i], tca[i])
@@ -422,23 +426,23 @@ class TestSeveralTracks:
         observers = gen.normal(size=(k, 6)) * np.array([500.0, 80.0, 0.5, 500.0, 8.0, 0.5])
         states = gen.normal(size=(rows, 6)) * np.array([2000.0, 80.0, 1.0, 2000.0, 8.0, 1.0])
         problem = gen.integers(0, k, size=rows)
-        return states, observers, problem, 20.0
+        return states, observers, problem, np.full(k, 20.0)
 
     def test_equals_per_track_calls_and_scan(self):
         states, observers, problem, horizon = self._case()
-        miss, tca = _kernels.miss_distance_batch(states, observers, problem, horizon)
-        _assert_near_scan(states, observers, horizon, problem, rate=200.0)
+        miss, tca = miss_distance_batch(states, observers, problem, horizon)
+        _assert_near_scan(states, observers, 20.0, problem, rate=200.0)
         for k in range(len(observers)):
             rows = problem == k
-            one = _kernels.miss_distance_batch(states[rows], observers[k], None, horizon)
+            one = _miss(states[rows], observers[k], 20.0)
             assert np.array_equal(miss[rows], one[0]) and np.array_equal(tca[rows], one[1])
 
     def test_scan_blocks_are_transparent(self, monkeypatch):
         # the dense reference itself: its blocks change no row
         states, observers, problem, horizon = self._case(rows=50)
-        whole = dense.miss_distance_scan(states, observers, horizon, 200.0, problem)
+        whole = dense.miss_distance_scan(states, observers, 20.0, 200.0, problem)
         monkeypatch.setattr(dense, "_BLOCK_POINTS", 9000)  # two rows per block
-        parts = dense.miss_distance_scan(states, observers, horizon, 200.0, problem)
+        parts = dense.miss_distance_scan(states, observers, 20.0, 200.0, problem)
         assert np.array_equal(whole[0], parts[0]) and np.array_equal(whole[1], parts[1])
 
     def test_unsettled_rows_scan_their_own_track(self):
@@ -446,15 +450,15 @@ class TestSeveralTracks:
         # 50 m away at every time: against the other observers they would not be
         states, observers, problem, horizon = self._case(rows=30)
         states[::3] = observers[problem[::3]] + [50.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        miss, _ = _kernels.miss_distance_batch(states, observers, problem, horizon)
+        miss, _ = miss_distance_batch(states, observers, problem, horizon)
         assert np.allclose(miss[::3], 50.0, rtol=1e-9, atol=0.0)
 
     def test_every_track_checked_against_its_state(self):
         states, observers, problem, horizon = self._case(rows=20)
         with pytest.raises(ValueError, match="lie in"):
-            _kernels.miss_distance_batch(states, observers[:2], problem, horizon)
+            miss_distance_batch(states, observers[:2], problem, horizon[:2])
         with pytest.raises(ValueError, match="observer"):
-            _kernels.miss_distance_batch(states, observers[:, :5], problem, horizon)
+            miss_distance_batch(states, observers[:, :5], problem, horizon)
 
     def test_non_finite_track_rejected(self):
         # a non-finite observer gives its own rows a non-finite miss, which
@@ -462,25 +466,27 @@ class TestSeveralTracks:
         states, observers, problem, horizon = self._case(rows=20)
         bad = observers.copy()
         bad[0, 1] = np.nan
-        miss, _ = _kernels.miss_distance_batch(states, bad, problem, horizon)
-        good, _ = _kernels.miss_distance_batch(states, observers, problem, horizon)
+        miss, _ = miss_distance_batch(states, bad, problem, horizon)
+        good, _ = miss_distance_batch(states, observers, problem, horizon)
         assert np.isnan(miss[problem == 0]).all()
         assert np.array_equal(miss[problem != 0], good[problem != 0])
         system = RareEventSystem(
             states[:3], np.tile(np.eye(6), (3, 1, 1)),
-            lambda x, p: _kernels.miss_distance_batch(x, bad, p, horizon)[0],
+            lambda x, p: miss_distance_batch(x, bad, p, horizon)[0],
         )
         with pytest.raises(ValueError, match="non-finite"):
             direct_monte_carlo(system, [10, 10, 10], 152.4, [1, 2, 3])
 
     def test_index_validation(self):
         states, observers, problem, horizon = self._case(rows=20)
-        with pytest.raises(ValueError, match="index"):
-            _kernels.miss_distance_batch(states, observers, None, horizon)
+        # a float index is not truncated, nor a bool read as 0 and 1
+        for bad in (None, problem + 0.9, problem == 1):
+            with pytest.raises(ValueError, match="integers"):
+                miss_distance_batch(states, observers, bad, horizon)
         with pytest.raises(ValueError, match="lie in"):
-            _kernels.miss_distance_batch(states, observers, np.full(20, 3), horizon)
+            miss_distance_batch(states, observers, np.full(20, 3), horizon)
         with pytest.raises(ValueError, match="one index per state"):
-            _kernels.miss_distance_batch(states, observers, problem[:5], horizon)
+            miss_distance_batch(states, observers, problem[:5], horizon)
 
 
 class TestAgainstTrajectoryPath:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dense import track_positions
-from subsim._kernels import miss_distance_batch
+from subsim.dynamics import miss_distance_batch
 from subsim.scenarios import (
     ScenarioKind,
     ScenarioSpec,
@@ -39,7 +39,9 @@ def _sigwrap(value, figures=4):
 
 def _true_min_separation(spec):
     obs, intr = initial_states(spec)
-    miss, tca = miss_distance_batch(intr.as_array()[None, :], obs.as_array(), None, spec.duration)
+    miss, tca = miss_distance_batch(
+        intr.as_array()[None], obs.as_array()[None], np.zeros(1, np.intp), np.full(1, spec.duration)
+    )
     return float(miss[0]), float(tca[0])
 
 
