@@ -4,7 +4,7 @@ A scenario phase (encounter + time instant) is frozen into a single conflict
 query by running the truth/filter loop once; repeated independent estimates
 against that fixed query then isolate estimator randomness from filter noise.
 The SS repetitions of every budget go to one `pc_ss_batch` call, whose
-lockstep groups may mix budgets, and return their estimates only, with no
+lockstep batches may mix budgets, and return their estimates only, with no
 CCDF table.  DMC makes one `pc_dmc` call per budget and repetition.
 """
 

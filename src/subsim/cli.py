@@ -168,6 +168,8 @@ def cmd_scenario(args) -> int:
     )
     out_dir = Path(args.out_dir)
     outputs = [f"{name}_la{la:g}.csv" for la in laterals]
+    if len(set(outputs)) < len(outputs):
+        raise ValueError(f"lateral separations {laterals} would write one csv twice: {outputs}")
     snapshot = {
         "scenario": spec_to_dict(base),
         "lateral_separations": laterals,

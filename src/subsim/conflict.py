@@ -8,12 +8,12 @@ threshold.
 `conflict_system` poses queries as engine problems, as `toy.toy_system` poses
 its disc.  Matched-budget Direct Monte Carlo (the engine's level 0 run alone)
 and subset simulation share that system, and `simulate_scenario` runs both
-across a full encounter while the filter tracks the (noisy-measured) intruder.
+across a full encounter while the filter tracks the (noisy-measured) intruder,
+handing every estimated step to one engine call of each kind.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import operator
@@ -104,13 +104,6 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     )
 
 
-def _check_radius(queries: Sequence[ConflictQuery]) -> None:
-    """Raise ValueError unless the queries share their protected radius."""
-    radii = {q.protected_radius for q in queries}
-    if len(radii) > 1:
-        raise ValueError(f"queries of one batch must share their protected radius: {sorted(radii)}")
-
-
 def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
     """The queries as engine problems, as `toy.toy_system` poses the disc:
     query k's intruder posterior is problem k's prior and its miss distance
@@ -124,7 +117,9 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
     """
     if not queries:
         raise ValueError("at least one query is required")
-    _check_radius(queries)
+    radii = {q.protected_radius for q in queries}
+    if len(radii) > 1:
+        raise ValueError(f"queries of one system must share their protected radius: {sorted(radii)}")
     observer = np.array([q.observer.as_array() for q in queries])
     horizon = np.array([q.horizon for q in queries])
     mean = np.array([q.intruder_estimate.mean.as_array() for q in queries])
@@ -160,55 +155,6 @@ def pc_dmc(query: ConflictQuery, n: int, seed: SeedLike | Pool) -> PcResult:
     """Direct Monte Carlo: fraction of n posterior draws whose trajectories
     conflict.  The draws are those of `pc_ss`'s level 0 at the same seed."""
     return _dmc(conflict_system([query]), query.protected_radius, [n], [seed])[0]
-
-
-# Independent problems per lockstep engine run: scenario steps in
-# `simulate_scenario`, repetitions and budgets in `pc_ss_batch`.  Each chain
-# step makes one kernel call for its whole group, and that call costs about
-# 50-80 us before any per-row work, so per-call overhead falls with the group
-# while memory grows with it.  400-step head-on encounters at N = 100 (seeds
-# 3, 7, 11, 901 and 1234; median over five processes of each process's median
-# encounter, interleaved, on a 2-core Xeon) took, with CCDF tables built only
-# when read:
-#
-#   group  kernel calls  time    peak RSS
-#   16     555           0.27 s  40.7 MB
-#   32     342           0.23 s  41.3 MB
-#   48     271           0.22 s  42.1 MB
-#   64     204           0.20 s  42.2 MB
-#   100    137           0.19 s  44.4 MB
-#
-# A repeat of the whole measurement on the same shared machine read 0.15 to
-# 0.22 s, not in this order, so the times order the sizes only roughly.
-#
-# The steps' records do not depend on the group size.
-GROUP_SIZE = 64
-# Samples per level of a whole group, at most, unless one problem alone has
-# more: `_group_sizes` closes a group before it would pass this, so groups at
-# N = 3,000 (the c.o.v. study's largest budget) hold 16 problems, and a
-# c.o.v. study's budgets share a group while they fit.
-_GROUP_SAMPLES = 48_000
-
-
-def _group_sizes(ns: Sequence[int]) -> list[int]:
-    """Problems per lockstep group, for problems of `ns[i]` samples per level
-    taken in order: each group takes consecutive problems while it holds at
-    most `GROUP_SIZE` of them and `_GROUP_SAMPLES` samples per level, and
-    always at least one."""
-    sizes: list[int] = []
-    count = samples = 0
-    for n in ns:
-        if count and (count == GROUP_SIZE or samples + n > _GROUP_SAMPLES):
-            sizes.append(count)
-            count = samples = 0
-        count += 1
-        samples += n
-    return sizes + [count] if count else sizes
-
-
-def _group_size(config: SubsetConfig) -> int:
-    """Problems per lockstep group when every problem runs under `config`."""
-    return _group_sizes([config.n_samples] * GROUP_SIZE)[0]
 
 
 def _pc(result: SubsetResult) -> PcResult:
@@ -248,29 +194,19 @@ def pc_ss_batch(
 
     `configs` is one config per query, or one config for them all; the
     configs must share `level_probability`.  All the queries must share
-    their protected radius, which is checked before any run; their horizons
-    may differ.
-    Consecutive queries run in one lockstep engine run while the group holds
-    at most `GROUP_SIZE` queries and `_GROUP_SAMPLES` samples per level
-    (`_group_sizes`), so a group may mix budgets.  Result i equals
+    their protected radius; their horizons may differ.  The queries form one
+    `conflict_system` and go to one engine call, which runs them in batches
+    that may mix budgets.  Result i equals
     `pc_ss(queries[i], configs[i], seeds[i])[0]` exactly.
     """
     if len(queries) != len(seeds):
         raise ValueError(f"{len(queries)} queries but {len(seeds)} seeds")
-    if isinstance(configs, SubsetConfig):
-        configs = [configs] * len(queries)
-    elif len(configs) != len(queries):
+    if not isinstance(configs, SubsetConfig) and len(configs) != len(queries):
         raise ValueError(f"{len(queries)} queries but {len(configs)} configs")
-    _check_radius(queries)
-    out = []
-    lo = 0
-    for size in _group_sizes([config.n_samples for config in configs]):
-        hi = lo + size
-        system = conflict_system(queries[lo:hi])
-        radius = queries[lo].protected_radius
-        out += map(_pc, run_subset_simulations(system, configs[lo:hi], radius, seeds[lo:hi]))
-        lo = hi
-    return out
+    if not queries:
+        return []
+    system = conflict_system(queries)
+    return list(map(_pc, run_subset_simulations(system, configs, queries[0].protected_radius, seeds)))
 
 
 @dataclass(eq=False)
@@ -357,47 +293,6 @@ class StepRecord:
     estimate: KalmanEstimate
 
 
-def _estimate_steps(
-    spec: ScenarioSpec,
-    ss_config: SubsetConfig,
-    root: Pool,
-    steps: Sequence[EncounterStep],
-) -> list[StepRecord]:
-    """SS, matched-budget DMC and the true miss distance of a group of steps.
-
-    The three share one `conflict_system` of the group's queries, so its
-    observer stack and Cholesky factors are built once.  `root` is the encounter
-    root's pool, and each step's SS and DMC roots are its child pools for
-    (k, 1) and (k, 2), so no `SeedSequence` is built here.  SS runs the steps
-    in lockstep and reads no table.  DMC draws each step's `samples_used`
-    states from its own stream, child(root, k, 2), and scores the draws of
-    consecutive steps together, so each step's DMC result equals
-    `pc_dmc(step.query(spec), n, child(root, k, 2))`.  The system scores the
-    true states too.
-    """
-    queries = [step.query(spec) for step in steps]
-    system = conflict_system(queries)
-    radius = spec.protected_radius
-    step_roots = [child_pool(root, step.k) for step in steps]
-    ss = list(map(_pc, run_subset_simulations(system, ss_config, radius, children(step_roots, 1))))
-    dmc = _dmc(system, radius, [res.samples_used for res in ss], children(step_roots, 2))
-    truth = np.array([step.intruder for step in steps])
-    miss_true = system.evaluate(truth, np.arange(len(steps)))
-    return [
-        StepRecord(
-            step=step.k,
-            time=step.k * spec.dt,
-            pc_ss=ss_res,
-            pc_dmc=dmc_res,
-            miss_true=float(miss_true[i]),
-            observer_truth=query.observer,
-            intruder_truth=AircraftState.from_array(step.intruder),
-            estimate=step.estimate,
-        )
-        for i, (step, query, ss_res, dmc_res) in enumerate(zip(steps, queries, ss, dmc))
-    ]
-
-
 def simulate_scenario(
     spec: ScenarioSpec,
     ss_config: SubsetConfig,
@@ -412,9 +307,12 @@ def simulate_scenario(
     subsampled run reproduces exactly the records of the full run; a step
     requested twice gives one record, and a step that is not an integer
     (`operator.index` rejects it) or lies outside 1..n_steps raises
-    `ValueError`.  Estimated steps go to the engine in groups of
-    `_group_size(ss_config)`, `pc_ss_batch`'s rule for one budget, which
-    changes no record; no CCDF table is built.
+    `ValueError`.
+
+    SS, DMC and the true miss distance share one `conflict_system` of the
+    estimated steps.  Step k's SS run draws from child(root, k, 1), and its
+    DMC result is `pc_dmc(step.query(spec), n, child(root, k, 2))` with n
+    SS's `samples_used`, root being the seed's pool.  No table is built.
     """
     root = pool(seed)
     try:
@@ -425,9 +323,26 @@ def simulate_scenario(
         outside = sorted(k for k in wanted if not 1 <= k <= spec.n_steps)
         if outside:
             raise ValueError(f"estimate_steps outside 1..{spec.n_steps}: {outside}")
-    steps = (s for s in encounter_steps(spec, root) if wanted is None or s.k in wanted)
-    size = _group_size(ss_config)
-    records: list[StepRecord] = []
-    while group := list(itertools.islice(steps, size)):
-        records += _estimate_steps(spec, ss_config, root, group)
-    return records
+    steps = [s for s in encounter_steps(spec, root) if wanted is None or s.k in wanted]
+    if not steps:
+        return []
+    queries = [step.query(spec) for step in steps]
+    system = conflict_system(queries)
+    radius = spec.protected_radius
+    step_roots = [child_pool(root, step.k) for step in steps]
+    ss = list(map(_pc, run_subset_simulations(system, ss_config, radius, children(step_roots, 1))))
+    dmc = _dmc(system, radius, [res.samples_used for res in ss], children(step_roots, 2))
+    miss_true = system.evaluate(np.array([step.intruder for step in steps]), np.arange(len(steps)))
+    return [
+        StepRecord(
+            step=step.k,
+            time=step.k * spec.dt,
+            pc_ss=ss_res,
+            pc_dmc=dmc_res,
+            miss_true=miss,
+            observer_truth=query.observer,
+            intruder_truth=AircraftState.from_array(step.intruder),
+            estimate=step.estimate,
+        )
+        for step, query, ss_res, dmc_res, miss in zip(steps, queries, ss, dmc, miss_true.tolist())
+    ]

@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -133,7 +133,7 @@ class RareEventSystem:
 
     Problem k's prior is N(mean[k], chol[k] chol[k]^T): `mean` is (K, d) and
     `chol` the (K, d, d) lower Cholesky factors.  The engine runs the problems
-    in lockstep, so each call covers the rows of several problems;
+    in lockstep batches (`_batches`), so each call covers several problems;
     evaluate(samples, problems) maps samples (n, d) to scalar responses
     (smaller = closer to the rare event), row i belonging to problem
     problems[i] (0..K-1).  Every response is exact: level 0 sorts them,
@@ -171,9 +171,9 @@ class SubsetResult:
     The table is assembled (by the module's `assemble_ccdf`) on the first
     read of `table`, then kept.  Until then the result holds its level
     blocks, (sorted responses, sorted samples) pairs that are views of the
-    sorted level arrays of the lockstep run that produced it: an unread
-    result pins those arrays for every problem of that run.  The first read
-    releases them.
+    sorted level arrays of the lockstep batch that produced it: an unread
+    result pins those arrays for every problem of that batch.  The first
+    read releases them.
     """
 
     estimate: float
@@ -301,14 +301,47 @@ def _level0(
     return np.concatenate([m + zk @ c.T for zk, m, c in zip(np.split(z, ends), mean, chol)])
 
 
-# Most rows `direct_monte_carlo` draws and scores at once, unless one
-# problem alone has more: it bounds the draws and their responses, while
-# each slice's call stays large enough for the response's per-call cost not
-# to matter.  (The conflict kernel bounds its own temporaries, in blocks of
-# 4,096 rows.)  Without the slices, the traced peak of one 400-step head-on
-# encounter at N = 100 (seed 901, 64 steps a group) rose from 4.75 to
-# 7.67 MB: the draws and responses of a whole group at once.
-_DMC_SLICE_ROWS = 16_384
+# Problems per batch: `direct_monte_carlo` and `run_subset_simulations` run
+# consecutive problems together, such as a scenario's steps or a c.o.v.
+# study's repetitions and budgets.  Each chain step makes one kernel call
+# for its whole batch, and that call costs about 50-80 us before any
+# per-row work, so per-call overhead falls with the batch while memory
+# grows with it.  400-step head-on encounters at N = 100 (seeds 3, 7, 11,
+# 901 and 1234; median over five processes of each process's median
+# encounter, interleaved, on a 2-core Xeon) took, with CCDF tables built
+# only when read:
+#
+#   batch  kernel calls  time    peak RSS
+#   16     555           0.27 s  40.7 MB
+#   32     342           0.23 s  41.3 MB
+#   48     271           0.22 s  42.1 MB
+#   64     204           0.20 s  42.2 MB
+#   100    137           0.19 s  44.4 MB
+#
+# A repeat of the whole measurement on the same shared machine read 0.15 to
+# 0.22 s, not in this order, so the times order the sizes only roughly.
+#
+# No result depends on the batch size.
+GROUP_SIZE = 64
+# Rows a level (DMC: draws) of a whole batch, at most, unless one problem
+# alone has more.  It bounds a batch's level arrays, or its draws, while each
+# `evaluate` call stays large enough for its per-call cost not to matter; a
+# batch at N = 3,000, a c.o.v. study's largest budget, holds 5 problems.
+_BATCH_ROWS = 16_384
+
+
+def _batches(ns: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The batches of problems with `ns[k]` rows a level, as (lo, hi) index
+    ranges: consecutive problems, at most `GROUP_SIZE` of them and at most
+    `_BATCH_ROWS` rows, and always at least one."""
+    lo = 0
+    while lo < len(ns):
+        hi, rows = lo + 1, ns[lo]
+        while hi < len(ns) and hi - lo < GROUP_SIZE and rows + ns[hi] <= _BATCH_ROWS:
+            rows += ns[hi]
+            hi += 1
+        yield lo, hi
+        lo = hi
 
 
 def direct_monte_carlo(
@@ -319,24 +352,20 @@ def direct_monte_carlo(
 ) -> np.ndarray:
     """Per problem k, how many of its `ns[k]` prior draws respond at or below
     `failure_threshold`.  The draws are level 0 of `run_subset_simulations`
-    from `seeds[k]`.  Consecutive problems are drawn and scored together, one
-    `evaluate` call per slice of at most `_DMC_SLICE_ROWS` rows; a problem is
-    never split, so one with more rows is a slice of its own.  A non-finite response raises `ValueError`, as at
-    every level of an SS run.
+    from `seeds[k]`.  Each batch (`_batches`) is drawn and scored in one
+    `evaluate` call, so a problem is never split.  A sample count that is
+    not a positive integer, and a non-finite response, raise `ValueError`,
+    as at every level of an SS run.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"{len(ns)} sample counts but {len(seeds)} seeds")
-    if len(ns) == 0 or min(ns) < 1:
-        raise ValueError(f"sample counts must be positive, got {list(ns)}")
+    # True would count as one draw, and a float would fail in the stream code
+    if len(ns) == 0 or any(isinstance(n, bool) or not hasattr(n, "__index__") or n < 1 for n in ns):
+        raise ValueError(f"sample counts must be positive integers, got {list(ns)}")
     _check_system(system, len(ns))
     roots = [_rng.pool(seed) for seed in seeds]
     counts = []
-    lo = 0
-    while lo < len(ns):
-        hi, rows = lo + 1, ns[lo]
-        while hi < len(ns) and rows + ns[hi] <= _DMC_SLICE_ROWS:
-            rows += ns[hi]
-            hi += 1
+    for lo, hi in _batches(ns):
         problems = np.repeat(np.arange(lo, hi), ns[lo:hi])
         samples = _level0(system.mean[lo:hi], system.chol[lo:hi], roots[lo:hi], ns[lo:hi])
         responses = system.evaluate(samples, problems)
@@ -344,7 +373,6 @@ def direct_monte_carlo(
             raise ValueError("level 0 produced non-finite responses")
         hits = responses <= failure_threshold
         counts.append(np.bincount(problems[hits] - lo, minlength=hi - lo))
-        lo = hi
     return np.concatenate(counts)
 
 
@@ -426,7 +454,7 @@ def run_subset_simulation(
 
     The case K = 1 of `run_subset_simulations`.
     """
-    return run_subset_simulations(system, config, failure_threshold, [seed])[0]
+    return next(run_subset_simulations(system, config, failure_threshold, [seed]))
 
 
 @dataclass(eq=False)
@@ -445,7 +473,7 @@ def run_subset_simulations(
     configs: SubsetConfig | Sequence[SubsetConfig],
     failure_threshold: float,
     seeds: Sequence[_rng.SeedLike | _rng.Pool],
-) -> list[SubsetResult]:
+) -> Iterator[SubsetResult]:
     """Run problems 0..K-1 of `system` in lockstep, problem k from `seeds[k]`
     under `configs[k]`, or under `configs` itself if it is one config.
 
@@ -456,11 +484,15 @@ def run_subset_simulations(
     at or below `failure_threshold`, or at `max_levels`.  Total cost is N per
     level per problem.
 
+    Every input is checked before this returns.  The iterator returned runs
+    the problems batch by batch (`_batches`) and yields the results in
+    problem order, so a caller that keeps none holds one batch's arrays.
+
     The configs must share `level_probability`, and so the chain length
-    1/p0.  Problems with equal configs form a cohort, whose level arrays
-    are (k, N, ...) blocks; at each level one `rng.standard_normal` call draws
-    the innovations of every cohort's chains and one `conditional_chains`
-    call steps them all.
+    1/p0.  Problems of a batch with equal configs form a cohort, whose level
+    arrays are (k, N, ...) blocks; at each level one `rng.standard_normal`
+    call draws the innovations of every cohort's chains and one
+    `conditional_chains` call steps them all.
 
     Each problem draws level 0 from `child(root_k, 0)` and its chains'
     (N_c, length, d) innovations at level l from `child(root_k, l)`, with
@@ -482,9 +514,20 @@ def run_subset_simulations(
     if len(p0s) > 1:
         raise ValueError(f"configs of one run must share level_probability, got {p0s}")
     _check_system(system, k_all)
+    chol_inv = np.linalg.inv(system.chol)
+
+    def stream():  # a generator expression's loop variable would pin a batch
+        for lo, hi in _batches([c.n_samples for c in configs]):
+            yield from _run_batch(system, chol_inv, configs, failure_threshold, roots, range(lo, hi))
+
+    return stream()
+
+
+def _run_batch(system, chol_inv, configs, failure_threshold, roots, batch: range):
+    """The results of the problems in `batch`, run in lockstep, in order."""
     members: dict[SubsetConfig, list[int]] = {}
-    for k, config in enumerate(configs):
-        members.setdefault(config, []).append(k)
+    for k in batch:
+        members.setdefault(configs[k], []).append(k)
     cohorts = [_Cohort(config, np.array(ks)) for config, ks in members.items()]
     # level 0 is drawn cohort by cohort, so each cohort's rows are contiguous
     order = np.concatenate([c.active for c in cohorts])
@@ -495,11 +538,10 @@ def run_subset_simulations(
     level = 0
     _sort_level(cohorts, samples, responses, level)
     d = system.mean.shape[1]
-    n_s = configs[0].chain_length
-    chol_inv = np.linalg.inv(system.chol)
-    blocks: list = [[] for _ in range(k_all)]
-    thresholds: list[list[float]] = [[] for _ in range(k_all)]
-    results: list = [None] * k_all
+    n_s = configs[batch[0]].chain_length
+    blocks: dict = {k: [] for k in batch}
+    thresholds: dict[int, list[float]] = {k: [] for k in batch}
+    results: dict[int, SubsetResult] = {}
 
     while True:
         stepping, seed_x, seed_r, chain_b, problems, rows = [], [], [], [], [], []
@@ -558,7 +600,7 @@ def run_subset_simulations(
             )
         samples, responses = samples.reshape(-1, d), responses.reshape(-1)
         _sort_level(cohorts, samples, responses, level)
-    return results
+    return [results[k] for k in batch]
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:

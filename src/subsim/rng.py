@@ -5,9 +5,9 @@ step) gets its own counter-based stream derived from one master seed, so
 results do not depend on execution order and independent pieces can run
 together.  The chains of one level share that level's stream: each draws its
 rows of one block, so they advance together.  Independent problems keep their
-own streams when the engine runs them in lockstep groups (a group of scenario
-steps, or the repetitions of a study), so a problem's result does not depend
-on which others share its group.
+own streams when the engine runs them in lockstep batches (of scenario steps,
+or of the repetitions of a study), so a problem's result does not depend on
+which others share its batch.
 
 A stream is defined as a NumPy `SeedSequence` keyed child (`child`) driving
 Philox (`generator`), but every stream the package draws is a pool instead:

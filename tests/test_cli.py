@@ -123,6 +123,19 @@ class TestScenarioCommand:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
+        "lateral, name", [("100.0001,100.0002", "head_on_la100.csv"), ("0,0", "head_on_la0.csv")]
+    )
+    def test_sweep_writing_one_csv_twice_exits_2(self, lateral, name, tmp_path, capsys):
+        # separations that print alike would overwrite each other's csv
+        rc = main(
+            ["scenario", "--preset", "head-on", "--lateral-sep", lateral,
+             "--out-dir", str(tmp_path / "x"), *SCENARIO_ARGS]
+        )
+        assert rc == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
         "name, value",
         [("duration", float("inf")), ("protected_radius", float("nan")), ("sigma_ax2", float("inf"))],
     )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dense
-from subsim import conflict
+from subsim import conflict, engine
 from subsim import rng as _rng
 from subsim.conflict import (
     ConflictQuery,
@@ -64,6 +64,12 @@ class TestPcDmc:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             pc_dmc(_query(HEAD_ON_COLLISION), 0, seed=1)
+
+    @pytest.mark.parametrize("n", [True, 100.0])
+    def test_rejects_non_integer_sample_counts(self, n):
+        # True would count as one draw, and a float would fail in the stream code
+        with pytest.raises(ValueError, match="sample counts must be positive integers"):
+            pc_dmc(_query(HEAD_ON_COLLISION), n, seed=1)
 
     def test_indefinite_covariance_rejected(self):
         cov = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
@@ -444,12 +450,6 @@ class TestPcSsBatch:
         assert batch[2].floor_reached
         assert batch == [pc_ss(q, CFG, seed)[0] for q, seed in zip(self.QUERIES, seeds)]
 
-    def test_groups_are_transparent(self, monkeypatch):
-        seeds = [_rng.child(_rng.derive(50), k) for k in range(4)]
-        whole = pc_ss_batch(self.QUERIES, CFG, seeds)
-        monkeypatch.setattr(conflict, "GROUP_SIZE", 3)
-        assert pc_ss_batch(self.QUERIES, CFG, seeds) == whole
-
     def test_tables_equal_eager_assembly(self, assemble_calls, eager_tables):
         # the queries stop at different levels; pc_ss assembles each table
         # once, as it returns it, and that table equals the one assembled
@@ -462,44 +462,6 @@ class TestPcSsBatch:
         assert len(assemble_calls) == 8
         for a, b in zip(lazy, eager):
             _same_pc(a, b)
-
-    def test_large_n_groups_hold_16_problems(self, monkeypatch):
-        # groups shrink with N so that a group holds at most 48,000 samples a level
-        sizes = []
-        run = conflict.run_subset_simulations
-
-        def recording(system, config, threshold, seeds):
-            sizes.append(len(seeds))
-            return run(system, config, threshold, seeds)
-
-        monkeypatch.setattr(conflict, "run_subset_simulations", recording)
-        config = SubsetConfig(n_samples=3000, level_probability=0.1, max_levels=1)
-        pc_ss_batch([_query(HEAD_ON_COLLISION)] * 20, config, list(range(20)))
-        assert sizes == [16, 4]
-        assert conflict._group_size(SubsetConfig(1000, 0.1)) == 48
-        assert conflict._group_size(CFG) == conflict.GROUP_SIZE == 64
-
-    def test_mixed_configs_equal_one_query_runs(self, monkeypatch):
-        # groups close at GROUP_SIZE queries or before passing _GROUP_SAMPLES
-        # samples a level, whichever comes first, and may mix budgets
-        budgets = (100, 200, 300, 100, 500, 100, 200, 700, 100)
-        configs = [SubsetConfig(n, 0.1, max_levels=4) for n in budgets]
-        queries = [self.QUERIES[k % len(self.QUERIES)] for k in range(len(budgets))]
-        seeds = list(range(30, 30 + len(budgets)))
-        alone = [pc_ss(q, c, seed)[0] for q, c, seed in zip(queries, configs, seeds)]
-        assert len({res.levels_used for res in alone}) > 2
-        groups = []
-        run = conflict.run_subset_simulations
-
-        def recording(system, configs, threshold, seeds):
-            groups.append([config.n_samples for config in configs])
-            return run(system, configs, threshold, seeds)
-
-        monkeypatch.setattr(conflict, "run_subset_simulations", recording)
-        monkeypatch.setattr(conflict, "GROUP_SIZE", 3)
-        monkeypatch.setattr(conflict, "_GROUP_SAMPLES", 600)
-        assert pc_ss_batch(queries, configs, seeds) == alone
-        assert groups == [[100, 200, 300], [100, 500], [100, 200], [700], [100]]
 
     def test_mismatched_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
@@ -514,10 +476,10 @@ class TestPcSsBatch:
         with pytest.raises(ValueError, match="share"):
             conflict_system(queries)
 
-    @pytest.mark.parametrize("before", [conflict.GROUP_SIZE - 1, conflict.GROUP_SIZE])
+    @pytest.mark.parametrize("before", [engine.GROUP_SIZE - 1, engine.GROUP_SIZE])
     def test_batch_on_different_grids_rejected(self, before):
         # the whole list is checked for one protected radius, wherever a
-        # group boundary falls
+        # batch boundary falls
         queries = [_query(HEAD_ON_COLLISION, cov_scale=1e-6)] * before
         queries.append(_query(HEAD_ON_COLLISION, cov_scale=1e-6, radius=100.0))
         with pytest.raises(ValueError, match="must share their protected radius"):
@@ -618,21 +580,6 @@ class TestSimulateScenario:
         assert np.all(grid - miss >= -rounding) and np.all(grid - miss <= gap + rounding)
         assert 12.9 < tca[0] < 13.0 and np.all(tca[:259] > 0.0) and np.all(tca[259:] == 0.0)
 
-    def test_step_groups_change_no_record(self, monkeypatch):
-        spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
-        grouped = simulate_scenario(spec, CFG, seed=19)
-        monkeypatch.setattr(conflict, "GROUP_SIZE", 1)
-        single = simulate_scenario(spec, CFG, seed=19)
-        assert len(grouped) == len(single) == 10
-        for a, b in zip(grouped, single):
-            assert (a.step, a.time, a.pc_ss, a.pc_dmc, a.miss_true) == (
-                b.step, b.time, b.pc_ss, b.pc_dmc, b.miss_true
-            )
-            assert (a.observer_truth, a.intruder_truth, a.estimate.mean) == (
-                b.observer_truth, b.intruder_truth, b.estimate.mean
-            )
-            assert np.array_equal(a.estimate.covariance, b.estimate.covariance)
-
     def test_builds_no_table(self, assemble_calls):
         spec = build_head_on(300.0, 2000.0, duration=1.0, sample_rate=10.0)
         records = simulate_scenario(spec, CFG, seed=19)
@@ -640,9 +587,11 @@ class TestSimulateScenario:
         assert assemble_calls == []
 
     def test_encounter_peak_memory(self):
-        # one 400-step head-on encounter peaks at 5.9 MB of traced
-        # allocations with 64 steps a group (3.3 MB with 16 steps and eager
-        # tables); the 8 MB bound leaves a 36% margin for NumPy versions
+        # one 400-step head-on encounter peaks at 5.2 MB of traced
+        # allocations (NumPy 2.4), one batch's level arrays at a time; the
+        # 6.5 MB bound leaves a 24% margin for NumPy versions, and fails an
+        # engine that returns all results at once (8.7 MB) or one whose
+        # batches have no row cap (9.9 MB)
         spec = build_head_on(0.0, 2000.0)
         tracemalloc.start()
         try:
@@ -651,7 +600,7 @@ class TestSimulateScenario:
         finally:
             tracemalloc.stop()
         assert len(records) == 400
-        assert peak < 8_000_000
+        assert peak < 6_500_000
 
     def test_dmc_equals_pc_dmc_of_each_step(self):
         # the group's draws go through one kernel call; each step's result
@@ -852,9 +801,9 @@ class TestBoundedResponses:
         k = len(system.mean)
         seeds = [_rng.pool(50 + j) for j in range(k)]
         calls.clear()
-        grouped = run_subset_simulations(system, CFG, radius, seeds)
+        grouped = list(run_subset_simulations(system, CFG, radius, seeds))
         assert calls and all(call[1] == (k, 6) for call in calls)
-        own = run_subset_simulations(alone, CFG, radius, seeds)
+        own = list(run_subset_simulations(alone, CFG, radius, seeds))
         for a, b in zip(grouped, own):
             assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
             assert np.array_equal(a.table.responses, b.table.responses)
@@ -873,4 +822,4 @@ class TestBoundedResponses:
         with pytest.raises(ValueError, match="non-finite"):
             direct_monte_carlo(bad, [100] * len(mean), radius, seeds)
         with pytest.raises(ValueError, match="level 0 produced non-finite"):
-            run_subset_simulations(bad, CFG, radius, seeds)
+            list(run_subset_simulations(bad, CFG, radius, seeds))

@@ -1,4 +1,4 @@
-"""Engine unit tests: interval ladders, thresholds, seeds, CCDF assembly, read-off."""
+"""Engine unit tests: interval ladders, thresholds, seeds, CCDF assembly, read-off, batches."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 
 from subsim import engine
 from subsim import rng as _rng
+from subsim.conflict import simulate_scenario
 from subsim.engine import (
     CHAIN_CORRELATION,
     CcdfTable,
@@ -23,6 +24,7 @@ from subsim.engine import (
     run_subset_simulations,
     select_seeds,
 )
+from subsim.scenarios import build_head_on
 
 CFG = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=7)
 CFG_STD = SubsetConfig(
@@ -548,7 +550,7 @@ class TestLockstepProblems:
         # with no rare sample (shift 50), interleaved in the batch
         shifts = (4.0, 0.0, 50.0, 4.0)
         seeds = (5, 6, 7, 8)
-        batch = run_subset_simulations(_line_system(shifts), CFG, 0.5, seeds)
+        batch = list(run_subset_simulations(_line_system(shifts), CFG, 0.5, seeds))
         assert len(batch) == len(shifts)
         levels = [r.diagnostics.levels_completed for r in batch]
         assert levels[1] == 1
@@ -561,7 +563,7 @@ class TestLockstepProblems:
     def test_fixed_level_batch_equals_one_problem_runs(self):
         # problems that never reach the rare count run every level to the cap
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
-        batch = run_subset_simulations(_line_system((0.0, 3.0)), cfg, 0.0, (9, 10))
+        batch = list(run_subset_simulations(_line_system((0.0, 3.0)), cfg, 0.0, (9, 10)))
         for shift, seed, result in zip((0.0, 3.0), (9, 10), batch):
             assert result.diagnostics.levels_completed == 4
             _assert_same_result(result, run_subset_simulation(_line_system(shift), cfg, 0.0, seed))
@@ -570,7 +572,7 @@ class TestLockstepProblems:
         # level l of problem k comes from child(derive(seeds[k]), l), whatever
         # else runs beside it
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=3)
-        batch = run_subset_simulations(_line_system((5.0, 6.0)), cfg, 0.0, (3, 4))
+        batch = list(run_subset_simulations(_line_system((5.0, 6.0)), cfg, 0.0, (3, 4)))
         for shift, seed, result in zip((5.0, 6.0), (3, 4), batch):
             _assert_level_streams(_line_system(shift), result, seed, cfg)
 
@@ -594,7 +596,7 @@ class TestLockstepProblems:
         # at max_levels with no rare sample (shift 50), at both level caps
         shifts = (4.0, 0.0, 50.0, 4.0, 4.0, 50.0, 3.0)
         seeds = range(20, 27)
-        batch = run_subset_simulations(_line_system(shifts), self.MIXED, 0.5, seeds)
+        batch = list(run_subset_simulations(_line_system(shifts), self.MIXED, 0.5, seeds))
         levels = [r.diagnostics.levels_completed for r in batch]
         assert levels[1] == 1
         assert levels[2] == 4 and batch[2].diagnostics.floor_reached
@@ -621,7 +623,7 @@ class TestLockstepProblems:
         monkeypatch.setattr(_rng, "standard_normal", counting_draw)
         monkeypatch.setattr(engine, "conditional_chains", counting_step)
         shifts = (50.0,) * len(self.MIXED)
-        batch = run_subset_simulations(_line_system(shifts), self.MIXED, 0.0, range(7))
+        batch = list(run_subset_simulations(_line_system(shifts), self.MIXED, 0.0, range(7)))
         assert [r.diagnostics.levels_completed for r in batch] == [7, 7, 4, 7, 7, 7, 7]
         seeds_per_level = [cfg.n_chains for cfg in self.MIXED]
         assert draws[0] == sum(cfg.n_samples for cfg in self.MIXED)  # level 0
@@ -643,7 +645,7 @@ class TestLockstepProblems:
         # run equals the one assembled when its problem stopped
         seeds = (3, 4, 5)
         system = _line_system((0.0, 4.0, 6.0))
-        lazy = run_subset_simulations(system, CFG, 0.1, seeds)
+        lazy = list(run_subset_simulations(system, CFG, 0.1, seeds))
         assert len({r.diagnostics.levels_completed for r in lazy}) == 3
         assert assemble_calls == []
         tables = [r.table for r in lazy]
@@ -652,7 +654,7 @@ class TestLockstepProblems:
         assert all(r.table is t for r, t in zip(lazy, tables))
         assert len(assemble_calls) == 3
         eager_tables()
-        eager = run_subset_simulations(system, CFG, 0.1, seeds)
+        eager = list(run_subset_simulations(system, CFG, 0.1, seeds))
         assert len(assemble_calls) == 6
         for a, b in zip(lazy, eager):
             assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
@@ -670,7 +672,7 @@ class TestDirectMonteCarlo:
         shifts, seeds = (0.0, 1.0, 2.0), (5, 6, 7)
         system = _line_system(shifts)
         counts = direct_monte_carlo(system, [100] * 3, 0.5, seeds)
-        one_level = run_subset_simulations(system, SubsetConfig(100, 0.1, 1), 0.5, seeds)
+        one_level = list(run_subset_simulations(system, SubsetConfig(100, 0.1, 1), 0.5, seeds))
         assert counts.tolist() == [r.diagnostics.conflict_count for r in one_level]
         assert 0 < counts.min() and counts.max() < 100
 
@@ -683,7 +685,8 @@ class TestDirectMonteCarlo:
 
     def test_slices_hold_whole_problems(self, monkeypatch, assemble_calls):
         # with a 100-row cap, consecutive problems share a call while they
-        # fit, a larger problem is a call of its own, and none is split
+        # fit, a larger problem is a call of its own, and none is split; with
+        # one problem a batch, each problem is a call of its own
         shifts, ns, seeds = (0.0, 1.0, 0.0, 0.5, 2.0), [40, 50, 300, 60, 41], (3, 4, 5, 6, 7)
         system = _line_system(shifts)
         calls = []
@@ -696,12 +699,16 @@ class TestDirectMonteCarlo:
         whole = direct_monte_carlo(recorded, ns, 0.7, seeds)
         assert len(calls) == 1
         calls.clear()
-        monkeypatch.setattr(engine, "_DMC_SLICE_ROWS", 100)
+        monkeypatch.setattr(engine, "_BATCH_ROWS", 100)
         sliced = direct_monte_carlo(recorded, ns, 0.7, seeds)
         assert sliced.tolist() == whole.tolist()
         assert whole.min() > 0
         assert [np.unique(p).tolist() for p in calls] == [[0, 1], [2], [3], [4]]
         assert np.array_equal(np.concatenate(calls), np.repeat(np.arange(5), ns))
+        calls.clear()
+        monkeypatch.setattr(engine, "GROUP_SIZE", 1)
+        assert direct_monte_carlo(recorded, ns, 0.7, seeds).tolist() == whole.tolist()
+        assert [np.unique(p).tolist() for p in calls] == [[k] for k in range(5)]
         assert assemble_calls == []
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -729,3 +736,101 @@ class TestDirectMonteCarlo:
     def test_invalid_calls_rejected(self, ns, seeds, match):
         with pytest.raises(ValueError, match=match):
             direct_monte_carlo(_line_system(), ns, 0.5, seeds)
+
+
+class TestBatches:
+    """`run_subset_simulations` runs consecutive problems together, at most
+    `GROUP_SIZE` of them and `_BATCH_ROWS` rows a level, and no result
+    depends on where the batches end."""
+
+    SHIFTS = (4.0, 0.0, 50.0, 4.0, 3.0, 5.0, 0.5, 4.0, 50.0)
+
+    @staticmethod
+    def _recorded_batches(monkeypatch):
+        """The problems of each batch that the engine runs from now on."""
+        batches = []
+        run = engine._run_batch
+
+        def recording(*args):
+            batches.append(list(args[-1]))
+            return run(*args)
+
+        monkeypatch.setattr(engine, "_run_batch", recording)
+        return batches
+
+    def test_batches_are_transparent(self, monkeypatch):
+        seeds = [_rng.child(_rng.derive(50), k) for k in range(len(self.SHIFTS))]
+        system = _line_system(self.SHIFTS)
+        whole = list(run_subset_simulations(system, CFG, 0.5, seeds))
+        batches = self._recorded_batches(monkeypatch)
+        monkeypatch.setattr(engine, "GROUP_SIZE", 4)
+        for a, b in zip(run_subset_simulations(system, CFG, 0.5, seeds), whole, strict=True):
+            _assert_same_result(a, b)
+        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8]]
+
+    def test_large_n_batches_hold_5_problems(self, monkeypatch):
+        # batches shrink with N so that a batch holds at most 16,384 rows a level
+        batches = self._recorded_batches(monkeypatch)
+        config = SubsetConfig(n_samples=3000, level_probability=0.1, max_levels=1)
+        results = run_subset_simulations(_line_system((0.0,) * 12), config, 0.5, range(12))
+        assert len(list(results)) == 12
+        assert [len(b) for b in batches] == [5, 5, 2]
+        assert [hi - lo for lo, hi in engine._batches([1000] * 20)] == [16, 4]
+        assert [hi - lo for lo, hi in engine._batches([100] * 70)] == [engine.GROUP_SIZE, 6]
+
+    def test_batches_mix_budgets(self, monkeypatch):
+        # batches close at GROUP_SIZE problems or before passing _BATCH_ROWS
+        # rows a level, whichever comes first, and may mix budgets
+        budgets = (100, 200, 300, 100, 500, 100, 200, 700, 100)
+        configs = [SubsetConfig(n, 0.1, max_levels=4) for n in budgets]
+        seeds = range(30, 30 + len(budgets))
+        alone = [
+            run_subset_simulation(_line_system(shift), config, 0.5, seed)
+            for shift, config, seed in zip(self.SHIFTS, configs, seeds)
+        ]
+        assert len({res.diagnostics.levels_completed for res in alone}) > 2
+        batches = self._recorded_batches(monkeypatch)
+        monkeypatch.setattr(engine, "GROUP_SIZE", 3)
+        monkeypatch.setattr(engine, "_BATCH_ROWS", 600)
+        stream = run_subset_simulations(_line_system(self.SHIFTS), configs, 0.5, seeds)
+        for a, b in zip(stream, alone, strict=True):
+            _assert_same_result(a, b)
+        assert [[budgets[k] for k in b] for b in batches] == [
+            [100, 200, 300], [100, 500], [100, 200], [700], [100]
+        ]
+
+    def test_results_stream_batch_by_batch(self, monkeypatch):
+        # the call checks its inputs and runs nothing; each batch's results
+        # are yielded before the next batch's first evaluate call
+        events = []
+        system = _line_system(self.SHIFTS[:4])
+
+        def evaluate(x, problems):
+            events.append(("evaluate", sorted(set(problems.tolist()))))
+            return system.evaluate(x, problems)
+
+        monkeypatch.setattr(engine, "GROUP_SIZE", 2)
+        recorded = RareEventSystem(system.mean, system.chol, evaluate)
+        stream = run_subset_simulations(recorded, CFG, 0.5, range(4))
+        assert events == []
+        for k, _ in enumerate(stream):
+            events.append(("result", k))
+        first = events.index(("evaluate", [2, 3]))
+        assert events[first - 2 : first] == [("result", 0), ("result", 1)]
+        assert all(e[0] == "evaluate" and set(e[1]) <= {0, 1} for e in events[: first - 2])
+        assert events[-2:] == [("result", 2), ("result", 3)]
+
+    def test_scenario_batches_change_no_record(self, monkeypatch):
+        spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
+        batched = simulate_scenario(spec, CFG, seed=19)
+        monkeypatch.setattr(engine, "GROUP_SIZE", 1)
+        single = simulate_scenario(spec, CFG, seed=19)
+        assert len(batched) == len(single) == 10
+        for a, b in zip(batched, single):
+            assert (a.step, a.time, a.pc_ss, a.pc_dmc, a.miss_true) == (
+                b.step, b.time, b.pc_ss, b.pc_dmc, b.miss_true
+            )
+            assert (a.observer_truth, a.intruder_truth, a.estimate.mean) == (
+                b.observer_truth, b.intruder_truth, b.estimate.mean
+            )
+            assert np.array_equal(a.estimate.covariance, b.estimate.covariance)

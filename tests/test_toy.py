@@ -346,7 +346,7 @@ class TestLockstepProblems:
     def test_fixed_level_batch_equals_ss_toy(self):
         # three levels cannot reach the rare count, so every problem runs to the cap
         seeds = (5, 6, 7)
-        batch = run_subset_simulations(_toy_copies(len(seeds)), std_config(3), REGION.radius, seeds)
+        batch = list(run_subset_simulations(_toy_copies(len(seeds)), std_config(3), REGION.radius, seeds))
         for seed, result in zip(seeds, batch):
             assert result.diagnostics.levels_completed == 3
             self._assert_same(result, ss_toy(REGION, std_config(3), seed=seed))
@@ -354,7 +354,7 @@ class TestLockstepProblems:
     def test_early_stops_at_different_levels(self):
         # the problems stop after different numbers of levels, each as it would alone
         seeds = tuple(range(20, 28))
-        batch = run_subset_simulations(_toy_copies(len(seeds)), std_config(7), REGION.radius, seeds)
+        batch = list(run_subset_simulations(_toy_copies(len(seeds)), std_config(7), REGION.radius, seeds))
         levels = {r.diagnostics.levels_completed for r in batch}
         assert len(levels) > 1
         for seed, result in zip(seeds, batch):
