@@ -143,11 +143,12 @@ def _dmc(
     system: RareEventSystem, radius: float, ns: Sequence[int], seeds: Sequence[SeedLike | Pool]
 ) -> list[PcResult]:
     """Direct Monte Carlo on every query of `system`, query k on `ns[k]` draws
-    from `seeds[k]`, in one engine call; result k equals `pc_dmc` of query k."""
+    from `seeds[k]`, in one engine call; result k equals `pc_dmc` of query k.
+    A NumPy integer count gives the Python numbers a Python `int` gives."""
     counts = direct_monte_carlo(system, ns, radius, seeds)
     return [
         PcResult(pc=c / n, conflict_count=c, levels_used=1, samples_used=n, floor_reached=False)
-        for n, c in zip(ns, counts.tolist())
+        for n, c in zip(map(operator.index, ns), counts.tolist())
     ]
 
 

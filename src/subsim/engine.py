@@ -9,11 +9,12 @@ per-level populations merge into a CCDF table when a caller reads it.
 
 The engine is parameterized over a system with a Gaussian prior (mean and
 Cholesky factor per problem) and a response function.  It owns the one
-conditional-sampling chain: in whitened coordinates a candidate
-z' = rho z + sqrt(1 - rho^2) xi leaves the prior invariant and is accepted iff
-its response stays within the level, so each level samples the prior
-restricted to that level (Au & Beck 2001).  Samples are ndarrays with a
-leading sample axis.  Smaller response means closer to the rare event.
+conditional-sampling chain: in the prior's own coordinates a candidate
+x' = rho x + (1 - rho) mean + sqrt(1 - rho^2) L xi leaves the prior
+N(mean, L L^T) invariant and is accepted iff its response stays within the
+level, so each level samples the prior restricted to that level (Au & Beck
+2001).  Samples are ndarrays with a leading sample axis.  Smaller response
+means closer to the rare event.
 """
 
 from __future__ import annotations
@@ -376,15 +377,14 @@ def direct_monte_carlo(
     return np.concatenate(counts)
 
 
-# Correlation between successive whitened chain states.  0.8 accepted about
-# 35% of candidates at the long-range phase p2 of the conflict c.o.v. study.
+# Correlation between successive chain states.  0.8 accepted about 35% of
+# candidates at the long-range phase p2 of the conflict c.o.v. study.
 CHAIN_CORRELATION = 0.8
 _INNOVATION_SCALE = math.sqrt(1.0 - CHAIN_CORRELATION**2)
 
 
 def conditional_chains(
     system: RareEventSystem,
-    chol_inv: np.ndarray,
     seeds: np.ndarray,
     seed_responses: np.ndarray,
     thresholds: np.ndarray,
@@ -393,25 +393,25 @@ def conditional_chains(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional chains whose responses stay within their thresholds.
 
-    Conditional sampling in whitened coordinates z = L^-1 (x - mean), with L
-    the chain's problem's Cholesky factor and `chol_inv` the stacked inverses
-    of `system.chol`: each standard-normal row xi of a chain's innovations
-    proposes z' = rho z + sqrt(1 - rho^2) xi, which moves every component and
-    leaves the prior invariant, and the candidate is accepted iff its response
-    is at most the chain's threshold.  The chains' stationary law is
-    therefore the prior restricted to the level, as the p0^m * D / N
-    read-off assumes.
+    Conditional sampling in the prior's own coordinates: with mean and L the
+    chain's problem's prior mean and Cholesky factor, each standard-normal
+    row xi of a chain's innovations proposes
+    x' = rho x + (1 - rho) mean + sqrt(1 - rho^2) L xi, which moves every
+    component and leaves the prior N(mean, L L^T) invariant, and the
+    candidate is accepted iff its response is at most the chain's threshold.
+    The chains' stationary law is therefore the prior restricted to the
+    level, as the p0^m * D / N read-off assumes.
 
     Chain j belongs to problem `problems[j]`, starts at `seeds[j]` and
     consumes `innovations[j]`, of shape (length, d).  The chains are
     independent, so they advance in lockstep: one `evaluate` call per step
-    covers every chain.  Whitening goes
-    through stacked per-chain matmuls, which round as a lone `chol @ z`
-    does, so a chain's values do not depend on which other chains run
-    beside it.  The scaled innovations are written into the samples'
-    buffer, where step k reads its column before storing its sample there,
-    so they need no (m, length, d) array of their own and the caller's
-    innovations are left as they were.
+    covers every chain.  The drift (1 - rho) mean + sqrt(1 - rho^2) L xi
+    does not depend on the chain's state, so every step's is formed up
+    front, by one stacked matmul whose products are per chain: a chain's
+    values do not depend on which other chains run beside it.  The drifts
+    are written into the samples' buffer, where step k reads its column
+    before storing its sample there, so they need no (m, length, d) array of
+    their own and the caller's innovations are left as they were.
 
     Returns the samples (m, length, d) and their responses (m, length).
     """
@@ -425,18 +425,18 @@ def conditional_chains(
             f"seed {j} violates the threshold: response {seed_responses[j]:.6g} > {thresholds[j]:.6g}"
         )
     problems = np.asarray(problems, dtype=np.intp)
-    mean, chol = system.mean[problems], system.chol[problems]
+    # a contiguous L^T per chain halves the matmul's time against a transposed view
+    chol_t = system.chol[problems].transpose(0, 2, 1).copy()
+    out_x = np.matmul(innovations, chol_t, dtype=np.float64)
+    out_x *= _INNOVATION_SCALE
+    out_x += ((1.0 - CHAIN_CORRELATION) * system.mean[problems])[:, None]
+    out_r = np.empty((m, length))
     cur = np.array(seeds, dtype=np.float64).reshape(m, d)
     cur_r = seed_responses
-    z = (chol_inv[problems] @ (cur - mean)[:, :, None])[:, :, 0]
-    out_x = np.multiply(innovations, _INNOVATION_SCALE, dtype=np.float64)
-    out_r = np.empty((m, length))
     for k in range(length):
-        cand_z = CHAIN_CORRELATION * z + out_x[:, k]
-        cand = mean + (chol @ cand_z[:, :, None])[:, :, 0]
+        cand = CHAIN_CORRELATION * cur + out_x[:, k]
         cand_r = system.evaluate(cand, problems)
         ok = cand_r <= thresholds
-        z = np.where(ok[:, None], cand_z, z)
         cur = np.where(ok[:, None], cand, cur)
         cur_r = np.where(ok, cand_r, cur_r)
         out_x[:, k] = cur
@@ -514,16 +514,15 @@ def run_subset_simulations(
     if len(p0s) > 1:
         raise ValueError(f"configs of one run must share level_probability, got {p0s}")
     _check_system(system, k_all)
-    chol_inv = np.linalg.inv(system.chol)
 
     def stream():  # a generator expression's loop variable would pin a batch
         for lo, hi in _batches([c.n_samples for c in configs]):
-            yield from _run_batch(system, chol_inv, configs, failure_threshold, roots, range(lo, hi))
+            yield from _run_batch(system, configs, failure_threshold, roots, range(lo, hi))
 
     return stream()
 
 
-def _run_batch(system, chol_inv, configs, failure_threshold, roots, batch: range):
+def _run_batch(system, configs, failure_threshold, roots, batch: range):
     """The results of the problems in `batch`, run in lockstep, in order."""
     members: dict[SubsetConfig, list[int]] = {}
     for k in batch:
@@ -584,7 +583,6 @@ def _run_batch(system, chol_inv, configs, failure_threshold, roots, batch: range
         chain_b = _joined(chain_b)
         samples, responses = conditional_chains(
             system,
-            chol_inv,
             _joined(seed_x),
             _joined(seed_r),
             chain_b,

@@ -48,17 +48,8 @@ class CircleRegion:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
 
-def distance_to_center(sample: Point2, region: CircleRegion) -> float:
-    """Euclidean distance from the sample to the region center.
-
-    Written as sqrt(dx*dx + dy*dy) so scalar and batch paths agree bit for bit.
-    """
-    dx = sample.x - region.center.x
-    dy = sample.y - region.center.y
-    return math.sqrt(dx * dx + dy * dy)
-
-
 def _distances(xy: np.ndarray, center: np.ndarray) -> np.ndarray:
+    # sqrt(dx*dx + dy*dy), not hypot, so the tests' scalar reference agrees bit for bit
     d = xy - center
     return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 

@@ -71,6 +71,14 @@ class TestPcDmc:
         with pytest.raises(ValueError, match="sample counts must be positive integers"):
             pc_dmc(_query(HEAD_ON_COLLISION), n, seed=1)
 
+    def test_numpy_count_gives_python_numbers(self):
+        q = _query(HEAD_ON_OFFSET)
+        res, ref = pc_dmc(q, np.int64(100), 1), pc_dmc(q, 100, 1)
+        assert res == ref
+        types = [[type(v) for v in dataclasses.astuple(r)] for r in (res, ref)]
+        assert types[0] == types[1]
+        assert type(res.pc) is float and type(res.samples_used) is int
+
     def test_indefinite_covariance_rejected(self):
         cov = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
         q = ConflictQuery(
@@ -126,10 +134,7 @@ def _whiten(q, states):
 def _batch_chains(queries, seed_states, seed_misses, thresholds, innovations, problems):
     """The engine's chains on the conflict system of `queries`."""
     system = conflict_system(queries)
-    return conditional_chains(
-        system, np.linalg.inv(system.chol), seed_states, seed_misses, thresholds, innovations,
-        problems,
-    )
+    return conditional_chains(system, seed_states, seed_misses, thresholds, innovations, problems)
 
 
 def _run_chains(q, seed_states, threshold, innovations):
@@ -196,20 +201,21 @@ class TestAcceptanceRatio:
 
 
 def _reference_chain(q, seed_state, threshold, innovations):
-    """One chain, one state at a time, with per-state matvecs and one-state kernel calls."""
+    """One chain, one state at a time with one-state kernel calls:
+    x' = rho x + (1 - rho) mean + sqrt(1 - rho^2) L xi, the innovations
+    coloured in one matmul by a contiguous L^T, as the engine colours a chain's."""
     mean = q.intruder_estimate.mean.as_array()
     chol = np.linalg.cholesky(q.intruder_estimate.covariance)
     cur = seed_state
     cur_miss = float(_miss(q, cur)[0])
-    z = np.linalg.inv(chol) @ (cur - mean)
-    steps = math.sqrt(1.0 - CHAIN_CORRELATION**2) * innovations
+    colour = innovations @ np.ascontiguousarray(chol.T)
+    drifts = math.sqrt(1.0 - CHAIN_CORRELATION**2) * colour + (1.0 - CHAIN_CORRELATION) * mean
     out_x, out_r = [], []
-    for step in steps:
-        cand_z = CHAIN_CORRELATION * z + step
-        cand = mean + chol @ cand_z
+    for drift in drifts:
+        cand = CHAIN_CORRELATION * cur + drift
         cand_miss = float(_miss(q, cand)[0])
         if cand_miss <= threshold:
-            z, cur, cur_miss = cand_z, cand, cand_miss
+            cur, cur_miss = cand, cand_miss
         out_x.append(cur)
         out_r.append(cur_miss)
     return np.array(out_x), np.array(out_r)
@@ -785,13 +791,10 @@ class TestBoundedResponses:
         responses = system.evaluate(seeds, problems)
         thresholds = responses * gen.uniform(1.0, 1.3, k * m)
         innovations = gen.standard_normal((k * m, 10, 6))
-        chol_inv = np.linalg.inv(system.chol)
         calls.clear()
-        x, r = conditional_chains(system, chol_inv, seeds, responses, thresholds, innovations, problems)
+        x, r = conditional_chains(system, seeds, responses, thresholds, innovations, problems)
         self._assert_traced(calls, k, [k * m] * 10)
-        ref_x, ref_r = conditional_chains(
-            alone, chol_inv, seeds, responses, thresholds, innovations, problems
-        )
+        ref_x, ref_r = conditional_chains(alone, seeds, responses, thresholds, innovations, problems)
         assert np.array_equal(x, ref_x) and np.array_equal(r, ref_r)
         moved = (x != seeds[:, None]).any(axis=2)
         assert 0 < moved.sum() < moved.size

@@ -7,7 +7,7 @@ import pytest
 
 from subsim import engine
 from subsim import rng as _rng
-from subsim.conflict import simulate_scenario
+from subsim.conflict import _cholesky_with_jitter, simulate_scenario
 from subsim.engine import (
     CHAIN_CORRELATION,
     CcdfTable,
@@ -301,8 +301,7 @@ def _assert_level_streams(system, result, seed, cfg):
         assert b == result.diagnostics.thresholds[level - 1]
         innovations = _rng.generator(_rng.child(root, level)).standard_normal((n_c, n_s, d))
         x, r = conditional_chains(
-            system, np.linalg.inv(system.chol), x[-n_c:], r[-n_c:], np.full(n_c, b), innovations,
-            np.zeros(n_c, dtype=int),
+            system, x[-n_c:], r[-n_c:], np.full(n_c, b), innovations, np.zeros(n_c, dtype=int),
         )
         x, r = x.reshape(n, d), r.reshape(n)
     assert np.array_equal(result.table.samples, np.concatenate(kept_x))
@@ -370,7 +369,7 @@ class TestRunSubsetSimulation:
         assert not np.array_equal(r1.table.responses, r2.table.responses)
 
     def test_chain_threshold_violation_raises(self, monkeypatch):
-        def bad_chains(system, chol_inv, seeds, seed_resps, thresholds, innovations, problems):
+        def bad_chains(system, seeds, seed_resps, thresholds, innovations, problems):
             # one sample of the whole batch lies beyond its chain's threshold
             m, length, d = innovations.shape
             out = np.repeat(seeds[:, None], length, axis=1)
@@ -442,6 +441,15 @@ def _chol(d, seed):
     return np.linalg.cholesky(a @ a.T + d * np.eye(d))
 
 
+def _drifts(chol, mean, innovations):
+    """The state-free part of each step of one chain, (1 - rho) mean +
+    sqrt(1 - rho^2) L xi, its (length, d) innovations coloured in one matmul
+    by a contiguous L^T, as the engine colours a chain's, so the two round
+    alike."""
+    colour = innovations @ np.ascontiguousarray(chol.T)
+    return math.sqrt(1.0 - CHAIN_CORRELATION**2) * colour + (1.0 - CHAIN_CORRELATION) * mean
+
+
 class TestConditionalChains:
     """The engine's one chain kernel, on hand-made Gaussian problems."""
 
@@ -455,7 +463,7 @@ class TestConditionalChains:
         seeds = np.atleast_2d(seeds)
         m = len(seeds)
         return conditional_chains(
-            system, np.linalg.inv(system.chol), seeds, system.evaluate(seeds, np.zeros(m, int)),
+            system, seeds, system.evaluate(seeds, np.zeros(m, int)),
             np.broadcast_to(thresholds, (m,)), innovations, np.zeros(m, dtype=int),
         )
 
@@ -473,6 +481,32 @@ class TestConditionalChains:
         scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
         assert np.all(np.abs(np.cov(x.T) - cov) < 0.1 * scale)
 
+    def test_near_singular_prior_keeps_mean_and_covariance(self):
+        # a rank-3 covariance in six dimensions factors only with diagonal
+        # jitter; the chain needs no inverse of that factor, and with an
+        # infinite threshold it keeps the prior's mean and covariance and
+        # stays within the jitter's spread off the prior's support
+        gen = _rng.generator(_rng.derive(5))
+        basis = gen.standard_normal((6, 3))
+        cov = basis @ basis.T
+        chol = _cholesky_with_jitter(cov)
+        jitter = (chol @ chol.T - cov)[0, 0]
+        assert 0.0 < jitter < 1e-6 * cov.diagonal().max()
+        mean = gen.standard_normal((1, 6))
+        system = RareEventSystem(mean, chol[None], _abs_first_column)
+        innovations = gen.standard_normal((20, 2_000, 6))
+        seeds = np.repeat(mean, 20, axis=0)
+        x, _ = conditional_chains(
+            system, seeds, system.evaluate(seeds, np.zeros(20, int)), np.full(20, np.inf),
+            innovations, np.zeros(20, dtype=int),
+        )
+        x = x[:, 50:].reshape(-1, 6)  # past burn-in
+        sd = np.sqrt(cov.diagonal())
+        assert np.allclose(x.mean(axis=0), mean[0], atol=0.1 * sd)
+        assert np.all(np.abs(np.cov(x.T) - cov) < 0.1 * np.outer(sd, sd))
+        off_support = np.linalg.svd(basis)[0][:, 3:]  # the covariance's null space
+        assert np.all(np.var((x - mean) @ off_support, axis=0) < 2.0 * jitter)
+
     def test_replay_equals_scalar_chain(self):
         # chain j, one scalar step at a time on its innovations[j]
         system = self._system()
@@ -484,13 +518,11 @@ class TestConditionalChains:
         chol, mean = self.CHOL[0], self.MEAN[0]
         moved = 0
         for j in range(5):
-            z = np.linalg.inv(chol) @ (seeds[j] - mean)
             cur = seeds[j]
-            for k in range(30):
-                cand_z = CHAIN_CORRELATION * z + math.sqrt(1.0 - CHAIN_CORRELATION**2) * innovations[j, k]
-                cand = mean + chol @ cand_z
+            for k, drift in enumerate(_drifts(chol, mean, innovations[j])):
+                cand = CHAIN_CORRELATION * cur + drift
                 if abs(cand[0]) <= threshold:
-                    z, cur = cand_z, cand
+                    cur = cand
                     moved += 1
                 assert np.array_equal(x[j, k], cur) and r[j, k] == abs(cur[0])
         assert 0 < moved < 5 * 30  # both branches of the accept step run
@@ -499,7 +531,7 @@ class TestConditionalChains:
         # a candidate exactly on the threshold is accepted; one ulp beyond, rejected
         system = self._system()
         xi = np.array([[[0.3, -1.2, 0.7]]])
-        cand = self.MEAN[0] + self.CHOL[0] @ (math.sqrt(1.0 - CHAIN_CORRELATION**2) * xi[0, 0])
+        cand = CHAIN_CORRELATION * self.MEAN[0] + _drifts(self.CHOL[0], self.MEAN[0], xi[0])[0]
         b = abs(cand[0])
         assert b > abs(self.MEAN[0, 0])  # the seed lies within both thresholds
         x, r = self._run(system, self.MEAN, b, xi)
@@ -522,11 +554,10 @@ class TestConditionalChains:
         resp = system.evaluate(seeds, problems)
         thresholds = resp + 0.5
         innovations = gen.standard_normal((5, 25, 2))
-        inv = np.linalg.inv(chol)
-        x, r = conditional_chains(system, inv, seeds, resp, thresholds, innovations, problems)
+        x, r = conditional_chains(system, seeds, resp, thresholds, innovations, problems)
         for j in range(5):
             one_x, one_r = conditional_chains(
-                system, inv, seeds[j : j + 1], resp[j : j + 1], thresholds[j : j + 1],
+                system, seeds[j : j + 1], resp[j : j + 1], thresholds[j : j + 1],
                 innovations[j : j + 1], problems[j : j + 1],
             )
             assert np.array_equal(x[j], one_x[0]) and np.array_equal(r[j], one_r[0])

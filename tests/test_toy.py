@@ -22,7 +22,6 @@ from subsim.toy import (
     CircleRegion,
     Point2,
     dmc_estimate,
-    distance_to_center,
     oracle_probability,
     ss_toy,
     toy_system,
@@ -40,15 +39,32 @@ def std_config(max_levels, n=100):
     )
 
 
+def distance_to_center(sample: Point2, region: CircleRegion) -> float:
+    """Scalar reference for the toy system's response: the Euclidean distance
+    from the sample to the region center.
+
+    Written as sqrt(dx*dx + dy*dy), as the batch path is, so the two agree bit
+    for bit.
+    """
+    dx = sample.x - region.center.x
+    dy = sample.y - region.center.y
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def _response(sample: Point2, region: CircleRegion) -> float:
+    """The toy system's response at one sample."""
+    return float(toy_system(region).evaluate(sample.as_array()[None], np.zeros(1, dtype=int))[0])
+
+
 class TestDistance:
     def test_coincident(self):
-        assert distance_to_center(Point2(3.0, -3.0), REGION) == 0.0
+        assert _response(Point2(3.0, -3.0), REGION) == 0.0
 
     def test_origin(self):
-        assert distance_to_center(Point2(0.0, 0.0), REGION) == pytest.approx(math.sqrt(18.0))
+        assert _response(Point2(0.0, 0.0), REGION) == pytest.approx(math.sqrt(18.0))
 
     def test_boundary_counts_as_inside(self):
-        d = distance_to_center(Point2(4.0, -3.0), REGION)
+        d = _response(Point2(4.0, -3.0), REGION)
         assert d == 1.0
         assert d <= REGION.radius
 
@@ -56,11 +72,12 @@ class TestDistance:
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b, c = (Point2(*rng.normal(size=2)) for _ in range(3))
-            d_ab = distance_to_center(a, CircleRegion(b, 1.0))
-            d_ba = distance_to_center(b, CircleRegion(a, 1.0))
+            d_ab = _response(a, CircleRegion(b, 1.0))
+            assert d_ab == distance_to_center(a, CircleRegion(b, 1.0))
+            d_ba = _response(b, CircleRegion(a, 1.0))
             assert d_ab == pytest.approx(d_ba)
-            d_ac = distance_to_center(a, CircleRegion(c, 1.0))
-            d_cb = distance_to_center(c, CircleRegion(b, 1.0))
+            d_ac = _response(a, CircleRegion(c, 1.0))
+            d_cb = _response(c, CircleRegion(b, 1.0))
             assert d_ab <= d_ac + d_cb + 1e-12
             assert d_ab >= 0.0
 
@@ -129,7 +146,7 @@ def _chains(seeds, length, threshold, seed):
     m = len(seeds)
     system = toy_system(REGION)
     out_xy, out_d = conditional_chains(
-        system, np.linalg.inv(system.chol), xy, d, np.full(m, threshold),
+        system, xy, d, np.full(m, threshold),
         gen.standard_normal((m, length, 2)), np.zeros(m, dtype=int),
     )
     return list(zip(out_xy, out_d))
