@@ -11,7 +11,6 @@ CCDF table.  DMC makes one `pc_dmc` call per budget and repetition.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,11 +39,11 @@ class CovStudyConfig:
     max_levels: int = 7
 
     def __post_init__(self):
-        try:  # a float would fail mid-study, or truncate to another SS budget
-            for n in (self.repetitions, *self.dmc_sizes, *self.ss_sizes):
-                operator.index(n)
-        except TypeError as exc:
-            raise ValueError(f"repetitions and sample sizes must be integers: {exc}") from None
+        # a float would fail mid-study, or truncate to another SS budget, and
+        # True would count as one
+        sizes = (self.repetitions, *self.dmc_sizes, *self.ss_sizes)
+        if any(isinstance(n, bool) or not hasattr(n, "__index__") for n in sizes):
+            raise ValueError(f"repetitions and sample sizes must be integers, got {list(sizes)}")
         if self.repetitions < 2:
             raise ValueError(
                 f"at least 2 repetitions are needed for a spread, got {self.repetitions}"

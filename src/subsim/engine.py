@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -59,11 +58,11 @@ class SubsetConfig:
 
     def __post_init__(self):
         n, p0 = self.n_samples, self.level_probability
-        try:  # a float would truncate, or fail deep inside a run
-            operator.index(n)
-            operator.index(self.max_levels)
-        except TypeError as exc:
-            raise ValueError(f"n_samples and max_levels must be integers: {exc}") from None
+        # True would count as one, and a float would truncate or fail deep inside a run
+        if any(isinstance(v, bool) or not hasattr(v, "__index__") for v in (n, self.max_levels)):
+            raise ValueError(
+                f"n_samples and max_levels must be integers, got {n!r} and {self.max_levels!r}"
+            )
         if n < 1:
             raise ValueError(f"n_samples must be positive, got {n}")
         if not 0.0 < p0 < 1.0:
@@ -210,30 +209,6 @@ def probability_intervals(level: int, config: SubsetConfig) -> np.ndarray:
     else:
         numer = np.arange(n - 1, -1, -1, dtype=np.float64)
     return numer / denom
-
-
-def intermediate_threshold(sorted_responses: Sequence[float], config: SubsetConfig):
-    """Next level's threshold: the (N - N_c)-th largest response (1-based).
-
-    Row-wise over a leading problem axis: K rows of N responses give K
-    thresholds.
-    """
-    r = np.asarray(sorted_responses, dtype=np.float64)
-    if r.ndim not in (1, 2) or r.shape[-1] != config.n_samples:
-        raise ValueError(f"expected {config.n_samples} responses per row, got shape {r.shape}")
-    if (r[..., 1:] > r[..., :-1]).any():
-        raise ValueError("responses must be sorted in descending order")
-    return r[..., config.n_samples - config.n_chains - 1]
-
-
-def select_seeds(sorted_samples: np.ndarray, config: SubsetConfig) -> np.ndarray:
-    """Per problem of a (K, N, ...) batch of sorted samples, the N_c with the
-    smallest responses (the tail of each sorted set): (K, N_c, ...)."""
-    if sorted_samples.ndim < 2 or sorted_samples.shape[1] != config.n_samples:
-        raise ValueError(
-            f"expected (K, {config.n_samples}, ...) samples, got shape {sorted_samples.shape}"
-        )
-    return np.copy(sorted_samples[:, config.n_samples - config.n_chains :])
 
 
 def assemble_ccdf(
@@ -457,17 +432,6 @@ def run_subset_simulation(
     return next(run_subset_simulations(system, config, failure_threshold, [seed]))
 
 
-@dataclass(eq=False)
-class _Cohort:
-    """The problems of one config that are still descending, in order, and
-    their sorted level arrays, responses (k, N) and samples (k, N, d)."""
-
-    config: SubsetConfig
-    active: np.ndarray
-    sorted_r: np.ndarray | None = None
-    sorted_x: np.ndarray | None = None
-
-
 def run_subset_simulations(
     system: RareEventSystem,
     configs: SubsetConfig | Sequence[SubsetConfig],
@@ -489,18 +453,18 @@ def run_subset_simulations(
     problem order, so a caller that keeps none holds one batch's arrays.
 
     The configs must share `level_probability`, and so the chain length
-    1/p0.  Problems of a batch with equal configs form a cohort, whose level
-    arrays are (k, N, ...) blocks; at each level one `rng.standard_normal`
-    call draws the innovations of every cohort's chains and one
-    `conditional_chains` call steps them all.
+    1/p0.  Each level of a batch is one flat population whose rows run
+    problem by problem, whatever their budgets; at each level one
+    `rng.standard_normal` call draws the innovations of every problem's
+    chains and one `conditional_chains` call steps them all.
 
     Each problem draws level 0 from `child(root_k, 0)` and its chains'
     (N_c, length, d) innovations at level l from `child(root_k, l)`, with
-    root_k its seed's `rng.pool`, through `rng.standard_normal`, whose draws
-    equal `rng.generator`'s on each child.  The sort, threshold, seed
-    selection and stop test are row-wise within a cohort; so each result
-    equals the problem's own one-problem run bit for bit.  No table is
-    assembled here: a result builds its own on first read (see `SubsetResult`).
+    root_k its seed's `rng.pool`, through `rng.standard_normal` (see
+    `subsim.rng` for `child`).  The sort, threshold, seed selection and stop
+    test read each problem's own rows; so each result equals the problem's
+    own one-problem run bit for bit.  No table is assembled here: a result
+    builds its own on first read (see `SubsetResult`).
     """
     roots = [_rng.pool(seed) for seed in seeds]
     k_all = len(roots)
@@ -523,71 +487,61 @@ def run_subset_simulations(
 
 
 def _run_batch(system, configs, failure_threshold, roots, batch: range):
-    """The results of the problems in `batch`, run in lockstep, in order."""
-    members: dict[SubsetConfig, list[int]] = {}
-    for k in batch:
-        members.setdefault(configs[k], []).append(k)
-    cohorts = [_Cohort(config, np.array(ks)) for config, ks in members.items()]
-    # level 0 is drawn cohort by cohort, so each cohort's rows are contiguous
-    order = np.concatenate([c.active for c in cohorts])
-    ns = [configs[k].n_samples for k in order.tolist()]
-    mean, chol = system.mean[order], system.chol[order]
-    samples = _level0(mean, chol, [roots[k] for k in order.tolist()], ns)
-    responses = np.asarray(system.evaluate(samples, order.repeat(ns)), dtype=np.float64)
-    level = 0
-    _sort_level(cohorts, samples, responses, level)
+    """The results of the problems in `batch`, run in lockstep, in order.
+
+    Each level is one population whose rows run problem by problem over the
+    problems still descending.  Per-problem arrays hold N, N_c and the last
+    level, and each problem's rows, threshold and seeds are read by index
+    (`_layout`), so the indices change only when a problem stops.
+    """
+    lo, hi = batch.start, batch.stop
+    active = np.arange(lo, hi)
+    ns = np.array([configs[k].n_samples for k in batch])
+    n_cs = np.array([configs[k].n_chains for k in batch])
+    last = np.array([configs[k].max_levels - 1 for k in batch])
+    samples = _level0(system.mean[lo:hi], system.chol[lo:hi], roots[lo:hi], ns.tolist())
+    responses = np.asarray(system.evaluate(samples, active.repeat(ns)), dtype=np.float64)
+    starts, fill, spans, threshold_rows, seed_rows = _layout(active, ns, n_cs)
     d = system.mean.shape[1]
-    n_s = configs[batch[0]].chain_length
+    n_s = configs[lo].chain_length
     blocks: dict = {k: [] for k in batch}
     thresholds: dict[int, list[float]] = {k: [] for k in batch}
     results: dict[int, SubsetResult] = {}
+    level = 0
 
     while True:
-        stepping, seed_x, seed_r, chain_b, problems, rows = [], [], [], [], [], []
-        for c in cohorts:
-            config, n_c = c.config, c.config.n_chains
-            for j, k in enumerate(c.active.tolist()):
-                blocks[k].append((c.sorted_r[j], c.sorted_x[j]))
-            conflicts = (c.sorted_r <= failure_threshold).sum(axis=1)
-            go = conflicts < n_c
-            if level == config.max_levels - 1:
-                go[:] = False
-            if not go.all():
-                for j in np.flatnonzero(~go).tolist():
-                    k = int(c.active[j])
-                    results[k] = _finish(blocks[k], thresholds[k], int(conflicts[j]), level, config)
-                    blocks[k] = None
-                if not go.any():
-                    continue
-                c.active, c.sorted_r, c.sorted_x = c.active[go], c.sorted_r[go], c.sorted_x[go]
+        sorted_r, sorted_x = _sort_level(samples, responses, fill, starts, level)
+        for k, start, end in spans:
+            blocks[k].append((sorted_r[start:end], sorted_x[start:end]))
+        conflicts = np.add.reduceat(sorted_r <= failure_threshold, starts)
+        stop = (conflicts >= n_cs) | (last == level)
+        stopping = stop.any()
+        if stopping:
+            for j in np.flatnonzero(stop).tolist():
+                k = int(active[j])
+                results[k] = _finish(blocks[k], thresholds[k], int(conflicts[j]), level, configs[k])
+                blocks[k] = None
+            if stop.all():
+                break
+            go = ~stop
+            threshold_rows, seed_rows = threshold_rows[go], seed_rows[go.repeat(n_cs)]
+            active, ns, n_cs, last = active[go], ns[go], n_cs[go], last[go]
+        if stopping or level == 0:
+            problems, chain_counts, stepping = active.repeat(n_cs), n_cs.tolist(), active.tolist()
+            level_roots = [roots[k] for k in stepping]
 
-            b = intermediate_threshold(c.sorted_r, config)
-            for k, bk in zip(c.active.tolist(), b.tolist()):
-                thresholds[k].append(bk)
-            seed_x.append(select_seeds(c.sorted_x, config).reshape(-1, d))
-            seed_r.append(c.sorted_r[:, -n_c:].reshape(-1))
-            chain_b.append(b.repeat(n_c))
-            problems.append(c.active.repeat(n_c))
-            rows += [n_c] * len(c.active)
-            stepping.append(c)
-        cohorts = stepping
-        if not cohorts:
-            break
+        b = sorted_r[threshold_rows]
+        for k, bk in zip(stepping, b.tolist()):
+            thresholds[k].append(bk)
+        chain_b = b.repeat(n_cs)
+        seed_x, seed_r = sorted_x[seed_rows], sorted_r[seed_rows]
+        if stopping:  # the next level holds the rows of the stepping problems only
+            starts, fill, spans, threshold_rows, seed_rows = _layout(active, ns, n_cs)
         level += 1
-
-        innovations = _rng.standard_normal(
-            _rng.children([roots[k] for c in cohorts for k in c.active.tolist()], level),
-            rows,
-            (n_s, d),
-        )
-        chain_b = _joined(chain_b)
+        streams = _rng.children(level_roots, level)
+        innovations = _rng.standard_normal(streams, chain_counts, (n_s, d))
         samples, responses = conditional_chains(
-            system,
-            _joined(seed_x),
-            _joined(seed_r),
-            chain_b,
-            innovations,
-            _joined(problems),
+            system, seed_x, seed_r, chain_b, innovations, problems
         )
         over = responses > chain_b[:, None]
         if over.any():
@@ -597,13 +551,7 @@ def _run_batch(system, configs, failure_threshold, roots, batch: range):
                 f"{responses[j, step]:.6g} > {chain_b[j]:.6g}"
             )
         samples, responses = samples.reshape(-1, d), responses.reshape(-1)
-        _sort_level(cohorts, samples, responses, level)
     return [results[k] for k in batch]
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts end to end; a lone part is returned as it is, uncopied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
@@ -629,23 +577,33 @@ def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
     return SubsetResult(estimate, diagnostics, blocks, config)
 
 
-def _sort_level(cohorts: list[_Cohort], samples: np.ndarray, responses: np.ndarray, level: int):
-    """Sort one level's population, whose rows run cohort by cohort and
-    problem by problem, into each cohort's `sorted_r` and `sorted_x`: per
-    problem a stable descending sort, ties by draw index."""
-    expected = sum(len(c.active) * c.config.n_samples for c in cohorts)
-    if responses.shape[0] != expected or samples.shape[0] != expected:
+def _layout(problems: np.ndarray, ns: np.ndarray, n_cs: np.ndarray):
+    """Where a population's rows lie, ns[j] rows for each problems[j],
+    problem by problem, once `_sort_level` has sorted them: each problem's
+    first row, the mask of its rows in the sort's (problems, max N) key
+    array, (problem, first row, end row) triples, each problem's threshold
+    row, its (N - N_c)-th largest response, and the rows of its N_c seeds,
+    the samples with the smallest responses, which it sorts last."""
+    ends = np.cumsum(ns)
+    starts = ends - ns
+    fill = np.arange(ns.max()) < ns[:, None]
+    spans = list(zip(problems.tolist(), starts.tolist(), ends.tolist()))
+    seed_rows = np.repeat(ends - np.cumsum(n_cs), n_cs) + np.arange(n_cs.sum())
+    return starts, fill, spans, ends - n_cs - 1, seed_rows
+
+
+def _sort_level(samples, responses, fill, starts, level):
+    """One level's population sorted problem by problem: per problem a
+    stable descending sort, ties by draw index.  Problem j's negated
+    responses fill row j of a (problems, max N) key array padded with +inf,
+    so one stable argsort orders every row and each row's pads come last."""
+    if len(responses) != len(samples):
         raise ValueError(
-            f"level {level} produced {responses.shape[0]} samples, expected {expected}"
+            f"level {level} produced {len(responses)} responses, expected {len(samples)}"
         )
     if not np.all(np.isfinite(responses)):
         raise ValueError(f"level {level} produced non-finite responses")
-    lo = 0
-    for c in cohorts:
-        k, n = len(c.active), c.config.n_samples
-        hi = lo + k * n
-        order = np.argsort(-responses[lo:hi].reshape(k, n), axis=1, kind="stable")
-        rows = (order + np.arange(lo, hi, n)[:, None]).ravel()
-        c.sorted_x = samples.take(rows, axis=0).reshape(k, n, *samples.shape[1:])
-        c.sorted_r = responses[rows].reshape(k, n)
-        lo = hi
+    keys = np.full(fill.shape, np.inf)
+    keys[fill] = -responses
+    rows = (np.argsort(keys, axis=1, kind="stable") + starts[:, None])[fill]
+    return responses[rows], samples.take(rows, axis=0)

@@ -9,19 +9,19 @@ own streams when the engine runs them in lockstep batches (of scenario steps,
 or of the repetitions of a study), so a problem's result does not depend on
 which others share its batch.
 
-A stream is defined as a NumPy `SeedSequence` keyed child (`child`) driving
-Philox (`generator`), but every stream the package draws is a pool instead:
-`SeedSequence` mixes its entropy words into a four-word pool in order, so a
-child's pool is its parent's pool with the key's words mixed in, and a Philox
-reset to that pool's `generate_state(2, uint64)` key yields the child's
-stream.  `pool` turns a seed into its pool, `Pool` carries that state,
-`child_pool` and `children` extend it, and `standard_normal` draws each
-stream from one Philox per thread.  This is plain arithmetic on Python ints,
-and it equals `generator(child(...))` bit for bit; `derive`, `child` and
-`generator` stay as that reference, which the tests compare the pools
-against.  On a 2-vCPU Xeon, a 400-step head-on encounter, whose engine draws
-about 1,500 streams, ran in 0.90 of the time it took with a `SeedSequence`
-and a generator built per stream.
+A stream is defined as a NumPy `SeedSequence` keyed child (its spawn key
+extended by the key) driving Philox; the docstrings write child(root, *key)
+for it.  The package builds neither: `SeedSequence` mixes its entropy words
+into a four-word pool in order, so a child's pool is its parent's pool with
+the key's words mixed in, and a Philox reset to that pool's
+`generate_state(2, uint64)` key yields the child's stream.  `derive` turns a
+seed into a `SeedSequence`, `pool` turns either into its pool, `Pool` carries
+that state, `child_pool` and `children` extend it, and `standard_normal`
+draws each stream from one Philox per thread.  This is plain arithmetic on
+Python ints, and the tests check it bit for bit against a `SeedSequence`
+child and a generator built on it.  On a 2-vCPU Xeon, a 400-step head-on
+encounter, whose engine draws about 1,500 streams, ran in 0.90 of the time
+it took with a `SeedSequence` and a generator built per stream.
 """
 
 from __future__ import annotations
@@ -54,21 +54,6 @@ def derive(seed: SeedLike) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(_check_key(seed))
-
-
-def child(root: np.random.SeedSequence, *key: int) -> np.random.SeedSequence:
-    """Keyed sub-stream of `root`.
-
-    Stateless: the same (root, key) pair always yields the same stream, no
-    matter how many other children were derived before it.
-    """
-    base = root.spawn_key + tuple(_check_key(k) for k in key)
-    return np.random.SeedSequence(entropy=root.entropy, spawn_key=base)
-
-
-def generator(seq: np.random.SeedSequence) -> np.random.Generator:
-    """Philox generator on the given stream (counter-based, jump-free)."""
-    return np.random.Generator(np.random.Philox(seq))
 
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx), as Python ints
@@ -114,7 +99,7 @@ def pool(seed: SeedLike | Pool) -> Pool:
     if isinstance(seed, Pool):
         return seed
     seq = derive(seed)
-    if seq.pool_size != _POOL_SIZE:  # `child` builds default-size pools
+    if seq.pool_size != _POOL_SIZE:  # a child's pool has the default size
         seq = np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key)
     # spawned sequences pad their run entropy to the pool size, and an
     # unspawned one's pool equals the padded one's
@@ -144,7 +129,7 @@ def _key_hashes(length: int, key: Sequence[int]) -> list[tuple[int, int, int, in
 
 
 def children(parents: Sequence[Pool], *key: int) -> list[Pool]:
-    """The pool of `child(seq, *key)` for each `seq` whose pool is in `parents`.
+    """The pool of `seq`'s child at `key` for each `seq` whose pool is in `parents`.
 
     Each key word is mixed into every pool word, as `SeedSequence` mixes
     entropy beyond its pool size; parents of one length share the hashes.
@@ -165,7 +150,7 @@ def children(parents: Sequence[Pool], *key: int) -> list[Pool]:
 
 
 def child_pool(parent: Pool, *key: int) -> Pool:
-    """The pool of `child(seq, *key)`, for `seq` whose pool is `parent`."""
+    """The pool of `seq`'s child at `key`, for `seq` whose pool is `parent`."""
     return children([parent], *key)[0]
 
 

@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from streams import child, generator
 from subsim import rng as _rng
 from subsim.analysis import (
     CovStudyConfig,
@@ -32,12 +33,11 @@ from subsim.dynamics import miss_distance_batch
 from subsim.engine import (
     IntervalVariant,
     SubsetConfig,
-    intermediate_threshold,
+    conditional_chains,
     probability_intervals,
-    select_seeds,
 )
 from subsim.scenarios import build_head_on
-from subsim.toy import CircleRegion, Point2, dmc_estimate, oracle_probability, ss_toy
+from subsim.toy import CircleRegion, Point2, dmc_estimate, oracle_probability, ss_toy, toy_system
 from subsim.tracking import (
     KalmanEstimate,
     NoiseConfig,
@@ -65,7 +65,7 @@ def test_criterion_1_toy_oracle_agreement():
     )
     root = _rng.derive(2024)
     estimates = [
-        ss_toy(REGION, config, seed=_rng.child(root, rep)).estimate for rep in range(50)
+        ss_toy(REGION, config, seed=child(root, rep)).estimate for rep in range(50)
     ]
     median = float(np.median(estimates))
     elapsed = time.perf_counter() - t0
@@ -84,7 +84,7 @@ def test_criterion_2_dmc_poverty_at_small_budget():
     root = _rng.derive(2024)
     zeros = sum(
         1 for rep in range(100)
-        if dmc_estimate(REGION, 100, seed=_rng.child(root, rep)) == 0.0
+        if dmc_estimate(REGION, 100, seed=child(root, rep)) == 0.0
     )
     elapsed = time.perf_counter() - t0
     ok = zeros >= 95 and elapsed < 5.0
@@ -185,19 +185,31 @@ def test_criterion_6_cov_study_at_small_probability_phase():
 def test_criterion_7_property_suites():
     t0 = time.perf_counter()
     config = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=7)
-    rng = np.random.default_rng(77)
     checks = 0
 
-    # brute-force re-sorting oracle and nearest-N_c seed oracle, 100 instances
-    for _ in range(100):
-        xy = rng.normal(size=(100, 2))
+    # the engine's threshold against a re-sorting oracle, and its level 1
+    # against chains replayed from a nearest-N_c seed oracle, 100 instances
+    two_levels = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=2)
+    system = toy_system(REGION)
+    for seed in range(100):
+        result = ss_toy(REGION, two_levels, seed=seed)
+        root = _rng.derive(seed)
+        xy = generator(child(root, 0)).standard_normal((100, 2))
         resp = np.sqrt((xy[:, 0] - 3.0) ** 2 + (xy[:, 1] + 3.0) ** 2)
-        order = np.argsort(-resp, kind="stable")
-        sorted_r, sorted_x = resp[order], xy[order]
-        assert intermediate_threshold(sorted_r, config) == np.sort(resp)[::-1][89]
-        seeds = select_seeds(sorted_x[None], config)[0]
-        nearest = xy[np.argsort(resp, kind="stable")][:10]
-        assert np.array_equal(np.sort(seeds, axis=0), np.sort(nearest, axis=0))
+        b = result.diagnostics.thresholds[0]
+        assert result.diagnostics.levels_completed == 2
+        assert b == np.sort(resp)[::-1][89]
+        # the nearest 10 draws seed the chains, farthest first, as sorted
+        seeds = xy[np.argsort(resp, kind="stable")][:10][::-1]
+        innovations = generator(child(root, 1)).standard_normal((10, 10, 2))
+        problem = np.zeros(10, np.intp)
+        x, r = conditional_chains(
+            system, seeds, system.evaluate(seeds, problem), np.full(10, b), innovations, problem
+        )
+        x, r = x.reshape(100, 2), r.reshape(100)
+        level0 = xy[np.argsort(-resp, kind="stable")][:90]
+        level1 = x[np.argsort(-r, kind="stable")]
+        assert np.array_equal(result.table.samples, np.concatenate([level0, level1]))
         checks += 1
 
     # CCDF row counts, chain threshold respect, determinism on a toy run
@@ -211,8 +223,8 @@ def test_criterion_7_property_suites():
     # covariance symmetry / non-negative diagonal across a measurement run
     noise = NoiseConfig()
     truth = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0])
-    mean, cov = initial_estimate(truth, noise, _rng.generator(_rng.derive(3)).standard_normal(2))
-    gen = _rng.generator(_rng.derive(4))
+    mean, cov = initial_estimate(truth, noise, generator(_rng.derive(3)).standard_normal(2))
+    gen = generator(_rng.derive(4))
     for k in range(200):
         z = simulate_measurement(truth, noise, gen.standard_normal(2)) if k % 10 == 0 else None
         mean, cov = kf_step(mean, cov, z, 0.05, noise)
@@ -270,9 +282,9 @@ def test_criterion_8_kalman_channel_oracle():
     noise = NoiseConfig()
     dt, stride, n_steps = 0.05, 10, 500
     truth = np.array([100.0, 30.0, 0.0, -50.0, 10.0, 0.0])
-    w = _rng.generator(_rng.derive(8)).standard_normal(2)
+    w = generator(_rng.derive(8)).standard_normal(2)
     mean, cov = initial_estimate(truth, noise, w, perfect_init=True)
-    gen = _rng.generator(_rng.derive(9))
+    gen = generator(_rng.derive(9))
     state = truth
     from subsim.dynamics import transition_matrix
 

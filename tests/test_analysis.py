@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from streams import child, generator
 from subsim import analysis, conflict
 from subsim import rng as _rng
 from subsim.analysis import (
@@ -87,7 +88,7 @@ class TestFreezePhase:
         mean, cov = initial_estimate(
             intruder.as_array(),
             spec.noise,
-            _rng.generator(_rng.child(root, 0)).standard_normal(2),
+            generator(child(root, 0)).standard_normal(2),
             pos_std=spec.init_pos_std,
             vel_std=spec.init_vel_std,
             acc_std=spec.init_acc_std,
@@ -99,7 +100,7 @@ class TestFreezePhase:
             obs, intr = a @ obs, a @ intr
             z = None
             if k > 1 and (k - 1) % spec.measurement_stride == 0:
-                w = _rng.generator(_rng.child(root, k, 0)).standard_normal(2)
+                w = generator(child(root, k, 0)).standard_normal(2)
                 z = simulate_measurement(intr, spec.noise, w)
                 measured.append(k)
             mean, cov = kf_step(mean, cov, z, spec.dt, spec.noise)
@@ -166,7 +167,15 @@ class TestCovStudy:
 
     # a float fails mid-study or, as an SS size, truncates to another budget
     @pytest.mark.parametrize(
-        "budgets", [{"repetitions": 2.5}, {"dmc_sizes": (100, 1e3)}, {"ss_sizes": (100.5,)}, {"max_levels": 2.5}]
+        "budgets",
+        [
+            {"repetitions": 2.5},
+            {"dmc_sizes": (100, 1e3)},
+            {"ss_sizes": (100.5,)},
+            {"max_levels": 2.5},
+            {"dmc_sizes": (True,), "ss_sizes": (100,)},
+            {"max_levels": True},
+        ],
     )
     def test_non_integer_budget_rejected(self, budgets):
         with pytest.raises(ValueError, match="must be integers"):
@@ -239,7 +248,7 @@ class TestCovStudy:
         root = _rng.derive(5)
         for size_idx, n in enumerate(config.ss_sizes):
             results = [
-                conflict.pc_ss(config.phase, config.subset_config(n), _rng.child(root, 1, size_idx, rep))[0]
+                conflict.pc_ss(config.phase, config.subset_config(n), child(root, 1, size_idx, rep))[0]
                 for rep in range(config.repetitions)
             ]
             assert points[1 + size_idx] == analysis._cov_point("ss", n, results)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dense
+from streams import child, generator
 from subsim import conflict, engine
 from subsim import rng as _rng
 from subsim.conflict import (
@@ -149,7 +150,7 @@ def _system_chains(q, seeds, length, threshold, seed):
     """Per-chain (states, misses) of the engine's chains on one query, the
     innovations one (m, length, 6) block of one generator."""
     seeds = np.atleast_2d(seeds)
-    innovations = _rng.generator(_rng.derive(seed)).standard_normal((len(seeds), length, 6))
+    innovations = generator(_rng.derive(seed)).standard_normal((len(seeds), length, 6))
     return list(zip(*_run_chains(q, seeds, threshold, innovations)))
 
 
@@ -192,7 +193,7 @@ class TestAcceptanceRatio:
         far = np.full(6, 3.0)
         chol = np.linalg.cholesky(q.intruder_estimate.covariance)
         seed_state = q.intruder_estimate.mean.as_array() + chol @ far
-        xi = _rng.generator(_rng.derive(4)).standard_normal((400, 6))
+        xi = generator(_rng.derive(4)).standard_normal((400, 6))
         cands = np.array([_run_chain(q, seed_state, 1500.0, xi[k : k + 1])[0][0] for k in range(400)])
         z = _whiten(q, cands)
         spread = math.sqrt(1.0 - CHAIN_CORRELATION**2)
@@ -226,7 +227,7 @@ class TestLockstepChains:
 
     def _seeds(self, q, m, seed):
         chol = np.linalg.cholesky(q.intruder_estimate.covariance)
-        gen = _rng.generator(_rng.derive(seed))
+        gen = generator(_rng.derive(seed))
         seeds = q.intruder_estimate.mean.as_array() + gen.standard_normal((m, 6)) @ chol.T
         return seeds, gen.standard_normal((m, 40, 6))
 
@@ -260,13 +261,13 @@ class TestLockstepChains:
         cfg = SubsetConfig(n_samples=40, level_probability=0.25, max_levels=2)
         result = run_subset_simulation(conflict_system([q]), cfg, 0.0, 24)
         root = _rng.derive(24)
-        z = _rng.generator(_rng.child(root, 0)).standard_normal((40, 6))
+        z = generator(child(root, 0)).standard_normal((40, 6))
         chol = np.linalg.cholesky(q.intruder_estimate.covariance)
         level0 = q.intruder_estimate.mean.as_array() + z @ chol.T
         order = np.argsort(-_miss(q, level0), kind="stable")
         seeds = level0[order][-10:]
         threshold = result.diagnostics.thresholds[0]
-        block = _rng.generator(_rng.child(root, 1)).standard_normal((10, 4, 6))
+        block = generator(child(root, 1)).standard_normal((10, 4, 6))
         ref_states, ref_misses = _run_chains(q, seeds, threshold, block)
         ref_states, ref_misses = ref_states.reshape(-1, 6), ref_misses.reshape(-1)
         order = np.argsort(-ref_misses, kind="stable")
@@ -282,7 +283,7 @@ class TestLockstepChains:
             s, _ = self._seeds(q, 3, 30 + i)
             seeds.append(s)
             thresholds.append(float(_miss(q, s).max()))
-            blocks.append(_rng.generator(_rng.derive(40 + i)).standard_normal((3, 12, 6)))
+            blocks.append(generator(_rng.derive(40 + i)).standard_normal((3, 12, 6)))
         seed_misses = np.concatenate([_miss(q, s) for q, s in zip(queries, seeds)])
         states, misses = _batch_chains(
             queries,
@@ -321,7 +322,7 @@ class TestMhConflictSamples:
         q = _query(HEAD_ON_OFFSET)
         seed_state = q.intruder_estimate.mean.as_array()
         (states, _), = _system_chains(q, seed_state, 40, np.inf, seed=5)
-        xi = _rng.generator(_rng.derive(5)).standard_normal((1, 40, 6))[0]
+        xi = generator(_rng.derive(5)).standard_normal((1, 40, 6))[0]
         z = np.zeros(6)
         expected = []
         for k in range(40):
@@ -338,7 +339,7 @@ class TestMhConflictSamples:
         mean = q.intruder_estimate.mean.as_array()
         seed_state = mean + chol @ np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0])
         threshold = 1500.0
-        draws = mean + _rng.generator(_rng.derive(60)).standard_normal((20_000, 6)) @ chol.T
+        draws = mean + generator(_rng.derive(60)).standard_normal((20_000, 6)) @ chol.T
         ref = _miss(q, draws)
         ref = ref[ref <= threshold]
         seed_miss = float(_miss(q, seed_state)[0])
@@ -393,13 +394,13 @@ class TestPcSs:
 
     def test_mean_matches_dmc_reference(self):
         # 320 m lateral offset; the reference is 986 conflicts in 2*10^6 pc_dmc
-        # draws (ten streams _rng.child(_rng.derive(7), k) of 2*10^5 each)
+        # draws (ten streams child(_rng.derive(7), k) of 2*10^5 each)
         q = _query((2000.0, -77.17, 0.0, 320.0, 0.0, 0.0))
         n_ref = 2_000_000
         ref = 986 / n_ref
         config = SubsetConfig(n_samples=500, level_probability=0.1, max_levels=7)
         root = _rng.derive(320)
-        est = np.array([pc_ss(q, config, seed=_rng.child(root, rep))[0].pc for rep in range(60)])
+        est = np.array([pc_ss(q, config, seed=child(root, rep))[0].pc for rep in range(60)])
         se = math.sqrt(est.var(ddof=1) / len(est) + ref * (1 - ref) / n_ref)
         assert abs(est.mean() - ref) <= 3 * se
 
@@ -419,7 +420,7 @@ class TestPcSs:
 
     def test_shrinking_radius_never_increases_conflicts(self):
         q = _query(HEAD_ON_OFFSET, cov_scale=4.0)
-        gen = _rng.generator(_rng.derive(33))
+        gen = generator(_rng.derive(33))
         chol = np.linalg.cholesky(q.intruder_estimate.covariance)
         states = q.intruder_estimate.mean.as_array() + gen.standard_normal((2000, 6)) @ chol.T
         miss = _miss(q, states)
@@ -512,7 +513,7 @@ class TestPcSsBatch:
             observer=AircraftState(-30.0, 70.0, 0.4, 12.0, -3.0, -0.2),
             intruder_estimate=KalmanEstimate(mean=AircraftState(*RECEDING), covariance=singular),
         )
-        z = _rng.generator(_rng.derive(70)).standard_normal((50, 6))
+        z = generator(_rng.derive(70)).standard_normal((50, 6))
         for queries, warnings in ((self.QUERIES, 0), (self.QUERIES + (jittered,), 1)):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="subsim.conflict"):
@@ -618,7 +619,7 @@ class TestSimulateScenario:
         steps = {s.k: s for s in conflict.encounter_steps(spec, root) if s.k in picks}
         assert [r.step for r in records] == picks
         for r in records:
-            ref = pc_dmc(steps[r.step].query(spec), r.pc_ss.samples_used, _rng.child(root, r.step, 2))
+            ref = pc_dmc(steps[r.step].query(spec), r.pc_ss.samples_used, child(root, r.step, 2))
             assert r.pc_dmc == ref
         assert 0 < sum(r.pc_dmc.conflict_count for r in records) < sum(r.pc_dmc.samples_used for r in records)
 
@@ -652,19 +653,30 @@ class TestSimulateScenario:
         # every stream of the filter, the engine, the step groups and the
         # study is a pool: no keyed SeedSequence and no generator is built
         spec = build_head_on(152.4, 2000.0, duration=2.0, sample_rate=10.0)
-        calls = {"child": 0, "generator": 0}
-        for name in calls:
-            def counting(*args, _fn=getattr(_rng, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
+        _rng.standard_normal([_rng.pool(0)], [1])  # this thread's one generator
+        built = []
 
-            monkeypatch.setattr(_rng, name, counting)
+        class Sequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                if kwargs.get("spawn_key"):
+                    built.append("SeedSequence")
+                super().__init__(*args, **kwargs)
+
+        class Generator(np.random.Generator):
+            def __init__(self, *args):
+                built.append("Generator")
+                super().__init__(*args)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Sequence)
+        monkeypatch.setattr(np.random, "Generator", Generator)
         steps = list(conflict.encounter_steps(spec, 21))
         assert any(step.k > spec.measurement_stride for step in steps)  # measured steps ran
         simulate_scenario(spec, CFG, seed=21)
         phase = freeze_phase(spec, at_time=1.5, seed=21)
         cov_study(CovStudyConfig(phase, 2, dmc_sizes=(100,), ss_sizes=(100,), max_levels=2), 21)
-        assert calls == {"child": 0, "generator": 0}
+        assert built == []
+        generator(child(_rng.derive(21), 0))  # the reference stream builds both
+        assert built == ["SeedSequence", "Generator"]
 
     def test_encounter_builds_only_the_initial_states(self, monkeypatch):
         # the filter and its measurements run on arrays: the two states of
@@ -784,7 +796,7 @@ class TestBoundedResponses:
     def test_chain_samples_and_responses(self, group):
         system, _, calls, alone = group
         k, m = len(system.mean), 40
-        gen = _rng.generator(_rng.derive(41))
+        gen = generator(_rng.derive(41))
         problems = np.repeat(np.arange(k), m)
         z = gen.standard_normal((k * m, 6))
         seeds = system.mean[problems] + (system.chol[problems] @ z[:, :, None])[:, :, 0]

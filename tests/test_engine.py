@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from streams import child, generator
 from subsim import engine
 from subsim import rng as _rng
 from subsim.conflict import _cholesky_with_jitter, simulate_scenario
@@ -18,11 +19,9 @@ from subsim.engine import (
     conditional_chains,
     direct_monte_carlo,
     estimate_probability,
-    intermediate_threshold,
     probability_intervals,
     run_subset_simulation,
     run_subset_simulations,
-    select_seeds,
 )
 from subsim.scenarios import build_head_on
 
@@ -51,10 +50,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             SubsetConfig(n_samples=n, level_probability=p0)
 
-    @pytest.mark.parametrize("sizes", [{"n_samples": 100.0}, {"n_samples": 100, "max_levels": 2.5}])
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"n_samples": 100.0},
+            {"n_samples": 100, "max_levels": 2.5},
+            {"n_samples": 100, "max_levels": True},
+        ],
+    )
     def test_non_integer_sizes_rejected(self, sizes):
-        # a float N would fail inside the stream code, and max_levels = 2.5
-        # would let a run descend past its cap: both are rejected before a run
+        # a float N would fail inside the stream code, max_levels = 2.5 would
+        # let a run descend past its cap and True would run one level: all
+        # are rejected before a run
         with pytest.raises(ValueError, match="must be integers"):
             SubsetConfig(**sizes)
 
@@ -110,58 +117,81 @@ class TestProbabilityIntervals:
             probability_intervals(-1, CFG)
 
 
+def _first_descent(monkeypatch, respond, d=1, seed=1):
+    """One problem with a d-dimensional standard-normal prior and response
+    `respond(x)`, run to level 1 at N = 100 and p0 = 0.1: its level-0 draws
+    and responses, its first threshold and the seeds of its level-1 chains."""
+    level0, seeds = [], []
+
+    def evaluate(x, problems):
+        r = respond(x)
+        if not level0:
+            level0.append((x.copy(), r))
+        return r
+
+    def spy(system, chain_seeds, *args):
+        seeds.append(chain_seeds.copy())
+        return conditional_chains(system, chain_seeds, *args)
+
+    monkeypatch.setattr(engine, "conditional_chains", spy)
+    system = RareEventSystem(np.zeros((1, d)), np.eye(d)[None], evaluate)
+    result = run_subset_simulation(system, SubsetConfig(100, 0.1, 2), -np.inf, seed)
+    assert result.diagnostics.levels_completed == 2 and len(seeds) == 1
+    (x, r), = level0
+    return x, r, result.diagnostics.thresholds[0], seeds[0]
+
+
+def _scripted(level0):
+    """A response that is `level0` at its first call and 0 at every later one."""
+    first = [np.array(level0, dtype=float)]
+
+    def respond(x):
+        return first.pop() if first else np.zeros(len(x))
+
+    return respond
+
+
 class TestIntermediateThreshold:
-    def test_descending_sequence(self):
-        # 100..1 descending: the 90th largest (1-based N - N_c) is 11
-        responses = np.arange(100, 0, -1, dtype=float)
-        assert intermediate_threshold(responses, CFG) == 11.0
+    """A level's threshold is its (N - N_c)-th largest response (1-based)."""
 
-    def test_constant_responses(self):
-        responses = np.full(100, 3.5)
-        assert intermediate_threshold(responses, CFG) == 3.5
+    def test_descending_sequence(self, monkeypatch):
+        # 100..1 descending: the 90th largest is 11
+        _, _, b, _ = _first_descent(monkeypatch, _scripted(np.arange(100, 0, -1)))
+        assert b == 11.0
 
-    def test_rejects_unsorted(self):
-        responses = np.arange(100, dtype=float)
-        with pytest.raises(ValueError):
-            intermediate_threshold(responses, CFG)
+    def test_constant_responses(self, monkeypatch):
+        _, _, b, _ = _first_descent(monkeypatch, _scripted(np.full(100, 3.5)))
+        assert b == 3.5
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            intermediate_threshold(np.arange(50, 0, -1, dtype=float), CFG)
-
-    def test_matches_brute_force_on_random_instances(self):
+    def test_matches_brute_force_on_random_instances(self, monkeypatch):
         rng = np.random.default_rng(41)
         for _ in range(100):
             resp = rng.normal(size=100)
-            ordered = np.sort(resp)[::-1]
+            _, _, b, _ = _first_descent(monkeypatch, _scripted(resp))
             # independent oracle: 1-based element N - N_c of the descending sort
-            assert intermediate_threshold(ordered, CFG) == ordered[100 - 10 - 1]
+            assert b == np.sort(resp)[::-1][100 - 10 - 1]
 
 
 class TestSelectSeeds:
-    def test_positions_91_to_100(self):
-        samples = np.arange(100).reshape(100, 1)
-        seeds = select_seeds(samples[None], CFG)
-        assert seeds.shape == (1, 10, 1)
-        assert list(seeds[0, :, 0]) == list(range(90, 100))
+    """A level's chains start from its N_c samples with the smallest responses."""
+
+    def test_positions_91_to_100(self, monkeypatch):
+        x, _, _, seeds = _first_descent(monkeypatch, _scripted(np.arange(100, 0, -1)))
+        assert seeds.shape == (10, 1)
+        assert np.array_equal(seeds, x[90:])
 
     def test_single_seed(self):
-        cfg = SubsetConfig(n_samples=10, level_probability=0.1)
-        samples = np.arange(10).reshape(10, 1)
-        assert select_seeds(samples[None], cfg)[0, :, 0].tolist() == [9]
+        # N_c = 1: each level's one chain starts from the best sample
+        cfg = SubsetConfig(n_samples=10, level_probability=0.1, max_levels=3)
+        system = _line_system(shift=5.0)
+        _assert_level_streams(system, run_subset_simulation(system, cfg, 0.0, seed=9), 9, cfg)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            select_seeds(np.zeros((1, 50, 2)), CFG)
-
-    def test_matches_nearest_brute_force(self):
+    def test_matches_nearest_brute_force(self, monkeypatch):
         # seeds must be exactly the N_c samples with the smallest responses
-        rng = np.random.default_rng(99)
-        for _ in range(100):
-            xy = rng.normal(size=(100, 2))
-            resp = np.hypot(xy[:, 0] - 3.0, xy[:, 1] + 3.0)
-            order = np.argsort(-resp, kind="stable")
-            seeds = select_seeds(xy[order][None], CFG)[0]
+        for seed in range(100):
+            xy, resp, _, seeds = _first_descent(
+                monkeypatch, lambda x: np.hypot(x[:, 0] - 3.0, x[:, 1] + 3.0), d=2, seed=seed
+            )
             nearest = xy[np.argsort(resp, kind="stable")][:10]
             assert np.array_equal(np.sort(seeds, axis=0), np.sort(nearest, axis=0))
 
@@ -263,13 +293,14 @@ def _gaussian_system(evaluate, k=1):
     return RareEventSystem(np.zeros((k, 1)), np.ones((k, 1, 1)), evaluate)
 
 
-def _line_system(shift=0.0):
-    """1D test system: response = |x - shift|, prior standard normal.
-    `shift` is one value, or one per problem."""
+def _line_system(shift=0.0, decimals=None):
+    """1D test system: response = |x - shift|, rounded to `decimals` places
+    if given, prior standard normal.  `shift` is one value, or one per problem."""
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
 
     def evaluate(x, problems):
-        return np.abs(x[:, 0] - shifts[problems])
+        r = np.abs(x[:, 0] - shifts[problems])
+        return r if decimals is None else np.round(r, decimals)
 
     return _gaussian_system(evaluate, k=len(shifts))
 
@@ -284,7 +315,7 @@ def _assert_level_streams(system, result, seed, cfg):
     assert levels > 1
     root = _rng.derive(seed)
     d = system.mean.shape[1]
-    z = _rng.generator(_rng.child(root, 0)).standard_normal((n, d))
+    z = generator(child(root, 0)).standard_normal((n, d))
     x = system.mean[0] + z @ system.chol[0].T
     r = system.evaluate(x, np.zeros(n, dtype=int))
     kept_x, kept_r = [], []
@@ -299,7 +330,7 @@ def _assert_level_streams(system, result, seed, cfg):
         kept_r.append(r[: n - n_c])
         b = r[n - n_c - 1]
         assert b == result.diagnostics.thresholds[level - 1]
-        innovations = _rng.generator(_rng.child(root, level)).standard_normal((n_c, n_s, d))
+        innovations = generator(child(root, level)).standard_normal((n_c, n_s, d))
         x, r = conditional_chains(
             system, x[-n_c:], r[-n_c:], np.full(n_c, b), innovations, np.zeros(n_c, dtype=int),
         )
@@ -471,7 +502,7 @@ class TestConditionalChains:
         # with an infinite threshold every candidate is accepted and the
         # chain samples N(mean, chol chol^T)
         system = self._system()
-        innovations = _rng.generator(_rng.derive(3)).standard_normal((20, 2_000, 3))
+        innovations = generator(_rng.derive(3)).standard_normal((20, 2_000, 3))
         x, _ = self._run(system, np.repeat(self.MEAN, 20, axis=0), np.inf, innovations)
         x = x[:, 50:].reshape(-1, 3)  # past burn-in
         cov = self.CHOL[0] @ self.CHOL[0].T
@@ -486,7 +517,7 @@ class TestConditionalChains:
         # jitter; the chain needs no inverse of that factor, and with an
         # infinite threshold it keeps the prior's mean and covariance and
         # stays within the jitter's spread off the prior's support
-        gen = _rng.generator(_rng.derive(5))
+        gen = generator(_rng.derive(5))
         basis = gen.standard_normal((6, 3))
         cov = basis @ basis.T
         chol = _cholesky_with_jitter(cov)
@@ -510,7 +541,7 @@ class TestConditionalChains:
     def test_replay_equals_scalar_chain(self):
         # chain j, one scalar step at a time on its innovations[j]
         system = self._system()
-        gen = _rng.generator(_rng.derive(4))
+        gen = generator(_rng.derive(4))
         seeds = self.MEAN + gen.standard_normal((5, 3)) @ self.CHOL[0].T
         innovations = gen.standard_normal((5, 30, 3))
         threshold = float(np.abs(seeds[:, 0]).max())
@@ -548,7 +579,7 @@ class TestConditionalChains:
         mean = np.array([[0.0, 0.0], [3.0, -1.0]])
         chol = np.array([_chol(2, 5), _chol(2, 6)])
         system = RareEventSystem(mean, chol, lambda x, p: np.hypot(x[:, 0] - 2.0 * p, x[:, 1]))
-        gen = _rng.generator(_rng.derive(7))
+        gen = generator(_rng.derive(7))
         problems = np.array([0, 0, 1, 1, 1])
         seeds = mean[problems] + gen.standard_normal((5, 2))
         resp = system.evaluate(seeds, problems)
@@ -622,24 +653,34 @@ class TestLockstepProblems:
         SubsetConfig(n_samples=200, level_probability=0.1),
     )
 
-    def test_mixed_configs_equal_one_problem_runs(self):
+    @pytest.mark.parametrize("decimals", [None, 1], ids=["exact", "rounded"])
+    def test_mixed_configs_equal_one_problem_runs(self, decimals):
         # problems stop at level 0 (shift 0), mid-descent (shift 3 and 4) and
-        # at max_levels with no rare sample (shift 50), at both level caps
+        # at max_levels with no rare sample (shift 50), at both level caps;
+        # responses rounded to 0.1 tie in every level, across problems of
+        # different budgets, and the ties must fall in draw order
         shifts = (4.0, 0.0, 50.0, 4.0, 4.0, 50.0, 3.0)
         seeds = range(20, 27)
-        batch = list(run_subset_simulations(_line_system(shifts), self.MIXED, 0.5, seeds))
+        system = _line_system(shifts, decimals)
+        batch = list(run_subset_simulations(system, self.MIXED, 0.5, seeds))
         levels = [r.diagnostics.levels_completed for r in batch]
         assert levels[1] == 1
         assert levels[2] == 4 and batch[2].diagnostics.floor_reached
         assert levels[5] == CFG.max_levels and batch[5].diagnostics.floor_reached
         assert all(1 < levels[k] < CFG.max_levels for k in (0, 3, 4, 6))
         for shift, cfg, seed, result in zip(shifts, self.MIXED, seeds, batch):
-            alone = run_subset_simulation(_line_system(shift), cfg, 0.5, seed)
-            _assert_same_result(result, alone)
+            alone = _line_system(shift, decimals)
+            _assert_same_result(result, run_subset_simulation(alone, cfg, 0.5, seed))
+            if result.diagnostics.levels_completed > 1:
+                _assert_level_streams(alone, result, seed, cfg)
+            if decimals is not None:
+                kept = [cfg.n_samples - cfg.n_chains] * (result.diagnostics.levels_completed - 1)
+                for level in np.split(result.table.responses, np.cumsum(kept)):
+                    assert len(np.unique(level)) < len(level)
 
     def test_mixed_configs_step_together(self, monkeypatch):
-        # every level draws all cohorts' innovations in one call and steps
-        # all their chains in one call
+        # every level draws the innovations of all the problems' chains in
+        # one call and steps them all in one call, whatever their budgets
         draws, chains = [], []
         draw, step = _rng.standard_normal, engine.conditional_chains
 
@@ -790,7 +831,7 @@ class TestBatches:
         return batches
 
     def test_batches_are_transparent(self, monkeypatch):
-        seeds = [_rng.child(_rng.derive(50), k) for k in range(len(self.SHIFTS))]
+        seeds = [child(_rng.derive(50), k) for k in range(len(self.SHIFTS))]
         system = _line_system(self.SHIFTS)
         whole = list(run_subset_simulations(system, CFG, 0.5, seeds))
         batches = self._recorded_batches(monkeypatch)

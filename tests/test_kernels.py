@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dense
+from streams import generator
 from subsim import rng as _rng
 from subsim.analysis import freeze_phase, phase_p1, phase_p2
 from subsim.conflict import _cholesky_with_jitter
@@ -47,7 +48,7 @@ def _assert_near_scan(states, observer=OBSERVER, horizon=200.0, problem=None, ra
 def _draws(q, n, key):
     """n draws of the intruder posterior of query `q`, from stream `key`."""
     chol = _cholesky_with_jitter(q.intruder_estimate.covariance)
-    z = _rng.generator(_rng.derive(key)).standard_normal((n, 6))
+    z = generator(_rng.derive(key)).standard_normal((n, 6))
     return q.intruder_estimate.mean.as_array() + z @ chol.T
 
 
@@ -138,7 +139,7 @@ class TestClosedForm:
         # the rows of a batch in another order give the same bits, row by row
         q = phase_p2(seed=2)
         states = _draws(q, 300, 18)
-        order = _rng.generator(_rng.derive(19)).permutation(300)
+        order = generator(_rng.derive(19)).permutation(300)
         whole = _miss(states, q.observer.as_array(), q.horizon)
         shuffled = _miss(states[order], q.observer.as_array(), q.horizon)
         assert np.array_equal(whole[0][order], shuffled[0])
@@ -236,7 +237,7 @@ class TestClosedForm:
         # nearly identical motion far from the origin: the distances differ
         # by rounding only
         observer = np.array([15000.0, 150.3, 0.37, -8000.0, -90.1, 0.11])
-        noise = _rng.generator(_rng.derive(19)).standard_normal((100, 6))
+        noise = generator(_rng.derive(19)).standard_normal((100, 6))
         states = observer + noise * np.array([1e-3, 1e-9, 1e-13, 1e-3, 1e-9, 1e-13])
         _assert_near_scan(states, observer, rate=200.0)
 
@@ -346,7 +347,7 @@ class TestBound:
     def test_zero_relative_acceleration_stays_exact(self):
         # posterior means moving with their observers' acceleration: the
         # kernel equals the hand-made linear CPA to rounding
-        gen = _rng.generator(_rng.derive(25))
+        gen = generator(_rng.derive(25))
         observer = np.array([0.0, 77.17, 0.05, 0.0, 0.0, -0.02])
         states = observer + gen.normal(size=(200, 6)) * [2000.0, 80.0, 0.0, 500.0, 5.0, 0.0]
         miss, tca = _miss(states, observer, 20.0)
@@ -371,7 +372,7 @@ class TestBound:
 
     def test_short_track_stays_exact(self):
         # a 0.1 s horizon: the CPA is clipped to it
-        states = OBSERVER + _rng.generator(_rng.derive(26)).normal(size=(20, 6)) * [500.0, 5, 0.1, 500, 5, 0.1]
+        states = OBSERVER + generator(_rng.derive(26)).normal(size=(20, 6)) * [500.0, 5, 0.1, 500, 5, 0.1]
         _, tca = _assert_near_scan(states, horizon=0.1)
         assert (tca == 0.1).any() and (tca == 0.0).any()
 
@@ -407,7 +408,7 @@ class TestSmallBatches:
 
     @pytest.mark.parametrize("rows, t, k", [(1, 20.0, 1), (30, 20.0, 1), (3, 200.0, 1), (5, 20.0, 2)])
     def test_small_batches_take_the_closed_form(self, rows, t, k):
-        gen = _rng.generator(_rng.derive(62))
+        gen = generator(_rng.derive(62))
         observers = OBSERVER + gen.normal(size=(k, 6)) * [100.0, 5.0, 0.1, 100.0, 5.0, 0.1]
         states = OBSERVER + [2000.0, -180.0, 0.2, 150.0, 1.0, -0.1]
         states = states + gen.normal(size=(rows, 6)) * [200.0, 10.0, 0.1, 200.0, 1.0, 0.1]
@@ -422,7 +423,7 @@ class TestSeveralTracks:
     """K observers and a row-to-observer index: one call equals K one-observer calls."""
 
     def _case(self, k=3, rows=400):
-        gen = _rng.generator(_rng.derive(61))
+        gen = generator(_rng.derive(61))
         observers = gen.normal(size=(k, 6)) * np.array([500.0, 80.0, 0.5, 500.0, 8.0, 0.5])
         states = gen.normal(size=(rows, 6)) * np.array([2000.0, 80.0, 1.0, 2000.0, 8.0, 1.0])
         problem = gen.integers(0, k, size=rows)

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from streams import child, generator
 from subsim import rng as _rng
 
 
@@ -65,7 +66,7 @@ class TestPools:
             np.random.SeedSequence(5, spawn_key=(2,), pool_size=8),
         ):
             got = _rng.child_pool(_rng.pool(seq), 4, 1)
-            assert _rng.philox_key(got) == _numpy_key(_rng.child(seq, 4, 1))
+            assert _rng.philox_key(got) == _numpy_key(child(seq, 4, 1))
 
     def test_numpy_integer_keys(self):
         root = _rng.pool(3)
@@ -79,23 +80,23 @@ class TestDraws:
         streams = [_rng.child_pool(_rng.pool(root), *key) for key in keys]
         got = _rng.standard_normal(streams, [10] * len(keys), (10, 6))
         want = np.concatenate(
-            [_rng.generator(_rng.child(root, *key)).standard_normal((10, 10, 6)) for key in keys]
+            [generator(child(root, *key)).standard_normal((10, 10, 6)) for key in keys]
         )
         assert np.array_equal(got, want)
 
     def test_interleaved_streams_start_afresh(self):
         root = _rng.derive(17)
         a, b = _rng.children([_rng.pool(root)], 0)[0], _rng.child_pool(_rng.pool(root), 1)
-        ref_a = _rng.generator(_rng.child(root, 0)).standard_normal(40)
-        ref_b = _rng.generator(_rng.child(root, 1)).standard_normal(40)
+        ref_a = generator(child(root, 0)).standard_normal(40)
+        ref_b = generator(child(root, 1)).standard_normal(40)
         first = _rng.standard_normal([a, b, a], [3, 5, 2], (4,))
-        between = _rng.generator(root).standard_normal(7)  # another generator in between
+        between = generator(root).standard_normal(7)  # another generator in between
         again = _rng.standard_normal([b, a], [1, 1], (4,))
         assert np.array_equal(first[:3].ravel(), ref_a[:12])
         assert np.array_equal(first[3:8].ravel(), ref_b[:20])
         assert np.array_equal(first[8:].ravel(), ref_a[:8])
         assert np.array_equal(again.ravel(), np.concatenate([ref_b[:4], ref_a[:4]]))
-        assert np.array_equal(between, _rng.generator(root).standard_normal(7))
+        assert np.array_equal(between, generator(root).standard_normal(7))
 
     def test_varied_rows_and_no_tail(self):
         root = _rng.derive(5)
@@ -103,7 +104,7 @@ class TestDraws:
         rows = [1, 7, 2, 30]
         got = _rng.standard_normal(streams, rows)
         want = np.concatenate(
-            [_rng.generator(_rng.child(root, k)).standard_normal(n) for k, n in enumerate(rows)]
+            [generator(child(root, k)).standard_normal(n) for k, n in enumerate(rows)]
         )
         assert np.array_equal(got, want)
 
@@ -148,7 +149,7 @@ class TestKeyRule:
             np.random.SeedSequence(1, spawn_key=(bad,))
         root = _rng.derive(1)
         with pytest.raises(ValueError, match="non-negative"):
-            _rng.child(root, bad)
+            child(root, bad)
         with pytest.raises(ValueError, match="non-negative"):
             _rng.child_pool(_rng.pool(root), 0, bad)
         with pytest.raises(ValueError, match="non-negative"):
@@ -161,7 +162,7 @@ class TestKeyRule:
         with pytest.raises(TypeError, match="must be integers"):
             _rng.derive(bad)
         with pytest.raises(TypeError, match="must be integers"):
-            _rng.child(root, bad)
+            child(root, bad)
         with pytest.raises(TypeError, match="must be integers"):
             _rng.child_pool(_rng.pool(root), bad)
         with pytest.raises(TypeError, match="must be integers"):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from streams import generator
 from subsim import rng as _rng
 from subsim import toy
 from subsim.engine import (
@@ -142,7 +143,7 @@ def _chains(seeds, length, threshold, seed):
     innovations one (m, length, 2) block of one generator."""
     xy = np.array([s.as_array() for s in seeds])
     d = np.array([distance_to_center(s, REGION) for s in seeds])
-    gen = _rng.generator(_rng.derive(seed))
+    gen = generator(_rng.derive(seed))
     m = len(seeds)
     system = toy_system(REGION)
     out_xy, out_d = conditional_chains(
@@ -184,7 +185,7 @@ class TestMhChains:
         # (m, length, 2) draw
         seeds = [Point2(0.5, -0.5), Point2(-1.0, 2.0), Point2(3.0, 0.25)]
         chains = _chains(seeds, 30, threshold=np.inf, seed=21)
-        blocks = _rng.generator(_rng.derive(21)).standard_normal((3, 30, 2))
+        blocks = generator(_rng.derive(21)).standard_normal((3, 30, 2))
         for s, (xy, d), block in zip(seeds, chains, blocks):
             ref_xy, ref_d = _replay_chain(s, np.inf, block)
             assert np.array_equal(xy, ref_xy)
@@ -196,7 +197,7 @@ class TestMhChains:
         seeds = [Point2(2.0, -2.0), Point2(3.5, -3.0), Point2(2.5, -4.0), Point2(3.0, -2.2)]
         threshold = 1.6
         chains = _chains(seeds, 60, threshold, seed=23)
-        blocks = _rng.generator(_rng.derive(23)).standard_normal((4, 60, 2))
+        blocks = generator(_rng.derive(23)).standard_normal((4, 60, 2))
         moved = 0
         for j, (xy, d) in enumerate(chains):
             ref_xy, ref_d = _replay_chain(seeds[j], threshold, blocks[j])
@@ -214,7 +215,7 @@ class TestMhChains:
         # a candidate exactly on the threshold is accepted and one a ulp
         # beyond it is rejected
         seeds = [Point2(3.0, -3.0)]
-        xi = _rng.generator(_rng.derive(24)).standard_normal((1, 1, 2))[0, 0]
+        xi = generator(_rng.derive(24)).standard_normal((1, 1, 2))[0, 0]
         cand = CHAIN_CORRELATION * seeds[0].as_array() + math.sqrt(1.0 - CHAIN_CORRELATION**2) * xi
         d = distance_to_center(Point2(*cand), REGION)
         (xy, _), = _chains(seeds, 1, threshold=d, seed=24)
@@ -233,7 +234,7 @@ class TestMhChains:
         threshold = 3.0
         seeds = [Point2(3.0, 0.0)]
         (xy, d), = _chains(seeds, 4000, threshold=threshold, seed=8)
-        draws = _rng.generator(_rng.derive(80)).standard_normal((200_000, 2))
+        draws = generator(_rng.derive(80)).standard_normal((200_000, 2))
         ref = np.hypot(draws[:, 0] - 3.0, draws[:, 1] + 3.0)
         ref = ref[ref <= threshold]
         settled = d[100::10]  # past burn-in, thinned to near independence

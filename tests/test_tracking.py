@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from streams import generator
 from subsim import rng as _rng
 from subsim.dynamics import AircraftState, transition_matrix
 from subsim.tracking import (
@@ -19,7 +20,7 @@ NOISE = NoiseConfig()
 
 
 def _gen(seed):
-    return _rng.generator(_rng.derive(seed))
+    return generator(_rng.derive(seed))
 
 
 class TestProcessNoise:
