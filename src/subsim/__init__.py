@@ -9,7 +9,7 @@ intruder, with a matched-budget Direct Monte Carlo baseline.
 
 __version__ = "0.5.0"
 
-from .conflict import ConflictQuery, PcResult, pc_dmc, pc_ss, pc_ss_batch, simulate_scenario
+from .conflict import ConflictQuery, PcResult, pc_dmc, pc_ss, simulate_scenario
 from .dynamics import AircraftState, transition_matrix
 from .engine import (
     CcdfRow,
@@ -19,7 +19,6 @@ from .engine import (
     SubsetConfig,
     SubsetResult,
     direct_monte_carlo,
-    run_subset_simulation,
     run_subset_simulations,
 )
 from .scenarios import ScenarioKind, ScenarioSpec, build_converging, build_head_on, build_overtaking
@@ -52,9 +51,7 @@ __all__ = [
     "oracle_probability",
     "pc_dmc",
     "pc_ss",
-    "pc_ss_batch",
     "process_noise",
-    "run_subset_simulation",
     "run_subset_simulations",
     "simulate_scenario",
     "ss_toy",

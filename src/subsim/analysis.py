@@ -3,9 +3,9 @@
 A scenario phase (encounter + time instant) is frozen into a single conflict
 query by running the truth/filter loop once; repeated independent estimates
 against that fixed query then isolate estimator randomness from filter noise.
-The SS repetitions of every budget go to one `pc_ss_batch` call, whose
-lockstep batches may mix budgets, and return their estimates only, with no
-CCDF table.  DMC makes one `pc_dmc` call per budget and repetition.
+All (budget, repetition) pairs of a method go to one `pc_dmc` or `pc_ss`
+call, whose lockstep batches may mix budgets, and return their estimates
+only, with no CCDF table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conflict import ConflictQuery, PcResult, encounter_steps, pc_dmc, pc_ss_batch
+from .conflict import ConflictQuery, PcResult, encounter_steps, pc_dmc, pc_ss
 from .engine import SubsetConfig
 from .rng import SeedLike, child_pool, pool
 from .scenarios import ScenarioSpec, build_head_on
@@ -129,20 +129,18 @@ def cov_study(config: CovStudyConfig, seed: SeedLike) -> list[CovPoint]:
     for SS, with root the seed's pool.
     """
     root = pool(seed)
-    reps = range(config.repetitions)
+    r = config.repetitions
     points: list[CovPoint] = []
-    for size_idx, n in enumerate(config.dmc_sizes):
-        results = [pc_dmc(config.phase, n, child_pool(root, 0, size_idx, rep)) for rep in reps]
-        points.append(_cov_point("dmc", n, results))
-    # every SS (budget, repetition) pair in one batch, budget-major
-    r, ss_sizes = config.repetitions, list(enumerate(config.ss_sizes))
-    results = pc_ss_batch(
-        [config.phase] * (len(ss_sizes) * r),
-        [config.subset_config(n) for _, n in ss_sizes for _ in reps],
-        [child_pool(root, 1, size_idx, rep) for size_idx, _ in ss_sizes for rep in reps],
-    )
-    for size_idx, n in ss_sizes:
-        points.append(_cov_point("ss", n, results[size_idx * r : (size_idx + 1) * r]))
+    # every (budget, repetition) pair of a method in one call, budget-major
+    for key, (method, estimator, sizes, budget) in enumerate(
+        [("dmc", pc_dmc, config.dmc_sizes, int), ("ss", pc_ss, config.ss_sizes, config.subset_config)]
+    ):
+        results = estimator(
+            [config.phase] * (len(sizes) * r),
+            [budget(n) for n in sizes for _ in range(r)],
+            [child_pool(root, key, i, rep) for i in range(len(sizes)) for rep in range(r)],
+        )
+        points += [_cov_point(method, n, results[i * r : (i + 1) * r]) for i, n in enumerate(sizes)]
     return points
 
 

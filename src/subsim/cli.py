@@ -19,6 +19,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,6 @@ from .scenarios import (
     build_overtaking,
     load_scenario,
     spec_to_dict,
-    with_lateral_separation,
 )
 from .toy import CircleRegion, Point2, oracle_probability, ss_toy
 
@@ -162,7 +162,7 @@ def cmd_scenario(args) -> int:
     else:
         laterals = [base.lateral_separation]
     # every spec of the sweep is checked before anything is written
-    specs = [with_lateral_separation(base, la) for la in laterals]
+    specs = [replace(base, lateral_separation=la) for la in laterals]
     config = SubsetConfig(
         n_samples=args.n, level_probability=args.p0, max_levels=args.levels
     )

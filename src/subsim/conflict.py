@@ -3,13 +3,13 @@
 Intruder states are sampled from the Kalman posterior and scored by their
 miss distance, the closest approach to the observer's intended
 constant-acceleration motion over the prediction horizon in continuous time
-(`dynamics.miss_distance_batch`), against the protected radius, the failure
-threshold.
-`conflict_system` poses queries as engine problems, as `toy.toy_system` poses
-its disc.  Matched-budget Direct Monte Carlo (the engine's level 0 run alone)
-and subset simulation share that system, and `simulate_scenario` runs both
-across a full encounter while the filter tracks the (noisy-measured) intruder,
-handing every estimated step to one engine call of each kind.
+(`dynamics.miss_distance_batch`), against the protected radius, the
+system's failure threshold.  `conflict_system` poses queries as engine
+problems, as `toy.toy_system` poses its disc.  Matched-budget Direct Monte
+Carlo (`pc_dmc`, the engine's level 0 run alone) and subset simulation
+(`pc_ss`) each run a list of queries as one system in one engine call, and
+`simulate_scenario` runs both across a full encounter while the filter
+tracks the (noisy-measured) intruder, on one system of every estimated step.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .dynamics import AircraftState, miss_distance_batch, transition_matrix
 from .engine import (
-    CcdfTable,
     RareEventSystem,
     SubsetConfig,
     SubsetResult,
@@ -110,10 +109,10 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
     (`miss_distance_batch`, the closest approach over [0, horizon] in
     continuous time) to the observer the response.
 
-    The queries must share their protected radius, the one failure
-    threshold `queries[0].protected_radius`; their horizons may differ.  The
-    observer states and horizons are stacked once, and the covariances
-    factored in one stacked call, or query by query with jitter.
+    The queries must share their protected radius, the system's failure
+    threshold; their horizons may differ.  The observer states and horizons
+    are stacked once, and the covariances factored in one stacked call, or
+    query by query with jitter.
     """
     if not queries:
         raise ValueError("at least one query is required")
@@ -136,26 +135,29 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
         # the states and the observers as its first two arguments
         return miss_distance_batch(states, observer, problems, horizon)[0]
 
-    return RareEventSystem(mean, chol, evaluate)
+    return RareEventSystem(mean, chol, evaluate, threshold=queries[0].protected_radius)
 
 
 def _dmc(
-    system: RareEventSystem, radius: float, ns: Sequence[int], seeds: Sequence[SeedLike | Pool]
+    system: RareEventSystem, ns: Sequence[int], seeds: Sequence[SeedLike | Pool]
 ) -> list[PcResult]:
-    """Direct Monte Carlo on every query of `system`, query k on `ns[k]` draws
-    from `seeds[k]`, in one engine call; result k equals `pc_dmc` of query k.
-    A NumPy integer count gives the Python numbers a Python `int` gives."""
-    counts = direct_monte_carlo(system, ns, radius, seeds)
+    """Direct Monte Carlo on every problem of `system`, problem k on `ns[k]`
+    draws from `seeds[k]`, in one engine call.  A NumPy integer count gives
+    the Python numbers a Python `int` gives."""
+    counts = direct_monte_carlo(system, ns, seeds)
     return [
         PcResult(pc=c / n, conflict_count=c, levels_used=1, samples_used=n, floor_reached=False)
         for n, c in zip(map(operator.index, ns), counts.tolist())
     ]
 
 
-def pc_dmc(query: ConflictQuery, n: int, seed: SeedLike | Pool) -> PcResult:
-    """Direct Monte Carlo: fraction of n posterior draws whose trajectories
-    conflict.  The draws are those of `pc_ss`'s level 0 at the same seed."""
-    return _dmc(conflict_system([query]), query.protected_radius, [n], [seed])[0]
+def pc_dmc(
+    queries: Sequence[ConflictQuery], ns: Sequence[int], seeds: Sequence[SeedLike | Pool]
+) -> list[PcResult]:
+    """Direct Monte Carlo: per query k, the fraction of `ns[k]` posterior
+    draws from `seeds[k]`, those of `pc_ss`'s level 0, that conflict.  One
+    engine call; result k equals query k's own one-query call exactly."""
+    return _dmc(conflict_system(queries), ns, seeds)
 
 
 def _pc(result: SubsetResult) -> PcResult:
@@ -170,44 +172,20 @@ def _pc(result: SubsetResult) -> PcResult:
 
 
 def pc_ss(
-    query: ConflictQuery,
-    config: SubsetConfig,
-    seed: SeedLike,
-) -> tuple[PcResult, CcdfTable]:
-    """Subset-simulation conflict probability for one query.
-
-    Level 0 is `pc_dmc` on N draws at the same seed; deeper levels run
-    conditional chains against intermediate miss-distance thresholds.  The
-    estimate is D/N * p0^L, with D the conflicts among level L's N samples,
-    and the CCDF table merges every level's population.
-    """
-    system = conflict_system([query])
-    (result,) = run_subset_simulations(system, config, query.protected_radius, [seed])
-    return _pc(result), result.table
-
-
-def pc_ss_batch(
     queries: Sequence[ConflictQuery],
     configs: SubsetConfig | Sequence[SubsetConfig],
     seeds: Sequence[SeedLike | Pool],
 ) -> list[PcResult]:
-    """`pc_ss` of each query with its config and seed, without the CCDF tables.
+    """Subset-simulation conflict probability of query k under `configs[k]`,
+    or `configs` itself if it is one config, from `seeds[k]`.
 
-    `configs` is one config per query, or one config for them all; the
-    configs must share `level_probability`.  All the queries must share
-    their protected radius; their horizons may differ.  The queries form one
-    `conflict_system` and go to one engine call, which runs them in batches
-    that may mix budgets.  Result i equals
-    `pc_ss(queries[i], configs[i], seeds[i])[0]` exactly.
+    Level 0 is `pc_dmc` on N draws at the same seed; deeper levels run
+    conditional chains against intermediate miss-distance thresholds.  The
+    estimate is D/N * p0^L, with D the conflicts among level L's N samples.
+    One engine call, whose batches may mix budgets; result k equals query
+    k's own one-query call exactly.  No CCDF table is built.
     """
-    if len(queries) != len(seeds):
-        raise ValueError(f"{len(queries)} queries but {len(seeds)} seeds")
-    if not isinstance(configs, SubsetConfig) and len(configs) != len(queries):
-        raise ValueError(f"{len(queries)} queries but {len(configs)} configs")
-    if not queries:
-        return []
-    system = conflict_system(queries)
-    return list(map(_pc, run_subset_simulations(system, configs, queries[0].protected_radius, seeds)))
+    return list(map(_pc, run_subset_simulations(conflict_system(queries), configs, seeds)))
 
 
 @dataclass(eq=False)
@@ -312,8 +290,8 @@ def simulate_scenario(
 
     SS, DMC and the true miss distance share one `conflict_system` of the
     estimated steps.  Step k's SS run draws from child(root, k, 1), and its
-    DMC result is `pc_dmc(step.query(spec), n, child(root, k, 2))` with n
-    SS's `samples_used`, root being the seed's pool.  No table is built.
+    DMC result is `pc_dmc` of its query on SS's `samples_used` draws from
+    child(root, k, 2), root being the seed's pool.  No table is built.
     """
     root = pool(seed)
     try:
@@ -329,10 +307,9 @@ def simulate_scenario(
         return []
     queries = [step.query(spec) for step in steps]
     system = conflict_system(queries)
-    radius = spec.protected_radius
     step_roots = [child_pool(root, step.k) for step in steps]
-    ss = list(map(_pc, run_subset_simulations(system, ss_config, radius, children(step_roots, 1))))
-    dmc = _dmc(system, radius, [res.samples_used for res in ss], children(step_roots, 2))
+    ss = list(map(_pc, run_subset_simulations(system, ss_config, children(step_roots, 1))))
+    dmc = _dmc(system, [res.samples_used for res in ss], children(step_roots, 2))
     miss_true = system.evaluate(np.array([step.intruder for step in steps]), np.arange(len(steps)))
     return [
         StepRecord(

@@ -129,7 +129,7 @@ class CcdfTable:
 
 @dataclass(frozen=True)
 class RareEventSystem:
-    """K independent problems with Gaussian priors on one sample space.
+    """K independent problems with Gaussian priors: P(response <= threshold).
 
     Problem k's prior is N(mean[k], chol[k] chol[k]^T): `mean` is (K, d) and
     `chol` the (K, d, d) lower Cholesky factors.  The engine runs the problems
@@ -137,18 +137,19 @@ class RareEventSystem:
     evaluate(samples, problems) maps samples (n, d) to scalar responses
     (smaller = closer to the rare event), row i belonging to problem
     problems[i] (0..K-1).  Every response is exact: level 0 sorts them,
-    `direct_monte_carlo` counts those at or below the failure threshold and
+    `direct_monte_carlo` counts those at or below `threshold` and
     `conditional_chains` those at or below each chain's threshold.  A row's
     response must not depend on the rows beside it, so that each problem's
-    result equals its own one-problem run.  The conflict system's response
-    is the closest approach in continuous time
-    (`dynamics.miss_distance_batch`), the toy's the distance to the disc
-    centre.
+    result equals its own one-problem run.  The conflict system's response is
+    the closest approach in continuous time (`dynamics.miss_distance_batch`)
+    and its threshold the protected radius; the toy's, the distance to the
+    disc centre and the disc's radius.
     """
 
     mean: np.ndarray
     chol: np.ndarray
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    threshold: float
 
 
 @dataclass(frozen=True)
@@ -323,11 +324,10 @@ def _batches(ns: Sequence[int]) -> Iterator[tuple[int, int]]:
 def direct_monte_carlo(
     system: RareEventSystem,
     ns: Sequence[int],
-    failure_threshold: float,
     seeds: Sequence[_rng.SeedLike | _rng.Pool],
 ) -> np.ndarray:
     """Per problem k, how many of its `ns[k]` prior draws respond at or below
-    `failure_threshold`.  The draws are level 0 of `run_subset_simulations`
+    the system's threshold.  The draws are level 0 of `run_subset_simulations`
     from `seeds[k]`.  Each batch (`_batches`) is drawn and scored in one
     `evaluate` call, so a problem is never split.  A sample count that is
     not a positive integer, and a non-finite response, raise `ValueError`,
@@ -347,7 +347,7 @@ def direct_monte_carlo(
         responses = system.evaluate(samples, problems)
         if not np.all(np.isfinite(responses)):
             raise ValueError("level 0 produced non-finite responses")
-        hits = responses <= failure_threshold
+        hits = responses <= system.threshold
         counts.append(np.bincount(problems[hits] - lo, minlength=hi - lo))
     return np.concatenate(counts)
 
@@ -419,34 +419,19 @@ def conditional_chains(
     return out_x, out_r
 
 
-def run_subset_simulation(
-    system: RareEventSystem,
-    config: SubsetConfig,
-    failure_threshold: float,
-    seed: _rng.SeedLike | _rng.Pool,
-) -> SubsetResult:
-    """Run the full multi-level simulation of the one problem of `system`.
-
-    The case K = 1 of `run_subset_simulations`.
-    """
-    return next(run_subset_simulations(system, config, failure_threshold, [seed]))
-
-
 def run_subset_simulations(
     system: RareEventSystem,
     configs: SubsetConfig | Sequence[SubsetConfig],
-    failure_threshold: float,
     seeds: Sequence[_rng.SeedLike | _rng.Pool],
 ) -> Iterator[SubsetResult]:
     """Run problems 0..K-1 of `system` in lockstep, problem k from `seeds[k]`
     under `configs[k]`, or under `configs` itself if it is one config.
 
     Level 0 is `direct_monte_carlo`'s N prior draws per problem.  While
-    levels remain, the engine promotes each problem's N_c best samples as chain seeds, grows N
-    new conditional samples under its intermediate threshold, and repeats.
-    A problem's descent stops as soon as a level holds at least N_c samples
-    at or below `failure_threshold`, or at `max_levels`.  Total cost is N per
-    level per problem.
+    levels remain, each problem's N_c best samples seed chains that grow N
+    new samples under its intermediate threshold.  A problem's descent stops
+    once a level holds N_c samples at or below the system's threshold, or at
+    `max_levels`.  Total cost is N per level per problem.
 
     Every input is checked before this returns.  The iterator returned runs
     the problems batch by batch (`_batches`) and yields the results in
@@ -481,12 +466,12 @@ def run_subset_simulations(
 
     def stream():  # a generator expression's loop variable would pin a batch
         for lo, hi in _batches([c.n_samples for c in configs]):
-            yield from _run_batch(system, configs, failure_threshold, roots, range(lo, hi))
+            yield from _run_batch(system, configs, roots, range(lo, hi))
 
     return stream()
 
 
-def _run_batch(system, configs, failure_threshold, roots, batch: range):
+def _run_batch(system, configs, roots, batch: range):
     """The results of the problems in `batch`, run in lockstep, in order.
 
     Each level is one population whose rows run problem by problem over the
@@ -513,7 +498,7 @@ def _run_batch(system, configs, failure_threshold, roots, batch: range):
         sorted_r, sorted_x = _sort_level(samples, responses, fill, starts, level)
         for k, start, end in spans:
             blocks[k].append((sorted_r[start:end], sorted_x[start:end]))
-        conflicts = np.add.reduceat(sorted_r <= failure_threshold, starts)
+        conflicts = np.add.reduceat(sorted_r <= system.threshold, starts)
         stop = (conflicts >= n_cs) | (last == level)
         stopping = stop.any()
         if stopping:

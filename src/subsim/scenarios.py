@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -219,7 +219,3 @@ def load_scenario(path) -> ScenarioSpec:
         return spec_from_dict(data)
     except (TypeError, KeyError) as exc:
         raise ValueError(f"scenario file {path} has unknown or missing fields: {exc}") from exc
-
-
-def with_lateral_separation(spec: ScenarioSpec, lateral: float) -> ScenarioSpec:
-    return replace(spec, lateral_separation=lateral)

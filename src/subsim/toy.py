@@ -19,7 +19,7 @@ from .engine import (
     SubsetConfig,
     SubsetResult,
     direct_monte_carlo,
-    run_subset_simulation,
+    run_subset_simulations,
 )
 
 ORACLE_REL_TOL = 1e-6  # ends `oracle_probability`'s grid doubling; far finer than tests need
@@ -57,7 +57,7 @@ def _distances(xy: np.ndarray, center: np.ndarray) -> np.ndarray:
 def dmc_estimate(region: CircleRegion, n: int, seed: _rng.SeedLike) -> float:
     """Plain Monte Carlo estimate: fraction of n standard-normal draws inside
     the disc.  The draws are `ss_toy`'s level 0 at the same seed."""
-    return float(direct_monte_carlo(toy_system(region), [n], region.radius, [seed])[0]) / n
+    return float(direct_monte_carlo(toy_system(region), [n], [seed])[0]) / n
 
 
 def oracle_probability(region: CircleRegion) -> float:
@@ -99,13 +99,13 @@ def oracle_probability(region: CircleRegion) -> float:
 
 def toy_system(region: CircleRegion) -> RareEventSystem:
     """The disc problem as one engine problem: a standard-normal prior (zero
-    mean, identity factor) and the distance to the disc center."""
+    mean, identity factor), the distance to the disc center and its radius."""
     center = region.center.as_array()
 
     def evaluate(xy: np.ndarray, problems: np.ndarray) -> np.ndarray:
         return _distances(xy, center)
 
-    return RareEventSystem(np.zeros((1, 2)), np.eye(2)[None], evaluate)
+    return RareEventSystem(np.zeros((1, 2)), np.eye(2)[None], evaluate, threshold=region.radius)
 
 
 def ss_toy(region: CircleRegion, config: SubsetConfig, seed: _rng.SeedLike) -> SubsetResult:
@@ -115,4 +115,5 @@ def ss_toy(region: CircleRegion, config: SubsetConfig, seed: _rng.SeedLike) -> S
     `max_levels`; the estimate is D/N * p0^L, with D of the final level L's
     N samples inside the disc.  Level 0 is `dmc_estimate` on the same draws.
     """
-    return run_subset_simulation(toy_system(region), config, region.radius, seed)
+    (result,) = run_subset_simulations(toy_system(region), config, [seed])
+    return result

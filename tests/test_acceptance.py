@@ -28,13 +28,14 @@ from subsim.analysis import (
     cov_study,
     phase_p2,
 )
-from subsim.conflict import pc_ss, simulate_scenario
+from subsim.conflict import conflict_system, simulate_scenario
 from subsim.dynamics import miss_distance_batch
 from subsim.engine import (
     IntervalVariant,
     SubsetConfig,
     conditional_chains,
     probability_intervals,
+    run_subset_simulations,
 )
 from subsim.scenarios import build_head_on
 from subsim.toy import CircleRegion, Point2, dmc_estimate, oracle_probability, ss_toy, toy_system
@@ -240,7 +241,8 @@ def test_criterion_7_property_suites():
 
     # stored CCDF rows reproduce their responses exactly
     q = phase_p2(seed=42)
-    _, table = pc_ss(q, config, seed=14)
+    (result,) = run_subset_simulations(conflict_system([q]), config, [14])
+    table = result.table
     samples = np.array([row.sample for row in table.rows])
     responses = np.array([row.response for row in table.rows])
     problem = np.zeros(len(samples), np.intp)

@@ -200,44 +200,37 @@ class TestCovStudy:
             assert p.mean_pc >= 0.0
             assert p.undefined or p.cov >= 0.0
 
-    def test_one_pc_dmc_per_dmc_repetition(self, monkeypatch):
-        # cov_study reads the module's pc_dmc once per repetition and DMC
-        # budget, so a wrapper set on subsim.analysis.pc_dmc sees each one
-        calls = []
-        dmc = analysis.pc_dmc
+    def test_one_pc_dmc_and_one_pc_ss_call(self, monkeypatch):
+        # cov_study reads the module's pc_dmc and pc_ss once each, so a
+        # wrapper set on subsim.analysis.pc_dmc or subsim.analysis.pc_ss sees
+        # every estimate; each call takes all (budget, repetition) pairs of
+        # its method, budget-major, and the SS pairs share one engine run
+        calls, runs = [], []
+        dmc, ss, run = analysis.pc_dmc, analysis.pc_ss, conflict.run_subset_simulations
 
-        def counting(query, n, seed):
-            calls.append(n)
-            return dmc(query, n, seed)
+        def counting_dmc(queries, ns, seeds):
+            calls.append(("dmc", list(ns)))
+            return dmc(queries, ns, seeds)
 
-        monkeypatch.setattr(analysis, "pc_dmc", counting)
-        q = phase_p1(seed=2)
-        config = CovStudyConfig(phase=q, repetitions=3, dmc_sizes=(100, 200), ss_sizes=(100,))
-        cov_study(config, seed=11)
-        assert calls == [100] * 3 + [200] * 3
+        def counting_ss(queries, configs, seeds):
+            calls.append(("ss", [config.n_samples for config in configs]))
+            return ss(queries, configs, seeds)
 
-    def test_one_engine_run_for_every_ss_budget(self, monkeypatch):
-        # the SS repetitions of all budgets share one lockstep run; DMC keeps
-        # one pc_dmc call per budget and repetition
-        runs, dmc_calls = [], []
-        run, dmc = conflict.run_subset_simulations, analysis.pc_dmc
+        def counting_run(*args):
+            runs.append(args)
+            return run(*args)
 
-        def counting_run(system, configs, threshold, seeds):
-            runs.append([config.n_samples for config in configs])
-            return run(system, configs, threshold, seeds)
-
-        def counting_dmc(query, n, seed):
-            dmc_calls.append(n)
-            return dmc(query, n, seed)
-
-        monkeypatch.setattr(conflict, "run_subset_simulations", counting_run)
         monkeypatch.setattr(analysis, "pc_dmc", counting_dmc)
+        monkeypatch.setattr(analysis, "pc_ss", counting_ss)
+        monkeypatch.setattr(conflict, "run_subset_simulations", counting_run)
         config = CovStudyConfig(
             phase=phase_p1(seed=2), repetitions=2, dmc_sizes=(100, 200), ss_sizes=(100, 200, 500)
         )
         cov_study(config, seed=11)
-        assert runs == [[100, 100, 200, 200, 500, 500]]
-        assert dmc_calls == [100] * 2 + [200] * 2
+        assert sorted(calls) == [
+            ("dmc", [100, 100, 200, 200]), ("ss", [100, 100, 200, 200, 500, 500])
+        ]
+        assert len(runs) == 1
 
     def test_ss_points_read_each_repetitions_own_stream(self):
         # SS repetition rep of budget i is pc_ss on stream child(root, 1, i, rep)
@@ -247,10 +240,8 @@ class TestCovStudy:
         points = cov_study(config, seed=5)
         root = _rng.derive(5)
         for size_idx, n in enumerate(config.ss_sizes):
-            results = [
-                conflict.pc_ss(config.phase, config.subset_config(n), child(root, 1, size_idx, rep))[0]
-                for rep in range(config.repetitions)
-            ]
+            streams = [child(root, 1, size_idx, rep) for rep in range(config.repetitions)]
+            results = [conflict.pc_ss([config.phase], config.subset_config(n), [s])[0] for s in streams]
             assert points[1 + size_idx] == analysis._cov_point("ss", n, results)
             assert max(res.levels_used for res in results) > 1
 

@@ -19,7 +19,6 @@ from subsim.conflict import (
     pc_dmc,
     pc_ss,
     encounter_steps,
-    pc_ss_batch,
     simulate_scenario,
 )
 from subsim.analysis import CovStudyConfig, cov_study, freeze_phase, phase_p2
@@ -29,7 +28,6 @@ from subsim.engine import (
     SubsetConfig,
     conditional_chains,
     direct_monte_carlo,
-    run_subset_simulation,
     run_subset_simulations,
 )
 from subsim.scenarios import build_head_on
@@ -50,6 +48,12 @@ def _query(intruder_mean, cov_scale=1.0, horizon=20.0, radius=152.4):
     )
 
 
+def _ss_result(q, config, seed):
+    """The engine's result for query `q` alone, CCDF table included."""
+    (result,) = run_subset_simulations(conflict_system([q]), config, [seed])
+    return result
+
+
 HEAD_ON_COLLISION = (2000.0, -77.17, 0.0, 0.0, 0.0, 0.0)
 HEAD_ON_OFFSET = (2000.0, -77.17, 0.0, 1000.0, 0.0, 0.0)
 RECEDING = (-2000.0, -77.17, 0.0, 5000.0, 0.0, 0.0)
@@ -58,23 +62,23 @@ RECEDING = (-2000.0, -77.17, 0.0, 5000.0, 0.0, 0.0)
 class TestPcDmc:
     def test_collision_course_is_certain(self):
         q = _query(HEAD_ON_COLLISION, cov_scale=1e-6)
-        res = pc_dmc(q, 200, seed=1)
+        (res,) = pc_dmc([q], [200], [1])
         assert res.pc == 1.0
         assert res.conflict_count == 200
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
-            pc_dmc(_query(HEAD_ON_COLLISION), 0, seed=1)
+            pc_dmc([_query(HEAD_ON_COLLISION)], [0], [1])
 
     @pytest.mark.parametrize("n", [True, 100.0])
     def test_rejects_non_integer_sample_counts(self, n):
         # True would count as one draw, and a float would fail in the stream code
         with pytest.raises(ValueError, match="sample counts must be positive integers"):
-            pc_dmc(_query(HEAD_ON_COLLISION), n, seed=1)
+            pc_dmc([_query(HEAD_ON_COLLISION)], [n], [1])
 
     def test_numpy_count_gives_python_numbers(self):
         q = _query(HEAD_ON_OFFSET)
-        res, ref = pc_dmc(q, np.int64(100), 1), pc_dmc(q, 100, 1)
+        (res,), (ref,) = pc_dmc([q], [np.int64(100)], [1]), pc_dmc([q], [100], [1])
         assert res == ref
         types = [[type(v) for v in dataclasses.astuple(r)] for r in (res, ref)]
         assert types[0] == types[1]
@@ -89,7 +93,7 @@ class TestPcDmc:
             ),
         )
         with pytest.raises(np.linalg.LinAlgError):
-            pc_dmc(q, 10, seed=1)
+            pc_dmc([q], [10], [1])
 
     def test_singular_covariance_gets_jitter(self):
         cov = np.zeros((6, 6))
@@ -100,21 +104,21 @@ class TestPcDmc:
                 mean=AircraftState(*HEAD_ON_COLLISION), covariance=cov
             ),
         )
-        res = pc_dmc(q, 50, seed=1)
+        (res,) = pc_dmc([q], [50], [1])
         assert 0.0 <= res.pc <= 1.0
 
     def test_matches_large_reference_within_three_sigma(self):
         # borderline geometry; frozen reference from a 10^6-sample run
         q = _query((2000.0, -77.17, 0.0, 152.4, 0.0, 0.0))
-        ref = pc_dmc(q, 1_000_000, seed=999).pc
+        ref = pc_dmc([q], [1_000_000], [999])[0].pc
         n = 2000
-        est = pc_dmc(q, n, seed=4).pc
+        est = pc_dmc([q], [n], [4])[0].pc
         se = math.sqrt(ref * (1 - ref) / n)
         assert abs(est - ref) <= 3 * se
 
     def test_diagnostics_shape(self):
         q = _query(HEAD_ON_OFFSET)
-        res = pc_dmc(q, 300, seed=2)
+        (res,) = pc_dmc([q], [300], [2])
         assert res.samples_used == 300
         assert res.levels_used == 1
         assert not res.floor_reached
@@ -259,7 +263,8 @@ class TestLockstepChains:
         # (N_c, length, 6) draw from the level's stream child(root, 1)
         q = _query(HEAD_ON_OFFSET)
         cfg = SubsetConfig(n_samples=40, level_probability=0.25, max_levels=2)
-        result = run_subset_simulation(conflict_system([q]), cfg, 0.0, 24)
+        system = dataclasses.replace(conflict_system([q]), threshold=0.0)
+        (result,) = run_subset_simulations(system, cfg, [24])
         root = _rng.derive(24)
         z = generator(child(root, 0)).standard_normal((40, 6))
         chol = np.linalg.cholesky(q.intruder_estimate.covariance)
@@ -361,16 +366,16 @@ class TestMhConflictSamples:
 class TestPcSs:
     def test_certain_conflict_terminates_level_zero(self):
         q = _query(HEAD_ON_COLLISION, cov_scale=1e-6)
-        res, table = pc_ss(q, CFG, seed=8)
+        (res,) = pc_ss([q], CFG, [8])
         assert res.pc == 1.0
         assert res.levels_used == 1
         assert res.samples_used == 100
-        assert len(table.rows) == 100
+        assert len(_ss_result(q, CFG, 8).table.rows) == 100
 
     def test_level_zero_equals_dmc_with_same_seed(self):
         q = _query(HEAD_ON_COLLISION, cov_scale=0.5)
-        ss_res, _ = pc_ss(q, CFG, seed=10)
-        dmc_res = pc_dmc(q, 100, seed=10)
+        (ss_res,) = pc_ss([q], CFG, [10])
+        (dmc_res,) = pc_dmc([q], [100], [10])
         assert ss_res.levels_used == 1
         assert dmc_res.pc > 0
         assert ss_res.pc == dmc_res.pc
@@ -379,7 +384,7 @@ class TestPcSs:
     def test_receding_geometry_reaches_floor(self):
         # intruder behind the observer and flying away: no conflict reachable
         q = _query(RECEDING, cov_scale=0.2)
-        res, _ = pc_ss(q, CFG, seed=11)
+        (res,) = pc_ss([q], CFG, [11])
         assert res.floor_reached
         assert res.levels_used == 7
         assert res.pc == 1e-8
@@ -387,10 +392,10 @@ class TestPcSs:
 
     def test_rare_but_reachable_uses_multiple_levels(self):
         q = _query(HEAD_ON_OFFSET)
-        res, table = pc_ss(q, CFG, seed=12)
+        (res,) = pc_ss([q], CFG, [12])
         assert res.levels_used > 1
         assert res.samples_used == 100 * res.levels_used
-        assert len(table.rows) == 90 * (res.levels_used - 1) + 100
+        assert len(_ss_result(q, CFG, 12).table.rows) == 90 * (res.levels_used - 1) + 100
 
     def test_mean_matches_dmc_reference(self):
         # 320 m lateral offset; the reference is 986 conflicts in 2*10^6 pc_dmc
@@ -400,20 +405,20 @@ class TestPcSs:
         ref = 986 / n_ref
         config = SubsetConfig(n_samples=500, level_probability=0.1, max_levels=7)
         root = _rng.derive(320)
-        est = np.array([pc_ss(q, config, seed=child(root, rep))[0].pc for rep in range(60)])
+        seeds = [child(root, rep) for rep in range(60)]
+        est = np.array([res.pc for res in pc_ss([q] * 60, config, seeds)])
         se = math.sqrt(est.var(ddof=1) / len(est) + ref * (1 - ref) / n_ref)
         assert abs(est.mean() - ref) <= 3 * se
 
     def test_deterministic(self):
         q = _query(HEAD_ON_OFFSET)
-        r1, t1 = pc_ss(q, CFG, seed=13)
-        r2, t2 = pc_ss(q, CFG, seed=13)
-        assert r1 == r2
+        assert pc_ss([q], CFG, [13]) == pc_ss([q], CFG, [13])
+        t1, t2 = _ss_result(q, CFG, 13).table, _ss_result(q, CFG, 13).table
         assert np.array_equal(t1.responses, t2.responses)
 
     def test_ccdf_rows_reproduce_their_miss_distances(self):
         q = _query(HEAD_ON_OFFSET)
-        _, table = pc_ss(q, CFG, seed=14)
+        table = _ss_result(q, CFG, 14).table
         samples = np.array([row.sample for row in table.rows])
         responses = np.array([row.response for row in table.rows])
         assert np.array_equal(_miss(q, samples), responses)
@@ -429,17 +434,28 @@ class TestPcSs:
         assert halved <= full
 
 
-def _same_pc(a, b):
-    res_a, table_a = a
-    res_b, table_b = b
-    assert res_a == res_b
-    assert np.array_equal(table_a.probabilities, table_b.probabilities)
-    assert np.array_equal(table_a.responses, table_b.responses)
-    assert np.array_equal(table_a.samples, table_b.samples)
+def _same_result(a, b):
+    assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
+    assert np.array_equal(a.table.probabilities, b.table.probabilities)
+    assert np.array_equal(a.table.responses, b.table.responses)
+    assert np.array_equal(a.table.samples, b.table.samples)
+
+
+def _assert_lists_equal_one_query_calls(queries, budgets, seeds):
+    """`pc_ss` and `pc_dmc` of a list give each query exactly its one-query
+    call, SS at N = budgets[k] and DMC on budgets[k] draws; returns the SS list."""
+    configs = [SubsetConfig(n, 0.1) for n in budgets]
+    ss = pc_ss(queries, configs, seeds)
+    assert ss == [pc_ss([q], c, [s])[0] for q, c, s in zip(queries, configs, seeds)]
+    dmc = pc_dmc(queries, budgets, seeds)
+    assert dmc == [pc_dmc([q], [n], [s])[0] for q, n, s in zip(queries, budgets, seeds)]
+    assert [res.samples_used for res in dmc] == list(budgets)
+    return ss
 
 
 class TestPcSsBatch:
-    """Queries run in lockstep give each query exactly its `pc_ss` estimate."""
+    """Queries given as one list give each query exactly its one-query
+    estimate, for `pc_ss` and `pc_dmc` alike."""
 
     QUERIES = (
         _query(HEAD_ON_COLLISION, cov_scale=1e-6),  # stops at level 0
@@ -449,57 +465,62 @@ class TestPcSsBatch:
     )
 
     def test_batch_equals_one_query_runs(self, assemble_calls):
+        # mixed budgets; the queries stop at level 0, mid-descent and at max_levels
         seeds = [8, 1, 11, 2]
-        batch = pc_ss_batch(self.QUERIES, CFG, seeds)
-        assert assemble_calls == []  # the batch reads no table
+        batch = _assert_lists_equal_one_query_calls(self.QUERIES, [100, 200, 100, 500], seeds)
+        assert assemble_calls == []  # the lists read no table
         levels = [res.levels_used for res in batch]
         assert levels[0] == 1 and 1 < levels[1] < 7 and levels[2] == 7 and 1 < levels[3] < 7
         assert batch[2].floor_reached
-        assert batch == [pc_ss(q, CFG, seed)[0] for q, seed in zip(self.QUERIES, seeds)]
 
     def test_tables_equal_eager_assembly(self, assemble_calls, eager_tables):
-        # the queries stop at different levels; pc_ss assembles each table
-        # once, as it returns it, and that table equals the one assembled
-        # when its problem stopped
+        # the queries stop at different levels; a one-query run assembles its
+        # table once, when it is read, and that table equals the one
+        # assembled when its problem stopped
         seeds = [8, 1, 11, 2]
-        lazy = [pc_ss(q, CFG, seed) for q, seed in zip(self.QUERIES, seeds)]
+        lazy = [_ss_result(q, CFG, seed) for q, seed in zip(self.QUERIES, seeds)]
+        assert all(len(r.table.rows) > 0 for r in lazy)  # reads every table
         assert len(assemble_calls) == 4
         eager_tables()
-        eager = [pc_ss(q, CFG, seed) for q, seed in zip(self.QUERIES, seeds)]
+        eager = [_ss_result(q, CFG, seed) for q, seed in zip(self.QUERIES, seeds)]
         assert len(assemble_calls) == 8
         for a, b in zip(lazy, eager):
-            _same_pc(a, b)
+            _same_result(a, b)
 
     def test_mismatched_seeds_rejected(self):
-        with pytest.raises(ValueError, match="seeds"):
-            pc_ss_batch(self.QUERIES, CFG, [1, 2])
+        with pytest.raises(ValueError, match="4 problems but 2 seeds"):
+            pc_ss(self.QUERIES, CFG, [1, 2])
+        with pytest.raises(ValueError, match="4 sample counts but 2 seeds"):
+            pc_dmc(self.QUERIES, [100] * 4, [1, 2])
 
     def test_mismatched_configs_rejected(self):
-        with pytest.raises(ValueError, match="4 queries but 2 configs"):
-            pc_ss_batch(self.QUERIES, [CFG, CFG], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="2 configs but 4 seeds"):
+            pc_ss(self.QUERIES, [CFG, CFG], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="2 sample counts but 4 seeds"):
+            pc_dmc(self.QUERIES, [100, 100], [1, 2, 3, 4])
 
-    def test_queries_on_different_grids_rejected(self):
+    def test_queries_with_different_radii_rejected(self):
         queries = [_query(HEAD_ON_OFFSET), _query(HEAD_ON_OFFSET, radius=100.0)]
         with pytest.raises(ValueError, match="share"):
             conflict_system(queries)
 
     @pytest.mark.parametrize("before", [engine.GROUP_SIZE - 1, engine.GROUP_SIZE])
-    def test_batch_on_different_grids_rejected(self, before):
+    def test_list_with_different_radii_rejected(self, before):
         # the whole list is checked for one protected radius, wherever a
         # batch boundary falls
         queries = [_query(HEAD_ON_COLLISION, cov_scale=1e-6)] * before
         queries.append(_query(HEAD_ON_COLLISION, cov_scale=1e-6, radius=100.0))
         with pytest.raises(ValueError, match="must share their protected radius"):
-            pc_ss_batch(queries, SubsetConfig(100, 0.1, 2), list(range(before + 1)))
+            pc_ss(queries, SubsetConfig(100, 0.1, 2), list(range(before + 1)))
+        with pytest.raises(ValueError, match="must share their protected radius"):
+            pc_dmc(queries, [100] * (before + 1), list(range(before + 1)))
 
     def test_mixed_horizons_equal_one_query_runs(self):
         # one lockstep run may mix horizons: each query's CPA is clipped to
-        # its own, and each result equals its own pc_ss bit for bit
+        # its own, and each result equals its own one-query call bit for bit
         near = (2000.0, -77.17, 0.0, 250.0, 0.0, 0.0)
         queries = [_query(near), _query(near, horizon=8.0), _query(HEAD_ON_OFFSET, horizon=8.0)]
-        seeds = [3, 3, 5]
-        batch = pc_ss_batch(queries, CFG, seeds)
-        assert batch == [pc_ss(q, CFG, seed)[0] for q, seed in zip(queries, seeds)]
+        batch = _assert_lists_equal_one_query_calls(queries, [100] * 3, [3, 3, 5])
         # the 8 s horizon ends before the pass at about 13 s: far rarer conflicts
         assert batch[1].pc < 1e-3 * batch[0].pc
 
@@ -619,8 +640,8 @@ class TestSimulateScenario:
         steps = {s.k: s for s in conflict.encounter_steps(spec, root) if s.k in picks}
         assert [r.step for r in records] == picks
         for r in records:
-            ref = pc_dmc(steps[r.step].query(spec), r.pc_ss.samples_used, child(root, r.step, 2))
-            assert r.pc_dmc == ref
+            query, stream = steps[r.step].query(spec), child(root, r.step, 2)
+            assert [r.pc_dmc] == pc_dmc([query], [r.pc_ss.samples_used], [stream])
         assert 0 < sum(r.pc_dmc.conflict_count for r in records) < sum(r.pc_dmc.samples_used for r in records)
 
     def test_collision_course_probability_rises_to_one(self):
@@ -761,9 +782,9 @@ class TestBoundedResponses:
 
     @pytest.fixture(params=["p2", "head-on"])
     def group(self, request, monkeypatch):
-        """(system, radius, calls, alone): a query group's system and radius,
-        the (states, observers) shapes of the kernel calls made from now on,
-        and the group's `_alone_system`."""
+        """(system, calls, alone): a query group's system, the (states,
+        observers) shapes of the kernel calls made from now on, and the
+        group's `_alone_system`."""
         calls = []
         kernel = conflict.miss_distance_batch
 
@@ -773,7 +794,7 @@ class TestBoundedResponses:
 
         monkeypatch.setattr(conflict, "miss_distance_batch", recording)
         queries = _p2_group() if request.param == "p2" else _head_on_group()
-        return conflict_system(queries), queries[0].protected_radius, calls, _alone_system(queries)
+        return conflict_system(queries), calls, _alone_system(queries)
 
     @staticmethod
     def _assert_traced(calls, k, rows):
@@ -782,19 +803,21 @@ class TestBoundedResponses:
         assert calls == [((n, 6), (k, 6)) for n in rows]
 
     def test_dmc_counts(self, group):
-        system, radius, calls, alone = group
+        system, calls, alone = group
         k = len(system.mean)
         seeds = [_rng.pool(40 + j) for j in range(k)]
-        for threshold in (radius, 4.0 * radius):
+        for threshold in (system.threshold, 4.0 * system.threshold):
             calls.clear()
-            grouped = direct_monte_carlo(system, [3000] * k, threshold, seeds)
+            at = dataclasses.replace(system, threshold=threshold)
+            grouped = direct_monte_carlo(at, [3000] * k, seeds)
             self._assert_traced(calls, k, [3000 * k])
-            own = direct_monte_carlo(alone, [3000] * k, threshold, seeds)
+            own_at = dataclasses.replace(alone, threshold=threshold)
+            own = direct_monte_carlo(own_at, [3000] * k, seeds)
             assert np.array_equal(grouped, own)
         assert grouped.sum() > 0
 
     def test_chain_samples_and_responses(self, group):
-        system, _, calls, alone = group
+        system, calls, alone = group
         k, m = len(system.mean), 40
         gen = generator(_rng.derive(41))
         problems = np.repeat(np.arange(k), m)
@@ -812,13 +835,13 @@ class TestBoundedResponses:
         assert 0 < moved.sum() < moved.size
 
     def test_subset_runs(self, group):
-        system, radius, calls, alone = group
+        system, calls, alone = group
         k = len(system.mean)
         seeds = [_rng.pool(50 + j) for j in range(k)]
         calls.clear()
-        grouped = list(run_subset_simulations(system, CFG, radius, seeds))
+        grouped = list(run_subset_simulations(system, CFG, seeds))
         assert calls and all(call[1] == (k, 6) for call in calls)
-        own = list(run_subset_simulations(alone, CFG, radius, seeds))
+        own = list(run_subset_simulations(alone, CFG, seeds))
         for a, b in zip(grouped, own):
             assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
             assert np.array_equal(a.table.responses, b.table.responses)
@@ -831,10 +854,9 @@ class TestBoundedResponses:
         mean[1, 0] = np.nan
         mean[2, 1] = np.inf  # inf * 0 at t = 0: an invalid operation
         bad = dataclasses.replace(system, mean=mean)
-        radius = queries[0].protected_radius
         seeds = [_rng.pool(60 + j) for j in range(len(mean))]
         # a ValueError, not a floating-point warning (which the suite makes an error)
         with pytest.raises(ValueError, match="non-finite"):
-            direct_monte_carlo(bad, [100] * len(mean), radius, seeds)
+            direct_monte_carlo(bad, [100] * len(mean), seeds)
         with pytest.raises(ValueError, match="level 0 produced non-finite"):
-            list(run_subset_simulations(bad, CFG, radius, seeds))
+            list(run_subset_simulations(bad, CFG, seeds))

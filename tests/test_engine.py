@@ -1,6 +1,7 @@
 """Engine unit tests: interval ladders, thresholds, seeds, CCDF assembly, read-off, batches."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from subsim.engine import (
     direct_monte_carlo,
     estimate_probability,
     probability_intervals,
-    run_subset_simulation,
     run_subset_simulations,
 )
 from subsim.scenarios import build_head_on
@@ -67,7 +67,7 @@ class TestConfig:
 
     def test_numpy_integer_sizes_accepted(self):
         cfg = SubsetConfig(n_samples=np.int64(100), max_levels=np.int32(3))
-        result = run_subset_simulation(_line_system(10.0), cfg, 0.0, 5)
+        (result,) = run_subset_simulations(_line_system(10.0, threshold=0.0), cfg, [5])
         assert result.diagnostics.levels_completed == 3
 
 
@@ -134,8 +134,8 @@ def _first_descent(monkeypatch, respond, d=1, seed=1):
         return conditional_chains(system, chain_seeds, *args)
 
     monkeypatch.setattr(engine, "conditional_chains", spy)
-    system = RareEventSystem(np.zeros((1, d)), np.eye(d)[None], evaluate)
-    result = run_subset_simulation(system, SubsetConfig(100, 0.1, 2), -np.inf, seed)
+    system = RareEventSystem(np.zeros((1, d)), np.eye(d)[None], evaluate, threshold=-np.inf)
+    (result,) = run_subset_simulations(system, SubsetConfig(100, 0.1, 2), [seed])
     assert result.diagnostics.levels_completed == 2 and len(seeds) == 1
     (x, r), = level0
     return x, r, result.diagnostics.thresholds[0], seeds[0]
@@ -183,8 +183,9 @@ class TestSelectSeeds:
     def test_single_seed(self):
         # N_c = 1: each level's one chain starts from the best sample
         cfg = SubsetConfig(n_samples=10, level_probability=0.1, max_levels=3)
-        system = _line_system(shift=5.0)
-        _assert_level_streams(system, run_subset_simulation(system, cfg, 0.0, seed=9), 9, cfg)
+        system = _line_system(shift=5.0, threshold=0.0)
+        (result,) = run_subset_simulations(system, cfg, [9])
+        _assert_level_streams(system, result, 9, cfg)
 
     def test_matches_nearest_brute_force(self, monkeypatch):
         # seeds must be exactly the N_c samples with the smallest responses
@@ -288,21 +289,23 @@ class TestEstimateProbability:
         assert estimate_probability(0, 4, CFG_STD) == 0.0
 
 
-def _gaussian_system(evaluate, k=1):
-    """K one-dimensional standard-normal problems with the given response."""
-    return RareEventSystem(np.zeros((k, 1)), np.ones((k, 1, 1)), evaluate)
+def _gaussian_system(evaluate, threshold, k=1):
+    """K one-dimensional standard-normal problems with the given response and
+    failure threshold."""
+    return RareEventSystem(np.zeros((k, 1)), np.ones((k, 1, 1)), evaluate, threshold)
 
 
-def _line_system(shift=0.0, decimals=None):
+def _line_system(shift=0.0, threshold=0.5, decimals=None):
     """1D test system: response = |x - shift|, rounded to `decimals` places
-    if given, prior standard normal.  `shift` is one value, or one per problem."""
+    if given, prior standard normal, failure at or below `threshold`.
+    `shift` is one value, or one per problem."""
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
 
     def evaluate(x, problems):
         r = np.abs(x[:, 0] - shifts[problems])
         return r if decimals is None else np.round(r, decimals)
 
-    return _gaussian_system(evaluate, k=len(shifts))
+    return _gaussian_system(evaluate, threshold, k=len(shifts))
 
 
 def _assert_level_streams(system, result, seed, cfg):
@@ -350,21 +353,21 @@ def _flat(x, problems):
 class TestRunSubsetSimulation:
     def test_non_rare_event_stops_at_level_0(self):
         # threshold at the prior median: about half the draws are below it
-        system = _line_system()
-        result = run_subset_simulation(system, CFG, 0.6745, seed=5)
+        system = _line_system(threshold=0.6745)
+        (result,) = run_subset_simulations(system, CFG, [5])
         assert result.diagnostics.levels_completed == 1
         assert abs(result.estimate - 0.5) < 0.1
 
     def test_threshold_above_everything_gives_one(self):
-        system = _line_system()
-        result = run_subset_simulation(system, CFG, 1e9, seed=5)
+        system = _line_system(threshold=1e9)
+        (result,) = run_subset_simulations(system, CFG, [5])
         assert result.estimate == 1.0
         assert result.diagnostics.levels_completed == 1
         assert result.diagnostics.samples_used == 100
 
     def test_rare_event_descends_levels(self):
         system = _line_system(shift=4.0)
-        result = run_subset_simulation(system, CFG, 0.5, seed=5)
+        (result,) = run_subset_simulations(system, CFG, [5])
         d = result.diagnostics
         assert d.levels_completed > 1
         assert d.samples_used == 100 * d.levels_completed
@@ -373,20 +376,21 @@ class TestRunSubsetSimulation:
     def test_stop_exactly_at_chain_count(self):
         # a level 0 with exactly N_c responses at/below the failure threshold
         # stops there (boundary D == N_c); one fewer descends
-        system = _line_system(shift=2.0)
+        system = _line_system(shift=2.0, threshold=0.0)
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=5)
-        level0 = run_subset_simulation(system, SubsetConfig(100, 0.1, 1), 0.0, seed=1)
+        (level0,) = run_subset_simulations(system, SubsetConfig(100, 0.1, 1), [1])
         tenth = level0.table.responses[-10]
-        result = run_subset_simulation(system, cfg, tenth, seed=1)
+        (result,) = run_subset_simulations(replace(system, threshold=tenth), cfg, [1])
         assert result.diagnostics.conflict_count == 10
         assert result.diagnostics.levels_completed == 1
-        result = run_subset_simulation(system, cfg, np.nextafter(tenth, 0.0), seed=1)
+        below = replace(system, threshold=np.nextafter(tenth, 0.0))
+        (result,) = run_subset_simulations(below, cfg, [1])
         assert result.diagnostics.levels_completed > 1
 
     def test_deterministic_tables(self):
         system = _line_system(shift=3.0)
-        r1 = run_subset_simulation(system, CFG, 0.5, seed=77)
-        r2 = run_subset_simulation(system, CFG, 0.5, seed=77)
+        (r1,) = run_subset_simulations(system, CFG, [77])
+        (r2,) = run_subset_simulations(system, CFG, [77])
         assert r1.estimate == r2.estimate
         assert np.array_equal(r1.table.responses, r2.table.responses)
         assert np.array_equal(r1.table.probabilities, r2.table.probabilities)
@@ -395,8 +399,8 @@ class TestRunSubsetSimulation:
 
     def test_different_seeds_differ(self):
         system = _line_system(shift=3.0)
-        r1 = run_subset_simulation(system, CFG, 0.5, seed=77)
-        r2 = run_subset_simulation(system, CFG, 0.5, seed=78)
+        (r1,) = run_subset_simulations(system, CFG, [77])
+        (r2,) = run_subset_simulations(system, CFG, [78])
         assert not np.array_equal(r1.table.responses, r2.table.responses)
 
     def test_chain_threshold_violation_raises(self, monkeypatch):
@@ -410,31 +414,31 @@ class TestRunSubsetSimulation:
 
         monkeypatch.setattr(engine, "conditional_chains", bad_chains)
         with pytest.raises(ValueError, match="violated"):
-            run_subset_simulation(_line_system(), CFG, 1e-6, seed=3)
+            list(run_subset_simulations(_line_system(threshold=1e-6), CFG, [3]))
 
     def test_response_count_violation_raises(self):
         def short(x, problems):
             return np.abs(x[1:, 0])
 
         with pytest.raises(ValueError, match="expected"):
-            run_subset_simulation(_gaussian_system(short), CFG, 1e-6, seed=3)
+            list(run_subset_simulations(_gaussian_system(short, 1e-6), CFG, [3]))
 
     def test_problem_count_must_match_seeds(self):
         with pytest.raises(ValueError, match="2 problems but 3 seeds"):
-            run_subset_simulations(_line_system((1.0, 2.0)), CFG, 0.5, (1, 2, 3))
-        bad = RareEventSystem(np.zeros((1, 2)), np.ones((1, 2, 3)), _abs_first_column)
+            run_subset_simulations(_line_system((1.0, 2.0)), CFG, (1, 2, 3))
+        bad = RareEventSystem(np.zeros((1, 2)), np.ones((1, 2, 3)), _abs_first_column, 0.5)
         with pytest.raises(ValueError, match="do not match"):
-            run_subset_simulation(bad, CFG, 0.5, seed=1)
+            run_subset_simulations(bad, CFG, [1])
 
     def test_chains_get_seeds_and_level_stream(self):
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=3)
-        system = _line_system(shift=5.0)
-        result = run_subset_simulation(system, cfg, 0.0, seed=9)
+        system = _line_system(shift=5.0, threshold=0.0)
+        (result,) = run_subset_simulations(system, cfg, [9])
         _assert_level_streams(system, result, 9, cfg)
 
     def test_level0_estimate_equals_direct_count(self):
-        system = _line_system()
-        result = run_subset_simulation(system, CFG, 0.6745, seed=12)
+        system = _line_system(threshold=0.6745)
+        (result,) = run_subset_simulations(system, CFG, [12])
         d = result.diagnostics
         assert d.levels_completed == 1
         assert result.estimate == d.conflict_count / 100
@@ -442,7 +446,7 @@ class TestRunSubsetSimulation:
     def test_stalled_threshold_logs_warning(self, caplog):
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
         with caplog.at_level("WARNING", logger="subsim.engine"):
-            run_subset_simulation(_gaussian_system(_flat), cfg, 0.0, seed=1)
+            list(run_subset_simulations(_gaussian_system(_flat, 0.0), cfg, [1]))
         assert any("did not decrease" in m for m in caplog.messages)
 
     def test_stalls_reported_once_with_their_count(self, caplog):
@@ -450,17 +454,17 @@ class TestRunSubsetSimulation:
         # thresholds 2..5 all equal the first: four stalls, one warning line
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=6)
         with caplog.at_level("WARNING", logger="subsim.engine"):
-            result = run_subset_simulation(_gaussian_system(_flat), cfg, 0.0, seed=1)
+            (result,) = run_subset_simulations(_gaussian_system(_flat, 0.0), cfg, [1])
         assert result.diagnostics.stalled_levels == 4
         lines = [m for m in caplog.messages if "did not decrease" in m]
         assert len(lines) == 1
         assert "at 4 of 5 levels" in lines[0]
 
     def test_no_stall_no_warning(self, caplog):
-        system = _line_system(shift=4.0)
+        system = _line_system(shift=4.0, threshold=0.0)
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
         with caplog.at_level("WARNING", logger="subsim.engine"):
-            result = run_subset_simulation(system, cfg, 0.0, seed=5)
+            (result,) = run_subset_simulations(system, cfg, [5])
         assert result.diagnostics.levels_completed == 4
         assert np.all(np.diff(result.diagnostics.thresholds) < 0)
         assert result.diagnostics.stalled_levels == 0
@@ -488,7 +492,7 @@ class TestConditionalChains:
     CHOL = _chol(3, 1)[None]
 
     def _system(self, evaluate=_abs_first_column):
-        return RareEventSystem(self.MEAN, self.CHOL, evaluate)
+        return RareEventSystem(self.MEAN, self.CHOL, evaluate, np.inf)
 
     def _run(self, system, seeds, thresholds, innovations):
         seeds = np.atleast_2d(seeds)
@@ -524,7 +528,7 @@ class TestConditionalChains:
         jitter = (chol @ chol.T - cov)[0, 0]
         assert 0.0 < jitter < 1e-6 * cov.diagonal().max()
         mean = gen.standard_normal((1, 6))
-        system = RareEventSystem(mean, chol[None], _abs_first_column)
+        system = RareEventSystem(mean, chol[None], _abs_first_column, np.inf)
         innovations = gen.standard_normal((20, 2_000, 6))
         seeds = np.repeat(mean, 20, axis=0)
         x, _ = conditional_chains(
@@ -578,7 +582,9 @@ class TestConditionalChains:
         # chains of two problems in one call equal each chain run alone
         mean = np.array([[0.0, 0.0], [3.0, -1.0]])
         chol = np.array([_chol(2, 5), _chol(2, 6)])
-        system = RareEventSystem(mean, chol, lambda x, p: np.hypot(x[:, 0] - 2.0 * p, x[:, 1]))
+        system = RareEventSystem(
+            mean, chol, lambda x, p: np.hypot(x[:, 0] - 2.0 * p, x[:, 1]), np.inf
+        )
         gen = generator(_rng.derive(7))
         problems = np.array([0, 0, 1, 1, 1])
         seeds = mean[problems] + gen.standard_normal((5, 2))
@@ -612,35 +618,36 @@ class TestLockstepProblems:
         # with no rare sample (shift 50), interleaved in the batch
         shifts = (4.0, 0.0, 50.0, 4.0)
         seeds = (5, 6, 7, 8)
-        batch = list(run_subset_simulations(_line_system(shifts), CFG, 0.5, seeds))
+        batch = list(run_subset_simulations(_line_system(shifts), CFG, seeds))
         assert len(batch) == len(shifts)
         levels = [r.diagnostics.levels_completed for r in batch]
         assert levels[1] == 1
         assert 1 < levels[0] < CFG.max_levels and 1 < levels[3] < CFG.max_levels
         assert levels[2] == CFG.max_levels and batch[2].diagnostics.floor_reached
         for shift, seed, result in zip(shifts, seeds, batch):
-            alone = run_subset_simulation(_line_system(shift), CFG, 0.5, seed)
+            (alone,) = run_subset_simulations(_line_system(shift), CFG, [seed])
             _assert_same_result(result, alone)
 
     def test_fixed_level_batch_equals_one_problem_runs(self):
         # problems that never reach the rare count run every level to the cap
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
-        batch = list(run_subset_simulations(_line_system((0.0, 3.0)), cfg, 0.0, (9, 10)))
+        batch = list(run_subset_simulations(_line_system((0.0, 3.0), 0.0), cfg, (9, 10)))
         for shift, seed, result in zip((0.0, 3.0), (9, 10), batch):
             assert result.diagnostics.levels_completed == 4
-            _assert_same_result(result, run_subset_simulation(_line_system(shift), cfg, 0.0, seed))
+            (alone,) = run_subset_simulations(_line_system(shift, 0.0), cfg, [seed])
+            _assert_same_result(result, alone)
 
     def test_each_problem_draws_its_own_streams(self):
         # level l of problem k comes from child(derive(seeds[k]), l), whatever
         # else runs beside it
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=3)
-        batch = list(run_subset_simulations(_line_system((5.0, 6.0)), cfg, 0.0, (3, 4)))
+        batch = list(run_subset_simulations(_line_system((5.0, 6.0), 0.0), cfg, (3, 4)))
         for shift, seed, result in zip((5.0, 6.0), (3, 4), batch):
-            _assert_level_streams(_line_system(shift), result, seed, cfg)
+            _assert_level_streams(_line_system(shift, 0.0), result, seed, cfg)
 
     def test_no_seeds_rejected(self):
         with pytest.raises(ValueError, match="seed"):
-            run_subset_simulations(_line_system(), CFG, 0.5, [])
+            run_subset_simulations(_line_system(), CFG, [])
 
     # three budgets, a shorter level cap and the other ladder, interleaved
     MIXED = (
@@ -661,16 +668,17 @@ class TestLockstepProblems:
         # different budgets, and the ties must fall in draw order
         shifts = (4.0, 0.0, 50.0, 4.0, 4.0, 50.0, 3.0)
         seeds = range(20, 27)
-        system = _line_system(shifts, decimals)
-        batch = list(run_subset_simulations(system, self.MIXED, 0.5, seeds))
+        system = _line_system(shifts, decimals=decimals)
+        batch = list(run_subset_simulations(system, self.MIXED, seeds))
         levels = [r.diagnostics.levels_completed for r in batch]
         assert levels[1] == 1
         assert levels[2] == 4 and batch[2].diagnostics.floor_reached
         assert levels[5] == CFG.max_levels and batch[5].diagnostics.floor_reached
         assert all(1 < levels[k] < CFG.max_levels for k in (0, 3, 4, 6))
         for shift, cfg, seed, result in zip(shifts, self.MIXED, seeds, batch):
-            alone = _line_system(shift, decimals)
-            _assert_same_result(result, run_subset_simulation(alone, cfg, 0.5, seed))
+            alone = _line_system(shift, decimals=decimals)
+            (alone_result,) = run_subset_simulations(alone, cfg, [seed])
+            _assert_same_result(result, alone_result)
             if result.diagnostics.levels_completed > 1:
                 _assert_level_streams(alone, result, seed, cfg)
             if decimals is not None:
@@ -695,7 +703,7 @@ class TestLockstepProblems:
         monkeypatch.setattr(_rng, "standard_normal", counting_draw)
         monkeypatch.setattr(engine, "conditional_chains", counting_step)
         shifts = (50.0,) * len(self.MIXED)
-        batch = list(run_subset_simulations(_line_system(shifts), self.MIXED, 0.0, range(7)))
+        batch = list(run_subset_simulations(_line_system(shifts, 0.0), self.MIXED, range(7)))
         assert [r.diagnostics.levels_completed for r in batch] == [7, 7, 4, 7, 7, 7, 7]
         seeds_per_level = [cfg.n_chains for cfg in self.MIXED]
         assert draws[0] == sum(cfg.n_samples for cfg in self.MIXED)  # level 0
@@ -705,19 +713,19 @@ class TestLockstepProblems:
     def test_configs_must_share_level_probability(self):
         configs = [CFG, SubsetConfig(n_samples=100, level_probability=0.2)]
         with pytest.raises(ValueError, match="share level_probability"):
-            run_subset_simulations(_line_system((1.0, 2.0)), configs, 0.5, (1, 2))
+            run_subset_simulations(_line_system((1.0, 2.0)), configs, (1, 2))
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_config_count_must_match_seeds(self, count):
         with pytest.raises(ValueError, match=f"{count} configs but 2 seeds"):
-            run_subset_simulations(_line_system((1.0, 2.0)), [CFG] * count, 0.5, (1, 2))
+            run_subset_simulations(_line_system((1.0, 2.0)), [CFG] * count, (1, 2))
 
     def test_tables_are_built_on_first_read(self, assemble_calls, eager_tables):
         # the problems stop at different levels; a table read after the whole
         # run equals the one assembled when its problem stopped
         seeds = (3, 4, 5)
-        system = _line_system((0.0, 4.0, 6.0))
-        lazy = list(run_subset_simulations(system, CFG, 0.1, seeds))
+        system = _line_system((0.0, 4.0, 6.0), 0.1)
+        lazy = list(run_subset_simulations(system, CFG, seeds))
         assert len({r.diagnostics.levels_completed for r in lazy}) == 3
         assert assemble_calls == []
         tables = [r.table for r in lazy]
@@ -726,7 +734,7 @@ class TestLockstepProblems:
         assert all(r.table is t for r, t in zip(lazy, tables))
         assert len(assemble_calls) == 3
         eager_tables()
-        eager = list(run_subset_simulations(system, CFG, 0.1, seeds))
+        eager = list(run_subset_simulations(system, CFG, seeds))
         assert len(assemble_calls) == 6
         for a, b in zip(lazy, eager):
             assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
@@ -743,16 +751,16 @@ class TestDirectMonteCarlo:
         # one-level SS at the same seeds counts the same draws at or below the threshold
         shifts, seeds = (0.0, 1.0, 2.0), (5, 6, 7)
         system = _line_system(shifts)
-        counts = direct_monte_carlo(system, [100] * 3, 0.5, seeds)
-        one_level = list(run_subset_simulations(system, SubsetConfig(100, 0.1, 1), 0.5, seeds))
+        counts = direct_monte_carlo(system, [100] * 3, seeds)
+        one_level = list(run_subset_simulations(system, SubsetConfig(100, 0.1, 1), seeds))
         assert counts.tolist() == [r.diagnostics.conflict_count for r in one_level]
         assert 0 < counts.min() and counts.max() < 100
 
     def test_problems_of_one_call_equal_their_own_calls(self):
         shifts, ns, seeds = (0.0, 1.0, 0.0), [50, 1, 300], (3, 4, 5)
-        counts = direct_monte_carlo(_line_system(shifts), ns, 0.7, seeds)
+        counts = direct_monte_carlo(_line_system(shifts, 0.7), ns, seeds)
         for shift, n, seed, count in zip(shifts, ns, seeds, counts.tolist()):
-            alone = direct_monte_carlo(_line_system(shift), [n], 0.7, [seed])
+            alone = direct_monte_carlo(_line_system(shift, 0.7), [n], [seed])
             assert alone.tolist() == [count]
 
     def test_slices_hold_whole_problems(self, monkeypatch, assemble_calls):
@@ -760,26 +768,26 @@ class TestDirectMonteCarlo:
         # fit, a larger problem is a call of its own, and none is split; with
         # one problem a batch, each problem is a call of its own
         shifts, ns, seeds = (0.0, 1.0, 0.0, 0.5, 2.0), [40, 50, 300, 60, 41], (3, 4, 5, 6, 7)
-        system = _line_system(shifts)
+        system = _line_system(shifts, 0.7)
         calls = []
 
         def recording(x, problems):
             calls.append(problems.copy())
             return system.evaluate(x, problems)
 
-        recorded = RareEventSystem(system.mean, system.chol, recording)
-        whole = direct_monte_carlo(recorded, ns, 0.7, seeds)
+        recorded = replace(system, evaluate=recording)
+        whole = direct_monte_carlo(recorded, ns, seeds)
         assert len(calls) == 1
         calls.clear()
         monkeypatch.setattr(engine, "_BATCH_ROWS", 100)
-        sliced = direct_monte_carlo(recorded, ns, 0.7, seeds)
+        sliced = direct_monte_carlo(recorded, ns, seeds)
         assert sliced.tolist() == whole.tolist()
         assert whole.min() > 0
         assert [np.unique(p).tolist() for p in calls] == [[0, 1], [2], [3], [4]]
         assert np.array_equal(np.concatenate(calls), np.repeat(np.arange(5), ns))
         calls.clear()
         monkeypatch.setattr(engine, "GROUP_SIZE", 1)
-        assert direct_monte_carlo(recorded, ns, 0.7, seeds).tolist() == whole.tolist()
+        assert direct_monte_carlo(recorded, ns, seeds).tolist() == whole.tolist()
         assert [np.unique(p).tolist() for p in calls] == [[k] for k in range(5)]
         assert assemble_calls == []
 
@@ -790,11 +798,11 @@ class TestDirectMonteCarlo:
         def evaluate(x, problems):
             return np.where(x[:, 0] > 1.0, value, np.abs(x[:, 0]))
 
-        system = _gaussian_system(evaluate)
+        system = _gaussian_system(evaluate, 0.5)
         with pytest.raises(ValueError, match="non-finite"):
-            direct_monte_carlo(system, [100], 0.5, [3])
+            direct_monte_carlo(system, [100], [3])
         with pytest.raises(ValueError, match="non-finite"):
-            run_subset_simulation(system, CFG, 0.5, 3)
+            list(run_subset_simulations(system, CFG, [3]))
 
     @pytest.mark.parametrize(
         "ns,seeds,match",
@@ -807,7 +815,7 @@ class TestDirectMonteCarlo:
     )
     def test_invalid_calls_rejected(self, ns, seeds, match):
         with pytest.raises(ValueError, match=match):
-            direct_monte_carlo(_line_system(), ns, 0.5, seeds)
+            direct_monte_carlo(_line_system(), ns, seeds)
 
 
 class TestBatches:
@@ -833,10 +841,10 @@ class TestBatches:
     def test_batches_are_transparent(self, monkeypatch):
         seeds = [child(_rng.derive(50), k) for k in range(len(self.SHIFTS))]
         system = _line_system(self.SHIFTS)
-        whole = list(run_subset_simulations(system, CFG, 0.5, seeds))
+        whole = list(run_subset_simulations(system, CFG, seeds))
         batches = self._recorded_batches(monkeypatch)
         monkeypatch.setattr(engine, "GROUP_SIZE", 4)
-        for a, b in zip(run_subset_simulations(system, CFG, 0.5, seeds), whole, strict=True):
+        for a, b in zip(run_subset_simulations(system, CFG, seeds), whole, strict=True):
             _assert_same_result(a, b)
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8]]
 
@@ -844,7 +852,7 @@ class TestBatches:
         # batches shrink with N so that a batch holds at most 16,384 rows a level
         batches = self._recorded_batches(monkeypatch)
         config = SubsetConfig(n_samples=3000, level_probability=0.1, max_levels=1)
-        results = run_subset_simulations(_line_system((0.0,) * 12), config, 0.5, range(12))
+        results = run_subset_simulations(_line_system((0.0,) * 12), config, range(12))
         assert len(list(results)) == 12
         assert [len(b) for b in batches] == [5, 5, 2]
         assert [hi - lo for lo, hi in engine._batches([1000] * 20)] == [16, 4]
@@ -857,14 +865,15 @@ class TestBatches:
         configs = [SubsetConfig(n, 0.1, max_levels=4) for n in budgets]
         seeds = range(30, 30 + len(budgets))
         alone = [
-            run_subset_simulation(_line_system(shift), config, 0.5, seed)
+            result
             for shift, config, seed in zip(self.SHIFTS, configs, seeds)
+            for result in run_subset_simulations(_line_system(shift), config, [seed])
         ]
         assert len({res.diagnostics.levels_completed for res in alone}) > 2
         batches = self._recorded_batches(monkeypatch)
         monkeypatch.setattr(engine, "GROUP_SIZE", 3)
         monkeypatch.setattr(engine, "_BATCH_ROWS", 600)
-        stream = run_subset_simulations(_line_system(self.SHIFTS), configs, 0.5, seeds)
+        stream = run_subset_simulations(_line_system(self.SHIFTS), configs, seeds)
         for a, b in zip(stream, alone, strict=True):
             _assert_same_result(a, b)
         assert [[budgets[k] for k in b] for b in batches] == [
@@ -882,8 +891,8 @@ class TestBatches:
             return system.evaluate(x, problems)
 
         monkeypatch.setattr(engine, "GROUP_SIZE", 2)
-        recorded = RareEventSystem(system.mean, system.chol, evaluate)
-        stream = run_subset_simulations(recorded, CFG, 0.5, range(4))
+        recorded = replace(system, evaluate=evaluate)
+        stream = run_subset_simulations(recorded, CFG, range(4))
         assert events == []
         for k, _ in enumerate(stream):
             events.append(("result", k))

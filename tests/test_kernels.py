@@ -473,10 +473,10 @@ class TestSeveralTracks:
         assert np.array_equal(miss[problem != 0], good[problem != 0])
         system = RareEventSystem(
             states[:3], np.tile(np.eye(6), (3, 1, 1)),
-            lambda x, p: miss_distance_batch(x, bad, p, horizon)[0],
+            lambda x, p: miss_distance_batch(x, bad, p, horizon)[0], 152.4,
         )
         with pytest.raises(ValueError, match="non-finite"):
-            direct_monte_carlo(system, [10, 10, 10], 152.4, [1, 2, 3])
+            direct_monte_carlo(system, [10, 10, 10], [1, 2, 3])
 
     def test_index_validation(self):
         states, observers, problem, horizon = self._case(rows=20)

@@ -21,7 +21,6 @@ from subsim.scenarios import (
     save_scenario,
     spec_from_dict,
     spec_to_dict,
-    with_lateral_separation,
 )
 from subsim.tracking import NoiseConfig
 
@@ -199,7 +198,7 @@ class TestSpecValidation:
                 replace(build_converging(), **{name: value})
 
     def test_lateral_override_helper(self):
-        spec = with_lateral_separation(build_head_on(0.0), 750.0)
+        spec = replace(build_head_on(0.0), lateral_separation=750.0)
         assert spec.lateral_separation == 750.0
         assert spec.kind is ScenarioKind.HEAD_ON
 

@@ -13,10 +13,8 @@ from subsim import toy
 from subsim.engine import (
     CHAIN_CORRELATION,
     IntervalVariant,
-    RareEventSystem,
     SubsetConfig,
     conditional_chains,
-    run_subset_simulation,
     run_subset_simulations,
 )
 from subsim.toy import (
@@ -349,7 +347,8 @@ class TestOracleGuard:
 
 def _toy_copies(k):
     """K problems, each the toy disc."""
-    return RareEventSystem(np.zeros((k, 2)), np.tile(np.eye(2), (k, 1, 1)), toy_system(REGION).evaluate)
+    one = toy_system(REGION)
+    return replace(one, mean=np.zeros((k, 2)), chol=np.tile(np.eye(2), (k, 1, 1)))
 
 
 class TestLockstepProblems:
@@ -364,7 +363,7 @@ class TestLockstepProblems:
     def test_fixed_level_batch_equals_ss_toy(self):
         # three levels cannot reach the rare count, so every problem runs to the cap
         seeds = (5, 6, 7)
-        batch = list(run_subset_simulations(_toy_copies(len(seeds)), std_config(3), REGION.radius, seeds))
+        batch = list(run_subset_simulations(_toy_copies(len(seeds)), std_config(3), seeds))
         for seed, result in zip(seeds, batch):
             assert result.diagnostics.levels_completed == 3
             self._assert_same(result, ss_toy(REGION, std_config(3), seed=seed))
@@ -372,7 +371,7 @@ class TestLockstepProblems:
     def test_early_stops_at_different_levels(self):
         # the problems stop after different numbers of levels, each as it would alone
         seeds = tuple(range(20, 28))
-        batch = list(run_subset_simulations(_toy_copies(len(seeds)), std_config(7), REGION.radius, seeds))
+        batch = list(run_subset_simulations(_toy_copies(len(seeds)), std_config(7), seeds))
         levels = {r.diagnostics.levels_completed for r in batch}
         assert len(levels) > 1
         for seed, result in zip(seeds, batch):
