@@ -200,37 +200,45 @@ class TestCovStudy:
             assert p.mean_pc >= 0.0
             assert p.undefined or p.cov >= 0.0
 
-    def test_one_pc_dmc_and_one_pc_ss_call(self, monkeypatch):
-        # cov_study reads the module's pc_dmc and pc_ss once each, so a
-        # wrapper set on subsim.analysis.pc_dmc or subsim.analysis.pc_ss sees
-        # every estimate; each call takes all (budget, repetition) pairs of
-        # its method, budget-major, and the SS pairs share one engine run
-        calls, runs = [], []
-        dmc, ss, run = analysis.pc_dmc, analysis.pc_ss, conflict.run_subset_simulations
+    def test_one_pc_dmc_per_dmc_repetition(self, monkeypatch):
+        # cov_study reads the module's pc_dmc, so a wrapper set on
+        # subsim.analysis.pc_dmc sees every DMC repetition: one call takes one
+        # query per budget and repetition, budget-major
+        calls = []
+        dmc = analysis.pc_dmc
 
-        def counting_dmc(queries, ns, seeds):
-            calls.append(("dmc", list(ns)))
+        def counting(queries, ns, seeds):
+            calls.append(list(ns))
             return dmc(queries, ns, seeds)
 
+        monkeypatch.setattr(analysis, "pc_dmc", counting)
+        q = phase_p1(seed=2)
+        config = CovStudyConfig(phase=q, repetitions=3, dmc_sizes=(100, 200), ss_sizes=(100,))
+        cov_study(config, seed=11)
+        assert calls == [[100] * 3 + [200] * 3]
+
+    def test_one_engine_run_for_every_ss_budget(self, monkeypatch):
+        # the SS repetitions of all budgets go through one pc_ss call, read
+        # from subsim.analysis, and share one lockstep engine run
+        runs, ss_calls = [], []
+        run, ss = conflict.run_subset_simulations, analysis.pc_ss
+
+        def counting_run(system, configs, seeds):
+            runs.append([config.n_samples for config in configs])
+            return run(system, configs, seeds)
+
         def counting_ss(queries, configs, seeds):
-            calls.append(("ss", [config.n_samples for config in configs]))
+            ss_calls.append([config.n_samples for config in configs])
             return ss(queries, configs, seeds)
 
-        def counting_run(*args):
-            runs.append(args)
-            return run(*args)
-
-        monkeypatch.setattr(analysis, "pc_dmc", counting_dmc)
-        monkeypatch.setattr(analysis, "pc_ss", counting_ss)
         monkeypatch.setattr(conflict, "run_subset_simulations", counting_run)
+        monkeypatch.setattr(analysis, "pc_ss", counting_ss)
         config = CovStudyConfig(
             phase=phase_p1(seed=2), repetitions=2, dmc_sizes=(100, 200), ss_sizes=(100, 200, 500)
         )
         cov_study(config, seed=11)
-        assert sorted(calls) == [
-            ("dmc", [100, 100, 200, 200]), ("ss", [100, 100, 200, 200, 500, 500])
-        ]
-        assert len(runs) == 1
+        assert ss_calls == [[100, 100, 200, 200, 500, 500]]
+        assert runs == [[100, 100, 200, 200, 500, 500]]
 
     def test_ss_points_read_each_repetitions_own_stream(self):
         # SS repetition rep of budget i is pc_ss on stream child(root, 1, i, rep)
