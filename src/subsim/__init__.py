@@ -9,12 +9,13 @@ intruder, with a matched-budget Direct Monte Carlo baseline.
 
 __version__ = "0.5.0"
 
-from .conflict import ConflictQuery, PcResult, pc_dmc, pc_ss, simulate_scenario
+from .conflict import ConflictQuery, pc_dmc, pc_ss, simulate_scenario
 from .dynamics import AircraftState, transition_matrix
 from .engine import (
     CcdfRow,
     CcdfTable,
     IntervalVariant,
+    PcResult,
     RareEventSystem,
     SubsetConfig,
     SubsetResult,

@@ -113,14 +113,14 @@ def cmd_toy(args) -> int:
         "estimate": result.estimate,
         "oracle": oracle,
         "ratio": result.estimate / oracle if oracle > 0 else None,
-        "levels_used": result.diagnostics.levels_completed,
+        "levels_used": result.diagnostics.levels_used,
         "samples_used": result.diagnostics.samples_used,
         "floor_reached": result.diagnostics.floor_reached,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(
         f"toy: estimate {_fmt_p(result.estimate)} vs oracle {_fmt_p(oracle)} "
-        f"({result.diagnostics.levels_completed} levels)"
+        f"({result.diagnostics.levels_used} levels)"
     )
     return 0
 

@@ -7,7 +7,8 @@ constant-acceleration motion over the prediction horizon in continuous time
 system's failure threshold.  `conflict_system` poses queries as engine
 problems, as `toy.toy_system` poses its disc.  Matched-budget Direct Monte
 Carlo (`pc_dmc`, the engine's level 0 run alone) and subset simulation
-(`pc_ss`) each run a list of queries as one system in one engine call, and
+(`pc_ss`) each run a list of queries as one system in one engine call and
+return the engine's summaries, `engine.PcResult`, as they are, and
 `simulate_scenario` runs both across a full encounter while the filter
 tracks the (noisy-measured) intruder, on one system of every estimated step.
 """
@@ -25,9 +26,9 @@ import numpy as np
 
 from .dynamics import AircraftState, miss_distance_batch, transition_matrix
 from .engine import (
+    PcResult,
     RareEventSystem,
     SubsetConfig,
-    SubsetResult,
     direct_monte_carlo,
     run_subset_simulations,
 )
@@ -60,21 +61,6 @@ class ConflictQuery:
             raise ValueError(f"protected radius must be positive, got {self.protected_radius}")
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-
-
-@dataclass(frozen=True)
-class PcResult:
-    """Conflict probability with its sampling diagnostics.
-
-    When `floor_reached` is set no conflicting sample was found and `pc` is
-    the smallest representable interval: read it as "P_c is below this value".
-    """
-
-    pc: float
-    conflict_count: int
-    levels_used: int
-    samples_used: int
-    floor_reached: bool
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -138,37 +124,13 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
     return RareEventSystem(mean, chol, evaluate, threshold=queries[0].protected_radius)
 
 
-def _dmc(
-    system: RareEventSystem, ns: Sequence[int], seeds: Sequence[SeedLike | Pool]
-) -> list[PcResult]:
-    """Direct Monte Carlo on every problem of `system`, problem k on `ns[k]`
-    draws from `seeds[k]`, in one engine call.  A NumPy integer count gives
-    the Python numbers a Python `int` gives."""
-    counts = direct_monte_carlo(system, ns, seeds)
-    return [
-        PcResult(pc=c / n, conflict_count=c, levels_used=1, samples_used=n, floor_reached=False)
-        for n, c in zip(map(operator.index, ns), counts.tolist())
-    ]
-
-
 def pc_dmc(
     queries: Sequence[ConflictQuery], ns: Sequence[int], seeds: Sequence[SeedLike | Pool]
 ) -> list[PcResult]:
     """Direct Monte Carlo: per query k, the fraction of `ns[k]` posterior
     draws from `seeds[k]`, those of `pc_ss`'s level 0, that conflict.  One
     engine call; result k equals query k's own one-query call exactly."""
-    return _dmc(conflict_system(queries), ns, seeds)
-
-
-def _pc(result: SubsetResult) -> PcResult:
-    d = result.diagnostics
-    return PcResult(
-        pc=result.estimate,
-        conflict_count=d.conflict_count,
-        levels_used=d.levels_completed,
-        samples_used=d.samples_used,
-        floor_reached=d.floor_reached,
-    )
+    return direct_monte_carlo(conflict_system(queries), ns, seeds)
 
 
 def pc_ss(
@@ -185,7 +147,10 @@ def pc_ss(
     One engine call, whose batches may mix budgets; result k equals query
     k's own one-query call exactly.  No CCDF table is built.
     """
-    return list(map(_pc, run_subset_simulations(conflict_system(queries), configs, seeds)))
+    results = run_subset_simulations(conflict_system(queries), configs, seeds)
+    # map, not a comprehension, whose loop variable would keep the previous
+    # batch's level arrays alive while the next batch runs
+    return list(map(operator.attrgetter("diagnostics"), results))
 
 
 @dataclass(eq=False)
@@ -272,6 +237,13 @@ class StepRecord:
     estimate: KalmanEstimate
 
 
+def _step_number(step) -> int:
+    """`operator.index(step)`, except that a bool, which it reads as 0 or 1, raises too."""
+    if isinstance(step, bool):
+        raise TypeError(f"{step!r} is a bool, not a step number")
+    return operator.index(step)
+
+
 def simulate_scenario(
     spec: ScenarioSpec,
     ss_config: SubsetConfig,
@@ -285,8 +257,8 @@ def simulate_scenario(
     truth/filter evolution and all random streams are unaffected, so a
     subsampled run reproduces exactly the records of the full run; a step
     requested twice gives one record, and a step that is not an integer
-    (`operator.index` rejects it) or lies outside 1..n_steps raises
-    `ValueError`.
+    (`operator.index` rejects it), is a bool or lies outside 1..n_steps
+    raises `ValueError`.
 
     SS, DMC and the true miss distance share one `conflict_system` of the
     estimated steps.  Step k's SS run draws from child(root, k, 1), and its
@@ -295,7 +267,7 @@ def simulate_scenario(
     """
     root = pool(seed)
     try:
-        wanted = None if estimate_steps is None else {operator.index(s) for s in estimate_steps}
+        wanted = None if estimate_steps is None else {_step_number(s) for s in estimate_steps}
     except TypeError as exc:  # a float or str step: int() would truncate or parse it
         raise ValueError(f"estimate_steps outside 1..{spec.n_steps}: {exc}") from None
     if wanted is not None:
@@ -308,8 +280,9 @@ def simulate_scenario(
     queries = [step.query(spec) for step in steps]
     system = conflict_system(queries)
     step_roots = [child_pool(root, step.k) for step in steps]
-    ss = list(map(_pc, run_subset_simulations(system, ss_config, children(step_roots, 1))))
-    dmc = _dmc(system, [res.samples_used for res in ss], children(step_roots, 2))
+    ss_results = run_subset_simulations(system, ss_config, children(step_roots, 1))
+    ss = list(map(operator.attrgetter("diagnostics"), ss_results))
+    dmc = direct_monte_carlo(system, [res.samples_used for res in ss], children(step_roots, 2))
     miss_true = system.evaluate(np.array([step.intruder for step in steps]), np.arange(len(steps)))
     return [
         StepRecord(

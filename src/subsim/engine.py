@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -133,7 +134,8 @@ class RareEventSystem:
 
     Problem k's prior is N(mean[k], chol[k] chol[k]^T): `mean` is (K, d) and
     `chol` the (K, d, d) lower Cholesky factors.  The engine runs the problems
-    in lockstep batches (`_batches`), so each call covers several problems;
+    in lockstep batches (`_batches`), so each call covers several problems,
+    and summarises each problem in one `PcResult`, from either estimator;
     evaluate(samples, problems) maps samples (n, d) to scalar responses
     (smaller = closer to the rare event), row i belonging to problem
     problems[i] (0..K-1).  Every response is exact: level 0 sorts them,
@@ -153,21 +155,31 @@ class RareEventSystem:
 
 
 @dataclass(frozen=True)
-class SubsetDiagnostics:
-    """Run summary.  `stalled_levels` counts the levels whose intermediate
-    threshold did not fall below the previous level's."""
+class PcResult:
+    """One problem's estimate and how it was reached, for SS and DMC alike.
 
-    levels_completed: int
+    `pc` is the estimate, read off `conflict_count` rare samples among the
+    final level's, after `levels_used` levels and `samples_used` draws in
+    all.  When `floor_reached` is set no rare sample was found and `pc` is
+    the ladder's last entry: read it as "the probability is below this
+    value".  `thresholds` are the intermediate thresholds, one per level
+    after the first, and `stalled_levels` counts those that did not fall
+    below the previous one.  A DMC result is one level, pc = D / N, with no
+    floor and no thresholds.
+    """
+
+    pc: float
     conflict_count: int
+    levels_used: int
     samples_used: int
     floor_reached: bool
-    thresholds: tuple[float, ...] = field(default_factory=tuple)
+    thresholds: tuple[float, ...] = ()
     stalled_levels: int = 0
 
 
 @dataclass(frozen=True, eq=False)
 class SubsetResult:
-    """One problem's estimate and diagnostics, and its CCDF table on demand.
+    """One problem's summary, and its CCDF table on demand.
 
     The table is assembled (by the module's `assemble_ccdf`) on the first
     read of `table`, then kept.  Until then the result holds its level
@@ -177,10 +189,14 @@ class SubsetResult:
     read releases them.
     """
 
-    estimate: float
-    diagnostics: SubsetDiagnostics
+    diagnostics: PcResult
     _blocks: list = field(repr=False)
     _config: SubsetConfig = field(repr=False)
+
+    @property
+    def estimate(self) -> float:
+        """The summary's `pc`."""
+        return self.diagnostics.pc
 
     @cached_property
     def table(self) -> CcdfTable:
@@ -325,13 +341,15 @@ def direct_monte_carlo(
     system: RareEventSystem,
     ns: Sequence[int],
     seeds: Sequence[_rng.SeedLike | _rng.Pool],
-) -> np.ndarray:
-    """Per problem k, how many of its `ns[k]` prior draws respond at or below
-    the system's threshold.  The draws are level 0 of `run_subset_simulations`
-    from `seeds[k]`.  Each batch (`_batches`) is drawn and scored in one
-    `evaluate` call, so a problem is never split.  A sample count that is
-    not a positive integer, and a non-finite response, raise `ValueError`,
-    as at every level of an SS run.
+) -> list[PcResult]:
+    """Per problem k, the one-level summary of its `ns[k]` prior draws: the
+    count D that respond at or below the system's threshold, and pc = D / N.
+    The draws are level 0 of `run_subset_simulations` from `seeds[k]`.
+    Each batch (`_batches`) is drawn and scored in one `evaluate` call, so a
+    problem is never split.  A sample count that is not a positive integer,
+    and a non-finite response, raise `ValueError`, as at every level of an
+    SS run.  A NumPy integer count gives the Python numbers a Python `int`
+    gives.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"{len(ns)} sample counts but {len(seeds)} seeds")
@@ -348,8 +366,11 @@ def direct_monte_carlo(
         if not np.all(np.isfinite(responses)):
             raise ValueError("level 0 produced non-finite responses")
         hits = responses <= system.threshold
-        counts.append(np.bincount(problems[hits] - lo, minlength=hi - lo))
-    return np.concatenate(counts)
+        counts += np.bincount(problems[hits] - lo, minlength=hi - lo).tolist()
+    return [
+        PcResult(pc=c / n, conflict_count=c, levels_used=1, samples_used=n, floor_reached=False)
+        for n, c in zip(map(operator.index, ns), counts)
+    ]
 
 
 # Correlation between successive chain states.  0.8 accepted about 35% of
@@ -549,17 +570,16 @@ def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
             stalled,
             len(thresholds),
         )
-    estimate = estimate_probability(conflicts, level, config)
-    n = config.n_samples
-    diagnostics = SubsetDiagnostics(
-        levels_completed=level + 1,
+    diagnostics = PcResult(
+        pc=estimate_probability(conflicts, level, config),
         conflict_count=conflicts,
-        samples_used=n * (level + 1),
+        levels_used=level + 1,
+        samples_used=config.n_samples * (level + 1),
         floor_reached=conflicts == 0,
         thresholds=tuple(thresholds),
         stalled_levels=stalled,
     )
-    return SubsetResult(estimate, diagnostics, blocks, config)
+    return SubsetResult(diagnostics, blocks, config)
 
 
 def _layout(problems: np.ndarray, ns: np.ndarray, n_cs: np.ndarray):

@@ -56,8 +56,10 @@ def _distances(xy: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 def dmc_estimate(region: CircleRegion, n: int, seed: _rng.SeedLike) -> float:
     """Plain Monte Carlo estimate: fraction of n standard-normal draws inside
-    the disc.  The draws are `ss_toy`'s level 0 at the same seed."""
-    return float(direct_monte_carlo(toy_system(region), [n], [seed])[0]) / n
+    the disc, the `pc` of `direct_monte_carlo` on the disc's system.  The
+    draws are `ss_toy`'s level 0 at the same seed."""
+    (result,) = direct_monte_carlo(toy_system(region), [n], [seed])
+    return result.pc
 
 
 def oracle_probability(region: CircleRegion) -> float:

@@ -198,7 +198,7 @@ def test_criterion_7_property_suites():
         xy = generator(child(root, 0)).standard_normal((100, 2))
         resp = np.sqrt((xy[:, 0] - 3.0) ** 2 + (xy[:, 1] + 3.0) ** 2)
         b = result.diagnostics.thresholds[0]
-        assert result.diagnostics.levels_completed == 2
+        assert result.diagnostics.levels_used == 2
         assert b == np.sort(resp)[::-1][89]
         # the nearest 10 draws seed the chains, farthest first, as sorted
         seeds = xy[np.argsort(resp, kind="stable")][:10][::-1]

@@ -68,7 +68,7 @@ class TestConfig:
     def test_numpy_integer_sizes_accepted(self):
         cfg = SubsetConfig(n_samples=np.int64(100), max_levels=np.int32(3))
         (result,) = run_subset_simulations(_line_system(10.0, threshold=0.0), cfg, [5])
-        assert result.diagnostics.levels_completed == 3
+        assert result.diagnostics.levels_used == 3
 
 
 class TestProbabilityIntervals:
@@ -136,7 +136,7 @@ def _first_descent(monkeypatch, respond, d=1, seed=1):
     monkeypatch.setattr(engine, "conditional_chains", spy)
     system = RareEventSystem(np.zeros((1, d)), np.eye(d)[None], evaluate, threshold=-np.inf)
     (result,) = run_subset_simulations(system, SubsetConfig(100, 0.1, 2), [seed])
-    assert result.diagnostics.levels_completed == 2 and len(seeds) == 1
+    assert result.diagnostics.levels_used == 2 and len(seeds) == 1
     (x, r), = level0
     return x, r, result.diagnostics.thresholds[0], seeds[0]
 
@@ -314,7 +314,7 @@ def _assert_level_streams(system, result, seed, cfg):
     l - 1's N_c best samples and consume one (N_c, length, d) block of
     child(root, l)."""
     n, n_c, n_s = cfg.n_samples, cfg.n_chains, cfg.chain_length
-    levels = result.diagnostics.levels_completed
+    levels = result.diagnostics.levels_used
     assert levels > 1
     root = _rng.derive(seed)
     d = system.mean.shape[1]
@@ -355,23 +355,25 @@ class TestRunSubsetSimulation:
         # threshold at the prior median: about half the draws are below it
         system = _line_system(threshold=0.6745)
         (result,) = run_subset_simulations(system, CFG, [5])
-        assert result.diagnostics.levels_completed == 1
+        assert result.diagnostics.levels_used == 1
         assert abs(result.estimate - 0.5) < 0.1
 
     def test_threshold_above_everything_gives_one(self):
         system = _line_system(threshold=1e9)
         (result,) = run_subset_simulations(system, CFG, [5])
         assert result.estimate == 1.0
-        assert result.diagnostics.levels_completed == 1
+        assert result.diagnostics.levels_used == 1
         assert result.diagnostics.samples_used == 100
 
     def test_rare_event_descends_levels(self):
         system = _line_system(shift=4.0)
         (result,) = run_subset_simulations(system, CFG, [5])
         d = result.diagnostics
-        assert d.levels_completed > 1
-        assert d.samples_used == 100 * d.levels_completed
-        assert len(result.table.rows) == 90 * (d.levels_completed - 1) + 100
+        assert d.levels_used > 1
+        assert d.samples_used == 100 * d.levels_used
+        assert len(result.table.rows) == 90 * (d.levels_used - 1) + 100
+        assert result.estimate == d.pc
+        assert d.levels_used == result.table.levels_completed
 
     def test_stop_exactly_at_chain_count(self):
         # a level 0 with exactly N_c responses at/below the failure threshold
@@ -382,10 +384,10 @@ class TestRunSubsetSimulation:
         tenth = level0.table.responses[-10]
         (result,) = run_subset_simulations(replace(system, threshold=tenth), cfg, [1])
         assert result.diagnostics.conflict_count == 10
-        assert result.diagnostics.levels_completed == 1
+        assert result.diagnostics.levels_used == 1
         below = replace(system, threshold=np.nextafter(tenth, 0.0))
         (result,) = run_subset_simulations(below, cfg, [1])
-        assert result.diagnostics.levels_completed > 1
+        assert result.diagnostics.levels_used > 1
 
     def test_deterministic_tables(self):
         system = _line_system(shift=3.0)
@@ -440,7 +442,7 @@ class TestRunSubsetSimulation:
         system = _line_system(threshold=0.6745)
         (result,) = run_subset_simulations(system, CFG, [12])
         d = result.diagnostics
-        assert d.levels_completed == 1
+        assert d.levels_used == 1
         assert result.estimate == d.conflict_count / 100
 
     def test_stalled_threshold_logs_warning(self, caplog):
@@ -465,7 +467,7 @@ class TestRunSubsetSimulation:
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
         with caplog.at_level("WARNING", logger="subsim.engine"):
             (result,) = run_subset_simulations(system, cfg, [5])
-        assert result.diagnostics.levels_completed == 4
+        assert result.diagnostics.levels_used == 4
         assert np.all(np.diff(result.diagnostics.thresholds) < 0)
         assert result.diagnostics.stalled_levels == 0
         assert not caplog.messages
@@ -620,7 +622,7 @@ class TestLockstepProblems:
         seeds = (5, 6, 7, 8)
         batch = list(run_subset_simulations(_line_system(shifts), CFG, seeds))
         assert len(batch) == len(shifts)
-        levels = [r.diagnostics.levels_completed for r in batch]
+        levels = [r.diagnostics.levels_used for r in batch]
         assert levels[1] == 1
         assert 1 < levels[0] < CFG.max_levels and 1 < levels[3] < CFG.max_levels
         assert levels[2] == CFG.max_levels and batch[2].diagnostics.floor_reached
@@ -633,7 +635,7 @@ class TestLockstepProblems:
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
         batch = list(run_subset_simulations(_line_system((0.0, 3.0), 0.0), cfg, (9, 10)))
         for shift, seed, result in zip((0.0, 3.0), (9, 10), batch):
-            assert result.diagnostics.levels_completed == 4
+            assert result.diagnostics.levels_used == 4
             (alone,) = run_subset_simulations(_line_system(shift, 0.0), cfg, [seed])
             _assert_same_result(result, alone)
 
@@ -670,7 +672,7 @@ class TestLockstepProblems:
         seeds = range(20, 27)
         system = _line_system(shifts, decimals=decimals)
         batch = list(run_subset_simulations(system, self.MIXED, seeds))
-        levels = [r.diagnostics.levels_completed for r in batch]
+        levels = [r.diagnostics.levels_used for r in batch]
         assert levels[1] == 1
         assert levels[2] == 4 and batch[2].diagnostics.floor_reached
         assert levels[5] == CFG.max_levels and batch[5].diagnostics.floor_reached
@@ -679,10 +681,10 @@ class TestLockstepProblems:
             alone = _line_system(shift, decimals=decimals)
             (alone_result,) = run_subset_simulations(alone, cfg, [seed])
             _assert_same_result(result, alone_result)
-            if result.diagnostics.levels_completed > 1:
+            if result.diagnostics.levels_used > 1:
                 _assert_level_streams(alone, result, seed, cfg)
             if decimals is not None:
-                kept = [cfg.n_samples - cfg.n_chains] * (result.diagnostics.levels_completed - 1)
+                kept = [cfg.n_samples - cfg.n_chains] * (result.diagnostics.levels_used - 1)
                 for level in np.split(result.table.responses, np.cumsum(kept)):
                     assert len(np.unique(level)) < len(level)
 
@@ -704,7 +706,7 @@ class TestLockstepProblems:
         monkeypatch.setattr(engine, "conditional_chains", counting_step)
         shifts = (50.0,) * len(self.MIXED)
         batch = list(run_subset_simulations(_line_system(shifts, 0.0), self.MIXED, range(7)))
-        assert [r.diagnostics.levels_completed for r in batch] == [7, 7, 4, 7, 7, 7, 7]
+        assert [r.diagnostics.levels_used for r in batch] == [7, 7, 4, 7, 7, 7, 7]
         seeds_per_level = [cfg.n_chains for cfg in self.MIXED]
         assert draws[0] == sum(cfg.n_samples for cfg in self.MIXED)  # level 0
         without_short = sum(seeds_per_level) - self.MIXED[2].n_chains
@@ -726,7 +728,7 @@ class TestLockstepProblems:
         seeds = (3, 4, 5)
         system = _line_system((0.0, 4.0, 6.0), 0.1)
         lazy = list(run_subset_simulations(system, CFG, seeds))
-        assert len({r.diagnostics.levels_completed for r in lazy}) == 3
+        assert len({r.diagnostics.levels_used for r in lazy}) == 3
         assert assemble_calls == []
         tables = [r.table for r in lazy]
         assert len(assemble_calls) == 3
@@ -748,20 +750,22 @@ class TestDirectMonteCarlo:
     """Plain Monte Carlo runs on the draws of SS level 0."""
 
     def test_counts_are_the_level0_conflicts(self):
-        # one-level SS at the same seeds counts the same draws at or below the threshold
+        # one-level SS at the same seeds counts the same draws at or below the
+        # threshold, and with a conflict found its summary is DMC's
         shifts, seeds = (0.0, 1.0, 2.0), (5, 6, 7)
         system = _line_system(shifts)
-        counts = direct_monte_carlo(system, [100] * 3, seeds)
+        results = direct_monte_carlo(system, [100] * 3, seeds)
         one_level = list(run_subset_simulations(system, SubsetConfig(100, 0.1, 1), seeds))
-        assert counts.tolist() == [r.diagnostics.conflict_count for r in one_level]
-        assert 0 < counts.min() and counts.max() < 100
+        counts = [r.conflict_count for r in results]
+        assert 0 < min(counts) and max(counts) < 100
+        assert results == [r.diagnostics for r in one_level]
+        assert [r.pc for r in results] == [c / 100 for c in counts]
 
     def test_problems_of_one_call_equal_their_own_calls(self):
         shifts, ns, seeds = (0.0, 1.0, 0.0), [50, 1, 300], (3, 4, 5)
-        counts = direct_monte_carlo(_line_system(shifts, 0.7), ns, seeds)
-        for shift, n, seed, count in zip(shifts, ns, seeds, counts.tolist()):
-            alone = direct_monte_carlo(_line_system(shift, 0.7), [n], [seed])
-            assert alone.tolist() == [count]
+        results = direct_monte_carlo(_line_system(shifts, 0.7), ns, seeds)
+        for shift, n, seed, result in zip(shifts, ns, seeds, results):
+            assert direct_monte_carlo(_line_system(shift, 0.7), [n], [seed]) == [result]
 
     def test_slices_hold_whole_problems(self, monkeypatch, assemble_calls):
         # with a 100-row cap, consecutive problems share a call while they
@@ -781,13 +785,13 @@ class TestDirectMonteCarlo:
         calls.clear()
         monkeypatch.setattr(engine, "_BATCH_ROWS", 100)
         sliced = direct_monte_carlo(recorded, ns, seeds)
-        assert sliced.tolist() == whole.tolist()
-        assert whole.min() > 0
+        assert sliced == whole
+        assert min(r.conflict_count for r in whole) > 0
         assert [np.unique(p).tolist() for p in calls] == [[0, 1], [2], [3], [4]]
         assert np.array_equal(np.concatenate(calls), np.repeat(np.arange(5), ns))
         calls.clear()
         monkeypatch.setattr(engine, "GROUP_SIZE", 1)
-        assert direct_monte_carlo(recorded, ns, seeds).tolist() == whole.tolist()
+        assert direct_monte_carlo(recorded, ns, seeds) == whole
         assert [np.unique(p).tolist() for p in calls] == [[k] for k in range(5)]
         assert assemble_calls == []
 
@@ -869,7 +873,7 @@ class TestBatches:
             for shift, config, seed in zip(self.SHIFTS, configs, seeds)
             for result in run_subset_simulations(_line_system(shift), config, [seed])
         ]
-        assert len({res.diagnostics.levels_completed for res in alone}) > 2
+        assert len({res.diagnostics.levels_used for res in alone}) > 2
         batches = self._recorded_batches(monkeypatch)
         monkeypatch.setattr(engine, "GROUP_SIZE", 3)
         monkeypatch.setattr(engine, "_BATCH_ROWS", 600)

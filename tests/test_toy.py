@@ -127,6 +127,12 @@ class TestDmcEstimate:
         for s in range(5):
             assert 0.0 <= dmc_estimate(REGION, 1000, seed=s) <= 1.0
 
+    def test_numpy_count_gives_a_python_float(self):
+        wide = CircleRegion(center=Point2(0.0, 0.0), radius=2.0)
+        est = dmc_estimate(wide, np.int64(100), seed=3)
+        assert type(est) is float
+        assert est == dmc_estimate(wide, 100, seed=3)
+
     def test_large_sample_matches_oracle(self):
         # frozen seed; 3 binomial standard errors around the oracle value
         p = oracle_probability(REGION)
@@ -302,9 +308,9 @@ class TestSsToy:
         # the descent ends at the first level holding N_c samples in the disc
         res = ss_toy(REGION, std_config(8), seed=5)
         d = res.diagnostics
-        assert 1 < d.levels_completed < 8
+        assert 1 < d.levels_used < 8
         assert d.conflict_count >= 10
-        assert len(res.table.rows) == 90 * (d.levels_completed - 1) + 100
+        assert len(res.table.rows) == 90 * (d.levels_used - 1) + 100
         # fewer than N_c samples in the disc keeps a level's threshold outside it
         assert all(b > REGION.radius for b in d.thresholds)
 
@@ -365,14 +371,14 @@ class TestLockstepProblems:
         seeds = (5, 6, 7)
         batch = list(run_subset_simulations(_toy_copies(len(seeds)), std_config(3), seeds))
         for seed, result in zip(seeds, batch):
-            assert result.diagnostics.levels_completed == 3
+            assert result.diagnostics.levels_used == 3
             self._assert_same(result, ss_toy(REGION, std_config(3), seed=seed))
 
     def test_early_stops_at_different_levels(self):
         # the problems stop after different numbers of levels, each as it would alone
         seeds = tuple(range(20, 28))
         batch = list(run_subset_simulations(_toy_copies(len(seeds)), std_config(7), seeds))
-        levels = {r.diagnostics.levels_completed for r in batch}
+        levels = {r.diagnostics.levels_used for r in batch}
         assert len(levels) > 1
         for seed, result in zip(seeds, batch):
             self._assert_same(result, ss_toy(REGION, std_config(7), seed=seed))
