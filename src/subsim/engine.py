@@ -19,6 +19,7 @@ means closer to the rare event.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import operator
@@ -142,7 +143,9 @@ class RareEventSystem:
     `direct_monte_carlo` counts those at or below `threshold` and
     `conditional_chains` those at or below each chain's threshold.  A row's
     response must not depend on the rows beside it, so that each problem's
-    result equals its own one-problem run.  The conflict system's response is
+    result equals its own one-problem run.  The samples it receives may be a
+    view of a buffer that the engine overwrites later, so it copies any it
+    keeps.  The conflict system's response is
     the closest approach in continuous time (`dynamics.miss_distance_batch`)
     and its threshold the protected radius; the toy's, the distance to the
     disc centre and the disc's radius.
@@ -288,10 +291,25 @@ def _check_system(system: RareEventSystem, k_all: int) -> None:
 def _level0(
     mean: np.ndarray, chol: np.ndarray, roots: Sequence[_rng.Pool], ns: Sequence[int]
 ) -> np.ndarray:
-    """Level 0, stacked: ns[k] draws of N(mean[k], chol[k] chol[k]^T) from child(roots[k], 0)."""
-    z = _rng.standard_normal(_rng.children(roots, 0), ns, mean.shape[1:])
-    ends = np.cumsum(ns)[:-1]
-    return np.concatenate([m + zk @ c.T for zk, m, c in zip(np.split(z, ends), mean, chol)])
+    """Level 0, stacked: ns[k] draws of N(mean[k], chol[k] chol[k]^T) from child(roots[k], 0).
+
+    Each run of consecutive problems that share a budget is coloured by one
+    stacked matmul, written into the result, and its means are added in
+    place; a lone problem is a run of one.  The products are per problem, so
+    a problem's rows do not depend on its neighbours.
+    """
+    d = mean.shape[1]
+    z = _rng.standard_normal(_rng.children(roots, 0), ns, (d,))
+    out = np.empty_like(z)
+    lo = k = 0
+    for n, run in itertools.groupby(ns):
+        r = sum(1 for _ in run)
+        hi = lo + n * r
+        x = out[lo:hi].reshape(r, n, d)
+        np.matmul(z[lo:hi].reshape(r, n, d), chol[k : k + r].transpose(0, 2, 1), out=x)
+        x += mean[k : k + r, None]
+        lo, k = hi, k + r
+    return out
 
 
 # Problems per batch: `direct_monte_carlo` and `run_subset_simulations` run
@@ -405,16 +423,21 @@ def conditional_chains(
     does not depend on the chain's state, so every step's is formed up
     front, by one stacked matmul whose products are per chain: a chain's
     values do not depend on which other chains run beside it.  The drifts
-    are written into the samples' buffer, where step k reads its column
-    before storing its sample there, so they need no (m, length, d) array of
-    their own and the caller's innovations are left as they were.
+    are written into a step-major (length, m, d) samples buffer, so step k
+    works in the contiguous block `xs[k]`: it adds rho x to the drifts there
+    to form the candidates, writes their responses into row k of a
+    (length, m) buffer, and puts the current state back in the rejected
+    rows.  The caller's innovations are left as they were.  A seed whose
+    response is not at most its threshold, NaN on either side included, is
+    rejected.
 
-    Returns the samples (m, length, d) and their responses (m, length).
+    Returns the samples (m, length, d) and their responses (m, length), in
+    chain-major order.
     """
     m, length, d = innovations.shape
     seed_responses = np.array(seed_responses, dtype=np.float64).reshape(m)
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    beyond = np.flatnonzero(seed_responses > thresholds)
+    beyond = np.flatnonzero(~(seed_responses <= thresholds))
     if beyond.size:
         j = beyond[0]
         raise ValueError(
@@ -423,21 +446,24 @@ def conditional_chains(
     problems = np.asarray(problems, dtype=np.intp)
     # a contiguous L^T per chain halves the matmul's time against a transposed view
     chol_t = system.chol[problems].transpose(0, 2, 1).copy()
-    out_x = np.matmul(innovations, chol_t, dtype=np.float64)
-    out_x *= _INNOVATION_SCALE
-    out_x += ((1.0 - CHAIN_CORRELATION) * system.mean[problems])[:, None]
-    out_r = np.empty((m, length))
+    xs = np.empty((length, m, d))
+    np.matmul(innovations, chol_t, out=xs.transpose(1, 0, 2), dtype=np.float64)
+    xs *= _INNOVATION_SCALE
+    xs += (1.0 - CHAIN_CORRELATION) * system.mean[problems]
+    rs = np.empty((length, m))
     cur = np.array(seeds, dtype=np.float64).reshape(m, d)
     cur_r = seed_responses
+    pull = np.empty((m, d))
     for k in range(length):
-        cand = CHAIN_CORRELATION * cur + out_x[:, k]
-        cand_r = system.evaluate(cand, problems)
-        ok = cand_r <= thresholds
-        cur = np.where(ok[:, None], cand, cur)
-        cur_r = np.where(ok, cand_r, cur_r)
-        out_x[:, k] = cur
-        out_r[:, k] = cur_r
-    return out_x, out_r
+        x, r = xs[k], rs[k]
+        np.multiply(cur, CHAIN_CORRELATION, out=pull)
+        x += pull
+        r[...] = system.evaluate(x, problems)
+        reject = ~(r <= thresholds)
+        np.copyto(x, cur, where=reject[:, None])
+        np.copyto(r, cur_r, where=reject)
+        cur, cur_r = x, r
+    return np.ascontiguousarray(xs.transpose(1, 0, 2)), np.ascontiguousarray(rs.T)
 
 
 def run_subset_simulations(

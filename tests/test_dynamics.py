@@ -33,7 +33,7 @@ def _track(state, f, t):
     return track_positions(state.as_array()[None], f, t)[0]
 
 
-class TestPropagate:
+class TestTrackPositions:
     def test_rest_state_is_fixed_point(self):
         initial = AircraftState(5.0, 0.0, 0.0, -2.0, 0.0, 0.0)
         track = _track(initial, f=10, t=2)
@@ -183,7 +183,7 @@ class TestStateValidation:
             AircraftState.from_array([0.0, 1.0, np.nan, 0.0, 0.0, 0.0])
 
 
-class TestTrajectoryType:
+class TestStateRoundTrip:
     def test_state_round_trip(self):
         s = AircraftState(1, 2, 3, 4, 5, 6)
         assert AircraftState.from_array(s.as_array()) == s

@@ -580,6 +580,18 @@ class TestConditionalChains:
         with pytest.raises(ValueError, match="violates"):
             self._run(self._system(), self.MEAN, 0.5, np.zeros((1, 3, 3)))
 
+    @pytest.mark.parametrize("where", ["seed", "threshold"])
+    def test_nan_seed_or_threshold_rejected(self, where):
+        # NaN compares false both ways, so a NaN response or threshold is a
+        # violation, not a seed that passes and a chain that never moves
+        system = self._system()
+        seed_response, threshold = (np.nan, 5.0) if where == "seed" else (1.0, np.nan)
+        with pytest.raises(ValueError, match="seed 0 violates the threshold"):
+            conditional_chains(
+                system, self.MEAN, [seed_response], np.array([threshold]),
+                np.zeros((1, 3, 3)), np.zeros(1, dtype=int),
+            )
+
     def test_lockstep_equals_alone(self):
         # chains of two problems in one call equal each chain run alone
         mean = np.array([[0.0, 0.0], [3.0, -1.0]])
@@ -712,6 +724,23 @@ class TestLockstepProblems:
         without_short = sum(seeds_per_level) - self.MIXED[2].n_chains
         assert chains == draws[1:] == [sum(seeds_per_level)] * 3 + [without_short] * 3
 
+    def test_equal_budgets_tie_in_draw_order(self):
+        # four problems of one budget step in one population, their responses
+        # rounded to 0.1 so that every kept level holds ties; each problem's
+        # ties must still fall in its own draw order
+        shifts = (4.0, 3.0, 4.0, 3.5)
+        seeds = range(40, 44)
+        batch = list(run_subset_simulations(_line_system(shifts, decimals=1), CFG, seeds))
+        kept = CFG.n_samples - CFG.n_chains
+        for shift, seed, result in zip(shifts, seeds, batch):
+            alone = _line_system(shift, decimals=1)
+            (alone_result,) = run_subset_simulations(alone, CFG, [seed])
+            _assert_same_result(result, alone_result)
+            _assert_level_streams(alone, result, seed, CFG)
+            levels = [kept] * (result.diagnostics.levels_used - 1)
+            for level in np.split(result.table.responses, np.cumsum(levels)):
+                assert len(np.unique(level)) < len(level)
+
     def test_configs_must_share_level_probability(self):
         configs = [CFG, SubsetConfig(n_samples=100, level_probability=0.2)]
         with pytest.raises(ValueError, match="share level_probability"):
@@ -766,6 +795,30 @@ class TestDirectMonteCarlo:
         results = direct_monte_carlo(_line_system(shifts, 0.7), ns, seeds)
         for shift, n, seed, result in zip(shifts, ns, seeds, results):
             assert direct_monte_carlo(_line_system(shift, 0.7), [n], [seed]) == [result]
+
+    def test_runs_of_equal_budgets_equal_their_own_calls(self):
+        # runs of equal budgets are coloured together; each problem's rows
+        # are still mean[k] + z @ chol[k].T of its own draws, bit for bit
+        d, ns, seeds = 6, [100, 100, 100, 7, 300, 300, 1], range(30, 37)
+        k_all = len(ns)
+        gen = generator(_rng.derive(9))
+        mean = gen.standard_normal((k_all, d))
+        chol = np.array([_chol(d, k) for k in range(k_all)])
+        rows = []
+
+        def recording(x, problems):
+            rows.append(x.copy())
+            return _abs_first_column(x, problems)
+
+        results = direct_monte_carlo(RareEventSystem(mean, chol, recording, 1.0), ns, seeds)
+        (x,) = rows
+        per_problem = np.split(x, np.cumsum(ns)[:-1])
+        for k, (n, seed, result, xk) in enumerate(zip(ns, seeds, results, per_problem)):
+            z = generator(child(_rng.derive(seed), 0)).standard_normal((n, d))
+            assert np.array_equal(xk, mean[k] + z @ chol[k].T)
+            alone = RareEventSystem(mean[k : k + 1], chol[k : k + 1], _abs_first_column, 1.0)
+            assert direct_monte_carlo(alone, [n], [seed]) == [result]
+        assert 0 < sum(r.conflict_count for r in results) < sum(ns)
 
     def test_slices_hold_whole_problems(self, monkeypatch, assemble_calls):
         # with a 100-row cap, consecutive problems share a call while they
