@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .conflict import ConflictQuery, PcResult, encounter_steps, pc_dmc, pc_ss
-from .engine import SubsetConfig
+from .engine import SubsetConfig, is_integer
 from .rng import SeedLike, child_pool, pool
 from .scenarios import ScenarioSpec, build_head_on
 
@@ -35,14 +35,11 @@ class CovStudyConfig:
     repetitions: int = 50
     dmc_sizes: Sequence[int] = (100, 1_000, 10_000)
     ss_sizes: Sequence[int] = (100, 1_000, 3_000)
-    level_probability: float = 0.1
     max_levels: int = 7
 
     def __post_init__(self):
-        # a float would fail mid-study, or truncate to another SS budget, and
-        # True would count as one
         sizes = (self.repetitions, *self.dmc_sizes, *self.ss_sizes)
-        if any(isinstance(n, bool) or not hasattr(n, "__index__") for n in sizes):
+        if not all(map(is_integer, sizes)):
             raise ValueError(f"repetitions and sample sizes must be integers, got {list(sizes)}")
         if self.repetitions < 2:
             raise ValueError(
@@ -54,12 +51,8 @@ class CovStudyConfig:
             self.subset_config(n)
 
     def subset_config(self, n: int) -> SubsetConfig:
-        """The engine config of the SS budget of n samples per level."""
-        return SubsetConfig(
-            n_samples=int(n),
-            level_probability=self.level_probability,
-            max_levels=self.max_levels,
-        )
+        """The engine config of the SS budget of n samples per level, at the default p0 = 0.1."""
+        return SubsetConfig(n_samples=int(n), max_levels=self.max_levels)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,7 @@ class SubsetConfig:
 
     def __post_init__(self):
         n, p0 = self.n_samples, self.level_probability
-        # True would count as one, and a float would truncate or fail deep inside a run
-        if any(isinstance(v, bool) or not hasattr(v, "__index__") for v in (n, self.max_levels)):
+        if not (is_integer(n) and is_integer(self.max_levels)):
             raise ValueError(
                 f"n_samples and max_levels must be integers, got {n!r} and {self.max_levels!r}"
             )
@@ -279,6 +278,11 @@ def estimate_probability(conflict_count: int, final_level: int, config: SubsetCo
     return conflict_count / scale
 
 
+def is_integer(value) -> bool:
+    """An integer count or size, NumPy's included; not a bool, which would count as one."""
+    return not isinstance(value, bool) and hasattr(value, "__index__")
+
+
 def _check_system(system: RareEventSystem, k_all: int) -> None:
     """Reject a system whose shapes disagree or that poses other than k_all problems."""
     mean, chol = system.mean, system.chol
@@ -310,6 +314,18 @@ def _level0(
         x += mean[k : k + r, None]
         lo, k = hi, k + r
     return out
+
+
+def _score_level0(system: RareEventSystem, samples: np.ndarray, problems: np.ndarray) -> np.ndarray:
+    """Level 0's responses, for both estimators: one finite float per row, as
+    an (n,) array, or `ValueError`.  The chains of later levels keep their own
+    shapes, and their finite thresholds reject a NaN or infinite candidate."""
+    responses = np.asarray(system.evaluate(samples, problems), dtype=np.float64)
+    if responses.shape != (len(samples),):
+        raise ValueError(f"level 0 produced {responses.shape} responses, expected {len(samples)}")
+    if not np.all(np.isfinite(responses)):
+        raise ValueError("level 0 produced non-finite responses")
+    return responses
 
 
 # Problems per batch: `direct_monte_carlo` and `run_subset_simulations` run
@@ -364,15 +380,14 @@ def direct_monte_carlo(
     count D that respond at or below the system's threshold, and pc = D / N.
     The draws are level 0 of `run_subset_simulations` from `seeds[k]`.
     Each batch (`_batches`) is drawn and scored in one `evaluate` call, so a
-    problem is never split.  A sample count that is not a positive integer,
-    and a non-finite response, raise `ValueError`, as at every level of an
-    SS run.  A NumPy integer count gives the Python numbers a Python `int`
-    gives.
+    problem is never split.  A sample count that is not a positive integer
+    raises `ValueError`, and so do responses that are not one finite float
+    per draw, as at SS level 0 (`_score_level0`).  A NumPy integer count
+    gives the Python numbers a Python `int` gives.
     """
     if len(ns) != len(seeds):
         raise ValueError(f"{len(ns)} sample counts but {len(seeds)} seeds")
-    # True would count as one draw, and a float would fail in the stream code
-    if len(ns) == 0 or any(isinstance(n, bool) or not hasattr(n, "__index__") or n < 1 for n in ns):
+    if len(ns) == 0 or any(not is_integer(n) or n < 1 for n in ns):
         raise ValueError(f"sample counts must be positive integers, got {list(ns)}")
     _check_system(system, len(ns))
     roots = [_rng.pool(seed) for seed in seeds]
@@ -380,10 +395,7 @@ def direct_monte_carlo(
     for lo, hi in _batches(ns):
         problems = np.repeat(np.arange(lo, hi), ns[lo:hi])
         samples = _level0(system.mean[lo:hi], system.chol[lo:hi], roots[lo:hi], ns[lo:hi])
-        responses = system.evaluate(samples, problems)
-        if not np.all(np.isfinite(responses)):
-            raise ValueError("level 0 produced non-finite responses")
-        hits = responses <= system.threshold
+        hits = _score_level0(system, samples, problems) <= system.threshold
         counts += np.bincount(problems[hits] - lo, minlength=hi - lo).tolist()
     return [
         PcResult(pc=c / n, conflict_count=c, levels_used=1, samples_used=n, floor_reached=False)
@@ -532,7 +544,7 @@ def _run_batch(system, configs, roots, batch: range):
     n_cs = np.array([configs[k].n_chains for k in batch])
     last = np.array([configs[k].max_levels - 1 for k in batch])
     samples = _level0(system.mean[lo:hi], system.chol[lo:hi], roots[lo:hi], ns.tolist())
-    responses = np.asarray(system.evaluate(samples, active.repeat(ns)), dtype=np.float64)
+    responses = _score_level0(system, samples, active.repeat(ns))
     starts, fill, spans, threshold_rows, seed_rows = _layout(active, ns, n_cs)
     d = system.mean.shape[1]
     n_s = configs[lo].chain_length
@@ -542,7 +554,7 @@ def _run_batch(system, configs, roots, batch: range):
     level = 0
 
     while True:
-        sorted_r, sorted_x = _sort_level(samples, responses, fill, starts, level)
+        sorted_r, sorted_x = _sort_level(samples, responses, fill, starts)
         for k, start, end in spans:
             blocks[k].append((sorted_r[start:end], sorted_x[start:end]))
         conflicts = np.add.reduceat(sorted_r <= system.threshold, starts)
@@ -623,17 +635,11 @@ def _layout(problems: np.ndarray, ns: np.ndarray, n_cs: np.ndarray):
     return starts, fill, spans, ends - n_cs - 1, seed_rows
 
 
-def _sort_level(samples, responses, fill, starts, level):
+def _sort_level(samples, responses, fill, starts):
     """One level's population sorted problem by problem: per problem a
     stable descending sort, ties by draw index.  Problem j's negated
     responses fill row j of a (problems, max N) key array padded with +inf,
     so one stable argsort orders every row and each row's pads come last."""
-    if len(responses) != len(samples):
-        raise ValueError(
-            f"level {level} produced {len(responses)} responses, expected {len(samples)}"
-        )
-    if not np.all(np.isfinite(responses)):
-        raise ValueError(f"level {level} produced non-finite responses")
     keys = np.full(fill.shape, np.inf)
     keys[fill] = -responses
     rows = (np.argsort(keys, axis=1, kind="stable") + starts[:, None])[fill]

@@ -157,7 +157,7 @@ class TestCovStudy:
             {"dmc_sizes": (100, 0)},
             {"ss_sizes": (100, 155)},  # p0 * N is not an integer
             {"ss_sizes": (0,)},
-            {"ss_sizes": (10,), "level_probability": 0.25},  # valid at the default p0 = 0.1
+            {"ss_sizes": (5,)},  # p0 * N = 0.5: not one chain
             {"max_levels": 0},
         ],
     )

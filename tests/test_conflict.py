@@ -1,4 +1,6 @@
-"""Conflict estimation tests: DMC, conditional chains, subset driver, scenario loop."""
+"""Conflict estimation tests: DMC, subset runs, query groups, scenario loop.
+
+The chain is tested once, on this system among others, in `test_engine.py`."""
 
 import dataclasses
 import logging
@@ -24,7 +26,6 @@ from subsim.conflict import (
 from subsim.analysis import CovStudyConfig, cov_study, freeze_phase, phase_p2
 from subsim.dynamics import AircraftState, miss_distance_batch
 from subsim.engine import (
-    CHAIN_CORRELATION,
     SubsetConfig,
     conditional_chains,
     direct_monte_carlo,
@@ -129,238 +130,6 @@ def _miss(q, states):
     states = np.atleast_2d(states)
     observers, problem = q.observer.as_array()[None], np.zeros(len(states), np.intp)
     return miss_distance_batch(states, observers, problem, np.full(1, q.horizon))[0]
-
-
-def _whiten(q, states):
-    chol = np.linalg.cholesky(q.intruder_estimate.covariance)
-    return np.linalg.solve(chol, (states - q.intruder_estimate.mean.as_array()).T).T
-
-
-def _batch_chains(queries, seed_states, seed_misses, thresholds, innovations, problems):
-    """The engine's chains on the conflict system of `queries`."""
-    system = conflict_system(queries)
-    return conditional_chains(system, seed_states, seed_misses, thresholds, innovations, problems)
-
-
-def _run_chains(q, seed_states, threshold, innovations):
-    m = len(seed_states)
-    return _batch_chains(
-        [q], seed_states, _miss(q, seed_states), np.full(m, threshold),
-        innovations, np.zeros(m, dtype=int),
-    )
-
-
-def _system_chains(q, seeds, length, threshold, seed):
-    """Per-chain (states, misses) of the engine's chains on one query, the
-    innovations one (m, length, 6) block of one generator."""
-    seeds = np.atleast_2d(seeds)
-    innovations = generator(_rng.derive(seed)).standard_normal((len(seeds), length, 6))
-    return list(zip(*_run_chains(q, seeds, threshold, innovations)))
-
-
-def _run_chain(q, seed_state, threshold, innovations):
-    states, misses = _run_chains(q, seed_state[None, :], threshold, innovations[None])
-    return states[0], misses[0]
-
-
-class TestChainAcceptance:
-    """A candidate is accepted iff its miss distance lies within the level."""
-
-    def test_zero_innovation_on_threshold_stays_put(self):
-        # at the posterior mean a zero innovation proposes the current state
-        # itself; with the state on the threshold the chain stays put
-        q = _query(HEAD_ON_OFFSET)
-        mean = q.intruder_estimate.mean.as_array()
-        threshold = float(_miss(q, mean)[0])
-        states, misses = _run_chain(q, mean, threshold, np.zeros((5, 6)))
-        assert np.array_equal(states, np.tile(mean, (5, 1)))
-        assert np.all(misses == threshold)
-
-    def test_closer_candidate_favored(self):
-        # no closeness reward: a candidate farther from the observer than the
-        # current state is accepted on the threshold, rejected one ulp beyond it
-        q = _query(HEAD_ON_OFFSET)
-        mean = q.intruder_estimate.mean.as_array()
-        xi = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
-        chol = np.linalg.cholesky(q.intruder_estimate.covariance)
-        cand = mean + chol @ (math.sqrt(1.0 - CHAIN_CORRELATION**2) * xi[0])
-        cand_miss = float(_miss(q, cand)[0])
-        assert cand_miss > float(_miss(q, mean)[0])
-        states, misses = _run_chain(q, mean, cand_miss, xi)
-        assert np.array_equal(states[0], cand) and misses[0] == cand_miss
-        states, misses = _run_chain(q, mean, np.nextafter(cand_miss, 0.0), xi)
-        assert np.array_equal(states[0], mean) and misses[0] < cand_miss
-
-    def test_far_state_proposes_toward_the_mean(self):
-        # from a state far out in the posterior, candidates centre on rho * z
-        q = _query(HEAD_ON_OFFSET)
-        far = np.full(6, 3.0)
-        chol = np.linalg.cholesky(q.intruder_estimate.covariance)
-        seed_state = q.intruder_estimate.mean.as_array() + chol @ far
-        xi = generator(_rng.derive(4)).standard_normal((400, 6))
-        cands = np.array([_run_chain(q, seed_state, 1500.0, xi[k : k + 1])[0][0] for k in range(400)])
-        z = _whiten(q, cands)
-        spread = math.sqrt(1.0 - CHAIN_CORRELATION**2)
-        assert np.all(np.abs(z.mean(axis=0) - CHAIN_CORRELATION * far) < 4 * spread / math.sqrt(400))
-        assert np.mean(np.sum(z * z, axis=1) < far @ far) > 0.95
-
-
-def _reference_chain(q, seed_state, threshold, innovations):
-    """One chain, one state at a time with one-state kernel calls:
-    x' = rho x + (1 - rho) mean + sqrt(1 - rho^2) L xi, the innovations
-    coloured in one matmul by a contiguous L^T, as the engine colours a chain's."""
-    mean = q.intruder_estimate.mean.as_array()
-    chol = np.linalg.cholesky(q.intruder_estimate.covariance)
-    cur = seed_state
-    cur_miss = float(_miss(q, cur)[0])
-    colour = innovations @ np.ascontiguousarray(chol.T)
-    drifts = math.sqrt(1.0 - CHAIN_CORRELATION**2) * colour + (1.0 - CHAIN_CORRELATION) * mean
-    out_x, out_r = [], []
-    for drift in drifts:
-        cand = CHAIN_CORRELATION * cur + drift
-        cand_miss = float(_miss(q, cand)[0])
-        if cand_miss <= threshold:
-            cur, cur_miss = cand, cand_miss
-        out_x.append(cur)
-        out_r.append(cur_miss)
-    return np.array(out_x), np.array(out_r)
-
-
-class TestLockstepChains:
-    """Chains advanced together give each chain exactly what it gives alone."""
-
-    def _seeds(self, q, m, seed):
-        chol = np.linalg.cholesky(q.intruder_estimate.covariance)
-        gen = generator(_rng.derive(seed))
-        seeds = q.intruder_estimate.mean.as_array() + gen.standard_normal((m, 6)) @ chol.T
-        return seeds, gen.standard_normal((m, 40, 6))
-
-    def test_m_seeds_equal_m_one_seed_calls(self):
-        q = _query(HEAD_ON_OFFSET)
-        seeds, innovations = self._seeds(q, 7, 21)
-        threshold = float(_miss(q, seeds).max())
-        states, misses = _run_chains(q, seeds, threshold, innovations)
-        assert states.shape == (7, 40, 6) and misses.shape == (7, 40)
-        moved = np.any(np.diff(np.concatenate([seeds[:, None], states], axis=1), axis=1) != 0.0, axis=2)
-        assert 0 < moved.sum() < 7 * 40  # both branches of the accept step run
-        for j in range(7):
-            one_states, one_misses = _run_chain(q, seeds[j], threshold, innovations[j])
-            assert np.array_equal(states[j], one_states)
-            assert np.array_equal(misses[j], one_misses)
-
-    def test_matches_per_state_reference(self):
-        q = _query(HEAD_ON_OFFSET)
-        seeds, innovations = self._seeds(q, 5, 22)
-        threshold = float(_miss(q, seeds).max())
-        states, misses = _run_chains(q, seeds, threshold, innovations)
-        for j in range(5):
-            ref_states, ref_misses = _reference_chain(q, seeds[j], threshold, innovations[j])
-            assert np.array_equal(states[j], ref_states)
-            assert np.array_equal(misses[j], ref_misses)
-
-    def test_engine_system_groups_chain_by_chain(self):
-        # in an engine run, level 1's chain j takes block[j] of one
-        # (N_c, length, 6) draw from the level's stream child(root, 1)
-        q = _query(HEAD_ON_OFFSET)
-        cfg = SubsetConfig(n_samples=40, level_probability=0.25, max_levels=2)
-        system = dataclasses.replace(conflict_system([q]), threshold=0.0)
-        (result,) = run_subset_simulations(system, cfg, [24])
-        root = _rng.derive(24)
-        z = generator(child(root, 0)).standard_normal((40, 6))
-        chol = np.linalg.cholesky(q.intruder_estimate.covariance)
-        level0 = q.intruder_estimate.mean.as_array() + z @ chol.T
-        order = np.argsort(-_miss(q, level0), kind="stable")
-        seeds = level0[order][-10:]
-        threshold = result.diagnostics.thresholds[0]
-        block = generator(child(root, 1)).standard_normal((10, 4, 6))
-        ref_states, ref_misses = _run_chains(q, seeds, threshold, block)
-        ref_states, ref_misses = ref_states.reshape(-1, 6), ref_misses.reshape(-1)
-        order = np.argsort(-ref_misses, kind="stable")
-        assert np.array_equal(result.table.samples[30:], ref_states[order])
-        assert np.array_equal(result.table.responses[30:], ref_misses[order])
-
-    def test_queries_of_one_batch_equal_their_own_chains(self):
-        # chains of three queries advanced in one call, each query's group
-        # on its own block of innovations, equal each query's chains alone
-        queries = [_query(HEAD_ON_OFFSET), _query(HEAD_ON_COLLISION, 2.0), _query(RECEDING, 0.5)]
-        seeds, thresholds, blocks = [], [], []
-        for i, q in enumerate(queries):
-            s, _ = self._seeds(q, 3, 30 + i)
-            seeds.append(s)
-            thresholds.append(float(_miss(q, s).max()))
-            blocks.append(generator(_rng.derive(40 + i)).standard_normal((3, 12, 6)))
-        seed_misses = np.concatenate([_miss(q, s) for q, s in zip(queries, seeds)])
-        states, misses = _batch_chains(
-            queries,
-            np.concatenate(seeds),
-            seed_misses,
-            np.repeat(thresholds, 3),
-            np.concatenate(blocks),
-            np.repeat([0, 1, 2], 3),
-        )
-        for i, q in enumerate(queries):
-            one_states, one_misses = _run_chains(q, seeds[i], thresholds[i], blocks[i])
-            assert np.array_equal(states[3 * i : 3 * (i + 1)], one_states)
-            assert np.array_equal(misses[3 * i : 3 * (i + 1)], one_misses)
-
-
-class TestConflictChains:
-    def test_seed_beyond_threshold_rejected(self):
-        q = _query(HEAD_ON_OFFSET)
-        seeds = np.array([q.intruder_estimate.mean.as_array()])
-        with pytest.raises(ValueError, match="violates"):
-            _system_chains(q, seeds, 10, threshold=10.0, seed=0)
-
-    def test_chains_respect_threshold(self):
-        q = _query(HEAD_ON_OFFSET)
-        seeds = np.array([q.intruder_estimate.mean.as_array()] * 5)
-        threshold = 1500.0
-        chains = _system_chains(q, seeds, 50, threshold, seed=3)
-        assert len(chains) == 5
-        for states, misses in chains:
-            assert states.shape == (50, 6)
-            assert np.all(misses <= threshold)
-
-    def test_candidates_move_all_six_components(self):
-        # with nothing rejected, the whitened states follow z' = rho z + sqrt(1 - rho^2) xi
-        # with xi the chain's block of the level's stream
-        q = _query(HEAD_ON_OFFSET)
-        seed_state = q.intruder_estimate.mean.as_array()
-        (states, _), = _system_chains(q, seed_state, 40, np.inf, seed=5)
-        xi = generator(_rng.derive(5)).standard_normal((1, 40, 6))[0]
-        z = np.zeros(6)
-        expected = []
-        for k in range(40):
-            z = CHAIN_CORRELATION * z + math.sqrt(1.0 - CHAIN_CORRELATION**2) * xi[k]
-            expected.append(z)
-        assert np.allclose(_whiten(q, states), expected, rtol=0.0, atol=1e-9)
-        assert np.all(np.diff(np.vstack([seed_state, states]), axis=0) != 0.0)
-
-    def test_chain_settles_below_its_seed_miss(self):
-        # seeded in the tail, well above the bulk of the miss distribution and
-        # below the threshold, the chain settles to the DMC draws under it
-        q = _query(HEAD_ON_OFFSET)
-        chol = np.linalg.cholesky(q.intruder_estimate.covariance)
-        mean = q.intruder_estimate.mean.as_array()
-        seed_state = mean + chol @ np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0])
-        threshold = 1500.0
-        draws = mean + generator(_rng.derive(60)).standard_normal((20_000, 6)) @ chol.T
-        ref = _miss(q, draws)
-        ref = ref[ref <= threshold]
-        seed_miss = float(_miss(q, seed_state)[0])
-        assert ref.max() < seed_miss < threshold
-        (states, misses), = _system_chains(q, seed_state, 1000, threshold, seed=6)
-        moved = np.any(np.diff(states, axis=0) != 0.0, axis=1)
-        assert moved.sum() > 50
-        settled = misses[100::10]  # past burn-in, thinned to near independence
-        assert abs(settled.mean() - ref.mean()) < 4 * ref.std() / math.sqrt(len(settled))
-        assert 0.7 < settled.std() / ref.std() < 1.3
-
-    def test_responses_reproduce_exactly(self):
-        q = _query(HEAD_ON_OFFSET)
-        seed_state = q.intruder_estimate.mean.as_array()
-        (states, misses), = _system_chains(q, seed_state, 30, 1500.0, seed=7)
-        assert np.array_equal(_miss(q, states), misses)
 
 
 class TestPcSs:
@@ -775,7 +544,7 @@ def _head_on_group():
     return [s.query(spec) for s in encounter_steps(spec, 3) if s.k in (40, 100, 160, 220)]
 
 
-class TestBoundedResponses:
+class TestQueryGroupSystem:
     """Responses read against a bound, the failure threshold or a chain's
     threshold, by a query group's system: every kernel call goes through the
     module attribute `subsim.conflict.miss_distance_batch` with the (n, 6)

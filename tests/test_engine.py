@@ -1,5 +1,7 @@
-"""Engine unit tests: interval ladders, thresholds, seeds, CCDF assembly, read-off, batches."""
+"""Engine unit tests: interval ladders, thresholds, seeds, CCDF assembly, read-off, batches,
+and the one conditional chain on each system it serves."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -9,7 +11,8 @@ import pytest
 from streams import child, generator
 from subsim import engine
 from subsim import rng as _rng
-from subsim.conflict import _cholesky_with_jitter, simulate_scenario
+from subsim.analysis import freeze_phase
+from subsim.conflict import _cholesky_with_jitter, conflict_system, simulate_scenario
 from subsim.engine import (
     CHAIN_CORRELATION,
     CcdfTable,
@@ -24,6 +27,7 @@ from subsim.engine import (
     run_subset_simulations,
 )
 from subsim.scenarios import build_head_on
+from subsim.toy import CircleRegion, Point2, toy_system
 
 CFG = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=7)
 CFG_STD = SubsetConfig(
@@ -418,13 +422,6 @@ class TestRunSubsetSimulation:
         with pytest.raises(ValueError, match="violated"):
             list(run_subset_simulations(_line_system(threshold=1e-6), CFG, [3]))
 
-    def test_response_count_violation_raises(self):
-        def short(x, problems):
-            return np.abs(x[1:, 0])
-
-        with pytest.raises(ValueError, match="expected"):
-            list(run_subset_simulations(_gaussian_system(short, 1e-6), CFG, [3]))
-
     def test_problem_count_must_match_seeds(self):
         with pytest.raises(ValueError, match="2 problems but 3 seeds"):
             run_subset_simulations(_line_system((1.0, 2.0)), CFG, (1, 2, 3))
@@ -437,6 +434,14 @@ class TestRunSubsetSimulation:
         system = _line_system(shift=5.0, threshold=0.0)
         (result,) = run_subset_simulations(system, cfg, [9])
         _assert_level_streams(system, result, 9, cfg)
+
+    def test_levels_follow_their_streams(self, system):
+        # on each system the chain serves, problem 0's levels replay from
+        # its level streams and its seeds, several levels deep
+        cfg = SubsetConfig(n_samples=40, level_probability=0.25, max_levels=3)
+        one = replace(system, mean=system.mean[:1], chol=system.chol[:1], threshold=-np.inf)
+        (result,) = run_subset_simulations(one, cfg, [24])
+        _assert_level_streams(one, result, 24, cfg)
 
     def test_level0_estimate_equals_direct_count(self):
         system = _line_system(threshold=0.6745)
@@ -478,6 +483,53 @@ def _chol(d, seed):
     return np.linalg.cholesky(a @ a.T + d * np.eye(d))
 
 
+def _prior_system():
+    """The hand-made d = 3 prior as two problems with their own means and
+    full factors, problem p responding |x_0 - p|."""
+    mean = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+    chol = np.array([_chol(3, 1), _chol(3, 2)])
+    return RareEventSystem(mean, chol, lambda x, p: np.abs(x[:, 0] - p), np.inf)
+
+
+@functools.cache
+def _conflict_system():
+    """Two frozen filter steps of a head-on encounter: Kalman posteriors
+    whose factors have off-diagonal terms, so a transposed factor shows."""
+    spec = build_head_on(152.4, 2000.0)
+    return conflict_system([freeze_phase(spec, t, seed=3) for t in (4.0, 10.0)])
+
+
+SYSTEMS = {
+    "prior": _prior_system,
+    "toy": lambda: toy_system(CircleRegion(Point2(3.0, -3.0), 1.0)),
+    "conflict": _conflict_system,
+}
+
+
+@pytest.fixture(params=list(SYSTEMS))
+def system(request):
+    """Each system the chain serves, with one problem or two."""
+    return SYSTEMS[request.param]()
+
+
+def _prior_draws(system, problems, gen):
+    """One draw of problems[j]'s prior per row j: mean + L z, z from `gen`."""
+    z = gen.standard_normal((len(problems), system.mean.shape[1]))
+    return system.mean[problems] + (system.chol[problems] @ z[:, :, None])[:, :, 0]
+
+
+def _chains(system, seeds, thresholds, innovations, problems=None):
+    """`conditional_chains` from `seeds`, scored by the system, each chain of
+    problem 0 unless `problems` says otherwise."""
+    seeds = np.atleast_2d(seeds)
+    m = len(seeds)
+    problems = np.zeros(m, dtype=int) if problems is None else problems
+    return conditional_chains(
+        system, seeds, system.evaluate(seeds, problems),
+        np.broadcast_to(thresholds, (m,)), innovations, problems,
+    )
+
+
 def _drifts(chol, mean, innovations):
     """The state-free part of each step of one chain, (1 - rho) mean +
     sqrt(1 - rho^2) L xi, its (length, d) innovations coloured in one matmul
@@ -487,34 +539,41 @@ def _drifts(chol, mean, innovations):
     return math.sqrt(1.0 - CHAIN_CORRELATION**2) * colour + (1.0 - CHAIN_CORRELATION) * mean
 
 
+def _scalar_chain(system, seed, problem, threshold, innovations):
+    """The reference chain: one state at a time, each candidate
+    x' = rho x + drift scored by its own `evaluate` call and accepted iff its
+    response is at most the threshold."""
+
+    def respond(x):
+        return float(system.evaluate(x[None], np.array([problem]))[0])
+
+    cur, cur_r = seed, respond(seed)
+    out_x, out_r = [], []
+    for drift in _drifts(system.chol[problem], system.mean[problem], innovations):
+        cand = CHAIN_CORRELATION * cur + drift
+        cand_r = respond(cand)
+        if cand_r <= threshold:
+            cur, cur_r = cand, cand_r
+        out_x.append(cur)
+        out_r.append(cur_r)
+    return np.array(out_x), np.array(out_r)
+
+
 class TestConditionalChains:
-    """The engine's one chain kernel, on hand-made Gaussian problems."""
-
-    MEAN = np.array([[1.0, -2.0, 0.5]])
-    CHOL = _chol(3, 1)[None]
-
-    def _system(self, evaluate=_abs_first_column):
-        return RareEventSystem(self.MEAN, self.CHOL, evaluate, np.inf)
-
-    def _run(self, system, seeds, thresholds, innovations):
-        seeds = np.atleast_2d(seeds)
-        m = len(seeds)
-        return conditional_chains(
-            system, seeds, system.evaluate(seeds, np.zeros(m, int)),
-            np.broadcast_to(thresholds, (m,)), innovations, np.zeros(m, dtype=int),
-        )
+    """The engine's one chain kernel, on each system it serves."""
 
     def test_stationary_law_is_the_prior(self):
         # with an infinite threshold every candidate is accepted and the
         # chain samples N(mean, chol chol^T)
-        system = self._system()
+        system = _prior_system()
+        mean, chol = system.mean[0], system.chol[0]
         innovations = generator(_rng.derive(3)).standard_normal((20, 2_000, 3))
-        x, _ = self._run(system, np.repeat(self.MEAN, 20, axis=0), np.inf, innovations)
+        x, _ = _chains(system, np.tile(mean, (20, 1)), np.inf, innovations)
         x = x[:, 50:].reshape(-1, 3)  # past burn-in
-        cov = self.CHOL[0] @ self.CHOL[0].T
+        cov = chol @ chol.T
         # 39,000 states at rho = 0.8 weigh as about 4,300 independent draws:
         # 0.1 standard deviations is more than 4 of their standard errors
-        assert np.allclose(x.mean(axis=0), self.MEAN[0], atol=0.1 * np.sqrt(np.diag(cov)))
+        assert np.allclose(x.mean(axis=0), mean, atol=0.1 * np.sqrt(np.diag(cov)))
         scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
         assert np.all(np.abs(np.cov(x.T) - cov) < 0.1 * scale)
 
@@ -532,11 +591,7 @@ class TestConditionalChains:
         mean = gen.standard_normal((1, 6))
         system = RareEventSystem(mean, chol[None], _abs_first_column, np.inf)
         innovations = gen.standard_normal((20, 2_000, 6))
-        seeds = np.repeat(mean, 20, axis=0)
-        x, _ = conditional_chains(
-            system, seeds, system.evaluate(seeds, np.zeros(20, int)), np.full(20, np.inf),
-            innovations, np.zeros(20, dtype=int),
-        )
+        x, _ = _chains(system, np.repeat(mean, 20, axis=0), np.inf, innovations)
         x = x[:, 50:].reshape(-1, 6)  # past burn-in
         sd = np.sqrt(cov.diagonal())
         assert np.allclose(x.mean(axis=0), mean[0], atol=0.1 * sd)
@@ -544,75 +599,93 @@ class TestConditionalChains:
         off_support = np.linalg.svd(basis)[0][:, 3:]  # the covariance's null space
         assert np.all(np.var((x - mean) @ off_support, axis=0) < 2.0 * jitter)
 
-    def test_replay_equals_scalar_chain(self):
-        # chain j, one scalar step at a time on its innovations[j]
-        system = self._system()
+    def test_replay_equals_scalar_chain(self, system):
+        # chain j, of problem j mod K, equals the scalar reference chain on
+        # its seed and its innovations[j], states and responses bit for bit
         gen = generator(_rng.derive(4))
-        seeds = self.MEAN + gen.standard_normal((5, 3)) @ self.CHOL[0].T
-        innovations = gen.standard_normal((5, 30, 3))
-        threshold = float(np.abs(seeds[:, 0]).max())
-        x, r = self._run(system, seeds, threshold, innovations)
-        chol, mean = self.CHOL[0], self.MEAN[0]
-        moved = 0
-        for j in range(5):
-            cur = seeds[j]
-            for k, drift in enumerate(_drifts(chol, mean, innovations[j])):
-                cand = CHAIN_CORRELATION * cur + drift
-                if abs(cand[0]) <= threshold:
-                    cur = cand
-                    moved += 1
-                assert np.array_equal(x[j, k], cur) and r[j, k] == abs(cur[0])
-        assert 0 < moved < 5 * 30  # both branches of the accept step run
+        problems = np.arange(5) % len(system.mean)
+        seeds = _prior_draws(system, problems, gen)
+        innovations = gen.standard_normal((5, 30, system.mean.shape[1]))
+        threshold = float(system.evaluate(seeds, problems).max())
+        x, r = _chains(system, seeds, threshold, innovations, problems)
+        for j, k in enumerate(problems):
+            ref_x, ref_r = _scalar_chain(system, seeds[j], k, threshold, innovations[j])
+            assert np.array_equal(x[j], ref_x) and np.array_equal(r[j], ref_r)
+        moved = np.any(np.diff(np.concatenate([seeds[:, None], x], axis=1), axis=1) != 0.0, axis=2)
+        assert 0 < moved.sum() < moved.size  # both branches of the accept step run
 
-    def test_candidate_on_threshold_accepted(self):
-        # a candidate exactly on the threshold is accepted; one ulp beyond, rejected
-        system = self._system()
-        xi = np.array([[[0.3, -1.2, 0.7]]])
-        cand = CHAIN_CORRELATION * self.MEAN[0] + _drifts(self.CHOL[0], self.MEAN[0], xi[0])[0]
-        b = abs(cand[0])
-        assert b > abs(self.MEAN[0, 0])  # the seed lies within both thresholds
-        x, r = self._run(system, self.MEAN, b, xi)
+    def test_candidate_on_threshold_accepted(self, system):
+        # a candidate exactly on the threshold is accepted; one ulp beyond,
+        # rejected.  The seed is the prior mean, and the innovation the one
+        # of eight whose candidate responds farthest from it.
+        mean, chol = system.mean[0], system.chol[0]
+        xis = generator(_rng.derive(24)).standard_normal((8, 1, 1, len(mean)))
+        cands = [CHAIN_CORRELATION * mean + _drifts(chol, mean, xi[0])[0] for xi in xis]
+        respond = system.evaluate(np.array(cands), np.zeros(8, dtype=int))
+        best = int(np.argmax(respond))
+        xi, cand, b = xis[best], cands[best], float(respond[best])
+        assert b > system.evaluate(mean[None], np.zeros(1, dtype=int))[0]  # the seed lies within
+        x, r = _chains(system, mean, b, xi)
         assert np.array_equal(x[0, 0], cand) and r[0, 0] == b
-        x, _ = self._run(system, self.MEAN, np.nextafter(b, 0.0), xi)
-        assert np.array_equal(x[0, 0], self.MEAN[0])
+        x, _ = _chains(system, mean, np.nextafter(b, 0.0), xi)
+        assert np.array_equal(x[0, 0], mean)
 
     def test_seed_beyond_threshold_rejected(self):
+        system = _prior_system()
         with pytest.raises(ValueError, match="violates"):
-            self._run(self._system(), self.MEAN, 0.5, np.zeros((1, 3, 3)))
+            _chains(system, system.mean[0], 0.5, np.zeros((1, 3, 3)))
 
     @pytest.mark.parametrize("where", ["seed", "threshold"])
     def test_nan_seed_or_threshold_rejected(self, where):
         # NaN compares false both ways, so a NaN response or threshold is a
         # violation, not a seed that passes and a chain that never moves
-        system = self._system()
+        system = _prior_system()
         seed_response, threshold = (np.nan, 5.0) if where == "seed" else (1.0, np.nan)
         with pytest.raises(ValueError, match="seed 0 violates the threshold"):
             conditional_chains(
-                system, self.MEAN, [seed_response], np.array([threshold]),
+                system, system.mean[:1], [seed_response], np.array([threshold]),
                 np.zeros((1, 3, 3)), np.zeros(1, dtype=int),
             )
 
-    def test_lockstep_equals_alone(self):
-        # chains of two problems in one call equal each chain run alone
-        mean = np.array([[0.0, 0.0], [3.0, -1.0]])
-        chol = np.array([_chol(2, 5), _chol(2, 6)])
-        system = RareEventSystem(
-            mean, chol, lambda x, p: np.hypot(x[:, 0] - 2.0 * p, x[:, 1]), np.inf
-        )
+    def test_lockstep_equals_alone(self, system):
+        # chains of every problem in one call, each under its own threshold,
+        # equal each chain run alone and stay within their thresholds
         gen = generator(_rng.derive(7))
-        problems = np.array([0, 0, 1, 1, 1])
-        seeds = mean[problems] + gen.standard_normal((5, 2))
+        problems = np.arange(6) % len(system.mean)
+        seeds = _prior_draws(system, problems, gen)
         resp = system.evaluate(seeds, problems)
-        thresholds = resp + 0.5
-        innovations = gen.standard_normal((5, 25, 2))
+        thresholds = resp * gen.uniform(1.0, 1.3, 6)
+        innovations = gen.standard_normal((6, 25, system.mean.shape[1]))
         x, r = conditional_chains(system, seeds, resp, thresholds, innovations, problems)
-        for j in range(5):
+        assert x.shape == innovations.shape and r.shape == (6, 25)
+        for j in range(6):
             one_x, one_r = conditional_chains(
                 system, seeds[j : j + 1], resp[j : j + 1], thresholds[j : j + 1],
                 innovations[j : j + 1], problems[j : j + 1],
             )
             assert np.array_equal(x[j], one_x[0]) and np.array_equal(r[j], one_r[0])
         assert np.all(r <= thresholds[:, None])
+        moved = np.any(x != seeds[:, None], axis=2)
+        assert 0 < moved.sum() < moved.size
+
+    @pytest.mark.parametrize("system", ["toy", "conflict"], indirect=True)
+    def test_chain_settles_to_the_prior_within_its_level(self, system):
+        # seeded at the level's draw farthest out in the prior, the chains
+        # settle to the prior restricted to the level: their responses match
+        # those of direct draws at or below the threshold
+        gen = generator(_rng.derive(60))
+        d = system.mean.shape[1]
+        z = gen.standard_normal((20_000, d))
+        draws = system.mean[0] + z @ system.chol[0].T
+        r = system.evaluate(draws, np.zeros(len(draws), dtype=int))
+        threshold = float(np.quantile(r, 0.2))
+        ref = r[r <= threshold]
+        far = np.argmax(np.where(r <= threshold, np.sum(z * z, axis=1), -1.0))
+        innovations = gen.standard_normal((10, 1_000, d))
+        _, misses = _chains(system, np.tile(draws[far], (10, 1)), threshold, innovations)
+        settled = misses[:, 100::10].ravel()  # past burn-in, thinned to near independence
+        assert abs(settled.mean() - ref.mean()) < 4 * ref.std() / math.sqrt(len(settled))
+        assert 0.8 < settled.std() / ref.std() < 1.2
 
 
 def _assert_same_result(a, b):
@@ -860,6 +933,22 @@ class TestDirectMonteCarlo:
             direct_monte_carlo(system, [100], [3])
         with pytest.raises(ValueError, match="non-finite"):
             list(run_subset_simulations(system, CFG, [3]))
+
+    @pytest.mark.parametrize("estimator", ["dmc", "ss"])
+    @pytest.mark.parametrize(
+        "respond",
+        [lambda x: np.abs(x[1:, 0]), lambda x: np.abs(x), lambda x: 0.5],
+        ids=["short", "column", "scalar"],
+    )
+    def test_misshapen_responses_rejected(self, estimator, respond):
+        # evaluate owes one response per row, as an (n,) array; both
+        # estimators check level 0's in one place, with one message
+        system = _gaussian_system(lambda x, problems: respond(x), 1e-6)
+        with pytest.raises(ValueError, match="level 0 produced .* expected 100"):
+            if estimator == "dmc":
+                direct_monte_carlo(system, [100], [3])
+            else:
+                list(run_subset_simulations(system, CFG, [3]))
 
     @pytest.mark.parametrize(
         "ns,seeds,match",

@@ -490,8 +490,8 @@ class TestSeveralTracks:
             miss_distance_batch(states, observers, problem[:5], horizon)
 
 
-class TestAgainstTrajectoryPath:
-    def test_kernel_matches_propagate_plus_min_distance(self):
+class TestAgainstDenseTracks:
+    def test_kernel_matches_dense_track_minimum(self):
         # the reference: both tracks at 20 Hz by `track_positions`, then the
         # smallest pointwise distance; the continuous miss lies at most the
         # grid's gap below it, never above

@@ -1,4 +1,6 @@
-"""Toy disc-problem tests: distances, Monte Carlo estimates, chains, oracle."""
+"""Toy disc-problem tests: distances, Monte Carlo estimates, oracle.
+
+The chain is tested once, on this system among others, in `test_engine.py`."""
 
 import math
 from dataclasses import replace
@@ -7,16 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from streams import generator
-from subsim import rng as _rng
 from subsim import toy
-from subsim.engine import (
-    CHAIN_CORRELATION,
-    IntervalVariant,
-    SubsetConfig,
-    conditional_chains,
-    run_subset_simulations,
-)
+from subsim.engine import IntervalVariant, SubsetConfig
 from subsim.toy import (
     CircleRegion,
     Point2,
@@ -142,116 +136,6 @@ class TestDmcEstimate:
         assert abs(est - p) < 3 * se
 
 
-def _chains(seeds, length, threshold, seed):
-    """Per-chain (xy, d) of the engine's chains on the toy system, the
-    innovations one (m, length, 2) block of one generator."""
-    xy = np.array([s.as_array() for s in seeds])
-    d = np.array([distance_to_center(s, REGION) for s in seeds])
-    gen = generator(_rng.derive(seed))
-    m = len(seeds)
-    system = toy_system(REGION)
-    out_xy, out_d = conditional_chains(
-        system, xy, d, np.full(m, threshold),
-        gen.standard_normal((m, length, 2)), np.zeros(m, dtype=int),
-    )
-    return list(zip(out_xy, out_d))
-
-
-def _replay_chain(seed, threshold, innovations):
-    """One chain, one scalar step at a time: z' = rho z + sqrt(1 - rho^2) xi,
-    accepted iff the candidate lies within the threshold."""
-    c = REGION.center.as_array()
-    cur = seed.as_array()
-    out_xy, out_d = [], []
-    for xi in innovations:
-        cand = CHAIN_CORRELATION * cur + math.sqrt(1.0 - CHAIN_CORRELATION**2) * xi
-        dx = cand[0] - c[0]
-        dy = cand[1] - c[1]
-        cand_d = math.sqrt(dx * dx + dy * dy)
-        if cand_d <= threshold:
-            cur = cand
-        out_xy.append(cur)
-        out_d.append(distance_to_center(Point2(*cur), REGION))
-    return np.array(out_xy), np.array(out_d)
-
-
-class TestMhChains:
-    def test_free_random_walk_never_repeats(self):
-        # with an infinite threshold every candidate is accepted
-        seeds = [Point2(0.0, 0.0)]
-        (xy, d), = _chains(seeds, 200, threshold=np.inf, seed=9)
-        assert xy.shape == (200, 2)
-        assert not np.any(np.all(np.diff(xy, axis=0) == 0.0, axis=1))
-
-    def test_free_random_walk_matches_direct_replay(self):
-        # with nothing rejected, chain j is the autoregression
-        # z' = rho z + sqrt(1 - rho^2) xi on block[j] of the level's
-        # (m, length, 2) draw
-        seeds = [Point2(0.5, -0.5), Point2(-1.0, 2.0), Point2(3.0, 0.25)]
-        chains = _chains(seeds, 30, threshold=np.inf, seed=21)
-        blocks = generator(_rng.derive(21)).standard_normal((3, 30, 2))
-        for s, (xy, d), block in zip(seeds, chains, blocks):
-            ref_xy, ref_d = _replay_chain(s, np.inf, block)
-            assert np.array_equal(xy, ref_xy)
-            assert np.array_equal(d, ref_d)
-
-    def test_lockstep_chains_equal_per_chain_replay(self):
-        # chain j's innovations are row j of the level's block; the accept
-        # rule is the scalar one, step by step
-        seeds = [Point2(2.0, -2.0), Point2(3.5, -3.0), Point2(2.5, -4.0), Point2(3.0, -2.2)]
-        threshold = 1.6
-        chains = _chains(seeds, 60, threshold, seed=23)
-        blocks = generator(_rng.derive(23)).standard_normal((4, 60, 2))
-        moved = 0
-        for j, (xy, d) in enumerate(chains):
-            ref_xy, ref_d = _replay_chain(seeds[j], threshold, blocks[j])
-            assert np.array_equal(xy, ref_xy)
-            assert np.array_equal(d, ref_d)
-            moved += np.count_nonzero(np.any(np.diff(xy, axis=0) != 0.0, axis=1))
-        assert 0 < moved < 4 * 59  # both branches of the accept step run
-
-    def test_threshold_respected(self):
-        seeds = [Point2(4.0, -3.0)]  # on the boundary, distance exactly 1
-        (xy, d), = _chains(seeds, 500, threshold=REGION.radius, seed=4)
-        assert np.all(d <= REGION.radius)
-
-    def test_candidate_on_threshold_accepted(self):
-        # a candidate exactly on the threshold is accepted and one a ulp
-        # beyond it is rejected
-        seeds = [Point2(3.0, -3.0)]
-        xi = generator(_rng.derive(24)).standard_normal((1, 1, 2))[0, 0]
-        cand = CHAIN_CORRELATION * seeds[0].as_array() + math.sqrt(1.0 - CHAIN_CORRELATION**2) * xi
-        d = distance_to_center(Point2(*cand), REGION)
-        (xy, _), = _chains(seeds, 1, threshold=d, seed=24)
-        assert np.array_equal(xy[0], cand)
-        (xy, _), = _chains(seeds, 1, threshold=np.nextafter(d, 0.0), seed=24)
-        assert np.array_equal(xy[0], seeds[0].as_array())
-
-    def test_seed_beyond_threshold_rejected(self):
-        with pytest.raises(ValueError, match="violates"):
-            _chains([Point2(0.0, 0.0)], 10, threshold=1.0, seed=0)
-
-    def test_chain_settles_to_the_prior_within_its_level(self):
-        # seeded on the edge of the level, far from the prior's bulk inside
-        # it, the chain settles to the standard normal restricted to the
-        # level: its distances match those of direct draws under the threshold
-        threshold = 3.0
-        seeds = [Point2(3.0, 0.0)]
-        (xy, d), = _chains(seeds, 4000, threshold=threshold, seed=8)
-        draws = generator(_rng.derive(80)).standard_normal((200_000, 2))
-        ref = np.hypot(draws[:, 0] - 3.0, draws[:, 1] + 3.0)
-        ref = ref[ref <= threshold]
-        settled = d[100::10]  # past burn-in, thinned to near independence
-        assert abs(settled.mean() - ref.mean()) < 4 * ref.std() / math.sqrt(len(settled))
-        assert 0.8 < settled.std() / ref.std() < 1.2
-
-    def test_chain_count_and_length(self):
-        seeds = [Point2(1.0, -1.0), Point2(2.0, -2.0), Point2(3.0, -2.5)]
-        chains = _chains(seeds, 10, threshold=10.0, seed=3)
-        assert len(chains) == 3
-        assert all(xy.shape == (10, 2) and d.shape == (10,) for xy, d in chains)
-
-
 class TestSsToy:
     def test_single_level_equals_dmc(self):
         # level 0 is DMC on the same draws: D/N under both ladders.  On this
@@ -349,36 +233,3 @@ class TestOracleGuard:
         ests = np.array([ss_toy(region, std_config(8, n=1000), seed=s).estimate for s in range(60)])
         se = ests.std(ddof=1) / math.sqrt(len(ests))
         assert abs(ests.mean() - oracle) <= 3 * se
-
-
-def _toy_copies(k):
-    """K problems, each the toy disc."""
-    one = toy_system(REGION)
-    return replace(one, mean=np.zeros((k, 2)), chol=np.tile(np.eye(2), (k, 1, 1)))
-
-
-class TestLockstepProblems:
-    """Toy problems run together give each problem exactly its one-problem result."""
-
-    def _assert_same(self, a, b):
-        assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
-        assert np.array_equal(a.table.probabilities, b.table.probabilities)
-        assert np.array_equal(a.table.responses, b.table.responses)
-        assert np.array_equal(a.table.samples, b.table.samples)
-
-    def test_fixed_level_batch_equals_ss_toy(self):
-        # three levels cannot reach the rare count, so every problem runs to the cap
-        seeds = (5, 6, 7)
-        batch = list(run_subset_simulations(_toy_copies(len(seeds)), std_config(3), seeds))
-        for seed, result in zip(seeds, batch):
-            assert result.diagnostics.levels_used == 3
-            self._assert_same(result, ss_toy(REGION, std_config(3), seed=seed))
-
-    def test_early_stops_at_different_levels(self):
-        # the problems stop after different numbers of levels, each as it would alone
-        seeds = tuple(range(20, 28))
-        batch = list(run_subset_simulations(_toy_copies(len(seeds)), std_config(7), seeds))
-        levels = {r.diagnostics.levels_used for r in batch}
-        assert len(levels) > 1
-        for seed, result in zip(seeds, batch):
-            self._assert_same(result, ss_toy(REGION, std_config(7), seed=seed))
