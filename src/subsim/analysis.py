@@ -26,9 +26,10 @@ from .scenarios import ScenarioSpec, build_head_on
 class CovStudyConfig:
     """Repetition count and sample budgets for both estimators.
 
-    Every budget is checked on construction: a repetition count or size that
-    is not an integer, a DMC size below 1, or an SS size that makes no valid
-    `SubsetConfig`, is rejected before any run.
+    Every budget is checked on construction: an empty list of sizes, a
+    repetition count or size that is not an integer, a DMC size below 1, or
+    an SS size that makes no valid `SubsetConfig`, is rejected before any
+    run.
     """
 
     phase: ConflictQuery
@@ -38,6 +39,11 @@ class CovStudyConfig:
     max_levels: int = 7
 
     def __post_init__(self):
+        if len(self.dmc_sizes) == 0 or len(self.ss_sizes) == 0:
+            raise ValueError(
+                f"each method needs a sample size, got DMC {list(self.dmc_sizes)} "
+                f"and SS {list(self.ss_sizes)}"
+            )
         sizes = (self.repetitions, *self.dmc_sizes, *self.ss_sizes)
         if not all(map(is_integer, sizes)):
             raise ValueError(f"repetitions and sample sizes must be integers, got {list(sizes)}")

@@ -77,12 +77,11 @@ def transition_matrix(dt: float) -> np.ndarray:
     return a
 
 
-# Rows per block: a block's (3, rows) work arrays stay under glibc's 128 kB
-# mmap threshold, so numpy reuses their memory instead of faulting in fresh
-# pages for every temporary.
+# Rows per block: a block's (rows,) and (3, rows) work arrays stay under
+# glibc's 128 kB mmap threshold, so numpy reuses their memory instead of
+# faulting in fresh pages for every temporary; the (6, rows) coefficients
+# and `_dots`' (2, 5, rows) products are the two larger arrays.
 _BLOCK_ROWS = 1 << 12
-# Coefficient pairs of the dot products q2.q2, q1.q2, q1.q1, q0.q2, q0.q1.
-_LEFT, _RIGHT = [2, 1, 1, 0, 0], [2, 2, 1, 2, 1]
 _PAIR = np.array([[1.0], [-0.5]])
 _THIRDS = np.array([[0.0], [4.0]]) * (np.pi / 3.0)
 
@@ -90,15 +89,22 @@ _THIRDS = np.array([[0.0], [4.0]]) * (np.pi / 3.0)
 def _dots(q):
     """The dot products q2.q2, q1.q2, q1.q1, q0.q2 and q0.q1, (5, n), of the
     coefficients `q` (6, n): rows x0, x1, x2, y0, y1, y2 of
-    q(t) = q0 + q1 t + q2 t^2 per axis."""
+    q(t) = q0 + q1 t + q2 t^2 per axis.  Each is x_a x_b + y_a y_b, and
+    both axes' products come in three calls: (q2, q1) q2, (q1, q0) q1 and
+    q0 q2."""
     q3 = q.reshape(2, 3, -1)
-    prod = q3.take(_LEFT, axis=1)
-    prod *= q3.take(_RIGHT, axis=1)
-    return prod[0] + prod[1]
+    prod = np.empty((2, 5, q.shape[1]))
+    np.multiply(q3[:, 2:0:-1], q3[:, 2:], out=prod[:, :2])
+    np.multiply(q3[:, 1::-1], q3[:, 1:2], out=prod[:, 2::2])
+    np.multiply(q3[:, 0], q3[:, 2], out=prod[:, 3])
+    dots = prod[0]
+    dots += prod[1]
+    return dots
 
 
-def _critical_points(dots):
-    """Candidate minima of |q|^2, (2, n), in the units of q's variable.
+def _critical_points(dots, out=None):
+    """Candidate minima of |q|^2, (2, n), in the units of q's variable,
+    written into `out` if given.
 
     `dots` holds the `_dots` of q.  Half the derivative of |q|^2 is the cubic
     a t^3 + b t^2 + c t + d with a = 2 q2.q2, b = 3 q1.q2,
@@ -113,15 +119,38 @@ def _critical_points(dots):
     come out non-finite.
     """
     q22, q12, q11, q02, q01 = dots
-    inv_2a = 0.5 / q22
-    shift = q12 * inv_2a  # b / 3a
-    c_3 = (q11 + 2.0 * q02) * inv_2a / 3.0  # c / 3a
-    s2 = shift * shift
-    third_p = c_3 - s2
-    half_q = ((2.0 * s2 - 3.0 * c_3) * shift + q01 * inv_2a) * 0.5
-    disc = half_q * half_q + third_p * third_p * third_p
-    w = np.cbrt(-half_q - np.copysign(np.sqrt(np.maximum(disc, 0.0)), half_q))
-    roots = (w - third_p / w) * _PAIR
+    # shift = b / 3a, c_3 = c / 3a, third_p = c_3 - shift^2,
+    # half_q = ((2 shift^2 - 3 c_3) shift + d / a) / 2, disc = half_q^2 + third_p^3
+    # and w = cbrt(-half_q - sign(half_q) sqrt(max(disc, 0))), each operation
+    # in the order written, its temporaries overwritten in place
+    inv_2a = np.divide(0.5, q22)
+    shift = q12 * inv_2a
+    c_3 = np.multiply(q02, 2.0)
+    c_3 += q11
+    c_3 *= inv_2a
+    c_3 /= 3.0
+    half_q = shift * shift
+    third_p = c_3 - half_q
+    half_q *= 2.0
+    c_3 *= 3.0
+    half_q -= c_3
+    half_q *= shift
+    inv_2a *= q01
+    half_q += inv_2a
+    half_q *= 0.5
+    disc = np.multiply(half_q, half_q, out=inv_2a)
+    w = np.multiply(third_p, third_p, out=c_3)
+    w *= third_p
+    disc += w
+    np.maximum(disc, 0.0, out=w)
+    np.sqrt(w, out=w)
+    np.copysign(w, half_q, out=w)
+    np.negative(w, out=w)
+    w -= half_q
+    np.cbrt(w, out=w)
+    roots = np.divide(third_p, w)
+    np.subtract(w, roots, out=roots)
+    roots = np.multiply(roots, _PAIR, out=out)
     # the trigonometric form only where it applies: its cosines cost more
     # than the gather
     three = np.flatnonzero(disc <= 0.0)
@@ -147,7 +176,8 @@ def miss_distance_batch(
     aircraft over [0, horizon] and the time of that closest approach, the
     first of the candidates (see the module docstring) that reaches it.  A
     non-finite state gives a non-finite miss and no floating-point warning;
-    the caller decides what that means.
+    the caller decides what that means.  A row whose miss is NaN has no
+    closest candidate, and its tca is the last candidate's time.
     """
     states = np.asarray(states, dtype=np.float64)
     observers = np.asarray(observers, dtype=np.float64)
@@ -189,7 +219,7 @@ def _closest_approach(s, observer, problem, horizon):
     q[2::3] *= 0.5
     dots = _dots(q)
     t = np.empty((3, n))
-    t[:2] = _critical_points(dots)
+    _critical_points(dots, out=t[:2])
     np.divide(dots[4], dots[2], out=t[2])  # -t of the linear motion's CPA
     np.negative(t[2], out=t[2])
     np.fmax(t, 0.0, out=t)  # NaN goes to 0
@@ -201,14 +231,15 @@ def _closest_approach(s, observer, problem, horizon):
     d2 *= t
     d2 += x0
     d2 *= d2
-    dy = y2 * t
+    dy = np.multiply(y2, t, out=dots[:3])  # the dot products are spent
     dy += y1
     dy *= t
     dy += y0
     dy *= dy
     d2 += dy
-    # the first smallest candidate of each row, by its flat index
-    flat = d2.argmin(axis=0)
-    flat *= n
-    flat += np.arange(n)
-    return np.sqrt(d2.take(flat)), t.take(flat)
+    # the time of the first candidate that reaches the smallest distance
+    miss = d2.min(axis=0)
+    tca = t[2]
+    np.copyto(tca, t[1], where=d2[1] == miss)
+    np.copyto(tca, t[0], where=d2[0] == miss)
+    return np.sqrt(miss, out=miss), tca

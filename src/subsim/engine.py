@@ -138,11 +138,11 @@ class RareEventSystem:
     and summarises each problem in one `PcResult`, from either estimator;
     evaluate(samples, problems) maps samples (n, d) to scalar responses
     (smaller = closer to the rare event), row i belonging to problem
-    problems[i] (0..K-1).  Every response is exact: level 0 sorts them,
-    `direct_monte_carlo` counts those at or below `threshold` and
-    `conditional_chains` those at or below each chain's threshold.  A row's
-    response must not depend on the rows beside it, so that each problem's
-    result equals its own one-problem run.  The samples it receives may be a
+    problems[i] (0..K-1).  Every response is exact: each level selects its
+    threshold and seeds from them, `direct_monte_carlo` counts those at or
+    below `threshold` and `conditional_chains` those at or below each
+    chain's threshold.  A row's response must not depend on the rows beside
+    it, so that each problem's result equals its own one-problem run.  The samples it receives may be a
     view of a buffer that the engine overwrites later, so it copies any it
     keeps.  The conflict system's response is
     the closest approach in continuous time (`dynamics.miss_distance_batch`)
@@ -183,12 +183,12 @@ class PcResult:
 class SubsetResult:
     """One problem's summary, and its CCDF table on demand.
 
-    The table is assembled (by the module's `assemble_ccdf`) on the first
-    read of `table`, then kept.  Until then the result holds its level
-    blocks, (sorted responses, sorted samples) pairs that are views of the
-    sorted level arrays of the lockstep batch that produced it: an unread
-    result pins those arrays for every problem of that batch.  The first
-    read releases them.
+    The table is assembled (by the module's `assemble_ccdf`, which sorts
+    each level) on the first read of `table`, then kept.  Until then the
+    result holds its level blocks, (responses, samples) pairs in draw order
+    that are views of the level arrays of the lockstep batch that produced
+    it: an unread result pins those arrays for every problem of that batch.
+    The first read releases them.
     """
 
     diagnostics: PcResult
@@ -234,14 +234,16 @@ def assemble_ccdf(
     level_blocks: Sequence[tuple[np.ndarray, np.ndarray]],
     config: SubsetConfig,
 ) -> CcdfTable:
-    """Merge per-level (sorted responses, sorted samples) blocks.
+    """Merge per-level (responses, samples) blocks into one table.
 
-    Block i is level i, whose rows take the ladder `probability_intervals(i,
-    config)`.  Every non-final level drops its last N_c rows (those samples
-    were consumed as seeds and are replaced by the next level); the final
-    level keeps all N.  The probabilities are then non-increasing: level
-    i's last kept entry is at least level i+1's first.  The table's columns
-    are new arrays, not views of the blocks.
+    Block i is level i in draw order.  Its rows are sorted by response,
+    descending and ties in draw order (a stable sort), and take the ladder
+    `probability_intervals(i, config)` in that order.  Every non-final level
+    drops its last N_c rows (those samples were consumed as seeds and are
+    replaced by the next level); the final level keeps all N.  The
+    probabilities are then non-increasing: level i's last kept entry is at
+    least level i+1's first.  The table's columns are new arrays, not views
+    of the blocks.
     """
     if len(level_blocks) == 0:
         raise ValueError("at least one level block is required")
@@ -252,7 +254,8 @@ def assemble_ccdf(
         if not (len(responses) == samples.shape[0] == n):
             raise ValueError(f"level {i} block must have {n} rows")
         keep = n if i == last else n - n_c
-        kept.append((probability_intervals(i, config)[:keep], responses[:keep], samples[:keep]))
+        rows = np.argsort(-responses, kind="stable")[:keep]
+        kept.append((probability_intervals(i, config)[:keep], responses[rows], samples[rows]))
     intervals, responses, samples = zip(*kept)
     return CcdfTable(
         probabilities=np.concatenate(intervals).astype(np.float64, copy=False),
@@ -505,9 +508,9 @@ def run_subset_simulations(
     Each problem draws level 0 from `child(root_k, 0)` and its chains'
     (N_c, length, d) innovations at level l from `child(root_k, l)`, with
     root_k its seed's `rng.pool`, through `rng.standard_normal` (see
-    `subsim.rng` for `child`).  The sort, threshold, seed selection and stop
-    test read each problem's own rows; so each result equals the problem's
-    own one-problem run bit for bit.  No table is assembled here: a result
+    `subsim.rng` for `child`).  The threshold, seed selection and stop test
+    read each problem's own rows; so each result equals the problem's own
+    one-problem run bit for bit.  No table is assembled here: a result
     builds its own on first read (see `SubsetResult`).
     """
     roots = [_rng.pool(seed) for seed in seeds]
@@ -533,10 +536,13 @@ def run_subset_simulations(
 def _run_batch(system, configs, roots, batch: range):
     """The results of the problems in `batch`, run in lockstep, in order.
 
-    Each level is one population whose rows run problem by problem over the
-    problems still descending.  Per-problem arrays hold N, N_c and the last
-    level, and each problem's rows, threshold and seeds are read by index
-    (`_layout`), so the indices change only when a problem stops.
+    Each level is one population whose rows run problem by problem, in draw
+    order, over the problems still descending.  Per-problem arrays hold N,
+    N_c and the last level; each problem's rows are read by index
+    (`_layout`), so the layout changes only when a problem stops.  Nothing
+    sorts a level: `_select` finds each threshold and the seeds, the rare
+    count reads the rows as drawn, and each level's rows stay a result's
+    block in draw order, sorted only if its table is read.
     """
     lo, hi = batch.start, batch.stop
     active = np.arange(lo, hi)
@@ -545,7 +551,7 @@ def _run_batch(system, configs, roots, batch: range):
     last = np.array([configs[k].max_levels - 1 for k in batch])
     samples = _level0(system.mean[lo:hi], system.chol[lo:hi], roots[lo:hi], ns.tolist())
     responses = _score_level0(system, samples, active.repeat(ns))
-    starts, fill, spans, threshold_rows, seed_rows = _layout(active, ns, n_cs)
+    starts, spans, runs = _layout(active, ns)
     d = system.mean.shape[1]
     n_s = configs[lo].chain_length
     blocks: dict = {k: [] for k in batch}
@@ -554,10 +560,9 @@ def _run_batch(system, configs, roots, batch: range):
     level = 0
 
     while True:
-        sorted_r, sorted_x = _sort_level(samples, responses, fill, starts)
         for k, start, end in spans:
-            blocks[k].append((sorted_r[start:end], sorted_x[start:end]))
-        conflicts = np.add.reduceat(sorted_r <= system.threshold, starts)
+            blocks[k].append((responses[start:end], samples[start:end]))
+        conflicts = np.add.reduceat(responses <= system.threshold, starts)
         stop = (conflicts >= n_cs) | (last == level)
         stopping = stop.any()
         if stopping:
@@ -567,20 +572,19 @@ def _run_batch(system, configs, roots, batch: range):
                 blocks[k] = None
             if stop.all():
                 break
-            go = ~stop
-            threshold_rows, seed_rows = threshold_rows[go], seed_rows[go.repeat(n_cs)]
-            active, ns, n_cs, last = active[go], ns[go], n_cs[go], last[go]
+        go = ~stop
+        b, seed_rows = _select(responses, runs, ns, n_cs, go)
+        if stopping:  # the next level holds the rows of the stepping problems only
+            b, active, ns, n_cs, last = b[go], active[go], ns[go], n_cs[go], last[go]
+            starts, spans, runs = _layout(active, ns)
         if stopping or level == 0:
             problems, chain_counts, stepping = active.repeat(n_cs), n_cs.tolist(), active.tolist()
             level_roots = [roots[k] for k in stepping]
 
-        b = sorted_r[threshold_rows]
         for k, bk in zip(stepping, b.tolist()):
             thresholds[k].append(bk)
         chain_b = b.repeat(n_cs)
-        seed_x, seed_r = sorted_x[seed_rows], sorted_r[seed_rows]
-        if stopping:  # the next level holds the rows of the stepping problems only
-            starts, fill, spans, threshold_rows, seed_rows = _layout(active, ns, n_cs)
+        seed_x, seed_r = samples[seed_rows], responses[seed_rows]
         level += 1
         streams = _rng.children(level_roots, level)
         innovations = _rng.standard_normal(streams, chain_counts, (n_s, d))
@@ -620,27 +624,42 @@ def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
     return SubsetResult(diagnostics, blocks, config)
 
 
-def _layout(problems: np.ndarray, ns: np.ndarray, n_cs: np.ndarray):
+def _layout(problems: np.ndarray, ns: np.ndarray):
     """Where a population's rows lie, ns[j] rows for each problems[j],
-    problem by problem, once `_sort_level` has sorted them: each problem's
-    first row, the mask of its rows in the sort's (problems, max N) key
-    array, (problem, first row, end row) triples, each problem's threshold
-    row, its (N - N_c)-th largest response, and the rows of its N_c seeds,
-    the samples with the smallest responses, which it sorts last."""
+    problem by problem: each problem's first row, (problem, first row, end
+    row) triples, and the runs of consecutive problems that share a budget
+    as (first row, first index j, problems, N) tuples."""
     ends = np.cumsum(ns)
     starts = ends - ns
-    fill = np.arange(ns.max()) < ns[:, None]
     spans = list(zip(problems.tolist(), starts.tolist(), ends.tolist()))
-    seed_rows = np.repeat(ends - np.cumsum(n_cs), n_cs) + np.arange(n_cs.sum())
-    return starts, fill, spans, ends - n_cs - 1, seed_rows
+    runs, j = [], 0
+    for n, run in itertools.groupby(ns.tolist()):
+        r = sum(1 for _ in run)
+        runs.append((spans[j][1], j, r, n))
+        j += r
+    return starts, spans, runs
 
 
-def _sort_level(samples, responses, fill, starts):
-    """One level's population sorted problem by problem: per problem a
-    stable descending sort, ties by draw index.  Problem j's negated
-    responses fill row j of a (problems, max N) key array padded with +inf,
-    so one stable argsort orders every row and each row's pads come last."""
-    keys = np.full(fill.shape, np.inf)
-    keys[fill] = -responses
-    rows = (np.argsort(keys, axis=1, kind="stable") + starts[:, None])[fill]
-    return responses[rows], samples.take(rows, axis=0)
+def _select(responses, runs, ns, n_cs, go):
+    """Each problem's threshold, and the rows of the seeds of the problems
+    that `go` on, N_c each.
+
+    A level's threshold is its (N_c + 1)-th smallest response, found by
+    partitioning each run of equal budgets, its problems' rows side by side.
+    The seeds are the N_c rows with the smallest responses, in the order of
+    a stable descending sort, which the chains' streams follow: responses
+    descending, ties in draw order, so that of the rows that tie at the
+    threshold the later draws become seeds.  A stable lexsort of the rows at
+    or below their threshold, by problem and then by negated response, gives
+    that order, and each problem's last N_c rows there are its seeds.
+    """
+    b = np.empty(len(ns))
+    for row, j, r, n in runs:
+        k = n_cs[j]
+        b[j : j + r] = np.partition(responses[row : row + r * n].reshape(r, n), k, axis=1)[:, k]
+    rows = np.flatnonzero(responses <= b.repeat(ns))
+    owner = np.arange(len(ns)).repeat(ns)[rows]
+    rows = rows[np.lexsort((-responses[rows], owner))]
+    ends = np.cumsum(np.bincount(owner, minlength=len(ns)))
+    take = n_cs * go
+    return b, rows[np.repeat(ends - np.cumsum(take), take) + np.arange(take.sum())]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -55,10 +56,27 @@ class ScenarioSpec:
     perfect_init: bool = False
 
     def __post_init__(self):
+        # a scenario file may put any JSON value in any field: a string
+        # "no" would be a true perfect_init, and an integer past float range
+        # would overflow in the arithmetic below
+        if not isinstance(self.perfect_init, bool):
+            raise ValueError(f"perfect_init must be true or false, got {self.perfect_init!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.name in ("kind", "noise", "perfect_init") or (
+                f.name == "converging_angle" and value is None
+            ):
+                continue
+            try:
+                finite = (
+                    isinstance(value, numbers.Real)
+                    and not isinstance(value, bool)
+                    and math.isfinite(float(value))
+                )
+            except OverflowError:  # an integer past float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{f.name} must be finite and real, got {value!r}")
         if self.lateral_separation < 0 or self.longitudinal_separation < 0:
             raise ValueError("separations must be non-negative")
         if self.observer_speed <= 0 or self.intruder_speed <= 0:

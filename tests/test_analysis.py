@@ -165,6 +165,12 @@ class TestCovStudy:
         with pytest.raises(ValueError):
             CovStudyConfig(phase=phase_p1(seed=2), repetitions=2, **budgets)
 
+    @pytest.mark.parametrize("budgets", [{"dmc_sizes": ()}, {"ss_sizes": ()}])
+    def test_empty_sizes_rejected(self, budgets):
+        # an empty list would fail only inside the study, at its first run
+        with pytest.raises(ValueError, match="each method needs a sample size"):
+            CovStudyConfig(phase=phase_p1(seed=2), repetitions=2, **budgets)
+
     # a float fails mid-study or, as an SS size, truncates to another budget
     @pytest.mark.parametrize(
         "budgets",

@@ -84,7 +84,7 @@ def _approach(observer, intruder, t=20):
     return float(miss[0]), float(tca[0])
 
 
-class TestMinDistance:
+class TestClosestApproach:
     def test_parallel_offset_tracks(self):
         obs = _straight(0.0, 0.0, 77.0, 0.0)
         intr = _straight(0.0, 100.0, 77.0, 0.0)

@@ -201,6 +201,49 @@ class TestSelectSeeds:
             assert np.array_equal(np.sort(seeds, axis=0), np.sort(nearest, axis=0))
 
 
+def _sorted_selection(responses, ns, n_cs, go):
+    """The selection of a full level sort: per problem a stable descending
+    sort, ties in draw order, whose row N - N_c - 1 holds the threshold and
+    whose last N_c rows, for a problem that goes on, are the seeds."""
+    thresholds, seeds, start = [], [], 0
+    for n, n_c, g in zip(ns, n_cs, go):
+        order = start + np.argsort(-responses[start : start + n], kind="stable")
+        thresholds.append(responses[order[n - n_c - 1]])
+        if g:
+            seeds.append(order[n - n_c :])
+        start += n
+    return np.array(thresholds), np.concatenate(seeds)
+
+
+class TestSelection:
+    """A level's thresholds and seeds, found without sorting it, are those of
+    the full sort, ties at the threshold included."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_full_sort_on_ties(self, seed):
+        # budgets 10, 250 and 1,000 at p0 = 0.1 in one population; responses
+        # rounded to 0.1, and a fifth of the chains never move, repeating
+        # their seed's response; some problems stop here
+        gen = np.random.default_rng(seed)
+        ns = gen.permutation([10, 250, 1000, 10, 250, 1000])
+        n_cs = ns // 10
+        go = np.arange(6) != gen.integers(6)
+        go[gen.integers(6)] = False
+        chains = np.round(np.abs(gen.normal(size=(ns.sum() // 10, 10))), 1)
+        stuck = gen.random(len(chains)) < 0.2
+        chains[stuck] = chains[stuck, :1]
+        responses = chains.reshape(-1)
+        *_, runs = engine._layout(np.arange(6), ns)
+        b, seeds = engine._select(responses, runs, ns, n_cs, go)
+        reference = _sorted_selection(responses, ns, n_cs, go)
+        assert np.array_equal(b, reference[0])
+        assert np.array_equal(seeds, reference[1])
+        # ties straddle the threshold: more rows are at or below it than the
+        # threshold row and the seeds
+        below = np.add.reduceat(responses <= b.repeat(ns), np.cumsum(ns) - ns)
+        assert np.any(below[go] > n_cs[go] + 1)
+
+
 def _block(level, cfg, offset=0.0):
     responses = np.sort(np.random.default_rng(level + 1).normal(size=cfg.n_samples))[::-1] + offset
     samples = np.arange(cfg.n_samples, dtype=float).reshape(-1, 1)

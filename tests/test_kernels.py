@@ -76,7 +76,7 @@ def _linear_cpa(states, observer, horizon):
     return np.hypot(*(q0 + q1 * t[:, None]).T), t
 
 
-class TestNumpyBackend:
+class TestKernelShapes:
     """Shapes, degenerate horizons and inputs of the kernel."""
 
     def test_shapes_and_finiteness(self):
@@ -97,6 +97,31 @@ class TestNumpyBackend:
         # stationary pair: every time ties, and the kernel reports t = 0
         miss, tca = _miss([10.0, 0.0, 0.0, 0.0, 0.0, 0.0], np.zeros(6), horizon=5.0)
         assert miss[0] == 10.0 and tca[0] == 0.0
+
+    # nearly linear motion: the smallest root (candidate 1) and the linear
+    # closest approach (candidate 2) lie a few ulps apart at the same squared
+    # distance, below that of the largest root (candidate 0, clipped to the
+    # horizon)
+    NEAR_TIES = np.array([
+        [116.0, -59.0, 5e-7, -989.0, 28.0, -3e-7],
+        [-1207.0, -78.0, 2e-7, 1757.0, -112.0, 5e-7],
+        [970.0, 61.0, -5e-7, 642.0, -131.0, 8e-7],
+        [-359.0, -20.0, 2e-7, 369.0, -56.0, 3e-7],
+        [-735.0, 121.0, -4e-7, -975.0, 11.0, 0.0],
+        [944.0, -96.0, 9e-7, -1088.0, -79.0, 6e-7],
+    ])
+
+    def test_tied_later_candidates_take_the_first(self):
+        q = self.NEAR_TIES.T.copy()
+        q[2::3] *= 0.5
+        dots = _dots(q)
+        t = np.clip(np.vstack([_critical_points(dots), -dots[4] / dots[2]]), 0.0, 100.0)
+        x0, x1, x2, y0, y1, y2 = q
+        d2 = ((x2 * t + x1) * t + x0) ** 2 + ((y2 * t + y1) * t + y0) ** 2
+        tied = (d2[1] == d2[2]) & (d2[2] < d2[0]) & (t[1] != t[2])
+        assert tied.any()
+        _, tca = _miss(self.NEAR_TIES, np.zeros(6), horizon=100.0)
+        assert np.array_equal(tca[tied], t[1, tied])
 
     def test_chunking_is_transparent(self):
         # a row's result does not depend on the rows beside it: one call

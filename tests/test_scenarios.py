@@ -197,6 +197,27 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 replace(build_converging(), **{name: value})
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_perfect_init_must_be_bool(self, value):
+        # "no" is truthy and would start the filter at the truth
+        with pytest.raises(ValueError, match="perfect_init must be true or false"):
+            replace(build_head_on(0.0), perfect_init=value)
+
+    @pytest.mark.parametrize(
+        "value", ["20", True, None, [20.0], 10**400], ids=["str", "bool", "none", "list", "1e400"]
+    )
+    def test_non_real_or_overflowing_field_rejected(self, value):
+        # an integer past float range would end in an OverflowError
+        with pytest.raises(ValueError, match="duration must be finite"):
+            replace(build_head_on(0.0), duration=value)
+
+    def test_file_values_of_the_wrong_type_rejected(self, tmp_path):
+        for name, value in (("perfect_init", "no"), ("duration", 10**400)):
+            d = spec_to_dict(build_head_on(0.0))
+            d[name] = value
+            with pytest.raises(ValueError, match=name):
+                load_scenario(_write_json(tmp_path / f"{name}.json", d))
+
     def test_lateral_override_helper(self):
         spec = replace(build_head_on(0.0), lateral_separation=750.0)
         assert spec.lateral_separation == 750.0
