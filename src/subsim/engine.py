@@ -167,7 +167,8 @@ class PcResult:
     value".  `thresholds` are the intermediate thresholds, one per level
     after the first, and `stalled_levels` counts those that did not fall
     below the previous one.  A DMC result is one level, pc = D / N, with no
-    floor and no thresholds.
+    floor and no thresholds.  Every field holds Python numbers, also where a
+    budget or level cap was given as a NumPy integer.
     """
 
     pc: float
@@ -295,40 +296,34 @@ def _check_system(system: RareEventSystem, k_all: int) -> None:
         raise ValueError(f"system poses {len(mean)} problems but {k_all} seeds were given")
 
 
-def _level0(
-    mean: np.ndarray, chol: np.ndarray, roots: Sequence[_rng.Pool], ns: Sequence[int]
-) -> np.ndarray:
-    """Level 0, stacked: ns[k] draws of N(mean[k], chol[k] chol[k]^T) from child(roots[k], 0).
+def _level0(system: RareEventSystem, roots: Sequence[_rng.Pool], lo: int, ns: np.ndarray):
+    """Level 0 of problems lo, lo + 1, ..., for both estimators: ns[j] draws
+    of problem lo + j's prior from child(roots[lo + j], 0), their responses
+    and the rows' `_layout`.
 
     Each run of consecutive problems that share a budget is coloured by one
-    stacked matmul, written into the result, and its means are added in
-    place; a lone problem is a run of one.  The products are per problem, so
-    a problem's rows do not depend on its neighbours.
+    stacked matmul, written into the samples, and its means are added in
+    place; the products are per problem, so a problem's rows do not depend on
+    its neighbours.  The responses must be one finite float per row, as an
+    (n,) array, or `ValueError`; the chains of later levels keep their own
+    shapes, and their finite thresholds reject a NaN or infinite candidate.
     """
-    d = mean.shape[1]
-    z = _rng.standard_normal(_rng.children(roots, 0), ns, (d,))
-    out = np.empty_like(z)
-    lo = k = 0
-    for n, run in itertools.groupby(ns):
-        r = sum(1 for _ in run)
-        hi = lo + n * r
-        x = out[lo:hi].reshape(r, n, d)
-        np.matmul(z[lo:hi].reshape(r, n, d), chol[k : k + r].transpose(0, 2, 1), out=x)
-        x += mean[k : k + r, None]
-        lo, k = hi, k + r
-    return out
-
-
-def _score_level0(system: RareEventSystem, samples: np.ndarray, problems: np.ndarray) -> np.ndarray:
-    """Level 0's responses, for both estimators: one finite float per row, as
-    an (n,) array, or `ValueError`.  The chains of later levels keep their own
-    shapes, and their finite thresholds reject a NaN or infinite candidate."""
-    responses = np.asarray(system.evaluate(samples, problems), dtype=np.float64)
+    problems = np.arange(lo, lo + len(ns))
+    layout = _layout(problems, ns)
+    d = system.mean.shape[1]
+    z = _rng.standard_normal(_rng.children(roots[lo : lo + len(ns)], 0), ns.tolist(), (d,))
+    samples = np.empty_like(z)
+    for row, j, r, n in layout[2]:  # the runs of equal budgets
+        k, end = lo + j, row + r * n
+        x = samples[row:end].reshape(r, n, d)
+        np.matmul(z[row:end].reshape(r, n, d), system.chol[k : k + r].transpose(0, 2, 1), out=x)
+        x += system.mean[k : k + r, None]
+    responses = np.asarray(system.evaluate(samples, problems.repeat(ns)), dtype=np.float64)
     if responses.shape != (len(samples),):
         raise ValueError(f"level 0 produced {responses.shape} responses, expected {len(samples)}")
     if not np.all(np.isfinite(responses)):
         raise ValueError("level 0 produced non-finite responses")
-    return responses
+    return samples, responses, layout
 
 
 # Problems per batch: `direct_monte_carlo` and `run_subset_simulations` run
@@ -385,8 +380,7 @@ def direct_monte_carlo(
     Each batch (`_batches`) is drawn and scored in one `evaluate` call, so a
     problem is never split.  A sample count that is not a positive integer
     raises `ValueError`, and so do responses that are not one finite float
-    per draw, as at SS level 0 (`_score_level0`).  A NumPy integer count
-    gives the Python numbers a Python `int` gives.
+    per draw, as at SS level 0 (`_level0`).
     """
     if len(ns) != len(seeds):
         raise ValueError(f"{len(ns)} sample counts but {len(seeds)} seeds")
@@ -396,10 +390,8 @@ def direct_monte_carlo(
     roots = [_rng.pool(seed) for seed in seeds]
     counts = []
     for lo, hi in _batches(ns):
-        problems = np.repeat(np.arange(lo, hi), ns[lo:hi])
-        samples = _level0(system.mean[lo:hi], system.chol[lo:hi], roots[lo:hi], ns[lo:hi])
-        hits = _score_level0(system, samples, problems) <= system.threshold
-        counts += np.bincount(problems[hits] - lo, minlength=hi - lo).tolist()
+        _, responses, (starts, _, _) = _level0(system, roots, lo, np.array(ns[lo:hi]))
+        counts += np.add.reduceat(responses <= system.threshold, starts).tolist()
     return [
         PcResult(pc=c / n, conflict_count=c, levels_used=1, samples_used=n, floor_reached=False)
         for n, c in zip(map(operator.index, ns), counts)
@@ -549,9 +541,7 @@ def _run_batch(system, configs, roots, batch: range):
     ns = np.array([configs[k].n_samples for k in batch])
     n_cs = np.array([configs[k].n_chains for k in batch])
     last = np.array([configs[k].max_levels - 1 for k in batch])
-    samples = _level0(system.mean[lo:hi], system.chol[lo:hi], roots[lo:hi], ns.tolist())
-    responses = _score_level0(system, samples, active.repeat(ns))
-    starts, spans, runs = _layout(active, ns)
+    samples, responses, (starts, spans, runs) = _level0(system, roots, lo, ns)
     d = system.mean.shape[1]
     n_s = configs[lo].chain_length
     blocks: dict = {k: [] for k in batch}
@@ -616,7 +606,7 @@ def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
         pc=estimate_probability(conflicts, level, config),
         conflict_count=conflicts,
         levels_used=level + 1,
-        samples_used=config.n_samples * (level + 1),
+        samples_used=operator.index(config.n_samples) * (level + 1),
         floor_reached=conflicts == 0,
         thresholds=tuple(thresholds),
         stalled_levels=stalled,

@@ -20,6 +20,7 @@ from .dynamics import AircraftState
 from .tracking import NoiseConfig
 
 KNOT = 1852.0 / 3600.0  # m/s per knot
+MAX_STEPS = 100_000  # 25 times the longest study scenario's 4,000
 
 
 def knots_to_mps(knots: float) -> float:
@@ -34,7 +35,8 @@ class ScenarioKind(Enum):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Full description of one encounter simulation."""
+    """Full description of one encounter simulation, of at most `MAX_STEPS`
+    steps: `simulate_scenario` holds every step in memory."""
 
     kind: ScenarioKind
     lateral_separation: float
@@ -88,6 +90,8 @@ class ScenarioSpec:
         steps = self.duration * self.sample_rate
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"duration * sample_rate must be integral, got {steps}")
+        if round(steps) > MAX_STEPS:
+            raise ValueError(f"duration * sample_rate must be at most {MAX_STEPS}, got {steps:.6g}")
         ratio = self.sample_rate / self.measurement_rate
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError(

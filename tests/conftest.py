@@ -1,4 +1,4 @@
-"""Fixtures shared by the engine, conflict and toy tests."""
+"""Fixtures shared by the engine, conflict and analysis tests."""
 
 import pytest
 
@@ -18,20 +18,3 @@ def assemble_calls(monkeypatch):
     monkeypatch.setattr(engine, "assemble_ccdf", counting)
     return calls
 
-
-@pytest.fixture
-def eager_tables(monkeypatch):
-    """A switch: once called, every engine result assembles its CCDF table
-    as soon as its problem's descent stops, before the run goes on."""
-
-    def switch():
-        finish = engine._finish
-
-        def eager(*args):
-            result = finish(*args)
-            result.table
-            return result
-
-        monkeypatch.setattr(engine, "_finish", eager)
-
-    return switch

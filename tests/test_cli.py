@@ -151,6 +151,16 @@ class TestScenarioCommand:
         assert rc == 2
         assert not (tmp_path / "x").exists()
 
+    def test_step_count_past_the_cap_exits_2(self, tmp_path):
+        # it would write the manifest and then run without end
+        cfgfile = _small_scenario(tmp_path)
+        data = json.loads(cfgfile.read_text())
+        data["duration"] = 1e300
+        cfgfile.write_text(json.dumps(data))
+        args = ["scenario", "--scenario", str(cfgfile), "--out-dir", str(tmp_path / "x")]
+        assert main(args + SCENARIO_ARGS) == 2
+        assert not (tmp_path / "x").exists()
+
     def test_unreadable_config_exits_2(self, tmp_path):
         rc = main(
             ["scenario", "--scenario", str(tmp_path / "nope.json"),

@@ -1,9 +1,9 @@
 """Engine unit tests: interval ladders, thresholds, seeds, CCDF assembly, read-off, batches,
-and the one conditional chain on each system it serves."""
+and, on each system the engine serves, its contract and its one conditional chain."""
 
 import functools
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ CFG = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=7)
 CFG_STD = SubsetConfig(
     n_samples=100, level_probability=0.1, max_levels=7, interval_variant=IntervalVariant.STANDARD
 )
+DEEP = SubsetConfig(n_samples=40, level_probability=0.25, max_levels=3)
 
 
 class TestConfig:
@@ -68,11 +69,6 @@ class TestConfig:
         # are rejected before a run
         with pytest.raises(ValueError, match="must be integers"):
             SubsetConfig(**sizes)
-
-    def test_numpy_integer_sizes_accepted(self):
-        cfg = SubsetConfig(n_samples=np.int64(100), max_levels=np.int32(3))
-        (result,) = run_subset_simulations(_line_system(10.0, threshold=0.0), cfg, [5])
-        assert result.diagnostics.levels_used == 3
 
 
 class TestProbabilityIntervals:
@@ -413,10 +409,13 @@ class TestRunSubsetSimulation:
         assert result.diagnostics.samples_used == 100
 
     def test_rare_event_descends_levels(self):
+        # the descent stops at the first level holding N_c rare samples; each
+        # level before held fewer, so its threshold lies beyond the system's
         system = _line_system(shift=4.0)
         (result,) = run_subset_simulations(system, CFG, [5])
         d = result.diagnostics
-        assert d.levels_used > 1
+        assert 1 < d.levels_used < CFG.max_levels and d.conflict_count >= CFG.n_chains
+        assert all(b > system.threshold for b in d.thresholds)
         assert d.samples_used == 100 * d.levels_used
         assert len(result.table.rows) == 90 * (d.levels_used - 1) + 100
         assert result.estimate == d.pc
@@ -435,16 +434,6 @@ class TestRunSubsetSimulation:
         below = replace(system, threshold=np.nextafter(tenth, 0.0))
         (result,) = run_subset_simulations(below, cfg, [1])
         assert result.diagnostics.levels_used > 1
-
-    def test_deterministic_tables(self):
-        system = _line_system(shift=3.0)
-        (r1,) = run_subset_simulations(system, CFG, [77])
-        (r2,) = run_subset_simulations(system, CFG, [77])
-        assert r1.estimate == r2.estimate
-        assert np.array_equal(r1.table.responses, r2.table.responses)
-        assert np.array_equal(r1.table.probabilities, r2.table.probabilities)
-        for a, b in zip(r1.table.rows, r2.table.rows):
-            assert np.array_equal(a.sample, b.sample)
 
     def test_different_seeds_differ(self):
         system = _line_system(shift=3.0)
@@ -465,9 +454,7 @@ class TestRunSubsetSimulation:
         with pytest.raises(ValueError, match="violated"):
             list(run_subset_simulations(_line_system(threshold=1e-6), CFG, [3]))
 
-    def test_problem_count_must_match_seeds(self):
-        with pytest.raises(ValueError, match="2 problems but 3 seeds"):
-            run_subset_simulations(_line_system((1.0, 2.0)), CFG, (1, 2, 3))
+    def test_mismatched_prior_shapes_rejected(self):
         bad = RareEventSystem(np.zeros((1, 2)), np.ones((1, 2, 3)), _abs_first_column, 0.5)
         with pytest.raises(ValueError, match="do not match"):
             run_subset_simulations(bad, CFG, [1])
@@ -481,17 +468,9 @@ class TestRunSubsetSimulation:
     def test_levels_follow_their_streams(self, system):
         # on each system the chain serves, problem 0's levels replay from
         # its level streams and its seeds, several levels deep
-        cfg = SubsetConfig(n_samples=40, level_probability=0.25, max_levels=3)
         one = replace(system, mean=system.mean[:1], chol=system.chol[:1], threshold=-np.inf)
-        (result,) = run_subset_simulations(one, cfg, [24])
-        _assert_level_streams(one, result, 24, cfg)
-
-    def test_level0_estimate_equals_direct_count(self):
-        system = _line_system(threshold=0.6745)
-        (result,) = run_subset_simulations(system, CFG, [12])
-        d = result.diagnostics
-        assert d.levels_used == 1
-        assert result.estimate == d.conflict_count / 100
+        (result,) = run_subset_simulations(one, DEEP, [24])
+        _assert_level_streams(one, result, 24, DEEP)
 
     def test_stalled_threshold_logs_warning(self, caplog):
         cfg = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=4)
@@ -740,6 +719,126 @@ def _assert_same_result(a, b):
     assert np.array_equal(a.table.samples, b.table.samples)
 
 
+@pytest.fixture
+def eager_tables(monkeypatch):
+    """A switch: once called, every engine result assembles its CCDF table
+    as soon as its problem's descent stops, before the run goes on."""
+
+    def switch():
+        finish = engine._finish
+
+        def eager(*args):
+            result = finish(*args)
+            result.table
+            return result
+
+        monkeypatch.setattr(engine, "_finish", eager)
+
+    return switch
+
+
+def _descent(system, seed=24):
+    """One lockstep run of every problem of `system` with no rare sample to
+    stop it: problem k three levels deep, or two for odd k, at N = 40 and
+    p0 = 0.25.  The results are lazy: no table has been read."""
+    configs = [replace(DEEP, max_levels=3 - k % 2) for k in range(len(system.mean))]
+    never = replace(system, threshold=-np.inf)
+    return list(run_subset_simulations(never, configs, range(seed, seed + len(configs))))
+
+
+def _python_types(result):
+    return [type(v) for v in astuple(result)] + [type(b) for b in result.thresholds]
+
+
+class TestSystemContract:
+    """What the engine promises for any `RareEventSystem`, tested once, on
+    each system of the `system` fixture."""
+
+    def test_level0_is_direct_monte_carlo(self, system):
+        # at a threshold amid level 0's responses, one of them, SS stops at
+        # level 0 under either ladder with the summary of DMC on the same
+        # draws: D of N conflicts, the draw on the threshold among them, and
+        # pc = D / N
+        seeds = range(5, 5 + len(system.mean))
+        ns = [100] * len(seeds)
+        probe = run_subset_simulations(system, SubsetConfig(100, 0.1, 1), seeds)
+        level0 = np.sort(np.concatenate([r.table.responses for r in probe]))
+        at = replace(system, threshold=float(level0[len(level0) // 2]))
+        dmc = direct_monte_carlo(at, ns, seeds)
+        for cfg in (CFG, CFG_STD):
+            assert [r.diagnostics for r in run_subset_simulations(at, cfg, seeds)] == dmc
+        assert all(r.levels_used == 1 and CFG.n_chains <= r.conflict_count < 100 for r in dmc)
+        assert [r.pc for r in dmc] == [r.conflict_count / 100 for r in dmc]
+        # with no draw at or below the threshold, one STANDARD level reads 0, as DMC does
+        never = replace(system, threshold=-np.inf)
+        one = run_subset_simulations(never, replace(CFG_STD, max_levels=1), seeds)
+        assert [r.estimate for r in one] == [r.pc for r in direct_monte_carlo(never, ns, seeds)]
+        assert all(r.estimate == 0.0 for r in one)
+
+    def test_rerun_is_identical(self, system):
+        for a, b in zip(_descent(system), _descent(system), strict=True):
+            _assert_same_result(a, b)
+        seeds, ns = range(len(system.mean)), [100] * len(system.mean)
+        assert direct_monte_carlo(system, ns, seeds) == direct_monte_carlo(system, ns, seeds)
+
+    def test_tables_are_built_once_on_first_read(self, system, assemble_calls, eager_tables):
+        # a table read after the whole run, its problem stopped a level
+        # before the next one's, equals the one assembled when it stopped
+        lazy = _descent(system)
+        assert assemble_calls == []
+        tables = [r.table for r in lazy]
+        assert len(assemble_calls) == len(lazy)
+        # a second read returns the same table without assembling again
+        assert all(r.table is t for r, t in zip(lazy, tables))
+        assert len(assemble_calls) == len(lazy)
+        eager_tables()
+        eager = _descent(system)
+        assert len(assemble_calls) == 2 * len(lazy)
+        for a, b in zip(lazy, eager, strict=True):
+            _assert_same_result(a, b)
+
+    def test_rows_reproduce_their_responses(self, system):
+        # each table row's response is its sample's, scored apart from the
+        # run, and the rows of level l >= 1 lie within that level's threshold
+        for k, result in enumerate(_descent(system)):
+            table, d = result.table, result.diagnostics
+            problems = np.full(len(table.samples), k)
+            assert np.array_equal(system.evaluate(table.samples, problems), table.responses)
+            kept = np.cumsum([DEEP.n_samples - DEEP.n_chains] * (d.levels_used - 1))
+            levels = np.split(table.responses, kept)[1:]
+            assert len(levels) == len(d.thresholds) == d.levels_used - 1
+            assert all(level.max() <= b for level, b in zip(levels, d.thresholds))
+
+    def test_numpy_counts_give_python_numbers(self, system):
+        # a NumPy budget or level cap gives the numbers, and the types, that
+        # Python ints give
+        k = len(system.mean)
+        seeds, never = range(k), replace(system, threshold=-np.inf)
+
+        def ss(config):
+            return [r.diagnostics for r in run_subset_simulations(never, config, seeds)]
+
+        dmc = direct_monte_carlo(system, [np.int64(100)] * k, seeds)
+        deep = ss(SubsetConfig(np.int64(40), 0.25, np.int32(3)))
+        assert [r.levels_used for r in deep] == [3] * k
+        for numpy_, python in ((dmc, direct_monte_carlo(system, [100] * k, seeds)), (deep, ss(DEEP))):
+            assert numpy_ == python
+            assert list(map(_python_types, numpy_)) == list(map(_python_types, python))
+            assert all(type(r.pc) is float and type(r.samples_used) is int for r in numpy_)
+
+    def test_mismatches_rejected(self, system):
+        k = len(system.mean)
+        with pytest.raises(ValueError, match=f"poses {k} problems but {k + 1} seeds"):
+            run_subset_simulations(system, CFG, range(k + 1))
+        with pytest.raises(ValueError, match=f"poses {k} problems but {k + 1} seeds"):
+            direct_monte_carlo(system, [100] * (k + 1), range(k + 1))
+        for count in (k - 1, k + 1):
+            with pytest.raises(ValueError, match=f"{count} configs but {k} seeds"):
+                run_subset_simulations(system, [CFG] * count, range(k))
+            with pytest.raises(ValueError, match=f"{count} sample counts but {k} seeds"):
+                direct_monte_carlo(system, [100] * count, range(k))
+
+
 class TestLockstepProblems:
     """K problems run together give each problem exactly its one-problem result."""
 
@@ -862,49 +961,10 @@ class TestLockstepProblems:
         with pytest.raises(ValueError, match="share level_probability"):
             run_subset_simulations(_line_system((1.0, 2.0)), configs, (1, 2))
 
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_config_count_must_match_seeds(self, count):
-        with pytest.raises(ValueError, match=f"{count} configs but 2 seeds"):
-            run_subset_simulations(_line_system((1.0, 2.0)), [CFG] * count, (1, 2))
-
-    def test_tables_are_built_on_first_read(self, assemble_calls, eager_tables):
-        # the problems stop at different levels; a table read after the whole
-        # run equals the one assembled when its problem stopped
-        seeds = (3, 4, 5)
-        system = _line_system((0.0, 4.0, 6.0), 0.1)
-        lazy = list(run_subset_simulations(system, CFG, seeds))
-        assert len({r.diagnostics.levels_used for r in lazy}) == 3
-        assert assemble_calls == []
-        tables = [r.table for r in lazy]
-        assert len(assemble_calls) == 3
-        # a second read returns the same table without assembling again
-        assert all(r.table is t for r, t in zip(lazy, tables))
-        assert len(assemble_calls) == 3
-        eager_tables()
-        eager = list(run_subset_simulations(system, CFG, seeds))
-        assert len(assemble_calls) == 6
-        for a, b in zip(lazy, eager):
-            assert a.estimate == b.estimate and a.diagnostics == b.diagnostics
-            assert a.table.levels_completed == b.table.levels_completed
-            assert np.array_equal(a.table.probabilities, b.table.probabilities)
-            assert np.array_equal(a.table.responses, b.table.responses)
-            assert np.array_equal(a.table.samples, b.table.samples)
 
 
 class TestDirectMonteCarlo:
     """Plain Monte Carlo runs on the draws of SS level 0."""
-
-    def test_counts_are_the_level0_conflicts(self):
-        # one-level SS at the same seeds counts the same draws at or below the
-        # threshold, and with a conflict found its summary is DMC's
-        shifts, seeds = (0.0, 1.0, 2.0), (5, 6, 7)
-        system = _line_system(shifts)
-        results = direct_monte_carlo(system, [100] * 3, seeds)
-        one_level = list(run_subset_simulations(system, SubsetConfig(100, 0.1, 1), seeds))
-        counts = [r.conflict_count for r in results]
-        assert 0 < min(counts) and max(counts) < 100
-        assert results == [r.diagnostics for r in one_level]
-        assert [r.pc for r in results] == [c / 100 for c in counts]
 
     def test_problems_of_one_call_equal_their_own_calls(self):
         shifts, ns, seeds = (0.0, 1.0, 0.0), [50, 1, 300], (3, 4, 5)
@@ -993,14 +1053,10 @@ class TestDirectMonteCarlo:
             else:
                 list(run_subset_simulations(system, CFG, [3]))
 
+    # True would count as one draw, and a float would fail in the stream code
     @pytest.mark.parametrize(
         "ns,seeds,match",
-        [
-            ([0], [1], "positive"),
-            ([], [], "positive"),
-            ([10, 10], [1], "seeds"),
-            ([10, 10], [1, 2], "problems"),
-        ],
+        [([0], [1], "positive"), ([], [], "positive"), ([True], [1], "integers"), ([100.0], [1], "integers")],
     )
     def test_invalid_calls_rejected(self, ns, seeds, match):
         with pytest.raises(ValueError, match=match):

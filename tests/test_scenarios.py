@@ -10,8 +10,7 @@ import pytest
 from dense import track_positions
 from subsim.dynamics import miss_distance_batch
 from subsim.scenarios import (
-    ScenarioKind,
-    ScenarioSpec,
+    MAX_STEPS,
     build_converging,
     build_head_on,
     build_overtaking,
@@ -218,10 +217,17 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=name):
                 load_scenario(_write_json(tmp_path / f"{name}.json", d))
 
-    def test_lateral_override_helper(self):
-        spec = replace(build_head_on(0.0), lateral_separation=750.0)
-        assert spec.lateral_separation == 750.0
-        assert spec.kind is ScenarioKind.HEAD_ON
+    def test_zero_duration_rejected(self):
+        for duration in (0.0, -1.0):
+            with pytest.raises(ValueError, match="duration and rates must be positive"):
+                build_head_on(0.0, 2000.0, duration=duration)
+
+    @pytest.mark.parametrize("duration", [1e300, (MAX_STEPS + 1) / 20.0])
+    def test_step_count_past_the_cap_rejected(self, duration):
+        # simulate_scenario holds every step: 2e301 of them would run without end
+        with pytest.raises(ValueError, match=f"must be at most {MAX_STEPS}"):
+            build_head_on(0.0, duration=duration)
+        assert build_head_on(0.0, duration=MAX_STEPS / 20.0).n_steps == MAX_STEPS
 
 
 class TestConfigFiles:

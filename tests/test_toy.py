@@ -1,9 +1,9 @@
 """Toy disc-problem tests: distances, Monte Carlo estimates, oracle.
 
-The chain is tested once, on this system among others, in `test_engine.py`."""
+The engine's contract and its chain are tested once, on this system among
+others, in `test_engine.py`."""
 
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -113,20 +113,6 @@ class TestDmcEstimate:
         wide = CircleRegion(center=Point2(0.0, 0.0), radius=1e3)
         assert dmc_estimate(wide, 100, seed=0) == 1.0
 
-    def test_rejects_zero_samples(self):
-        with pytest.raises(ValueError):
-            dmc_estimate(REGION, 0, seed=0)
-
-    def test_range(self):
-        for s in range(5):
-            assert 0.0 <= dmc_estimate(REGION, 1000, seed=s) <= 1.0
-
-    def test_numpy_count_gives_a_python_float(self):
-        wide = CircleRegion(center=Point2(0.0, 0.0), radius=2.0)
-        est = dmc_estimate(wide, np.int64(100), seed=3)
-        assert type(est) is float
-        assert est == dmc_estimate(wide, 100, seed=3)
-
     def test_large_sample_matches_oracle(self):
         # frozen seed; 3 binomial standard errors around the oracle value
         p = oracle_probability(REGION)
@@ -137,21 +123,6 @@ class TestDmcEstimate:
 
 
 class TestSsToy:
-    def test_single_level_equals_dmc(self):
-        # level 0 is DMC on the same draws: D/N under both ladders.  On this
-        # near disc seeds 7, 11 and 3 put 19, 13 and 13 draws inside.
-        near = CircleRegion(center=Point2(1.0, -1.0), radius=1.0)
-        for variant in IntervalVariant:
-            config = replace(std_config(1), interval_variant=variant)
-            for s in (7, 11, 3):
-                res = ss_toy(near, config, seed=s)
-                assert res.diagnostics.conflict_count >= 13
-                assert res.estimate == dmc_estimate(near, 100, seed=s)
-        # on REGION nothing lands inside: both read 0 under STANDARD
-        for s in (7, 11, 3):
-            res = ss_toy(REGION, std_config(1), seed=s)
-            assert res.estimate == dmc_estimate(REGION, 100, seed=s) == 0.0
-
     def test_one_toy_system_per_estimate(self, monkeypatch):
         # ss_toy reads the module's toy_system once per estimate, so a
         # wrapper set on subsim.toy.toy_system sees every estimate
@@ -167,58 +138,12 @@ class TestSsToy:
             ss_toy(REGION, std_config(3), seed=s)
         assert calls == [REGION] * 3
 
-    def test_table_equals_eager_assembly(self, assemble_calls, eager_tables):
-        # the table is assembled on its first read, and equals the table
-        # assembled when the descent stopped
-        lazy = [ss_toy(REGION, std_config(8), seed=s) for s in (5, 6)]
-        assert assemble_calls == []
-        tables = [res.table for res in lazy]
-        assert len(assemble_calls) == 2
-        eager_tables()
-        for s, table in zip((5, 6), tables):
-            eager = ss_toy(REGION, std_config(8), seed=s).table
-            assert eager.levels_completed == table.levels_completed
-            assert np.array_equal(eager.probabilities, table.probabilities)
-            assert np.array_equal(eager.responses, table.responses)
-            assert np.array_equal(eager.samples, table.samples)
-
-    def test_deterministic(self):
-        r1 = ss_toy(REGION, std_config(3), seed=5)
-        r2 = ss_toy(REGION, std_config(3), seed=5)
-        assert r1.estimate == r2.estimate
-        assert np.array_equal(r1.table.responses, r2.table.responses)
-
-    def test_stops_on_rare_count(self):
-        # the descent ends at the first level holding N_c samples in the disc
-        res = ss_toy(REGION, std_config(8), seed=5)
-        d = res.diagnostics
-        assert 1 < d.levels_used < 8
-        assert d.conflict_count >= 10
-        assert len(res.table.rows) == 90 * (d.levels_used - 1) + 100
-        # fewer than N_c samples in the disc keeps a level's threshold outside it
-        assert all(b > REGION.radius for b in d.thresholds)
-
     def test_two_level_estimate_magnitude(self):
         # two levels cannot reach a 2.5e-4 disc at N=100: the read-off is the
         # level-1 fraction in the disc, at most a few in 1e-3, never the
         # 2e-2 that a chain pulled toward the center reads
         ests = [ss_toy(REGION, std_config(2), seed=s).estimate for s in range(20)]
         assert max(ests) < 5e-3
-
-    def test_chain_responses_respect_thresholds(self):
-        res = ss_toy(REGION, std_config(4), seed=2)
-        thresholds = res.diagnostics.thresholds
-        assert len(thresholds) == 3
-        # responses contributed by level i are bounded by threshold b_i
-        rows = res.table.rows
-        level1 = rows[90:180]
-        assert all(r.response <= thresholds[0] for r in level1)
-
-    def test_rows_reproduce_their_responses(self):
-        res = ss_toy(REGION, std_config(3), seed=6)
-        for row in res.table.rows[::7]:
-            d = distance_to_center(Point2(row.sample[0], row.sample[1]), REGION)
-            assert d == row.response
 
 
 class TestOracleGuard:
