@@ -18,7 +18,7 @@ import numpy as np
 
 from .conflict import ConflictQuery, PcResult, encounter_steps, pc_dmc, pc_ss
 from .engine import SubsetConfig, is_integer
-from .rng import SeedLike, child_pool, pool
+from .rng import SeedLike, children, pool
 from .scenarios import ScenarioSpec, build_head_on
 
 
@@ -134,10 +134,11 @@ def cov_study(config: CovStudyConfig, seed: SeedLike) -> list[CovPoint]:
     for key, (method, estimator, sizes, budget) in enumerate(
         [("dmc", pc_dmc, config.dmc_sizes, int), ("ss", pc_ss, config.ss_sizes, config.subset_config)]
     ):
+        size_idx, rep = np.divmod(np.arange(len(sizes) * r), r)
         results = estimator(
             [config.phase] * (len(sizes) * r),
             [budget(n) for n in sizes for _ in range(r)],
-            [child_pool(root, key, i, rep) for i in range(len(sizes)) for rep in range(r)],
+            children(root, key, size_idx, rep),
         )
         points += [_cov_point(method, n, results[i * r : (i + 1) * r]) for i, n in enumerate(sizes)]
     return points

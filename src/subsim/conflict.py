@@ -32,7 +32,7 @@ from .engine import (
     direct_monte_carlo,
     run_subset_simulations,
 )
-from .rng import Pool, SeedLike, child_pool, children, pool, standard_normal
+from .rng import Pools, SeedLike, children, pool, standard_normal
 from .scenarios import ScenarioSpec, initial_states
 from .tracking import (
     KalmanEstimate,
@@ -125,7 +125,7 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
 
 
 def pc_dmc(
-    queries: Sequence[ConflictQuery], ns: Sequence[int], seeds: Sequence[SeedLike | Pool]
+    queries: Sequence[ConflictQuery], ns: Sequence[int], seeds: Sequence[SeedLike] | Pools
 ) -> list[PcResult]:
     """Direct Monte Carlo: per query k, the fraction of `ns[k]` posterior
     draws from `seeds[k]`, those of `pc_ss`'s level 0, that conflict.  One
@@ -136,7 +136,7 @@ def pc_dmc(
 def pc_ss(
     queries: Sequence[ConflictQuery],
     configs: SubsetConfig | Sequence[SubsetConfig],
-    seeds: Sequence[SeedLike | Pool],
+    seeds: Sequence[SeedLike] | Pools,
 ) -> list[PcResult]:
     """Subset-simulation conflict probability of query k under `configs[k]`,
     or `configs` itself if it is one config, from `seeds[k]`.
@@ -182,12 +182,12 @@ class EncounterStep:
         )
 
 
-def _two_normals(root: Pool, *key: int) -> np.ndarray:
+def _two_normals(root: Pools, *key: int) -> np.ndarray:
     """The first two standard normals of stream child(root, *key)."""
-    return standard_normal([child_pool(root, *key)], [2])
+    return standard_normal(children(root, *key), [2])
 
 
-def encounter_steps(spec: ScenarioSpec, seed: SeedLike | Pool) -> Iterator[EncounterStep]:
+def encounter_steps(spec: ScenarioSpec, seed: SeedLike | Pools) -> Iterator[EncounterStep]:
     """Truth propagation, measurements and filtering of one encounter, step by step.
 
     Yields steps k = 1..n_steps.  The filter's initial estimate draws from
@@ -279,7 +279,7 @@ def simulate_scenario(
         return []
     queries = [step.query(spec) for step in steps]
     system = conflict_system(queries)
-    step_roots = [child_pool(root, step.k) for step in steps]
+    step_roots = children(root, np.array([step.k for step in steps]))
     ss_results = run_subset_simulations(system, ss_config, children(step_roots, 1))
     ss = list(map(operator.attrgetter("diagnostics"), ss_results))
     dmc = direct_monte_carlo(system, [res.samples_used for res in ss], children(step_roots, 2))

@@ -296,7 +296,7 @@ def _check_system(system: RareEventSystem, k_all: int) -> None:
         raise ValueError(f"system poses {len(mean)} problems but {k_all} seeds were given")
 
 
-def _level0(system: RareEventSystem, roots: Sequence[_rng.Pool], lo: int, ns: np.ndarray):
+def _level0(system: RareEventSystem, roots: _rng.Pools, lo: int, ns: np.ndarray):
     """Level 0 of problems lo, lo + 1, ..., for both estimators: ns[j] draws
     of problem lo + j's prior from child(roots[lo + j], 0), their responses
     and the rows' `_layout`.
@@ -326,43 +326,29 @@ def _level0(system: RareEventSystem, roots: Sequence[_rng.Pool], lo: int, ns: np
     return samples, responses, layout
 
 
-# Problems per batch: `direct_monte_carlo` and `run_subset_simulations` run
-# consecutive problems together, such as a scenario's steps or a c.o.v.
-# study's repetitions and budgets.  Each chain step makes one kernel call
-# for its whole batch, and that call costs about 50-80 us before any
-# per-row work, so per-call overhead falls with the batch while memory
-# grows with it.  400-step head-on encounters at N = 100 (seeds 3, 7, 11,
-# 901 and 1234; median over five processes of each process's median
-# encounter, interleaved, on a 2-core Xeon) took, with CCDF tables built
-# only when read:
-#
-#   batch  kernel calls  time    peak RSS
-#   16     555           0.27 s  40.7 MB
-#   32     342           0.23 s  41.3 MB
-#   48     271           0.22 s  42.1 MB
-#   64     204           0.20 s  42.2 MB
-#   100    137           0.19 s  44.4 MB
-#
-# A repeat of the whole measurement on the same shared machine read 0.15 to
-# 0.22 s, not in this order, so the times order the sizes only roughly.
-#
-# No result depends on the batch size.
-GROUP_SIZE = 64
 # Rows a level (DMC: draws) of a whole batch, at most, unless one problem
-# alone has more.  It bounds a batch's level arrays, or its draws, while each
-# `evaluate` call stays large enough for its per-call cost not to matter; a
-# batch at N = 3,000, a c.o.v. study's largest budget, holds 5 problems.
+# alone has more.  `direct_monte_carlo` and `run_subset_simulations` run
+# consecutive problems together, such as a scenario's steps or a c.o.v.
+# study's repetitions and budgets, and each chain step makes one `evaluate`
+# call for its whole batch.  The cap bounds a batch's level arrays, or its
+# draws, while each call stays large enough for its fixed cost (about 60 us
+# for the conflict kernel) not to matter: a batch holds 163 problems at
+# N = 100, and 5 at N = 3,000, a c.o.v. study's largest budget.  A 400-step
+# head-on encounter (seed 901) runs as 3 batches and 131 kernel calls; a cap
+# of 64 problems a batch made that 7 and 198, and its encounters ran 4%
+# slower (median of 60 seeds, paired, 2-vCPU Xeon).  No result depends on
+# where a batch ends.
 _BATCH_ROWS = 16_384
 
 
 def _batches(ns: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The batches of problems with `ns[k]` rows a level, as (lo, hi) index
-    ranges: consecutive problems, at most `GROUP_SIZE` of them and at most
-    `_BATCH_ROWS` rows, and always at least one."""
+    ranges: consecutive problems, at most `_BATCH_ROWS` rows, and always at
+    least one."""
     lo = 0
     while lo < len(ns):
         hi, rows = lo + 1, ns[lo]
-        while hi < len(ns) and hi - lo < GROUP_SIZE and rows + ns[hi] <= _BATCH_ROWS:
+        while hi < len(ns) and rows + ns[hi] <= _BATCH_ROWS:
             rows += ns[hi]
             hi += 1
         yield lo, hi
@@ -372,7 +358,7 @@ def _batches(ns: Sequence[int]) -> Iterator[tuple[int, int]]:
 def direct_monte_carlo(
     system: RareEventSystem,
     ns: Sequence[int],
-    seeds: Sequence[_rng.SeedLike | _rng.Pool],
+    seeds: Sequence[_rng.SeedLike] | _rng.Pools,
 ) -> list[PcResult]:
     """Per problem k, the one-level summary of its `ns[k]` prior draws: the
     count D that respond at or below the system's threshold, and pc = D / N.
@@ -387,7 +373,7 @@ def direct_monte_carlo(
     if len(ns) == 0 or any(not is_integer(n) or n < 1 for n in ns):
         raise ValueError(f"sample counts must be positive integers, got {list(ns)}")
     _check_system(system, len(ns))
-    roots = [_rng.pool(seed) for seed in seeds]
+    roots = _rng.pools(seeds)
     counts = []
     for lo, hi in _batches(ns):
         _, responses, (starts, _, _) = _level0(system, roots, lo, np.array(ns[lo:hi]))
@@ -476,7 +462,7 @@ def conditional_chains(
 def run_subset_simulations(
     system: RareEventSystem,
     configs: SubsetConfig | Sequence[SubsetConfig],
-    seeds: Sequence[_rng.SeedLike | _rng.Pool],
+    seeds: Sequence[_rng.SeedLike] | _rng.Pools,
 ) -> Iterator[SubsetResult]:
     """Run problems 0..K-1 of `system` in lockstep, problem k from `seeds[k]`
     under `configs[k]`, or under `configs` itself if it is one config.
@@ -499,13 +485,15 @@ def run_subset_simulations(
 
     Each problem draws level 0 from `child(root_k, 0)` and its chains'
     (N_c, length, d) innovations at level l from `child(root_k, l)`, with
-    root_k its seed's `rng.pool`, through `rng.standard_normal` (see
-    `subsim.rng` for `child`).  The threshold, seed selection and stop test
+    root_k row k of `rng.pools(seeds)`, through `rng.standard_normal` (see
+    `subsim.rng` for `child`); `seeds` may be that pools array itself.  Each
+    level derives the streams of its batch's problems in one
+    `rng.children` call.  The threshold, seed selection and stop test
     read each problem's own rows; so each result equals the problem's own
     one-problem run bit for bit.  No table is assembled here: a result
     builds its own on first read (see `SubsetResult`).
     """
-    roots = [_rng.pool(seed) for seed in seeds]
+    roots = _rng.pools(seeds)
     k_all = len(roots)
     if k_all == 0:
         raise ValueError("at least one seed is required")
@@ -569,7 +557,7 @@ def _run_batch(system, configs, roots, batch: range):
             starts, spans, runs = _layout(active, ns)
         if stopping or level == 0:
             problems, chain_counts, stepping = active.repeat(n_cs), n_cs.tolist(), active.tolist()
-            level_roots = [roots[k] for k in stepping]
+            level_roots = roots[active]
 
         for k, bk in zip(stepping, b.tolist()):
             thresholds[k].append(bk)

@@ -18,7 +18,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from streams import child, generator
 from subsim import rng as _rng
@@ -40,7 +39,6 @@ from subsim.engine import (
 from subsim.scenarios import build_head_on
 from subsim.toy import CircleRegion, Point2, dmc_estimate, oracle_probability, ss_toy, toy_system
 from subsim.tracking import (
-    KalmanEstimate,
     NoiseConfig,
     initial_estimate,
     kf_step,

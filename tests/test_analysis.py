@@ -9,7 +9,6 @@ from streams import child, generator
 from subsim import analysis, conflict
 from subsim import rng as _rng
 from subsim.analysis import (
-    CovPoint,
     CovStudyConfig,
     binomial_cov,
     coefficient_of_variation,

@@ -2,7 +2,6 @@
 and the package's export list."""
 
 import json
-import os
 import platform
 
 import numpy as np

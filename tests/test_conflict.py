@@ -115,7 +115,7 @@ class TestPcSs:
         assert res.pc == 1.0
         assert res.levels_used == 1
         assert res.samples_used == 100
-        assert len(_ss_result(q, CFG, 8).table.rows) == 100
+        assert len(_ss_result(q, CFG, 8).table.probabilities) == 100
 
     def test_receding_geometry_reaches_floor(self):
         # intruder behind the observer and flying away: no conflict reachable
@@ -131,7 +131,7 @@ class TestPcSs:
         (res,) = pc_ss([q], CFG, [12])
         assert res.levels_used > 1
         assert res.samples_used == 100 * res.levels_used
-        assert len(_ss_result(q, CFG, 12).table.rows) == 90 * (res.levels_used - 1) + 100
+        assert len(_ss_result(q, CFG, 12).table.probabilities) == 90 * (res.levels_used - 1) + 100
 
     def test_mean_matches_dmc_reference(self):
         # 320 m lateral offset; the reference is 986 conflicts in 2*10^6 pc_dmc
@@ -194,7 +194,8 @@ class TestPcSsBatch:
         with pytest.raises(ValueError, match="share"):
             conflict_system(queries)
 
-    @pytest.mark.parametrize("before", [engine.GROUP_SIZE - 1, engine.GROUP_SIZE])
+    # at N = 100 a batch closes after _BATCH_ROWS // 100 queries
+    @pytest.mark.parametrize("before", [engine._BATCH_ROWS // 100 - 1, engine._BATCH_ROWS // 100])
     def test_list_with_different_radii_rejected(self, before):
         # the whole list is checked for one protected radius, wherever a
         # batch boundary falls
@@ -363,7 +364,7 @@ class TestSimulateScenario:
         # every stream of the filter, the engine, the step groups and the
         # study is a pool: no keyed SeedSequence and no generator is built
         spec = build_head_on(152.4, 2000.0, duration=2.0, sample_rate=10.0)
-        _rng.standard_normal([_rng.pool(0)], [1])  # this thread's one generator
+        _rng.standard_normal(_rng.pool(0), [1])  # this thread's one generator
         built = []
 
         class Sequence(np.random.SeedSequence):

@@ -1019,7 +1019,7 @@ class TestDirectMonteCarlo:
         assert [np.unique(p).tolist() for p in calls] == [[0, 1], [2], [3], [4]]
         assert np.array_equal(np.concatenate(calls), np.repeat(np.arange(5), ns))
         calls.clear()
-        monkeypatch.setattr(engine, "GROUP_SIZE", 1)
+        monkeypatch.setattr(engine, "_BATCH_ROWS", 1)
         assert direct_monte_carlo(recorded, ns, seeds) == whole
         assert [np.unique(p).tolist() for p in calls] == [[k] for k in range(5)]
         assert assemble_calls == []
@@ -1065,8 +1065,8 @@ class TestDirectMonteCarlo:
 
 class TestBatches:
     """`run_subset_simulations` runs consecutive problems together, at most
-    `GROUP_SIZE` of them and `_BATCH_ROWS` rows a level, and no result
-    depends on where the batches end."""
+    `_BATCH_ROWS` rows a level, and no result depends on where the batches
+    end."""
 
     SHIFTS = (4.0, 0.0, 50.0, 4.0, 3.0, 5.0, 0.5, 4.0, 50.0)
 
@@ -1088,7 +1088,7 @@ class TestBatches:
         system = _line_system(self.SHIFTS)
         whole = list(run_subset_simulations(system, CFG, seeds))
         batches = self._recorded_batches(monkeypatch)
-        monkeypatch.setattr(engine, "GROUP_SIZE", 4)
+        monkeypatch.setattr(engine, "_BATCH_ROWS", 400)
         for a, b in zip(run_subset_simulations(system, CFG, seeds), whole, strict=True):
             _assert_same_result(a, b)
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8]]
@@ -1101,11 +1101,11 @@ class TestBatches:
         assert len(list(results)) == 12
         assert [len(b) for b in batches] == [5, 5, 2]
         assert [hi - lo for lo, hi in engine._batches([1000] * 20)] == [16, 4]
-        assert [hi - lo for lo, hi in engine._batches([100] * 70)] == [engine.GROUP_SIZE, 6]
+        assert list(engine._batches([100] * 400)) == [(0, 163), (163, 326), (326, 400)]
 
     def test_batches_mix_budgets(self, monkeypatch):
-        # batches close at GROUP_SIZE problems or before passing _BATCH_ROWS
-        # rows a level, whichever comes first, and may mix budgets
+        # batches close before passing _BATCH_ROWS rows a level, and may mix
+        # budgets
         budgets = (100, 200, 300, 100, 500, 100, 200, 700, 100)
         configs = [SubsetConfig(n, 0.1, max_levels=4) for n in budgets]
         seeds = range(30, 30 + len(budgets))
@@ -1116,7 +1116,6 @@ class TestBatches:
         ]
         assert len({res.diagnostics.levels_used for res in alone}) > 2
         batches = self._recorded_batches(monkeypatch)
-        monkeypatch.setattr(engine, "GROUP_SIZE", 3)
         monkeypatch.setattr(engine, "_BATCH_ROWS", 600)
         stream = run_subset_simulations(_line_system(self.SHIFTS), configs, seeds)
         for a, b in zip(stream, alone, strict=True):
@@ -1135,7 +1134,7 @@ class TestBatches:
             events.append(("evaluate", sorted(set(problems.tolist()))))
             return system.evaluate(x, problems)
 
-        monkeypatch.setattr(engine, "GROUP_SIZE", 2)
+        monkeypatch.setattr(engine, "_BATCH_ROWS", 200)
         recorded = replace(system, evaluate=evaluate)
         stream = run_subset_simulations(recorded, CFG, range(4))
         assert events == []
@@ -1149,7 +1148,7 @@ class TestBatches:
     def test_scenario_batches_change_no_record(self, monkeypatch):
         spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
         batched = simulate_scenario(spec, CFG, seed=19)
-        monkeypatch.setattr(engine, "GROUP_SIZE", 1)
+        monkeypatch.setattr(engine, "_BATCH_ROWS", 1)
         single = simulate_scenario(spec, CFG, seed=19)
         assert len(batched) == len(single) == 10
         for a, b in zip(batched, single):

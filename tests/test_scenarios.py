@@ -30,8 +30,6 @@ def _write_json(path, data):
 
 
 def _sigwrap(value, figures=4):
-    from decimal import Decimal
-
     return float(f"{value:.{figures - 1}e}")
 
 
