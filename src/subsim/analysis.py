@@ -94,9 +94,7 @@ def binomial_cov(p: float, n: float) -> float:
     return math.sqrt((1.0 - p) / (p * n))
 
 
-def freeze_phase(
-    spec: ScenarioSpec, at_time: float, seed: SeedLike
-) -> ConflictQuery:
+def freeze_phase(spec: ScenarioSpec, at_time: float, seed: SeedLike) -> ConflictQuery:
     """Run truth, measurements and the filter up to `at_time`, freeze the query.
 
     The steps, and the query's horizon (the scenario duration), are those of
@@ -108,9 +106,7 @@ def freeze_phase(
     k_stop = round(k_float)
     if abs(k_float - k_stop) > 1e-9 or not 1 <= k_stop <= spec.n_steps:
         raise ValueError(f"at_time={at_time} does not land on a simulation step")
-    for step in encounter_steps(spec, seed):
-        if step.k == k_stop:
-            return step.query(spec)
+    return next(step for step in encounter_steps(spec, seed) if step.k == k_stop).query(spec)
 
 
 def _cov_point(method: str, n: int, results: Sequence[PcResult]) -> CovPoint:

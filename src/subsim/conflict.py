@@ -4,8 +4,9 @@ Intruder states are sampled from the Kalman posterior and scored by their
 miss distance, the closest approach to the observer's intended
 constant-acceleration motion over the prediction horizon in continuous time
 (`dynamics.miss_distance_batch`), against the protected radius, the
-system's failure threshold.  `conflict_system` poses queries as engine
-problems, as `toy.toy_system` poses its disc.  Matched-budget Direct Monte
+system's failure threshold.  A query is the filter's arrays, which
+`conflict_system` checks and poses as engine problems, as `toy.toy_system`
+poses its disc.  Matched-budget Direct Monte
 Carlo (`pc_dmc`, the engine's level 0 run alone) and subset simulation
 (`pc_ss`) each run a list of queries as one system in one engine call and
 return the engine's summaries, `engine.PcResult`, as they are, and
@@ -19,7 +20,6 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ from .rng import Pools, SeedLike, children, pool, standard_normal
 from .scenarios import ScenarioSpec, initial_states
 from .tracking import (
     KalmanEstimate,
+    check_posteriors,
     initial_estimate,
     kf_step,
     simulate_measurement,
@@ -44,23 +45,16 @@ from .tracking import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConflictQuery:
-    """One estimation instant: observer intent, intruder belief, zone and horizon."""
+    """One estimation instant: the observer's state `observer` (6,), the intruder
+    posterior's `mean` (6,) and `cov` (6, 6), the zone's radius and the horizon."""
 
-    observer: AircraftState
-    intruder_estimate: KalmanEstimate
+    observer: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
     protected_radius: float = 152.4
     horizon: float = 20.0
-
-    def __post_init__(self):
-        for name in ("protected_radius", "horizon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.protected_radius <= 0:
-            raise ValueError(f"protected radius must be positive, got {self.protected_radius}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -96,19 +90,29 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
     continuous time) to the observer the response.
 
     The queries must share their protected radius, the system's failure
-    threshold; their horizons may differ.  The observer states and horizons
-    are stacked once, and the covariances factored in one stacked call, or
-    query by query with jitter.
+    threshold; their horizons may differ.  Their arrays are stacked and
+    checked once, before any draw: `check_posteriors`, finite observer
+    states, and a finite, positive radius and horizon.  The covariances are
+    factored in one stacked call, or query by query with jitter.
     """
     if not queries:
         raise ValueError("at least one query is required")
     radii = {q.protected_radius for q in queries}
     if len(radii) > 1:
         raise ValueError(f"queries of one system must share their protected radius: {sorted(radii)}")
-    observer = np.array([q.observer.as_array() for q in queries])
-    horizon = np.array([q.horizon for q in queries])
-    mean = np.array([q.intruder_estimate.mean.as_array() for q in queries])
-    covs = np.array([q.intruder_estimate.covariance for q in queries], dtype=np.float64)
+    radius = queries[0].protected_radius
+    observer = np.array([q.observer for q in queries], dtype=np.float64)
+    mean = np.array([q.mean for q in queries], dtype=np.float64)
+    covs = np.array([q.cov for q in queries], dtype=np.float64)
+    horizon = np.array([q.horizon for q in queries], dtype=np.float64)
+    check_posteriors(mean, covs)
+    if observer.shape != mean.shape or not np.isfinite(observer).all():
+        raise ValueError(f"observer states must be finite and (6,), got shape {observer.shape[1:]}")
+    if not 0 < radius < math.inf:  # false for NaN too
+        raise ValueError(f"protected_radius must be finite and positive, got {radius}")
+    bad = horizon[~((0 < horizon) & (horizon < math.inf))]
+    if bad.size:
+        raise ValueError(f"horizon must be finite and positive, got {bad[0]}")
     try:
         chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
@@ -121,7 +125,7 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
         # the states and the observers as its first two arguments
         return miss_distance_batch(states, observer, problems, horizon)[0]
 
-    return RareEventSystem(mean, chol, evaluate, threshold=queries[0].protected_radius)
+    return RareEventSystem(mean, chol, evaluate, threshold=radius)
 
 
 def pc_dmc(
@@ -155,12 +159,8 @@ def pc_ss(
 
 @dataclass(eq=False)
 class EncounterStep:
-    """True states after simulation step k and the filter's posterior at that step.
-
-    The posterior is the filter's arrays, `mean` (6,) and `cov` (6, 6); the
-    validated `estimate` is built from them on first use, by `query` or a
-    `StepRecord`, so steps that are never queried build none.
-    """
+    """True states after simulation step k and the filter's posterior at that
+    step, as the arrays `observer`, `intruder`, `mean` (6,) and `cov` (6, 6)."""
 
     k: int
     observer: np.ndarray
@@ -168,18 +168,9 @@ class EncounterStep:
     mean: np.ndarray
     cov: np.ndarray
 
-    @cached_property
-    def estimate(self) -> KalmanEstimate:
-        return KalmanEstimate(mean=AircraftState.from_array(self.mean), covariance=self.cov)
-
     def query(self, spec: ScenarioSpec) -> ConflictQuery:
         """The conflict query at this step; its horizon is the scenario duration."""
-        return ConflictQuery(
-            observer=AircraftState.from_array(self.observer),
-            intruder_estimate=self.estimate,
-            protected_radius=spec.protected_radius,
-            horizon=spec.duration,
-        )
+        return ConflictQuery(self.observer, self.mean, self.cov, spec.protected_radius, spec.duration)
 
 
 def _two_normals(root: Pools, *key: int) -> np.ndarray:
@@ -196,7 +187,7 @@ def encounter_steps(spec: ScenarioSpec, seed: SeedLike | Pools) -> Iterator[Enco
     sees the same steps.
     """
     root = pool(seed)
-    obs, intr = (state.as_array() for state in initial_states(spec))
+    obs, intr = initial_states(spec)
     mean, cov = initial_estimate(
         intr,
         spec.noise,
@@ -223,18 +214,28 @@ def encounter_steps(spec: ScenarioSpec, seed: SeedLike | Pools) -> Iterator[Enco
         yield EncounterStep(k=k, observer=obs, intruder=intr, mean=mean, cov=cov)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepRecord:
-    """One emitted row of the scenario time series."""
+    """One emitted row of the scenario time series, with the step's arrays:
+    the true `observer` and `intruder` states and the filter's `mean` and `cov`.
+
+    `observer_truth`, `intruder_truth` and `estimate` build the validated objects
+    on each read, so that callers can compare two records' states with `==`.
+    """
 
     step: int
     time: float
     pc_ss: PcResult
     pc_dmc: PcResult
     miss_true: float
-    observer_truth: AircraftState
-    intruder_truth: AircraftState
-    estimate: KalmanEstimate
+    observer: np.ndarray
+    intruder: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+
+    observer_truth = property(lambda self: AircraftState.from_array(self.observer))
+    intruder_truth = property(lambda self: AircraftState.from_array(self.intruder))
+    estimate = property(lambda self: KalmanEstimate(AircraftState.from_array(self.mean), self.cov))
 
 
 def _step_number(step) -> int:
@@ -277,23 +278,13 @@ def simulate_scenario(
     steps = [s for s in encounter_steps(spec, root) if wanted is None or s.k in wanted]
     if not steps:
         return []
-    queries = [step.query(spec) for step in steps]
-    system = conflict_system(queries)
+    system = conflict_system([step.query(spec) for step in steps])
     step_roots = children(root, np.array([step.k for step in steps]))
     ss_results = run_subset_simulations(system, ss_config, children(step_roots, 1))
     ss = list(map(operator.attrgetter("diagnostics"), ss_results))
     dmc = direct_monte_carlo(system, [res.samples_used for res in ss], children(step_roots, 2))
     miss_true = system.evaluate(np.array([step.intruder for step in steps]), np.arange(len(steps)))
     return [
-        StepRecord(
-            step=step.k,
-            time=step.k * spec.dt,
-            pc_ss=ss_res,
-            pc_dmc=dmc_res,
-            miss_true=miss,
-            observer_truth=query.observer,
-            intruder_truth=AircraftState.from_array(step.intruder),
-            estimate=step.estimate,
-        )
-        for step, query, ss_res, dmc_res, miss in zip(steps, queries, ss, dmc, miss_true.tolist())
+        StepRecord(s.k, s.k * spec.dt, ss_res, dmc_res, miss, s.observer, s.intruder, s.mean, s.cov)
+        for s, ss_res, dmc_res, miss in zip(steps, ss, dmc, miss_true.tolist())
     ]

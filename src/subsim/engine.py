@@ -476,6 +476,8 @@ def run_subset_simulations(
     Every input is checked before this returns.  The iterator returned runs
     the problems batch by batch (`_batches`) and yields the results in
     problem order, so a caller that keeps none holds one batch's arrays.
+    Once it is exhausted, one warning line counts the problems whose
+    threshold did not decrease at some level, and those levels, if any.
 
     The configs must share `level_probability`, and so the chain length
     1/p0.  Each level of a batch is one flat population whose rows run
@@ -507,14 +509,21 @@ def run_subset_simulations(
     _check_system(system, k_all)
 
     def stream():  # a generator expression's loop variable would pin a batch
+        stalls: list[int] = []  # each problem's stalled level count
         for lo, hi in _batches([c.n_samples for c in configs]):
-            yield from _run_batch(system, configs, roots, range(lo, hi))
+            yield from _run_batch(system, configs, roots, stalls, range(lo, hi))
+        if any(stalls):
+            logger.warning(
+                "intermediate threshold did not decrease in %d of %d problems, at %d levels "
+                "in all; chains may be stalling", np.count_nonzero(stalls), k_all, sum(stalls)
+            )
 
     return stream()
 
 
-def _run_batch(system, configs, roots, batch: range):
-    """The results of the problems in `batch`, run in lockstep, in order.
+def _run_batch(system, configs, roots, stalls: list[int], batch: range):
+    """The results of the problems in `batch`, run in lockstep, in order; each
+    one's stalled level count goes on `stalls`.
 
     Each level is one population whose rows run problem by problem, in draw
     order, over the problems still descending.  Per-problem arrays hold N,
@@ -547,6 +556,7 @@ def _run_batch(system, configs, roots, batch: range):
             for j in np.flatnonzero(stop).tolist():
                 k = int(active[j])
                 results[k] = _finish(blocks[k], thresholds[k], int(conflicts[j]), level, configs[k])
+                stalls.append(results[k].diagnostics.stalled_levels)
                 blocks[k] = None
             if stop.all():
                 break
@@ -582,14 +592,6 @@ def _run_batch(system, configs, roots, batch: range):
 
 def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
     """One problem's result once its descent has stopped at `level`."""
-    stalled = sum(b >= a for a, b in zip(thresholds, thresholds[1:]))
-    if stalled:
-        logger.warning(
-            "intermediate threshold did not decrease at %d of %d levels; "
-            "chains may be stalling",
-            stalled,
-            len(thresholds),
-        )
     diagnostics = PcResult(
         pc=estimate_probability(conflicts, level, config),
         conflict_count=conflicts,
@@ -597,7 +599,7 @@ def _finish(blocks, thresholds, conflicts, level, config) -> SubsetResult:
         samples_used=operator.index(config.n_samples) * (level + 1),
         floor_reached=conflicts == 0,
         thresholds=tuple(thresholds),
-        stalled_levels=stalled,
+        stalled_levels=sum(b >= a for a, b in zip(thresholds, thresholds[1:])),
     )
     return SubsetResult(diagnostics, blocks, config)
 

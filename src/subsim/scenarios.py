@@ -16,7 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .dynamics import AircraftState
+import numpy as np
+
 from .tracking import NoiseConfig
 
 KNOT = 1852.0 / 3600.0  # m/s per knot
@@ -132,8 +133,9 @@ def _velocity(speed: float, heading_deg: float) -> tuple[float, float]:
     return speed * math.cos(rad), speed * math.sin(rad)
 
 
-def initial_states(spec: ScenarioSpec) -> tuple[AircraftState, AircraftState]:
-    """(observer, intruder) initial states for the given geometry.
+def initial_states(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(observer, intruder) initial states [x, u, a_x, y, v, a_y], two (6,)
+    arrays, for the given geometry.
 
     The observer starts at the origin on its heading.  Head-on and overtaking
     intruders start at (L_o, L_a).  Converging intruders aim at the crossing
@@ -142,7 +144,7 @@ def initial_states(spec: ScenarioSpec) -> tuple[AircraftState, AircraftState]:
     equal speeds).
     """
     ou, ov = _velocity(spec.observer_speed, spec.observer_heading)
-    observer = AircraftState(x=0.0, u=ou, a_x=0.0, y=0.0, v=ov, a_y=0.0)
+    observer = np.array([0.0, ou, 0.0, 0.0, ov, 0.0])
     iu, iv = _velocity(spec.intruder_speed, spec.intruder_heading)
     if spec.kind is ScenarioKind.CONVERGING:
         heading = math.radians(spec.intruder_heading)
@@ -152,7 +154,7 @@ def initial_states(spec: ScenarioSpec) -> tuple[AircraftState, AircraftState]:
     else:
         ix = spec.longitudinal_separation
         iy = spec.lateral_separation
-    intruder = AircraftState(x=ix, u=iu, a_x=0.0, y=iy, v=iv, a_y=0.0)
+    intruder = np.array([ix, iu, 0.0, iy, iv, 0.0])
     return observer, intruder
 
 

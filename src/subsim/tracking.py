@@ -3,7 +3,7 @@
 The filter predicts every step through the constant-acceleration transition
 with white-noise-jerk process noise, and updates whenever a position
 measurement arrives.  It runs on arrays: (6,) states and means, (2,) measured
-positions and (6, 6) covariances; `KalmanEstimate` validates a (mean, cov).
+positions and (6, 6) covariances; `check_posteriors` checks (mean, cov).
 """
 
 from __future__ import annotations
@@ -36,22 +36,30 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class KalmanEstimate:
-    """State mean and 6x6 covariance; covariance kept symmetric by construction."""
+    """State mean and 6x6 covariance, put through `check_posteriors`."""
 
     mean: AircraftState
     covariance: np.ndarray
 
     def __post_init__(self):
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        if cov.shape != (6, 6):
-            raise ValueError(f"covariance must be 6x6, got {cov.shape}")
-        if not np.isfinite(cov).all():
-            raise ValueError("covariance must be finite")
-        # kf_step output is exactly symmetric; this test costs 1/7 of allclose
-        if (cov == cov.T).all():
-            return
-        if not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
+        check_posteriors(self.mean.as_array(), self.covariance)
+
+
+def check_posteriors(mean, cov) -> None:
+    """Raise ValueError unless `mean` is a finite (..., 6) array and `cov` a
+    finite (..., 6, 6) one whose matrices are symmetric to within
+    `np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12)`."""
+    mean, cov = np.asarray(mean, dtype=np.float64), np.asarray(cov, dtype=np.float64)
+    if mean.shape[-1:] != (6,) or cov.shape != mean.shape + (6,):
+        raise ValueError(f"means must be (..., 6) and covariances 6x6, got {mean.shape}, {cov.shape}")
+    if not np.isfinite(mean).all():
+        raise ValueError("mean must be finite")
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance must be finite")
+    cov_t = np.swapaxes(cov, -1, -2)
+    # kf_step output is exactly symmetric; this test costs 1/7 of allclose
+    if not (cov == cov_t).all() and not np.allclose(cov, cov_t, rtol=1e-9, atol=1e-12):
+        raise ValueError("covariance must be symmetric")
 
 
 def process_noise(dt: float, noise: NoiseConfig) -> np.ndarray:
@@ -110,12 +118,10 @@ def kf_step(
     """One predict step, plus an update when a measurement `z` is present.
 
     Takes and returns the state mean (6,) and covariance (6, 6) as arrays, so
-    a filter loop carries no validated objects between steps; wrap a result
-    in `KalmanEstimate` where it is queried or recorded.  `z` is the (2,)
+    a filter loop carries no objects between steps.  `z` is the (2,)
     measured position or None; a non-finite `z` raises ValueError at once.
-    The step still raises what that wrapper would: a non-finite mean, or a
-    covariance that is not finite or not symmetric (the `KalmanEstimate`
-    checks), is a ValueError here.
+    A result that fails `check_posteriors` (a non-finite mean, or a
+    covariance that is not finite or not symmetric) is a ValueError too.
 
     Raises numpy.linalg.LinAlgError if the innovation covariance is singular
     (degenerate measurement noise on a collapsed state); this is surfaced
@@ -137,11 +143,10 @@ def kf_step(
         cov = 0.5 * (cov + cov.T)
 
     # a finite mean and a finite, exactly symmetric covariance pass every
-    # check of the estimate; anything else is put through those checks,
-    # which raise on what they reject.  The sum is finite only if every entry
-    # is, and one that overflows only sends the step through the checks.
+    # check; anything else goes through the checks.  The sum is finite only
+    # if every entry is, and one that overflows only sends it through them.
     if not (math.isfinite(mean.sum() + cov.sum()) and (cov == cov.T).all()):
-        KalmanEstimate(mean=AircraftState.from_array(mean), covariance=cov)
+        check_posteriors(mean, cov)
     return mean, cov
 
 

@@ -244,7 +244,7 @@ def test_criterion_7_property_suites():
     samples = np.array([row.sample for row in table.rows])
     responses = np.array([row.response for row in table.rows])
     problem = np.zeros(len(samples), np.intp)
-    again, _ = miss_distance_batch(samples, q.observer.as_array()[None], problem, np.full(1, q.horizon))
+    again, _ = miss_distance_batch(samples, q.observer[None], problem, np.full(1, q.horizon))
     assert np.array_equal(again, responses)
     checks += 1
 

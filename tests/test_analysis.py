@@ -18,10 +18,10 @@ from subsim.analysis import (
     phase_p2,
 )
 from subsim.conflict import simulate_scenario
-from subsim.dynamics import AircraftState, transition_matrix
+from subsim.dynamics import transition_matrix
 from subsim.engine import SubsetConfig
 from subsim.scenarios import build_head_on, initial_states
-from subsim.tracking import KalmanEstimate, initial_estimate, kf_step, simulate_measurement
+from subsim.tracking import initial_estimate, kf_step, simulate_measurement
 
 
 class TestCoefficientOfVariation:
@@ -71,9 +71,8 @@ class TestFreezePhase:
         config = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=2)
         (record,) = simulate_scenario(spec, config, seed=9, estimate_steps=[k])
         assert record.step == k
-        assert q.observer == record.observer_truth
-        assert q.intruder_estimate.mean == record.estimate.mean
-        assert np.array_equal(q.intruder_estimate.covariance, record.estimate.covariance)
+        for a, b in ((q.observer, record.observer), (q.mean, record.mean), (q.cov, record.cov)):
+            assert np.array_equal(a, b)
         assert q.horizon == spec.duration
 
     def test_equals_reference_filter_loop(self):
@@ -83,9 +82,9 @@ class TestFreezePhase:
         k_stop, seed = 45, 6
         q = freeze_phase(spec, at_time=k_stop * spec.dt, seed=seed)
         root = _rng.derive(seed)
-        observer, intruder = initial_states(spec)
+        obs, intr = initial_states(spec)
         mean, cov = initial_estimate(
-            intruder.as_array(),
+            intr,
             spec.noise,
             generator(child(root, 0)).standard_normal(2),
             pos_std=spec.init_pos_std,
@@ -93,7 +92,6 @@ class TestFreezePhase:
             acc_std=spec.init_acc_std,
         )
         a = transition_matrix(spec.dt)
-        obs, intr = observer.as_array(), intruder.as_array()
         measured = []
         for k in range(1, k_stop + 1):
             obs, intr = a @ obs, a @ intr
@@ -104,31 +102,15 @@ class TestFreezePhase:
                 measured.append(k)
             mean, cov = kf_step(mean, cov, z, spec.dt, spec.noise)
         assert measured == [11, 21, 31, 41]
-        assert q.observer == AircraftState.from_array(obs)
-        assert q.intruder_estimate.mean == AircraftState.from_array(mean)
-        assert np.array_equal(q.intruder_estimate.covariance, cov)
-
-    def test_builds_one_estimate(self, monkeypatch):
-        # the filter runs on arrays; only the frozen step's posterior is
-        # wrapped in a validated estimate
-        built = []
-
-        class Counting(KalmanEstimate):
-            def __post_init__(self):
-                built.append(self)
-                super().__post_init__()
-
-        monkeypatch.setattr(conflict, "KalmanEstimate", Counting)
-        q = freeze_phase(build_head_on(152.4), at_time=2.0, seed=1)
-        assert len(built) == 1 and built[0] is q.intruder_estimate
+        for a, b in ((q.observer, obs), (q.mean, mean), (q.cov, cov)):
+            assert np.array_equal(a, b)
 
     def test_deterministic(self):
         spec = build_head_on(152.4)
         q1 = freeze_phase(spec, at_time=1.0, seed=4)
         q2 = freeze_phase(spec, at_time=1.0, seed=4)
-        assert q1.observer == q2.observer
-        assert q1.intruder_estimate.mean == q2.intruder_estimate.mean
-        assert np.array_equal(q1.intruder_estimate.covariance, q2.intruder_estimate.covariance)
+        for a, b in ((q1.observer, q2.observer), (q1.mean, q2.mean), (q1.cov, q2.cov)):
+            assert np.array_equal(a, b)
 
     def test_horizon_is_scenario_duration(self):
         q = phase_p2(seed=5)
@@ -136,12 +118,12 @@ class TestFreezePhase:
 
     def test_p1_phase_is_borderline(self):
         q = phase_p1(seed=5)
-        assert q.observer.x == pytest.approx(77.17, abs=0.05)
-        assert q.intruder_estimate.mean.y == pytest.approx(152.4, abs=2.0)
+        assert q.observer[0] == pytest.approx(77.17, abs=0.05)
+        assert q.mean[3] == pytest.approx(152.4, abs=2.0)
 
     def test_covariance_is_psd(self):
         q = phase_p2(seed=5)
-        assert np.min(np.linalg.eigvalsh(q.intruder_estimate.covariance)) >= -1e-12
+        assert np.min(np.linalg.eigvalsh(q.cov)) >= -1e-12
 
 
 class TestCovStudy:

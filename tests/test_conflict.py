@@ -38,16 +38,12 @@ from subsim.tracking import KalmanEstimate
 CFG = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=7)
 
 
+OBSERVER = np.array([0.0, 77.17, 0.0, 0.0, 0.0, 0.0])
+
+
 def _query(intruder_mean, cov_scale=1.0, horizon=20.0, radius=152.4):
     cov = np.diag([4.0, 2.0, 0.3, 4.0, 2.0, 0.3]) * cov_scale
-    return ConflictQuery(
-        observer=AircraftState(0.0, 77.17, 0.0, 0.0, 0.0, 0.0),
-        intruder_estimate=KalmanEstimate(
-            mean=AircraftState(*intruder_mean), covariance=cov
-        ),
-        protected_radius=radius,
-        horizon=horizon,
-    )
+    return ConflictQuery(OBSERVER, np.array(intruder_mean), cov, radius, horizon)
 
 
 def _ss_result(q, config, seed):
@@ -70,24 +66,14 @@ class TestPcDmc:
 
     def test_indefinite_covariance_rejected(self):
         cov = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
-        q = ConflictQuery(
-            observer=AircraftState(0, 77, 0, 0, 0, 0),
-            intruder_estimate=KalmanEstimate(
-                mean=AircraftState(*HEAD_ON_COLLISION), covariance=cov
-            ),
-        )
+        q = ConflictQuery(OBSERVER, np.array(HEAD_ON_COLLISION), cov)
         with pytest.raises(np.linalg.LinAlgError):
             pc_dmc([q], [10], [1])
 
     def test_singular_covariance_gets_jitter(self):
         cov = np.zeros((6, 6))
         cov[0, 0] = 1.0  # rank deficient but PSD
-        q = ConflictQuery(
-            observer=AircraftState(0, 77, 0, 0, 0, 0),
-            intruder_estimate=KalmanEstimate(
-                mean=AircraftState(*HEAD_ON_COLLISION), covariance=cov
-            ),
-        )
+        q = ConflictQuery(OBSERVER, np.array(HEAD_ON_COLLISION), cov)
         (res,) = pc_dmc([q], [50], [1])
         assert 0.0 <= res.pc <= 1.0
 
@@ -99,13 +85,6 @@ class TestPcDmc:
         est = pc_dmc([q], [n], [4])[0].pc
         se = math.sqrt(ref * (1 - ref) / n)
         assert abs(est - ref) <= 3 * se
-
-
-def _miss(q, states):
-    """The kernel's miss of each state against query `q`'s observer."""
-    states = np.atleast_2d(states)
-    observers, problem = q.observer.as_array()[None], np.zeros(len(states), np.intp)
-    return miss_distance_batch(states, observers, problem, np.full(1, q.horizon))[0]
 
 
 class TestPcSs:
@@ -149,9 +128,8 @@ class TestPcSs:
     def test_shrinking_radius_never_increases_conflicts(self):
         q = _query(HEAD_ON_OFFSET, cov_scale=4.0)
         gen = generator(_rng.derive(33))
-        chol = np.linalg.cholesky(q.intruder_estimate.covariance)
-        states = q.intruder_estimate.mean.as_array() + gen.standard_normal((2000, 6)) @ chol.T
-        miss = _miss(q, states)
+        states = q.mean + gen.standard_normal((2000, 6)) @ np.linalg.cholesky(q.cov).T
+        miss = conflict_system([q]).evaluate(states, np.zeros(len(states), np.intp))
         full = np.count_nonzero(miss <= q.protected_radius)
         halved = np.count_nonzero(miss <= q.protected_radius / 2)
         assert halved <= full
@@ -221,10 +199,8 @@ class TestPcSsBatch:
         # factors the group query by query, with one warning per jittered query
         singular = np.zeros((6, 6))
         singular[0, 0] = 1.0
-        jittered = ConflictQuery(
-            observer=AircraftState(-30.0, 70.0, 0.4, 12.0, -3.0, -0.2),
-            intruder_estimate=KalmanEstimate(mean=AircraftState(*RECEDING), covariance=singular),
-        )
+        observer = np.array([-30.0, 70.0, 0.4, 12.0, -3.0, -0.2])
+        jittered = ConflictQuery(observer, np.array(RECEDING), singular)
         z = generator(_rng.derive(70)).standard_normal((50, 6))
         for queries, warnings in ((self.QUERIES, 0), (self.QUERIES + (jittered,), 1)):
             caplog.clear()
@@ -389,46 +365,85 @@ class TestSimulateScenario:
         generator(child(_rng.derive(21), 0))  # the reference stream builds both
         assert built == ["SeedSequence", "Generator"]
 
-    def test_encounter_builds_only_the_initial_states(self, monkeypatch):
-        # the filter and its measurements run on arrays: the two states of
-        # initial_states are the only AircraftStates, however many steps
-        # are measured
+    def test_encounter_builds_no_objects(self, monkeypatch):
+        # arrays from the filter to the conflict system: however many steps
+        # are measured, no step, series or frozen phase builds a state or an
+        # estimate; a record builds its estimate when it is read
         built = []
-        check = AircraftState.__post_init__
+        for cls in (AircraftState, KalmanEstimate):
 
-        def counting(state):
-            built.append(state)
-            check(state)
+            def post_init(obj, check=cls.__post_init__):
+                built.append(type(obj))
+                check(obj)
 
-        monkeypatch.setattr(AircraftState, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__post_init__", post_init)
         for duration in (1.0, 4.0):
-            built.clear()
             spec = build_head_on(152.4, 2000.0, duration=duration, sample_rate=10.0)
             assert len(list(conflict.encounter_steps(spec, 5))) == spec.n_steps
-            assert len(built) == 2
+            records = simulate_scenario(spec, CFG, seed=5)
+            freeze_phase(spec, at_time=duration, seed=5)
+        assert len(records) == 40 and built == []
+        estimate = records[-1].estimate
+        assert built == [AircraftState, KalmanEstimate]
+        assert estimate.mean == AircraftState.from_array(records[-1].mean)
+        assert estimate.covariance is records[-1].cov
 
-    def test_step_builds_its_estimate_once(self):
-        spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
-        step = next(conflict.encounter_steps(spec, 5))
-        assert step.query(spec).intruder_estimate is step.estimate is step.estimate
-        assert step.estimate.mean == AircraftState.from_array(step.mean)
-        assert step.estimate.covariance is step.cov
+
+def _eye_with(i, j, value):
+    cov = np.eye(6)
+    cov[i, j] = value
+    return cov
 
 
 class TestQueryValidation:
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError):
-            _query(HEAD_ON_COLLISION, horizon=-1.0)
+    """What a query's arrays and numbers must be, checked over the stacked
+    queries by `conflict_system`, and so by `pc_dmc`, before any draw."""
 
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            _query(HEAD_ON_COLLISION, radius=0.0)
+    @staticmethod
+    def _assert_rejected(monkeypatch, match, q):
+        draws = []
+        monkeypatch.setattr(_rng, "standard_normal", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match=match):
+            conflict_system([q])
+        with pytest.raises(ValueError, match=match):
+            pc_dmc([q, q], [10, 10], [1, 2])
+        assert draws == []
+
+    def test_rejects_bad_horizon(self, monkeypatch):
+        for value in (-1.0, 0.0):
+            q = _query(HEAD_ON_COLLISION, horizon=value)
+            self._assert_rejected(monkeypatch, "horizon must be finite and positive", q)
+
+    def test_rejects_bad_radius(self, monkeypatch):
+        for value in (-1.0, 0.0):
+            q = _query(HEAD_ON_COLLISION, radius=value)
+            self._assert_rejected(monkeypatch, "protected_radius must be finite and positive", q)
 
     @pytest.mark.parametrize("kwarg, name", [("radius", "protected_radius"), ("horizon", "horizon")])
-    def test_rejects_non_finite_values(self, kwarg, name):
+    def test_rejects_non_finite_values(self, monkeypatch, kwarg, name):
         for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                _query(HEAD_ON_COLLISION, **{kwarg: value})
+            q = _query(HEAD_ON_COLLISION, **{kwarg: value})
+            self._assert_rejected(monkeypatch, f"{name} must be finite", q)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            # Cholesky would read the lower triangle only
+            ("cov", _eye_with(0, 1, 0.5), "covariance must be symmetric"),
+            # np.linalg.cholesky factors a NaN covariance without an error
+            ("cov", _eye_with(2, 2, math.nan), "covariance must be finite"),
+            ("cov", _eye_with(3, 3, math.inf), "covariance must be finite"),
+            ("mean", np.array([2e3, -77.17, math.nan, 0.0, 0.0, 0.0]), "mean must be finite"),
+            ("mean", np.zeros(5), r"means must be \(\.\.\., 6\)"),
+            ("observer", np.array([0.0, 77.17, 0.0, -math.inf, 0.0, 0.0]), "observer states"),
+            ("observer", np.zeros(5), r"observer states must be finite and \(6,\)"),
+        ],
+        ids=["asymmetric-cov", "nan-cov", "inf-cov", "nan-mean", "short-mean", "inf-observer",
+             "short-observer"],
+    )
+    def test_rejects_bad_arrays(self, monkeypatch, field, value, match):
+        q = dataclasses.replace(_query(HEAD_ON_COLLISION), **{field: value})
+        self._assert_rejected(monkeypatch, match, q)
 
 
 def _alone_system(queries):

@@ -487,7 +487,19 @@ class TestRunSubsetSimulation:
         assert result.diagnostics.stalled_levels == 4
         lines = [m for m in caplog.messages if "did not decrease" in m]
         assert len(lines) == 1
-        assert "at 4 of 5 levels" in lines[0]
+        assert "in 1 of 1 problems, at 4 levels in all" in lines[0]
+
+    def test_stalls_reported_once_per_call(self, caplog, monkeypatch):
+        # three stalled problems in two batches: one line naming all three,
+        # logged once the results are exhausted
+        monkeypatch.setattr(engine, "_BATCH_ROWS", 200)
+        system, cfg = _gaussian_system(_flat, 0.0, k=3), SubsetConfig(100, 0.1, 6)
+        with caplog.at_level("WARNING", logger="subsim.engine"):
+            stream = run_subset_simulations(system, cfg, [1, 2, 3])
+            assert next(stream).diagnostics.stalled_levels == 4 and not caplog.messages
+            assert [r.diagnostics.stalled_levels for r in stream] == [4, 4]
+        assert len(caplog.messages) == 1
+        assert "did not decrease in 3 of 3 problems, at 12 levels in all" in caplog.messages[0]
 
     def test_no_stall_no_warning(self, caplog):
         system = _line_system(shift=4.0, threshold=0.0)

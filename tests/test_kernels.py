@@ -47,9 +47,8 @@ def _assert_near_scan(states, observer=OBSERVER, horizon=200.0, problem=None, ra
 
 def _draws(q, n, key):
     """n draws of the intruder posterior of query `q`, from stream `key`."""
-    chol = _cholesky_with_jitter(q.intruder_estimate.covariance)
     z = generator(_rng.derive(key)).standard_normal((n, 6))
-    return q.intruder_estimate.mean.as_array() + z @ chol.T
+    return q.mean + z @ _cholesky_with_jitter(q.cov).T
 
 
 def _phase(name):
@@ -128,9 +127,9 @@ class TestKernelShapes:
         # equals one-row calls, bit for bit
         q = phase_p2(seed=2)
         states = _draws(q, 64, 5)
-        whole = _miss(states, q.observer.as_array(), q.horizon)
+        whole = _miss(states, q.observer, q.horizon)
         for i in range(len(states)):
-            one = _miss(states[i], q.observer.as_array(), q.horizon)
+            one = _miss(states[i], q.observer, q.horizon)
             assert (one[0][0], one[1][0]) == (whole[0][i], whole[1][i])
 
     def test_input_validation(self):
@@ -152,7 +151,7 @@ class TestClosedForm:
         q = _phase(phase)
         # p2's 200 s horizon is 400,001 dense points a row
         states = _draws(q, 150 if phase == "p2" else 600, 17)
-        observer = q.observer.as_array()
+        observer = q.observer
         miss, _ = _assert_near_scan(states, observer, q.horizon)
         # and never above the 20 Hz grid minimum either
         grid, _ = dense.miss_distance_scan(states, observer, q.horizon, 20.0)
@@ -165,8 +164,8 @@ class TestClosedForm:
         q = phase_p2(seed=2)
         states = _draws(q, 300, 18)
         order = generator(_rng.derive(19)).permutation(300)
-        whole = _miss(states, q.observer.as_array(), q.horizon)
-        shuffled = _miss(states[order], q.observer.as_array(), q.horizon)
+        whole = _miss(states, q.observer, q.horizon)
+        shuffled = _miss(states[order], q.observer, q.horizon)
         assert np.array_equal(whole[0][order], shuffled[0])
         assert np.array_equal(whole[1][order], shuffled[1])
 
@@ -308,7 +307,7 @@ class TestBound:
         # two disagree lie within the scan's gap of the bound
         q = _phase(phase)
         states = _draws(q, 150 if phase == "p2" else 1000, 21)
-        observer = q.observer.as_array()
+        observer = q.observer
         miss, _ = _miss(states, observer, q.horizon)
         grid, _ = dense.miss_distance_scan(states, observer, q.horizon, DENSE_RATE)
         rounding, gap = dense.scan_tolerance(states, observer, q.horizon, DENSE_RATE)
@@ -322,7 +321,7 @@ class TestBound:
         # each observer's own call, and each row lies near its dense scan
         q = phase_p2(seed=2)
         states = _draws(q, 90, 23)
-        observers = q.observer.as_array() + np.array([[0.0] * 6, [50.0, 1.0, 0, 0, 0, 0], [0, 0, 0, -80.0, 0, 0.01]])
+        observers = q.observer + np.array([[0.0] * 6, [50.0, 1.0, 0, 0, 0, 0], [0, 0, 0, -80.0, 0, 0.01]])
         horizons = np.array([200.0, 20.0, 60.0])
         problem = np.arange(90) % 3
         miss, tca = miss_distance_batch(states, observers, problem, horizons)
@@ -339,7 +338,7 @@ class TestBound:
         # radius and stay within rounding of it, so no candidate switch
         # makes the miss jump there
         q = phase_p2(seed=2)
-        observer = q.observer.as_array()
+        observer = q.observer
         bound = q.protected_radius
 
         def miss(state):
@@ -390,10 +389,10 @@ class TestBound:
         # no floating-point warning escapes (the suite makes one an error)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            miss, _ = _miss(states, q.observer.as_array(), q.horizon)
+            miss, _ = _miss(states, q.observer, q.horizon)
         assert np.isnan(miss[[1, 3, 4]]).all()
         for i in (0, 2, 5):
-            assert miss[i] == _miss(states[i], q.observer.as_array(), q.horizon)[0][0]
+            assert miss[i] == _miss(states[i], q.observer, q.horizon)[0][0]
 
     def test_short_track_stays_exact(self):
         # a 0.1 s horizon: the CPA is clipped to it

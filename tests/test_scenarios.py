@@ -35,9 +35,7 @@ def _sigwrap(value, figures=4):
 
 def _true_min_separation(spec):
     obs, intr = initial_states(spec)
-    miss, tca = miss_distance_batch(
-        intr.as_array()[None], obs.as_array()[None], np.zeros(1, np.intp), np.full(1, spec.duration)
-    )
+    miss, tca = miss_distance_batch(intr[None], obs[None], np.zeros(1, np.intp), np.full(1, spec.duration))
     return float(miss[0]), float(tca[0])
 
 
@@ -53,10 +51,8 @@ class TestHeadOn:
     def test_benchmark_initial_states(self):
         spec = build_head_on(1000.0, 2000.0)
         obs, intr = initial_states(spec)
-        assert obs.as_array() == pytest.approx([0.0, 77.17, 0.0, 0.0, 0.0, 0.0], abs=5e-3)
-        assert intr.as_array() == pytest.approx(
-            [2000.0, -77.17, 0.0, 1000.0, 0.0, 0.0], abs=5e-3
-        )
+        assert obs == pytest.approx([0.0, 77.17, 0.0, 0.0, 0.0, 0.0], abs=5e-3)
+        assert intr == pytest.approx([2000.0, -77.17, 0.0, 1000.0, 0.0, 0.0], abs=5e-3)
 
     def test_defaults(self):
         spec = build_head_on(0.0)
@@ -81,7 +77,7 @@ class TestHeadOn:
         closing = 2 * knots_to_mps(150.0)
         t_entry = (2000.0 - 152.4) / closing
         assert t_entry == pytest.approx(11.97, abs=0.05)
-        sep = abs((intr.x + intr.u * t_entry) - (obs.x + obs.u * t_entry))
+        sep = abs((intr[0] + intr[1] * t_entry) - (obs[0] + obs[1] * t_entry))
         assert sep == pytest.approx(152.4, abs=1e-6)
 
     def test_wide_offset_never_conflicts(self):
@@ -117,9 +113,7 @@ class TestOvertaking:
     def test_conflict_window_matches_closed_form(self):
         spec = build_overtaking(100.0, 1000.0)
         obs, intr = initial_states(spec)
-        obs_xy, intr_xy = track_positions(
-            [obs.as_array(), intr.as_array()], spec.sample_rate, spec.duration
-        )
+        obs_xy, intr_xy = track_positions([obs, intr], spec.sample_rate, spec.duration)
         d = np.hypot(intr_xy[:, 0] - obs_xy[:, 0], intr_xy[:, 1] - obs_xy[:, 1])
         inside = np.nonzero(d <= spec.protected_radius)[0]
         dv = knots_to_mps(150.0)
@@ -144,9 +138,9 @@ class TestConverging:
     def test_wide_angle_approaches_head_on(self):
         spec = build_converging(angle=179.9, lateral_separation=0.0)
         obs, intr = initial_states(spec)
-        assert intr.u == pytest.approx(-knots_to_mps(150.0), rel=1e-4)
-        assert abs(intr.v) < 0.3
-        assert intr.x == pytest.approx(2 * 1200.0, rel=1e-3)
+        assert intr[1] == pytest.approx(-knots_to_mps(150.0), rel=1e-4)
+        assert abs(intr[4]) < 0.3
+        assert intr[0] == pytest.approx(2 * 1200.0, rel=1e-3)
 
     def test_degenerate_angle_rejected(self):
         with pytest.raises(ValueError):

@@ -121,10 +121,9 @@ class TestKfStep:
 
     def test_zero_noise_exact_tracking(self):
         quiet = NoiseConfig(sigma_x=0.0, sigma_y=0.0, sigma_ax2=0.0, sigma_ay2=0.0)
-        truth = AircraftState(10.0, 3.0, 0.1, -5.0, -2.0, 0.05)
-        mean, cov = truth.as_array(), np.zeros((6, 6))
+        state = np.array([10.0, 3.0, 0.1, -5.0, -2.0, 0.05])
+        mean, cov = state, np.zeros((6, 6))
         a = transition_matrix(0.1)
-        state = truth.as_array()
         for _ in range(50):
             state = a @ state
             mean, cov = kf_step(mean, cov, None, 0.1, quiet)
