@@ -10,7 +10,7 @@ intruder, with a matched-budget Direct Monte Carlo baseline.
 __version__ = "0.5.0"
 
 from .conflict import ConflictQuery, pc_dmc, pc_ss, simulate_scenario
-from .dynamics import AircraftState, transition_matrix
+from .dynamics import transition_matrix
 from .engine import (
     CcdfRow,
     CcdfTable,
@@ -24,17 +24,15 @@ from .engine import (
 )
 from .scenarios import ScenarioKind, ScenarioSpec, build_converging, build_head_on, build_overtaking
 from .toy import CircleRegion, Point2, dmc_estimate, oracle_probability, ss_toy
-from .tracking import KalmanEstimate, NoiseConfig, kf_step, process_noise
+from .tracking import NoiseConfig, kf_step, process_noise
 
 __all__ = [
     "__version__",
-    "AircraftState",
     "CcdfRow",
     "CcdfTable",
     "CircleRegion",
     "ConflictQuery",
     "IntervalVariant",
-    "KalmanEstimate",
     "NoiseConfig",
     "PcResult",
     "Point2",

@@ -20,11 +20,12 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import AircraftState, miss_distance_batch, transition_matrix
+from .dynamics import miss_distance_batch, transition_matrix
 from .engine import (
     PcResult,
     RareEventSystem,
@@ -35,7 +36,6 @@ from .engine import (
 from .rng import Pools, SeedLike, children, pool, standard_normal
 from .scenarios import ScenarioSpec, initial_states
 from .tracking import (
-    KalmanEstimate,
     check_posteriors,
     initial_estimate,
     kf_step,
@@ -97,22 +97,23 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
     """
     if not queries:
         raise ValueError("at least one query is required")
-    radii = {q.protected_radius for q in queries}
-    if len(radii) > 1:
-        raise ValueError(f"queries of one system must share their protected radius: {sorted(radii)}")
-    radius = queries[0].protected_radius
     observer = np.array([q.observer for q in queries], dtype=np.float64)
     mean = np.array([q.mean for q in queries], dtype=np.float64)
     covs = np.array([q.cov for q in queries], dtype=np.float64)
+    radii = np.array([q.protected_radius for q in queries], dtype=np.float64)
     horizon = np.array([q.horizon for q in queries], dtype=np.float64)
     check_posteriors(mean, covs)
     if observer.shape != mean.shape or not np.isfinite(observer).all():
         raise ValueError(f"observer states must be finite and (6,), got shape {observer.shape[1:]}")
-    if not 0 < radius < math.inf:  # false for NaN too
-        raise ValueError(f"protected_radius must be finite and positive, got {radius}")
-    bad = horizon[~((0 < horizon) & (horizon < math.inf))]
-    if bad.size:
-        raise ValueError(f"horizon must be finite and positive, got {bad[0]}")
+    # radii are checked before they are compared, which two NaNs never equal
+    for name, values in (("protected_radius", radii), ("horizon", horizon)):
+        bad = values[~((0 < values) & (values < math.inf))]
+        if bad.size:
+            raise ValueError(f"{name} must be finite and positive, got {bad[0]}")
+    radius = float(radii[0])
+    if (radii != radius).any():
+        shared = sorted(set(radii.tolist()))
+        raise ValueError(f"queries of one system must share their protected radius: {shared}")
     try:
         chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
@@ -219,8 +220,9 @@ class StepRecord:
     """One emitted row of the scenario time series, with the step's arrays:
     the true `observer` and `intruder` states and the filter's `mean` and `cov`.
 
-    `observer_truth`, `intruder_truth` and `estimate` build the validated objects
-    on each read, so that callers can compare two records' states with `==`.
+    The views `observer_truth`, `intruder_truth` (six-float tuples) and
+    `estimate` (`mean` such a tuple, `covariance` the array) exist for the
+    `headon` benchmark's `==` check and go with it (ROADMAP item 6).
     """
 
     step: int
@@ -233,9 +235,9 @@ class StepRecord:
     mean: np.ndarray
     cov: np.ndarray
 
-    observer_truth = property(lambda self: AircraftState.from_array(self.observer))
-    intruder_truth = property(lambda self: AircraftState.from_array(self.intruder))
-    estimate = property(lambda self: KalmanEstimate(AircraftState.from_array(self.mean), self.cov))
+    observer_truth = property(lambda self: tuple(self.observer.tolist()))
+    intruder_truth = property(lambda self: tuple(self.intruder.tolist()))
+    estimate = property(lambda self: SimpleNamespace(mean=tuple(self.mean.tolist()), covariance=self.cov))
 
 
 def _step_number(step) -> int:

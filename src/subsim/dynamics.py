@@ -1,7 +1,7 @@
 """Nearly-constant-acceleration point-mass kinematics in 2D Cartesian space.
 
-State ordering is [x, u, a_x, y, v, a_y]: position, velocity and acceleration
-per axis, SI units throughout.
+A state is a (6,) array [x, u, a_x, y, v, a_y]: position, velocity and
+acceleration per axis, SI units throughout; every module uses this layout.
 
 `miss_distance_batch` scores intruder states by their miss distance to an
 observer.  Both follow constant-acceleration motion, so their relative
@@ -27,42 +27,7 @@ rows beside it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class AircraftState:
-    """Kinematic state [x, u, a_x, y, v, a_y] in meters / seconds."""
-
-    x: float
-    u: float
-    a_x: float
-    y: float
-    v: float
-    a_y: float
-
-    def __post_init__(self):
-        # float() takes a 1-element array on NumPy < 2.4, so non-scalars are
-        # rejected by ndim; plain floats skip that (slower) check.
-        try:
-            finite = all(
-                (type(c) is float or np.ndim(c) == 0) and math.isfinite(float(c))
-                for c in (self.x, self.u, self.a_x, self.y, self.v, self.a_y)
-            )
-        except TypeError:  # None, sequences
-            finite = False
-        if not finite:
-            raise ValueError(f"state components must be finite: {self}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.u, self.a_x, self.y, self.v, self.a_y], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, a) -> "AircraftState":
-        return cls(*np.asarray(a, dtype=np.float64).reshape(6).tolist())
 
 
 def transition_matrix(dt: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import AircraftState, transition_matrix
+from .dynamics import transition_matrix
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,6 @@ class NoiseConfig:
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # false for NaN too
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-
-
-@dataclass(frozen=True)
-class KalmanEstimate:
-    """State mean and 6x6 covariance, put through `check_posteriors`."""
-
-    mean: AircraftState
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        check_posteriors(self.mean.as_array(), self.covariance)
 
 
 def check_posteriors(mean, cov) -> None:
@@ -118,8 +107,8 @@ def kf_step(
     """One predict step, plus an update when a measurement `z` is present.
 
     Takes and returns the state mean (6,) and covariance (6, 6) as arrays, so
-    a filter loop carries no objects between steps.  `z` is the (2,)
-    measured position or None; a non-finite `z` raises ValueError at once.
+    a filter loop carries no objects between steps.  `z` is the finite (2,)
+    measured position or None; any other `z` raises ValueError at once.
     A result that fails `check_posteriors` (a non-finite mean, or a
     covariance that is not finite or not symmetric) is a ValueError too.
 
@@ -127,8 +116,9 @@ def kf_step(
     (degenerate measurement noise on a collapsed state); this is surfaced
     rather than silently regularized.
     """
-    if z is not None and not np.isfinite(z).all():
-        raise ValueError(f"measurement must be finite: {z}")
+    # a scalar or (1,) z would broadcast onto both position residuals
+    if z is not None and (np.shape(z) != (2,) or not np.isfinite(z).all()):
+        raise ValueError(f"measurement must be finite and of shape (2,), got {z!r}")
     a, q, h, r, eye = _filter_model(dt, noise)
     mean = a @ mean
     cov = a @ np.asarray(cov) @ a.T + q

@@ -25,7 +25,7 @@ from subsim.conflict import (
     simulate_scenario,
 )
 from subsim.analysis import CovStudyConfig, cov_study, freeze_phase, phase_p2
-from subsim.dynamics import AircraftState, miss_distance_batch
+from subsim.dynamics import miss_distance_batch
 from subsim.engine import (
     SubsetConfig,
     conditional_chains,
@@ -33,7 +33,6 @@ from subsim.engine import (
     run_subset_simulations,
 )
 from subsim.scenarios import build_head_on
-from subsim.tracking import KalmanEstimate
 
 CFG = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=7)
 
@@ -365,29 +364,6 @@ class TestSimulateScenario:
         generator(child(_rng.derive(21), 0))  # the reference stream builds both
         assert built == ["SeedSequence", "Generator"]
 
-    def test_encounter_builds_no_objects(self, monkeypatch):
-        # arrays from the filter to the conflict system: however many steps
-        # are measured, no step, series or frozen phase builds a state or an
-        # estimate; a record builds its estimate when it is read
-        built = []
-        for cls in (AircraftState, KalmanEstimate):
-
-            def post_init(obj, check=cls.__post_init__):
-                built.append(type(obj))
-                check(obj)
-
-            monkeypatch.setattr(cls, "__post_init__", post_init)
-        for duration in (1.0, 4.0):
-            spec = build_head_on(152.4, 2000.0, duration=duration, sample_rate=10.0)
-            assert len(list(conflict.encounter_steps(spec, 5))) == spec.n_steps
-            records = simulate_scenario(spec, CFG, seed=5)
-            freeze_phase(spec, at_time=duration, seed=5)
-        assert len(records) == 40 and built == []
-        estimate = records[-1].estimate
-        assert built == [AircraftState, KalmanEstimate]
-        assert estimate.mean == AircraftState.from_array(records[-1].mean)
-        assert estimate.covariance is records[-1].cov
-
 
 def _eye_with(i, j, value):
     cov = np.eye(6)
@@ -400,13 +376,14 @@ class TestQueryValidation:
     queries by `conflict_system`, and so by `pc_dmc`, before any draw."""
 
     @staticmethod
-    def _assert_rejected(monkeypatch, match, q):
+    def _assert_rejected(monkeypatch, match, q, other=None):
+        """`q` alone, and `q` with `other` (or with itself), raise before any draw."""
         draws = []
         monkeypatch.setattr(_rng, "standard_normal", lambda *args: draws.append(args))
         with pytest.raises(ValueError, match=match):
             conflict_system([q])
         with pytest.raises(ValueError, match=match):
-            pc_dmc([q, q], [10, 10], [1, 2])
+            pc_dmc([q, q if other is None else other], [10, 10], [1, 2])
         assert draws == []
 
     def test_rejects_bad_horizon(self, monkeypatch):
@@ -418,6 +395,11 @@ class TestQueryValidation:
         for value in (-1.0, 0.0):
             q = _query(HEAD_ON_COLLISION, radius=value)
             self._assert_rejected(monkeypatch, "protected_radius must be finite and positive", q)
+        # two NaN radii never compare equal, and are still reported as
+        # non-finite, not as two radii
+        q, other = (_query(HEAD_ON_COLLISION, radius=float("nan")) for _ in range(2))
+        assert q.protected_radius is not other.protected_radius
+        self._assert_rejected(monkeypatch, "protected_radius must be finite and positive", q, other)
 
     @pytest.mark.parametrize("kwarg, name", [("radius", "protected_radius"), ("horizon", "horizon")])
     def test_rejects_non_finite_values(self, monkeypatch, kwarg, name):

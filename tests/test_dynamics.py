@@ -5,7 +5,7 @@ import pytest
 
 import dense
 from dense import track_positions
-from subsim.dynamics import AircraftState, miss_distance_batch, transition_matrix
+from subsim.dynamics import miss_distance_batch, transition_matrix
 
 
 class TestTransitionMatrix:
@@ -30,56 +30,56 @@ class TestTransitionMatrix:
 
 def _track(state, f, t):
     """The (t*f + 1, 2) track of one state."""
-    return track_positions(state.as_array()[None], f, t)[0]
+    return track_positions(state[None], f, t)[0]
 
 
 class TestTrackPositions:
     def test_rest_state_is_fixed_point(self):
-        initial = AircraftState(5.0, 0.0, 0.0, -2.0, 0.0, 0.0)
+        initial = np.array([5.0, 0.0, 0.0, -2.0, 0.0, 0.0])
         track = _track(initial, f=10, t=2)
         assert track.shape == (21, 2)
         assert np.all(track == [5.0, -2.0])
 
     def test_constant_velocity_displacement(self):
-        initial = AircraftState(100.0, 77.2, 0.0, 0.0, 0.0, 0.0)
+        initial = np.array([100.0, 77.2, 0.0, 0.0, 0.0, 0.0])
         track = _track(initial, f=20, t=20)
         assert len(track) == 401
         assert track[-1, 0] == pytest.approx(100.0 + 77.2 * 20.0, rel=1e-12)
 
     def test_constant_acceleration_displacement(self):
-        initial = AircraftState(0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        initial = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         track = _track(initial, f=20, t=20)
         # exact flow: x(t) = a t^2 / 2
         assert track[-1, 0] == pytest.approx(200.0, rel=1e-12)
 
     def test_matches_repeated_matrix_application(self):
-        initial = AircraftState(1.0, 2.0, 0.3, -4.0, 5.0, -0.6)
+        initial = np.array([1.0, 2.0, 0.3, -4.0, 5.0, -0.6])
         track = _track(initial, f=4, t=3)
         a = transition_matrix(0.25)
-        state = initial.as_array()
+        state = initial
         for k in range(1, len(track)):
             state = a @ state
             assert np.allclose(track[k], state[[0, 3]], rtol=1e-12, atol=1e-12)
 
     def test_rejects_non_integral_step_count(self):
         with pytest.raises(ValueError):
-            _track(AircraftState(0, 0, 0, 0, 0, 0), f=3, t=0.5)
+            _track(np.zeros(6), f=3, t=0.5)
 
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(ValueError):
-            _track(AircraftState(0, 0, 0, 0, 0, 0), f=0, t=1)
+            _track(np.zeros(6), f=0, t=1)
         with pytest.raises(ValueError):
-            _track(AircraftState(0, 0, 0, 0, 0, 0), f=10, t=-1)
+            _track(np.zeros(6), f=10, t=-1)
 
 
 def _straight(x0, y0, u, v):
-    return AircraftState(x0, u, 0.0, y0, v, 0.0)
+    return np.array([x0, u, 0.0, y0, v, 0.0])
 
 
 def _approach(observer, intruder, t=20):
     """(miss, time of closest approach) of the intruder to the observer over [0, t]."""
     miss, tca = miss_distance_batch(
-        intruder.as_array()[None], observer.as_array()[None], np.zeros(1, np.intp), np.full(1, t)
+        intruder[None], observer[None], np.zeros(1, np.intp), np.full(1, t)
     )
     return float(miss[0]), float(tca[0])
 
@@ -111,25 +111,25 @@ class TestClosestApproach:
     def test_never_exceeds_initial_separation(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
-            o = AircraftState(*(rng.normal(size=6) * [100, 10, 0.5, 100, 10, 0.5]))
-            i = AircraftState(*(rng.normal(size=6) * [100, 10, 0.5, 100, 10, 0.5]))
-            d0 = np.hypot(i.x - o.x, i.y - o.y)
+            o = rng.normal(size=6) * [100, 10, 0.5, 100, 10, 0.5]
+            i = rng.normal(size=6) * [100, 10, 0.5, 100, 10, 0.5]
+            d0 = np.hypot(i[0] - o[0], i[3] - o[3])
             assert _approach(o, i, 5)[0] <= d0 + 1e-12
 
     def test_grid_refinement_bound(self):
         # grid minima at 10 and 20 Hz lie above the continuous miss, by at
         # most half a step of relative motion
-        o = AircraftState(0.0, 60.0, 0.0, 0.0, 5.0, 0.0)
-        i = AircraftState(1500.0, -70.0, 0.0, 200.0, -8.0, 0.0)
+        o = np.array([0.0, 60.0, 0.0, 0.0, 5.0, 0.0])
+        i = np.array([1500.0, -70.0, 0.0, 200.0, -8.0, 0.0])
         miss, _ = _approach(o, i, 10)
         v_rel = np.hypot(60 - (-70.0), 5 - (-8.0))
         for f in (10.0, 20.0):
-            grid, _ = dense.miss_distance_scan(i.as_array(), o.as_array(), 10.0, f)
+            grid, _ = dense.miss_distance_scan(i, o, 10.0, f)
             assert 0.0 <= grid[0] - miss <= v_rel * 0.5 / f
 
     def test_rejects_mismatched_steps(self):
         # one horizon per observer
-        obs = _straight(0, 0, 1, 0).as_array()[None]
+        obs = _straight(0, 0, 1, 0)[None]
         with pytest.raises(ValueError, match="horizon"):
             miss_distance_batch(np.zeros((1, 6)), obs, np.zeros(1, np.intp), [2.0, 4.0])
 
@@ -137,57 +137,5 @@ class TestClosestApproach:
         obs = _straight(0.0, 0.0, 60.0, 2.0)
         intr = _straight(900.0, 50.0, -60.0, -2.0)
         miss, t = _approach(obs, intr)
-        dx, dy = ((transition_matrix(t) @ (intr.as_array() - obs.as_array())))[[0, 3]]
+        dx, dy = ((transition_matrix(t) @ (intr - obs)))[[0, 3]]
         assert np.sqrt(dx * dx + dy * dy) == pytest.approx(miss, rel=1e-12)
-
-
-class TestStateValidation:
-    @pytest.mark.parametrize(
-        "value, finite",
-        [
-            (1.5, True),
-            (-3, True),
-            (0, True),
-            (True, True),
-            (np.float64(2.5), True),
-            (np.float32(-1.0), True),
-            (np.int64(7), True),
-            (np.array(4.0), True),
-            ("1.0", True),
-            (np.inf, False),
-            (-np.inf, False),
-            (np.nan, False),
-            (np.float32("inf"), False),
-            (np.float64("nan"), False),
-            (1e309, False),
-            (None, False),
-            ([1.0], False),
-            (np.array([1.0]), False),
-        ],
-    )
-    def test_accepts_exactly_finite_reals_in_every_field(self, value, finite):
-        for i in range(6):
-            fields = [0.0] * 6
-            fields[i] = value
-            if finite:
-                AircraftState(*fields)
-            else:
-                with pytest.raises(ValueError):
-                    AircraftState(*fields)
-
-    def test_from_array_gives_python_floats(self):
-        s = AircraftState.from_array(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int32))
-        assert s == AircraftState(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-        assert all(type(c) is float for c in (s.x, s.u, s.a_x, s.y, s.v, s.a_y))
-        with pytest.raises(ValueError):
-            AircraftState.from_array([0.0, 1.0, np.nan, 0.0, 0.0, 0.0])
-
-
-class TestStateRoundTrip:
-    def test_state_round_trip(self):
-        s = AircraftState(1, 2, 3, 4, 5, 6)
-        assert AircraftState.from_array(s.as_array()) == s
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            AircraftState(np.nan, 0, 0, 0, 0, 0)

@@ -5,11 +5,11 @@ import pytest
 
 from streams import generator
 from subsim import rng as _rng
-from subsim.dynamics import AircraftState, transition_matrix
+from subsim.dynamics import transition_matrix
 from subsim.tracking import (
-    KalmanEstimate,
     NoiseConfig,
     _filter_model,
+    check_posteriors,
     initial_estimate,
     kf_step,
     process_noise,
@@ -96,6 +96,14 @@ class TestMeasurement:
             with pytest.raises(ValueError, match="measurement must be finite"):
                 kf_step(mean, cov, np.array(z), 0.05, NOISE)
 
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 2)], ids=["scalar", "1", "3", "2x2"])
+    def test_rejects_misshapen(self, shape):
+        # rejected before any arithmetic: a scalar or (1,) z would broadcast
+        # onto both position residuals
+        mean, cov = _prior()
+        with pytest.raises(ValueError, match=r"measurement must be finite and of shape \(2,\)"):
+            kf_step(mean, cov, np.ones(shape), 0.05, NOISE)
+
 
 class TestKfStep:
     def test_huge_measurement_noise_is_pure_prediction(self):
@@ -157,7 +165,7 @@ class TestKfStep:
         cov = np.eye(6)
         cov[0, 1] = 0.5
         with pytest.raises(ValueError):
-            KalmanEstimate(mean=AircraftState(0, 0, 0, 0, 0, 0), covariance=cov)
+            check_posteriors(np.zeros(6), cov)
 
     def test_symmetry_check_is_allclose(self):
         # the check accepts exactly the finite covariances that
@@ -165,7 +173,6 @@ class TestKfStep:
         # its tolerance; a non-finite entry is rejected even where allclose
         # would pass it (inf against inf)
         rng = np.random.default_rng(12)
-        mean = AircraftState(0, 0, 0, 0, 0, 0)
         offsets = [0.0, 5e-13, 1e-12, 3e-12, 1e-9, 2e-9, np.inf, -np.inf, np.nan]
         seen = set()
         for _ in range(2000):
@@ -177,7 +184,7 @@ class TestKfStep:
                 a[j, i] = a[i, j]
             expected = np.isfinite(a).all() and np.allclose(a, a.T, rtol=1e-9, atol=1e-12)
             try:
-                KalmanEstimate(mean=mean, covariance=a)
+                check_posteriors(np.zeros(6), a)
                 accepted = True
             except ValueError:
                 accepted = False
@@ -191,7 +198,7 @@ class TestKfStep:
         cov = np.eye(6)
         cov[0, 0] = value
         with pytest.raises(ValueError, match="finite"):
-            KalmanEstimate(mean=AircraftState(0, 0, 0, 0, 0, 0), covariance=cov)
+            check_posteriors(np.zeros(6), cov)
 
     def test_overflowing_step_rejected(self):
         # a covariance near the float limit overflows to an exactly symmetric
