@@ -7,7 +7,8 @@ constant-acceleration motion over the prediction horizon in continuous time
 system's failure threshold.  A query is the filter's arrays, which
 `conflict_system` checks and poses as engine problems, as `toy.toy_system`
 poses its disc.  Matched-budget Direct Monte
-Carlo (`pc_dmc`, the engine's level 0 run alone) and subset simulation
+Carlo (`pc_dmc`, the engine's level 0 run alone, counted through
+`_counting`) and subset simulation
 (`pc_ss`) each run a list of queries as one system in one engine call and
 return the engine's summaries, `engine.PcResult`, as they are, and
 `simulate_scenario` runs both across a full encounter while the filter
@@ -16,8 +17,11 @@ tracks the (noisy-measured) intruder, on one system of every estimated step.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -100,8 +104,8 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
     observer = np.array([q.observer for q in queries], dtype=np.float64)
     mean = np.array([q.mean for q in queries], dtype=np.float64)
     covs = np.array([q.cov for q in queries], dtype=np.float64)
-    radii = np.array([q.protected_radius for q in queries], dtype=np.float64)
-    horizon = np.array([q.horizon for q in queries], dtype=np.float64)
+    radii = _real_field(queries, "protected_radius")
+    horizon = _real_field(queries, "horizon")
     check_posteriors(mean, covs)
     if observer.shape != mean.shape or not np.isfinite(observer).all():
         raise ValueError(f"observer states must be finite and (6,), got shape {observer.shape[1:]}")
@@ -120,13 +124,33 @@ def conflict_system(queries: Sequence[ConflictQuery]) -> RareEventSystem:
         # query by query, so each jittered factor logs its own warning
         chol = np.array([_cholesky_with_jitter(cov) for cov in covs])
 
-    def evaluate(states: np.ndarray, problems: np.ndarray) -> np.ndarray:
+    def evaluate(states: np.ndarray, problems: np.ndarray, bound=None) -> np.ndarray:
         # read from the module at every call, so a wrapper set on
         # `subsim.conflict.miss_distance_batch` sees each kernel call, with
         # the states and the observers as its first two arguments
-        return miss_distance_batch(states, observer, problems, horizon)[0]
+        return miss_distance_batch(states, observer, problems, horizon, bound)[0]
 
     return RareEventSystem(mean, chol, evaluate, threshold=radius)
+
+
+def _real_field(queries: Sequence[ConflictQuery], name: str) -> np.ndarray:
+    """Field `name` of every query as a float64 array.  A value that is not
+    a real number raises ValueError: NumPy would parse a numeric string."""
+    values = [getattr(q, name) for q in queries]
+    for value in values:
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+    return np.array(values, dtype=np.float64)
+
+
+def _counting(system: RareEventSystem) -> RareEventSystem:
+    """`system` for Direct Monte Carlo, which only counts the responses at
+    or below its threshold: the kernel gets the threshold as its `bound`,
+    so the draws that a lower bound places beyond it skip the root solve
+    and the counts are those of `system` itself."""
+    return dataclasses.replace(
+        system, evaluate=functools.partial(system.evaluate, bound=system.threshold)
+    )
 
 
 def pc_dmc(
@@ -135,7 +159,7 @@ def pc_dmc(
     """Direct Monte Carlo: per query k, the fraction of `ns[k]` posterior
     draws from `seeds[k]`, those of `pc_ss`'s level 0, that conflict.  One
     engine call; result k equals query k's own one-query call exactly."""
-    return direct_monte_carlo(conflict_system(queries), ns, seeds)
+    return direct_monte_carlo(_counting(conflict_system(queries)), ns, seeds)
 
 
 def pc_ss(
@@ -200,15 +224,16 @@ def encounter_steps(spec: ScenarioSpec, seed: SeedLike | Pools) -> Iterator[Enco
     )
     dt, noise, stride = spec.dt, spec.noise, spec.measurement_stride
     a = transition_matrix(dt)
-    counter = 0
+    # steps stride + 1, 2 stride + 1, ... are measured: every measured
+    # step's stream is derived and drawn in one call, row j - 1 being the
+    # two normals of step j stride + 1
+    measured = np.arange(stride + 1, spec.n_steps + 1, stride)
+    w = standard_normal(children(root, measured, 0), [1] * len(measured), (2,))
     for k in range(1, spec.n_steps + 1):
         obs = a @ obs
         intr = a @ intr
-        z = None
-        if counter == stride:
-            z = simulate_measurement(intr, noise, _two_normals(root, k, 0))
-            counter = 0
-        counter += 1
+        j, off = divmod(k - 1, stride)
+        z = None if off or not j else simulate_measurement(intr, noise, w[j - 1])
         # read from the module at every step, so a wrapper set on
         # `subsim.conflict.kf_step` sees each filter step
         mean, cov = kf_step(mean, cov, z, dt, noise)
@@ -284,7 +309,9 @@ def simulate_scenario(
     step_roots = children(root, np.array([step.k for step in steps]))
     ss_results = run_subset_simulations(system, ss_config, children(step_roots, 1))
     ss = list(map(operator.attrgetter("diagnostics"), ss_results))
-    dmc = direct_monte_carlo(system, [res.samples_used for res in ss], children(step_roots, 2))
+    dmc = direct_monte_carlo(
+        _counting(system), [res.samples_used for res in ss], children(step_roots, 2)
+    )
     miss_true = system.evaluate(np.array([step.intruder for step in steps]), np.arange(len(steps)))
     return [
         StepRecord(s.k, s.k * spec.dt, ss_res, dmc_res, miss, s.observer, s.intruder, s.mean, s.cov)

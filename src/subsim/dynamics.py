@@ -27,6 +27,9 @@ rows beside it.
 
 from __future__ import annotations
 
+import numbers
+from typing import Optional
+
 import numpy as np
 
 
@@ -128,7 +131,11 @@ def _critical_points(dots, out=None):
 
 
 def miss_distance_batch(
-    states: np.ndarray, observers: np.ndarray, problem: np.ndarray, horizons: np.ndarray
+    states: np.ndarray,
+    observers: np.ndarray,
+    problem: np.ndarray,
+    horizons: np.ndarray,
+    bound: Optional[float] = None,
 ):
     """Closest approach of each state to its observer over [0, its horizon].
 
@@ -143,7 +150,17 @@ def miss_distance_batch(
     non-finite state gives a non-finite miss and no floating-point warning;
     the caller decides what that means.  A row whose miss is NaN has no
     closest candidate, and its tca is the last candidate's time.
+
+    `bound`, a real number >= 0, is for callers that only compare the miss
+    with it, such as a Direct Monte Carlo count.  A row whose lower bound
+    (`_lower_bound`) clears it skips the root solve: its miss is that lower
+    bound, finite and above `bound` though possibly below the true miss,
+    and its tca is NaN.  So `miss <= bound` holds for exactly the rows for
+    which it holds without `bound`, and every row that does not clear it is
+    bit for bit the row computed without `bound`.
     """
+    if bound is not None and not (isinstance(bound, numbers.Real) and bound >= 0):
+        raise ValueError(f"bound must be a real number >= 0, got {bound!r}")
     states = np.asarray(states, dtype=np.float64)
     observers = np.asarray(observers, dtype=np.float64)
     problem = np.asarray(problem)
@@ -170,18 +187,93 @@ def miss_distance_batch(
     with np.errstate(all="ignore"):
         for lo in range(0, n, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n)
-            miss[lo:hi], tca[lo:hi] = _closest_approach(
-                states[lo:hi], observers, problem[lo:hi], horizon[lo:hi]
+            # relative coefficients q0, q1, q2 per axis, rows contiguous
+            h, rows = horizon[lo:hi], slice(lo, hi)
+            q = np.subtract(
+                states[rows].T, observers.T.take(problem[rows], axis=1), out=np.empty((6, hi - lo))
             )
+            q[2::3] *= 0.5
+            if bound is not None:
+                low = _lower_bound(q, h)
+                clear = low > _clear_threshold(float(bound), q, h)
+                clear &= low < np.inf
+                if clear.any():
+                    np.sqrt(low, out=miss[rows])
+                    tca[rows] = np.nan
+                    keep = np.flatnonzero(~clear)
+                    q, h, rows = q.take(keep, axis=1), h.take(keep), keep + lo
+            miss[rows], tca[rows] = _closest_approach(q, h)
     return miss, tca
 
 
-def _closest_approach(s, observer, problem, horizon):
-    """(miss, tca) of one block of rows; see `miss_distance_batch`."""
-    n = len(s)
-    # relative coefficients q0, q1, q2 per axis, rows contiguous
-    q = np.subtract(s.T, observer.T.take(problem, axis=1), out=np.empty((6, n)))
-    q[2::3] *= 0.5
+def _lower_bound(q, horizon):
+    """A lower bound on the squared miss of each row of coefficients `q`
+    (6, n) over [0, `horizon`], (n,), without the rounding allowance that
+    `_clear_threshold` adds.
+
+    Per axis, p(t) = c0 + c1 t + c2 t^2 is, with s = t / H, the Bernstein
+    polynomial b0 (1 - s)^2 + 2 b1 s (1 - s) + b2 s^2 with b0 = c0,
+    b1 = c0 + c1 H / 2 and b2 = p(H).  Its basis is non-negative and sums to
+    1 on [0, 1], so p(t) lies in [lo, hi], the smallest and largest b, and
+    |p(t)| >= d = max(lo, -hi, 0) at every t in [0, H].  The miss |q(t)| is
+    then at least the hypotenuse of the two axes' d.  This hull needs no
+    division; on Direct Monte Carlo draws at phase p2 and over the head-on
+    encounter it clears the same rows as the exact range of each axis from
+    its ends and its clipped vertex.
+    """
+    c0, c1, c2 = q[0::3], q[1::3], q[2::3]  # (2, n) each: the x and y axes
+    half = c1 * (0.5 * horizon)
+    b1 = np.add(c0, half)
+    b2 = c2 * (horizon * horizon)
+    b2 += half
+    b2 += b1
+    lo = np.minimum(c0, b1, out=half)
+    np.minimum(lo, b2, out=lo)
+    hi = np.maximum(c0, b1, out=b1)
+    np.maximum(hi, b2, out=hi)
+    np.negative(hi, out=hi)
+    d = np.maximum(lo, hi, out=lo)
+    np.maximum(d, 0.0, out=d)
+    d *= d
+    return np.add(d[0], d[1], out=b2[0])
+
+
+def _clear_threshold(bound, q, horizon):
+    """The squared lower bound (`_lower_bound`) above which a row of the
+    block `q`, `horizon` has a miss above `bound` on the exact path too.
+
+    Rounding allowance.  The bound and `_closest_approach` read the same
+    coefficients, so only their evaluation can differ.  Let u = 2^-53, H
+    the block's largest horizon and M = |c0| + |c1| H + |c2| H^2 for an
+    axis.  Each computed b is within g M of its exact value,
+    g = 4u / (1 - 4u), and so is the value that Horner's rule, as the exact
+    path uses it, gives at any t in [0, H] (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, eq. 5.3).  So the exact path's value of
+    the axis at each of its candidate times is at least d - 2g M in
+    magnitude, d the computed axis bound.  The allowance E = 16u A
+    (1 + H + H^2), A the block's largest |coefficient|, is at least 2g M
+    with a factor of two to spare for its own rounding.  Taking E off both
+    axes' d lowers their hypotenuse by at most sqrt(2) E, so a row whose
+    squared bound exceeds (bound (1 + 2^-41) + 1.5 E)^2 has an exact-path
+    miss above `bound`: the relative rounding left, of the squares, sums
+    and square roots on both paths and of this threshold, is below 10u,
+    far below 2^-41, and the square root of its bound is above `bound`
+    too.  Underflow can only keep a row from clearing, and a block holding
+    a non-finite coefficient gets an infinite or NaN threshold, which no
+    row clears.
+    """
+    size = max(float(q.max()), -float(q.min()))
+    reach = float(horizon.max())
+    allowance = 2.0**-49 * size * ((reach + 1.0) * reach + 1.0)
+    # a product, not a power, which would raise on overflow
+    root = bound * (1.0 + 2.0**-41) + 1.5 * allowance
+    return root * root
+
+
+def _closest_approach(q, horizon):
+    """(miss, tca) of one block of rows of coefficients `q` (6, n); see
+    `miss_distance_batch`."""
+    n = q.shape[1]
     dots = _dots(q)
     t = np.empty((3, n))
     _critical_points(dots, out=t[:2])

@@ -141,7 +141,10 @@ class RareEventSystem:
     problems[i] (0..K-1).  Every response is exact: each level selects its
     threshold and seeds from them, `direct_monte_carlo` counts those at or
     below `threshold` and `conditional_chains` those at or below each
-    chain's threshold.  A row's response must not depend on the rows beside
+    chain's threshold.  A system passed to `direct_monte_carlo` alone, such
+    as the conflict system's counting view (`conflict._counting`), may give
+    any finite value above `threshold` in place of an exact response above
+    it, since only the count is read.  A row's response must not depend on the rows beside
     it, so that each problem's result equals its own one-problem run.  The samples it receives may be a
     view of a buffer that the engine overwrites later, so it copies any it
     keeps.  The conflict system's response is

@@ -24,7 +24,7 @@ from subsim.conflict import (
     encounter_steps,
     simulate_scenario,
 )
-from subsim.analysis import CovStudyConfig, cov_study, freeze_phase, phase_p2
+from subsim.analysis import CovStudyConfig, cov_study, freeze_phase, phase_p1, phase_p2
 from subsim.dynamics import miss_distance_batch
 from subsim.engine import (
     SubsetConfig,
@@ -32,7 +32,7 @@ from subsim.engine import (
     direct_monte_carlo,
     run_subset_simulations,
 )
-from subsim.scenarios import build_head_on
+from subsim.scenarios import build_converging, build_head_on, build_overtaking
 
 CFG = SubsetConfig(n_samples=100, level_probability=0.1, max_levels=7)
 
@@ -335,6 +335,31 @@ class TestSimulateScenario:
         simulate_scenario(spec, CFG, seed=21, estimate_steps=[4])
         assert len(calls) == spec.n_steps
 
+    @pytest.mark.parametrize("rate", [20.0, 2.0, 1.0])
+    def test_measured_steps_draw_their_own_streams(self, monkeypatch, rate):
+        # steps stride + 1, 2 stride + 1, ... are measured, each with the two
+        # normals of its stream child(root, k, 0), drawn for all steps at once
+        spec = build_head_on(152.4, 2000.0, duration=3.0, sample_rate=20.0, measurement_rate=rate)
+        drawn = []
+        measure = conflict.simulate_measurement
+
+        def recording(truth, noise, w):
+            drawn.append(np.array(w))
+            return measure(truth, noise, w)
+
+        monkeypatch.setattr(conflict, "simulate_measurement", recording)
+        steps = list(encounter_steps(spec, 21))
+        stride, counter, expected = spec.measurement_stride, 0, []
+        for k in range(1, spec.n_steps + 1):  # the filter loop's measurement rule
+            if counter == stride:
+                expected.append(k)
+                counter = 0
+            counter += 1
+        assert len(steps) == spec.n_steps and len(drawn) == len(expected) > 0
+        root = _rng.pool(21)
+        for k, w in zip(expected, drawn):
+            assert np.array_equal(w, conflict._two_normals(root, k, 0))
+
     def test_estimates_build_no_seed_sequence(self, monkeypatch):
         # every stream of the filter, the engine, the step groups and the
         # study is a pool: no keyed SeedSequence and no generator is built
@@ -426,6 +451,18 @@ class TestQueryValidation:
     def test_rejects_bad_arrays(self, monkeypatch, field, value, match):
         q = dataclasses.replace(_query(HEAD_ON_COLLISION), **{field: value})
         self._assert_rejected(monkeypatch, match, q)
+
+    @pytest.mark.parametrize("kwarg, name", [("radius", "protected_radius"), ("horizon", "horizon")])
+    def test_rejects_non_real_values(self, monkeypatch, kwarg, name):
+        # NumPy parses a numeric string as a number; a query must not
+        for value in ("20", "152.4", None, 1j, [20.0]):
+            q = _query(HEAD_ON_COLLISION, **{kwarg: value})
+            self._assert_rejected(monkeypatch, f"{name} must be a real number", q)
+
+    def test_numeric_string_horizon_rejected(self):
+        q = ConflictQuery(np.zeros(6), np.array([2000.0, -77, 0, 0, 0, 0]), np.eye(6), 152.4, "20")
+        with pytest.raises(ValueError, match="horizon must be a real number"):
+            pc_dmc([q], [100], [1])
 
 
 def _alone_system(queries):
@@ -538,5 +575,75 @@ class TestQueryGroupSystem:
         # a ValueError, not a floating-point warning (which the suite makes an error)
         with pytest.raises(ValueError, match="non-finite"):
             direct_monte_carlo(bad, [100] * len(mean), seeds)
+        with pytest.raises(ValueError, match="non-finite"):
+            direct_monte_carlo(conflict._counting(bad), [100] * len(mean), seeds)
         with pytest.raises(ValueError, match="level 0 produced non-finite"):
             list(run_subset_simulations(bad, CFG, seeds))
+
+
+def _geometry_queries(name):
+    """The queries of one geometry: a frozen phase, or every step of a
+    400-step encounter."""
+    if name == "p1":
+        return [phase_p1(seed=1)]
+    if name == "p2":
+        return [phase_p2(seed=2)]
+    spec = {
+        "head-on": build_head_on(0.0, 2000.0),
+        "converging": build_converging(500.0),
+        "overtaking": build_overtaking(0.0),
+    }[name]
+    return [step.query(spec) for step in encounter_steps(spec, 5)]
+
+
+class TestCountingView:
+    """Direct Monte Carlo reads its counts through `conflict._counting`,
+    whose kernel calls skip the root solve of the draws that a lower bound
+    places beyond the protected radius."""
+
+    @pytest.mark.parametrize("geometry", ["p1", "p2", "head-on", "converging", "overtaking"])
+    def test_counts_equal_the_exact_counts(self, geometry, monkeypatch):
+        # 10^6 draws per geometry: the counts, and so every PcResult, equal
+        # those of the system without the bound
+        queries = _geometry_queries(geometry)
+        system = conflict_system(queries)
+        k = len(queries)
+        ns = [1_000_000 // k] * k
+        seeds = _rng.children(_rng.pool(70), np.arange(k))
+        exact = direct_monte_carlo(system, ns, seeds)
+        settled = []
+        kernel = conflict.miss_distance_batch
+
+        def recording(*args):
+            miss, tca = kernel(*args)
+            settled.append((np.isnan(tca).sum(), len(tca), args[4]))
+            return miss, tca
+
+        monkeypatch.setattr(conflict, "miss_distance_batch", recording)
+        counted = direct_monte_carlo(conflict._counting(system), ns, seeds)
+        assert counted == exact
+        assert all(bound == system.threshold for _, _, bound in settled)
+        # the bound is used: a good share of the draws skip the root solve
+        assert sum(s for s, _, _ in settled) > 0.1 * sum(n for _, n, _ in settled)
+        if geometry != "p2":
+            assert 0 < sum(r.conflict_count for r in exact) < sum(ns)
+
+    def test_pc_dmc_and_scenario_use_the_view(self, monkeypatch):
+        bounds = []
+        kernel = conflict.miss_distance_batch
+
+        def recording(*args):
+            bounds.append(args[4])
+            return kernel(*args)
+
+        monkeypatch.setattr(conflict, "miss_distance_batch", recording)
+        q = phase_p2(seed=2)
+        pc_dmc([q], [1000], [3])
+        assert bounds == [q.protected_radius]
+        bounds.clear()
+        spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
+        simulate_scenario(spec, CFG, seed=21)
+        # level 0, the chains and the true states read exact misses; DMC
+        # counts through the bound, in its one call
+        assert bounds.count(spec.protected_radius) == 1
+        assert set(bounds) == {None, spec.protected_radius}

@@ -405,6 +405,133 @@ class TestBound:
             miss_distance_batch(np.zeros((3, 6)), OBSERVER[None], np.zeros(3, np.intp), np.zeros(2))
 
 
+def _with_and_without(states, bound, observer=OBSERVER, horizon=200.0):
+    """The kernel on `states` with and without `bound`: the rows that clear
+    it have a NaN tca and a miss above it, and every other row is bit for
+    bit its exact row; returns (exact miss, cleared mask)."""
+    states = np.atleast_2d(states)
+    problem = np.zeros(len(states), np.intp)
+    args = (states, observer[None], problem, np.array([horizon]))
+    miss, tca = miss_distance_batch(*args)
+    fast, fast_tca = miss_distance_batch(*args, bound)
+    cleared = np.isnan(fast_tca)
+    assert np.array_equal(fast <= bound, miss <= bound)
+    assert np.all(fast[cleared] > bound) and np.isfinite(fast[cleared]).all()
+    assert np.array_equal(fast[~cleared], miss[~cleared])
+    assert np.array_equal(fast_tca[~cleared], tca[~cleared])
+    return miss, cleared
+
+
+def _straddling(make, bound, lo, hi):
+    """The parameters c around the last bisection step of the kernel's miss
+    of `make(c)` across `bound`, from lo (at or inside) to hi (outside),
+    three ulps either side of it, and their rows."""
+    def miss(c):
+        return _miss(make(c))[0][0]
+
+    assert miss(lo) <= bound < miss(hi)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if miss(mid) <= bound else (lo, mid)
+    cs = []
+    for c in (lo, hi):
+        for k in range(-3, 4):
+            ck = c
+            for _ in range(abs(k)):
+                ck = np.nextafter(ck, np.sign(k) * np.inf)
+            cs.append(ck)
+    return np.array([make(c) for c in cs])
+
+
+class TestCountingBound:
+    """`miss_distance_batch(..., bound)`: a row cleared by the lower bound
+    is above the bound, and the count of rows at or below it never changes."""
+
+    BOUND = 152.4
+
+    @pytest.mark.parametrize("phase", ["p1", "p2", "head-on"])
+    def test_posterior_draws(self, phase):
+        # at head-on's 10 s every draw is on a collision course
+        q = _phase(phase)
+        states = _draws(q, 40_000, 27)
+        for bound in (q.protected_radius, 10.0 * q.protected_radius, 0.0):
+            miss, cleared = _with_and_without(states, bound, q.observer, q.horizon)
+            if bound == q.protected_radius:
+                assert cleared.any() == (phase != "head-on")
+                assert (miss <= bound).any()
+
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_minimum_at_an_end_bisected_onto_the_bound(self, end):
+        # a lateral offset c at the closest end of a straight pass along y,
+        # where the hull bound equals the miss: the rows either side of the
+        # last ulp of the bisection keep their exact counts
+        def make(c):
+            if end == "start":  # receding: closest at t = 0
+                rel = [0.0, 0.0, 0.0, c, 3.0, 0.0]
+            else:  # closing and stopping short: closest at t = H
+                rel = [0.0, 0.0, 0.0, c + 600.0, -3.0, 0.0]
+            return OBSERVER + rel
+
+        rows = _straddling(make, self.BOUND, 100.0, 200.0)
+        miss, _ = _with_and_without(rows, self.BOUND)
+        assert (miss <= self.BOUND).any() and (miss > self.BOUND).any()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
+    def test_crossing_rows_and_large_coordinates(self, scale):
+        # x runs from +scale / 4 through zero to -3 scale / 4 over the
+        # horizon, so its start value is the largest of its hull's; y passes
+        # c abeam: the miss is c, at up to 1e9 m coordinates
+        def make(c):
+            speed = scale / 200.0
+            return OBSERVER + [0.25 * scale, -speed, 0.0, c, 0.0, 0.0]
+
+        rows = _straddling(make, self.BOUND, 0.0, 400.0)
+        # and far from the origin, where the kernel's rounding is largest
+        far = rows + [1e9, 0.0, 0.0, -1e9, 0.0, 0.0]
+        observer = OBSERVER + [1e9, 0.0, 0.0, -1e9, 0.0, 0.0]
+        _with_and_without(rows, self.BOUND)
+        _with_and_without(far, self.BOUND, observer)
+
+    def test_start_above_and_hull_below_zero(self):
+        # an axis that starts positive and whose other hull points are
+        # negative crosses zero: its bound is 0, never -max(b1, b2)
+        rows = OBSERVER + np.array([
+            [300.0, -50.0, 0.0, 0.0, 0.0, 0.0],
+            [-300.0, 50.0, 0.0, 0.0, 0.0, 0.0],
+            [300.0, 0.0, -0.1, 0.0, 0.0, 0.0],
+            [-300.0, 0.0, 0.1, 0.0, 0.0, 0.0],
+        ])
+        miss, cleared = _with_and_without(rows, self.BOUND)
+        assert np.all(miss <= self.BOUND) and not cleared.any()
+
+    def test_vanishing_relative_acceleration(self):
+        accel = np.array([0.0, 1e-300, 1e-200, 1e-20, 1e-12, 1e-6])
+        for c in (self.BOUND * (1.0 - 1e-15), self.BOUND, self.BOUND * (1.0 + 1e-15), 400.0):
+            rows = np.tile(OBSERVER + [-3000.0, 30.0, 0.0, c, 0.0, 0.0], (len(accel), 1))
+            rows[:, 2] += accel
+            rows[:, 5] -= accel
+            _with_and_without(rows, self.BOUND)
+
+    def test_non_finite_rows_stay_non_finite(self):
+        q = phase_p2(seed=2)
+        states = _draws(q, 6, 28)
+        states[1, 0] = np.nan
+        states[3, 4] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            miss, _ = miss_distance_batch(
+                states, q.observer[None], np.zeros(6, np.intp), np.array([q.horizon]), 152.4
+            )
+        assert np.isnan(miss[[1, 3]]).all() and np.isfinite(miss[[0, 2, 4, 5]]).all()
+
+    def test_bound_checked(self):
+        args = (np.zeros((3, 6)), OBSERVER[None], np.zeros(3, np.intp), np.full(1, 20.0))
+        for bad in (-1.0, np.nan, "152.4", [152.4]):
+            with pytest.raises(ValueError, match="bound"):
+                miss_distance_batch(*args, bad)
+        assert np.isnan(miss_distance_batch(*args, np.inf)[1]).sum() == 0
+
+
 class TestCriticalPoints:
     """The root helper returns the cubic's two candidate minima per row."""
 

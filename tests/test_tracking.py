@@ -8,6 +8,7 @@ from subsim import rng as _rng
 from subsim.dynamics import transition_matrix
 from subsim.tracking import (
     NoiseConfig,
+    _covariance_step,
     _filter_model,
     check_posteriors,
     initial_estimate,
@@ -206,6 +207,92 @@ class TestKfStep:
         mean, _ = _prior()
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             kf_step(mean, np.eye(6) * 1e308, None, 0.05, NOISE)
+
+
+def _reference_kf_step(mean, cov, z, dt, noise):
+    """`kf_step` computed afresh at every call, with no cache: the matmuls
+    and checks of the filter step in the order `kf_step` makes them."""
+    a, q, h, r, eye = _filter_model(dt, noise)
+    mean = a @ mean
+    cov = a @ np.asarray(cov) @ a.T + q
+    cov = 0.5 * (cov + cov.T)
+    if z is not None:
+        innovation_cov = h @ cov @ h.T + r
+        gain = np.linalg.solve(innovation_cov.T, (cov @ h.T).T).T
+        residual = np.asarray(z) - h @ mean
+        mean = mean + gain @ residual
+        cov = (eye - gain @ h) @ cov
+        cov = 0.5 * (cov + cov.T)
+    check_posteriors(mean, cov)
+    return mean, cov
+
+
+class TestCovarianceCache:
+    """`kf_step` takes its covariance and gain from a bounded cache keyed by
+    the input covariance's bytes; its results equal a fresh step's."""
+
+    def test_filter_equals_uncached_steps(self):
+        # two encounters of one filter: the second meets every covariance
+        # again, and both equal the uncached steps bit for bit
+        gen = _gen(4)
+        truth = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0])
+        _covariance_step.cache_clear()
+        for run in range(2):
+            mean, cov = _prior()
+            ref_mean, ref_cov = mean, cov
+            for k in range(300):
+                z = None
+                if k % 10 == 0:
+                    z = simulate_measurement(truth, NOISE, gen.standard_normal(2))
+                mean, cov = kf_step(mean, cov, z, 0.05, NOISE)
+                ref_mean, ref_cov = _reference_kf_step(ref_mean, ref_cov, z, 0.05, NOISE)
+                assert np.array_equal(mean, ref_mean) and np.array_equal(cov, ref_cov)
+                assert not cov.flags.writeable
+            info = _covariance_step.cache_info()
+            assert info.currsize == 300 and info.hits == 300 * run
+        assert info.maxsize == 1024
+
+    def test_singular_innovation_raises_and_caches_nothing(self):
+        # no measurement noise on a collapsed state: the innovation
+        # covariance is zero
+        quiet = NoiseConfig(sigma_x=0.0, sigma_y=0.0, sigma_ax2=0.0, sigma_ay2=0.0)
+        mean, cov = np.zeros(6), np.zeros((6, 6))
+        z = np.array([1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            _reference_kf_step(mean, cov, z, 0.05, quiet)
+        _covariance_step.cache_clear()
+        for _ in range(2):  # nothing was kept: the second call raises too
+            with pytest.raises(np.linalg.LinAlgError):
+                kf_step(mean, cov, z, 0.05, quiet)
+            assert _covariance_step.cache_info().currsize == 0
+        # the next valid step equals a fresh one bit for bit
+        prior = _prior()
+        for z_next in (None, z):
+            got = kf_step(*prior, z_next, 0.05, quiet)
+            ref = _reference_kf_step(*prior, z_next, 0.05, quiet)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_rejected_covariance_caches_nothing(self):
+        mean, _ = _prior()
+        _covariance_step.cache_clear()
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="covariance must be finite"):
+            kf_step(mean, np.eye(6) * 1e308, None, 0.05, NOISE)
+        assert _covariance_step.cache_info().currsize == 0
+
+    def test_cached_step_still_checks_the_mean(self):
+        mean, cov = _prior()
+        kf_step(mean, cov, None, 0.05, NOISE)
+        bad = mean.copy()
+        bad[2] = np.nan
+        hits = _covariance_step.cache_info().hits
+        with pytest.raises(ValueError, match="mean must be finite"):
+            kf_step(bad, cov, None, 0.05, NOISE)
+        assert _covariance_step.cache_info().hits == hits + 1
+
+    def test_covariance_shape_checked(self):
+        mean, cov = _prior()
+        with pytest.raises(ValueError, match="6x6"):
+            kf_step(mean, cov.ravel(), None, 0.05, NOISE)
 
 
 class TestInitialEstimate:
