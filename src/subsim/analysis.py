@@ -98,7 +98,8 @@ def freeze_phase(spec: ScenarioSpec, at_time: float, seed: SeedLike) -> Conflict
     """Run truth, measurements and the filter up to `at_time`, freeze the query.
 
     The steps, and the query's horizon (the scenario duration), are those of
-    `simulate_scenario` at the same seed.
+    `simulate_scenario` at the same seed; no measurement after the frozen
+    step is drawn.
     """
     if not math.isfinite(at_time):
         raise ValueError(f"at_time={at_time} does not land on a simulation step")
@@ -106,7 +107,8 @@ def freeze_phase(spec: ScenarioSpec, at_time: float, seed: SeedLike) -> Conflict
     k_stop = round(k_float)
     if abs(k_float - k_stop) > 1e-9 or not 1 <= k_stop <= spec.n_steps:
         raise ValueError(f"at_time={at_time} does not land on a simulation step")
-    return next(step for step in encounter_steps(spec, seed) if step.k == k_stop).query(spec)
+    steps = encounter_steps(spec, seed, last_step=k_stop)
+    return next(step for step in steps if step.k == k_stop).query(spec)
 
 
 def _cov_point(method: str, n: int, results: Sequence[PcResult]) -> CovPoint:

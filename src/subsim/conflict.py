@@ -174,12 +174,11 @@ def pc_ss(
     conditional chains against intermediate miss-distance thresholds.  The
     estimate is D/N * p0^L, with D the conflicts among level L's N samples.
     One engine call, whose batches may mix budgets; result k equals query
-    k's own one-query call exactly.  No CCDF table is built.
+    k's own one-query call exactly.  The run keeps no level blocks
+    (`tables=False`), so no CCDF table can be built.
     """
-    results = run_subset_simulations(conflict_system(queries), configs, seeds)
-    # map, not a comprehension, whose loop variable would keep the previous
-    # batch's level arrays alive while the next batch runs
-    return list(map(operator.attrgetter("diagnostics"), results))
+    results = run_subset_simulations(conflict_system(queries), configs, seeds, tables=False)
+    return [result.diagnostics for result in results]
 
 
 @dataclass(eq=False)
@@ -203,14 +202,21 @@ def _two_normals(root: Pools, *key: int) -> np.ndarray:
     return standard_normal(children(root, *key), [2])
 
 
-def encounter_steps(spec: ScenarioSpec, seed: SeedLike | Pools) -> Iterator[EncounterStep]:
+def encounter_steps(
+    spec: ScenarioSpec, seed: SeedLike | Pools, last_step: Optional[int] = None
+) -> Iterator[EncounterStep]:
     """Truth propagation, measurements and filtering of one encounter, step by step.
 
-    Yields steps k = 1..n_steps.  The filter's initial estimate draws from
-    stream child(root, 0) and the measurement at step k from child(root, k, 0),
-    with root the seed's pool, so every consumer of an encounter at one seed
-    sees the same steps.
+    Yields steps k = 1..last_step, by default 1..n_steps; only the
+    measurements of those steps are drawn, and a last step outside
+    1..n_steps raises `ValueError`.  The filter's initial estimate draws
+    from stream child(root, 0) and the measurement at step k from
+    child(root, k, 0), with root the seed's pool, so every consumer of an
+    encounter at one seed sees the same steps.
     """
+    last_step = spec.n_steps if last_step is None else last_step
+    if not 1 <= last_step <= spec.n_steps:
+        raise ValueError(f"last_step must lie in 1..{spec.n_steps}, got {last_step}")
     root = pool(seed)
     obs, intr = initial_states(spec)
     mean, cov = initial_estimate(
@@ -227,9 +233,9 @@ def encounter_steps(spec: ScenarioSpec, seed: SeedLike | Pools) -> Iterator[Enco
     # steps stride + 1, 2 stride + 1, ... are measured: every measured
     # step's stream is derived and drawn in one call, row j - 1 being the
     # two normals of step j stride + 1
-    measured = np.arange(stride + 1, spec.n_steps + 1, stride)
+    measured = np.arange(stride + 1, last_step + 1, stride)
     w = standard_normal(children(root, measured, 0), [1] * len(measured), (2,))
-    for k in range(1, spec.n_steps + 1):
+    for k in range(1, last_step + 1):
         obs = a @ obs
         intr = a @ intr
         j, off = divmod(k - 1, stride)
@@ -291,7 +297,8 @@ def simulate_scenario(
     SS, DMC and the true miss distance share one `conflict_system` of the
     estimated steps.  Step k's SS run draws from child(root, k, 1), and its
     DMC result is `pc_dmc` of its query on SS's `samples_used` draws from
-    child(root, k, 2), root being the seed's pool.  No table is built.
+    child(root, k, 2), root being the seed's pool.  The SS run keeps no
+    level blocks (`tables=False`), so no table is built.
     """
     root = pool(seed)
     try:
@@ -307,8 +314,8 @@ def simulate_scenario(
         return []
     system = conflict_system([step.query(spec) for step in steps])
     step_roots = children(root, np.array([step.k for step in steps]))
-    ss_results = run_subset_simulations(system, ss_config, children(step_roots, 1))
-    ss = list(map(operator.attrgetter("diagnostics"), ss_results))
+    ss_results = run_subset_simulations(system, ss_config, children(step_roots, 1), tables=False)
+    ss = [result.diagnostics for result in ss_results]
     dmc = direct_monte_carlo(
         _counting(system), [res.samples_used for res in ss], children(step_roots, 2)
     )

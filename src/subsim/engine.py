@@ -192,11 +192,13 @@ class SubsetResult:
     result holds its level blocks, (responses, samples) pairs in draw order
     that are views of the level arrays of the lockstep batch that produced
     it: an unread result pins those arrays for every problem of that batch.
-    The first read releases them.
+    The first read releases them.  A result of a run with `tables=False`
+    holds no blocks (`_blocks` is None), and reading its `table` raises
+    `ValueError`.
     """
 
     diagnostics: PcResult
-    _blocks: list = field(repr=False)
+    _blocks: list | None = field(repr=False)
     _config: SubsetConfig = field(repr=False)
 
     @property
@@ -206,6 +208,8 @@ class SubsetResult:
 
     @cached_property
     def table(self) -> CcdfTable:
+        if self._blocks is None:
+            raise ValueError("this result keeps no level blocks: its run passed tables=False")
         table = assemble_ccdf(self._blocks, self._config)
         self._blocks.clear()
         return table
@@ -321,6 +325,7 @@ def _level0(system: RareEventSystem, roots: _rng.Pools, lo: int, ns: np.ndarray)
         x = samples[row:end].reshape(r, n, d)
         np.matmul(z[row:end].reshape(r, n, d), system.chol[k : k + r].transpose(0, 2, 1), out=x)
         x += system.mean[k : k + r, None]
+    del z  # not needed once coloured: freed, they lower the peak while the batch is scored
     responses = np.asarray(system.evaluate(samples, problems.repeat(ns)), dtype=np.float64)
     if responses.shape != (len(samples),):
         raise ValueError(f"level 0 produced {responses.shape} responses, expected {len(samples)}")
@@ -335,13 +340,16 @@ def _level0(system: RareEventSystem, roots: _rng.Pools, lo: int, ns: np.ndarray)
 # study's repetitions and budgets, and each chain step makes one `evaluate`
 # call for its whole batch.  The cap bounds a batch's level arrays, or its
 # draws, while each call stays large enough for its fixed cost (about 60 us
-# for the conflict kernel) not to matter: a batch holds 163 problems at
-# N = 100, and 5 at N = 3,000, a c.o.v. study's largest budget.  A 400-step
-# head-on encounter (seed 901) runs as 3 batches and 131 kernel calls; a cap
-# of 64 problems a batch made that 7 and 198, and its encounters ran 4%
-# slower (median of 60 seeds, paired, 2-vCPU Xeon).  No result depends on
-# where a batch ends.
-_BATCH_ROWS = 16_384
+# a call for the conflict kernel, against about 70 ns a row) not to matter:
+# 40,960 rows are ten of the kernel's 4,096-row blocks, and a batch holds
+# 409 problems at N = 100 and 13 at N = 3,000, a c.o.v. study's largest
+# budget.  A 400-step head-on encounter (seed 901) is then one SS batch and
+# 65 kernel calls; a cap of 16,384 rows made that 3 batches and 131 calls,
+# and its encounters ran 12% slower (medians of 12 paired 8 s runs, 2-vCPU
+# Xeon).  A batch this large fits in memory because runs that read no table
+# keep only their current level's arrays (`tables=False`).  No result
+# depends on where a batch ends.
+_BATCH_ROWS = 40_960
 
 
 def _batches(ns: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -466,6 +474,8 @@ def run_subset_simulations(
     system: RareEventSystem,
     configs: SubsetConfig | Sequence[SubsetConfig],
     seeds: Sequence[_rng.SeedLike] | _rng.Pools,
+    *,
+    tables: bool = True,
 ) -> Iterator[SubsetResult]:
     """Run problems 0..K-1 of `system` in lockstep, problem k from `seeds[k]`
     under `configs[k]`, or under `configs` itself if it is one config.
@@ -496,7 +506,10 @@ def run_subset_simulations(
     `rng.children` call.  The threshold, seed selection and stop test
     read each problem's own rows; so each result equals the problem's own
     one-problem run bit for bit.  No table is assembled here: a result
-    builds its own on first read (see `SubsetResult`).
+    builds its own on first read (see `SubsetResult`).  With `tables=False`
+    the results keep no level blocks, so a batch holds only its current
+    level's arrays and no result's `table` can be read; the summaries are
+    the same bit for bit.
     """
     roots = _rng.pools(seeds)
     k_all = len(roots)
@@ -514,7 +527,7 @@ def run_subset_simulations(
     def stream():  # a generator expression's loop variable would pin a batch
         stalls: list[int] = []  # each problem's stalled level count
         for lo, hi in _batches([c.n_samples for c in configs]):
-            yield from _run_batch(system, configs, roots, stalls, range(lo, hi))
+            yield from _run_batch(system, configs, roots, stalls, range(lo, hi), tables=tables)
         if any(stalls):
             logger.warning(
                 "intermediate threshold did not decrease in %d of %d problems, at %d levels "
@@ -524,9 +537,10 @@ def run_subset_simulations(
     return stream()
 
 
-def _run_batch(system, configs, roots, stalls: list[int], batch: range):
+def _run_batch(system, configs, roots, stalls: list[int], batch: range, *, tables: bool):
     """The results of the problems in `batch`, run in lockstep, in order; each
-    one's stalled level count goes on `stalls`.
+    one's stalled level count goes on `stalls`.  With `tables` false no level
+    block is kept.
 
     Each level is one population whose rows run problem by problem, in draw
     order, over the problems still descending.  Per-problem arrays hold N,
@@ -544,14 +558,15 @@ def _run_batch(system, configs, roots, stalls: list[int], batch: range):
     samples, responses, (starts, spans, runs) = _level0(system, roots, lo, ns)
     d = system.mean.shape[1]
     n_s = configs[lo].chain_length
-    blocks: dict = {k: [] for k in batch}
+    blocks: dict = {k: [] if tables else None for k in batch}
     thresholds: dict[int, list[float]] = {k: [] for k in batch}
     results: dict[int, SubsetResult] = {}
     level = 0
 
     while True:
-        for k, start, end in spans:
-            blocks[k].append((responses[start:end], samples[start:end]))
+        if tables:
+            for k, start, end in spans:
+                blocks[k].append((responses[start:end], samples[start:end]))
         conflicts = np.add.reduceat(responses <= system.threshold, starts)
         stop = (conflicts >= n_cs) | (last == level)
         stopping = stop.any()

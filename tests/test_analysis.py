@@ -105,6 +105,29 @@ class TestFreezePhase:
         for a, b in ((q.observer, obs), (q.mean, mean), (q.cov, cov)):
             assert np.array_equal(a, b)
 
+    def test_draws_no_measurement_past_its_step(self, monkeypatch):
+        # a freeze at step 137 derives the measurement streams of steps 11,
+        # 21, ..., 131 only, and its query is step 137 of the whole encounter
+        spec = build_head_on(152.4)
+        k = 137
+        whole = next(step for step in conflict.encounter_steps(spec, 9) if step.k == k)
+        keys, derive = [], conflict.children
+
+        def recording(parents, *key):
+            keys.append(key)
+            return derive(parents, *key)
+
+        monkeypatch.setattr(conflict, "children", recording)
+        q = freeze_phase(spec, at_time=k * spec.dt, seed=9)
+        # the initial estimate's stream, then the measurements'
+        assert [len(key) for key in keys] == [1, 2]
+        assert keys[1][0].tolist() == list(range(11, k + 1, spec.measurement_stride))
+        for a, b in ((q.observer, whole.observer), (q.mean, whole.mean), (q.cov, whole.cov)):
+            assert np.array_equal(a, b)
+        for last_step in (0, spec.n_steps + 1):
+            with pytest.raises(ValueError, match=f"last_step must lie in 1..{spec.n_steps}"):
+                next(conflict.encounter_steps(spec, 9, last_step))
+
     def test_deterministic(self):
         spec = build_head_on(152.4)
         q1 = freeze_phase(spec, at_time=1.0, seed=4)
@@ -210,9 +233,9 @@ class TestCovStudy:
         runs, ss_calls = [], []
         run, ss = conflict.run_subset_simulations, analysis.pc_ss
 
-        def counting_run(system, configs, seeds):
+        def counting_run(system, configs, seeds, **options):
             runs.append([config.n_samples for config in configs])
-            return run(system, configs, seeds)
+            return run(system, configs, seeds, **options)
 
         def counting_ss(queries, configs, seeds):
             ss_calls.append([config.n_samples for config in configs])

@@ -284,11 +284,12 @@ class TestSimulateScenario:
         assert assemble_calls == []
 
     def test_encounter_peak_memory(self):
-        # one 400-step head-on encounter peaks at 5.2 MB of traced
-        # allocations (NumPy 2.4), one batch's level arrays at a time; the
-        # 6.5 MB bound leaves a 24% margin for NumPy versions, and fails an
-        # engine that returns all results at once (8.7 MB) or one whose
-        # batches have no row cap (9.9 MB)
+        # one 400-step head-on encounter peaks at 5.8 MB of traced
+        # allocations (NumPy 2.4): one SS batch that keeps only its current
+        # level's arrays.  The 6.5 MB bound leaves a 12% margin for NumPy
+        # versions, and fails a batch that keeps every level's arrays for
+        # tables (9.6 MB) or a level 0 that keeps its normals while it
+        # scores its draws (7.2 MB)
         spec = build_head_on(0.0, 2000.0)
         tracemalloc.start()
         try:

@@ -749,13 +749,14 @@ def eager_tables(monkeypatch):
     return switch
 
 
-def _descent(system, seed=24):
+def _descent(system, seed=24, **options):
     """One lockstep run of every problem of `system` with no rare sample to
     stop it: problem k three levels deep, or two for odd k, at N = 40 and
-    p0 = 0.25.  The results are lazy: no table has been read."""
+    p0 = 0.25.  The results are lazy: no table has been read.  `options`
+    go to `run_subset_simulations`."""
     configs = [replace(DEEP, max_levels=3 - k % 2) for k in range(len(system.mean))]
     never = replace(system, threshold=-np.inf)
-    return list(run_subset_simulations(never, configs, range(seed, seed + len(configs))))
+    return list(run_subset_simulations(never, configs, range(seed, seed + len(configs)), **options))
 
 
 def _python_types(result):
@@ -808,6 +809,20 @@ class TestSystemContract:
         assert len(assemble_calls) == 2 * len(lazy)
         for a, b in zip(lazy, eager, strict=True):
             _assert_same_result(a, b)
+
+    def test_summaries_without_tables(self, system):
+        # a run that keeps no level blocks gives the summaries of one that
+        # does, bit for bit, for a full descent and for a level-0 stop, and
+        # each of its results refuses to build a table
+        seeds = range(len(system.mean))
+        always = replace(system, threshold=np.inf)
+        stops = [list(run_subset_simulations(always, CFG, seeds, tables=t)) for t in (True, False)]
+        assert all(r.diagnostics.levels_used == 1 for r in stops[0])
+        for kept, bare in ((_descent(system), _descent(system, tables=False)), stops):
+            assert [repr(r.diagnostics) for r in bare] == [repr(r.diagnostics) for r in kept]
+            for result in bare:
+                with pytest.raises(ValueError, match="tables=False"):
+                    result.table
 
     def test_rows_reproduce_their_responses(self, system):
         # each table row's response is its sample's, scored apart from the
@@ -1088,9 +1103,9 @@ class TestBatches:
         batches = []
         run = engine._run_batch
 
-        def recording(*args):
+        def recording(*args, **options):
             batches.append(list(args[-1]))
-            return run(*args)
+            return run(*args, **options)
 
         monkeypatch.setattr(engine, "_run_batch", recording)
         return batches
@@ -1105,15 +1120,15 @@ class TestBatches:
             _assert_same_result(a, b)
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8]]
 
-    def test_large_n_batches_hold_5_problems(self, monkeypatch):
-        # batches shrink with N so that a batch holds at most 16,384 rows a level
+    def test_large_n_batches_hold_13_problems(self, monkeypatch):
+        # batches shrink with N so that a batch holds at most 40,960 rows a level
         batches = self._recorded_batches(monkeypatch)
         config = SubsetConfig(n_samples=3000, level_probability=0.1, max_levels=1)
-        results = run_subset_simulations(_line_system((0.0,) * 12), config, range(12))
-        assert len(list(results)) == 12
-        assert [len(b) for b in batches] == [5, 5, 2]
-        assert [hi - lo for lo, hi in engine._batches([1000] * 20)] == [16, 4]
-        assert list(engine._batches([100] * 400)) == [(0, 163), (163, 326), (326, 400)]
+        results = run_subset_simulations(_line_system((0.0,) * 28), config, range(28))
+        assert len(list(results)) == 28
+        assert [len(b) for b in batches] == [13, 13, 2]
+        assert [hi - lo for lo, hi in engine._batches([1000] * 50)] == [40, 10]
+        assert list(engine._batches([100] * 410)) == [(0, 409), (409, 410)]
 
     def test_batches_mix_budgets(self, monkeypatch):
         # batches close before passing _BATCH_ROWS rows a level, and may mix
@@ -1156,6 +1171,21 @@ class TestBatches:
         assert events[first - 2 : first] == [("result", 0), ("result", 1)]
         assert all(e[0] == "evaluate" and set(e[1]) <= {0, 1} for e in events[: first - 2])
         assert events[-2:] == [("result", 2), ("result", 3)]
+
+    def test_headon_encounter_is_one_batch(self, monkeypatch):
+        # the default head-on encounter, 400 steps at N = 100, runs as one
+        # SS batch that keeps no level blocks, so each chain step is one
+        # kernel call over every step still descending
+        batches, run = [], engine._run_batch
+
+        def recording(*args, tables):
+            batches.append((list(args[-1]), tables))
+            return run(*args, tables=tables)
+
+        monkeypatch.setattr(engine, "_run_batch", recording)
+        records = simulate_scenario(build_head_on(0.0, 2000.0), CFG, seed=901)
+        assert len(records) == 400
+        assert batches == [(list(range(400)), False)]
 
     def test_scenario_batches_change_no_record(self, monkeypatch):
         spec = build_head_on(152.4, 2000.0, duration=1.0, sample_rate=10.0)
