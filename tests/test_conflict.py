@@ -171,8 +171,12 @@ class TestPcSsBatch:
         with pytest.raises(ValueError, match="share"):
             conflict_system(queries)
 
-    # at N = 100 a batch closes after _BATCH_ROWS // 100 queries
-    @pytest.mark.parametrize("before", [engine._BATCH_ROWS // 100 - 1, engine._BATCH_ROWS // 100])
+    # at N = 100 a batch closes after _BATCH_ROWS // 100 queries; 162 and
+    # 163 put the odd radius inside the first batch, the last two either
+    # side of its boundary
+    @pytest.mark.parametrize(
+        "before", [162, 163, engine._BATCH_ROWS // 100 - 1, engine._BATCH_ROWS // 100]
+    )
     def test_list_with_different_radii_rejected(self, before):
         # the whole list is checked for one protected radius, wherever a
         # batch boundary falls
